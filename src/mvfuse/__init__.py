@@ -30,7 +30,6 @@ from .errors import (
 from .filter import (
     GaussianBelief,
     MotionModel,
-    SigmaSet,
     kalman_predict,
     make_motion_model,
     sigma_points,
@@ -40,10 +39,10 @@ from .filter import (
 from .geometry import (
     BBox,
     CameraModel,
-    Ellipsoid,
     backproject_ground,
     feet_point,
     ground_homography,
+    in_front,
     project_ellipsoid_to_bbox,
     project_point,
 )
@@ -79,7 +78,6 @@ from .pose import (
     init_keypoints,
     keypoint_positions,
     scaled_offsets,
-    track_keypoints,
 )
 from .synth import Occlusion, SceneSpec, generate
 from .tracker import (
@@ -92,7 +90,6 @@ from .tracker import (
     extract_estimates,
     init_target,
     run_all,
-    state_to_ellipsoid,
     track_object,
 )
 

@@ -162,7 +162,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_calibration(bundle.calibration, out / "calibration.json")
     save_annotations(bundle.annotations, out / "annotations.jsonl")
     save_tracks(gt, out / "gt_tracks.jsonl")
-    config = RunConfig(dt=1.0 / spec.fps, skeleton=spec.skeleton)
+    noise = (
+        {"r_bbox": spec.pixel_noise ** 2, "r_keypoint": spec.pixel_noise ** 2}
+        if spec.pixel_noise > 0
+        else {}
+    )
+    config = RunConfig(dt=1.0 / spec.fps, skeleton=spec.skeleton, **noise)
     save_config(config, out / "config.json")
     (out / "scene.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
 

@@ -82,27 +82,6 @@ class GaussianBelief:
 
 
 @dataclass(frozen=True)
-class SigmaSet:
-    """2d+1 sigma points with their mean and covariance weights."""
-
-    points: np.ndarray       # (2d+1, d)
-    mean_weights: np.ndarray  # (2d+1,)
-    cov_weights: np.ndarray   # (2d+1,)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        wm = np.asarray(self.mean_weights, dtype=np.float64).reshape(-1)
-        wc = np.asarray(self.cov_weights, dtype=np.float64).reshape(-1)
-        if pts.ndim != 2 or pts.shape[0] != 2 * pts.shape[1] + 1:
-            raise ValueError(f"points must be (2d+1, d), got {pts.shape}")
-        if wm.shape != (pts.shape[0],) or wc.shape != (pts.shape[0],):
-            raise ValueError("weight lengths must match point count")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "mean_weights", wm)
-        object.__setattr__(self, "cov_weights", wc)
-
-
-@dataclass(frozen=True)
 class MotionModel:
     """Linear-Gaussian motion: x' = F x + w, w ~ N(0, Q)."""
 
@@ -196,8 +175,9 @@ def sigma_points(
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
-) -> SigmaSet:
-    """Scaled sigma points and weights for a belief.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled sigma points (2d+1, d) with their mean and covariance weights
+    (2d+1,) each.
 
     Raises
     ------
@@ -220,7 +200,7 @@ def sigma_points(
     wc = wm.copy()
     wm[0] = lam / scale
     wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
-    return SigmaSet(points=pts, mean_weights=wm, cov_weights=wc)
+    return pts, wm, wc
 
 
 def unscented_transform(
@@ -288,19 +268,21 @@ def ukf_update(
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
 ) -> GaussianBelief:
-    """Measurement update through an arbitrary map ``h(state) -> measurement``.
+    """Measurement update through a batched map ``h``.
 
-    Pushes the sigma set through ``h``, reconstructs the predicted measurement
-    moments and the state-measurement cross covariance, and applies the Kalman
-    gain. The posterior covariance is symmetrized and, if roundoff drives an
-    eigenvalue slightly negative, clamped back to the PSD cone.
+    ``h`` takes the (2d+1, d) sigma matrix, one state per row, and returns
+    the (2d+1, m) predicted measurements, one row per sigma point; it is
+    called once per update. The measurement moments and the state-measurement
+    cross covariance come from the weighted sigma rows, and the Kalman gain
+    is applied. The posterior covariance is symmetrized and, if roundoff
+    drives an eigenvalue slightly negative, clamped back to the PSD cone.
 
     Raises
     ------
     DimensionMismatch
         If measurement, noise, and h outputs disagree in size.
     SigmaPointProjectionFailure
-        If ``h`` raises a geometry error on any sigma point.
+        If ``h`` raises a geometry error on the sigma matrix.
     SingularInnovation
         If the innovation covariance cannot be inverted.
     CholeskyFailure
@@ -314,28 +296,21 @@ def ukf_update(
             f"noise shape {R.shape} does not match measurement dim {m}"
         )
 
-    sig = sigma_points(belief, alpha=alpha, beta=beta, kappa=kappa)
-    n_pts = sig.points.shape[0]
-    Z = np.empty((n_pts, m))
-    for i in range(n_pts):
-        try:
-            zi = np.asarray(h(sig.points[i]), dtype=np.float64).reshape(-1)
-        except GeometryError as exc:
-            raise SigmaPointProjectionFailure(
-                f"sigma point {i} failed measurement map: {exc}"
-            ) from exc
-        if zi.size != m:
-            raise DimensionMismatch(
-                f"h returned length {zi.size}, expected {m}"
-            )
-        Z[i] = zi
+    X, wm, wc = sigma_points(belief, alpha=alpha, beta=beta, kappa=kappa)
+    try:
+        Z = np.asarray(h(X), dtype=np.float64)
+    except GeometryError as exc:
+        raise SigmaPointProjectionFailure(
+            f"sigma points failed measurement map: {exc}"
+        ) from exc
+    if Z.shape != (X.shape[0], m):
+        raise DimensionMismatch(
+            f"h returned shape {Z.shape}, expected {(X.shape[0], m)}"
+        )
 
-    z_hat = sig.mean_weights @ Z
-    dZ = Z - z_hat
-    S = dZ.T @ (sig.cov_weights[:, None] * dZ) + R
-    S = 0.5 * (S + S.T)
-    dX = sig.points - belief.mean
-    Cxz = dX.T @ (sig.cov_weights[:, None] * dZ)
+    z_hat, S = unscented_transform(Z, wm, wc)
+    S = S + R
+    Cxz = (X - belief.mean).T @ (wc[:, None] * (Z - z_hat))
 
     K = _solve_spd(S, Cxz.T).T
     mean = belief.mean + K @ (z - z_hat)

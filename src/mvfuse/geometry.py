@@ -28,6 +28,9 @@ from .errors import (
 _ORTHO_TOL = 1e-9
 _DEPTH_EPS = 1e-9
 _HOMOG_EPS = 1e-12
+# Entries (00, 11, 02, 12, 22, 01) of a symmetric 3x3 conic.
+_ROWS = np.array([0, 1, 0, 1, 2, 0])
+_COLS = np.array([0, 1, 2, 2, 2, 1])
 
 
 def _as_matrix(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -131,38 +134,58 @@ class BBox:
         return cls(a[0], a[1], a[2], a[3])
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Axis-aligned ellipsoid given by center and positive half-axes."""
-
-    center: np.ndarray
-    half_axes: np.ndarray
-
-    def __post_init__(self):
-        c = _as_matrix(self.center, (3,), "center")
-        h = _as_matrix(self.half_axes, (3,), "half_axes")
-        if np.any(h <= 0):
-            raise ValueError(f"half_axes must be positive, got {h}")
-        c.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "half_axes", h)
+def _affine(points: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``points @ A.T + b`` for (..., 3) points, summed term by term in a fixed
+    order so that a stack of rows gives bit-for-bit the results of row-by-row
+    calls (a BLAS product need not)."""
+    return (
+        points[..., 0:1] * A[:, 0]
+        + points[..., 1:2] * A[:, 1]
+        + points[..., 2:3] * A[:, 2]
+        + b
+    )
 
 
-def project_point(cam: CameraModel, point) -> np.ndarray:
-    """Project a world point to pixel coordinates.
+def _first_bad(mask: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first True entry of a batch mask, and a message suffix
+    naming it ('' for a single row)."""
+    i = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return i, ("" if not i else f" at row {i[0] if len(i) == 1 else i}")
+
+
+def _as_rows(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have shape (..., 3), got {arr.shape}")
+    return arr
+
+
+def in_front(cam: CameraModel, points) -> np.ndarray:
+    """Mask (...,) of the world points (..., 3) whose camera-frame depth
+    exceeds 1e-9: exactly the points :func:`project_point` accepts."""
+    P = cam.projection_matrix
+    X = _as_rows(points, "points")
+    return _affine(X, P[2:, :3], P[2:, 3])[..., 0] > _DEPTH_EPS
+
+
+def project_point(cam: CameraModel, points) -> np.ndarray:
+    """Project world points (..., 3) to pixel coordinates (..., 2).
 
     Raises
     ------
     NonPositiveDepth
-        If the point's camera-frame depth is <= 1e-9.
+        If any point's camera-frame depth is <= 1e-9.
     """
-    X = np.asarray(point, dtype=np.float64).reshape(3)
-    Xc = cam.rotation @ X + cam.translation
-    if Xc[2] <= _DEPTH_EPS:
-        raise NonPositiveDepth(f"depth {Xc[2]:.3e} for point {X.tolist()}")
-    uvw = cam.intrinsics @ Xc
-    return uvw[:2] / uvw[2]
+    X = _as_rows(points, "points")
+    P = cam.projection_matrix
+    uvw = _affine(X, P[:, :3], P[:, 3])
+    bad = uvw[..., 2] <= _DEPTH_EPS
+    if bad.any():
+        i, where = _first_bad(bad)
+        raise NonPositiveDepth(
+            f"depth {uvw[..., 2][i]:.3e} for point {X[i].tolist()}{where}"
+        )
+    return uvw[..., :2] / uvw[..., 2:3]
 
 
 def ground_homography(cam: CameraModel) -> np.ndarray:
@@ -198,55 +221,71 @@ def backproject_ground(cam: CameraModel, pixel) -> np.ndarray:
         Propagated from :func:`ground_homography`.
     PointAtInfinity
         If the ray is parallel to the ground plane (homogeneous scale < 1e-12).
+    NonPositiveDepth
+        If the ground hit lies on or behind the camera (depth <= 1e-9): the
+        pixel is above the horizon, and only the backward ray meets the ground.
     """
     uv = np.asarray(pixel, dtype=np.float64).reshape(2)
     H = ground_homography(cam)
     g = np.linalg.solve(H, np.array([uv[0], uv[1], 1.0]))
     if abs(g[2]) < _HOMOG_EPS:
         raise PointAtInfinity(f"pixel {uv.tolist()} maps to the horizon")
-    return np.array([g[0] / g[2], g[1] / g[2], 0.0])
+    hit = np.array([g[0] / g[2], g[1] / g[2], 0.0])
+    if not in_front(cam, hit):
+        raise NonPositiveDepth(
+            f"pixel {uv.tolist()} hits the ground behind the camera"
+        )
+    return hit
 
 
-def project_ellipsoid_to_bbox(cam: CameraModel, ellipsoid: Ellipsoid) -> BBox:
-    """Tight axis-aligned image box of an ellipsoid's outline.
+def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray:
+    """Tight axis-aligned image boxes ``(u_min, v_min, u_max, v_max)`` (..., 4)
+    of axis-aligned ellipsoids with centers and half-axes (..., 3).
 
-    Uses the dual quadric: for ``Q* = T diag(a², b², c², -1) Tᵀ`` the outline
-    conic is ``C* = P Q* Pᵀ``, and the extremal image lines tangent to the
-    conic give the box edges in closed form.
+    The outline of the dual quadric ``Q* = T diag(a², b², c², -1) Tᵀ`` is
+    ``C* = P Q* Pᵀ``; for ``P = [M | p]`` this reduces to
+    ``C* = M diag(a², b², c²) Mᵀ - w wᵀ`` with ``w = M X + p`` the projective
+    image of the center. The image lines tangent to the conic give the box
+    edges in closed form.
 
     Raises
     ------
+    ValueError
+        If a half-axis is not positive.
     NonPositiveDepth
-        If the ellipsoid center is on or behind the principal plane.
+        If an ellipsoid center is on or behind the principal plane.
     DegenerateConic
-        If the outline is not a bounded ellipse (camera inside or tangent to
+        If an outline is not a bounded ellipse (camera inside or tangent to
         the ellipsoid).
     """
-    zc = (cam.rotation @ ellipsoid.center + cam.translation)[2]
-    if zc <= _DEPTH_EPS:
-        raise NonPositiveDepth(f"ellipsoid center depth {zc:.3e}")
-
-    a, b, c = ellipsoid.half_axes
-    Q = np.diag([a * a, b * b, c * c, -1.0])
-    T = np.eye(4)
-    T[:3, 3] = ellipsoid.center
-    Qs = T @ Q @ T.T
+    X = _as_rows(center, "center")
+    half = _as_rows(half_axes, "half_axes")
+    if (half <= 0).any():
+        raise ValueError(f"half_axes must be positive, got {half.tolist()}")
     P = cam.projection_matrix
-    C = P @ Qs @ P.T
+    M = P[:, :3]
+    w = _affine(X, M, P[:, 3])
+    bad = w[..., 2] <= _DEPTH_EPS
+    if bad.any():
+        i, where = _first_bad(bad)
+        raise NonPositiveDepth(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
 
-    if abs(C[2, 2]) < _HOMOG_EPS * max(1.0, float(np.max(np.abs(C)))):
-        raise DegenerateConic("outline conic degenerate (C22 ~ 0)")
-    cu = C[0, 2] / C[2, 2]
-    cv = C[1, 2] / C[2, 2]
-    du = cu * cu - C[0, 0] / C[2, 2]
-    dv = cv * cv - C[1, 1] / C[2, 2]
-    if du <= 0 or dv <= 0:
+    C = _affine(half * half, M[_ROWS] * M[_COLS], -w[..., _ROWS] * w[..., _COLS])
+    c22 = C[..., 4:5]
+    bad = np.abs(c22[..., 0]) < _HOMOG_EPS * np.maximum(1.0, np.abs(C).max(axis=-1))
+    if bad.any():
+        _, where = _first_bad(bad)
+        raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+    center_uv = C[..., 2:4] / c22
+    disc = center_uv * center_uv - C[..., 0:2] / c22
+    bad = (disc <= 0).any(axis=-1)
+    if bad.any():
+        i, where = _first_bad(bad)
         raise DegenerateConic(
-            f"outline not a bounded ellipse (disc u={du:.3e}, v={dv:.3e})"
+            f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
         )
-    ru = np.sqrt(du)
-    rv = np.sqrt(dv)
-    return BBox(cu - ru, cv - rv, cu + ru, cv + rv)
+    r = np.sqrt(disc)
+    return np.concatenate([center_uv - r, center_uv + r], axis=-1)
 
 
 def feet_point(bbox: BBox) -> np.ndarray:

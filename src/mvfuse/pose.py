@@ -237,10 +237,8 @@ def predict_keypoints(
 
 
 def _pixel_measurement(cam: CameraModel):
-    def h(x: np.ndarray) -> np.ndarray:
-        return project_point(cam, x[KP_POS_IDX])
-
-    return h
+    """Measurement map: keypoint states (..., 6) -> pixels (..., 2)."""
+    return lambda X: project_point(cam, X[..., KP_POS_IDX])
 
 
 def update_keypoints(
@@ -286,28 +284,3 @@ def update_keypoints(
 def keypoint_positions(states: Sequence[KeypointState]) -> np.ndarray:
     """Stack current keypoint position estimates into an (N, 3) array."""
     return np.array([s.position for s in states]).reshape(len(states), 3)
-
-
-def track_keypoints(
-    observations: Sequence[Mapping[int, np.ndarray]],
-    initial: Sequence[KeypointState],
-    cams: Mapping[int, CameraModel],
-    config: "RunConfig",
-) -> np.ndarray:
-    """Run the keypoint filters over a window of frames.
-
-    ``observations[k]`` maps camera id to an (N, 3) annotation array for frame
-    k; cameras are fused in ascending id. The initial states are taken to be
-    valid at the first frame, which is therefore updated without a predict.
-    Returns the (F, N, 3) position estimates after each frame.
-    """
-    states = list(initial)
-    model = keypoint_motion_model(config)
-    out = np.empty((len(observations), len(states), 3))
-    for k, per_cam in enumerate(observations):
-        if k > 0:
-            states = predict_keypoints(states, model)
-        for cid in sorted(per_cam):
-            states = update_keypoints(states, per_cam[cid], cams[cid], config)
-        out[k] = keypoint_positions(states)
-    return out

@@ -19,7 +19,13 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GeometryError, InvalidSpec
-from .geometry import BBox, CameraModel, Ellipsoid, project_ellipsoid_to_bbox, project_point
+from .geometry import (
+    BBox,
+    CameraModel,
+    in_front,
+    project_ellipsoid_to_bbox,
+    project_point,
+)
 from .io import SceneBundle
 from .metrics import TrackSet
 from .pose import canonical_pose, scaled_offsets
@@ -310,10 +316,32 @@ def _plan_motion(
     return out
 
 
-def _noisy_box(box: BBox, noise: float, rng: np.random.Generator) -> BBox:
-    if noise == 0.0:
-        return box
-    vals = box.as_array() + rng.normal(0.0, noise, 4)
+def _outline_boxes(cam: CameraModel, centers, half_axes) -> np.ndarray:
+    """Outline boxes (n, 4) of n ellipsoids; NaN rows where the camera sees
+    no bounded outline. Rows equal single-row kernel calls bit for bit."""
+    try:
+        return project_ellipsoid_to_bbox(cam, centers, half_axes)
+    except GeometryError:
+        out = np.full((len(centers), 4), np.nan)
+        for i, (center, half) in enumerate(zip(centers, half_axes)):
+            try:
+                out[i] = project_ellipsoid_to_bbox(cam, center, half)
+            except GeometryError:
+                pass
+        return out
+
+
+def _joint_pixels(cam: CameraModel, joints) -> tuple[np.ndarray, np.ndarray]:
+    """Mask (n, J) of the joints (n, J, 3) in front of the camera, and their
+    pixels (n, J, 2), zero where not in front."""
+    front = in_front(cam, joints)
+    uv = np.zeros(joints.shape[:-1] + (2,))
+    uv[front] = project_point(cam, joints[front])
+    return front, uv
+
+
+def _noisy_box(box: np.ndarray, noise: float, rng: np.random.Generator) -> BBox:
+    vals = box + rng.normal(0.0, noise, 4) if noise else box
     return BBox(
         min(vals[0], vals[2]), min(vals[1], vals[3]),
         max(vals[0], vals[2]), max(vals[1], vals[3]),
@@ -348,22 +376,26 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
     for k in range(spec.frames):
         boxes: dict[int, dict[int, BBox]] = {}
         kps: dict[int, dict[int, np.ndarray]] = {}
+        centers = np.column_stack([ground[k], half_axes[:, 2]])
+        joints = offsets + centers[:, None, :] if offsets is not None else None
+        # The frame's geometry in one kernel call per camera; the sampling
+        # below draws noise in (object, camera) order.
+        outlines = {
+            cid: _outline_boxes(cam, centers, half_axes) for cid, cam in cams.items()
+        }
+        if joints is not None:
+            pixels = {cid: _joint_pixels(cam, joints) for cid, cam in cams.items()}
         for o in range(spec.num_objects):
-            center = np.array([ground[k, o, 0], ground[k, o, 1], half_axes[o, 2]])
-            positions[o][k] = center
+            positions[o][k] = centers[o]
             gt_half[o][k] = half_axes[o].copy()
-            ell = Ellipsoid(center=center, half_axes=half_axes[o])
-            joints = offsets[o] + center if offsets is not None else None
             if joints is not None:
-                gt_kp.setdefault(o, {})[k] = joints
-            for cid, cam in cams.items():
+                gt_kp.setdefault(o, {})[k] = joints[o]
+            for cid in cams:
                 if any(occ.covers(k, cid, o) for occ in spec.occlusions):
                     continue
-                try:
-                    box = project_ellipsoid_to_bbox(cam, ell)
-                except GeometryError:
+                if np.isnan(outlines[cid][o, 0]):
                     continue
-                box = _noisy_box(box, spec.pixel_noise, rng)
+                box = _noisy_box(outlines[cid][o], spec.pixel_noise, rng)
                 if (
                     box.u_min >= 0
                     and box.v_min >= 0
@@ -372,19 +404,19 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
                 ):
                     boxes.setdefault(o, {})[cid] = box
                 if joints is not None:
-                    rows = np.zeros((joints.shape[0], 3))
-                    any_visible = False
-                    for j, joint in enumerate(joints):
-                        try:
-                            uv = project_point(cam, joint)
-                        except GeometryError:
-                            continue
-                        if spec.pixel_noise:
-                            uv = uv + rng.normal(0.0, spec.pixel_noise, 2)
-                        visible = 0 <= uv[0] <= width and 0 <= uv[1] <= height
-                        rows[j] = [uv[0], uv[1], 1.0 if visible else 0.0]
-                        any_visible = any_visible or visible
-                    if any_visible:
+                    # A joint behind the camera stays an invisible (0, 0) row
+                    # and draws no noise.
+                    front, joint_uv = pixels[cid]
+                    uv = joint_uv[o][front[o]]
+                    if spec.pixel_noise:
+                        uv = uv + rng.normal(0.0, spec.pixel_noise, uv.shape)
+                    visible = (
+                        (0 <= uv[:, 0]) & (uv[:, 0] <= width)
+                        & (0 <= uv[:, 1]) & (uv[:, 1] <= height)
+                    )
+                    rows = np.zeros((joints.shape[1], 3))
+                    rows[front[o]] = np.column_stack([uv, visible])
+                    if visible.any():
                         kps.setdefault(o, {})[cid] = rows
         if boxes or kps:
             frames.append(AnnotationFrame(frame=k, boxes=boxes, keypoints=kps))

@@ -23,13 +23,17 @@ import numpy as np
 from .errors import (
     GeometryError,
     NoObservation,
-    NonPositiveDepth,
-    DegenerateConic,
     SigmaPointProjectionFailure,
     SingularInnovation,
 )
 from .filter import GaussianBelief, kalman_predict, make_motion_model, ukf_update
-from .geometry import BBox, CameraModel, backproject_ground, Ellipsoid, feet_point
+from .geometry import (
+    BBox,
+    CameraModel,
+    backproject_ground,
+    feet_point,
+    project_ellipsoid_to_bbox,
+)
 from . import pose as pose_mod
 
 if TYPE_CHECKING:
@@ -42,9 +46,6 @@ logger = logging.getLogger(__name__)
 POS_IDX = np.array([0, 2, 4])
 VEL_IDX = np.array([1, 3, 5])
 SHAPE_SLICE = slice(6, 9)
-
-_DEPTH_EPS = 1e-9
-_CONIC_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,49 +136,12 @@ class Diagnostic:
 EventCallback = Callable[[Diagnostic], None]
 
 
-def state_to_ellipsoid(mean: np.ndarray) -> Ellipsoid:
-    """Ellipsoid encoded by a 9-dim state vector."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(9)
-    return Ellipsoid(center=mean[POS_IDX], half_axes=np.exp(mean[SHAPE_SLICE]))
-
-
 def bbox_measurement(cam: CameraModel) -> Callable[[np.ndarray], np.ndarray]:
-    """Measurement map: state vector -> (u_min, v_min, u_max, v_max).
-
-    Algebraically identical to projecting ``state_to_ellipsoid`` through the
-    dual quadric, written in a reduced form (C* = M D M^T - w w^T for
-    M = K R, w the projective center image) to keep sigma-point sweeps cheap.
-    """
-    P = cam.projection_matrix
-    M = P[:, :3]
-    p4 = P[:, 3]
-    r2 = cam.rotation[2]
-    t2 = cam.translation[2]
-
-    def h(x: np.ndarray) -> np.ndarray:
-        center = x[POS_IDX]
-        depth = r2 @ center + t2
-        if depth <= _DEPTH_EPS:
-            raise NonPositiveDepth(f"ellipsoid center depth {depth:.3e}")
-        d2 = np.exp(2.0 * x[SHAPE_SLICE])
-        w = M @ center + p4
-        C = (M * d2) @ M.T - np.outer(w, w)
-        c22 = C[2, 2]
-        if abs(c22) < _CONIC_EPS * max(1.0, float(np.max(np.abs(C)))):
-            raise DegenerateConic("outline conic degenerate (C22 ~ 0)")
-        cu = C[0, 2] / c22
-        cv = C[1, 2] / c22
-        du = cu * cu - C[0, 0] / c22
-        dv = cv * cv - C[1, 1] / c22
-        if du <= 0 or dv <= 0:
-            raise DegenerateConic(
-                f"outline not a bounded ellipse (disc u={du:.3e}, v={dv:.3e})"
-            )
-        ru = np.sqrt(du)
-        rv = np.sqrt(dv)
-        return np.array([cu - ru, cv - rv, cu + ru, cv + rv])
-
-    return h
+    """Measurement map: states (..., 9) -> boxes (u_min, v_min, u_max, v_max)
+    (..., 4) of the ellipsoids they encode."""
+    return lambda X: project_ellipsoid_to_bbox(
+        cam, X[..., POS_IDX], np.exp(X[..., SHAPE_SLICE])
+    )
 
 
 def init_target(
@@ -233,25 +197,14 @@ def extract_estimates(
 
 def _observed_frames(
     annotations: Sequence[AnnotationFrame], object_id: int
-) -> tuple[int | None, int | None, bool]:
-    """(birth frame, last observed frame, has any keypoints) for an object.
-
-    Birth requires a box; the track end counts keypoint-only frames too.
+) -> tuple[list[int], int | None, bool]:
+    """(frames with a box in ascending order, last observed frame, has any
+    keypoints) for an object. The track end counts keypoint-only frames too.
     """
-    birth = None
-    last = None
-    has_kp = False
-    for af in annotations:
-        if af.boxes.get(object_id):
-            if birth is None:
-                birth = af.frame
-            last = af.frame if last is None else max(last, af.frame)
-        if af.keypoints.get(object_id):
-            has_kp = True
-            last = af.frame if last is None else max(last, af.frame)
-    if birth is not None and last is not None:
-        last = max(last, birth)
-    return birth, last, has_kp
+    box_frames = sorted(af.frame for af in annotations if af.boxes.get(object_id))
+    kp_frames = [af.frame for af in annotations if af.keypoints.get(object_id)]
+    last = max(box_frames + kp_frames, default=None)
+    return box_frames, last, bool(kp_frames)
 
 
 def track_object(
@@ -264,15 +217,16 @@ def track_object(
 ) -> Track:
     """Fuse one object's annotations into a Track.
 
-    Processes every integer frame from the object's birth (first frame with a
-    box) through its last observation; frames absent from ``annotations``
-    are predict-only. A camera update that fails numerically is skipped with
-    a diagnostic; the object carries on with its prediction.
+    Processes every integer frame from the object's birth (first frame whose
+    boxes give a usable ground point) through its last observation; frames
+    absent from ``annotations`` are predict-only. A camera update that fails
+    numerically is skipped with a diagnostic; the object carries on with its
+    prediction.
 
     Raises
     ------
     NoObservation
-        If the object never has a usable box.
+        If no box of the object gives a usable ground point.
     """
     track, diags = _track_object_impl(
         annotations, cams, config, object_id, skeleton
@@ -293,21 +247,29 @@ def _track_object_impl(
     skeleton: "CanonicalPose | None",
 ) -> tuple[Track | None, list[Diagnostic]]:
     diags: list[Diagnostic] = []
-    birth, last, has_kp = _observed_frames(annotations, object_id)
-    if birth is None:
-        diags.append(
-            Diagnostic("no_observation", object_id, message="no boxes at all")
+    box_frames, last, has_kp = _observed_frames(annotations, object_id)
+    by_frame = {af.frame: af for af in annotations}
+    for birth in box_frames:
+        try:
+            state = init_target(by_frame[birth].boxes[object_id], cams, config)
+            break
+        except NoObservation as exc:
+            logger.debug(
+                "object %d birth deferred past frame %d: %s", object_id, birth, exc
+            )
+    else:
+        reason = (
+            "no box gave a usable ground point" if box_frames else "no boxes at all"
         )
+        diags.append(Diagnostic("no_observation", object_id, message=reason))
         return None, diags
 
-    by_frame = {af.frame: af for af in annotations}
     measurements = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
     motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
     kp_motion = pose_mod.keypoint_motion_model(config) if skeleton else None
     r_box = config.r_bbox * np.eye(4)
     track_kp = skeleton is not None and has_kp
 
-    state = init_target(by_frame[birth].boxes[object_id], cams, config)
     entries: list[TrackEntry] = []
     for frame in range(birth, last + 1):
         if frame > birth:
@@ -372,8 +334,9 @@ def run_all(
     """Track every object id present in the annotations.
 
     Objects are independent, so the result does not depend on ``workers``.
-    Objects without a birth frame are reported through ``on_event`` and
-    omitted from the result.
+    Objects without a birth frame (no box, or no box that gives a usable
+    ground point) are reported through ``on_event`` and omitted from the
+    result.
     """
     ids = sorted(
         {oid for af in annotations for oid in af.boxes}

@@ -3,7 +3,8 @@
 Everything here is written from first principles with plain numpy so that a
 bug in the package cannot hide in its own oracle: projection is spelled out
 explicitly, the Kalman filter uses the standard closed-form equations, and
-the ellipsoid box comes from brute-force surface sampling.
+the ellipsoid box comes from brute-force surface sampling or from the full
+4x4 dual quadric.
 """
 
 from __future__ import annotations
@@ -46,6 +47,21 @@ def sampled_bbox(K, R, t, center, half_axes, n=10_000):
     return np.array(
         [uv[:, 0].min(), uv[:, 1].min(), uv[:, 0].max(), uv[:, 1].max()]
     )
+
+
+def dual_quadric_bbox(P, center, half_axes):
+    """Outline box of an axis-aligned ellipsoid by the explicit 4x4 route:
+    ``C* = P T diag(a², b², c², -1) Tᵀ Pᵀ``, then the image lines tangent to
+    the conic ``u = (C02 ± sqrt(C02² - C00 C22)) / C22`` (v likewise with
+    C12 and C11)."""
+    a, b, c = np.asarray(half_axes, dtype=np.float64)
+    T = np.eye(4)
+    T[:3, 3] = center
+    C = P @ T @ np.diag([a * a, b * b, c * c, -1.0]) @ T.T @ P.T
+    cu, cv = C[0, 2] / C[2, 2], C[1, 2] / C[2, 2]
+    ru = np.sqrt(cu * cu - C[0, 0] / C[2, 2])
+    rv = np.sqrt(cv * cv - C[1, 1] / C[2, 2])
+    return np.array([cu - ru, cv - rv, cu + ru, cv + rv])
 
 
 class ClosedFormKF:

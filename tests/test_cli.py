@@ -70,6 +70,15 @@ class TestSynth:
         assert config["dt"] == pytest.approx(0.1)
         assert config["skeleton"] == "panoptic15"
 
+    def test_config_noise_matches_pixel_noise(self, scene_dir, tmp_path, capsys):
+        noiseless = json.loads((scene_dir / "config.json").read_text())
+        assert (noiseless["r_bbox"], noiseless["r_keypoint"]) == (1e-4, 1.0)
+        out = tmp_path / "noisy"
+        argv = ["synth", "--out", str(out), "--objects", "1", "--frames", "2"]
+        assert main(argv + ["--noise", "3"]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["r_bbox"] == config["r_keypoint"] == 9.0
+
     def test_spec_file_with_flag_override(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "num_objects": 1, "frames": 3}))

@@ -50,15 +50,15 @@ class TestSigmaPoints:
         # d=1, alpha=1, beta=0, kappa=2: lambda=2, points at 0, +-sqrt(3),
         # mean weights (2/3, 1/6, 1/6).
         b = GaussianBelief(np.zeros(1), np.eye(1))
-        sig = sigma_points(b, alpha=1.0, beta=0.0, kappa=2.0)
-        assert np.allclose(sorted(sig.points.ravel()), [-np.sqrt(3), 0, np.sqrt(3)])
-        assert np.allclose(sig.mean_weights, [2 / 3, 1 / 6, 1 / 6])
-        assert np.allclose(sig.cov_weights, [2 / 3, 1 / 6, 1 / 6])
+        points, wm, wc = sigma_points(b, alpha=1.0, beta=0.0, kappa=2.0)
+        assert np.allclose(sorted(points.ravel()), [-np.sqrt(3), 0, np.sqrt(3)])
+        assert np.allclose(wm, [2 / 3, 1 / 6, 1 / 6])
+        assert np.allclose(wc, [2 / 3, 1 / 6, 1 / 6])
 
     def test_mean_weights_sum_to_one(self):
         b = GaussianBelief(np.zeros(5), np.eye(5))
-        sig = sigma_points(b)
-        assert np.isclose(sig.mean_weights.sum(), 1.0)
+        _, wm, _ = sigma_points(b)
+        assert np.isclose(wm.sum(), 1.0)
 
     def test_moment_reconstruction(self):
         rng = np.random.default_rng(0)
@@ -66,10 +66,7 @@ class TestSigmaPoints:
             mean = rng.normal(size=d)
             cov = random_spd(rng, d)
             b = GaussianBelief(mean, cov)
-            sig = sigma_points(b)
-            rec_mean, rec_cov = unscented_transform(
-                sig.points, sig.mean_weights, sig.cov_weights
-            )
+            rec_mean, rec_cov = unscented_transform(*sigma_points(b))
             assert np.allclose(rec_mean, mean, atol=1e-9)
             assert np.max(np.abs(rec_cov - b.covariance)) < 1e-9 * max(
                 1.0, np.max(np.abs(cov))
@@ -78,8 +75,8 @@ class TestSigmaPoints:
     def test_jitter_recovers_semidefinite_covariance(self):
         cov = np.diag([1.0, 0.0])  # PSD but not PD
         b = GaussianBelief(np.zeros(2), cov)
-        sig = sigma_points(b)
-        assert np.all(np.isfinite(sig.points))
+        points, _, _ = sigma_points(b)
+        assert np.all(np.isfinite(points))
 
     def test_zero_covariance_fails(self):
         b = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
@@ -152,7 +149,7 @@ def _affine_update_pair(rng, d, m):
     z = rng.normal(size=m)
 
     belief = GaussianBelief(mean, cov)
-    posterior = ukf_update(belief, z, lambda x: H @ x + b_off, R)
+    posterior = ukf_update(belief, z, lambda X: X @ H.T + b_off, R)
 
     oracle = ClosedFormKF(mean, cov)
     oracle.update(z, H, b_off, R)
@@ -181,14 +178,14 @@ class TestUkfUpdate:
         oracle.update(z, H, np.zeros(2), R)
         for alpha, beta, kappa in ((1.0, 0.0, 3.0), (0.3, 2.0, 0.0), (1e-2, 2.0, 1.0)):
             post = ukf_update(
-                GaussianBelief(mean, cov), z, lambda x: H @ x, R,
+                GaussianBelief(mean, cov), z, lambda X: X @ H.T, R,
                 alpha=alpha, beta=beta, kappa=kappa,
             )
             assert np.max(np.abs(post.mean - oracle.mean)) < 1e-9
 
     def test_posterior_covariance_shrinks(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        post = ukf_update(b, [0.5, 0.5], lambda x: x, 0.1 * np.eye(2))
+        post = ukf_update(b, [0.5, 0.5], lambda X: X, 0.1 * np.eye(2))
         assert np.trace(post.covariance) < np.trace(b.covariance)
         assert np.linalg.eigvalsh(post.covariance)[0] >= -1e-9
 
@@ -196,14 +193,26 @@ class TestUkfUpdate:
         rng = np.random.default_rng(4)
         b = GaussianBelief(np.array([1.0, 2.0, 0.5]), random_spd(rng, 3, 0.1))
         post = ukf_update(
-            b, [2.4], lambda x: np.array([np.linalg.norm(x)]), np.array([[0.01]])
+            b, [2.4], lambda X: np.linalg.norm(X, axis=1, keepdims=True),
+            np.array([[0.01]]),
         )
         assert np.linalg.eigvalsh(post.covariance)[0] >= -1e-9
+
+    def test_h_called_once_on_sigma_matrix(self):
+        b = GaussianBelief(np.zeros(3), np.eye(3))
+        shapes = []
+
+        def h(X):
+            shapes.append(X.shape)
+            return X[:, :2]
+
+        ukf_update(b, [0.1, 0.2], h, np.eye(2))
+        assert shapes == [(7, 3)]
 
     def test_projection_failure_surfaces(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
 
-        def bad(x):
+        def bad(X):
             raise NonPositiveDepth("behind")
 
         with pytest.raises(SigmaPointProjectionFailure):
@@ -212,17 +221,17 @@ class TestUkfUpdate:
     def test_singular_innovation(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(SingularInnovation):
-            ukf_update(b, [0.0], lambda x: np.zeros(1), np.zeros((1, 1)))
+            ukf_update(b, [0.0], lambda X: np.zeros((len(X), 1)), np.zeros((1, 1)))
 
     def test_noise_shape_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            ukf_update(b, [0.0, 1.0], lambda x: x, np.eye(3))
+            ukf_update(b, [0.0, 1.0], lambda X: X, np.eye(3))
 
     def test_h_output_length_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            ukf_update(b, [0.0], lambda x: x, np.eye(1))
+            ukf_update(b, [0.0], lambda X: X, np.eye(1))
 
 
 class TestUnscentedTransform:

@@ -8,12 +8,14 @@ from mvfuse import (
     CameraModel,
     DegenerateConic,
     DegenerateHomography,
-    Ellipsoid,
     NonPositiveDepth,
     PointAtInfinity,
+    SceneSpec,
     backproject_ground,
     feet_point,
+    generate,
     ground_homography,
+    in_front,
     project_ellipsoid_to_bbox,
     project_point,
 )
@@ -98,9 +100,11 @@ class TestBBox:
 
 
 class TestEllipsoid:
-    def test_rejects_non_positive_axes(self):
+    def test_rejects_non_positive_axes(self, axis_camera):
         with pytest.raises(ValueError, match="positive"):
-            Ellipsoid(center=np.zeros(3), half_axes=np.array([1.0, 0.0, 1.0]))
+            project_ellipsoid_to_bbox(
+                axis_camera, [0.0, 0.0, 5.0], np.array([1.0, 0.0, 1.0])
+            )
 
 
 class TestProjectPoint:
@@ -117,6 +121,29 @@ class TestProjectPoint:
     def test_depth_epsilon_boundary(self, overhead_camera):
         with pytest.raises(NonPositiveDepth):
             project_point(overhead_camera, [0.0, 0.0, 10.0])
+
+    def test_stack_equals_row_by_row(self, overhead_camera):
+        points = np.random.default_rng(5).uniform(-4, 4, size=(2, 7, 3))
+        got = project_point(overhead_camera, points)
+        assert got.shape == (2, 7, 2)
+        for idx in np.ndindex(2, 7):
+            np.testing.assert_array_equal(
+                got[idx], project_point(overhead_camera, points[idx])
+            )
+
+    def test_names_first_row_behind_camera(self, overhead_camera):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 12.0], [0.0, 0.0, 11.0]])
+        with pytest.raises(NonPositiveDepth, match="at row 1$"):
+            project_point(overhead_camera, points)
+
+    def test_in_front_matches_projection_rule(self, overhead_camera):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 10.0], [1.0, 1.0, 11.0]])
+        mask = in_front(overhead_camera, points)
+        np.testing.assert_array_equal(mask, [True, False, False])
+        project_point(overhead_camera, points[mask])
+        for p in points[~mask]:
+            with pytest.raises(NonPositiveDepth):
+                project_point(overhead_camera, p)
 
 
 class TestGroundHomography:
@@ -186,50 +213,53 @@ class TestBackprojectGround:
         p = backproject_ground(cam, [640.0, 500.0])
         assert p[2] == 0.0
 
+    def test_pixel_above_horizon_raises(self):
+        # Above the horizon only the backward ray meets the ground.
+        with pytest.raises(NonPositiveDepth):
+            backproject_ground(_side_camera(), [640.0, 200.0])
+
+    def test_ground_hit_behind_synth_camera_raises(self):
+        # Default synth rig, camera 0: pixel (930, 1) used to give the
+        # ground point (30.59, 0.67, 0) at camera depth -9.22 m.
+        bundle, _ = generate(SceneSpec(num_objects=0, frames=1))
+        with pytest.raises(NonPositiveDepth, match="behind the camera"):
+            backproject_ground(bundle.calibration[0], [930.0, 1.0])
+
 
 class TestEllipsoidBBox:
     def test_unit_sphere_silhouette(self, axis_camera):
-        box = project_ellipsoid_to_bbox(
-            axis_camera, Ellipsoid(center=[0.0, 0.0, 5.0], half_axes=[1.0, 1.0, 1.0])
-        )
+        box = project_ellipsoid_to_bbox(axis_camera, [0.0, 0.0, 5.0], [1.0, 1.0, 1.0])
         half_width = 1000.0 / np.sqrt(24.0)
         assert np.allclose(
-            box.as_array(),
+            box,
             [500 - half_width, 500 - half_width, 500 + half_width, 500 + half_width],
         )
 
     def test_silhouette_wider_than_naive_projection(self, axis_camera):
         # The silhouette of a sphere subtends more than f * r / depth.
-        box = project_ellipsoid_to_bbox(
-            axis_camera, Ellipsoid(center=[0.0, 0.0, 5.0], half_axes=[1.0, 1.0, 1.0])
-        )
-        assert (box.u_max - box.u_min) / 2.0 > 1000.0 / 5.0
+        box = project_ellipsoid_to_bbox(axis_camera, [0.0, 0.0, 5.0], [1.0, 1.0, 1.0])
+        assert (box[2] - box[0]) / 2.0 > 1000.0 / 5.0
 
     def test_behind_camera_raises(self, axis_camera):
         with pytest.raises(NonPositiveDepth):
-            project_ellipsoid_to_bbox(
-                axis_camera,
-                Ellipsoid(center=[0.0, 0.0, -5.0], half_axes=[1.0, 1.0, 1.0]),
-            )
+            project_ellipsoid_to_bbox(axis_camera, [0.0, 0.0, -5.0], [1.0, 1.0, 1.0])
 
     def test_camera_inside_raises(self, axis_camera):
         with pytest.raises(DegenerateConic):
-            project_ellipsoid_to_bbox(
-                axis_camera,
-                Ellipsoid(center=[0.0, 0.0, 0.5], half_axes=[1.0, 1.0, 1.0]),
-            )
+            project_ellipsoid_to_bbox(axis_camera, [0.0, 0.0, 0.5], [1.0, 1.0, 1.0])
 
     def test_box_contains_projected_surface_points(self, axis_camera):
         rng = np.random.default_rng(2)
-        ell = Ellipsoid(center=[0.5, -0.3, 6.0], half_axes=[0.4, 0.7, 1.1])
-        box = project_ellipsoid_to_bbox(axis_camera, ell)
+        center = np.array([0.5, -0.3, 6.0])
+        half = np.array([0.4, 0.7, 1.1])
+        box = project_ellipsoid_to_bbox(axis_camera, center, half)
         for _ in range(200):
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            surface = ell.center + direction * ell.half_axes
+            surface = center + direction * half
             u, v = project_point(axis_camera, surface)
-            assert box.u_min - 1e-9 <= u <= box.u_max + 1e-9
-            assert box.v_min - 1e-9 <= v <= box.v_max + 1e-9
+            assert box[0] - 1e-9 <= u <= box[2] + 1e-9
+            assert box[1] - 1e-9 <= v <= box[3] + 1e-9
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(3)
@@ -240,11 +270,30 @@ class TestEllipsoidBBox:
             )
             center = rng.uniform(-2, 2, 3) + [0, 0, 1]
             half = rng.uniform(0.2, 1.0, 3)
-            box = project_ellipsoid_to_bbox(
-                cam, Ellipsoid(center=center, half_axes=half)
-            )
+            box = project_ellipsoid_to_bbox(cam, center, half)
             oracle = sampled_bbox(K, R, t, center, half, n=10_000)
-            assert np.max(np.abs(box.as_array() - oracle)) < 0.5
+            assert np.max(np.abs(box - oracle)) < 0.5
+
+    def test_stack_equals_row_by_row(self):
+        rng = np.random.default_rng(4)
+        K, R, t, w, h = random_camera(rng)
+        cam = CameraModel(intrinsics=K, rotation=R, translation=t, image_size=(w, h))
+        centers = rng.uniform([-2, -2, 0.3], [2, 2, 1.8], size=(3, 19, 3))
+        halves = rng.uniform(0.2, 1.0, size=(3, 19, 3))
+        got = project_ellipsoid_to_bbox(cam, centers, halves)
+        assert got.shape == (3, 19, 4)
+        for idx in np.ndindex(3, 19):
+            np.testing.assert_array_equal(
+                got[idx], project_ellipsoid_to_bbox(cam, centers[idx], halves[idx])
+            )
+
+    def test_names_first_degenerate_row(self, axis_camera):
+        centers = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -5.0], [0.0, 0.0, -6.0]])
+        with pytest.raises(NonPositiveDepth, match="at row 1$"):
+            project_ellipsoid_to_bbox(axis_camera, centers, np.ones(3))
+        centers[1:, 2] = [5.0, 0.5]
+        with pytest.raises(DegenerateConic, match="at row 2$"):
+            project_ellipsoid_to_bbox(axis_camera, centers, np.ones(3))
 
 
 class TestFeetPoint:

@@ -14,7 +14,6 @@ from mvfuse import (
     keypoint_positions,
     project_point,
     scaled_offsets,
-    track_keypoints,
 )
 from mvfuse.pose import keypoint_motion_model, predict_keypoints, update_keypoints
 from oracles import dlt_triangulate
@@ -215,6 +214,20 @@ class TestUpdateKeypoints:
             update_keypoints([state], np.zeros((2, 3)), cams[0], config)
 
 
+def _track(frames, states, cams, config):
+    """Filter keypoints over frames of {camera id: (N, 3) rows}, the first
+    frame without a predict; returns the (F, N, 3) positions after each."""
+    model = keypoint_motion_model(config)
+    out = []
+    for k, per_cam in enumerate(frames):
+        if k > 0:
+            states = predict_keypoints(states, model)
+        for cid in sorted(per_cam):
+            states = update_keypoints(states, per_cam[cid], cams[cid], config)
+        out.append(keypoint_positions(states))
+    return np.array(out)
+
+
 class TestTrackKeypoints:
     def test_converges_to_triangulation(self):
         # q_pos must be large enough for the filter to forget the spurious
@@ -235,7 +248,7 @@ class TestTrackKeypoints:
             )
         ]
         frames = [obs_rows] * 12
-        out = track_keypoints(frames, initial, cams, config)
+        out = _track(frames, initial, cams, config)
         assert out.shape == (12, 1, 3)
         dlt = dlt_triangulate(
             [cams[c].projection_matrix for c in sorted(cams)],
@@ -253,7 +266,7 @@ class TestTrackKeypoints:
                 )
             )
         ]
-        out = track_keypoints([{}, {}, {}], initial, cams, config)
+        out = _track([{}, {}, {}], initial, cams, config)
         # no observations: pure constant-velocity propagation
         assert np.allclose(out[0, 0], [0.5, 0.5, 1.0])
         assert np.allclose(out[2, 0], [0.5 + 0.2 * 0.1, 0.5, 1.0])

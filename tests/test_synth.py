@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from mvfuse import (
-    Ellipsoid,
     InvalidSpec,
     Occlusion,
     SceneSpec,
     generate,
     project_ellipsoid_to_bbox,
+    project_point,
     save_annotations,
     save_calibration,
     save_tracks,
 )
 
+from mvfuse.synth import _joint_pixels, _outline_boxes
 from oracles import pinhole_project
 
 
@@ -120,15 +121,13 @@ class TestAnnotationsMatchGroundTruth:
         bundle, gt = generate(_spec())
         for af in bundle.annotations:
             for oid, per_cam in af.boxes.items():
-                ell = Ellipsoid(
-                    center=gt.positions[oid][af.frame],
-                    half_axes=gt.half_axes[oid][af.frame],
-                )
+                center = gt.positions[oid][af.frame]
+                half = gt.half_axes[oid][af.frame]
                 for cid, box in per_cam.items():
                     want = project_ellipsoid_to_bbox(
-                        bundle.calibration[cid], ell
+                        bundle.calibration[cid], center, half
                     )
-                    np.testing.assert_array_equal(box.as_array(), want.as_array())
+                    np.testing.assert_array_equal(box.as_array(), want)
 
     def test_boxes_inside_image(self):
         bundle, _ = generate(_spec(num_objects=4, frames=10))
@@ -179,6 +178,32 @@ class TestAnnotationsMatchGroundTruth:
         bundle, _ = generate(_spec(frames=12))
         frames = [af.frame for af in bundle.annotations]
         assert frames == sorted(set(frames))
+
+
+class TestFrameGeometry:
+    def test_degenerate_outlines_are_nan_rows(self, axis_camera):
+        # behind the camera, camera inside the ellipsoid, two good rows
+        centers = np.array(
+            [[0.0, 0.0, 5.0], [0.0, 0.0, -5.0], [0.0, 0.0, 0.5], [1.0, 0.0, 6.0]]
+        )
+        half = np.ones((4, 3))
+        got = _outline_boxes(axis_camera, centers, half)
+        assert np.isnan(got[1:3]).all()
+        for i in (0, 3):
+            np.testing.assert_array_equal(
+                got[i], project_ellipsoid_to_bbox(axis_camera, centers[i], half[i])
+            )
+
+    def test_joints_behind_camera_masked(self, axis_camera):
+        joints = np.array(
+            [[[0.0, 0.0, 5.0], [0.0, 0.0, -1.0]], [[1.0, 2.0, 4.0], [0.0, 0.0, 0.0]]]
+        )
+        front, uv = _joint_pixels(axis_camera, joints)
+        np.testing.assert_array_equal(front, [[True, False], [True, False]])
+        np.testing.assert_array_equal(uv[~front], 0.0)
+        np.testing.assert_array_equal(
+            uv[front], project_point(axis_camera, joints[front])
+        )
 
 
 class TestMotionModels:

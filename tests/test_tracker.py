@@ -8,23 +8,26 @@ from mvfuse import (
     AnnotationFrame,
     BBox,
     CameraModel,
-    Ellipsoid,
     NoObservation,
+    RunConfig,
+    SigmaPointProjectionFailure,
     Track,
     TrackEntry,
     bbox_measurement,
     canonical_pose,
+    in_front,
     init_target,
     project_ellipsoid_to_bbox,
     run_all,
-    state_to_ellipsoid,
+    sigma_points,
     track_object,
 )
 from mvfuse.errors import NonPositiveDepth, DegenerateConic
 from mvfuse.filter import kalman_predict, make_motion_model, ukf_update
 from mvfuse.tracker import POS_IDX, SHAPE_SLICE
 
-from oracles import random_camera
+from oracles import dual_quadric_bbox, random_camera
+from test_geometry import _side_camera
 
 
 def _cam(K, R, t, width=1920, height=1080):
@@ -42,30 +45,25 @@ def _state(position, half_axes, velocity=(0.0, 0.0, 0.0)):
 
 
 def _box_for(cam, position, half_axes):
-    return project_ellipsoid_to_bbox(
-        cam, Ellipsoid(center=np.asarray(position), half_axes=np.asarray(half_axes))
-    )
-
-
-class TestStateToEllipsoid:
-    def test_frozen_decoding(self):
-        x = _state([1.0, 2.0, 0.5], [0.3, 0.4, 0.9])
-        ell = state_to_ellipsoid(x)
-        np.testing.assert_allclose(ell.center, [1.0, 2.0, 0.5])
-        np.testing.assert_allclose(ell.half_axes, [0.3, 0.4, 0.9])
-
-    def test_velocity_entries_ignored(self):
-        a = state_to_ellipsoid(_state([0, 0, 1], [0.3, 0.3, 0.9]))
-        b = state_to_ellipsoid(_state([0, 0, 1], [0.3, 0.3, 0.9], velocity=(5, -3, 2)))
-        np.testing.assert_array_equal(a.center, b.center)
-        np.testing.assert_array_equal(a.half_axes, b.half_axes)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            state_to_ellipsoid(np.zeros(6))
+    return BBox.from_array(project_ellipsoid_to_bbox(cam, position, half_axes))
 
 
 class TestBBoxMeasurement:
+    def test_decodes_center_and_log_half_axes(self, axis_camera):
+        got = bbox_measurement(axis_camera)(_state([1.0, 2.0, 5.0], [0.3, 0.4, 0.9]))
+        want = project_ellipsoid_to_bbox(axis_camera, [1.0, 2.0, 5.0], [0.3, 0.4, 0.9])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_velocity_entries_ignored(self, axis_camera):
+        h = bbox_measurement(axis_camera)
+        a = h(_state([0, 0, 5], [0.3, 0.3, 0.9]))
+        b = h(_state([0, 0, 5], [0.3, 0.3, 0.9], velocity=(5, -3, 2)))
+        np.testing.assert_array_equal(a, b)
+
+    def test_rejects_wrong_state_length(self, axis_camera):
+        with pytest.raises(ValueError):
+            bbox_measurement(axis_camera)(np.zeros(6))
+
     def test_matches_dual_quadric_projection(self):
         # The reduced conic form must agree with the transparent 4x4 dual
         # quadric route on generic states.
@@ -76,8 +74,20 @@ class TestBBoxMeasurement:
             position = rng.uniform([-2, -2, 0.3], [2, 2, 1.8])
             half = rng.uniform(0.2, 1.0, size=3)
             got = bbox_measurement(cam)(_state(position, half))
-            want = _box_for(cam, position, half).as_array()
+            want = dual_quadric_bbox(cam.projection_matrix, position, half)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_maps_sigma_matrix_row_by_row(self, axis_camera):
+        rng = np.random.default_rng(43)
+        X = np.stack(
+            [_state(rng.uniform([-1, -1, 4], [1, 1, 6]), rng.uniform(0.2, 1.0, 3))
+             for _ in range(19)]
+        )
+        h = bbox_measurement(axis_camera)
+        Z = h(X)
+        assert Z.shape == (19, 4)
+        for x, z in zip(X, Z):
+            np.testing.assert_array_equal(z, h(x))
 
     def test_behind_camera_raises(self, axis_camera):
         h = bbox_measurement(axis_camera)
@@ -293,6 +303,41 @@ class TestTrackObject:
             (d.kind, d.object_id, d.frame, d.camera_id) for d in events
         ] == [("update_skipped", 1, 1, 1)]
 
+    def test_some_sigma_points_behind_camera_skip_update(self, overhead_camera):
+        # Camera 0 looks down from 0.7 m above the object's top. With a wide
+        # birth belief, only the sigma point pushed up in z lands behind it:
+        # one failed row fails the whole update, which is skipped once.
+        near = _cam(
+            overhead_camera.intrinsics,
+            np.diag([1.0, -1.0, -1.0]),
+            np.array([-1.0, 2.0, 2.5]),
+            1000,
+            1000,
+        )
+        cams = {0: near, 1: overhead_camera}
+        pos, half = np.array([1.0, 2.0, 0.9]), (0.3, 0.3, 0.9)
+        boxes = {cid: _box_for(cam, pos, half) for cid, cam in cams.items()}
+        config = RunConfig(dt=0.1, init_pos_var=100.0)
+
+        belief = init_target(boxes, cams, config).belief
+        X, _, _ = sigma_points(belief)
+        front = in_front(near, X[:, POS_IDX])
+        assert front.any() and not front.all()
+        with pytest.raises(SigmaPointProjectionFailure) as info:
+            ukf_update(belief, boxes[0].as_array(), bbox_measurement(near),
+                       config.r_bbox * np.eye(4))
+        assert isinstance(info.value.__cause__, NonPositiveDepth)
+
+        events = []
+        track = track_object(
+            [AnnotationFrame(frame=0, boxes={1: boxes})], cams, config,
+            object_id=1, on_event=events.append,
+        )
+        assert len(track.entries) == 1
+        assert [
+            (d.kind, d.object_id, d.frame, d.camera_id) for d in events
+        ] == [("update_skipped", 1, 0, 0)]
+
     def test_keypoints_attached_when_annotated(self, config):
         cams = _two_camera_rig()
         skeleton = canonical_pose("panoptic15")
@@ -367,6 +412,46 @@ class TestRunAll:
         )
         assert [t.object_id for t in tracks] == [1]
         assert [(d.kind, d.object_id) for d in events] == [("no_observation", 7)]
+
+
+class TestBirth:
+    # Side camera 1 m above ground looking horizontally: image row 360 is the
+    # horizon, so a box with its feet there has no ground hit.
+    HORIZON_BOX = BBox(600.0, 300.0, 680.0, 360.0)
+
+    def _frames(self, cam, second):
+        box = _box_for(cam, [0.0, 0.0, 0.9], (0.3, 0.3, 0.9))
+        return [
+            AnnotationFrame(frame=0, boxes={1: {0: box}, 2: {0: self.HORIZON_BOX}}),
+            AnnotationFrame(frame=1, boxes={1: {0: box}, 2: {0: second}}),
+        ]
+
+    def test_failed_birth_omits_only_that_object(self, config):
+        cam = _side_camera()
+        annotations = self._frames(cam, self.HORIZON_BOX)
+        with pytest.raises(NoObservation):
+            init_target({0: self.HORIZON_BOX}, {0: cam}, config)
+        events = []
+        tracks = run_all(annotations, {0: cam}, config, on_event=events.append)
+        assert [(t.object_id, len(t.entries)) for t in tracks] == [(1, 2)]
+        assert [(d.kind, d.object_id) for d in events] == [("no_observation", 2)]
+
+    def test_birth_deferred_to_first_usable_frame(self, config):
+        cam = _side_camera()
+        box = _box_for(cam, [1.0, 0.5, 0.9], (0.3, 0.3, 0.9))
+        events = []
+        tracks = run_all(
+            self._frames(cam, box), {0: cam}, config, on_event=events.append
+        )
+        assert [t.object_id for t in tracks] == [1, 2]
+        assert [e.frame for e in tracks[1].entries] == [1]
+        alone = track_object(
+            [AnnotationFrame(frame=1, boxes={2: {0: box}})], {0: cam}, config, 2
+        )
+        np.testing.assert_array_equal(
+            tracks[1].entries[0].position, alone.entries[0].position
+        )
+        assert events == []
 
 
 class TestContainers:
