@@ -12,6 +12,7 @@ from .errors import (
     DegenerateConic,
     DegenerateHomography,
     DimensionMismatch,
+    DivergentUpdate,
     EmptyGroundTruth,
     FilterError,
     GeometryError,
@@ -35,6 +36,7 @@ from .filter import (
     sigma_points,
     ukf_update,
     unscented_transform,
+    update_rows,
 )
 from .geometry import (
     BBox,
@@ -73,7 +75,6 @@ from .metrics import (
 )
 from .pose import (
     CanonicalPose,
-    KeypointState,
     canonical_pose,
     init_keypoints,
     keypoint_positions,
@@ -83,11 +84,9 @@ from .synth import Occlusion, SceneSpec, generate
 from .tracker import (
     AnnotationFrame,
     Diagnostic,
-    ObjectState,
     Track,
     TrackEntry,
     bbox_measurement,
-    extract_estimates,
     init_target,
     run_all,
     track_object,

@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="m",
         help="calibration translation units",
     )
-    p_track.add_argument("--workers", type=int, help="parallel worker processes")
     p_track.set_defaults(func=_cmd_annotate)
 
     p_eval = sub.add_parser(
@@ -186,8 +185,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    if args.workers is not None:
-        config = RunConfig.from_dict({**config.to_dict(), "workers": args.workers})
     skeleton_src = args.skeleton or config.skeleton
     scene = load_scene(
         args.calibration,
@@ -207,7 +204,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         scene.calibration,
         config,
         skeleton=scene.skeleton,
-        workers=config.workers,
         on_event=events.append,
     )
     for d in events:

@@ -60,6 +60,10 @@ class SigmaPointProjectionFailure(FilterError):
     """A sigma point could not be pushed through the measurement map."""
 
 
+class DivergentUpdate(FilterError):
+    """An update's posterior is not finite, or leaves the state's valid range."""
+
+
 # --- tracking ---------------------------------------------------------------
 
 class TrackingError(MvfuseError):

@@ -1,4 +1,4 @@
-"""Unscented Kalman filtering on Gaussian beliefs.
+"""Unscented Kalman filtering on stacks of Gaussian beliefs.
 
 The scaled unscented transform with Merwe weights: for dimension d and scaling
 (alpha, beta, kappa), lambda = alpha^2 (d + kappa) - d, sigma points are the
@@ -6,6 +6,10 @@ mean plus/minus the columns of chol((d + lambda) P), the center mean weight is
 lambda / (d + lambda) and the center covariance weight adds (1 - alpha^2 +
 beta). For affine measurement maps the update reproduces the closed-form
 Kalman filter exactly, independent of the scaling parameters.
+
+A belief is a stack of n independent states; predict and update act on every
+row in one call. Rows never mix: a row's result does not depend on the other
+rows of its stack.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import numpy as np
 from .errors import (
     CholeskyFailure,
     DimensionMismatch,
+    DivergentUpdate,
+    FilterError,
     GeometryError,
     InvalidDt,
     SigmaPointProjectionFailure,
@@ -38,47 +44,54 @@ _SYM_TOL = 1e-9
 _EIG_TOL = -1e-9
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Mean and covariance of a Gaussian state estimate.
+    """A stack of n Gaussian state estimates: ``mean`` (n, d) and
+    ``covariance`` (n, d, d). A (d,) mean with a (d, d) covariance is a
+    stack of one.
 
-    The covariance must be symmetric (within 1e-9) with eigenvalues no smaller
-    than -1e-9; it is stored symmetrized.
+    Every covariance must be symmetric (within 1e-9) with eigenvalues no
+    smaller than -1e-9; it is stored symmetrized. The whole stack is checked
+    at once.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = _as_vector(self.mean, "mean")
-        d = mean.size
+        mean = np.asarray(self.mean, dtype=np.float64)
         cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.shape != (d, d):
+        if mean.ndim == 1:
+            mean, cov = mean[None], cov[None]
+        if mean.ndim != 2 or len(mean) == 0:
+            raise ValueError(f"mean shape {mean.shape} is not (n, d) with n >= 1")
+        if cov.shape != mean.shape + mean.shape[1:]:
             raise ValueError(
-                f"covariance shape {cov.shape} does not match state dim {d}"
+                f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariance contains non-finite values")
-        if np.max(np.abs(cov - cov.T)) > _SYM_TOL:
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("belief contains non-finite values")
+        if np.max(np.abs(cov - _transpose(cov))) > _SYM_TOL:
             raise ValueError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov)[0] < _EIG_TOL:
-            raise ValueError("covariance has a significantly negative eigenvalue")
+        cov = 0.5 * (cov + _transpose(cov))
+        bad = np.flatnonzero(np.linalg.eigvalsh(cov)[:, 0] < _EIG_TOL)
+        if bad.size:
+            raise ValueError(f"covariance of row {bad[0]} has a significantly negative eigenvalue")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
+    def __len__(self) -> int:
+        return self.mean.shape[0]
+
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[1]
 
 
 @dataclass(frozen=True)
@@ -147,26 +160,32 @@ def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> 
     return MotionModel(transition=F, process_noise=Q, dt=dt)
 
 
-def _chol_with_jitter(mat: np.ndarray, scale: float, what: str) -> np.ndarray:
-    """Cholesky of ``scale * mat`` with escalating relative jitter.
-
-    Jitter is added to ``mat`` as eps * trace(mat)/d * I before scaling, with
-    eps walking the ladder up to 1e-6.
-    """
-    d = mat.shape[0]
-    base = float(np.trace(mat)) / d
-    for eps in _JITTER_LADDER:
-        m = mat if eps == 0.0 else mat + (eps * base) * np.eye(d)
-        try:
-            L = np.linalg.cholesky(scale * m)
-        except np.linalg.LinAlgError:
-            continue
-        if eps > 0.0:
-            logger.debug("%s required jitter %.1e * trace/d", what, eps)
-        return L
-    raise CholeskyFailure(
-        f"{what} not factorizable after jitter up to 1e-6 * trace/d"
-    )
+def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) -> np.ndarray:
+    """Cholesky factors of ``scale * mats`` for an (n, d, d) stack, in one
+    call. If that fails, each matrix walks its own jitter ladder (eps *
+    trace(mat)/d * I added before scaling, eps up to 1e-6), so no row's
+    factor depends on another row; ``failure`` names the first row that
+    stays unfactorizable."""
+    try:
+        return np.linalg.cholesky(scale * mats)
+    except np.linalg.LinAlgError:
+        pass
+    d = mats.shape[-1]
+    out = np.empty_like(mats)
+    for i, mat in enumerate(mats):
+        base = float(np.trace(mat)) / d
+        for eps in _JITTER_LADDER:
+            m = mat if eps == 0.0 else mat + (eps * base) * np.eye(d)
+            try:
+                out[i] = np.linalg.cholesky(scale * m)
+            except np.linalg.LinAlgError:
+                continue
+            if eps > 0.0:
+                logger.debug("%s of row %d required jitter %.1e * trace/d", what, i, eps)
+            break
+        else:
+            raise failure(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
+    return out
 
 
 def sigma_points(
@@ -176,13 +195,13 @@ def sigma_points(
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled sigma points (2d+1, d) with their mean and covariance weights
-    (2d+1,) each.
+    """Scaled sigma points (n, 2d+1, d) with their mean and covariance
+    weights (2d+1,) each.
 
     Raises
     ------
     CholeskyFailure
-        If the (scaled, jittered) covariance cannot be factorized.
+        If some row's (scaled, jittered) covariance cannot be factorized.
     """
     d = belief.dim
     lam = alpha * alpha * (d + kappa) - d
@@ -191,11 +210,14 @@ def sigma_points(
         raise ValueError(
             f"alpha^2 (d + kappa) must be positive, got {scale} for d={d}"
         )
-    L = _chol_with_jitter(belief.covariance, scale, "sigma-point covariance")
-    pts = np.empty((2 * d + 1, d))
-    pts[0] = belief.mean
-    pts[1 : d + 1] = belief.mean + L.T
-    pts[d + 1 :] = belief.mean - L.T
+    L = _chol_with_jitter(
+        belief.covariance, scale, CholeskyFailure, "sigma-point covariance"
+    )
+    center = belief.mean[:, None, :]
+    pts = np.empty((len(belief), 2 * d + 1, d))
+    pts[:, :1] = center
+    pts[:, 1 : d + 1] = center + _transpose(L)
+    pts[:, d + 1 :] = center - _transpose(L)
     wm = np.full(2 * d + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
@@ -208,23 +230,24 @@ def unscented_transform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and covariance of transformed sigma values.
 
-    ``values`` is (2d+1, m): one row per sigma point.
+    ``values`` is (..., 2d+1, m): one row per sigma point, any leading stack
+    axes; the mean is (..., m) and the covariance (..., m, m).
     """
     V = np.asarray(values, dtype=np.float64)
     wm = np.asarray(mean_weights, dtype=np.float64)
     wc = np.asarray(cov_weights, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != wm.size or wm.size != wc.size:
+    if V.ndim < 2 or V.shape[-2] != wm.size or wm.size != wc.size:
         raise DimensionMismatch(
             f"values {V.shape} incompatible with {wm.size} weights"
         )
     mean = wm @ V
-    dV = V - mean
-    cov = dV.T @ (wc[:, None] * dV)
-    return mean, 0.5 * (cov + cov.T)
+    dV = V - mean[..., None, :]
+    cov = _transpose(dV) @ (wc[:, None] * dV)
+    return mean, 0.5 * (cov + _transpose(cov))
 
 
 def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
-    """Propagate a belief one step through a linear motion model.
+    """Propagate every row of a belief one step through a linear motion model.
 
     Raises
     ------
@@ -236,26 +259,9 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
             f"motion model dim {model.dim} != state dim {belief.dim}"
         )
     F = model.transition
-    mean = F @ belief.mean
+    mean = (F @ belief.mean[..., None])[..., 0]
     cov = F @ belief.covariance @ F.T + model.process_noise
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
-
-
-def _solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for symmetric positive definite S, with jitter fallback."""
-    d = S.shape[0]
-    base = float(np.trace(S)) / d
-    for eps in _JITTER_LADDER:
-        m = S if eps == 0.0 else S + (eps * base) * np.eye(d)
-        try:
-            L = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            continue
-        y = np.linalg.solve(L, B)
-        return np.linalg.solve(L.T, y)
-    raise SingularInnovation(
-        "innovation covariance singular after jitter escalation"
-    )
+    return GaussianBelief(mean, 0.5 * (cov + _transpose(cov)))
 
 
 def ukf_update(
@@ -268,32 +274,42 @@ def ukf_update(
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
 ) -> GaussianBelief:
-    """Measurement update through a batched map ``h``.
+    """Measurement update of every row through a batched map ``h``.
 
-    ``h`` takes the (2d+1, d) sigma matrix, one state per row, and returns
-    the (2d+1, m) predicted measurements, one row per sigma point; it is
-    called once per update. The measurement moments and the state-measurement
-    cross covariance come from the weighted sigma rows, and the Kalman gain
-    is applied. The posterior covariance is symmetrized and, if roundoff
-    drives an eigenvalue slightly negative, clamped back to the PSD cone.
+    ``measurement`` is (n, m), one row per belief row ((m,) when n = 1), and
+    ``noise`` the (m, m) covariance they share. ``h`` takes the
+    (n, 2d+1, d) sigma points, one state per row, and returns the
+    (n, 2d+1, m) predicted measurements; it is called once per update. The
+    measurement moments and the state-measurement cross covariance come from
+    the weighted sigma rows, and the Kalman gain is applied. Each posterior
+    covariance is symmetrized and, if roundoff drives an eigenvalue slightly
+    negative, clamped back to the PSD cone.
+
+    A failure in any row fails the whole call (see :func:`update_rows`).
 
     Raises
     ------
     DimensionMismatch
         If measurement, noise, and h outputs disagree in size.
     SigmaPointProjectionFailure
-        If ``h`` raises a geometry error on the sigma matrix.
+        If ``h`` raises a geometry error on the sigma points or maps one to
+        non-finite values.
     SingularInnovation
-        If the innovation covariance cannot be inverted.
+        If an innovation covariance cannot be inverted.
+    DivergentUpdate
+        If a posterior is not finite.
     CholeskyFailure
         Propagated from sigma-point generation.
     """
-    z = _as_vector(measurement, "measurement")
-    m = z.size
+    n = len(belief)
+    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("measurement contains non-finite values")
+    m = z.shape[1]
     R = np.asarray(noise, dtype=np.float64)
-    if R.shape != (m, m):
+    if z.shape[0] != n or R.shape != (m, m):
         raise DimensionMismatch(
-            f"noise shape {R.shape} does not match measurement dim {m}"
+            f"measurement {z.shape} and noise {R.shape} do not fit {n} rows"
         )
 
     X, wm, wc = sigma_points(belief, alpha=alpha, beta=beta, kappa=kappa)
@@ -303,22 +319,58 @@ def ukf_update(
         raise SigmaPointProjectionFailure(
             f"sigma points failed measurement map: {exc}"
         ) from exc
-    if Z.shape != (X.shape[0], m):
+    if Z.shape != X.shape[:2] + (m,):
         raise DimensionMismatch(
-            f"h returned shape {Z.shape}, expected {(X.shape[0], m)}"
+            f"h returned shape {Z.shape}, expected {X.shape[:2] + (m,)}"
         )
+    if not np.all(np.isfinite(Z)):
+        raise SigmaPointProjectionFailure("measurement map gave non-finite values")
 
     z_hat, S = unscented_transform(Z, wm, wc)
     S = S + R
-    Cxz = (X - belief.mean).T @ (wc[:, None] * (Z - z_hat))
+    dX = X - belief.mean[:, None, :]
+    Cxz = _transpose(dX) @ (wc[:, None] * (Z - z_hat[:, None, :]))
 
-    K = _solve_spd(S, Cxz.T).T
-    mean = belief.mean + K @ (z - z_hat)
-    cov = belief.covariance - K @ S @ K.T
-    cov = 0.5 * (cov + cov.T)
+    L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
+    K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
+    mean = belief.mean + (K @ (z - z_hat)[..., None])[..., 0]
+    cov = belief.covariance - K @ S @ _transpose(K)
+    cov = 0.5 * (cov + _transpose(cov))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise DivergentUpdate("update overflowed to a non-finite posterior")
     w, V = np.linalg.eigh(cov)
-    if w[0] < 0.0:
-        logger.debug("clamping posterior eigenvalues (min %.3e)", w[0])
-        cov = (V * np.clip(w, 0.0, None)) @ V.T
-        cov = 0.5 * (cov + cov.T)
+    neg = w[:, 0] < 0.0
+    if np.any(neg):
+        logger.debug("clamping posterior eigenvalues (min %.3e)", w[neg, 0].min())
+        clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ _transpose(V[neg])
+        cov[neg] = 0.5 * (clamped + _transpose(clamped))
     return GaussianBelief(mean, cov)
+
+
+def update_rows(
+    update: Callable[[GaussianBelief, np.ndarray], GaussianBelief],
+    belief: GaussianBelief,
+    measurement,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, FilterError]]]:
+    """Apply ``update(belief, measurement)`` (a :func:`ukf_update` call) to
+    the whole stack, isolating rows that fail.
+
+    If the stacked call raises a ``FilterError``, ``update`` is redone row by
+    row on stacks of one; a row whose own call raises keeps its prior.
+    Returns the posterior mean (n, d) and covariance (n, d, d) and the
+    (row, error) pairs of the rows that kept their prior.
+    """
+    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
+    try:
+        post = update(belief, z)
+        return post.mean, post.covariance, []
+    except FilterError as exc:
+        if len(belief) == 1:
+            return belief.mean, belief.covariance, [(0, exc)]
+    mean, cov = belief.mean.copy(), belief.covariance.copy()
+    failed = []
+    for i in range(len(mean)):
+        row = slice(i, i + 1)
+        mean[row], cov[row], bad = update_rows(update, GaussianBelief(mean[row], cov[row]), z[row])
+        failed += [(i, exc) for _, exc in bad]
+    return mean, cov, failed

@@ -50,7 +50,6 @@ class RunConfig:
     init_keypoint_vel_var: float = 1.0
     visibility_threshold: float = 0.5
     skeleton: str | None = None
-    workers: int = 1
     # evaluation
     threshold: float = 1.0
     ospa_cutoff: float = 1.0
@@ -88,7 +87,6 @@ class RunConfig:
             0.0 <= self.visibility_threshold <= 1.0,
             "visibility_threshold must be within [0, 1]",
         )
-        need(int(self.workers) >= 1, "workers must be >= 1")
         need(self.threshold > 0, "threshold must be positive")
         need(self.ospa_cutoff > 0, "ospa_cutoff must be positive")
         need(self.ospa_order >= 1, "ospa_order must be >= 1")
@@ -104,7 +102,6 @@ class RunConfig:
         need(self.recall_at > 0, "recall_at must be positive")
         object.__setattr__(self, "default_half_axes", half)
         object.__setattr__(self, "ap_thresholds", thresholds)
-        object.__setattr__(self, "workers", int(self.workers))
         object.__setattr__(
             self,
             "ospa_window",
@@ -145,7 +142,7 @@ def _read_json(path) -> object:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(path), None, f"cannot read: {exc}") from exc
     try:
         return json.loads(text)
@@ -156,14 +153,22 @@ def _read_json(path) -> object:
 def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ParseError(path, line, f"{what} must be a list of {n} numbers")
-    out = []
-    for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(path, line, f"{what} must contain numbers")
-        out.append(float(v))
-    if not all(np.isfinite(out)):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ParseError(path, line, f"{what} must contain numbers")
+    try:
+        out = [float(v) for v in value]  # an int too large for a float overflows
+    except OverflowError:
+        out = None
+    if out is None or not all(np.isfinite(out)):
         raise ParseError(path, line, f"{what} must be finite")
     return out
+
+
+def _integer(value, path: str, line: int | None, what: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(path, line, f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
@@ -185,16 +190,19 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
         raise ParseError(spath, None, "calibration must be a list of cameras")
     cams: dict[int, CameraModel] = {}
     for i, entry in enumerate(doc):
+        where = f"camera #{i}"
         if not isinstance(entry, dict):
-            raise ParseError(spath, None, f"camera #{i} is not an object")
+            raise ParseError(spath, None, f"{where} is not an object")
         try:
-            cid = int(entry["id"])
-            K = np.array(_float_list(entry["K"], 9, spath, None, "K")).reshape(3, 3)
-            R = np.array(_float_list(entry["R"], 9, spath, None, "R")).reshape(3, 3)
-            t = np.array(_float_list(entry["t"], 3, spath, None, "t")) * scale
-            size = (int(entry["width"]), int(entry["height"]))
+            cid = _integer(entry["id"], spath, None, f"{where} id")
+            K = np.array(_float_list(entry["K"], 9, spath, None, f"{where} K")).reshape(3, 3)
+            R = np.array(_float_list(entry["R"], 9, spath, None, f"{where} R")).reshape(3, 3)
+            t = np.array(_float_list(entry["t"], 3, spath, None, f"{where} t")) * scale
+            size = tuple(
+                _integer(entry[k], spath, None, f"{where} {k}") for k in ("width", "height")
+            )
         except KeyError as exc:
-            raise ParseError(spath, None, f"camera #{i} missing key {exc}") from exc
+            raise ParseError(spath, None, f"{where} missing key {exc}") from exc
         if cid in cams:
             raise ValidationError(f"duplicate camera id {cid}")
         try:
@@ -229,7 +237,7 @@ def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
     spath = str(path)
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(spath, None, f"cannot read: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -254,14 +262,9 @@ def load_annotations(path) -> list[AnnotationFrame]:
     boxes: dict[int, dict[int, dict[int, BBox]]] = {}
     kps: dict[int, dict[int, dict[int, np.ndarray]]] = {}
     for lineno, rec in _iter_jsonl(path):
-        try:
-            frame = int(rec["frame"])
-            oid = int(rec["object_id"])
-            cid = int(rec["camera_id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
-                spath, lineno, f"record needs integer frame/object_id/camera_id ({exc})"
-            ) from exc
+        frame, oid, cid = (
+            _integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id", "camera_id")
+        )
         if frame < 0:
             raise ParseError(spath, lineno, "frame must be non-negative")
         has_any = False
@@ -335,13 +338,7 @@ def load_tracks(path) -> TrackSet:
     keypoints: dict[int, dict[int, np.ndarray]] = {}
     half_axes: dict[int, dict[int, np.ndarray]] = {}
     for lineno, rec in _iter_jsonl(path):
-        try:
-            frame = int(rec["frame"])
-            oid = int(rec["object_id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
-                spath, lineno, f"record needs integer frame/object_id ({exc})"
-            ) from exc
+        frame, oid = (_integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id"))
         if "position" not in rec:
             raise ParseError(spath, lineno, "record needs a position")
         pos = _float_list(rec["position"], 3, spath, lineno, "position")

@@ -1,10 +1,12 @@
-"""Canonical skeletons and per-keypoint filtering.
+"""Canonical skeletons and keypoint filtering.
 
-Keypoints are tracked as independent 6-dim constant-velocity states
-[x, vx, y, vy, z, vz] with a pinhole pixel measurement. New keypoint states
-are seeded from a canonical skeleton scaled to the object's ellipsoid and
-translated to its center; keypoint velocities start as copies of the object
-velocity.
+Keypoints are tracked as 6-dim constant-velocity states [x, vx, y, vy, z, vz]
+with a pinhole pixel measurement. Joints never interact, so the keypoints of
+one or more objects are the rows of one stacked belief: one predict moves all
+of them, and one update per camera fuses all the joints it sees. New keypoint
+states are seeded from a canonical skeleton scaled to the object's ellipsoid
+and translated to its center; keypoint velocities start as copies of the
+object velocity.
 
 Canonical tables are stored normalized: per-axis midrange at the origin and a
 vertical (z) extent of exactly 1, so scaling to a person of height 2c is a
@@ -15,17 +17,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SigmaPointProjectionFailure, SingularInnovation
 from .filter import (
     GaussianBelief,
     MotionModel,
     kalman_predict,
     make_motion_model,
     ukf_update,
+    update_rows,
 )
 from .geometry import CameraModel, project_point
 
@@ -164,23 +167,6 @@ def canonical_pose(name: str) -> CanonicalPose:
         ) from None
 
 
-@dataclass(frozen=True)
-class KeypointState:
-    """Filtered state of a single keypoint."""
-
-    belief: GaussianBelief
-
-    def __post_init__(self):
-        if self.belief.dim != 6:
-            raise ValueError(
-                f"keypoint state must be 6-dim, got {self.belief.dim}"
-            )
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.belief.mean[KP_POS_IDX]
-
-
 def scaled_offsets(pose: CanonicalPose, half_axes) -> np.ndarray:
     """Canonical coordinates scaled to an ellipsoid's half-axes.
 
@@ -198,31 +184,21 @@ def scaled_offsets(pose: CanonicalPose, half_axes) -> np.ndarray:
 
 def init_keypoints(
     pose: CanonicalPose, belief: GaussianBelief, config: "RunConfig"
-) -> list[KeypointState]:
-    """Seed keypoint states from an object's ellipsoid belief.
-
-    The canonical skeleton is scaled to the current half-axes, translated to
-    the object center, and every keypoint inherits the object velocity.
-    """
+) -> GaussianBelief:
+    """Seed keypoint states from a stack of object beliefs: per object row,
+    the canonical skeleton scaled to its half-axes and translated to its
+    center, every keypoint with the object velocity. Joint j of object i is
+    row i * num_joints + j."""
     if belief.dim != 9:
         raise ValueError(f"object belief must be 9-dim, got {belief.dim}")
-    center = belief.mean[[0, 2, 4]]
-    velocity = belief.mean[[1, 3, 5]]
-    offsets = scaled_offsets(pose, np.exp(belief.mean[6:9]))
-    cov = np.diag(
-        [
-            config.init_keypoint_pos_var,
-            config.init_keypoint_vel_var,
-        ]
-        * 3
-    )
-    states = []
-    for off in offsets:
-        mean = np.empty(6)
-        mean[KP_POS_IDX] = center + off
-        mean[KP_VEL_IDX] = velocity
-        states.append(KeypointState(GaussianBelief(mean, cov)))
-    return states
+    center = belief.mean[:, None, [0, 2, 4]]
+    offsets = np.array([scaled_offsets(pose, np.exp(m[6:9])) for m in belief.mean])
+    mean = np.empty(offsets.shape[:2] + (6,))
+    mean[..., KP_POS_IDX] = center + offsets
+    mean[..., KP_VEL_IDX] = belief.mean[:, None, [1, 3, 5]]
+    cov = np.diag([config.init_keypoint_pos_var, config.init_keypoint_vel_var] * 3)
+    rows = len(belief) * pose.num_joints
+    return GaussianBelief(mean.reshape(rows, 6), np.broadcast_to(cov, (rows, 6, 6)))
 
 
 def keypoint_motion_model(config: "RunConfig") -> MotionModel:
@@ -230,57 +206,46 @@ def keypoint_motion_model(config: "RunConfig") -> MotionModel:
     return make_motion_model(config.dt, config.q_pos)
 
 
-def predict_keypoints(
-    states: Sequence[KeypointState], model: MotionModel
-) -> list[KeypointState]:
-    return [KeypointState(kalman_predict(s.belief, model)) for s in states]
-
-
-def _pixel_measurement(cam: CameraModel):
-    """Measurement map: keypoint states (..., 6) -> pixels (..., 2)."""
-    return lambda X: project_point(cam, X[..., KP_POS_IDX])
+def predict_keypoints(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
+    """Predict a stack of keypoint states one frame ahead."""
+    return kalman_predict(belief, model)
 
 
 def update_keypoints(
-    states: Sequence[KeypointState],
-    observed: np.ndarray,
-    cam: CameraModel,
-    config: "RunConfig",
-) -> list[KeypointState]:
-    """Fuse one camera's keypoint annotations into the states.
+    belief: GaussianBelief, observed: np.ndarray, cam: CameraModel, config: "RunConfig"
+) -> GaussianBelief:
+    """Fuse one camera's keypoint annotations into a stack of keypoint
+    states.
 
-    ``observed`` is (N, 3) rows of (u, v, visibility). Joints whose visibility
-    is below ``config.visibility_threshold`` are left untouched; a joint whose
-    update fails numerically keeps its prior (logged, not raised).
+    ``observed`` is (n, 3) rows of (u, v, visibility), one per belief row.
+    All rows whose visibility reaches ``config.visibility_threshold`` are
+    updated in one call, through the pinhole pixel map; the others are left
+    untouched, and a joint whose update fails numerically keeps its prior
+    (logged, not raised).
     """
+    if belief.dim != 6:
+        raise ValueError(f"keypoint states must be 6-dim, got {belief.dim}")
     obs = np.asarray(observed, dtype=np.float64)
-    if obs.shape != (len(states), 3):
-        raise ValueError(
-            f"observations shape {obs.shape} must be ({len(states)}, 3)"
-        )
-    h = _pixel_measurement(cam)
-    R = config.r_keypoint * np.eye(2)
-    out = list(states)
-    for j, (state, row) in enumerate(zip(states, obs)):
-        if row[2] < config.visibility_threshold:
-            continue
-        try:
-            out[j] = KeypointState(
-                ukf_update(
-                    state.belief,
-                    row[:2],
-                    h,
-                    R,
-                    alpha=config.alpha,
-                    beta=config.beta,
-                    kappa=config.kappa,
-                )
-            )
-        except (SigmaPointProjectionFailure, SingularInnovation) as exc:
-            logger.debug("keypoint %d update skipped: %s", j, exc)
-    return out
+    if obs.shape != (len(belief), 3):
+        raise ValueError(f"observations shape {obs.shape} must be ({len(belief)}, 3)")
+    seen = np.flatnonzero(obs[:, 2] >= config.visibility_threshold)
+    if not seen.size:
+        return belief
+    update = partial(
+        ukf_update,
+        h=lambda X: project_point(cam, X[..., KP_POS_IDX]),
+        noise=config.r_keypoint * np.eye(2),
+        alpha=config.alpha, beta=config.beta, kappa=config.kappa,
+    )
+    mean, cov = belief.mean.copy(), belief.covariance.copy()
+    mean[seen], cov[seen], failed = update_rows(
+        update, GaussianBelief(mean[seen], cov[seen]), obs[seen, :2]
+    )
+    for k, exc in failed:
+        logger.debug("keypoint %d update skipped: %s", seen[k], exc)
+    return GaussianBelief(mean, cov)
 
 
-def keypoint_positions(states: Sequence[KeypointState]) -> np.ndarray:
-    """Stack current keypoint position estimates into an (N, 3) array."""
-    return np.array([s.position for s in states]).reshape(len(states), 3)
+def keypoint_positions(belief: GaussianBelief) -> np.ndarray:
+    """Current keypoint position estimates, one (x, y, z) row per state."""
+    return belief.mean[:, KP_POS_IDX]

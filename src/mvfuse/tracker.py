@@ -1,32 +1,37 @@
-"""Per-object fusion of multi-camera annotations into 3D tracks.
+"""Fusion of multi-camera annotations into 3D tracks.
 
-One object = one 9-dim belief [x, vx, y, vy, z, vz, log a, log b, log c]:
+One object = one 9-dim state [x, vx, y, vy, z, vz, log a, log b, log c]:
 constant-velocity kinematics plus a random walk on the log half-axes. Each
 frame is predicted once and then corrected sequentially with every camera's
 bounding box (ascending camera id), the posterior of one correction feeding
-the next. Keypoint states, when a skeleton is configured, ride along as
-independent filters seeded from the post-update birth belief.
+the next. Keypoint states, when a skeleton is configured, are 6-dim states
+per joint seeded from the post-update birth state.
 
-Objects are independent given the annotations, so multi-object runs simply
-map over object ids (optionally across processes).
+Objects never interact, so they are filtered together: every object is a row
+of one stacked belief (its joints are rows of a second one), and each frame
+runs one predict over the live rows, then one update per camera over the rows
+with an annotation in it. A row whose update fails is redone alone, so a
+failure in one object never touches another.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    GeometryError,
-    NoObservation,
-    SigmaPointProjectionFailure,
-    SingularInnovation,
+from .errors import DegenerateConic, DivergentUpdate, GeometryError, NoObservation
+from .filter import (
+    GaussianBelief,
+    kalman_predict,
+    make_motion_model,
+    ukf_update,
+    update_rows,
 )
-from .filter import GaussianBelief, kalman_predict, make_motion_model, ukf_update
 from .geometry import (
     BBox,
     CameraModel,
@@ -38,14 +43,16 @@ from . import pose as pose_mod
 
 if TYPE_CHECKING:
     from .io import RunConfig
-    from .pose import CanonicalPose, KeypointState
+    from .pose import CanonicalPose
 
 logger = logging.getLogger(__name__)
 
 # State vector layout.
 POS_IDX = np.array([0, 2, 4])
-VEL_IDX = np.array([1, 3, 5])
 SHAPE_SLICE = slice(6, 9)
+# Log half-axes beyond +-30 (e^30 m ~ 1e13 m) are no annotated object, and
+# such a state overflows the arithmetic downstream.
+_LOG_AXIS_LIMIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,6 @@ class AnnotationFrame:
         if int(self.frame) < 0:
             raise ValueError(f"frame must be non-negative, got {self.frame}")
         object.__setattr__(self, "frame", int(self.frame))
-
-
-@dataclass
-class ObjectState:
-    """Evolving estimate of one object: ellipsoid belief plus keypoints."""
-
-    belief: GaussianBelief
-    keypoints: "list[KeypointState]" = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -136,20 +135,35 @@ class Diagnostic:
 EventCallback = Callable[[Diagnostic], None]
 
 
+def _half_axes(X: np.ndarray) -> np.ndarray:
+    """Half-axes (..., 3) of states (..., 9); log half-axes beyond the limit
+    raise ``DegenerateConic``."""
+    if np.any(np.abs(X[..., SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
+        raise DegenerateConic("log half-axes out of range")
+    return np.exp(X[..., SHAPE_SLICE])
+
+
 def bbox_measurement(cam: CameraModel) -> Callable[[np.ndarray], np.ndarray]:
     """Measurement map: states (..., 9) -> boxes (u_min, v_min, u_max, v_max)
     (..., 4) of the ellipsoids they encode."""
-    return lambda X: project_ellipsoid_to_bbox(
-        cam, X[..., POS_IDX], np.exp(X[..., SHAPE_SLICE])
-    )
+    return lambda X: project_ellipsoid_to_bbox(cam, X[..., POS_IDX], _half_axes(X))
+
+
+def _box_update(h, noise, scaling, belief: GaussianBelief, z) -> GaussianBelief:
+    """One stacked box update; a posterior beyond the log half-axis limit
+    fails it."""
+    post = ukf_update(belief, z, h, noise, **scaling)
+    if np.any(np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
+        raise DivergentUpdate("posterior log half-axes out of range")
+    return post
 
 
 def init_target(
     boxes: Mapping[int, BBox],
     cams: Mapping[int, CameraModel],
     config: "RunConfig",
-) -> ObjectState:
-    """Initial belief from the birth-frame boxes.
+) -> GaussianBelief:
+    """Initial one-row belief from the birth-frame boxes.
 
     The midpoint of each box's bottom edge is back-projected through its
     camera's ground homography; the ground hits are averaged for (x, y). The
@@ -179,32 +193,22 @@ def init_target(
         [config.init_pos_var, config.init_vel_var] * 3
         + [config.init_shape_var] * 3
     )
-    return ObjectState(belief=GaussianBelief(mean, cov))
+    return GaussianBelief(mean, cov)
 
 
-def extract_estimates(
-    state: ObjectState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Current (position, half_axes, keypoints-or-None) of an object."""
-    mean = state.belief.mean
-    kp = (
-        pose_mod.keypoint_positions(state.keypoints)
-        if state.keypoints
-        else None
+def _by_camera(per_object: Mapping, row_of: Mapping[int, int], active: np.ndarray):
+    """Regroup one frame's ``{object id: {camera id: item}}`` into
+    (camera id, rows, items) in ascending camera id, then row, keeping the
+    objects whose row is ``active``."""
+    hits = sorted(
+        (cid, row_of[oid], item)
+        for oid, per_cam in per_object.items()
+        if oid in row_of and active[row_of[oid]]
+        for cid, item in per_cam.items()
     )
-    return mean[POS_IDX].copy(), np.exp(mean[SHAPE_SLICE]), kp
-
-
-def _observed_frames(
-    annotations: Sequence[AnnotationFrame], object_id: int
-) -> tuple[list[int], int | None, bool]:
-    """(frames with a box in ascending order, last observed frame, has any
-    keypoints) for an object. The track end counts keypoint-only frames too.
-    """
-    box_frames = sorted(af.frame for af in annotations if af.boxes.get(object_id))
-    kp_frames = [af.frame for af in annotations if af.keypoints.get(object_id)]
-    last = max(box_frames + kp_frames, default=None)
-    return box_frames, last, bool(kp_frames)
+    for cid, group in groupby(hits, key=lambda hit: hit[0]):
+        _, rows, items = zip(*group)
+        yield cid, np.array(rows), items
 
 
 def track_object(
@@ -215,112 +219,17 @@ def track_object(
     skeleton: "CanonicalPose | None" = None,
     on_event: EventCallback | None = None,
 ) -> Track:
-    """Fuse one object's annotations into a Track.
+    """:func:`run_all` on one object's annotations alone; raises
+    ``NoObservation`` if no box of the object gives a usable ground point."""
 
-    Processes every integer frame from the object's birth (first frame whose
-    boxes give a usable ground point) through its last observation; frames
-    absent from ``annotations`` are predict-only. A camera update that fails
-    numerically is skipped with a diagnostic; the object carries on with its
-    prediction.
+    def own(per_object):
+        return {object_id: per_object[object_id]} if object_id in per_object else {}
 
-    Raises
-    ------
-    NoObservation
-        If no box of the object gives a usable ground point.
-    """
-    track, diags = _track_object_impl(
-        annotations, cams, config, object_id, skeleton
-    )
-    if on_event is not None:
-        for d in diags:
-            on_event(d)
-    if track is None:
+    mine = [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints)) for af in annotations]
+    tracks = run_all(mine, cams, config, skeleton, on_event)
+    if not tracks:
         raise NoObservation(f"object {object_id} has no birth frame")
-    return track
-
-
-def _track_object_impl(
-    annotations: Sequence[AnnotationFrame],
-    cams: Mapping[int, CameraModel],
-    config: "RunConfig",
-    object_id: int,
-    skeleton: "CanonicalPose | None",
-) -> tuple[Track | None, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
-    box_frames, last, has_kp = _observed_frames(annotations, object_id)
-    by_frame = {af.frame: af for af in annotations}
-    for birth in box_frames:
-        try:
-            state = init_target(by_frame[birth].boxes[object_id], cams, config)
-            break
-        except NoObservation as exc:
-            logger.debug(
-                "object %d birth deferred past frame %d: %s", object_id, birth, exc
-            )
-    else:
-        reason = (
-            "no box gave a usable ground point" if box_frames else "no boxes at all"
-        )
-        diags.append(Diagnostic("no_observation", object_id, message=reason))
-        return None, diags
-
-    measurements = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
-    motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
-    kp_motion = pose_mod.keypoint_motion_model(config) if skeleton else None
-    r_box = config.r_bbox * np.eye(4)
-    track_kp = skeleton is not None and has_kp
-
-    entries: list[TrackEntry] = []
-    for frame in range(birth, last + 1):
-        if frame > birth:
-            state.belief = kalman_predict(state.belief, motion)
-            if state.keypoints:
-                state.keypoints = pose_mod.predict_keypoints(
-                    state.keypoints, kp_motion
-                )
-        af = by_frame.get(frame)
-        if af is not None:
-            for cid, box in sorted(af.boxes.get(object_id, {}).items()):
-                try:
-                    state.belief = ukf_update(
-                        state.belief,
-                        box.as_array(),
-                        measurements[cid],
-                        r_box,
-                        alpha=config.alpha,
-                        beta=config.beta,
-                        kappa=config.kappa,
-                    )
-                except (SigmaPointProjectionFailure, SingularInnovation) as exc:
-                    diags.append(
-                        Diagnostic(
-                            "update_skipped", object_id, frame, cid, str(exc)
-                        )
-                    )
-        if track_kp and frame == birth:
-            state.keypoints = pose_mod.init_keypoints(
-                skeleton, state.belief, config
-            )
-        if af is not None and state.keypoints:
-            for cid, obs in sorted(af.keypoints.get(object_id, {}).items()):
-                state.keypoints = pose_mod.update_keypoints(
-                    state.keypoints, obs, cams[cid], config
-                )
-        position, half_axes, kp = extract_estimates(state)
-        entries.append(
-            TrackEntry(
-                frame=frame, position=position, half_axes=half_axes, keypoints=kp
-            )
-        )
-    return Track(object_id=object_id, entries=tuple(entries)), diags
-
-
-def _track_one(args) -> tuple[int, Track | None, list[Diagnostic]]:
-    annotations, cams, config, object_id, skeleton = args
-    track, diags = _track_object_impl(
-        annotations, cams, config, object_id, skeleton
-    )
-    return object_id, track, diags
+    return tracks[0]
 
 
 def run_all(
@@ -328,36 +237,112 @@ def run_all(
     cams: Mapping[int, CameraModel],
     config: "RunConfig",
     skeleton: "CanonicalPose | None" = None,
-    workers: int = 1,
     on_event: EventCallback | None = None,
 ) -> list[Track]:
     """Track every object id present in the annotations.
 
-    Objects are independent, so the result does not depend on ``workers``.
+    Each object is processed at every integer frame from its birth (first
+    frame whose boxes give a usable ground point) through its last
+    observation; frames absent from ``annotations`` are predict-only. A
+    camera update that fails for an object is skipped with an
+    ``update_skipped`` diagnostic and the object carries on with its
+    prediction; a failed keypoint update leaves that joint at its prior.
     Objects without a birth frame (no box, or no box that gives a usable
-    ground point) are reported through ``on_event`` and omitted from the
-    result.
+    ground point) get a ``no_observation`` diagnostic and are omitted.
+    Diagnostics reach ``on_event`` ordered by object, then frame, then
+    camera.
     """
-    ids = sorted(
-        {oid for af in annotations for oid in af.boxes}
-        | {oid for af in annotations for oid in af.keypoints}
-    )
-    results: dict[int, Track | None] = {}
-    all_diags: list[Diagnostic] = []
-    if workers > 1 and len(ids) > 1:
-        jobs = [(list(annotations), dict(cams), config, oid, skeleton) for oid in ids]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for oid, track, diags in pool.map(_track_one, jobs):
-                results[oid] = track
-                all_diags.extend(diags)
-    else:
-        for oid in ids:
-            track, diags = _track_object_impl(
-                annotations, cams, config, oid, skeleton
+    by_frame = {af.frame: af for af in annotations}
+    ids = sorted({oid for af in annotations for oid in (*af.boxes, *af.keypoints)})
+    diags: list[Diagnostic] = []
+    oids, births, lasts, with_kp, beliefs = [], [], [], [], []
+    for oid in ids:
+        box_frames = sorted(af.frame for af in annotations if af.boxes.get(oid))
+        kp_frames = [af.frame for af in annotations if af.keypoints.get(oid)]
+        for birth in box_frames:
+            try:
+                beliefs.append(init_target(by_frame[birth].boxes[oid], cams, config))
+                break
+            except NoObservation as exc:
+                logger.debug("object %d birth deferred past frame %d: %s", oid, birth, exc)
+        else:
+            reason = "no box gave a usable ground point" if box_frames else "no boxes at all"
+            diags.append(Diagnostic("no_observation", oid, message=reason))
+            continue
+        oids.append(oid)
+        births.append(birth)
+        lasts.append(max(box_frames + kp_frames))  # keypoint-only frames count
+        with_kp.append(skeleton is not None and bool(kp_frames))
+
+    n = len(oids)
+    row_of = {oid: i for i, oid in enumerate(oids)}
+    birth, last = np.array(births, dtype=int), np.array(lasts, dtype=int)
+    with_kp = np.array(with_kp, dtype=bool)
+    mean = np.array([b.mean[0] for b in beliefs]).reshape(n, 9)
+    cov = np.array([b.covariance[0] for b in beliefs]).reshape(n, 9, 9)
+    # Joint j of object row i is keypoint row i * J + j.
+    J = skeleton.num_joints if skeleton is not None else 0
+    kp_mean, kp_cov = np.zeros((n * J, 6)), np.zeros((n * J, 6, 6))
+    kp_on = np.zeros(n, dtype=bool)
+
+    def joints(rows) -> np.ndarray:
+        return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
+
+    motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
+    kp_motion = pose_mod.keypoint_motion_model(config) if skeleton is not None else None
+    measurements = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
+    r_box = config.r_bbox * np.eye(4)
+    scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
+    entries: list[list[TrackEntry]] = [[] for _ in oids]
+    for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
+        live = (birth <= frame) & (frame <= last)
+        moving = np.flatnonzero(live & (birth < frame))
+        if moving.size:
+            b = kalman_predict(GaussianBelief(mean[moving], cov[moving]), motion)
+            mean[moving], cov[moving] = b.mean, b.covariance
+        kp_rows = joints(moving[kp_on[moving]])
+        if kp_rows.size:
+            b = pose_mod.predict_keypoints(
+                GaussianBelief(kp_mean[kp_rows], kp_cov[kp_rows]), kp_motion
             )
-            results[oid] = track
-            all_diags.extend(diags)
+            kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
+
+        af = by_frame.get(frame, AnnotationFrame(frame))
+        for cid, rows, boxes in _by_camera(af.boxes, row_of, live):
+            mean[rows], cov[rows], failed = update_rows(
+                partial(_box_update, measurements[cid], r_box, scaling),
+                GaussianBelief(mean[rows], cov[rows]),
+                [box.as_array() for box in boxes],
+            )
+            for k, exc in failed:
+                diags.append(Diagnostic("update_skipped", oids[rows[k]], frame, cid, str(exc)))
+
+        born = np.flatnonzero(with_kp & (birth == frame))
+        if born.size:
+            b = pose_mod.init_keypoints(
+                skeleton, GaussianBelief(mean[born], cov[born]), config
+            )
+            kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
+            kp_on[born] = True
+        for cid, rows, obs in _by_camera(af.keypoints, row_of, kp_on):
+            if any(np.shape(o) != (J, 3) for o in obs):
+                raise ValueError(f"keypoint observations must be ({J}, 3) arrays")
+            kp_rows = joints(rows)
+            b = pose_mod.update_keypoints(
+                GaussianBelief(kp_mean[kp_rows], kp_cov[kp_rows]),
+                np.concatenate(obs),
+                cams[cid],
+                config,
+            )
+            kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
+
+        for i in np.flatnonzero(live):
+            kp = kp_mean[joints([i])][:, pose_mod.KP_POS_IDX] if kp_on[i] else None
+            entries[i].append(
+                TrackEntry(frame, mean[i, POS_IDX], np.exp(mean[i, SHAPE_SLICE]), kp)
+            )
+
     if on_event is not None:
-        for d in all_diags:
+        for d in sorted(diags, key=lambda d: d.object_id):
             on_event(d)
-    return [results[oid] for oid in ids if results[oid] is not None]
+    return [Track(oid, tuple(e)) for oid, e in zip(oids, entries)]

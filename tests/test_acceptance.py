@@ -95,7 +95,7 @@ def test_criterion_3_ukf_matches_closed_form():
         z = rng.normal(size=m)
 
         got = ukf_update(belief, z, lambda X: X @ H.T + b, R)
-        ref = ClosedFormKF(belief.mean, belief.covariance)
+        ref = ClosedFormKF(belief.mean[0], belief.covariance[0])
         ref.update(z, H, b, R)
 
         worst = max(

@@ -1,8 +1,13 @@
 """CLI tests driving ``main(argv)`` in-process."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvfuse import load_tracks
 from mvfuse.cli import main
@@ -106,28 +111,6 @@ class TestAnnotate:
         # Skeleton came from the config, so fused tracks carry 3D keypoints.
         assert sorted(pred.keypoints) == sorted(gt.keypoints)
 
-    def test_workers_flag_reproduces_serial_output(
-        self, scene_dir, fused_tracks, tmp_path, capsys
-    ):
-        out = tmp_path / "tracks2.jsonl"
-        rc = main(
-            [
-                "annotate",
-                "--calibration",
-                str(scene_dir / "calibration.json"),
-                "--annotations",
-                str(scene_dir / "annotations.jsonl"),
-                "--config",
-                str(scene_dir / "config.json"),
-                "--workers",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        assert out.read_bytes() == fused_tracks.read_bytes()
-
     def test_keypoints_without_skeleton_warn(self, scene_dir, tmp_path, caplog):
         # the scene's annotations carry keypoints; omitting the config (and
         # its skeleton) must not drop them silently
@@ -176,6 +159,121 @@ class TestAnnotate:
             ]
         )
         assert rc == 2
+
+
+    def test_config_with_workers_is_exit_2(self, scene_dir, tmp_path, capsys):
+        # The process pool is gone; an old config that still sets it is
+        # refused rather than silently ignored.
+        config = json.loads((scene_dir / "config.json").read_text())
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps({**config, "workers": 2}))
+        rc = main(_annotate_argv(scene_dir, tmp_path, "--config", str(bad)))
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, scene_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_annotate_argv(scene_dir, tmp_path, "--workers", "2"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key,value", [("id", "abc"), ("width", None)])
+    def test_malformed_calibration_is_exit_2(self, scene_dir, tmp_path, capsys, key, value):
+        doc = json.loads((scene_dir / "calibration.json").read_text())
+        doc["cameras"][1][key] = value
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(doc))
+        argv = _annotate_argv(scene_dir, tmp_path)
+        argv[argv.index("--calibration") + 1] = str(calibration)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{calibration}: camera #1 {key} must be an integer" in err
+
+
+def _annotate_argv(scene_dir, tmp_path, *extra):
+    return [
+        "annotate",
+        "--calibration", str(scene_dir / "calibration.json"),
+        "--annotations", str(scene_dir / "annotations.jsonl"),
+        "--out", str(tmp_path / "t.jsonl"),
+        *extra,
+    ]
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBER = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+# Replacement values: arbitrary JSON, or number lists of the lengths the
+# formats expect, so that well-formed but wild geometry reaches the fusion.
+_VALUE = _JSON | st.integers(1, 17).flatmap(lambda n: st.lists(_NUMBER, min_size=n, max_size=n))
+_CAMERA_KEYS = ["id", "K", "R", "t", "width", "height", "extra"]
+_RECORD_KEYS = ["frame", "object_id", "camera_id", "bbox", "keypoints", "extra"]
+
+
+def _mutate(doc: dict, keys: list[str], data) -> None:
+    key = data.draw(st.sampled_from(keys))
+    if data.draw(st.booleans()) and key in doc:
+        del doc[key]
+    else:
+        doc[key] = data.draw(_VALUE)
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny")
+    argv = ["synth", "--out", str(d), "--seed", "2", "--objects", "2", "--cameras", "2",
+            "--frames", "3", "--skeleton", "coco17"]
+    assert main(argv) == 0
+    return (
+        json.loads((d / "calibration.json").read_text()),
+        (d / "annotations.jsonl").read_text().splitlines(),
+        (d / "config.json").read_text(),
+    )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_annotate_fuzz_exits_0_or_2(tiny_scene, data):
+    # Whatever a calibration.json or annotations.jsonl holds, annotate either
+    # fuses it (exit 0) or refuses it as bad input (exit 2); it never raises.
+    calibration, lines, config = tiny_scene
+    calibration = copy.deepcopy(calibration)
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            cam = data.draw(st.sampled_from(calibration["cameras"]))
+            _mutate(cam, _CAMERA_KEYS, data)
+        else:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if data.draw(st.integers(0, 9)) == 0:
+                lines[i] = data.draw(st.text(max_size=20))
+                continue
+            try:
+                rec = json.loads(lines[i])
+            except ValueError:  # already replaced by text
+                continue
+            if isinstance(rec, dict):
+                _mutate(rec, _RECORD_KEYS, data)
+                lines[i] = json.dumps(rec)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "calibration.json").write_text(json.dumps(calibration))
+        (tmp / "annotations.jsonl").write_text("\n".join(lines) + "\n")
+        (tmp / "config.json").write_text(config)
+        rc = main([
+            "annotate",
+            "--calibration", str(tmp / "calibration.json"),
+            "--annotations", str(tmp / "annotations.jsonl"),
+            "--config", str(tmp / "config.json"),
+            "--out", str(tmp / "tracks.jsonl"),
+        ])
+    assert rc in (0, 2)
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mvfuse import (
     CholeskyFailure,
     DimensionMismatch,
+    DivergentUpdate,
     GaussianBelief,
     InvalidDt,
     MotionModel,
@@ -17,6 +18,7 @@ from mvfuse import (
     sigma_points,
     ukf_update,
     unscented_transform,
+    update_rows,
 )
 from oracles import ClosedFormKF, random_spd
 
@@ -43,6 +45,11 @@ class TestGaussianBelief:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             GaussianBelief(np.array([np.nan, 0.0]), np.eye(2))
+
+    def test_stack_check_names_bad_row(self):
+        cov = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+        with pytest.raises(ValueError, match="row 1 has a significantly negative"):
+            GaussianBelief(np.zeros((3, 2)), cov)
 
 
 class TestSigmaPoints:
@@ -129,8 +136,8 @@ class TestPredict:
         b = GaussianBelief(rng.normal(size=9), random_spd(rng, 9))
         out = kalman_predict(b, m)
         F, Q = m.transition, m.process_noise
-        assert np.allclose(out.mean, F @ b.mean)
-        assert np.allclose(out.covariance, F @ b.covariance @ F.T + Q)
+        assert np.allclose(out.mean[0], F @ b.mean[0])
+        assert np.allclose(out.covariance[0], F @ b.covariance[0] @ F.T + Q)
 
     def test_dimension_mismatch(self):
         b = GaussianBelief(np.zeros(6), np.eye(6))
@@ -186,17 +193,17 @@ class TestUkfUpdate:
     def test_posterior_covariance_shrinks(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         post = ukf_update(b, [0.5, 0.5], lambda X: X, 0.1 * np.eye(2))
-        assert np.trace(post.covariance) < np.trace(b.covariance)
-        assert np.linalg.eigvalsh(post.covariance)[0] >= -1e-9
+        assert np.trace(post.covariance[0]) < np.trace(b.covariance[0])
+        assert np.linalg.eigvalsh(post.covariance[0])[0] >= -1e-9
 
     def test_nonlinear_measurement_stays_psd(self):
         rng = np.random.default_rng(4)
         b = GaussianBelief(np.array([1.0, 2.0, 0.5]), random_spd(rng, 3, 0.1))
         post = ukf_update(
-            b, [2.4], lambda X: np.linalg.norm(X, axis=1, keepdims=True),
+            b, [2.4], lambda X: np.linalg.norm(X, axis=-1, keepdims=True),
             np.array([[0.01]]),
         )
-        assert np.linalg.eigvalsh(post.covariance)[0] >= -1e-9
+        assert np.linalg.eigvalsh(post.covariance[0])[0] >= -1e-9
 
     def test_h_called_once_on_sigma_matrix(self):
         b = GaussianBelief(np.zeros(3), np.eye(3))
@@ -204,10 +211,10 @@ class TestUkfUpdate:
 
         def h(X):
             shapes.append(X.shape)
-            return X[:, :2]
+            return X[..., :2]
 
         ukf_update(b, [0.1, 0.2], h, np.eye(2))
-        assert shapes == [(7, 3)]
+        assert shapes == [(1, 7, 3)]
 
     def test_projection_failure_surfaces(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
@@ -221,7 +228,17 @@ class TestUkfUpdate:
     def test_singular_innovation(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(SingularInnovation):
-            ukf_update(b, [0.0], lambda X: np.zeros((len(X), 1)), np.zeros((1, 1)))
+            ukf_update(b, [0.0], lambda X: np.zeros(X.shape[:-1] + (1,)), np.zeros((1, 1)))
+
+    def test_non_finite_measurement_map_surfaces(self):
+        b = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(SigmaPointProjectionFailure, match="non-finite"):
+            ukf_update(b, [0.0], lambda X: np.where(X[..., :1] > 0, np.inf, 0.0), np.eye(1))
+
+    def test_overflowing_posterior_raises(self):
+        b = GaussianBelief(np.array([-1e308]), np.eye(1))
+        with pytest.raises(DivergentUpdate):
+            ukf_update(b, [1e308], lambda X: X, np.eye(1))
 
     def test_noise_shape_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
@@ -232,6 +249,111 @@ class TestUkfUpdate:
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
             ukf_update(b, [0.0], lambda X: X, np.eye(1))
+
+
+def _stack(rng, n, d):
+    return GaussianBelief(
+        rng.normal(size=(n, d)), np.array([random_spd(rng, d) for _ in range(n)])
+    )
+
+
+def _bent(X):
+    """A nonlinear map from states (..., d >= 4) to (..., 3)."""
+    return np.stack(
+        [np.sin(X[..., 0]), X[..., 1] * X[..., 2], np.exp(0.1 * X[..., 3])], axis=-1
+    )
+
+
+# Positive semidefinite within the belief check's -1e-9 tolerance, yet no
+# rung of the jitter ladder makes it factorizable.
+_UNFACTORIZABLE = np.diag([1e-20] * 8 + [-1e-10])
+
+
+class TestStacks:
+    def test_rows_equal_single_row_results(self):
+        # Rows never mix: each row of a stacked predict, sigma-point set and
+        # update is bit-identical to the same call on that row alone.
+        rng = np.random.default_rng(5)
+        b = _stack(rng, 6, 9)
+        z, R = rng.normal(size=(6, 3)), random_spd(rng, 3)
+        model = make_motion_model(0.1, q_pos=0.3, q_shape=0.01)
+        post = ukf_update(b, z, _bent, R)
+        pred = kalman_predict(b, model)
+        X, _, _ = sigma_points(b)
+        for i in range(6):
+            one = GaussianBelief(b.mean[i], b.covariance[i])
+            alone = ukf_update(one, z[i], _bent, R)
+            np.testing.assert_array_equal(post.mean[i], alone.mean[0])
+            np.testing.assert_array_equal(post.covariance[i], alone.covariance[0])
+            alone = kalman_predict(one, model)
+            np.testing.assert_array_equal(pred.mean[i], alone.mean[0])
+            np.testing.assert_array_equal(pred.covariance[i], alone.covariance[0])
+            np.testing.assert_array_equal(X[i], sigma_points(one)[0][0])
+
+    def test_h_maps_whole_stack_once(self):
+        rng = np.random.default_rng(6)
+        shapes = []
+
+        def h(X):
+            shapes.append(X.shape)
+            return _bent(X)
+
+        ukf_update(_stack(rng, 4, 5), rng.normal(size=(4, 3)), h, np.eye(3))
+        assert shapes == [(4, 11, 5)]
+
+    def test_measurement_rows_must_match_belief_rows(self):
+        b = _stack(np.random.default_rng(7), 3, 4)
+        with pytest.raises(DimensionMismatch):
+            ukf_update(b, np.zeros((2, 3)), _bent, np.eye(3))
+
+    def test_unfactorizable_row_keeps_prior_beside_good_row(self):
+        rng = np.random.default_rng(8)
+        good = _stack(rng, 1, 9)
+        bad = GaussianBelief(np.zeros(9), _UNFACTORIZABLE)
+        with pytest.raises(CholeskyFailure):
+            sigma_points(bad)
+        pair = GaussianBelief(
+            np.concatenate([good.mean, bad.mean]),
+            np.concatenate([good.covariance, bad.covariance]),
+        )
+        z, R = rng.normal(size=(2, 3)), np.eye(3)
+        with pytest.raises(CholeskyFailure):
+            ukf_update(pair, z, _bent, R)
+
+        mean, cov, failed = update_rows(
+            lambda b, zz: ukf_update(b, zz, _bent, R), pair, z
+        )
+        alone = ukf_update(good, z[:1], _bent, R)
+        np.testing.assert_array_equal(mean[0], alone.mean[0])
+        np.testing.assert_array_equal(cov[0], alone.covariance[0])
+        np.testing.assert_array_equal(mean[1], bad.mean[0])
+        np.testing.assert_array_equal(cov[1], bad.covariance[0])
+        assert [(i, type(e)) for i, e in failed] == [(1, CholeskyFailure)]
+
+    def test_update_rows_without_failure_is_one_call(self):
+        rng = np.random.default_rng(9)
+        b, z = _stack(rng, 3, 4), rng.normal(size=(3, 3))
+        calls = []
+
+        def update(belief, zz):
+            calls.append(len(belief))
+            return ukf_update(belief, zz, _bent, np.eye(3))
+
+        mean, _, failed = update_rows(update, b, z)
+        assert calls == [3] and failed == []
+        np.testing.assert_array_equal(mean, ukf_update(b, z, _bent, np.eye(3)).mean)
+
+    def test_jitter_is_chosen_per_row(self):
+        # One row needs jitter; its neighbour's sigma points must not move.
+        rng = np.random.default_rng(10)
+        good = _stack(rng, 1, 2)
+        pair = GaussianBelief(
+            np.zeros((2, 2)), np.stack([good.covariance[0], np.diag([1.0, 0.0])])
+        )
+        X, _, _ = sigma_points(pair)
+        alone, _, _ = sigma_points(GaussianBelief(np.zeros(2), good.covariance[0]))
+        np.testing.assert_array_equal(X[0], alone[0])
+        assert np.all(np.isfinite(X[1]))
 
 
 class TestUnscentedTransform:

@@ -82,6 +82,29 @@ class TestCalibration:
         with pytest.raises(ParseError, match="camera #0"):
             load_calibration(path)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("id", "abc"), ("id", 1.5), ("id", True), ("width", None),
+         ("width", 1920.0), ("height", "1080")],
+    )
+    def test_non_integer_field_is_parse_error(self, overhead_camera, tmp_path, key, value):
+        path = tmp_path / "calibration.json"
+        save_calibration({0: overhead_camera}, path)
+        doc = json.loads(path.read_text())
+        doc["cameras"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"camera #0 {key} must be an integer") as err:
+            load_calibration(path)
+        assert err.value.path == str(path)
+
+    def test_integer_too_large_for_float_is_parse_error(self, overhead_camera, tmp_path):
+        path = tmp_path / "calibration.json"
+        save_calibration({0: overhead_camera}, path)
+        text = path.read_text().replace("1000.0", "1" + "0" * 400, 1)
+        path.write_text(text)
+        with pytest.raises(ParseError, match="camera #0 K must be finite"):
+            load_calibration(path)
+
     def test_duplicate_id(self, overhead_camera, tmp_path):
         path = tmp_path / "calibration.json"
         save_calibration({0: overhead_camera}, path)
@@ -124,6 +147,14 @@ def _sample_annotations():
         ),
         AnnotationFrame(frame=2, boxes={2: {3: BBox(1, 2, 3, 4)}}),
     ]
+
+
+@pytest.mark.parametrize("loader", [load_calibration, load_annotations, load_tracks])
+def test_undecodable_bytes_are_parse_error(tmp_path, loader):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"frame": \xff}\n')
+    with pytest.raises(ParseError, match="cannot read"):
+        loader(path)
 
 
 class TestAnnotations:
@@ -169,6 +200,16 @@ class TestAnnotations:
         )
         with pytest.raises(ParseError, match="no bbox or keypoints"):
             load_annotations(path)
+
+    @pytest.mark.parametrize("key", ["frame", "object_id", "camera_id"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "3", None])
+    def test_ids_must_be_json_integers(self, tmp_path, key, value):
+        good = {"frame": 0, "object_id": 1, "camera_id": 0, "bbox": [0, 0, 5, 5]}
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(ParseError, match=f"{key} must be an integer") as err:
+            load_annotations(path)
+        assert err.value.line == 2
 
     def test_negative_frame_rejected(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
@@ -245,6 +286,16 @@ class TestTracks:
         path.write_text(json.dumps({"frame": 0, "object_id": 1}) + "\n")
         with pytest.raises(ParseError, match="position"):
             load_tracks(path)
+
+    @pytest.mark.parametrize("key", ["frame", "object_id"])
+    @pytest.mark.parametrize("value", [1.5, False, "3"])
+    def test_ids_must_be_json_integers(self, tmp_path, key, value):
+        path = tmp_path / "tracks.jsonl"
+        rec = {"frame": 0, "object_id": 1, "position": [0, 0, 1], key: value}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=f"{key} must be an integer") as err:
+            load_tracks(path)
+        assert err.value.line == 1
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "tracks.jsonl"

@@ -7,7 +7,6 @@ from mvfuse import (
     CameraModel,
     CanonicalPose,
     GaussianBelief,
-    KeypointState,
     RunConfig,
     canonical_pose,
     init_keypoints,
@@ -136,15 +135,14 @@ class TestInitKeypoints:
         assert len(states) == 15
         expected = scaled_offsets(pose, half) + center
         assert np.allclose(keypoint_positions(states), expected)
-        for s in states:
-            assert np.allclose(s.belief.mean[[1, 3, 5]], velocity)
+        assert np.allclose(states.mean[:, [1, 3, 5]], velocity)
 
     def test_initial_covariance_from_config(self, config):
         pose = canonical_pose("coco17")
         states = init_keypoints(
             pose, _object_belief([0, 0, 0.9], [0, 0, 0], [0.3, 0.3, 0.9]), config
         )
-        diag = np.diag(states[0].belief.covariance)
+        diag = np.diag(states.covariance[0])
         assert np.allclose(diag[[0, 2, 4]], config.init_keypoint_pos_var)
         assert np.allclose(diag[[1, 3, 5]], config.init_keypoint_vel_var)
 
@@ -155,14 +153,19 @@ class TestInitKeypoints:
 
 
 class TestKeypointState:
-    def test_rejects_wrong_dim(self):
+    def test_rejects_wrong_dim(self, config):
         with pytest.raises(ValueError, match="6-dim"):
-            KeypointState(GaussianBelief(np.zeros(4), np.eye(4)))
+            update_keypoints(
+                GaussianBelief(np.zeros(4), np.eye(4)),
+                np.array([[640.0, 360.0, 1.0]]),
+                _ring(1)[0],
+                config,
+            )
 
     def test_position_extraction(self):
         mean = np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
-        s = KeypointState(GaussianBelief(mean, np.eye(6)))
-        assert np.allclose(s.position, [1, 2, 3])
+        s = GaussianBelief(mean, np.eye(6))
+        assert np.allclose(keypoint_positions(s), [[1, 2, 3]])
 
 
 def _ring(n=3, radius=8.0, height=3.0):
@@ -187,31 +190,56 @@ def _ring(n=3, radius=8.0, height=3.0):
 class TestUpdateKeypoints:
     def test_invisible_joints_untouched(self, config):
         cams = _ring(1)
-        state = KeypointState(
-            GaussianBelief(np.array([0, 0, 0, 0, 1.0, 0]), np.eye(6))
-        )
+        state = GaussianBelief(np.array([0, 0, 0, 0, 1.0, 0]), np.eye(6))
         obs = np.array([[640.0, 360.0, 0.0]])  # flagged invisible
-        out = update_keypoints([state], obs, cams[0], config)
-        assert out[0] is state
+        out = update_keypoints(state, obs, cams[0], config)
+        assert out is state
 
     def test_visible_joint_moves_toward_truth(self, config):
         cams = _ring(1)
         truth = np.array([0.3, -0.2, 1.1])
         uv = project_point(cams[0], truth)
         prior_mean = np.array([0.0, 0, 0.0, 0, 1.0, 0])
-        state = KeypointState(GaussianBelief(prior_mean, 0.25 * np.eye(6)))
+        state = GaussianBelief(prior_mean, 0.25 * np.eye(6))
         out = update_keypoints(
-            [state], np.array([[uv[0], uv[1], 1.0]]), cams[0], config
+            state, np.array([[uv[0], uv[1], 1.0]]), cams[0], config
         )
         before = np.linalg.norm(prior_mean[[0, 2, 4]] - truth)
-        after = np.linalg.norm(out[0].position - truth)
+        after = np.linalg.norm(keypoint_positions(out)[0] - truth)
         assert after < before
+
+    def test_stacked_joints_equal_joint_by_joint(self, config):
+        # One camera's joints are one stacked update. Each joint's result is
+        # bit-identical to updating it alone; an invisible joint is left as
+        # is, and so is a joint whose covariance cannot be factorized.
+        cams = _ring(1)
+        states = init_keypoints(
+            canonical_pose("panoptic15"),
+            _object_belief([0.3, -0.2, 0.9], [0.1, 0.0, 0.0], [0.3, 0.3, 0.9]),
+            config,
+        )
+        cov = states.covariance.copy()
+        cov[4] = np.diag([1e-20] * 5 + [-1e-10])
+        states = GaussianBelief(states.mean, cov)
+        pixels = project_point(cams[0], keypoint_positions(states) + 0.05)
+        obs = np.hstack([pixels, np.ones((15, 1))])
+        obs[7, 2] = 0.0
+        out = update_keypoints(states, obs, cams[0], config)
+        for j in range(15):
+            one = GaussianBelief(states.mean[j], states.covariance[j])
+            alone = update_keypoints(one, obs[j : j + 1], cams[0], config)
+            np.testing.assert_array_equal(out.mean[j], alone.mean[0])
+            np.testing.assert_array_equal(out.covariance[j], alone.covariance[0])
+        for j in (4, 7):
+            np.testing.assert_array_equal(out.mean[j], states.mean[j])
+        moved = np.any(out.mean != states.mean, axis=1)
+        assert moved.sum() == 13
 
     def test_shape_mismatch(self, config):
         cams = _ring(1)
-        state = KeypointState(GaussianBelief(np.zeros(6), np.eye(6)))
+        state = GaussianBelief(np.zeros(6), np.eye(6))
         with pytest.raises(ValueError, match="shape"):
-            update_keypoints([state], np.zeros((2, 3)), cams[0], config)
+            update_keypoints(state, np.zeros((2, 3)), cams[0], config)
 
 
 def _track(frames, states, cams, config):
@@ -240,13 +268,7 @@ class TestTrackKeypoints:
             cid: np.array([[*project_point(cam, truth), 1.0]])
             for cid, cam in cams.items()
         }
-        initial = [
-            KeypointState(
-                GaussianBelief(
-                    np.array([0.0, 0, 0.0, 0, 1.0, 0]), 0.25 * np.eye(6)
-                )
-            )
-        ]
+        initial = GaussianBelief(np.array([0.0, 0, 0.0, 0, 1.0, 0]), 0.25 * np.eye(6))
         frames = [obs_rows] * 12
         out = _track(frames, initial, cams, config)
         assert out.shape == (12, 1, 3)
@@ -259,13 +281,7 @@ class TestTrackKeypoints:
 
     def test_static_prediction_between_observations(self, config):
         cams = _ring(2)
-        initial = [
-            KeypointState(
-                GaussianBelief(
-                    np.array([0.5, 0.1, 0.5, 0.0, 1.0, 0.0]), 0.1 * np.eye(6)
-                )
-            )
-        ]
+        initial = GaussianBelief(np.array([0.5, 0.1, 0.5, 0.0, 1.0, 0.0]), 0.1 * np.eye(6))
         out = _track([{}, {}, {}], initial, cams, config)
         # no observations: pure constant-velocity propagation
         assert np.allclose(out[0, 0], [0.5, 0.5, 1.0])
@@ -275,8 +291,6 @@ class TestTrackKeypoints:
 class TestPredictKeypoints:
     def test_velocity_integration(self, config):
         model = keypoint_motion_model(config)
-        s = KeypointState(
-            GaussianBelief(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
-        )
-        out = predict_keypoints([s], model)
-        assert np.isclose(out[0].belief.mean[0], config.dt)
+        s = GaussianBelief(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
+        out = predict_keypoints(s, model)
+        assert np.isclose(out.mean[0, 0], config.dt)

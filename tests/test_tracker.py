@@ -1,5 +1,5 @@
 """Tracker tests: measurement closure, target birth, frame walking, and
-multi-object runs (including the process-pool path)."""
+stacked multi-object runs."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,17 @@ from mvfuse import (
     AnnotationFrame,
     BBox,
     CameraModel,
+    CholeskyFailure,
     NoObservation,
+    Occlusion,
     RunConfig,
+    SceneSpec,
     SigmaPointProjectionFailure,
     Track,
     TrackEntry,
     bbox_measurement,
     canonical_pose,
+    generate,
     in_front,
     init_target,
     project_ellipsoid_to_bbox,
@@ -24,6 +28,7 @@ from mvfuse import (
 )
 from mvfuse.errors import NonPositiveDepth, DegenerateConic
 from mvfuse.filter import kalman_predict, make_motion_model, ukf_update
+from mvfuse import tracker as tracker_mod
 from mvfuse.tracker import POS_IDX, SHAPE_SLICE
 
 from oracles import dual_quadric_bbox, random_camera
@@ -105,8 +110,8 @@ class TestInitTarget:
         # Bottom-edge midpoint (600, 300) backprojects to ground (1, 2);
         # z starts at the default half-height.
         box = BBox(580.0, 240.0, 620.0, 300.0)
-        state = init_target({0: box}, {0: overhead_camera}, config)
-        mean, cov = state.belief.mean, state.belief.covariance
+        belief = init_target({0: box}, {0: overhead_camera}, config)
+        mean, cov = belief.mean[0], belief.covariance[0]
         np.testing.assert_allclose(mean[POS_IDX], [1.0, 2.0, 0.9], atol=1e-9)
         np.testing.assert_array_equal(mean[[1, 3, 5]], 0.0)
         np.testing.assert_allclose(
@@ -116,7 +121,6 @@ class TestInitTarget:
             np.diag(cov),
             [0.25, 1.0, 0.25, 1.0, 0.25, 1.0, 0.05, 0.05, 0.05],
         )
-        assert state.keypoints == []
 
     def test_two_cameras_average(self, overhead_camera, config):
         boxes = {
@@ -124,9 +128,9 @@ class TestInitTarget:
             1: BBox(780.0, 40.0, 820.0, 100.0),  # feet -> (3, 4)
         }
         cams = {0: overhead_camera, 1: overhead_camera}
-        state = init_target(boxes, cams, config)
+        belief = init_target(boxes, cams, config)
         np.testing.assert_allclose(
-            state.belief.mean[POS_IDX], [2.0, 3.0, 0.9], atol=1e-9
+            belief.mean[0, POS_IDX], [2.0, 3.0, 0.9], atol=1e-9
         )
 
     def test_degenerate_camera_skipped(self, overhead_camera, config):
@@ -146,7 +150,7 @@ class TestInitTarget:
             {0: overhead_camera, 1: ground_cam},
             config,
         )
-        np.testing.assert_array_equal(good.belief.mean, mixed.belief.mean)
+        np.testing.assert_array_equal(good.mean, mixed.mean)
 
     def test_no_usable_camera_raises(self, config):
         ground_cam = _cam(
@@ -198,12 +202,11 @@ class TestTrackObject:
 
         track = track_object(annotations, cams, config, object_id=1)
 
-        state = init_target(
+        belief = init_target(
             {cid: _box_for(cam, path[0], half) for cid, cam in cams.items()},
             cams,
             config,
         )
-        belief = state.belief
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
         r_box = config.r_bbox * np.eye(4)
         for k in range(4):
@@ -221,9 +224,9 @@ class TestTrackObject:
                 )
             entry = track.entries[k]
             assert entry.frame == k
-            np.testing.assert_array_equal(entry.position, belief.mean[POS_IDX])
+            np.testing.assert_array_equal(entry.position, belief.mean[0, POS_IDX])
             np.testing.assert_array_equal(
-                entry.half_axes, np.exp(belief.mean[SHAPE_SLICE])
+                entry.half_axes, np.exp(belief.mean[0, SHAPE_SLICE])
             )
             assert entry.keypoints is None
 
@@ -238,12 +241,11 @@ class TestTrackObject:
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
         first = track_object(annotations[:1], cams, config, object_id=1).entries[-1]
         # Re-derive frames 1 and 2 by pure prediction from the frame-0 output.
-        state = init_target(
+        b = init_target(
             {cid: _box_for(cam, path[0], (0.3, 0.3, 0.9)) for cid, cam in cams.items()},
             cams,
             config,
         )
-        b = state.belief
         r_box = config.r_bbox * np.eye(4)
         for cid in sorted(cams):
             b = ukf_update(
@@ -257,7 +259,7 @@ class TestTrackObject:
             )
         for k in (1, 2):
             b = kalman_predict(b, motion)
-            np.testing.assert_array_equal(track.entries[k].position, b.mean[POS_IDX])
+            np.testing.assert_array_equal(track.entries[k].position, b.mean[0, POS_IDX])
         np.testing.assert_array_equal(first.position, track.entries[0].position)
 
     def test_track_spans_birth_to_last_observation(self, config):
@@ -319,9 +321,9 @@ class TestTrackObject:
         boxes = {cid: _box_for(cam, pos, half) for cid, cam in cams.items()}
         config = RunConfig(dt=0.1, init_pos_var=100.0)
 
-        belief = init_target(boxes, cams, config).belief
+        belief = init_target(boxes, cams, config)
         X, _, _ = sigma_points(belief)
-        front = in_front(near, X[:, POS_IDX])
+        front = in_front(near, X[..., POS_IDX])
         assert front.any() and not front.all()
         with pytest.raises(SigmaPointProjectionFailure) as info:
             ukf_update(belief, boxes[0].as_array(), bbox_measurement(near),
@@ -382,18 +384,95 @@ class TestRunAll:
                 last.position, gt.positions[t.object_id][last.frame], atol=1e-3
             )
 
-    def test_workers_do_not_change_results(self, small_scene, config):
+    def test_stacked_run_equals_each_object_alone(self):
+        # Objects share the stacked filter but never interact: fusing all of
+        # them at once gives each object the track it gets on its own
+        # annotations. Occlusions stagger births and per-camera subsets.
+        spec = SceneSpec(
+            seed=4, num_objects=3, num_cameras=3, frames=12, fps=10.0,
+            motion="waypoint", pixel_noise=2.0, skeleton="panoptic15",
+            occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3))
+            + (Occlusion(0, 5, 9, object_id=0), Occlusion(1, 2, 6)),
+        )
+        bundle, _ = generate(spec)
+        config = RunConfig(dt=0.1, r_bbox=4.0, r_keypoint=4.0, q_pos=0.1)
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, config, skeleton=bundle.skeleton
+        )
+        assert [t.entries[0].frame for t in tracks] == [0, 0, 4]
+        for t in tracks:
+            def own(per_object):
+                return {t.object_id: per_object[t.object_id]} if t.object_id in per_object else {}
+
+            alone = run_all(
+                [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints))
+                 for af in bundle.annotations],
+                bundle.calibration, config, skeleton=bundle.skeleton,
+            )
+            assert [a.object_id for a in alone] == [t.object_id]
+            assert [e.frame for e in alone[0].entries] == [e.frame for e in t.entries]
+            for ea, eb in zip(t.entries, alone[0].entries):
+                np.testing.assert_allclose(ea.position, eb.position, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(ea.half_axes, eb.half_axes, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(ea.keypoints, eb.keypoints, rtol=0, atol=1e-9)
+
+    def test_filter_error_skips_only_that_object(self, small_scene, config, monkeypatch):
+        # Any FilterError in one object's row (here a CholeskyFailure) skips
+        # that object's update alone: the stack is redone row by row, the
+        # other objects keep their tracks, and the failing object carries on
+        # with its prediction and one diagnostic per (frame, camera).
         bundle, _ = small_scene
-        serial = run_all(bundle.annotations, bundle.calibration, config, workers=1)
-        parallel = run_all(bundle.annotations, bundle.calibration, config, workers=2)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.object_id == b.object_id
-            assert len(a.entries) == len(b.entries)
-            for ea, eb in zip(a.entries, b.entries):
-                assert ea.frame == eb.frame
-                np.testing.assert_array_equal(ea.position, eb.position)
-                np.testing.assert_array_equal(ea.half_axes, eb.half_axes)
+        clean = run_all(bundle.annotations, bundle.calibration, config)
+        bad_boxes = {
+            tuple(box.as_array())
+            for af in bundle.annotations for box in af.boxes.get(0, {}).values()
+        }
+        real = tracker_mod.ukf_update
+
+        def flaky(belief, z, *args, **kwargs):
+            if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
+                raise CholeskyFailure("covariance not factorizable")
+            return real(belief, z, *args, **kwargs)
+
+        monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
+        events = []
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, config, on_event=events.append
+        )
+        assert [t.object_id for t in tracks] == [0, 1]
+        for ea, eb in zip(tracks[1].entries, clean[1].entries):
+            np.testing.assert_array_equal(ea.position, eb.position)
+            np.testing.assert_array_equal(ea.half_axes, eb.half_axes)
+        assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
+            ("update_skipped", 0, af.frame, cid)
+            for af in bundle.annotations for cid in sorted(af.boxes[0])
+        ]
+        birth = tracks[0].entries[0].position
+        assert birth[2] == pytest.approx(0.9)  # default half-height, never updated
+        assert len(tracks[0].entries) == len(clean[0].entries)
+
+    def test_absurd_box_skips_only_that_update(self, small_scene, config):
+        # A zero-size box half a million pixels off the image drives the
+        # posterior half-axes out of range: that one update is skipped, the
+        # object carries on, and the other object is untouched.
+        bundle, _ = small_scene
+        clean = run_all(bundle.annotations, bundle.calibration, config)
+        annotations = list(bundle.annotations)
+        af = annotations[2]
+        boxes = {oid: dict(per_cam) for oid, per_cam in af.boxes.items()}
+        boxes[0][1] = BBox(0.0, -475076.0, 0.0, 0.0)
+        annotations[2] = AnnotationFrame(af.frame, boxes, af.keypoints)
+        events = []
+        tracks = run_all(annotations, bundle.calibration, config, on_event=events.append)
+        assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
+            ("update_skipped", 0, af.frame, 1)
+        ]
+        assert [len(t.entries) for t in tracks] == [len(t.entries) for t in clean]
+        np.testing.assert_allclose(
+            tracks[0].entries[-1].position, clean[0].entries[-1].position, atol=1e-3
+        )
+        for ea, eb in zip(tracks[1].entries, clean[1].entries):
+            np.testing.assert_array_equal(ea.position, eb.position)
 
     def test_boxless_object_omitted_with_event(self, overhead_camera, config):
         pos = np.array([1.0, 2.0, 0.9])
