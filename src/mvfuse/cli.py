@@ -243,6 +243,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     pred = load_tracks(args.pred)
     gt = load_tracks(args.gt)
+    # load_tracks allows one joint count per file, so the first entry tells it
+    joints = [
+        next((len(kp) for per in ts.keypoints.values() for kp in per.values()), None)
+        for ts in (pred, gt)
+    ]
+    if None not in joints and joints[0] != joints[1]:
+        raise ValidationError(
+            f"{args.pred} has {joints[0]} keypoints per pose, {args.gt} has {joints[1]}"
+        )
     report = evaluate_tracks(
         pred,
         gt,

@@ -10,7 +10,9 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -159,9 +161,27 @@ def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[f
         out = [float(v) for v in value]  # an int too large for a float overflows
     except OverflowError:
         out = None
-    if out is None or not all(np.isfinite(out)):
+    if out is None or not all(map(math.isfinite, out)):
         raise ParseError(path, line, f"{what} must be finite")
     return out
+
+
+def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndarray:
+    """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
+    one pass; a list that fails is read row by row by :func:`_float_list`,
+    which names the first bad row."""
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {n}
+        and set(map(type, chain.from_iterable(rows))) <= {float, int}
+    ):
+        try:
+            arr = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an int too large for a float
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    return np.array([_float_list(r, n, path, line, what) for r in rows])
 
 
 def _integer(value, path: str, line: int | None, what: str) -> int:
@@ -286,9 +306,7 @@ def load_annotations(path) -> list[AnnotationFrame]:
             rows = rec["keypoints"]
             if not isinstance(rows, list) or not rows:
                 raise ParseError(spath, lineno, "keypoints must be a non-empty list")
-            arr = np.array(
-                [_float_list(r, 3, spath, lineno, "keypoint row") for r in rows]
-            )
+            arr = _float_rows(rows, 3, spath, lineno, "keypoint row")
             per_obj = kps.setdefault(frame, {}).setdefault(oid, {})
             if cid in per_obj:
                 raise ValidationError(
@@ -324,19 +342,19 @@ def save_annotations(frames: Sequence[AnnotationFrame], path) -> None:
                     rec["bbox"] = [box.u_min, box.v_min, box.u_max, box.v_max]
                 kp = af.keypoints.get(oid, {}).get(cid)
                 if kp is not None:
-                    rec["keypoints"] = [
-                        [float(u), float(v), float(s)] for u, v, s in kp
-                    ]
+                    rec["keypoints"] = np.asarray(kp, dtype=np.float64).tolist()
                 lines.append(json.dumps(rec, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_tracks(path) -> TrackSet:
-    """Read 3D tracks from JSONL into a TrackSet."""
+    """Read 3D tracks from JSONL into a TrackSet; every keypoint record in
+    one file must have the same number of rows."""
     spath = str(path)
     positions: dict[int, dict[int, np.ndarray]] = {}
     keypoints: dict[int, dict[int, np.ndarray]] = {}
     half_axes: dict[int, dict[int, np.ndarray]] = {}
+    joints: tuple[int, int] | None = None  # (rows per record, first line)
     for lineno, rec in _iter_jsonl(path):
         frame, oid = (_integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id"))
         if "position" not in rec:
@@ -357,33 +375,30 @@ def load_tracks(path) -> TrackSet:
             rows = rec["keypoints"]
             if not isinstance(rows, list) or not rows:
                 raise ParseError(spath, lineno, "keypoints must be a non-empty list")
-            keypoints.setdefault(oid, {})[frame] = np.array(
-                [_float_list(r, 3, spath, lineno, "keypoint row") for r in rows]
+            kp = keypoints.setdefault(oid, {})[frame] = _float_rows(
+                rows, 3, spath, lineno, "keypoint row"
             )
+            joints = joints or (len(kp), lineno)
+            if len(kp) != joints[0]:
+                raise ParseError(
+                    spath, lineno, f"{len(kp)} keypoint rows, line {joints[1]} has {joints[0]}"
+                )
     return TrackSet(positions=positions, keypoints=keypoints, half_axes=half_axes)
 
 
 def save_tracks(tracks: Sequence[Track] | TrackSet, path) -> None:
     """Write tracks as JSONL, rows ordered by (frame, object id)."""
     ts = tracks if isinstance(tracks, TrackSet) else TrackSet.from_tracks(tracks)
-    rows = []
-    for oid, per_frame in ts.positions.items():
-        for frame, pos in per_frame.items():
-            rows.append((frame, oid, pos))
-    rows.sort(key=lambda r: (r[0], r[1]))
     lines = []
-    for frame, oid, pos in rows:
-        rec: dict = {
-            "frame": frame,
-            "object_id": oid,
-            "position": [float(v) for v in pos],
-        }
+    for frame, oid in sorted((f, oid) for oid, per in ts.positions.items() for f in per):
+        pos = ts.positions[oid][frame]
+        rec: dict = {"frame": frame, "object_id": oid, "position": pos.tolist()}
         hax = ts.half_axes.get(oid, {}).get(frame)
         if hax is not None:
-            rec["half_axes"] = [float(v) for v in hax]
+            rec["half_axes"] = hax.tolist()
         kp = ts.keypoints.get(oid, {}).get(frame)
         if kp is not None:
-            rec["keypoints"] = [[float(x), float(y), float(z)] for x, y, z in kp]
+            rec["keypoints"] = kp.tolist()
         lines.append(json.dumps(rec, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -415,11 +430,9 @@ def load_skeleton(source) -> CanonicalPose:
         raise ParseError(name, None, "joints must be a list of strings")
     if not isinstance(coords, list):
         raise ParseError(name, None, "coords must be a list of [x, y, z]")
-    rows = [_float_list(r, 3, name, None, "coords row") for r in coords]
+    rows = _float_rows(coords, 3, name, None, "coords row")
     try:
-        return CanonicalPose.from_raw(
-            str(doc.get("name", Path(name).stem)), joints, np.array(rows)
-        )
+        return CanonicalPose.from_raw(str(doc.get("name", Path(name).stem)), joints, rows)
     except ValueError as exc:
         raise ValidationError(f"{name}: {exc}") from exc
 

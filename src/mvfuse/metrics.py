@@ -4,6 +4,14 @@ All association gates and the OSPA cutoff are in meters; MOTA/IDF1/recall/AP
 are percentages; MPJPE and the pose thresholds are in millimeters. Euclidean
 distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
 ground plane only).
+
+Every metric is defined frame by frame and works on arrays, one frame at a
+time: a track set is grouped by frame once and each frame's objects are
+stacked. IDF1 and OSPA(2) take one gt x pred distance matrix per frame (IDF1
+adds its in-gate hits into a trajectory overlap matrix, OSPA(2) its cut-off
+distances into per-pair sums, in frame order); pose metrics one MPJPE matrix;
+CLEAR MOT the distances of the pairs it tests: each object's last match, then
+the block it assigns. Working memory stays per frame.
 """
 
 from __future__ import annotations
@@ -27,14 +35,9 @@ def _clean_entries(
         frames: dict[int, np.ndarray] = {}
         for f, value in per_frame.items():
             arr = np.asarray(value, dtype=np.float64)
-            ok = (
-                arr.ndim == 2 and arr.shape[1] == 3
-                if per_joint
-                else arr.shape == (3,)
-            )
-            if not ok:
+            if not (arr.ndim == 2 and arr.shape[1] == 3 if per_joint else arr.shape == (3,)):
                 raise ValueError(f"{what}[{oid}][{f}] has shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{what}[{oid}][{f}] contains non-finite values")
             arr.setflags(write=False)
             frames[int(f)] = arr
@@ -52,15 +55,9 @@ class TrackSet:
     half_axes: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "positions", _clean_entries(self.positions, "positions", False)
-        )
-        object.__setattr__(
-            self, "keypoints", _clean_entries(self.keypoints, "keypoints", True)
-        )
-        object.__setattr__(
-            self, "half_axes", _clean_entries(self.half_axes, "half_axes", False)
-        )
+        for name in ("positions", "keypoints", "half_axes"):
+            table = _clean_entries(getattr(self, name), name, name == "keypoints")
+            object.__setattr__(self, name, table)
 
     @classmethod
     def from_tracks(cls, tracks: Iterable) -> "TrackSet":
@@ -82,10 +79,7 @@ class TrackSet:
         return sum(len(v) for v in self.positions.values())
 
     def frames(self) -> list[int]:
-        out = set()
-        for per_frame in self.positions.values():
-            out.update(per_frame)
-        return sorted(out)
+        return sorted({f for per_frame in self.positions.values() for f in per_frame})
 
 
 class ClearMotResult(NamedTuple):
@@ -95,12 +89,35 @@ class ClearMotResult(NamedTuple):
     mota: float
 
 
-def _frame_objects(ts: TrackSet, frame: int) -> dict[int, np.ndarray]:
-    return {
-        oid: per_frame[frame]
-        for oid, per_frame in ts.positions.items()
-        if frame in per_frame
-    }
+def _by_frame(table: Mapping[int, Mapping[int, np.ndarray]], order: Sequence[int]):
+    """Regroup ``table[oid][frame]`` as ``{frame: (rows, values)}``, rows
+    indexing ``order`` ascending; the values are the table's own arrays."""
+    out: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for row, oid in enumerate(order):
+        for f, value in table[oid].items():
+            rows, values = out.setdefault(f, ([], []))
+            rows.append(row)
+            values.append(value)
+    return out
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances along the last axis of ``a - b``. A (1, 3) @ (3, 1)
+    product runs the dot kernel of ``np.linalg.norm`` on one vector, so each
+    is bit-equal to it."""
+    diff = a - b
+    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+
+
+def _frame_distances(pred: Mapping, gt: Mapping, frames=None):
+    """For each frame (ascending; ``frames`` defaults to the union timeline)
+    of two position tables: gt rows, pred rows (indexing each table's sorted
+    ids) and the gt x pred distance matrix of the objects present."""
+    g_by, p_by = _by_frame(gt, sorted(gt)), _by_frame(pred, sorted(pred))
+    none: tuple[list[int], list[np.ndarray]] = ([], [])
+    for f in sorted(g_by.keys() | p_by.keys()) if frames is None else frames:
+        (gi, gv), (pi, pv) = g_by.get(f, none), p_by.get(f, none)
+        yield gi, pi, _distance(np.array(gv).reshape(-1, 1, 3), np.array(pv).reshape(1, -1, 3))
 
 
 def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotResult:
@@ -120,42 +137,44 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
     total_gt = gt.num_detections()
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
-    frames = sorted(set(gt.frames()) | set(pred.frames()))
 
+    # Objects in insertion order, as ties in the assignment depend on it.
+    g_by = _by_frame(gt.positions, list(gt.positions))
+    p_by = _by_frame(pred.positions, list(pred.positions))
+    none: tuple[list[int], list[np.ndarray]] = ([], [])
     fp = fn = ids = 0
-    last_known: dict[int, int] = {}
-    for f in frames:
-        gt_here = _frame_objects(gt, f)
-        pred_here = _frame_objects(pred, f)
-        matches: dict[int, int] = {}
+    last_known: dict[int, int] = {}  # gt row -> pred row
+    for f in sorted(g_by.keys() | p_by.keys()):
+        (gi, gv), (pi, pv) = g_by.get(f, none), p_by.get(f, none)
+        col = {p: j for j, p in enumerate(pi)}
+        # Distances of the pairs tested only: last matches, then the free block.
+        kept = [(i, col[last_known[g]]) for i, g in enumerate(gi) if last_known.get(g) in col]
+        matches: dict[int, int] = {}  # index into gi -> index into pi
         taken: set[int] = set()
-        for g, gpos in gt_here.items():
-            p = last_known.get(g)
-            if p is None or p not in pred_here or p in taken:
-                continue
-            if np.linalg.norm(gpos - pred_here[p]) <= threshold:
-                matches[g] = p
-                taken.add(p)
-        free_g = [g for g in gt_here if g not in matches]
-        free_p = [p for p in pred_here if p not in taken]
+        if kept:
+            d = _distance(np.array([gv[i] for i, _ in kept]), np.array([pv[j] for _, j in kept]))
+            for (i, j), dij in zip(kept, d.tolist()):
+                if j not in taken and dij <= threshold:
+                    matches[i] = j
+                    taken.add(j)
+        free_g = [i for i in range(len(gi)) if i not in matches]
+        free_p = [j for j in range(len(pi)) if j not in taken]
         if free_g and free_p:
-            cost = np.empty((len(free_g), len(free_p)))
-            for i, g in enumerate(free_g):
-                for j, p in enumerate(free_p):
-                    d = np.linalg.norm(gt_here[g] - pred_here[p])
-                    cost[i, j] = d if d <= threshold else _FORBIDDEN
+            cost = _distance(
+                np.array([gv[i] for i in free_g])[:, None], np.array([pv[j] for j in free_p])
+            )
+            cost[cost > threshold] = _FORBIDDEN
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] <= threshold:
                     matches[free_g[i]] = free_p[j]
-                    taken.add(free_p[j])
-        fn += len(gt_here) - len(matches)
-        fp += len(pred_here) - len(matches)
-        for g, p in matches.items():
-            prev = last_known.get(g)
-            if prev is not None and prev != p:
+        fn += len(gi) - len(matches)
+        fp += len(pi) - len(matches)
+        for i, j in matches.items():
+            prev = last_known.get(gi[i])
+            if prev is not None and prev != pi[j]:
                 ids += 1
-            last_known[g] = p
+            last_known[gi[i]] = pi[j]
     mota = 100.0 * (1.0 - (fp + fn + ids) / total_gt)
     return ClearMotResult(fp=fp, fn=fn, ids=ids, mota=mota)
 
@@ -179,48 +198,12 @@ def idf1(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> float:
     if total_pred == 0:
         return 0.0
 
-    gt_ids = sorted(gt.positions)
-    pred_ids = sorted(pred.positions)
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    for i, g in enumerate(gt_ids):
-        g_frames = gt.positions[g]
-        for j, p in enumerate(pred_ids):
-            p_frames = pred.positions[p]
-            common = g_frames.keys() & p_frames.keys()
-            n = 0
-            for f in common:
-                if np.linalg.norm(g_frames[f] - p_frames[f]) <= threshold:
-                    n += 1
-            overlap[i, j] = n
+    overlap = np.zeros((len(gt.positions), len(pred.positions)))
+    for gi, pi, D in _frame_distances(pred.positions, gt.positions):
+        overlap[np.ix_(gi, pi)] += D <= threshold
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     return 100.0 * 2.0 * idtp / (total_gt + total_pred)
-
-
-def _track_distance(
-    a: Mapping[int, np.ndarray],
-    b: Mapping[int, np.ndarray],
-    frames: Sequence[int],
-    cutoff: float,
-) -> float:
-    """Time-averaged per-frame base distance between two tracks.
-
-    Per frame: 0 when both are absent, the cutoff when exactly one exists,
-    min(cutoff, Euclidean distance) when both do. Averaged over ``frames``.
-    """
-    total = 0.0
-    count = 0
-    for f in frames:
-        pa = a.get(f)
-        pb = b.get(f)
-        if pa is None and pb is None:
-            continue
-        count += 1
-        if pa is None or pb is None:
-            total += cutoff
-        else:
-            total += min(cutoff, float(np.linalg.norm(pa - pb)))
-    return total / count if count else 0.0
 
 
 def ospa2(
@@ -233,35 +216,50 @@ def ospa2(
     """OSPA distance between sets of tracks (OSPA-on-OSPA construction).
 
     Each pair of tracks gets a time-averaged base distance over the frames
-    where at least one of the two exists; the track sets are then compared
-    with an OSPA of the same cutoff and order, so unmatched tracks pay the
-    full cutoff. The result lives in [0, cutoff]; identical sets score 0.
+    where at least one of the two exists: per frame the cutoff when only
+    one exists, min(cutoff, Euclidean distance) when both do. The track sets
+    are then compared with an OSPA of the same cutoff and order, so
+    unmatched tracks pay the full cutoff. The result lives in [0, cutoff];
+    identical sets score 0.
 
     ``window`` restricts scoring to the last ``window`` frames of the union
-    timeline; the default uses every frame.
+    timeline; the default uses every frame. Only tracks with an entry in the
+    scored frames take part.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    all_frames = sorted(set(pred.frames()) | set(gt.frames()))
+    frames = sorted(set(pred.frames()) | set(gt.frames()))
     if window is not None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        all_frames = all_frames[-window:]
+        frames = frames[-window:]
 
-    pred_tracks = [pred.positions[i] for i in sorted(pred.positions)]
-    gt_tracks = [gt.positions[i] for i in sorted(gt.positions)]
-    m, n = len(pred_tracks), len(gt_tracks)
+    keep = set(frames)
+    p_tracks, g_tracks = (
+        {oid: per for oid, per in ts.positions.items() if not keep.isdisjoint(per)}
+        for ts in (pred, gt)
+    )
+    m, n = len(p_tracks), len(g_tracks)
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
 
-    D = np.empty((m, n))
-    for i, a in enumerate(pred_tracks):
-        for j, b in enumerate(gt_tracks):
-            D[i, j] = _track_distance(a, b, all_frames, cutoff)
+    # Each pair's sum takes its terms in frame order (adding 0.0 where neither
+    # track exists changes nothing), so it is the frame-by-frame sum exactly.
+    total = np.zeros((n, m))
+    seen = np.zeros((n, m), dtype=np.int64)
+    for gi, pi, d in _frame_distances(p_tracks, g_tracks, frames=frames):
+        step = np.zeros((n, m))
+        step[gi, :] = step[:, pi] = cutoff
+        step[np.ix_(gi, pi)] = np.minimum(cutoff, d)
+        total += step
+        seen[gi, :] += 1
+        seen[:, pi] += 1
+        seen[np.ix_(gi, pi)] -= 1
+    D = (total / seen).T  # every track is present somewhere, so seen > 0
     rows, cols = linear_sum_assignment(D ** order)
     cost = float((D[rows, cols] ** order).sum())
     big = max(m, n)
@@ -305,43 +303,25 @@ def pose_metrics(
         raise EmptyGroundTruth("ground truth has no keypoints")
     total_pred = sum(len(v) for v in pred.keypoints.values())
 
-    frames = set()
-    for per_frame in gt.keypoints.values():
-        frames.update(per_frame)
-    for per_frame in pred.keypoints.values():
-        frames.update(per_frame)
-
-    matched_errors: list[float] = []
-    for f in sorted(frames):
-        gt_poses = [
-            per_frame[f]
-            for _, per_frame in sorted(gt.keypoints.items())
-            if f in per_frame
-        ]
-        pred_poses = [
-            per_frame[f]
-            for _, per_frame in sorted(pred.keypoints.items())
-            if f in per_frame
-        ]
-        if not gt_poses or not pred_poses:
-            continue
-        cost = np.empty((len(gt_poses), len(pred_poses)))
-        for i, gp in enumerate(gt_poses):
-            for j, pp in enumerate(pred_poses):
-                if gp.shape != pp.shape:
-                    raise ValueError(
-                        f"keypoint count mismatch at frame {f}: "
-                        f"{gp.shape} vs {pp.shape}"
-                    )
-                cost[i, j] = 1000.0 * float(
-                    np.mean(np.linalg.norm(gp - pp, axis=1))
-                )
+    g_by = _by_frame(gt.keypoints, sorted(gt.keypoints))
+    p_by = _by_frame(pred.keypoints, sorted(pred.keypoints))
+    matched: list[np.ndarray] = []
+    for f in sorted(g_by.keys() & p_by.keys()):
+        gt_poses, pred_poses = g_by[f][1], p_by[f][1]
+        if len({kp.shape for kp in gt_poses + pred_poses}) > 1:
+            gp, pp = next(
+                (gp, pp) for gp in gt_poses for pp in pred_poses if gp.shape != pp.shape
+            )
+            raise ValueError(
+                f"keypoint count mismatch at frame {f}: {gp.shape} vs {pp.shape}"
+            )
+        diff = np.stack(gt_poses)[:, None] - np.stack(pred_poses)[None]
+        cost = 1000.0 * np.linalg.norm(diff, axis=-1).mean(axis=-1)
         rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if cost[i, j] <= recall_at:
-                matched_errors.append(cost[i, j])
+        errors = cost[rows, cols]
+        matched.append(errors[errors <= recall_at])
 
-    errors = np.array(matched_errors)
+    errors = np.concatenate(matched) if matched else np.zeros(0)
     ap = {
         float(d): 100.0 * float((errors <= d).sum()) / total_gt
         for d in ap_thresholds

@@ -220,7 +220,8 @@ def track_object(
     on_event: EventCallback | None = None,
 ) -> Track:
     """:func:`run_all` on one object's annotations alone; raises
-    ``NoObservation`` if no box of the object gives a usable ground point."""
+    ``NoObservation`` if no box of the object gives a usable ground point or
+    none of its box updates applied."""
 
     def own(per_object):
         return {object_id: per_object[object_id]} if object_id in per_object else {}
@@ -228,7 +229,7 @@ def track_object(
     mine = [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints)) for af in annotations]
     tracks = run_all(mine, cams, config, skeleton, on_event)
     if not tracks:
-        raise NoObservation(f"object {object_id} has no birth frame")
+        raise NoObservation(f"object {object_id} has no birth frame or no applied box update")
     return tracks[0]
 
 
@@ -248,8 +249,9 @@ def run_all(
     ``update_skipped`` diagnostic and the object carries on with its
     prediction; a failed keypoint update leaves that joint at its prior.
     Objects without a birth frame (no box, or no box that gives a usable
-    ground point) get a ``no_observation`` diagnostic and are omitted.
-    Diagnostics reach ``on_event`` ordered by object, then frame, then
+    ground point), and objects none of whose box updates applied, whose track
+    would be prediction alone, get a ``no_observation`` diagnostic and are
+    omitted. Diagnostics reach ``on_event`` ordered by object, then frame, then
     camera.
     """
     by_frame = {af.frame: af for af in annotations}
@@ -284,6 +286,7 @@ def run_all(
     J = skeleton.num_joints if skeleton is not None else 0
     kp_mean, kp_cov = np.zeros((n * J, 6)), np.zeros((n * J, 6, 6))
     kp_on = np.zeros(n, dtype=bool)
+    applied = np.zeros(n, dtype=int)  # box updates that took effect, per row
 
     def joints(rows) -> np.ndarray:
         return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
@@ -314,7 +317,9 @@ def run_all(
                 GaussianBelief(mean[rows], cov[rows]),
                 [box.as_array() for box in boxes],
             )
+            applied[rows] += 1
             for k, exc in failed:
+                applied[rows[k]] -= 1
                 diags.append(Diagnostic("update_skipped", oids[rows[k]], frame, cid, str(exc)))
 
         born = np.flatnonzero(with_kp & (birth == frame))
@@ -342,7 +347,9 @@ def run_all(
                 TrackEntry(frame, mean[i, POS_IDX], np.exp(mean[i, SHAPE_SLICE]), kp)
             )
 
+    for i in np.flatnonzero(applied == 0):
+        diags.append(Diagnostic("no_observation", oids[i], message="every box update was skipped"))
     if on_event is not None:
         for d in sorted(diags, key=lambda d: d.object_id):
             on_event(d)
-    return [Track(oid, tuple(e)) for oid, e in zip(oids, entries)]
+    return [Track(oid, tuple(e)) for oid, e, k in zip(oids, entries, applied) if k]

@@ -2,14 +2,16 @@
 
 Everything here is written from first principles with plain numpy so that a
 bug in the package cannot hide in its own oracle: projection is spelled out
-explicitly, the Kalman filter uses the standard closed-form equations, and
-the ellipsoid box comes from brute-force surface sampling or from the full
-4x4 dual quadric.
+explicitly, the Kalman filter uses the standard closed-form equations, the
+ellipsoid box comes from brute-force surface sampling or from the full 4x4
+dual quadric, and the tracking metrics are scored one pair of objects and one
+frame at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def pinhole_project(K, R, t, points):
@@ -137,3 +139,125 @@ def random_camera(rng, target=None, distance=None):
         [[f, 0.0, width / 2.0], [0.0, f, height / 2.0], [0.0, 0.0, 1.0]]
     )
     return K, R, t, width, height
+
+
+# --- tracking metrics, one (frame, gt, pred) triple at a time ---------------
+# Arguments are TrackSets: ``positions[oid][frame]`` (3,) and
+# ``keypoints[oid][frame]`` (J, 3) arrays.
+
+_FORBIDDEN = 1e15
+
+
+def _frame_objects(ts, frame):
+    return {oid: per[frame] for oid, per in ts.positions.items() if frame in per}
+
+
+def loop_clear_mot(pred, gt, threshold=1.0):
+    """(fp, fn, ids, mota) with match persistence, frame by frame."""
+    frames = sorted({f for per in (*gt.positions.values(), *pred.positions.values()) for f in per})
+    fp = fn = ids = 0
+    last_known = {}
+    for f in frames:
+        gt_here = _frame_objects(gt, f)
+        pred_here = _frame_objects(pred, f)
+        matches = {}
+        taken = set()
+        for g, gpos in gt_here.items():
+            p = last_known.get(g)
+            if p is None or p not in pred_here or p in taken:
+                continue
+            if np.linalg.norm(gpos - pred_here[p]) <= threshold:
+                matches[g] = p
+                taken.add(p)
+        free_g = [g for g in gt_here if g not in matches]
+        free_p = [p for p in pred_here if p not in taken]
+        if free_g and free_p:
+            cost = np.empty((len(free_g), len(free_p)))
+            for i, g in enumerate(free_g):
+                for j, p in enumerate(free_p):
+                    d = np.linalg.norm(gt_here[g] - pred_here[p])
+                    cost[i, j] = d if d <= threshold else _FORBIDDEN
+            rows, cols = linear_sum_assignment(cost)
+            for i, j in zip(rows, cols):
+                if cost[i, j] <= threshold:
+                    matches[free_g[i]] = free_p[j]
+                    taken.add(free_p[j])
+        fn += len(gt_here) - len(matches)
+        fp += len(pred_here) - len(matches)
+        for g, p in matches.items():
+            prev = last_known.get(g)
+            if prev is not None and prev != p:
+                ids += 1
+            last_known[g] = p
+    total_gt = sum(len(per) for per in gt.positions.values())
+    return fp, fn, ids, 100.0 * (1.0 - (fp + fn + ids) / total_gt)
+
+
+def loop_idf1(pred, gt, threshold=1.0):
+    """IDF1 from a pair-by-pair, frame-by-frame overlap count."""
+    total_gt = sum(len(per) for per in gt.positions.values())
+    total_pred = sum(len(per) for per in pred.positions.values())
+    if total_pred == 0:
+        return 0.0
+    gt_ids, pred_ids = sorted(gt.positions), sorted(pred.positions)
+    overlap = np.zeros((len(gt_ids), len(pred_ids)))
+    for i, g in enumerate(gt_ids):
+        for j, p in enumerate(pred_ids):
+            a, b = gt.positions[g], pred.positions[p]
+            overlap[i, j] = sum(
+                np.linalg.norm(a[f] - b[f]) <= threshold for f in a.keys() & b.keys()
+            )
+    rows, cols = linear_sum_assignment(-overlap)
+    return 100.0 * 2.0 * overlap[rows, cols].sum() / (total_gt + total_pred)
+
+
+def loop_ospa2(pred, gt, cutoff=1.0, order=1.0):
+    """OSPA(2) over the whole union timeline, one pair of tracks at a time."""
+    frames = sorted({f for per in (*gt.positions.values(), *pred.positions.values()) for f in per})
+    pred_tracks = [pred.positions[i] for i in sorted(pred.positions)]
+    gt_tracks = [gt.positions[i] for i in sorted(gt.positions)]
+    m, n = len(pred_tracks), len(gt_tracks)
+    if m == 0 and n == 0:
+        return 0.0
+    if m == 0 or n == 0:
+        return float(cutoff)
+    D = np.empty((m, n))
+    for i, a in enumerate(pred_tracks):
+        for j, b in enumerate(gt_tracks):
+            total, count = 0.0, 0
+            for f in frames:
+                pa, pb = a.get(f), b.get(f)
+                if pa is None and pb is None:
+                    continue
+                count += 1
+                if pa is None or pb is None:
+                    total += cutoff
+                else:
+                    total += min(cutoff, float(np.linalg.norm(pa - pb)))
+            D[i, j] = total / count if count else 0.0
+    rows, cols = linear_sum_assignment(D ** order)
+    cost = float((D[rows, cols] ** order).sum()) + (cutoff ** order) * (max(m, n) - min(m, n))
+    return float((cost / max(m, n)) ** (1.0 / order))
+
+
+def loop_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), recall_at=500.0):
+    """(ap, recall, mpjpe): per-frame Hungarian matching on MPJPE in mm,
+    one (gt pose, pred pose) pair at a time."""
+    total_gt = sum(len(per) for per in gt.keypoints.values())
+    frames = sorted({f for per in (*gt.keypoints.values(), *pred.keypoints.values()) for f in per})
+    errors = []
+    for f in frames:
+        gt_poses = [per[f] for _, per in sorted(gt.keypoints.items()) if f in per]
+        pred_poses = [per[f] for _, per in sorted(pred.keypoints.items()) if f in per]
+        if not gt_poses or not pred_poses:
+            continue
+        cost = np.empty((len(gt_poses), len(pred_poses)))
+        for i, gp in enumerate(gt_poses):
+            for j, pp in enumerate(pred_poses):
+                cost[i, j] = 1000.0 * float(np.mean(np.linalg.norm(gp - pp, axis=1)))
+        rows, cols = linear_sum_assignment(cost)
+        errors += [cost[i, j] for i, j in zip(rows, cols) if cost[i, j] <= recall_at]
+    errors = np.array(errors)
+    ap = {float(d): 100.0 * float((errors <= d).sum()) / total_gt for d in ap_thresholds}
+    mpjpe = float(errors.mean()) if errors.size else float("nan")
+    return ap, 100.0 * errors.size / total_gt, mpjpe

@@ -363,6 +363,31 @@ class TestEvaluate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_joint_count_mismatch_is_exit_2(self, tmp_path, capsys):
+        # pred poses have 2 joints, gt poses 3: a validation error naming
+        # both counts, not a traceback.
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        for path, joints in ((pred, 2), (gt, 3)):
+            rec = {"frame": 0, "object_id": 1, "position": [0, 0, 1],
+                   "keypoints": [[0.0, 0.0, 1.0]] * joints}
+            path.write_text(json.dumps(rec) + "\n")
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(gt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{pred} has 2 keypoints per pose, {gt} has 3" in err
+        assert "Traceback" not in err
+
+    def test_mixed_joint_counts_in_one_file_is_exit_2(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("".join(
+            json.dumps({"frame": f, "object_id": 1, "position": [0, 0, 1],
+                        "keypoints": [[0.0, 0.0, 1.0]] * joints}) + "\n"
+            for f, joints in enumerate((3, 2))
+        ))
+        rc = main(["evaluate", "--pred", str(gt), "--gt", str(gt)])
+        assert rc == 2
+        assert f"{gt}:2: 2 keypoint rows, line 1 has 3" in capsys.readouterr().err
+
 
 class TestParser:
     def test_version(self, capsys):

@@ -444,3 +444,72 @@ class TestLoadScene:
         ]
         with pytest.raises(ValidationError, match="increasing"):
             SceneBundle(calibration=rig, annotations=frames)
+
+
+# Each malformed row, as raw JSON text, and the reason the file is refused.
+_BAD_ROWS = {
+    "bool": ("[1.0, true, 2.0]", "must contain numbers"),
+    "str": ('[1.0, "2", 2.0]', "must contain numbers"),
+    "null": ("[1.0, null, 2.0]", "must contain numbers"),
+    "two values": ("[1.0, 2.0]", "must be a list of 3 numbers"),
+    "huge int": ("[1.0, 1" + "0" * 400 + ", 2.0]", "must be finite"),
+    "NaN": ("[1.0, NaN, 2.0]", "must be finite"),
+    "Infinity": ("[1.0, -Infinity, 2.0]", "must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ROWS))
+@pytest.mark.parametrize("kind", ["tracks", "annotations", "skeleton"])
+def test_malformed_row_names_file_and_line(tmp_path, kind, bad):
+    # The fourth of six rows is bad; every other row (an int among them) is
+    # fine. The error reads exactly as the row-by-row reader put it.
+    text, reason = _BAD_ROWS[bad]
+    rows = "[" + ", ".join(["[0.5, 1, 2.5]"] * 3 + [text] + ["[0.0, 0.0, 0.0]"] * 2) + "]"
+    path = tmp_path / "input"
+    if kind == "skeleton":
+        path.write_text('{"joints": ["a", "b", "c", "d", "e", "f"], "coords": ' + rows + "}")
+        load, line, what = (lambda p: load_skeleton(str(p))), None, "coords row"
+    else:
+        head = '{"frame": 3, "object_id": 1, '
+        head += '"position": [0, 0, 1], ' if kind == "tracks" else '"camera_id": 0, '
+        good = head.replace('"frame": 3', '"frame": 2') + '"keypoints": [[0.0, 0.0, 1.0]] }'
+        if kind == "tracks":
+            good = good.replace("[[0.0, 0.0, 1.0]]", "[" + ", ".join(["[0.0, 0.0, 1.0]"] * 6) + "]")
+        path.write_text(good + "\n" + head + '"keypoints": ' + rows + "}\n")
+        load = load_tracks if kind == "tracks" else load_annotations
+        line, what = 2, "keypoint row"
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (err.value.line, err.value.reason) == (line, f"{what} {reason}")
+    assert str(err.value).startswith(f"{path}:2: " if line else f"{path}: ")
+
+
+def test_mixed_keypoint_row_counts_in_one_file_rejected(tmp_path):
+    path = tmp_path / "tracks.jsonl"
+    recs = [
+        {"frame": f, "object_id": 1, "position": [0, 0, 1], "keypoints": [[0, 0, 1]] * n}
+        for f, n in enumerate([3, 3, 2])
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ParseError, match="2 keypoint rows, line 1 has 3") as err:
+        load_tracks(path)
+    assert err.value.line == 3
+
+
+def test_writers_emit_plain_float_lists(tmp_path):
+    ts = _big_trackset()
+    path = tmp_path / "tracks.jsonl"
+    save_tracks(ts, path)
+    first = path.read_text().splitlines()[0]
+    oid = min(ts.positions, key=lambda o: (min(ts.positions[o]), o))
+    f = min(ts.positions[oid])
+    assert first == json.dumps(
+        {
+            "frame": f,
+            "object_id": oid,
+            "position": [float(v) for v in ts.positions[oid][f]],
+            "half_axes": [float(v) for v in ts.half_axes[oid][f]],
+            "keypoints": [[float(v) for v in row] for row in ts.keypoints[oid][f]],
+        },
+        separators=(",", ":"),
+    )

@@ -1,5 +1,6 @@
-"""Metric tests built around small hand-checkable scenarios plus seeded
-randomized checks of the OSPA metric axioms."""
+"""Metric tests built around small hand-checkable scenarios, seeded
+randomized checks of the OSPA metric axioms, and a seeded comparison with
+the one-pair-at-a-time reference implementations in ``oracles``."""
 
 import json
 
@@ -17,6 +18,8 @@ from mvfuse import (
     ospa2,
     pose_metrics,
 )
+
+from oracles import loop_clear_mot, loop_idf1, loop_ospa2, loop_pose_metrics
 
 
 def _still(frames, xyz):
@@ -149,6 +152,16 @@ class TestOspa2:
         assert ospa2(pred, gt, window=5) == 0.0
         assert ospa2(pred, gt, window=10) == pytest.approx(0.1)
 
+    def test_window_ignores_tracks_outside_it(self):
+        # Track 5 lives only in frames 0-9; the last 10 frames are 100-109,
+        # where pred and gt agree, so the windowed score is 0.
+        gt = _ts({0: _still(range(100, 110), (1, 1, 0))})
+        pred = _ts({0: _still(range(100, 110), (1, 1, 0)), 5: _still(range(10), (3, 3, 0))})
+        assert ospa2(pred, gt) == 0.5
+        assert ospa2(pred, gt, window=10) == 0.0
+        assert ospa2(gt, pred, window=10) == 0.0
+        assert ospa2(pred, gt, window=110) == 0.5
+
     def test_cardinality_penalty_orders(self):
         # Pred misses one of two GT tracks: ((0 + c^p) / 2)^(1/p).
         gt = _ts(
@@ -251,6 +264,107 @@ class TestPoseMetrics:
         pred = _ts({0: {}}, keypoints={0: {0: _pose()}})
         with pytest.raises(EmptyGroundTruth):
             pose_metrics(pred, _ts({0: _still([0], (0, 0, 0))}))
+
+
+_SKELETON = np.linspace(-0.3, 0.3, 12).reshape(4, 3)
+
+
+def _random_scene(rng, threshold, frames=30):
+    """A gt track set and a prediction of it with id gaps and unsorted ids,
+    births, deaths and gaps, dropouts, id switches, predictions exactly at
+    the gate, and false tracks. Positions sit on a dyadic grid so that
+    offsets of exactly ``threshold`` give distances of exactly ``threshold``.
+    """
+    gt_pos, gt_kp, pred_pos, pred_kp = {}, {}, {}, {}
+    n_gt = int(rng.integers(1, 7))
+    ids = iter(int(i) for i in rng.choice(1000, size=n_gt + 40, replace=False))
+    for oid in [next(ids) for _ in range(n_gt)]:
+        start = int(rng.integers(0, frames - 1))
+        stop = int(rng.integers(start + 1, frames + 1))
+        base = rng.integers(-6, 7, size=3) * 0.5
+        vel = rng.integers(-2, 3, size=3) * 0.125
+        pid = oid if rng.random() < 0.5 else next(ids)
+        for f in range(start, stop):
+            if rng.random() < 0.1:
+                continue
+            g = base + vel * (f - start)
+            gt_pos.setdefault(oid, {})[f] = g
+            gt_kp.setdefault(oid, {})[f] = g + _SKELETON
+            r = rng.random()
+            if r < 0.1:
+                continue
+            if r < 0.15:
+                pid = next(ids)
+            if r < 0.35:
+                offset = np.zeros(3)
+                offset[rng.integers(0, 3)] = threshold * rng.choice([-1.0, 1.0])
+            else:
+                offset = rng.normal(scale=0.5 * threshold, size=3)
+            pred_pos.setdefault(pid, {})[f] = g + offset
+            pred_kp.setdefault(pid, {})[f] = (
+                g + offset + _SKELETON + rng.normal(scale=0.02, size=(4, 3))
+            )
+    for _ in range(int(rng.integers(0, 3))):
+        pid, start = next(ids), int(rng.integers(0, frames - 5))
+        p = rng.integers(-6, 7, size=3) * 0.5
+        for f in range(start, start + 5):
+            pred_pos.setdefault(pid, {})[f] = p
+            pred_kp.setdefault(pid, {})[f] = p + _SKELETON
+    return _ts(pred_pos, pred_kp), _ts(gt_pos, gt_kp)
+
+
+def _flat(ts):
+    return _ts({o: {f: p * [1.0, 1.0, 0.0] for f, p in per.items()}
+                for o, per in ts.positions.items()})
+
+
+def test_metrics_match_pair_by_pair_oracles():
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        threshold = (0.5, 1.0)[trial % 2]
+        pred, gt = _random_scene(rng, threshold)
+        for plane in (False, True):
+            p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
+            report = evaluate_tracks(pred, gt, threshold=threshold, plane=plane)
+            fp, fn, ids, mota = loop_clear_mot(p, g, threshold)
+            assert (report.fp, report.fn, report.ids) == (fp, fn, ids)
+            assert report.mota == pytest.approx(mota, rel=0, abs=1e-12)
+            assert report.idf1 == pytest.approx(loop_idf1(p, g, threshold), rel=0, abs=1e-12)
+            assert report.ospa == pytest.approx(loop_ospa2(p, g), rel=0, abs=1e-12)
+            assert ospa2(p, g, cutoff=0.7, order=2.0) == pytest.approx(
+                loop_ospa2(p, g, cutoff=0.7, order=2.0), rel=0, abs=1e-12
+            )
+        ap, recall, mpjpe = loop_pose_metrics(pred, gt, recall_at=300.0)
+        res = pose_metrics(pred, gt, recall_at=300.0)
+        assert res.ap == pytest.approx(ap, rel=0, abs=1e-12)
+        assert res.recall == pytest.approx(recall, rel=0, abs=1e-12)
+        assert res.mpjpe == pytest.approx(mpjpe, rel=0, abs=1e-12, nan_ok=True)
+
+
+def test_clear_mot_ties_follow_insertion_order():
+    # gt 10 and 19 coincide in frames 0 and 1, so their assignments tie;
+    # ties go to objects in each set's own (insertion) order, as in the
+    # oracle, and here that order decides the identity switch count.
+    a = np.array
+    gt = {
+        10: {0: a([0.75, 0.5, 0.5]), 1: a([0.75, 0.25, 0.25]), 2: a([0.0, 0.75, 0.75])},
+        19: {0: a([0.75, 0.5, 0.5]), 1: a([0.75, 0.25, 0.25]), 2: a([0.5, 0.75, 0.0])},
+        8: {0: a([0.75, 0.75, 0.0]), 1: a([0.5, 0.5, 0.75]), 2: a([0.25, 0.75, 0.25])},
+    }
+    pred = {
+        4: {0: a([0.75, 0.0, 0.75]), 1: a([0.5, 0.25, 0.5])},
+        13: {0: a([0.5, 0.0, 0.75]), 2: a([0.0, 0.75, 0.5])},
+        12: {0: a([0.25, 0.25, 0.25]), 2: a([0.25, 0.25, 0.5])},
+        2: {0: a([0.25, 0.25, 0.25]), 1: a([0.75, 0.0, 0.25]), 2: a([0.0, 0.5, 0.5])},
+    }
+    ids = []
+    for order in (list, sorted):
+        p = _ts({k: pred[k] for k in order(pred)})
+        g = _ts({k: gt[k] for k in order(gt)})
+        res = clear_mot(p, g)
+        assert (res.fp, res.fn, res.ids, res.mota) == loop_clear_mot(p, g)
+        ids.append(res.ids)
+    assert ids == [2, 1]
 
 
 class TestEvaluateTracks:

@@ -420,12 +420,14 @@ class TestRunAll:
         # Any FilterError in one object's row (here a CholeskyFailure) skips
         # that object's update alone: the stack is redone row by row, the
         # other objects keep their tracks, and the failing object carries on
-        # with its prediction and one diagnostic per (frame, camera).
+        # with its prediction and one diagnostic per (frame, camera). Its
+        # last frame's updates apply, so it still has a track.
         bundle, _ = small_scene
         clean = run_all(bundle.annotations, bundle.calibration, config)
+        failing = bundle.annotations[:-1]
         bad_boxes = {
             tuple(box.as_array())
-            for af in bundle.annotations for box in af.boxes.get(0, {}).values()
+            for af in failing for box in af.boxes.get(0, {}).values()
         }
         real = tracker_mod.ukf_update
 
@@ -445,11 +447,66 @@ class TestRunAll:
             np.testing.assert_array_equal(ea.half_axes, eb.half_axes)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
             ("update_skipped", 0, af.frame, cid)
-            for af in bundle.annotations for cid in sorted(af.boxes[0])
+            for af in failing for cid in sorted(af.boxes[0])
         ]
         birth = tracks[0].entries[0].position
         assert birth[2] == pytest.approx(0.9)  # default half-height, never updated
         assert len(tracks[0].entries) == len(clean[0].entries)
+
+    def test_object_without_applied_update_omitted(self, small_scene, config, monkeypatch):
+        # Every box update of object 0 fails: its track would be prediction
+        # alone, so it is omitted with a no_observation diagnostic after its
+        # update_skipped ones, and object 1 is untouched.
+        bundle, _ = small_scene
+        clean = run_all(bundle.annotations, bundle.calibration, config)
+        bad_boxes = {
+            tuple(box.as_array())
+            for af in bundle.annotations for box in af.boxes.get(0, {}).values()
+        }
+        real = tracker_mod.ukf_update
+
+        def flaky(belief, z, *args, **kwargs):
+            if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
+                raise CholeskyFailure("covariance not factorizable")
+            return real(belief, z, *args, **kwargs)
+
+        monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
+        events = []
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, config, on_event=events.append
+        )
+        assert [t.object_id for t in tracks] == [1]
+        for ea, eb in zip(tracks[0].entries, clean[1].entries, strict=True):
+            np.testing.assert_array_equal(ea.position, eb.position)
+        assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
+            ("update_skipped", 0, af.frame, cid)
+            for af in bundle.annotations for cid in sorted(af.boxes[0])
+        ] + [("no_observation", 0, None, None)]
+        assert events[-1].message == "every box update was skipped"
+        with pytest.raises(NoObservation):
+            track_object(bundle.annotations, bundle.calibration, config, object_id=0)
+
+    def test_near_camera_scene_writes_no_prediction_only_track(self):
+        # Cameras 1 m up on a 5.5 m ring and a birth belief so wide that some
+        # sigma point of every update lands behind a camera: all 80 box
+        # updates are skipped and no track is written. With the default
+        # birth belief every object keeps its track.
+        spec = SceneSpec(
+            seed=0, num_objects=4, num_cameras=4, frames=5, fps=10.0,
+            ring_radius=5.5, cam_height=1.0, arena=(6.0, 6.0),
+            motion="constant-velocity",
+        )
+        bundle, _ = generate(spec)
+        wide = RunConfig(dt=0.1, init_pos_var=2500.0, init_shape_var=4.0)
+        events = []
+        assert run_all(bundle.annotations, bundle.calibration, wide, on_event=events.append) == []
+        kinds = [(d.kind, d.object_id) for d in events]
+        assert kinds == [
+            k for oid in range(4)
+            for k in [("update_skipped", oid)] * 20 + [("no_observation", oid)]
+        ]
+        tracks = run_all(bundle.annotations, bundle.calibration, RunConfig(dt=0.1))
+        assert [t.object_id for t in tracks] == [0, 1, 2, 3]
 
     def test_absurd_box_skips_only_that_update(self, small_scene, config):
         # A zero-size box half a million pixels off the image drives the
