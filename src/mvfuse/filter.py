@@ -56,7 +56,10 @@ class GaussianBelief:
 
     Every covariance must be symmetric (within 1e-9) with eigenvalues no
     smaller than -1e-9; it is stored symmetrized. The whole stack is checked
-    at once.
+    at once, where a belief enters: here, in :func:`mvfuse.tracker.init_target`
+    and in :func:`mvfuse.pose.init_keypoints`. The beliefs that predict and
+    update produce, and the row subsets the tracker takes of them, come from
+    the filter's own arithmetic and are not checked again.
     """
 
     mean: np.ndarray
@@ -85,6 +88,18 @@ class GaussianBelief:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
+        """A belief from (n, d) and (n, d, d) float64 arrays that the filter
+        itself produced, finite and exactly symmetric: frozen like a checked
+        one, without the eigenvalue check."""
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "mean", mean)
+        object.__setattr__(belief, "covariance", cov)
+        return belief
 
     def __len__(self) -> int:
         return self.mean.shape[0]
@@ -253,6 +268,8 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
     ------
     DimensionMismatch
         If the model dimension differs from the belief dimension.
+    ValueError
+        If the prediction overflows to non-finite values.
     """
     if model.dim != belief.dim:
         raise DimensionMismatch(
@@ -261,7 +278,27 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
     F = model.transition
     mean = (F @ belief.mean[..., None])[..., 0]
     cov = F @ belief.covariance @ F.T + model.process_noise
-    return GaussianBelief(mean, 0.5 * (cov + _transpose(cov)))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("belief contains non-finite values")
+    return GaussianBelief._trusted(mean, 0.5 * (cov + _transpose(cov)))
+
+
+def _clamp_indefinite(cov: np.ndarray) -> None:
+    """Clamp back to the PSD cone, in place, every matrix of a symmetric
+    (n, d, d) stack that Cholesky rejects and that has a negative eigenvalue.
+    Each matrix is tried on its own, so no row's result depends on another's."""
+    rows = []
+    for i, mat in enumerate(cov):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            rows.append(i)
+    w, V = np.linalg.eigh(cov[rows])
+    neg = w[:, 0] < 0.0
+    if np.any(neg):
+        logger.debug("clamping posterior eigenvalues (min %.3e)", w[neg, 0].min())
+        clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ _transpose(V[neg])
+        cov[np.array(rows)[neg]] = 0.5 * (clamped + _transpose(clamped))
 
 
 def ukf_update(
@@ -282,8 +319,9 @@ def ukf_update(
     (n, 2d+1, m) predicted measurements; it is called once per update. The
     measurement moments and the state-measurement cross covariance come from
     the weighted sigma rows, and the Kalman gain is applied. Each posterior
-    covariance is symmetrized and, if roundoff drives an eigenvalue slightly
-    negative, clamped back to the PSD cone.
+    covariance is symmetrized. If roundoff leaves the stack not positive
+    definite (one batched Cholesky fails), each row that Cholesky rejects and
+    that has a negative eigenvalue is clamped back to the PSD cone.
 
     A failure in any row fails the whole call (see :func:`update_rows`).
 
@@ -338,13 +376,11 @@ def ukf_update(
     cov = 0.5 * (cov + _transpose(cov))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise DivergentUpdate("update overflowed to a non-finite posterior")
-    w, V = np.linalg.eigh(cov)
-    neg = w[:, 0] < 0.0
-    if np.any(neg):
-        logger.debug("clamping posterior eigenvalues (min %.3e)", w[neg, 0].min())
-        clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ _transpose(V[neg])
-        cov[neg] = 0.5 * (clamped + _transpose(clamped))
-    return GaussianBelief(mean, cov)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        _clamp_indefinite(cov)
+    return GaussianBelief._trusted(mean, cov)
 
 
 def update_rows(
@@ -371,6 +407,8 @@ def update_rows(
     failed = []
     for i in range(len(mean)):
         row = slice(i, i + 1)
-        mean[row], cov[row], bad = update_rows(update, GaussianBelief(mean[row], cov[row]), z[row])
+        mean[row], cov[row], bad = update_rows(
+            update, GaussianBelief._trusted(mean[row], cov[row]), z[row]
+        )
         failed += [(i, exc) for _, exc in bad]
     return mean, cov, failed

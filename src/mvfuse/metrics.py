@@ -20,11 +20,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyGroundTruth
 
-_FORBIDDEN = 1e15  # assignment cost for pairs outside the gate
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's minimum-cost assignment of a rectangular cost matrix. scipy is
+    imported on the first call, so that importing mvfuse (and fusing) does
+    not load it: only scoring solves an assignment."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _clean_entries(
@@ -102,11 +108,12 @@ def _by_frame(table: Mapping[int, Mapping[int, np.ndarray]], order: Sequence[int
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances along the last axis of ``a - b``. A (1, 3) @ (3, 1)
-    product runs the dot kernel of ``np.linalg.norm`` on one vector, so each
-    is bit-equal to it."""
-    diff = a - b
-    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    """Euclidean distances along the last (x, y, z) axis of ``a - b``, as
+    ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order, one rounding per step: no
+    BLAS kernel (whose FMA chains differ between builds) decides the last
+    bit, so scores do not depend on the machine."""
+    dx, dy, dz = np.moveaxis(a - b, -1, 0)
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _frame_distances(pred: Mapping, gt: Mapping, frames=None):
@@ -131,9 +138,13 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
 
     Raises
     ------
+    ValueError
+        If ``threshold`` is not positive.
     EmptyGroundTruth
         If ``gt`` contains no detections.
     """
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     total_gt = gt.num_detections()
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
@@ -163,7 +174,9 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
             cost = _distance(
                 np.array([gv[i] for i in free_g])[:, None], np.array([pv[j] for j in free_p])
             )
-            cost[cost > threshold] = _FORBIDDEN
+            # Above any in-gate total, so the assignment matches as many
+            # in-gate pairs as it can and then ranks them by distance exactly.
+            cost[cost > threshold] = threshold * min(cost.shape) + 1.0
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] <= threshold:

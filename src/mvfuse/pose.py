@@ -239,11 +239,11 @@ def update_keypoints(
     )
     mean, cov = belief.mean.copy(), belief.covariance.copy()
     mean[seen], cov[seen], failed = update_rows(
-        update, GaussianBelief(mean[seen], cov[seen]), obs[seen, :2]
+        update, GaussianBelief._trusted(mean[seen], cov[seen]), obs[seen, :2]
     )
     for k, exc in failed:
         logger.debug("keypoint %d update skipped: %s", seen[k], exc)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief._trusted(mean, cov)
 
 
 def keypoint_positions(belief: GaussianBelief) -> np.ndarray:

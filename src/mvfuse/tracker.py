@@ -301,12 +301,12 @@ def run_all(
         live = (birth <= frame) & (frame <= last)
         moving = np.flatnonzero(live & (birth < frame))
         if moving.size:
-            b = kalman_predict(GaussianBelief(mean[moving], cov[moving]), motion)
+            b = kalman_predict(GaussianBelief._trusted(mean[moving], cov[moving]), motion)
             mean[moving], cov[moving] = b.mean, b.covariance
         kp_rows = joints(moving[kp_on[moving]])
         if kp_rows.size:
             b = pose_mod.predict_keypoints(
-                GaussianBelief(kp_mean[kp_rows], kp_cov[kp_rows]), kp_motion
+                GaussianBelief._trusted(kp_mean[kp_rows], kp_cov[kp_rows]), kp_motion
             )
             kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
 
@@ -314,7 +314,7 @@ def run_all(
         for cid, rows, boxes in _by_camera(af.boxes, row_of, live):
             mean[rows], cov[rows], failed = update_rows(
                 partial(_box_update, measurements[cid], r_box, scaling),
-                GaussianBelief(mean[rows], cov[rows]),
+                GaussianBelief._trusted(mean[rows], cov[rows]),
                 [box.as_array() for box in boxes],
             )
             applied[rows] += 1
@@ -325,7 +325,7 @@ def run_all(
         born = np.flatnonzero(with_kp & (birth == frame))
         if born.size:
             b = pose_mod.init_keypoints(
-                skeleton, GaussianBelief(mean[born], cov[born]), config
+                skeleton, GaussianBelief._trusted(mean[born], cov[born]), config
             )
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
             kp_on[born] = True
@@ -334,7 +334,7 @@ def run_all(
                 raise ValueError(f"keypoint observations must be ({J}, 3) arrays")
             kp_rows = joints(rows)
             b = pose_mod.update_keypoints(
-                GaussianBelief(kp_mean[kp_rows], kp_cov[kp_rows]),
+                GaussianBelief._trusted(kp_mean[kp_rows], kp_cov[kp_rows]),
                 np.concatenate(obs),
                 cams[cid],
                 config,

@@ -10,6 +10,8 @@ frame at a time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -145,7 +147,11 @@ def random_camera(rng, target=None, distance=None):
 # Arguments are TrackSets: ``positions[oid][frame]`` (3,) and
 # ``keypoints[oid][frame]`` (J, 3) arrays.
 
-_FORBIDDEN = 1e15
+def _dist(a, b):
+    """Euclidean distance of two (3,) positions as the plain root of the sum
+    of squares, in Python floats."""
+    dx, dy, dz = (float(u) - float(v) for u, v in zip(a, b))
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _frame_objects(ts, frame):
@@ -166,17 +172,19 @@ def loop_clear_mot(pred, gt, threshold=1.0):
             p = last_known.get(g)
             if p is None or p not in pred_here or p in taken:
                 continue
-            if np.linalg.norm(gpos - pred_here[p]) <= threshold:
+            if _dist(gpos, pred_here[p]) <= threshold:
                 matches[g] = p
                 taken.add(p)
         free_g = [g for g in gt_here if g not in matches]
         free_p = [p for p in pred_here if p not in taken]
         if free_g and free_p:
+            # Out-of-gate pairs cost more than any set of in-gate pairs.
+            forbidden = threshold * min(len(free_g), len(free_p)) + 1.0
             cost = np.empty((len(free_g), len(free_p)))
             for i, g in enumerate(free_g):
                 for j, p in enumerate(free_p):
-                    d = np.linalg.norm(gt_here[g] - pred_here[p])
-                    cost[i, j] = d if d <= threshold else _FORBIDDEN
+                    d = _dist(gt_here[g], pred_here[p])
+                    cost[i, j] = d if d <= threshold else forbidden
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] <= threshold:
@@ -205,7 +213,7 @@ def loop_idf1(pred, gt, threshold=1.0):
         for j, p in enumerate(pred_ids):
             a, b = gt.positions[g], pred.positions[p]
             overlap[i, j] = sum(
-                np.linalg.norm(a[f] - b[f]) <= threshold for f in a.keys() & b.keys()
+                _dist(a[f], b[f]) <= threshold for f in a.keys() & b.keys()
             )
     rows, cols = linear_sum_assignment(-overlap)
     return 100.0 * 2.0 * overlap[rows, cols].sum() / (total_gt + total_pred)
@@ -233,7 +241,7 @@ def loop_ospa2(pred, gt, cutoff=1.0, order=1.0):
                 if pa is None or pb is None:
                     total += cutoff
                 else:
-                    total += min(cutoff, float(np.linalg.norm(pa - pb)))
+                    total += min(cutoff, _dist(pa, pb))
             D[i, j] = total / count if count else 0.0
     rows, cols = linear_sum_assignment(D ** order)
     cost = float((D[rows, cols] ** order).sum()) + (cutoff ** order) * (max(m, n) - min(m, n))

@@ -1,7 +1,11 @@
-"""CLI tests driving ``main(argv)`` in-process."""
+"""CLI tests driving ``main(argv)`` in-process, and in a fresh interpreter
+where the test is about what a run imports."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mvfuse
 from mvfuse import load_tracks
 from mvfuse.cli import main
 
@@ -400,3 +405,52 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+_STAGES_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+import mvfuse
+from mvfuse import metrics
+from mvfuse.cli import main
+
+d = sys.argv[1]
+out = {"solver_attribute": callable(metrics.linear_sum_assignment), "rc": {}}
+loaded = out["scipy_loaded"] = {"import": "scipy" in sys.modules}
+out["rc"]["synth"] = main(["synth", "--out", d, "--seed", "5", "--objects", "2", "--cameras", "3",
+                           "--frames", "10", "--skeleton", "panoptic15"])
+loaded["synth"] = "scipy" in sys.modules
+out["rc"]["annotate"] = main(["annotate", "--calibration", d + "/calibration.json",
+                              "--annotations", d + "/annotations.jsonl",
+                              "--config", d + "/config.json", "--out", d + "/tracks.jsonl"])
+loaded["annotate"] = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    out["rc"]["evaluate"] = main(["evaluate", "--pred", d + "/tracks.jsonl",
+                                  "--gt", d + "/gt_tracks.jsonl"])
+loaded["evaluate"] = "scipy" in sys.modules
+out["report"] = report.getvalue()
+with open(d + "/result.json", "w") as fh:
+    json.dump(out, fh)
+"""
+
+
+def test_only_scoring_loads_scipy(tmp_path, capsys):
+    # scipy is a large import that only the assignment solver needs: import,
+    # synth and annotate must not load it, evaluate loads it on first use.
+    env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGES_IN_ONE_PROCESS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["solver_attribute"]
+    assert result["rc"] == {"synth": 0, "annotate": 0, "evaluate": 0}
+    assert result["scipy_loaded"] == {
+        "import": False, "synth": False, "annotate": False, "evaluate": True
+    }
+    # The report equals the one scored with scipy imported up front.
+    import scipy.optimize  # noqa: F401
+
+    pred, gt = tmp_path / "tracks.jsonl", tmp_path / "gt_tracks.jsonl"
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 0
+    assert capsys.readouterr().out == result["report"]

@@ -45,6 +45,8 @@ class TestGaussianBelief:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             GaussianBelief(np.array([np.nan, 0.0]), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBelief(np.zeros(2), np.diag([1.0, np.inf]))
 
     def test_stack_check_names_bad_row(self):
         cov = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
@@ -144,6 +146,13 @@ class TestPredict:
         m = make_motion_model(1.0, q_pos=1.0, q_shape=1.0)
         with pytest.raises(DimensionMismatch):
             kalman_predict(b, m)
+
+    def test_overflowing_prediction_raises(self):
+        b = GaussianBelief(np.zeros(6), 1e300 * np.eye(6))
+        m = make_motion_model(1e5, q_pos=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                kalman_predict(b, m)
 
 
 def _affine_update_pair(rng, d, m):
@@ -354,6 +363,86 @@ class TestStacks:
         alone, _, _ = sigma_points(GaussianBelief(np.zeros(2), good.covariance[0]))
         np.testing.assert_array_equal(X[0], alone[0])
         assert np.all(np.isfinite(X[1]))
+
+
+def _old_clamp(cov):
+    """Reference PSD clamp: eigh of the whole stack, and each row with a
+    negative eigenvalue rebuilt with its negative eigenvalues set to 0."""
+    cov = cov.copy()
+    w, V = np.linalg.eigh(cov)
+    neg = w[:, 0] < 0.0
+    clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ np.swapaxes(V[neg], -1, -2)
+    cov[neg] = 0.5 * (clamped + np.swapaxes(clamped, -1, -2))
+    return cov
+
+
+class TestTrustedBeliefs:
+    """Predict and update build their beliefs without the eigenvalue check;
+    the posterior clamp runs only when one batched Cholesky fails."""
+
+    @pytest.fixture
+    def eigh_inputs(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            seen.append(a.copy())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return seen
+
+    def test_indefinite_posterior_clamped_as_before(self, eigh_inputs):
+        # Row 0's prior has rank one, so measuring x leaves a singular
+        # posterior that roundoff makes indefinite; row 1 stays definite.
+        cov = np.array([[[0.7, 0.7], [0.7, 0.7]], [[2.0, 0.5], [0.5, 1.0]]])
+        b = GaussianBelief(np.zeros((2, 2)), cov)
+        post = ukf_update(b, [[0.3], [0.3]], lambda X: X[..., :1], np.eye(1))
+        [raw] = eigh_inputs  # the rows Cholesky rejected: row 0 alone
+        assert raw.shape == (1, 2, 2) and np.linalg.eigvalsh(raw)[0, 0] < 0.0
+        np.testing.assert_array_equal(post.covariance[:1], _old_clamp(raw))
+        assert not np.array_equal(post.covariance[0], raw[0])
+        np.testing.assert_array_equal(post.covariance[1:], _old_clamp(post.covariance[1:]))
+
+    def test_clamp_never_mixes_rows(self):
+        # Row 0's posterior is singular and fails Cholesky. Row 1's passes
+        # it, though eigh may report a roundoff-negative eigenvalue for it
+        # (about -1e-26 here); it is not clamped beside row 0 either.
+        H = np.array([[2.0, 2.0, -2.0]])
+        cov = np.stack([np.outer(H[0], H[0]) / 4.0, 1e-10 * np.eye(3)])
+        b, z, R = GaussianBelief(np.zeros((2, 3)), cov), np.zeros((2, 1)), np.zeros((1, 1))
+        post = ukf_update(b, z, lambda X: X @ H.T, R)
+        for i in range(2):
+            alone = ukf_update(GaussianBelief(b.mean[i], cov[i]), z[i], lambda X: X @ H.T, R)
+            np.testing.assert_array_equal(post.covariance[i], alone.covariance[0])
+
+    def test_definite_posterior_returned_unclamped(self, eigh_inputs):
+        rng = np.random.default_rng(11)
+        b = _stack(rng, 5, 9)
+        post = ukf_update(b, rng.normal(size=(5, 3)), _bent, np.eye(3))
+        assert eigh_inputs == []
+        np.testing.assert_array_equal(post.covariance, _old_clamp(post.covariance))
+
+    def test_filter_beliefs_are_read_only(self):
+        rng = np.random.default_rng(12)
+        b = _stack(rng, 3, 6)
+        pred = kalman_predict(b, make_motion_model(0.1, q_pos=1.0))
+        post = ukf_update(pred, rng.normal(size=(3, 3)), _bent, np.eye(3))
+        retried = []
+
+        def update(belief, z):
+            retried.append(belief)
+            if len(belief) > 1:
+                raise SingularInnovation("retry row by row")
+            return ukf_update(belief, z, _bent, np.eye(3))
+
+        update_rows(update, pred, rng.normal(size=(3, 3)))
+        assert len(retried) == 4
+        for belief in (pred, post, *retried):
+            for arr in (belief.mean, belief.covariance):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
 
 
 class TestUnscentedTransform:

@@ -3,6 +3,7 @@ randomized checks of the OSPA metric axioms, and a seeded comparison with
 the one-pair-at-a-time reference implementations in ``oracles``."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mvfuse import (
     ospa2,
     pose_metrics,
 )
+from mvfuse.metrics import _distance
 
 from oracles import loop_clear_mot, loop_idf1, loop_ospa2, loop_pose_metrics
 
@@ -78,6 +80,30 @@ class TestClearMot:
     def test_empty_gt_raises(self):
         with pytest.raises(EmptyGroundTruth):
             clear_mot(_ts({0: _still([0], (0, 0, 0))}), _ts({}))
+
+    def test_threshold_must_be_positive(self):
+        gt = _ts({0: _still([0], (0, 0, 0))})
+        with pytest.raises(ValueError, match="threshold"):
+            clear_mot(gt, gt, threshold=0.0)
+
+    def test_out_of_gate_cost_keeps_in_gate_distances_apart(self):
+        # Frame 0: pred 7 is 0.3 m from gt 1 and 0.2 m from gt 2; pred 8 is
+        # in no gate. The cost of pairing it must not swamp the 0.1 m
+        # difference (at a cost of 1e15, whose float spacing is 0.125, both
+        # assignments tie), so gt 2 keeps pred 7 and frame 1 has no switch.
+        a = np.array
+        gt = _ts({
+            1: _still([0, 1], (0, 0, 0)),
+            2: {0: a([0.5, 0.0, 0.0]), 1: a([1.5, 0.0, 0.0])},
+        })
+        pred = _ts({
+            7: {0: a([0.3, 0.0, 0.0]), 1: a([1.5, 0.0, 0.0])},
+            8: _still([0], (9, 9, 0)),
+            9: _still([1], (0, 0, 0)),
+        })
+        res = clear_mot(pred, gt)
+        assert (res.fp, res.fn, res.ids, res.mota) == (1, 1, 0, 50.0)
+        assert tuple(res) == loop_clear_mot(pred, gt)
 
 
 class TestIdf1:
@@ -339,6 +365,15 @@ def test_metrics_match_pair_by_pair_oracles():
         assert res.ap == pytest.approx(ap, rel=0, abs=1e-12)
         assert res.recall == pytest.approx(recall, rel=0, abs=1e-12)
         assert res.mpjpe == pytest.approx(mpjpe, rel=0, abs=1e-12, nan_ok=True)
+
+
+def test_distances_are_the_plain_root_of_the_sum_of_squares():
+    # Bit for bit, in this order: no BLAS kernel decides the last digit.
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(scale=5.0, size=(2, 60_000, 3))
+    expected = [math.sqrt(dx * dx + dy * dy + dz * dz) for dx, dy, dz in (a - b).tolist()]
+    assert _distance(a, b).tolist() == expected
+    assert _distance(a[:, None], b[None, :50]).shape == (60_000, 50)
 
 
 def test_clear_mot_ties_follow_insertion_order():

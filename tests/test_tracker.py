@@ -9,6 +9,7 @@ from mvfuse import (
     BBox,
     CameraModel,
     CholeskyFailure,
+    GaussianBelief,
     NoObservation,
     Occlusion,
     RunConfig,
@@ -383,6 +384,31 @@ class TestRunAll:
             np.testing.assert_allclose(
                 last.position, gt.positions[t.object_id][last.frame], atol=1e-3
             )
+
+    def test_beliefs_checked_only_where_they_enter(self, monkeypatch):
+        # One check per object at birth (init_target) and one per keypoint
+        # seeding (init_keypoints); predict and update build every other
+        # belief from arrays that already passed.
+        checked = []
+        post_init = GaussianBelief.__post_init__
+
+        def check(self):
+            post_init(self)
+            checked.append(self.mean.shape)
+
+        monkeypatch.setattr(GaussianBelief, "__post_init__", check)
+        spec = SceneSpec(
+            seed=4, num_objects=3, num_cameras=3, frames=12, fps=10.0,
+            motion="constant-velocity", skeleton="panoptic15",
+            occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3)),
+        )
+        bundle, _ = generate(spec)
+        checked.clear()
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, RunConfig(dt=0.1), skeleton=bundle.skeleton
+        )
+        assert [t.entries[0].frame for t in tracks] == [0, 0, 4]
+        assert checked == [(1, 9)] * 3 + [(30, 6), (15, 6)]
 
     def test_stacked_run_equals_each_object_alone(self):
         # Objects share the stacked filter but never interact: fusing all of
