@@ -66,7 +66,6 @@ from .metrics import (
     ClearMotResult,
     MetricReport,
     PoseMetrics,
-    TrackSet,
     clear_mot,
     evaluate_tracks,
     idf1,
@@ -77,19 +76,16 @@ from .pose import (
     CanonicalPose,
     canonical_pose,
     init_keypoints,
-    keypoint_positions,
     scaled_offsets,
 )
 from .synth import Occlusion, SceneSpec, generate
 from .tracker import (
     AnnotationFrame,
     Diagnostic,
-    Track,
-    TrackEntry,
     bbox_measurement,
     init_target,
     run_all,
-    track_object,
 )
+from .tracks import TrackTable
 
 __all__ = [name for name in dir() if not name.startswith("_")]

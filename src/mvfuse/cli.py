@@ -216,9 +216,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             d.message,
         )
     save_tracks(tracks, args.out)
-    n_entries = sum(len(t.entries) for t in tracks)
     print(
-        f"fused {len(tracks)} tracks ({n_entries} entries, "
+        f"fused {len(set(tracks.object_id.tolist()))} tracks ({len(tracks)} entries, "
         f"{len(events)} diagnostics) to {args.out}",
         file=sys.stderr,
     )
@@ -243,11 +242,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     pred = load_tracks(args.pred)
     gt = load_tracks(args.gt)
-    # load_tracks allows one joint count per file, so the first entry tells it
-    joints = [
-        next((len(kp) for per in ts.keypoints.values() for kp in per.values()), None)
-        for ts in (pred, gt)
-    ]
+    joints = [None if t.keypoints is None else t.keypoints.shape[1] for t in (pred, gt)]
     if None not in joints and joints[0] != joints[1]:
         raise ValidationError(
             f"{args.pred} has {joints[0]} keypoints per pose, {args.gt} has {joints[1]}"

@@ -87,11 +87,6 @@ class CameraModel:
         object.__setattr__(self, "image_size", (int(w), int(h)))
 
     @property
-    def camera_center(self) -> np.ndarray:
-        """World-frame optical center ``C = -R^T t``."""
-        return -self.rotation.T @ self.translation
-
-    @property
     def projection_matrix(self) -> np.ndarray:
         """3x4 projection ``P = K [R | t]`` (cached)."""
         P = self.__dict__.get("_P")

@@ -20,11 +20,21 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .geometry import BBox, CameraModel
-from .metrics import TrackSet
 from .pose import CanonicalPose, canonical_pose
-from .tracker import AnnotationFrame, Track
+from .tracker import AnnotationFrame
+from .tracks import TrackTable
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
+
+
+def require_finite(obj, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` that holds
+    a non-finite float, alone or in a list or tuple."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise error(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,8 @@ class RunConfig:
             if not cond:
                 raise ValidationError(msg)
 
-        need(np.isfinite(self.dt) and self.dt > 0, f"dt must be positive, got {self.dt}")
+        require_finite(self, ValidationError)
+        need(self.dt > 0, f"dt must be positive, got {self.dt}")
         need(self.alpha > 0, f"alpha must be positive, got {self.alpha}")
         need(self.q_pos >= 0, "q_pos must be non-negative")
         need(self.q_shape >= 0, "q_shape must be non-negative")
@@ -127,11 +138,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SceneBundle:
-    """Everything one run needs: cameras, annotations, optional extras."""
+    """Everything one run needs: cameras, annotations, optional skeleton."""
 
     calibration: dict[int, CameraModel]
     annotations: list[AnnotationFrame]
-    gt: TrackSet | None = None
     skeleton: CanonicalPose | None = None
 
     def __post_init__(self):
@@ -185,9 +195,12 @@ def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndar
 
 
 def _integer(value, path: str, line: int | None, what: str) -> int:
-    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    """A JSON integer that fits 64 bits; bools, floats and strings are
+    refused, not coerced."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(path, line, f"{what} must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(path, line, f"{what} must fit in 64 bits, got {value}")
     return value
 
 
@@ -347,58 +360,75 @@ def save_annotations(frames: Sequence[AnnotationFrame], path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_tracks(path) -> TrackSet:
-    """Read 3D tracks from JSONL into a TrackSet; every keypoint record in
-    one file must have the same number of rows."""
+def load_tracks(path) -> TrackTable:
+    """Read a track table from JSONL, records in any order; every keypoint
+    record in one file must have the same number of rows."""
     spath = str(path)
-    positions: dict[int, dict[int, np.ndarray]] = {}
-    keypoints: dict[int, dict[int, np.ndarray]] = {}
-    half_axes: dict[int, dict[int, np.ndarray]] = {}
+    seen: set[tuple[int, int]] = set()
+    frames, oids, positions, half_axes, keypoints = [], [], [], [], []
     joints: tuple[int, int] | None = None  # (rows per record, first line)
     for lineno, rec in _iter_jsonl(path):
         frame, oid = (_integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id"))
         if "position" not in rec:
             raise ParseError(spath, lineno, "record needs a position")
-        pos = _float_list(rec["position"], 3, spath, lineno, "position")
-        per = positions.setdefault(oid, {})
-        if frame in per:
+        positions.append(_float_list(rec["position"], 3, spath, lineno, "position"))
+        if (frame, oid) in seen:
             raise ValidationError(
                 f"{spath}:{lineno}: duplicate entry for object {oid}, frame {frame}"
             )
-        per[frame] = np.array(pos)
+        seen.add((frame, oid))
+        frames.append(frame)
+        oids.append(oid)
+        hax = [math.nan] * 3  # absent
         if rec.get("half_axes") is not None:
             hax = _float_list(rec["half_axes"], 3, spath, lineno, "half_axes")
             if any(v <= 0 for v in hax):
                 raise ParseError(spath, lineno, "half_axes must be positive")
-            half_axes.setdefault(oid, {})[frame] = np.array(hax)
+        half_axes.append(hax)
+        kp = None
         if rec.get("keypoints") is not None:
             rows = rec["keypoints"]
             if not isinstance(rows, list) or not rows:
                 raise ParseError(spath, lineno, "keypoints must be a non-empty list")
-            kp = keypoints.setdefault(oid, {})[frame] = _float_rows(
-                rows, 3, spath, lineno, "keypoint row"
-            )
+            kp = _float_rows(rows, 3, spath, lineno, "keypoint row")
             joints = joints or (len(kp), lineno)
             if len(kp) != joints[0]:
                 raise ParseError(
                     spath, lineno, f"{len(kp)} keypoint rows, line {joints[1]} has {joints[0]}"
                 )
-    return TrackSet(positions=positions, keypoints=keypoints, half_axes=half_axes)
+        keypoints.append(kp)
+    frame, oid = np.array(frames, dtype=np.int64), np.array(oids, dtype=np.int64)
+    order = np.lexsort((oid, frame))
+    kp_col = None
+    if joints is not None:
+        # Each record's rows are copied straight to their sorted row and then
+        # dropped, so the load never holds a second, stacked copy of them.
+        kp_col = np.full((len(order), joints[0], 3), np.nan)
+        for row, i in enumerate(order.tolist()):
+            if keypoints[i] is not None:
+                kp_col[row] = keypoints[i]
+                keypoints[i] = None
+    return TrackTable(
+        frame=frame[order],
+        object_id=oid[order],
+        position=np.array(positions).reshape(-1, 3)[order],
+        half_axes=np.array(half_axes).reshape(-1, 3)[order],
+        keypoints=kp_col,
+    )
 
 
-def save_tracks(tracks: Sequence[Track] | TrackSet, path) -> None:
-    """Write tracks as JSONL, rows ordered by (frame, object id)."""
-    ts = tracks if isinstance(tracks, TrackSet) else TrackSet.from_tracks(tracks)
+def save_tracks(tracks: TrackTable, path) -> None:
+    """Write a track table as JSONL, one record per row, in row order: by
+    (frame, object id)."""
+    has_half, has_kp = tracks.has_half_axes.tolist(), tracks.has_keypoints.tolist()
+    columns = (tracks.frame, tracks.object_id, tracks.position, tracks.half_axes)
     lines = []
-    for frame, oid in sorted((f, oid) for oid, per in ts.positions.items() for f in per):
-        pos = ts.positions[oid][frame]
-        rec: dict = {"frame": frame, "object_id": oid, "position": pos.tolist()}
-        hax = ts.half_axes.get(oid, {}).get(frame)
-        if hax is not None:
-            rec["half_axes"] = hax.tolist()
-        kp = ts.keypoints.get(oid, {}).get(frame)
-        if kp is not None:
-            rec["keypoints"] = kp.tolist()
+    for i, (frame, oid, pos, hax) in enumerate(zip(*(c.tolist() for c in columns))):
+        rec: dict = {"frame": frame, "object_id": oid, "position": pos}
+        if has_half[i]:
+            rec["half_axes"] = hax
+        if has_kp[i]:
+            rec["keypoints"] = tracks.keypoints[i].tolist()
         lines.append(json.dumps(rec, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -451,7 +481,6 @@ def save_config(config: RunConfig, path) -> None:
 def load_scene(
     calibration_path,
     annotations_path,
-    gt_path=None,
     skeleton=None,
     units: str = "m",
 ) -> SceneBundle:
@@ -486,7 +515,4 @@ def load_scene(
                         f"frame {af.frame}, object {oid}, camera {cid}: "
                         f"{arr.shape[0]} keypoints, expected {num_joints}"
                     )
-    gt = load_tracks(gt_path) if gt_path is not None else None
-    return SceneBundle(
-        calibration=cams, annotations=annotations, gt=gt, skeleton=pose
-    )
+    return SceneBundle(calibration=cams, annotations=annotations, skeleton=pose)

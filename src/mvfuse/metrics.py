@@ -6,22 +6,24 @@ distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
 ground plane only).
 
 Every metric is defined frame by frame and works on arrays, one frame at a
-time: a track set is grouped by frame once and each frame's objects are
-stacked. IDF1 and OSPA(2) take one gt x pred distance matrix per frame (IDF1
-adds its in-gate hits into a trajectory overlap matrix, OSPA(2) its cut-off
-distances into per-pair sums, in frame order); pose metrics one MPJPE matrix;
-CLEAR MOT the distances of the pairs it tests: each object's last match, then
-the block it assigns. Working memory stays per frame.
+time: a track table is sorted by (frame, object id), so each frame's objects
+are one block of rows, found with ``searchsorted``. IDF1 and OSPA(2) take one
+gt x pred distance matrix per frame (IDF1 adds its in-gate hits into a
+trajectory overlap matrix, OSPA(2) its cut-off distances into per-pair sums,
+in frame order); pose metrics one MPJPE matrix; CLEAR MOT the distances of the
+pairs it tests: each object's last match, then the block it assigns. Working
+memory stays per frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyGroundTruth
+from .tracks import TrackTable
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,78 +35,11 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solve(cost)
 
 
-def _clean_entries(
-    data: Mapping[int, Mapping[int, np.ndarray]], what: str, per_joint: bool
-) -> dict[int, dict[int, np.ndarray]]:
-    out: dict[int, dict[int, np.ndarray]] = {}
-    for oid, per_frame in data.items():
-        frames: dict[int, np.ndarray] = {}
-        for f, value in per_frame.items():
-            arr = np.asarray(value, dtype=np.float64)
-            if not (arr.ndim == 2 and arr.shape[1] == 3 if per_joint else arr.shape == (3,)):
-                raise ValueError(f"{what}[{oid}][{f}] has shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{what}[{oid}][{f}] contains non-finite values")
-            arr.setflags(write=False)
-            frames[int(f)] = arr
-        out[int(oid)] = frames
-    return out
-
-
-@dataclass(frozen=True)
-class TrackSet:
-    """Time-indexed positions per object id, with optional keypoints and
-    half-axes riding along (metrics use positions and keypoints only)."""
-
-    positions: dict[int, dict[int, np.ndarray]]
-    keypoints: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
-    half_axes: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("positions", "keypoints", "half_axes"):
-            table = _clean_entries(getattr(self, name), name, name == "keypoints")
-            object.__setattr__(self, name, table)
-
-    @classmethod
-    def from_tracks(cls, tracks: Iterable) -> "TrackSet":
-        """Build from :class:`~mvfuse.tracker.Track` objects."""
-        positions: dict[int, dict[int, np.ndarray]] = {}
-        keypoints: dict[int, dict[int, np.ndarray]] = {}
-        half_axes: dict[int, dict[int, np.ndarray]] = {}
-        for track in tracks:
-            pos = positions.setdefault(track.object_id, {})
-            hax = half_axes.setdefault(track.object_id, {})
-            for e in track.entries:
-                pos[e.frame] = e.position
-                hax[e.frame] = e.half_axes
-                if e.keypoints is not None:
-                    keypoints.setdefault(track.object_id, {})[e.frame] = e.keypoints
-        return cls(positions=positions, keypoints=keypoints, half_axes=half_axes)
-
-    def num_detections(self) -> int:
-        return sum(len(v) for v in self.positions.values())
-
-    def frames(self) -> list[int]:
-        return sorted({f for per_frame in self.positions.values() for f in per_frame})
-
-
 class ClearMotResult(NamedTuple):
     fp: int
     fn: int
     ids: int
     mota: float
-
-
-def _by_frame(table: Mapping[int, Mapping[int, np.ndarray]], order: Sequence[int]):
-    """Regroup ``table[oid][frame]`` as ``{frame: (rows, values)}``, rows
-    indexing ``order`` ascending; the values are the table's own arrays."""
-    out: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-    for row, oid in enumerate(order):
-        for f, value in table[oid].items():
-            rows, values = out.setdefault(f, ([], []))
-            rows.append(row)
-            values.append(value)
-    return out
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,18 +51,39 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _frame_distances(pred: Mapping, gt: Mapping, frames=None):
-    """For each frame (ascending; ``frames`` defaults to the union timeline)
-    of two position tables: gt rows, pred rows (indexing each table's sorted
-    ids) and the gt x pred distance matrix of the objects present."""
-    g_by, p_by = _by_frame(gt, sorted(gt)), _by_frame(pred, sorted(pred))
-    none: tuple[list[int], list[np.ndarray]] = ([], [])
-    for f in sorted(g_by.keys() | p_by.keys()) if frames is None else frames:
-        (gi, gv), (pi, pv) = g_by.get(f, none), p_by.get(f, none)
-        yield gi, pi, _distance(np.array(gv).reshape(-1, 1, 3), np.array(pv).reshape(1, -1, 3))
+def _bounds(t: TrackTable, frames: np.ndarray) -> list[tuple[int, int]]:
+    """The rows ``lo:hi`` of ``t`` at each of ``frames``."""
+    lo, hi = (np.searchsorted(t.frame, frames, side).tolist() for side in ("left", "right"))
+    return list(zip(lo, hi))
 
 
-def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotResult:
+def _objects(t: TrackTable, frames: np.ndarray):
+    """The objects of ``t`` with a row at ``frames`` (ascending, and every
+    frame of ``t`` from ``frames[0]`` on): their number, and per frame the
+    index of each row's object among their sorted ids, with the rows."""
+    start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
+    ids, index = np.unique(t.object_id[start:], return_inverse=True)
+    return len(ids), [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t, frames)]
+
+
+def _frame_distances(pred: TrackTable, gt: TrackTable, frames: np.ndarray):
+    """The object counts of ``_objects`` for gt and pred, then for each of
+    ``frames``: gt objects, pred objects and the gt x pred distance matrix."""
+    (n, g_rows), (m, p_rows) = _objects(gt, frames), _objects(pred, frames)
+    blocks = (
+        (gi, pi, _distance(gt.position[gs, None], pred.position[None, ps]))
+        for (gi, gs), (pi, ps) in zip(g_rows, p_rows)
+    )
+    return n, m, blocks
+
+
+def _first_appearance(t: TrackTable) -> np.ndarray:
+    """Each row's object, ranked by first appearance: by frame, then id."""
+    _, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[index]
+
+
+def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> ClearMotResult:
     """CLEAR multi-object tracking scores with match persistence.
 
     Frame by frame, matches from the last known association are kept while
@@ -135,6 +91,8 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
     minimum-distance Hungarian assignment. An identity switch is counted
     when a ground-truth object is matched to a different prediction than its
     last known match. MOTA = 100 (1 - (FP + FN + IDS) / total GT detections).
+    Within a frame, objects take part in the order of their first appearance
+    (by frame, then id), which decides ties in the assignment.
 
     Raises
     ------
@@ -145,25 +103,27 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    total_gt = gt.num_detections()
+    total_gt = len(gt)
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
 
-    # Objects in insertion order, as ties in the assignment depend on it.
-    g_by = _by_frame(gt.positions, list(gt.positions))
-    p_by = _by_frame(pred.positions, list(pred.positions))
-    none: tuple[list[int], list[np.ndarray]] = ([], [])
+    def by_rank(t: TrackTable, rank: np.ndarray, rows: tuple[int, int]):
+        order = np.argsort(rank[rows[0]:rows[1]]) + rows[0]
+        return rank[order].tolist(), t.position[order]
+
+    g_rank, p_rank = _first_appearance(gt), _first_appearance(pred)
+    frames = np.union1d(gt.frame, pred.frame)
     fp = fn = ids = 0
-    last_known: dict[int, int] = {}  # gt row -> pred row
-    for f in sorted(g_by.keys() | p_by.keys()):
-        (gi, gv), (pi, pv) = g_by.get(f, none), p_by.get(f, none)
+    last_known: dict[int, int] = {}  # gt rank -> pred rank
+    for g_rows, p_rows in zip(_bounds(gt, frames), _bounds(pred, frames)):
+        (gi, gv), (pi, pv) = by_rank(gt, g_rank, g_rows), by_rank(pred, p_rank, p_rows)
         col = {p: j for j, p in enumerate(pi)}
         # Distances of the pairs tested only: last matches, then the free block.
         kept = [(i, col[last_known[g]]) for i, g in enumerate(gi) if last_known.get(g) in col]
         matches: dict[int, int] = {}  # index into gi -> index into pi
         taken: set[int] = set()
         if kept:
-            d = _distance(np.array([gv[i] for i, _ in kept]), np.array([pv[j] for _, j in kept]))
+            d = _distance(gv[[i for i, _ in kept]], pv[[j for _, j in kept]])
             for (i, j), dij in zip(kept, d.tolist()):
                 if j not in taken and dij <= threshold:
                     matches[i] = j
@@ -171,9 +131,7 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
         free_g = [i for i in range(len(gi)) if i not in matches]
         free_p = [j for j in range(len(pi)) if j not in taken]
         if free_g and free_p:
-            cost = _distance(
-                np.array([gv[i] for i in free_g])[:, None], np.array([pv[j] for j in free_p])
-            )
+            cost = _distance(gv[free_g][:, None], pv[free_p])
             # Above any in-gate total, so the assignment matches as many
             # in-gate pairs as it can and then ranks them by distance exactly.
             cost[cost > threshold] = threshold * min(cost.shape) + 1.0
@@ -192,7 +150,7 @@ def clear_mot(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> ClearMotR
     return ClearMotResult(fp=fp, fn=fn, ids=ids, mota=mota)
 
 
-def idf1(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> float:
+def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     """Identity F1: trajectory-level assignment maximizing frames in which a
     ground-truth object and its assigned prediction coincide within the gate.
 
@@ -204,15 +162,15 @@ def idf1(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> float:
     EmptyGroundTruth
         If ``gt`` contains no detections.
     """
-    total_gt = gt.num_detections()
+    total_gt, total_pred = len(gt), len(pred)
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
-    total_pred = pred.num_detections()
     if total_pred == 0:
         return 0.0
 
-    overlap = np.zeros((len(gt.positions), len(pred.positions)))
-    for gi, pi, D in _frame_distances(pred.positions, gt.positions):
+    n, m, blocks = _frame_distances(pred, gt, np.union1d(gt.frame, pred.frame))
+    overlap = np.zeros((n, m))
+    for gi, pi, D in blocks:
         overlap[np.ix_(gi, pi)] += D <= threshold
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
@@ -220,8 +178,8 @@ def idf1(pred: TrackSet, gt: TrackSet, threshold: float = 1.0) -> float:
 
 
 def ospa2(
-    pred: TrackSet,
-    gt: TrackSet,
+    pred: TrackTable,
+    gt: TrackTable,
     cutoff: float = 1.0,
     order: float = 1.0,
     window: int | None = None,
@@ -243,18 +201,13 @@ def ospa2(
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    frames = sorted(set(pred.frames()) | set(gt.frames()))
+    frames = np.union1d(pred.frame, gt.frame)
     if window is not None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         frames = frames[-window:]
 
-    keep = set(frames)
-    p_tracks, g_tracks = (
-        {oid: per for oid, per in ts.positions.items() if not keep.isdisjoint(per)}
-        for ts in (pred, gt)
-    )
-    m, n = len(p_tracks), len(g_tracks)
+    n, m, blocks = _frame_distances(pred, gt, frames)
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
@@ -264,7 +217,7 @@ def ospa2(
     # track exists changes nothing), so it is the frame-by-frame sum exactly.
     total = np.zeros((n, m))
     seen = np.zeros((n, m), dtype=np.int64)
-    for gi, pi, d in _frame_distances(p_tracks, g_tracks, frames=frames):
+    for gi, pi, d in blocks:
         step = np.zeros((n, m))
         step[gi, :] = step[:, pi] = cutoff
         step[np.ix_(gi, pi)] = np.minimum(cutoff, d)
@@ -293,8 +246,8 @@ class PoseMetrics:
 
 
 def pose_metrics(
-    pred: TrackSet,
-    gt: TrackSet,
+    pred: TrackTable,
+    gt: TrackTable,
     ap_thresholds: Sequence[float] = (25.0, 50.0, 100.0, 150.0),
     recall_at: float = 500.0,
 ) -> PoseMetrics:
@@ -311,24 +264,21 @@ def pose_metrics(
     EmptyGroundTruth
         If ``gt`` has no keypoint annotations.
     """
-    total_gt = sum(len(v) for v in gt.keypoints.values())
+    g_has, p_has = gt.has_keypoints, pred.has_keypoints
+    total_gt, total_pred = int(g_has.sum()), int(p_has.sum())
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no keypoints")
-    total_pred = sum(len(v) for v in pred.keypoints.values())
 
-    g_by = _by_frame(gt.keypoints, sorted(gt.keypoints))
-    p_by = _by_frame(pred.keypoints, sorted(pred.keypoints))
+    frames = np.intersect1d(gt.frame[g_has], pred.frame[p_has])
+    if frames.size and gt.keypoints.shape[1:] != pred.keypoints.shape[1:]:
+        raise ValueError(
+            f"keypoint count mismatch at frame {frames[0]}: "
+            f"{gt.keypoints.shape[1:]} vs {pred.keypoints.shape[1:]}"
+        )
     matched: list[np.ndarray] = []
-    for f in sorted(g_by.keys() & p_by.keys()):
-        gt_poses, pred_poses = g_by[f][1], p_by[f][1]
-        if len({kp.shape for kp in gt_poses + pred_poses}) > 1:
-            gp, pp = next(
-                (gp, pp) for gp in gt_poses for pp in pred_poses if gp.shape != pp.shape
-            )
-            raise ValueError(
-                f"keypoint count mismatch at frame {f}: {gp.shape} vs {pp.shape}"
-            )
-        diff = np.stack(gt_poses)[:, None] - np.stack(pred_poses)[None]
+    for (a, b), (c, d) in zip(_bounds(gt, frames), _bounds(pred, frames)):
+        gt_poses, pred_poses = gt.keypoints[a:b][g_has[a:b]], pred.keypoints[c:d][p_has[c:d]]
+        diff = gt_poses[:, None] - pred_poses[None]
         cost = 1000.0 * np.linalg.norm(diff, axis=-1).mean(axis=-1)
         rows, cols = linear_sum_assignment(cost)
         errors = cost[rows, cols]
@@ -416,17 +366,15 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _on_plane(ts: TrackSet) -> TrackSet:
-    positions = {
-        oid: {f: np.array([p[0], p[1], 0.0]) for f, p in per_frame.items()}
-        for oid, per_frame in ts.positions.items()
-    }
-    return TrackSet(positions=positions)
+def _on_plane(t: TrackTable) -> TrackTable:
+    flat = t.position.copy()
+    flat[:, 2] = 0.0
+    return TrackTable(t.frame, t.object_id, flat)
 
 
 def evaluate_tracks(
-    pred: TrackSet,
-    gt: TrackSet,
+    pred: TrackTable,
+    gt: TrackTable,
     threshold: float = 1.0,
     ospa_cutoff: float = 1.0,
     ospa_order: float = 1.0,
@@ -435,7 +383,7 @@ def evaluate_tracks(
     recall_at: float = 500.0,
     plane: bool = False,
 ) -> MetricReport:
-    """Run the full evaluation battery on two track sets.
+    """Run the full evaluation battery on two track tables.
 
     ``plane=True`` scores CLEAR/IDF1/OSPA on ground-plane (x, y) distance
     only; pose metrics always use full 3D. Pose metrics appear only when the
@@ -446,11 +394,10 @@ def evaluate_tracks(
     f1 = idf1(p, g, threshold)
     ospa = ospa2(p, g, cutoff=ospa_cutoff, order=ospa_order, window=window)
     pose = None
-    if any(len(v) for v in gt.keypoints.values()):
+    if gt.has_keypoints.any():
         pose = pose_metrics(
             pred, gt, ap_thresholds=ap_thresholds, recall_at=recall_at
         )
-    frames = sorted(set(gt.frames()) | set(pred.frames()))
     return MetricReport(
         mota=mot.mota,
         idf1=f1,
@@ -461,7 +408,7 @@ def evaluate_tracks(
         pose=pose,
         threshold=threshold,
         ospa_cutoff=ospa_cutoff,
-        num_frames=len(frames),
-        num_gt=g.num_detections(),
-        num_pred=p.num_detections(),
+        num_frames=len(np.union1d(gt.frame, pred.frame)),
+        num_gt=len(g),
+        num_pred=len(p),
     )

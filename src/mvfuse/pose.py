@@ -244,8 +244,3 @@ def update_keypoints(
     for k, exc in failed:
         logger.debug("keypoint %d update skipped: %s", seen[k], exc)
     return GaussianBelief._trusted(mean, cov)
-
-
-def keypoint_positions(belief: GaussianBelief) -> np.ndarray:
-    """Current keypoint position estimates, one (x, y, z) row per state."""
-    return belief.mean[:, KP_POS_IDX]

@@ -26,10 +26,10 @@ from .geometry import (
     project_ellipsoid_to_bbox,
     project_point,
 )
-from .io import SceneBundle
-from .metrics import TrackSet
+from .io import SceneBundle, require_finite
 from .pose import canonical_pose, scaled_offsets
 from .tracker import AnnotationFrame
+from .tracks import TrackTable
 
 _MOTIONS = ("static", "constant-velocity", "waypoint")
 
@@ -81,6 +81,7 @@ class SceneSpec:
             if not cond:
                 raise InvalidSpec(msg)
 
+        require_finite(self, InvalidSpec)
         need(self.num_objects >= 0, f"num_objects must be >= 0, got {self.num_objects}")
         need(self.num_cameras >= 1, f"num_cameras must be >= 1, got {self.num_cameras}")
         need(self.frames >= 1, f"frames must be >= 1, got {self.frames}")
@@ -348,8 +349,9 @@ def _noisy_box(box: np.ndarray, noise: float, rng: np.random.Generator) -> BBox:
     )
 
 
-def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
-    """Render a scene: (bundle with calibration + annotations, ground truth).
+def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
+    """Render a scene: (bundle with calibration + annotations, ground-truth
+    track table).
 
     Annotations contain a box for every (frame, object, camera) whose exact
     outline box lies fully inside the image and is not occluded, and keypoint
@@ -368,9 +370,8 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
     )
     width, height = spec.image_size
 
-    positions: dict[int, dict[int, np.ndarray]] = {o: {} for o in range(spec.num_objects)}
-    gt_half: dict[int, dict[int, np.ndarray]] = {o: {} for o in range(spec.num_objects)}
-    gt_kp: dict[int, dict[int, np.ndarray]] = {}
+    gt_pos: list[np.ndarray] = []  # per frame: (num_objects, 3) centers
+    gt_kp: list[np.ndarray] = []  # per frame: (num_objects, J, 3) joints
     frames: list[AnnotationFrame] = []
 
     for k in range(spec.frames):
@@ -383,13 +384,11 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
         outlines = {
             cid: _outline_boxes(cam, centers, half_axes) for cid, cam in cams.items()
         }
+        gt_pos.append(centers)
         if joints is not None:
+            gt_kp.append(joints)
             pixels = {cid: _joint_pixels(cam, joints) for cid, cam in cams.items()}
         for o in range(spec.num_objects):
-            positions[o][k] = centers[o]
-            gt_half[o][k] = half_axes[o].copy()
-            if joints is not None:
-                gt_kp.setdefault(o, {})[k] = joints[o]
             for cid in cams:
                 if any(occ.covers(k, cid, o) for occ in spec.occlusions):
                     continue
@@ -421,8 +420,12 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackSet]:
         if boxes or kps:
             frames.append(AnnotationFrame(frame=k, boxes=boxes, keypoints=kps))
 
-    gt = TrackSet(positions=positions, keypoints=gt_kp, half_axes=gt_half)
-    bundle = SceneBundle(
-        calibration=cams, annotations=frames, gt=gt, skeleton=skeleton
+    n = spec.num_objects
+    gt = TrackTable(
+        frame=np.repeat(np.arange(spec.frames), n),
+        object_id=np.tile(np.arange(n), spec.frames),
+        position=np.concatenate(gt_pos),
+        half_axes=np.tile(half_axes, (spec.frames, 1)),
+        keypoints=np.concatenate(gt_kp) if gt_kp else None,
     )
-    return bundle, gt
+    return SceneBundle(calibration=cams, annotations=frames, skeleton=skeleton), gt

@@ -40,6 +40,7 @@ from .geometry import (
     project_ellipsoid_to_bbox,
 )
 from . import pose as pose_mod
+from .tracks import TrackTable
 
 if TYPE_CHECKING:
     from .io import RunConfig
@@ -72,53 +73,6 @@ class AnnotationFrame:
         if int(self.frame) < 0:
             raise ValueError(f"frame must be non-negative, got {self.frame}")
         object.__setattr__(self, "frame", int(self.frame))
-
-
-@dataclass(frozen=True)
-class TrackEntry:
-    """Extracted estimate at one frame."""
-
-    frame: int
-    position: np.ndarray
-    half_axes: np.ndarray
-    keypoints: np.ndarray | None = None
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        half = np.asarray(self.half_axes, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(half))):
-            raise ValueError("track entry contains non-finite values")
-        if np.any(half <= 0):
-            raise ValueError(f"half_axes must be positive, got {half}")
-        kp = self.keypoints
-        if kp is not None:
-            kp = np.asarray(kp, dtype=np.float64)
-            if kp.ndim != 2 or kp.shape[1] != 3:
-                raise ValueError(f"keypoints must be (N, 3), got {kp.shape}")
-            kp.setflags(write=False)
-        pos.setflags(write=False)
-        half.setflags(write=False)
-        object.__setattr__(self, "frame", int(self.frame))
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "half_axes", half)
-        object.__setattr__(self, "keypoints", kp)
-
-
-@dataclass(frozen=True)
-class Track:
-    """One object's entries, one per processed frame, frames strictly
-    increasing."""
-
-    object_id: int
-    entries: tuple[TrackEntry, ...]
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        frames = [e.frame for e in entries]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("track frames must be strictly increasing")
-        object.__setattr__(self, "object_id", int(self.object_id))
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -211,36 +165,15 @@ def _by_camera(per_object: Mapping, row_of: Mapping[int, int], active: np.ndarra
         yield cid, np.array(rows), items
 
 
-def track_object(
-    annotations: Sequence[AnnotationFrame],
-    cams: Mapping[int, CameraModel],
-    config: "RunConfig",
-    object_id: int,
-    skeleton: "CanonicalPose | None" = None,
-    on_event: EventCallback | None = None,
-) -> Track:
-    """:func:`run_all` on one object's annotations alone; raises
-    ``NoObservation`` if no box of the object gives a usable ground point or
-    none of its box updates applied."""
-
-    def own(per_object):
-        return {object_id: per_object[object_id]} if object_id in per_object else {}
-
-    mine = [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints)) for af in annotations]
-    tracks = run_all(mine, cams, config, skeleton, on_event)
-    if not tracks:
-        raise NoObservation(f"object {object_id} has no birth frame or no applied box update")
-    return tracks[0]
-
-
 def run_all(
     annotations: Sequence[AnnotationFrame],
     cams: Mapping[int, CameraModel],
     config: "RunConfig",
     skeleton: "CanonicalPose | None" = None,
     on_event: EventCallback | None = None,
-) -> list[Track]:
-    """Track every object id present in the annotations.
+) -> TrackTable:
+    """Track every object id present in the annotations; one table row per
+    (frame, object), keypoints from the frame an object's joints are seeded.
 
     Each object is processed at every integer frame from its birth (first
     frame whose boxes give a usable ground point) through its last
@@ -296,7 +229,9 @@ def run_all(
     measurements = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
     r_box = config.r_bbox * np.eye(4)
     scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
-    entries: list[list[TrackEntry]] = [[] for _ in oids]
+    # The table one frame chunk at a time: frames, object rows, states, keypoints.
+    out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
     for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
         live = (birth <= frame) & (frame <= last)
         moving = np.flatnonzero(live & (birth < frame))
@@ -341,15 +276,28 @@ def run_all(
             )
             kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
 
-        for i in np.flatnonzero(live):
-            kp = kp_mean[joints([i])][:, pose_mod.KP_POS_IDX] if kp_on[i] else None
-            entries[i].append(
-                TrackEntry(frame, mean[i, POS_IDX], np.exp(mean[i, SHAPE_SLICE]), kp)
-            )
+        rows = np.flatnonzero(live)
+        out_frame.append(np.full(rows.size, frame))
+        out_row.append(rows)
+        out_mean.append(mean[rows])
+        if J:
+            on = kp_on[rows]
+            kp = np.full((rows.size, J, 3), np.nan)
+            kp[on] = kp_mean[joints(rows[on])][:, pose_mod.KP_POS_IDX].reshape(-1, J, 3)
+            out_kp.append(kp)
 
     for i in np.flatnonzero(applied == 0):
         diags.append(Diagnostic("no_observation", oids[i], message="every box update was skipped"))
     if on_event is not None:
         for d in sorted(diags, key=lambda d: d.object_id):
             on_event(d)
-    return [Track(oid, tuple(e)) for oid, e, k in zip(oids, entries, applied) if k]
+    row = np.concatenate(out_row)
+    keep = applied[row] > 0
+    state = np.concatenate(out_mean)[keep]
+    return TrackTable(
+        frame=np.concatenate(out_frame)[keep],
+        object_id=np.array(oids, dtype=np.int64)[row[keep]],
+        position=state[:, POS_IDX],
+        half_axes=np.exp(state[:, SHAPE_SLICE]),
+        keypoints=np.concatenate(out_kp)[keep] if J else None,
+    )

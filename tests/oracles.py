@@ -11,6 +11,7 @@ frame at a time.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -144,8 +145,23 @@ def random_camera(rng, target=None, distance=None):
 
 
 # --- tracking metrics, one (frame, gt, pred) triple at a time ---------------
-# Arguments are TrackSets: ``positions[oid][frame]`` (3,) and
-# ``keypoints[oid][frame]`` (J, 3) arrays.
+# Arguments are track tables, read as ``positions[oid][frame]`` (3,) and
+# ``keypoints[oid][frame]`` (J, 3) dicts.
+
+
+def track_dicts(table):
+    """A track table's ``positions``, ``half_axes`` and ``keypoints`` as
+    ``{oid: {frame: row}}`` dicts, holding only the rows that carry each
+    (a row without one is NaN there). Objects are inserted in the order of
+    their first appearance: by frame, then id."""
+    out = SimpleNamespace(positions={}, half_axes={}, keypoints={})
+    for i, (f, oid) in enumerate(zip(table.frame.tolist(), table.object_id.tolist())):
+        out.positions.setdefault(oid, {})[f] = table.position[i]
+        if not np.isnan(table.half_axes[i]).all():
+            out.half_axes.setdefault(oid, {})[f] = table.half_axes[i]
+        if table.keypoints is not None and not np.isnan(table.keypoints[i]).all():
+            out.keypoints.setdefault(oid, {})[f] = table.keypoints[i]
+    return out
 
 def _dist(a, b):
     """Euclidean distance of two (3,) positions as the plain root of the sum
@@ -160,6 +176,7 @@ def _frame_objects(ts, frame):
 
 def loop_clear_mot(pred, gt, threshold=1.0):
     """(fp, fn, ids, mota) with match persistence, frame by frame."""
+    pred, gt = track_dicts(pred), track_dicts(gt)
     frames = sorted({f for per in (*gt.positions.values(), *pred.positions.values()) for f in per})
     fp = fn = ids = 0
     last_known = {}
@@ -203,6 +220,7 @@ def loop_clear_mot(pred, gt, threshold=1.0):
 
 def loop_idf1(pred, gt, threshold=1.0):
     """IDF1 from a pair-by-pair, frame-by-frame overlap count."""
+    pred, gt = track_dicts(pred), track_dicts(gt)
     total_gt = sum(len(per) for per in gt.positions.values())
     total_pred = sum(len(per) for per in pred.positions.values())
     if total_pred == 0:
@@ -221,6 +239,7 @@ def loop_idf1(pred, gt, threshold=1.0):
 
 def loop_ospa2(pred, gt, cutoff=1.0, order=1.0):
     """OSPA(2) over the whole union timeline, one pair of tracks at a time."""
+    pred, gt = track_dicts(pred), track_dicts(gt)
     frames = sorted({f for per in (*gt.positions.values(), *pred.positions.values()) for f in per})
     pred_tracks = [pred.positions[i] for i in sorted(pred.positions)]
     gt_tracks = [gt.positions[i] for i in sorted(gt.positions)]
@@ -251,6 +270,7 @@ def loop_ospa2(pred, gt, cutoff=1.0, order=1.0):
 def loop_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), recall_at=500.0):
     """(ap, recall, mpjpe): per-frame Hungarian matching on MPJPE in mm,
     one (gt pose, pred pose) pair at a time."""
+    pred, gt = track_dicts(pred), track_dicts(gt)
     total_gt = sum(len(per) for per in gt.keypoints.values())
     frames = sorted({f for per in (*gt.keypoints.values(), *pred.keypoints.values()) for f in per})
     errors = []

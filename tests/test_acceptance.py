@@ -16,7 +16,6 @@ from mvfuse import (
     GaussianBelief,
     RunConfig,
     SceneSpec,
-    TrackSet,
     backproject_ground,
     clear_mot,
     evaluate_tracks,
@@ -31,7 +30,7 @@ from mvfuse import (
 from mvfuse.filter import ukf_update
 
 from oracles import ClosedFormKF, random_camera, random_spd, sampled_bbox
-from test_metrics import _random_trackset, _still, _ts
+from test_metrics import _random_trackset, _still, _table
 
 
 def test_criterion_1_closed_loop_tracking():
@@ -45,9 +44,7 @@ def test_criterion_1_closed_loop_tracking():
     start = time.monotonic()
     tracks = run_all(bundle.annotations, bundle.calibration, RunConfig(dt=0.1))
     elapsed = time.monotonic() - start
-    report = evaluate_tracks(
-        TrackSet.from_tracks(tracks), gt, threshold=1.0, ospa_cutoff=1.0
-    )
+    report = evaluate_tracks(tracks, gt, threshold=1.0, ospa_cutoff=1.0)
     print(
         f"MOTA={report.mota:.2f} IDF1={report.idf1:.2f} FP={report.fp} "
         f"FN={report.fn} IDS={report.ids} OSPA={report.ospa:.2e} {elapsed:.1f}s"
@@ -71,9 +68,7 @@ def test_criterion_2_closed_loop_pose():
     tracks = run_all(
         bundle.annotations, bundle.calibration, config, skeleton=bundle.skeleton
     )
-    res = pose_metrics(
-        TrackSet.from_tracks(tracks), gt, ap_thresholds=(25.0,), recall_at=500.0
-    )
+    res = pose_metrics(tracks, gt, ap_thresholds=(25.0,), recall_at=500.0)
     print(f"MPJPE={res.mpjpe:.3f}mm AP25={res.ap[25.0]:.2f} recall={res.recall:.2f}")
     assert res.mpjpe <= 10.0
     assert res.ap[25.0] >= 99.0
@@ -154,13 +149,13 @@ def test_criterion_6_metric_self_consistency():
         assert ospa2(a, c) <= dab + ospa2(b, c) + 1e-9
         assert ospa2(a, a) == 0.0
 
-    gt = _ts({0: _still(range(5), (1, 2, 0)), 1: _still(range(5), (4, 1, 0))})
+    gt = _table({0: _still(range(5), (1, 2, 0)), 1: _still(range(5), (4, 1, 0))})
     assert clear_mot(gt, gt) == (0, 0, 0, 100.0)
     assert idf1(gt, gt) == 100.0
     assert ospa2(gt, gt) == 0.0
 
-    flip_gt = _ts({0: _still([0, 1], (0, 0, 0))})
-    flip = _ts({10: _still([0], (0, 0, 0)), 11: _still([1], (0, 0, 0))})
+    flip_gt = _table({0: _still([0, 1], (0, 0, 0))})
+    flip = _table({10: _still([0], (0, 0, 0)), 11: _still([1], (0, 0, 0))})
     res = clear_mot(flip, flip_gt)
     assert (res.fp, res.fn, res.ids) == (0, 0, 1)
     assert res.mota == 50.0

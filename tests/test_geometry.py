@@ -24,7 +24,14 @@ from oracles import random_camera, sampled_bbox
 
 class TestCameraModel:
     def test_camera_center(self, overhead_camera):
-        assert np.allclose(overhead_camera.camera_center, [0, 0, 10])
+        # The optical center C = -R^T t has zero depth: nothing projects.
+        cam = overhead_camera
+        center = -cam.rotation.T @ cam.translation
+        np.testing.assert_allclose(center, [0, 0, 10])
+        assert not in_front(cam, center)
+        assert in_front(cam, center - [0, 0, 1e-3])
+        with pytest.raises(NonPositiveDepth):
+            project_point(cam, center)
 
     def test_projection_matrix(self, overhead_camera):
         P = overhead_camera.projection_matrix

@@ -11,17 +11,18 @@ from mvfuse import (
     ParseError,
     RunConfig,
     SceneBundle,
-    Track,
-    TrackEntry,
-    TrackSet,
+    SceneSpec,
+    TrackTable,
     ValidationError,
     canonical_pose,
+    generate,
     load_annotations,
     load_calibration,
     load_config,
     load_scene,
     load_skeleton,
     load_tracks,
+    run_all,
     save_annotations,
     save_calibration,
     save_config,
@@ -226,55 +227,80 @@ class TestAnnotations:
             load_annotations(path)
 
 
-def _big_trackset():
+def _big_table():
     rng = np.random.default_rng(23)
-    positions = {}
-    keypoints = {}
-    half_axes = {}
-    for oid in (4, 9):
-        positions[oid] = {}
-        keypoints[oid] = {}
-        half_axes[oid] = {}
-        for f in range(100):
-            positions[oid][f] = rng.uniform(-5, 5, size=3)
-            half_axes[oid][f] = rng.uniform(0.2, 1.0, size=3)
-            keypoints[oid][f] = rng.uniform(-1, 1, size=(15, 3))
-    return TrackSet(positions=positions, keypoints=keypoints, half_axes=half_axes)
+    n = 200  # objects 4 and 9 in frames 0-99
+    return TrackTable(
+        frame=np.repeat(np.arange(100), 2),
+        object_id=np.tile([4, 9], 100),
+        position=rng.uniform(-5, 5, size=(n, 3)),
+        half_axes=rng.uniform(0.2, 1.0, size=(n, 3)),
+        keypoints=rng.uniform(-1, 1, size=(n, 15, 3)),
+    )
 
 
 class TestTracks:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
-        ts = _big_trackset()
-        save_tracks(ts, path)
+        table = _big_table()
+        save_tracks(table, path)
         loaded = load_tracks(path)
-        assert sorted(loaded.positions) == [4, 9]
-        for oid in (4, 9):
-            for f in range(100):
-                np.testing.assert_array_equal(
-                    loaded.positions[oid][f], ts.positions[oid][f]
-                )
-                np.testing.assert_array_equal(
-                    loaded.half_axes[oid][f], ts.half_axes[oid][f]
-                )
-                np.testing.assert_array_equal(
-                    loaded.keypoints[oid][f], ts.keypoints[oid][f]
-                )
+        for col in ("frame", "object_id", "position", "half_axes", "keypoints"):
+            np.testing.assert_array_equal(getattr(loaded, col), getattr(table, col))
 
-    def test_track_list_equals_trackset(self, tmp_path):
-        entries = tuple(
-            TrackEntry(frame=f, position=[f * 0.1, 0, 0.9], half_axes=[0.3, 0.3, 0.9])
-            for f in range(3)
+    def test_load_save_is_byte_identical_with_partial_rows(self, tmp_path):
+        # Rows with and without half_axes and keypoints, in one file: the
+        # loaded table writes the same bytes back.
+        path, again = tmp_path / "tracks.jsonl", tmp_path / "again.jsonl"
+        path.write_text(
+            '{"frame":0,"object_id":2,"position":[0.5,-1.25,0.9]}\n'
+            '{"frame":0,"object_id":7,"position":[1.0,2.0,0.8],"half_axes":[0.3,0.25,0.8]}\n'
+            '{"frame":1,"object_id":2,"position":[0.6,-1.2,0.9],'
+            '"keypoints":[[0.1,0.2,1.7],[0.3,0.1,0.2]]}\n'
+            '{"frame":1,"object_id":7,"position":[1.1,2.0,0.8],"half_axes":[0.3,0.25,0.8],'
+            '"keypoints":[[1.0,2.0,1.6],[1.25,2.0,0.1]]}\n'
+            '{"frame":3,"object_id":7,"position":[1.3,2.0,0.8]}\n'
         )
-        tracks = [Track(object_id=1, entries=entries)]
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_tracks(tracks, a)
-        save_tracks(TrackSet.from_tracks(tracks), b)
-        assert a.read_bytes() == b.read_bytes()
+        table = load_tracks(path)
+        assert table.has_half_axes.tolist() == [False, True, False, True, False]
+        assert table.has_keypoints.tolist() == [False, False, True, True, False]
+        save_tracks(table, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_load_save_is_byte_identical_for_a_fused_run(self, tmp_path):
+        # Object 0 has keypoint annotations and object 1 has none, so the
+        # fused table mixes rows with and without keypoints.
+        spec = SceneSpec(seed=3, num_objects=2, num_cameras=3, frames=6, skeleton="coco17")
+        bundle, _ = generate(spec)
+        annotations = [
+            AnnotationFrame(af.frame, af.boxes, {0: af.keypoints[0]} if 0 in af.keypoints else {})
+            for af in bundle.annotations
+        ]
+        tracks = run_all(annotations, bundle.calibration, RunConfig(dt=0.1), bundle.skeleton)
+        assert sorted(set(tracks.object_id[tracks.has_keypoints].tolist())) == [0]
+        assert tracks.has_half_axes.all() and (~tracks.has_keypoints).sum() == 6
+        path, again = tmp_path / "tracks.jsonl", tmp_path / "again.jsonl"
+        save_tracks(tracks, path)
+        save_tracks(load_tracks(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_any_line_order_loads_sorted(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        recs = [(5, 1), (0, 9), (5, 0), (0, 3)]
+        path.write_text("".join(
+            json.dumps({"frame": f, "object_id": o, "position": [f, o, 1.0],
+                        **({"keypoints": [[o, 0.0, 0.0]]} if o % 3 == 0 else {})}) + "\n"
+            for f, o in recs
+        ))
+        table = load_tracks(path)
+        assert list(zip(table.frame.tolist(), table.object_id.tolist())) == sorted(recs)
+        np.testing.assert_array_equal(table.position[:, :2], sorted(recs))
+        assert table.has_keypoints.tolist() == [True, True, True, False]
+        np.testing.assert_array_equal(table.keypoints[:3, 0, 0], [3, 9, 0])
 
     def test_rows_sorted_by_frame_then_object(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
-        save_tracks(_big_trackset(), path)
+        save_tracks(_big_table(), path)
         keys = [
             (r["frame"], r["object_id"])
             for r in map(json.loads, path.read_text().splitlines())
@@ -294,6 +320,15 @@ class TestTracks:
         rec = {"frame": 0, "object_id": 1, "position": [0, 0, 1], key: value}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match=f"{key} must be an integer") as err:
+            load_tracks(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("key", ["frame", "object_id"])
+    def test_ids_must_fit_64_bits(self, tmp_path, key):
+        path = tmp_path / "tracks.jsonl"
+        rec = {"frame": 0, "object_id": 1, "position": [0, 0, 1], key: 2**63}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=f"{key} must fit in 64 bits") as err:
             load_tracks(path)
         assert err.value.line == 1
 
@@ -399,12 +434,9 @@ class TestLoadScene:
 
     def test_happy_path(self, rig, tmp_path):
         cal, ann = self._write_scene(tmp_path, rig, _sample_annotations())
-        gt = tmp_path / "gt.jsonl"
-        save_tracks(_big_trackset(), gt)
-        bundle = load_scene(cal, ann, gt_path=gt, skeleton=None)
+        bundle = load_scene(cal, ann, skeleton=None)
         assert sorted(bundle.calibration) == [0, 3]
         assert [af.frame for af in bundle.annotations] == [0, 2]
-        assert bundle.gt is not None and bundle.gt.num_detections() == 200
         assert bundle.skeleton is None
 
     def test_unknown_camera_rejected(self, overhead_camera, tmp_path):
@@ -497,19 +529,17 @@ def test_mixed_keypoint_row_counts_in_one_file_rejected(tmp_path):
 
 
 def test_writers_emit_plain_float_lists(tmp_path):
-    ts = _big_trackset()
+    table = _big_table()
     path = tmp_path / "tracks.jsonl"
-    save_tracks(ts, path)
+    save_tracks(table, path)
     first = path.read_text().splitlines()[0]
-    oid = min(ts.positions, key=lambda o: (min(ts.positions[o]), o))
-    f = min(ts.positions[oid])
     assert first == json.dumps(
         {
-            "frame": f,
-            "object_id": oid,
-            "position": [float(v) for v in ts.positions[oid][f]],
-            "half_axes": [float(v) for v in ts.half_axes[oid][f]],
-            "keypoints": [[float(v) for v in row] for row in ts.keypoints[oid][f]],
+            "frame": 0,
+            "object_id": 4,
+            "position": [float(v) for v in table.position[0]],
+            "half_axes": [float(v) for v in table.half_axes[0]],
+            "keypoints": [[float(v) for v in row] for row in table.keypoints[0]],
         },
         separators=(",", ":"),
     )

@@ -10,11 +10,10 @@ from mvfuse import (
     RunConfig,
     canonical_pose,
     init_keypoints,
-    keypoint_positions,
     project_point,
     scaled_offsets,
 )
-from mvfuse.pose import keypoint_motion_model, predict_keypoints, update_keypoints
+from mvfuse.pose import KP_POS_IDX, keypoint_motion_model, predict_keypoints, update_keypoints
 from oracles import dlt_triangulate
 
 
@@ -134,7 +133,7 @@ class TestInitKeypoints:
         states = init_keypoints(pose, _object_belief(center, velocity, half), config)
         assert len(states) == 15
         expected = scaled_offsets(pose, half) + center
-        assert np.allclose(keypoint_positions(states), expected)
+        assert np.allclose(states.mean[:, KP_POS_IDX], expected)
         assert np.allclose(states.mean[:, [1, 3, 5]], velocity)
 
     def test_initial_covariance_from_config(self, config):
@@ -165,7 +164,7 @@ class TestKeypointState:
     def test_position_extraction(self):
         mean = np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
         s = GaussianBelief(mean, np.eye(6))
-        assert np.allclose(keypoint_positions(s), [[1, 2, 3]])
+        assert np.allclose(s.mean[:, KP_POS_IDX], [[1, 2, 3]])
 
 
 def _ring(n=3, radius=8.0, height=3.0):
@@ -205,7 +204,7 @@ class TestUpdateKeypoints:
             state, np.array([[uv[0], uv[1], 1.0]]), cams[0], config
         )
         before = np.linalg.norm(prior_mean[[0, 2, 4]] - truth)
-        after = np.linalg.norm(keypoint_positions(out)[0] - truth)
+        after = np.linalg.norm(out.mean[:, KP_POS_IDX][0] - truth)
         assert after < before
 
     def test_stacked_joints_equal_joint_by_joint(self, config):
@@ -221,7 +220,7 @@ class TestUpdateKeypoints:
         cov = states.covariance.copy()
         cov[4] = np.diag([1e-20] * 5 + [-1e-10])
         states = GaussianBelief(states.mean, cov)
-        pixels = project_point(cams[0], keypoint_positions(states) + 0.05)
+        pixels = project_point(cams[0], states.mean[:, KP_POS_IDX] + 0.05)
         obs = np.hstack([pixels, np.ones((15, 1))])
         obs[7, 2] = 0.0
         out = update_keypoints(states, obs, cams[0], config)
@@ -252,7 +251,7 @@ def _track(frames, states, cams, config):
             states = predict_keypoints(states, model)
         for cid in sorted(per_cam):
             states = update_keypoints(states, per_cam[cid], cams[cid], config)
-        out.append(keypoint_positions(states))
+        out.append(states.mean[:, KP_POS_IDX])
     return np.array(out)
 
 

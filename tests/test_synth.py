@@ -17,7 +17,7 @@ from mvfuse import (
 )
 
 from mvfuse.synth import _joint_pixels, _outline_boxes
-from oracles import pinhole_project
+from oracles import pinhole_project, track_dicts
 
 
 def _spec(**kwargs):
@@ -91,7 +91,7 @@ class TestDeterminism:
     def test_seed_changes_layout(self):
         _, gt_a = generate(_spec(seed=1))
         _, gt_b = generate(_spec(seed=2))
-        assert not np.array_equal(gt_a.positions[0][0], gt_b.positions[0][0])
+        assert not np.array_equal(gt_a.position[0], gt_b.position[0])
 
 
 class TestGeometryOfTheRing:
@@ -110,7 +110,7 @@ class TestGeometryOfTheRing:
         spec = _spec(ring_radius=15.0, cam_height=4.0, focal=777.0)
         bundle, _ = generate(spec)
         for cam in bundle.calibration.values():
-            c = cam.camera_center
+            c = -cam.rotation.T @ cam.translation
             assert np.hypot(c[0], c[1]) == pytest.approx(15.0)
             assert c[2] == pytest.approx(4.0)
             assert cam.intrinsics[0, 0] == 777.0
@@ -118,7 +118,8 @@ class TestGeometryOfTheRing:
 
 class TestAnnotationsMatchGroundTruth:
     def test_boxes_are_exact_outlines(self):
-        bundle, gt = generate(_spec())
+        bundle, table = generate(_spec())
+        gt = track_dicts(table)
         for af in bundle.annotations:
             for oid, per_cam in af.boxes.items():
                 center = gt.positions[oid][af.frame]
@@ -139,7 +140,8 @@ class TestAnnotationsMatchGroundTruth:
                     assert 0 <= box.v_min <= box.v_max <= h
 
     def test_keypoints_match_oracle_projection(self):
-        bundle, gt = generate(_spec(skeleton="panoptic15"))
+        bundle, table = generate(_spec(skeleton="panoptic15"))
+        gt = track_dicts(table)
         w, h = 1920, 1080
         checked = 0
         for af in bundle.annotations:
@@ -164,14 +166,14 @@ class TestAnnotationsMatchGroundTruth:
 
     def test_ground_truth_is_complete(self):
         spec = _spec(num_objects=3, frames=7, skeleton="coco17")
-        bundle, gt = generate(spec)
+        bundle, table = generate(spec)
+        assert len(table) == 21 and table.keypoints.shape == (21, 17, 3)
+        gt = track_dicts(table)
         assert sorted(gt.positions) == [0, 1, 2]
         for oid in range(3):
             assert sorted(gt.positions[oid]) == list(range(7))
             assert sorted(gt.half_axes[oid]) == list(range(7))
             assert sorted(gt.keypoints[oid]) == list(range(7))
-            assert gt.keypoints[oid][0].shape == (17, 3)
-        assert bundle.gt is gt
         assert bundle.skeleton is not None
 
     def test_annotation_frames_strictly_increasing(self):
@@ -208,13 +210,13 @@ class TestFrameGeometry:
 
 class TestMotionModels:
     def test_static_objects_do_not_move(self):
-        _, gt = generate(_spec(motion="static", frames=9))
+        gt = track_dicts(generate(_spec(motion="static", frames=9))[1])
         for per_frame in gt.positions.values():
             arr = np.stack([per_frame[f] for f in sorted(per_frame)])
             assert np.ptp(arr, axis=0).max() == 0.0
 
     def test_constant_velocity_second_difference_vanishes(self):
-        _, gt = generate(_spec(motion="constant-velocity", frames=20))
+        gt = track_dicts(generate(_spec(motion="constant-velocity", frames=20))[1])
         for per_frame in gt.positions.values():
             arr = np.stack([per_frame[f] for f in sorted(per_frame)])
             accel = np.diff(arr, n=2, axis=0)
@@ -222,7 +224,7 @@ class TestMotionModels:
 
     def test_waypoint_speed_bounded_and_inside(self):
         spec = _spec(motion="waypoint", frames=40, seed=6)
-        _, gt = generate(spec)
+        gt = track_dicts(generate(spec)[1])
         dt = 1.0 / spec.fps
         bound = np.array([0.48 * 12.0, 0.48 * 12.0])
         for per_frame in gt.positions.values():
@@ -232,7 +234,7 @@ class TestMotionModels:
             assert np.all(np.abs(arr[:, :2]) <= bound + 1e-9)
 
     def test_height_is_half_axis(self):
-        _, gt = generate(_spec())
+        gt = track_dicts(generate(_spec())[1])
         for oid, per_frame in gt.positions.items():
             for f, p in per_frame.items():
                 assert p[2] == gt.half_axes[oid][f][2]

@@ -1,6 +1,8 @@
 """Tracker tests: measurement closure, target birth, frame walking, and
 stacked multi-object runs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ from mvfuse import (
     RunConfig,
     SceneSpec,
     SigmaPointProjectionFailure,
-    Track,
-    TrackEntry,
+    TrackTable,
     bbox_measurement,
     canonical_pose,
     generate,
@@ -25,7 +26,6 @@ from mvfuse import (
     project_ellipsoid_to_bbox,
     run_all,
     sigma_points,
-    track_object,
 )
 from mvfuse.errors import NonPositiveDepth, DegenerateConic
 from mvfuse.filter import kalman_predict, make_motion_model, ukf_update
@@ -52,6 +52,20 @@ def _state(position, half_axes, velocity=(0.0, 0.0, 0.0)):
 
 def _box_for(cam, position, half_axes):
     return BBox.from_array(project_ellipsoid_to_bbox(cam, position, half_axes))
+
+
+def _ids(table):
+    return np.unique(table.object_id).tolist()
+
+
+def _track(table, oid):
+    """The rows of one object of a track table."""
+    rows = table.object_id == oid
+    kp = None if table.keypoints is None else table.keypoints[rows]
+    return SimpleNamespace(
+        frame=table.frame[rows], position=table.position[rows],
+        half_axes=table.half_axes[rows], keypoints=kp,
+    )
 
 
 class TestBBoxMeasurement:
@@ -201,7 +215,7 @@ class TestTrackObject:
         path = {k: np.array([0.5 + 0.1 * k, -0.4 + 0.05 * k, 0.9]) for k in range(4)}
         annotations = _annotations_for(cams, path)
 
-        track = track_object(annotations, cams, config, object_id=1)
+        track = run_all(annotations, cams, config)
 
         belief = init_target(
             {cid: _box_for(cam, path[0], half) for cid, cam in cams.items()},
@@ -223,24 +237,23 @@ class TestTrackObject:
                     beta=config.beta,
                     kappa=config.kappa,
                 )
-            entry = track.entries[k]
-            assert entry.frame == k
-            np.testing.assert_array_equal(entry.position, belief.mean[0, POS_IDX])
+            assert (track.frame[k], track.object_id[k]) == (k, 1)
+            np.testing.assert_array_equal(track.position[k], belief.mean[0, POS_IDX])
             np.testing.assert_array_equal(
-                entry.half_axes, np.exp(belief.mean[0, SHAPE_SLICE])
+                track.half_axes[k], np.exp(belief.mean[0, SHAPE_SLICE])
             )
-            assert entry.keypoints is None
+        assert track.keypoints is None
 
     def test_gap_frames_are_predict_only(self, config):
         cams = _two_camera_rig()
         path = {0: np.array([0.5, -0.4, 0.9]), 3: np.array([0.8, -0.25, 0.9])}
         annotations = _annotations_for(cams, path, frames=[0, 3])
 
-        track = track_object(annotations, cams, config, object_id=1)
-        assert [e.frame for e in track.entries] == [0, 1, 2, 3]
+        track = run_all(annotations, cams, config)
+        assert track.frame.tolist() == [0, 1, 2, 3]
 
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
-        first = track_object(annotations[:1], cams, config, object_id=1).entries[-1]
+        first = run_all(annotations[:1], cams, config).position[-1]
         # Re-derive frames 1 and 2 by pure prediction from the frame-0 output.
         b = init_target(
             {cid: _box_for(cam, path[0], (0.3, 0.3, 0.9)) for cid, cam in cams.items()},
@@ -260,21 +273,15 @@ class TestTrackObject:
             )
         for k in (1, 2):
             b = kalman_predict(b, motion)
-            np.testing.assert_array_equal(track.entries[k].position, b.mean[0, POS_IDX])
-        np.testing.assert_array_equal(first.position, track.entries[0].position)
+            np.testing.assert_array_equal(track.position[k], b.mean[0, POS_IDX])
+        np.testing.assert_array_equal(first, track.position[0])
 
     def test_track_spans_birth_to_last_observation(self, config):
         cams = _two_camera_rig()
         path = {3: np.array([0.5, -0.4, 0.9]), 5: np.array([0.6, -0.3, 0.9])}
         annotations = _annotations_for(cams, path, frames=[1, 3, 5, 7])
-        track = track_object(annotations, cams, config, object_id=1)
-        assert [e.frame for e in track.entries] == [3, 4, 5]
-
-    def test_no_boxes_raises(self, config):
-        cams = _two_camera_rig()
-        annotations = [AnnotationFrame(frame=0, boxes={2: {0: BBox(0, 0, 5, 5)}})]
-        with pytest.raises(NoObservation):
-            track_object(annotations, cams, config, object_id=1)
+        track = run_all(annotations, cams, config)
+        assert track.frame.tolist() == [3, 4, 5]
 
     def test_failed_update_skipped_with_diagnostic(self, overhead_camera, config):
         # Camera 1 sits above the scene looking further up: the target is
@@ -298,10 +305,8 @@ class TestTrackObject:
             ),
         ]
         events = []
-        track = track_object(
-            annotations, cams, config, object_id=1, on_event=events.append
-        )
-        assert len(track.entries) == 2
+        track = run_all(annotations, cams, config, on_event=events.append)
+        assert len(track) == 2
         assert [
             (d.kind, d.object_id, d.frame, d.camera_id) for d in events
         ] == [("update_skipped", 1, 1, 1)]
@@ -332,11 +337,10 @@ class TestTrackObject:
         assert isinstance(info.value.__cause__, NonPositiveDepth)
 
         events = []
-        track = track_object(
-            [AnnotationFrame(frame=0, boxes={1: boxes})], cams, config,
-            object_id=1, on_event=events.append,
+        track = run_all(
+            [AnnotationFrame(frame=0, boxes={1: boxes})], cams, config, on_event=events.append
         )
-        assert len(track.entries) == 1
+        assert len(track) == 1
         assert [
             (d.kind, d.object_id, d.frame, d.camera_id) for d in events
         ] == [("update_skipped", 1, 0, 0)]
@@ -354,12 +358,9 @@ class TestTrackObject:
             AnnotationFrame(frame=0, boxes=boxes),
             AnnotationFrame(frame=1, boxes=boxes, keypoints={1: {0: kp_rows}}),
         ]
-        track = track_object(
-            annotations, cams, config, object_id=1, skeleton=skeleton
-        )
-        for e in track.entries:
-            assert e.keypoints is not None
-            assert e.keypoints.shape == (15, 3)
+        track = run_all(annotations, cams, config, skeleton=skeleton)
+        assert track.keypoints.shape == (2, 15, 3)
+        assert track.has_keypoints.all()
 
     def test_no_keypoint_annotations_means_none(self, config):
         # A configured skeleton alone is not enough: without keypoint
@@ -367,22 +368,19 @@ class TestTrackObject:
         cams = _two_camera_rig()
         path = {0: np.array([0.5, -0.4, 0.9])}
         annotations = _annotations_for(cams, path)
-        track = track_object(
-            annotations, cams, config, object_id=1,
-            skeleton=canonical_pose("panoptic15"),
-        )
-        assert track.entries[0].keypoints is None
+        track = run_all(annotations, cams, config, skeleton=canonical_pose("panoptic15"))
+        assert len(track) == 1 and track.keypoints is None
 
 
 class TestRunAll:
     def test_recovers_ground_truth(self, small_scene, config):
         bundle, gt = small_scene
         tracks = run_all(bundle.annotations, bundle.calibration, config)
-        assert [t.object_id for t in tracks] == sorted(gt.positions)
-        for t in tracks:
-            last = t.entries[-1]
+        assert _ids(tracks) == _ids(gt)
+        for oid in _ids(tracks):
+            t, truth = _track(tracks, oid), _track(gt, oid)
             np.testing.assert_allclose(
-                last.position, gt.positions[t.object_id][last.frame], atol=1e-3
+                t.position[-1], truth.position[truth.frame == t.frame[-1]][0], atol=1e-3
             )
 
     def test_beliefs_checked_only_where_they_enter(self, monkeypatch):
@@ -407,7 +405,7 @@ class TestRunAll:
         tracks = run_all(
             bundle.annotations, bundle.calibration, RunConfig(dt=0.1), skeleton=bundle.skeleton
         )
-        assert [t.entries[0].frame for t in tracks] == [0, 0, 4]
+        assert [_track(tracks, oid).frame[0] for oid in _ids(tracks)] == [0, 0, 4]
         assert checked == [(1, 9)] * 3 + [(30, 6), (15, 6)]
 
     def test_stacked_run_equals_each_object_alone(self):
@@ -425,22 +423,22 @@ class TestRunAll:
         tracks = run_all(
             bundle.annotations, bundle.calibration, config, skeleton=bundle.skeleton
         )
-        assert [t.entries[0].frame for t in tracks] == [0, 0, 4]
-        for t in tracks:
+        assert [_track(tracks, oid).frame[0] for oid in _ids(tracks)] == [0, 0, 4]
+        for oid in _ids(tracks):
             def own(per_object):
-                return {t.object_id: per_object[t.object_id]} if t.object_id in per_object else {}
+                return {oid: per_object[oid]} if oid in per_object else {}
 
             alone = run_all(
                 [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints))
                  for af in bundle.annotations],
                 bundle.calibration, config, skeleton=bundle.skeleton,
             )
-            assert [a.object_id for a in alone] == [t.object_id]
-            assert [e.frame for e in alone[0].entries] == [e.frame for e in t.entries]
-            for ea, eb in zip(t.entries, alone[0].entries):
-                np.testing.assert_allclose(ea.position, eb.position, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(ea.half_axes, eb.half_axes, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(ea.keypoints, eb.keypoints, rtol=0, atol=1e-9)
+            t = _track(tracks, oid)
+            assert _ids(alone) == [oid]
+            np.testing.assert_array_equal(alone.frame, t.frame)
+            np.testing.assert_allclose(alone.position, t.position, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(alone.half_axes, t.half_axes, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(alone.keypoints, t.keypoints, rtol=0, atol=1e-9)
 
     def test_filter_error_skips_only_that_object(self, small_scene, config, monkeypatch):
         # Any FilterError in one object's row (here a CholeskyFailure) skips
@@ -467,17 +465,16 @@ class TestRunAll:
         tracks = run_all(
             bundle.annotations, bundle.calibration, config, on_event=events.append
         )
-        assert [t.object_id for t in tracks] == [0, 1]
-        for ea, eb in zip(tracks[1].entries, clean[1].entries):
-            np.testing.assert_array_equal(ea.position, eb.position)
-            np.testing.assert_array_equal(ea.half_axes, eb.half_axes)
+        assert _ids(tracks) == [0, 1]
+        np.testing.assert_array_equal(_track(tracks, 1).position, _track(clean, 1).position)
+        np.testing.assert_array_equal(_track(tracks, 1).half_axes, _track(clean, 1).half_axes)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
             ("update_skipped", 0, af.frame, cid)
             for af in failing for cid in sorted(af.boxes[0])
         ]
-        birth = tracks[0].entries[0].position
+        birth = _track(tracks, 0).position[0]
         assert birth[2] == pytest.approx(0.9)  # default half-height, never updated
-        assert len(tracks[0].entries) == len(clean[0].entries)
+        assert len(_track(tracks, 0).frame) == len(_track(clean, 0).frame)
 
     def test_object_without_applied_update_omitted(self, small_scene, config, monkeypatch):
         # Every box update of object 0 fails: its track would be prediction
@@ -501,16 +498,13 @@ class TestRunAll:
         tracks = run_all(
             bundle.annotations, bundle.calibration, config, on_event=events.append
         )
-        assert [t.object_id for t in tracks] == [1]
-        for ea, eb in zip(tracks[0].entries, clean[1].entries, strict=True):
-            np.testing.assert_array_equal(ea.position, eb.position)
+        assert _ids(tracks) == [1]
+        np.testing.assert_array_equal(tracks.position, _track(clean, 1).position)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
             ("update_skipped", 0, af.frame, cid)
             for af in bundle.annotations for cid in sorted(af.boxes[0])
         ] + [("no_observation", 0, None, None)]
         assert events[-1].message == "every box update was skipped"
-        with pytest.raises(NoObservation):
-            track_object(bundle.annotations, bundle.calibration, config, object_id=0)
 
     def test_near_camera_scene_writes_no_prediction_only_track(self):
         # Cameras 1 m up on a 5.5 m ring and a birth belief so wide that some
@@ -525,14 +519,14 @@ class TestRunAll:
         bundle, _ = generate(spec)
         wide = RunConfig(dt=0.1, init_pos_var=2500.0, init_shape_var=4.0)
         events = []
-        assert run_all(bundle.annotations, bundle.calibration, wide, on_event=events.append) == []
+        assert len(run_all(bundle.annotations, bundle.calibration, wide, on_event=events.append)) == 0
         kinds = [(d.kind, d.object_id) for d in events]
         assert kinds == [
             k for oid in range(4)
             for k in [("update_skipped", oid)] * 20 + [("no_observation", oid)]
         ]
         tracks = run_all(bundle.annotations, bundle.calibration, RunConfig(dt=0.1))
-        assert [t.object_id for t in tracks] == [0, 1, 2, 3]
+        assert _ids(tracks) == [0, 1, 2, 3]
 
     def test_absurd_box_skips_only_that_update(self, small_scene, config):
         # A zero-size box half a million pixels off the image drives the
@@ -550,12 +544,12 @@ class TestRunAll:
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
             ("update_skipped", 0, af.frame, 1)
         ]
-        assert [len(t.entries) for t in tracks] == [len(t.entries) for t in clean]
+        np.testing.assert_array_equal(tracks.object_id, clean.object_id)
+        np.testing.assert_array_equal(tracks.frame, clean.frame)
         np.testing.assert_allclose(
-            tracks[0].entries[-1].position, clean[0].entries[-1].position, atol=1e-3
+            _track(tracks, 0).position[-1], _track(clean, 0).position[-1], atol=1e-3
         )
-        for ea, eb in zip(tracks[1].entries, clean[1].entries):
-            np.testing.assert_array_equal(ea.position, eb.position)
+        np.testing.assert_array_equal(_track(tracks, 1).position, _track(clean, 1).position)
 
     def test_boxless_object_omitted_with_event(self, overhead_camera, config):
         pos = np.array([1.0, 2.0, 0.9])
@@ -572,7 +566,7 @@ class TestRunAll:
         tracks = run_all(
             annotations, {0: overhead_camera}, config, on_event=events.append
         )
-        assert [t.object_id for t in tracks] == [1]
+        assert _ids(tracks) == [1]
         assert [(d.kind, d.object_id) for d in events] == [("no_observation", 7)]
 
 
@@ -595,7 +589,7 @@ class TestBirth:
             init_target({0: self.HORIZON_BOX}, {0: cam}, config)
         events = []
         tracks = run_all(annotations, {0: cam}, config, on_event=events.append)
-        assert [(t.object_id, len(t.entries)) for t in tracks] == [(1, 2)]
+        assert tracks.object_id.tolist() == [1, 1]
         assert [(d.kind, d.object_id) for d in events] == [("no_observation", 2)]
 
     def test_birth_deferred_to_first_usable_frame(self, config):
@@ -605,45 +599,43 @@ class TestBirth:
         tracks = run_all(
             self._frames(cam, box), {0: cam}, config, on_event=events.append
         )
-        assert [t.object_id for t in tracks] == [1, 2]
-        assert [e.frame for e in tracks[1].entries] == [1]
-        alone = track_object(
-            [AnnotationFrame(frame=1, boxes={2: {0: box}})], {0: cam}, config, 2
-        )
-        np.testing.assert_array_equal(
-            tracks[1].entries[0].position, alone.entries[0].position
-        )
+        assert _ids(tracks) == [1, 2]
+        assert _track(tracks, 2).frame.tolist() == [1]
+        alone = run_all([AnnotationFrame(frame=1, boxes={2: {0: box}})], {0: cam}, config)
+        np.testing.assert_array_equal(_track(tracks, 2).position, alone.position)
         assert events == []
 
 
 class TestContainers:
+    # A track table row is one track entry: (frame, object id, position,
+    # half-axes, keypoints).
     def test_entry_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            TrackEntry(frame=0, position=[np.nan, 0, 0], half_axes=[1, 1, 1])
+        with pytest.raises(ValueError, match="non-finite"):
+            TrackTable([0], [0], [[np.nan, 0, 0]])
 
     def test_entry_rejects_nonpositive_axes(self):
-        with pytest.raises(ValueError):
-            TrackEntry(frame=0, position=[0, 0, 0], half_axes=[1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            TrackTable([0], [0], [[0, 0, 0]], half_axes=[[1.0, 0.0, 1.0]])
 
     def test_entry_rejects_bad_keypoint_shape(self):
-        with pytest.raises(ValueError):
-            TrackEntry(
-                frame=0,
-                position=[0, 0, 1],
-                half_axes=[1, 1, 1],
-                keypoints=np.zeros((4, 2)),
-            )
+        with pytest.raises(ValueError, match="keypoints"):
+            TrackTable([0], [0], [[0, 0, 1]], keypoints=np.zeros((1, 4, 2)))
 
     def test_entry_arrays_read_only(self):
-        e = TrackEntry(frame=0, position=[0, 0, 1], half_axes=[1, 1, 1])
+        t = TrackTable([0], [0], [[0, 0, 1]], half_axes=[[1, 1, 1]])
         with pytest.raises(ValueError):
-            e.position[0] = 5.0
+            t.position[0, 0] = 5.0
 
     def test_track_requires_increasing_frames(self):
-        e0 = TrackEntry(frame=2, position=[0, 0, 1], half_axes=[1, 1, 1])
-        e1 = TrackEntry(frame=2, position=[0, 0, 1], half_axes=[1, 1, 1])
-        with pytest.raises(ValueError):
-            Track(object_id=0, entries=(e0, e1))
+        # Rows sorted by (frame, object id), each pair once.
+        for frames, ids in (([2, 2], [0, 0]), ([3, 2], [0, 0]), ([2, 2], [1, 0])):
+            with pytest.raises(ValueError, match="sorted"):
+                TrackTable(frames, ids, np.zeros((2, 3)))
+        TrackTable([2, 2, 3], [0, 1, 0], np.zeros((3, 3)))
+
+    def test_entry_ids_are_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            TrackTable([0.5], [0], [[0, 0, 1]])
 
     def test_annotation_frame_rejects_negative(self):
         with pytest.raises(ValueError):
