@@ -39,10 +39,8 @@ from .filter import (
     update_rows,
 )
 from .geometry import (
-    BBox,
     CameraModel,
     backproject_ground,
-    feet_point,
     ground_homography,
     in_front,
     project_ellipsoid_to_bbox,
@@ -80,12 +78,11 @@ from .pose import (
 )
 from .synth import Occlusion, SceneSpec, generate
 from .tracker import (
-    AnnotationFrame,
     Diagnostic,
     bbox_measurement,
     init_target,
     run_all,
 )
-from .tracks import TrackTable
+from .tracks import AnnotationTable, TrackTable
 
 __all__ = [name for name in dir() if not name.startswith("_")]

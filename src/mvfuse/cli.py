@@ -28,6 +28,7 @@ from .errors import (
 )
 from .io import (
     RunConfig,
+    _read_json,
     load_config,
     load_scene,
     load_tracks,
@@ -133,10 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec_dict: dict = {}
     if args.spec:
-        try:
-            doc = json.loads(Path(args.spec).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(args.spec, exc.lineno, exc.msg) from exc
+        doc = _read_json(args.spec)
         if not isinstance(doc, dict):
             raise InvalidSpec("scene spec must be a JSON object")
         spec_dict.update(doc)
@@ -170,14 +168,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_config(config, out / "config.json")
     (out / "scene.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
 
-    n_records = sum(
-        len(per_cam)
-        for af in bundle.annotations
-        for per_cam in af.boxes.values()
-    )
     print(
         f"wrote {spec.num_objects} objects / {spec.num_cameras} cameras / "
-        f"{spec.frames} frames ({n_records} boxes) to {out}",
+        f"{spec.frames} frames ({bundle.annotations.has_bbox.sum()} boxes) to {out}",
         file=sys.stderr,
     )
     return 0
@@ -192,7 +185,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         skeleton=skeleton_src,
         units=args.units,
     )
-    if scene.skeleton is None and any(af.keypoints for af in scene.annotations):
+    if scene.skeleton is None and scene.annotations.keypoints is not None:
         logger.warning(
             "annotations carry keypoints but no skeleton is configured; "
             "fusing boxes only (pass --skeleton to fuse keypoints)"

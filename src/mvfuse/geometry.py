@@ -99,36 +99,6 @@ class CameraModel:
         return P
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned pixel rectangle with ``u_min <= u_max`` and
-    ``v_min <= v_max``."""
-
-    u_min: float
-    v_min: float
-    u_max: float
-    v_max: float
-
-    def __post_init__(self):
-        vals = (self.u_min, self.v_min, self.u_max, self.v_max)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("bbox coordinates must be finite")
-        if self.u_min > self.u_max or self.v_min > self.v_max:
-            raise ValueError(
-                f"bbox corners out of order: {vals}"
-            )
-        for name, v in zip(("u_min", "v_min", "u_max", "v_max"), vals):
-            object.__setattr__(self, name, float(v))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_min, self.v_min, self.u_max, self.v_max])
-
-    @classmethod
-    def from_array(cls, arr) -> "BBox":
-        a = np.asarray(arr, dtype=np.float64).reshape(4)
-        return cls(a[0], a[1], a[2], a[3])
-
-
 def _affine(points: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``points @ A.T + b`` for (..., 3) points, summed term by term in a fixed
     order so that a stack of rows gives bit-for-bit the results of row-by-row
@@ -282,8 +252,3 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
     r = np.sqrt(disc)
     return np.concatenate([center_uv - r, center_uv + r], axis=-1)
 
-
-def feet_point(bbox: BBox) -> np.ndarray:
-    """Midpoint of the bottom edge — the image point assumed to touch the
-    ground under the object."""
-    return np.array([(bbox.u_min + bbox.u_max) / 2.0, bbox.v_max])

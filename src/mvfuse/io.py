@@ -11,30 +11,58 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import BBox, CameraModel
+from .geometry import CameraModel
 from .pose import CanonicalPose, canonical_pose
-from .tracker import AnnotationFrame
-from .tracks import TrackTable
+from .tracks import AnnotationTable, TrackTable
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
+# The field types checked, and what a value of each must be.
+_KINDS = {
+    float: ("a number", numbers.Real),
+    int: ("an integer", numbers.Integral),
+    bool: ("true or false", bool),
+    str: ("a string", str),
+}
+_DUPLICATE = "{}:{}: duplicate {} for frame {}, object {}, camera {}"
 
 
-def require_finite(obj, error: type[Exception]) -> None:
-    """Raise ``error`` naming the first field of dataclass ``obj`` that holds
-    a non-finite float, alone or in a list or tuple."""
+def check_fields(obj, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` whose value
+    does not fit its annotation.
+
+    A ``float`` field takes an int or a finite float, an ``int`` field an int,
+    neither a bool; ``bool`` and ``str`` fields take their own type. A tuple
+    field takes a list or tuple whose items fit; None fits an optional field.
+    """
+    hints = get_type_hints(type(obj))
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        items = value if isinstance(value, (list, tuple)) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise error(f"{f.name} must be finite, got {value}")
+        hint, value = hints[f.name], getattr(obj, f.name)
+        args = get_args(hint) or (hint,)
+        if value is None and type(None) in args:
+            continue
+        items = (value,)
+        if get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise error(f"{f.name} must be a list, got {value!r}")
+            items = value
+        kind = next((k for k in _KINDS if k in args), None)
+        if kind is None:
+            continue
+        what, cls = _KINDS[kind]
+        for v in items:
+            if not isinstance(v, cls) or (isinstance(v, bool) and kind is not bool):
+                raise error(f"{f.name} must be {what}, got {value!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise error(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +104,7 @@ class RunConfig:
             if not cond:
                 raise ValidationError(msg)
 
-        require_finite(self, ValidationError)
+        check_fields(self, ValidationError)
         need(self.dt > 0, f"dt must be positive, got {self.dt}")
         need(self.alpha > 0, f"alpha must be positive, got {self.alpha}")
         need(self.q_pos >= 0, "q_pos must be non-negative")
@@ -104,7 +132,7 @@ class RunConfig:
         need(self.ospa_cutoff > 0, "ospa_cutoff must be positive")
         need(self.ospa_order >= 1, "ospa_order must be >= 1")
         need(
-            self.ospa_window is None or int(self.ospa_window) >= 1,
+            self.ospa_window is None or self.ospa_window >= 1,
             "ospa_window must be >= 1 or null",
         )
         thresholds = tuple(float(v) for v in self.ap_thresholds)
@@ -115,11 +143,6 @@ class RunConfig:
         need(self.recall_at > 0, "recall_at must be positive")
         object.__setattr__(self, "default_half_axes", half)
         object.__setattr__(self, "ap_thresholds", thresholds)
-        object.__setattr__(
-            self,
-            "ospa_window",
-            None if self.ospa_window is None else int(self.ospa_window),
-        )
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -141,13 +164,8 @@ class SceneBundle:
     """Everything one run needs: cameras, annotations, optional skeleton."""
 
     calibration: dict[int, CameraModel]
-    annotations: list[AnnotationFrame]
+    annotations: AnnotationTable
     skeleton: CanonicalPose | None = None
-
-    def __post_init__(self):
-        frames = [af.frame for af in self.annotations]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValidationError("annotation frames must be strictly increasing")
 
 
 def _read_json(path) -> object:
@@ -284,79 +302,95 @@ def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
         yield lineno, record
 
 
-def load_annotations(path) -> list[AnnotationFrame]:
-    """Read 2D annotations from JSONL.
+def _keypoint_rows(rows, joints, path: str, line: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """A record's keypoint rows (J, 3), and the file's (J, first line), which
+    every keypoint record of one file must match."""
+    if not isinstance(rows, list) or not rows:
+        raise ParseError(path, line, "keypoints must be a non-empty list")
+    kp = _float_rows(rows, 3, path, line, "keypoint row")
+    joints = joints or (len(kp), line)
+    if len(kp) != joints[0]:
+        raise ParseError(path, line, f"{len(kp)} keypoint rows, line {joints[1]} has {joints[0]}")
+    return kp, joints
+
+
+def _sorted_keypoints(records: list, order: np.ndarray, joints: tuple[int, int] | None):
+    """The records' keypoint rows (None: absent) as one (n, J, 3) column in
+    ``order``, NaN where absent; None when no record has any. Each record's
+    rows are copied to their sorted row and dropped, so the load never holds a
+    second, stacked copy of them."""
+    if joints is None:
+        return None
+    col = np.full((len(order), joints[0], 3), np.nan)
+    for row, i in enumerate(order.tolist()):
+        if records[i] is not None:
+            col[row] = records[i]
+            records[i] = None
+    return col
+
+
+def load_annotations(path) -> AnnotationTable:
+    """Read 2D annotations from JSONL, records in any order.
 
     Record schema: ``frame``, ``object_id``, ``camera_id``, plus ``bbox``
     (``[u_min, v_min, u_max, v_max]``) and/or ``keypoints`` (list of
-    ``[u, v, visibility]``). Frames come back sorted ascending.
+    ``[u, v, visibility]``). A (frame, object, camera) may be split into a
+    bbox record and a keypoints record, which load as one row; every keypoint
+    record in one file must have the same number of rows.
     """
     spath = str(path)
-    boxes: dict[int, dict[int, dict[int, BBox]]] = {}
-    kps: dict[int, dict[int, dict[int, np.ndarray]]] = {}
+    row_of: dict[tuple[int, int, int], int] = {}  # in first-seen order
+    boxes: list[list[float]] = []
+    keypoints: list[np.ndarray | None] = []
+    joints: tuple[int, int] | None = None  # (rows per record, first line)
     for lineno, rec in _iter_jsonl(path):
-        frame, oid, cid = (
+        key = tuple(
             _integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id", "camera_id")
         )
-        if frame < 0:
+        if key[0] < 0:
             raise ParseError(spath, lineno, "frame must be non-negative")
-        has_any = False
-        if rec.get("bbox") is not None:
-            vals = _float_list(rec["bbox"], 4, spath, lineno, "bbox")
-            try:
-                box = BBox.from_array(vals)
-            except ValueError as exc:
-                raise ParseError(spath, lineno, str(exc)) from exc
-            per_obj = boxes.setdefault(frame, {}).setdefault(oid, {})
-            if cid in per_obj:
-                raise ValidationError(
-                    f"{spath}:{lineno}: duplicate bbox for frame {frame}, "
-                    f"object {oid}, camera {cid}"
-                )
-            per_obj[cid] = box
-            has_any = True
-        if rec.get("keypoints") is not None:
-            rows = rec["keypoints"]
-            if not isinstance(rows, list) or not rows:
-                raise ParseError(spath, lineno, "keypoints must be a non-empty list")
-            arr = _float_rows(rows, 3, spath, lineno, "keypoint row")
-            per_obj = kps.setdefault(frame, {}).setdefault(oid, {})
-            if cid in per_obj:
-                raise ValidationError(
-                    f"{spath}:{lineno}: duplicate keypoints for frame {frame}, "
-                    f"object {oid}, camera {cid}"
-                )
-            arr.setflags(write=False)
-            per_obj[cid] = arr
-            has_any = True
-        if not has_any:
+        if rec.get("bbox") is None and rec.get("keypoints") is None:
             raise ParseError(spath, lineno, "record carries no bbox or keypoints")
-    frames = sorted(set(boxes) | set(kps))
-    return [
-        AnnotationFrame(
-            frame=f, boxes=boxes.get(f, {}), keypoints=kps.get(f, {})
-        )
-        for f in frames
-    ]
+        i = row_of.setdefault(key, len(row_of))
+        if i == len(boxes):
+            boxes.append([math.nan] * 4)
+            keypoints.append(None)
+        if rec.get("bbox") is not None:
+            box = _float_list(rec["bbox"], 4, spath, lineno, "bbox")
+            if box[0] > box[2] or box[1] > box[3]:
+                raise ParseError(spath, lineno, f"bbox corners out of order: {box}")
+            if not math.isnan(boxes[i][0]):
+                raise ValidationError(_DUPLICATE.format(spath, lineno, "bbox", *key))
+            boxes[i] = box
+        if rec.get("keypoints") is not None:
+            kp, joints = _keypoint_rows(rec["keypoints"], joints, spath, lineno)
+            if keypoints[i] is not None:
+                raise ValidationError(_DUPLICATE.format(spath, lineno, "keypoints", *key))
+            keypoints[i] = kp
+    frame, oid, cid = np.array(list(row_of), dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((cid, oid, frame))
+    return AnnotationTable(
+        frame=frame[order],
+        object_id=oid[order],
+        camera_id=cid[order],
+        bbox=np.array(boxes).reshape(-1, 4)[order],
+        keypoints=_sorted_keypoints(keypoints, order, joints),
+    )
 
 
-def save_annotations(frames: Sequence[AnnotationFrame], path) -> None:
+def save_annotations(annotations: AnnotationTable, path) -> None:
+    """Write an annotation table as JSONL, one record per row, in row order:
+    by (frame, object id, camera id)."""
+    has_box, has_kp = annotations.has_bbox.tolist(), annotations.has_keypoints.tolist()
+    columns = (annotations.frame, annotations.object_id, annotations.camera_id, annotations.bbox)
     lines = []
-    for af in sorted(frames, key=lambda a: a.frame):
-        oids = sorted(set(af.boxes) | set(af.keypoints))
-        for oid in oids:
-            cam_ids = sorted(
-                set(af.boxes.get(oid, {})) | set(af.keypoints.get(oid, {}))
-            )
-            for cid in cam_ids:
-                rec: dict = {"frame": af.frame, "object_id": oid, "camera_id": cid}
-                box = af.boxes.get(oid, {}).get(cid)
-                if box is not None:
-                    rec["bbox"] = [box.u_min, box.v_min, box.u_max, box.v_max]
-                kp = af.keypoints.get(oid, {}).get(cid)
-                if kp is not None:
-                    rec["keypoints"] = np.asarray(kp, dtype=np.float64).tolist()
-                lines.append(json.dumps(rec, separators=(",", ":")))
+    for i, (frame, oid, cid, box) in enumerate(zip(*(c.tolist() for c in columns))):
+        rec: dict = {"frame": frame, "object_id": oid, "camera_id": cid}
+        if has_box[i]:
+            rec["bbox"] = box
+        if has_kp[i]:
+            rec["keypoints"] = annotations.keypoints[i].tolist()
+        lines.append(json.dumps(rec, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -387,33 +421,16 @@ def load_tracks(path) -> TrackTable:
         half_axes.append(hax)
         kp = None
         if rec.get("keypoints") is not None:
-            rows = rec["keypoints"]
-            if not isinstance(rows, list) or not rows:
-                raise ParseError(spath, lineno, "keypoints must be a non-empty list")
-            kp = _float_rows(rows, 3, spath, lineno, "keypoint row")
-            joints = joints or (len(kp), lineno)
-            if len(kp) != joints[0]:
-                raise ParseError(
-                    spath, lineno, f"{len(kp)} keypoint rows, line {joints[1]} has {joints[0]}"
-                )
+            kp, joints = _keypoint_rows(rec["keypoints"], joints, spath, lineno)
         keypoints.append(kp)
     frame, oid = np.array(frames, dtype=np.int64), np.array(oids, dtype=np.int64)
     order = np.lexsort((oid, frame))
-    kp_col = None
-    if joints is not None:
-        # Each record's rows are copied straight to their sorted row and then
-        # dropped, so the load never holds a second, stacked copy of them.
-        kp_col = np.full((len(order), joints[0], 3), np.nan)
-        for row, i in enumerate(order.tolist()):
-            if keypoints[i] is not None:
-                kp_col[row] = keypoints[i]
-                keypoints[i] = None
     return TrackTable(
         frame=frame[order],
         object_id=oid[order],
         position=np.array(positions).reshape(-1, 3)[order],
         half_axes=np.array(half_axes).reshape(-1, 3)[order],
-        keypoints=kp_col,
+        keypoints=_sorted_keypoints(keypoints, order, joints),
     )
 
 
@@ -486,33 +503,23 @@ def load_scene(
 ) -> SceneBundle:
     """Load and cross-validate a full scene.
 
-    Every annotation must reference a calibrated camera; keypoint rows must
-    agree in joint count with the skeleton (when one is given) and with each
-    other.
+    Every annotation must reference a calibrated camera, and keypoint rows
+    must agree in joint count with the skeleton when one is given (with each
+    other they agree on load).
     """
     cams = load_calibration(calibration_path, units=units)
-    annotations = load_annotations(annotations_path)
+    ann = load_annotations(annotations_path)
     pose = load_skeleton(skeleton) if skeleton is not None else None
-
-    num_joints = pose.num_joints if pose is not None else None
-    for af in annotations:
-        for oid, per_cam in af.boxes.items():
-            for cid in per_cam:
-                if cid not in cams:
-                    raise ValidationError(
-                        f"frame {af.frame}, object {oid}: unknown camera {cid}"
-                    )
-        for oid, per_cam in af.keypoints.items():
-            for cid, arr in per_cam.items():
-                if cid not in cams:
-                    raise ValidationError(
-                        f"frame {af.frame}, object {oid}: unknown camera {cid}"
-                    )
-                if num_joints is None:
-                    num_joints = arr.shape[0]
-                elif arr.shape[0] != num_joints:
-                    raise ValidationError(
-                        f"frame {af.frame}, object {oid}, camera {cid}: "
-                        f"{arr.shape[0]} keypoints, expected {num_joints}"
-                    )
-    return SceneBundle(calibration=cams, annotations=annotations, skeleton=pose)
+    unknown = ~np.isin(ann.camera_id, list(cams))
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ValidationError(
+            f"frame {ann.frame[i]}, object {ann.object_id[i]}: unknown camera {ann.camera_id[i]}"
+        )
+    if pose is not None and ann.keypoints is not None and ann.keypoints.shape[1] != pose.num_joints:
+        i = int(np.argmax(ann.has_keypoints))
+        raise ValidationError(
+            f"frame {ann.frame[i]}, object {ann.object_id[i]}, camera {ann.camera_id[i]}: "
+            f"{ann.keypoints.shape[1]} keypoints, expected {pose.num_joints}"
+        )
+    return SceneBundle(calibration=cams, annotations=ann, skeleton=pose)

@@ -13,23 +13,16 @@ subject's ellipsoid, carried along with its center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
 from .errors import GeometryError, InvalidSpec
-from .geometry import (
-    BBox,
-    CameraModel,
-    in_front,
-    project_ellipsoid_to_bbox,
-    project_point,
-)
-from .io import SceneBundle, require_finite
+from .geometry import CameraModel, in_front, project_ellipsoid_to_bbox, project_point
+from .io import SceneBundle, check_fields
 from .pose import canonical_pose, scaled_offsets
-from .tracker import AnnotationFrame
-from .tracks import TrackTable
+from .tracks import AnnotationTable, TrackTable
 
 _MOTIONS = ("static", "constant-velocity", "waypoint")
 
@@ -43,6 +36,9 @@ class Occlusion:
     start: int
     stop: int
     object_id: int | None = None
+
+    def __post_init__(self):
+        check_fields(self, InvalidSpec)
 
     def covers(self, frame: int, camera_id: int, object_id: int) -> bool:
         return (
@@ -81,7 +77,7 @@ class SceneSpec:
             if not cond:
                 raise InvalidSpec(msg)
 
-        require_finite(self, InvalidSpec)
+        check_fields(self, InvalidSpec)
         need(self.num_objects >= 0, f"num_objects must be >= 0, got {self.num_objects}")
         need(self.num_cameras >= 1, f"num_cameras must be >= 1, got {self.num_cameras}")
         need(self.frames >= 1, f"frames must be >= 1, got {self.frames}")
@@ -96,8 +92,11 @@ class SceneSpec:
             f"motion must be one of {_MOTIONS}, got {self.motion!r}",
         )
         need(self.pixel_noise >= 0, "pixel_noise must be non-negative")
-        size = (int(self.image_size[0]), int(self.image_size[1]))
-        need(size[0] > 0 and size[1] > 0, "image_size must be positive")
+        size = tuple(self.image_size)
+        need(
+            len(size) == 2 and all(v > 0 for v in size),
+            f"image_size must be two positive integers, got {self.image_size}",
+        )
         for name in ("ring_radius", "cam_height", "focal"):
             v = getattr(self, name)
             need(v is None or v > 0, f"{name} must be positive when given")
@@ -127,56 +126,25 @@ class SceneSpec:
         if unknown:
             raise InvalidSpec(f"unknown scene keys: {unknown}")
         kwargs = dict(data)
-        if "occlusions" in kwargs:
-            occl = kwargs["occlusions"]
-            if not isinstance(occl, (list, tuple)):
-                raise InvalidSpec("occlusions must be a list")
+        occl = kwargs.get("occlusions")
+        if isinstance(occl, (list, tuple)):  # anything else fails the field check
             parsed = []
             for entry in occl:
                 if not isinstance(entry, Mapping):
                     raise InvalidSpec("each occlusion must be an object")
-                extra = set(entry) - {"camera_id", "start", "stop", "object_id"}
+                extra = set(entry) - {f.name for f in fields(Occlusion)}
                 if extra:
                     raise InvalidSpec(f"unknown occlusion keys: {sorted(extra)}")
-                try:
-                    parsed.append(
-                        Occlusion(
-                            camera_id=int(entry["camera_id"]),
-                            start=int(entry["start"]),
-                            stop=int(entry["stop"]),
-                            object_id=(
-                                None
-                                if entry.get("object_id") is None
-                                else int(entry["object_id"])
-                            ),
-                        )
-                    )
-                except KeyError as exc:
-                    raise InvalidSpec(f"occlusion missing key {exc}") from None
+                missing = sorted({"camera_id", "start", "stop"} - set(entry))
+                if missing:
+                    raise InvalidSpec(f"occlusion missing key {missing[0]!r}")
+                parsed.append(Occlusion(**entry))
             kwargs["occlusions"] = tuple(parsed)
-        for key in ("arena", "image_size"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "occlusions":
-                value = [
-                    {
-                        "camera_id": o.camera_id,
-                        "start": o.start,
-                        "stop": o.stop,
-                        "object_id": o.object_id,
-                    }
-                    for o in value
-                ]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        """The spec as JSON-ready data: tuples serialize as lists."""
+        return asdict(self)
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -341,12 +309,10 @@ def _joint_pixels(cam: CameraModel, joints) -> tuple[np.ndarray, np.ndarray]:
     return front, uv
 
 
-def _noisy_box(box: np.ndarray, noise: float, rng: np.random.Generator) -> BBox:
+def _noisy_box(box: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
+    """The box with noise drawn on each value, its corners put back in order."""
     vals = box + rng.normal(0.0, noise, 4) if noise else box
-    return BBox(
-        min(vals[0], vals[2]), min(vals[1], vals[3]),
-        max(vals[0], vals[2]), max(vals[1], vals[3]),
-    )
+    return np.concatenate([np.minimum(vals[:2], vals[2:]), np.maximum(vals[:2], vals[2:])])
 
 
 def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
@@ -372,11 +338,14 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
 
     gt_pos: list[np.ndarray] = []  # per frame: (num_objects, 3) centers
     gt_kp: list[np.ndarray] = []  # per frame: (num_objects, J, 3) joints
-    frames: list[AnnotationFrame] = []
+    # The annotation table's columns, one entry per (frame, object, camera) row.
+    keys: list[tuple[int, int, int]] = []
+    boxes: list[np.ndarray] = []
+    kps: list[np.ndarray] = []
+    J = skeleton.num_joints if skeleton is not None else 0
+    no_box, no_kp = np.full(4, np.nan), np.full((J, 3), np.nan)
 
     for k in range(spec.frames):
-        boxes: dict[int, dict[int, BBox]] = {}
-        kps: dict[int, dict[int, np.ndarray]] = {}
         centers = np.column_stack([ground[k], half_axes[:, 2]])
         joints = offsets + centers[:, None, :] if offsets is not None else None
         # The frame's geometry in one kernel call per camera; the sampling
@@ -395,13 +364,9 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
                 if np.isnan(outlines[cid][o, 0]):
                     continue
                 box = _noisy_box(outlines[cid][o], spec.pixel_noise, rng)
-                if (
-                    box.u_min >= 0
-                    and box.v_min >= 0
-                    and box.u_max <= width
-                    and box.v_max <= height
-                ):
-                    boxes.setdefault(o, {})[cid] = box
+                if not (box[:2] >= 0).all() or box[2] > width or box[3] > height:
+                    box = no_box
+                rows = no_kp
                 if joints is not None:
                     # A joint behind the camera stays an invisible (0, 0) row
                     # and draws no noise.
@@ -413,13 +378,20 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
                         (0 <= uv[:, 0]) & (uv[:, 0] <= width)
                         & (0 <= uv[:, 1]) & (uv[:, 1] <= height)
                     )
-                    rows = np.zeros((joints.shape[1], 3))
-                    rows[front[o]] = np.column_stack([uv, visible])
                     if visible.any():
-                        kps.setdefault(o, {})[cid] = rows
-        if boxes or kps:
-            frames.append(AnnotationFrame(frame=k, boxes=boxes, keypoints=kps))
+                        rows = np.zeros((J, 3))
+                        rows[front[o]] = np.column_stack([uv, visible])
+                if box is not no_box or rows is not no_kp:
+                    keys.append((k, o, cid))
+                    boxes.append(box)
+                    kps.append(rows)
 
+    frame, oid, cid = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    annotations = AnnotationTable(
+        frame, oid, cid,
+        bbox=np.array(boxes).reshape(-1, 4),
+        keypoints=np.array(kps).reshape(-1, J, 3) if J else None,
+    )
     n = spec.num_objects
     gt = TrackTable(
         frame=np.repeat(np.arange(spec.frames), n),
@@ -428,4 +400,4 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
         half_axes=np.tile(half_axes, (spec.frames, 1)),
         keypoints=np.concatenate(gt_kp) if gt_kp else None,
     )
-    return SceneBundle(calibration=cams, annotations=frames, skeleton=skeleton), gt
+    return SceneBundle(calibration=cams, annotations=annotations, skeleton=skeleton), gt

@@ -17,10 +17,9 @@ failure in one object never touches another.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -32,15 +31,9 @@ from .filter import (
     ukf_update,
     update_rows,
 )
-from .geometry import (
-    BBox,
-    CameraModel,
-    backproject_ground,
-    feet_point,
-    project_ellipsoid_to_bbox,
-)
+from .geometry import CameraModel, backproject_ground, project_ellipsoid_to_bbox
 from . import pose as pose_mod
-from .tracks import TrackTable
+from .tracks import AnnotationTable, TrackTable
 
 if TYPE_CHECKING:
     from .io import RunConfig
@@ -54,25 +47,6 @@ SHAPE_SLICE = slice(6, 9)
 # Log half-axes beyond +-30 (e^30 m ~ 1e13 m) are no annotated object, and
 # such a state overflows the arithmetic downstream.
 _LOG_AXIS_LIMIT = 30.0
-
-
-@dataclass(frozen=True)
-class AnnotationFrame:
-    """All annotations for one frame.
-
-    ``boxes[object_id][camera_id]`` is the 2D box of the object in that
-    camera; ``keypoints[object_id][camera_id]`` is an (N, 3) array of
-    (u, v, visibility) rows.
-    """
-
-    frame: int
-    boxes: Mapping[int, Mapping[int, BBox]] = field(default_factory=dict)
-    keypoints: Mapping[int, Mapping[int, np.ndarray]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if int(self.frame) < 0:
-            raise ValueError(f"frame must be non-negative, got {self.frame}")
-        object.__setattr__(self, "frame", int(self.frame))
 
 
 @dataclass(frozen=True)
@@ -113,26 +87,32 @@ def _box_update(h, noise, scaling, belief: GaussianBelief, z) -> GaussianBelief:
 
 
 def init_target(
-    boxes: Mapping[int, BBox],
+    camera_ids,
+    boxes,
     cams: Mapping[int, CameraModel],
     config: "RunConfig",
 ) -> GaussianBelief:
-    """Initial one-row belief from the birth-frame boxes.
+    """Initial one-row belief from the birth frame's boxes (k, 4), one per
+    camera id in ``camera_ids`` (k,).
 
     The midpoint of each box's bottom edge is back-projected through its
-    camera's ground homography; the ground hits are averaged for (x, y). The
-    height starts at the default half-height (bottom of the ellipsoid on the
-    ground), velocity at zero, log half-axes at the configured defaults.
+    camera's ground homography; the ground hits are averaged, in ascending
+    camera id, for (x, y). The height starts at the default half-height
+    (bottom of the ellipsoid on the ground), velocity at zero, log half-axes
+    at the configured defaults.
 
     Raises
     ------
     NoObservation
         If no camera contributes a usable ground point.
     """
+    camera_ids = np.asarray(camera_ids)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     hits = []
-    for cid in sorted(boxes):
+    for i in np.argsort(camera_ids, kind="stable").tolist():
+        cid, (u_min, _, u_max, v_max) = int(camera_ids[i]), boxes[i]
         try:
-            hits.append(backproject_ground(cams[cid], feet_point(boxes[cid])))
+            hits.append(backproject_ground(cams[cid], ((u_min + u_max) / 2.0, v_max)))
         except GeometryError as exc:
             logger.debug("camera %d unusable for init: %s", cid, exc)
     if not hits:
@@ -150,23 +130,8 @@ def init_target(
     return GaussianBelief(mean, cov)
 
 
-def _by_camera(per_object: Mapping, row_of: Mapping[int, int], active: np.ndarray):
-    """Regroup one frame's ``{object id: {camera id: item}}`` into
-    (camera id, rows, items) in ascending camera id, then row, keeping the
-    objects whose row is ``active``."""
-    hits = sorted(
-        (cid, row_of[oid], item)
-        for oid, per_cam in per_object.items()
-        if oid in row_of and active[row_of[oid]]
-        for cid, item in per_cam.items()
-    )
-    for cid, group in groupby(hits, key=lambda hit: hit[0]):
-        _, rows, items = zip(*group)
-        yield cid, np.array(rows), items
-
-
 def run_all(
-    annotations: Sequence[AnnotationFrame],
+    annotations: AnnotationTable,
     cams: Mapping[int, CameraModel],
     config: "RunConfig",
     skeleton: "CanonicalPose | None" = None,
@@ -177,7 +142,7 @@ def run_all(
 
     Each object is processed at every integer frame from its birth (first
     frame whose boxes give a usable ground point) through its last
-    observation; frames absent from ``annotations`` are predict-only. A
+    observation; frames without annotations are predict-only. A
     camera update that fails for an object is skipped with an
     ``update_skipped`` diagnostic and the object carries on with its
     prediction; a failed keypoint update leaves that joint at its prior.
@@ -187,42 +152,57 @@ def run_all(
     omitted. Diagnostics reach ``on_event`` ordered by object, then frame, then
     camera.
     """
-    by_frame = {af.frame: af for af in annotations}
-    ids = sorted({oid for af in annotations for oid in (*af.boxes, *af.keypoints)})
+    ann = annotations
+    J = skeleton.num_joints if skeleton is not None else 0
+    if J and ann.keypoints is not None and ann.keypoints.shape[1] != J:
+        raise ValueError(f"keypoint observations must be ({J}, 3) arrays")
+    has_box, has_kp = ann.has_bbox, ann.has_keypoints
     diags: list[Diagnostic] = []
     oids, births, lasts, with_kp, beliefs = [], [], [], [], []
-    for oid in ids:
-        box_frames = sorted(af.frame for af in annotations if af.boxes.get(oid))
-        kp_frames = [af.frame for af in annotations if af.keypoints.get(oid)]
-        for birth in box_frames:
+    # Rows by (object, frame, camera): one block per object.
+    by_object = np.argsort(ann.object_id, kind="stable")
+    ids, firsts = np.unique(ann.object_id[by_object], return_index=True)
+    for oid, rows in zip(ids.tolist(), np.split(by_object, firsts[1:])):
+        box_rows = rows[has_box[rows]]
+        box_frames = ann.frame[box_rows]
+        for birth in np.unique(box_frames).tolist():
+            at = box_rows[box_frames == birth]
             try:
-                beliefs.append(init_target(by_frame[birth].boxes[oid], cams, config))
+                beliefs.append(init_target(ann.camera_id[at], ann.bbox[at], cams, config))
                 break
             except NoObservation as exc:
                 logger.debug("object %d birth deferred past frame %d: %s", oid, birth, exc)
         else:
-            reason = "no box gave a usable ground point" if box_frames else "no boxes at all"
+            reason = "no box gave a usable ground point" if box_rows.size else "no boxes at all"
             diags.append(Diagnostic("no_observation", oid, message=reason))
             continue
         oids.append(oid)
         births.append(birth)
-        lasts.append(max(box_frames + kp_frames))  # keypoint-only frames count
-        with_kp.append(skeleton is not None and bool(kp_frames))
+        lasts.append(int(ann.frame[rows[-1]]))  # keypoint-only frames count
+        with_kp.append(bool(J) and bool(has_kp[rows].any()))
 
     n = len(oids)
-    row_of = {oid: i for i, oid in enumerate(oids)}
     birth, last = np.array(births, dtype=int), np.array(lasts, dtype=int)
     with_kp = np.array(with_kp, dtype=bool)
     mean = np.array([b.mean[0] for b in beliefs]).reshape(n, 9)
     cov = np.array([b.covariance[0] for b in beliefs]).reshape(n, 9, 9)
     # Joint j of object row i is keypoint row i * J + j.
-    J = skeleton.num_joints if skeleton is not None else 0
     kp_mean, kp_cov = np.zeros((n * J, 6)), np.zeros((n * J, 6, 6))
     kp_on = np.zeros(n, dtype=bool)
     applied = np.zeros(n, dtype=int)  # box updates that took effect, per row
 
     def joints(rows) -> np.ndarray:
         return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
+
+    # The rows of the tracked objects by (frame, camera, object): each (frame,
+    # camera) pair is one block of rows, its objects in ascending state row.
+    order = np.lexsort((ann.object_id, ann.camera_id, ann.frame))
+    order = order[np.isin(ann.object_id[order], oids)]
+    state_row = np.searchsorted(oids, ann.object_id[order])
+    box_s, has_box_s, has_kp_s = ann.bbox[order], has_box[order], has_kp[order]
+    pairs = np.column_stack([ann.frame[order], ann.camera_id[order]])
+    pairs, starts = np.unique(pairs, axis=0, return_index=True)
+    stops = np.append(starts[1:], len(order))
 
     motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
     kp_motion = pose_mod.keypoint_motion_model(config) if skeleton is not None else None
@@ -245,12 +225,17 @@ def run_all(
             )
             kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
 
-        af = by_frame.get(frame, AnnotationFrame(frame))
-        for cid, rows, boxes in _by_camera(af.boxes, row_of, live):
+        lo, hi = np.searchsorted(pairs[:, 0], (frame, frame + 1))
+        blocks = [(int(pairs[k, 1]), slice(starts[k], stops[k])) for k in range(lo, hi)]
+        for cid, s in blocks:
+            take = live[state_row[s]] & has_box_s[s]
+            if not take.any():
+                continue
+            rows = state_row[s][take]
             mean[rows], cov[rows], failed = update_rows(
                 partial(_box_update, measurements[cid], r_box, scaling),
                 GaussianBelief._trusted(mean[rows], cov[rows]),
-                [box.as_array() for box in boxes],
+                box_s[s][take],
             )
             applied[rows] += 1
             for k, exc in failed:
@@ -264,13 +249,14 @@ def run_all(
             )
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
             kp_on[born] = True
-        for cid, rows, obs in _by_camera(af.keypoints, row_of, kp_on):
-            if any(np.shape(o) != (J, 3) for o in obs):
-                raise ValueError(f"keypoint observations must be ({J}, 3) arrays")
-            kp_rows = joints(rows)
+        for cid, s in blocks:
+            take = kp_on[state_row[s]] & has_kp_s[s]
+            if not take.any():
+                continue
+            kp_rows = joints(state_row[s][take])
             b = pose_mod.update_keypoints(
                 GaussianBelief._trusted(kp_mean[kp_rows], kp_cov[kp_rows]),
-                np.concatenate(obs),
+                ann.keypoints[order[s][take]].reshape(-1, 3),
                 cams[cid],
                 config,
             )

@@ -108,6 +108,17 @@ class TestSynth:
         spec.write_text(json.dumps({"objects": 3}))
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_spec_is_exit_2(self, tmp_path, capsys, make):
+        spec = tmp_path / "spec.json"
+        make(spec)
+        assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {spec}: cannot read" in err and "Traceback" not in err
+
 
 class TestAnnotate:
     def test_tracks_cover_ground_truth(self, scene_dir, fused_tracks):
@@ -459,6 +470,63 @@ def test_nonfinite_config_and_spec_numbers_are_exit_2(scene_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"error: {name} must be finite" in err
     assert "Traceback" not in err
+
+
+_OCCLUSION = {"camera_id": 0, "start": 0, "stop": 1}
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("annotate", {"alpha": "x"}, "alpha"),
+    ("annotate", {"alpha": True}, "alpha"),
+    ("annotate", {"ospa_window": 2.5}, "ospa_window"),
+    ("annotate", {"ap_thresholds": [25.0, False]}, "ap_thresholds"),
+    ("annotate", {"plane": 1}, "plane"),
+    ("synth", {"num_objects": "3"}, "num_objects"),
+    ("synth", {"frames": 4.0}, "frames"),
+    ("synth", {"arena": 12.0}, "arena"),
+    ("synth", {"occlusions": 5}, "occlusions"),
+    ("synth", {"image_size": [1920]}, "image_size"),
+    ("synth", {"image_size": [1920, 1080, 7]}, "image_size"),
+    ("synth", {"occlusions": [{**_OCCLUSION, "camera_id": "x"}]}, "camera_id"),
+    ("synth", {"occlusions": [{**_OCCLUSION, "start": 0.7}]}, "start"),
+    ("synth", {"occlusions": [{**_OCCLUSION, "object_id": True}]}, "object_id"),
+])
+def test_mistyped_config_and_spec_fields_are_exit_2(scene_dir, tmp_path, capsys, command, doc, name):
+    # A number field takes an int or a float, an integer field an int; a
+    # string, a bool or a fraction is refused naming the field, never
+    # coerced and never a traceback.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "annotate":
+        argv = _annotate_argv(scene_dir, tmp_path, "--config", str(path))
+    else:
+        argv = ["synth", "--out", str(tmp_path / "scene"), "--spec", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name} must be " in err
+    assert "Traceback" not in err
+
+
+_HOOK_TARGETS = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import trace_child
+rec = trace_child.Recorder()
+trace_child.install(rec, "full")
+print(rec.absent)
+"""
+
+
+def test_every_benchmark_hook_target_exists():
+    # The benchmark's tracer rebinds module attributes by name; a renamed
+    # one would silently drop the per-layer metrics that need it.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOOK_TARGETS, str(root / "bench"), str(root / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParser:

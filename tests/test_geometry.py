@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse import (
-    BBox,
     CameraModel,
     DegenerateConic,
     DegenerateHomography,
@@ -12,7 +11,6 @@ from mvfuse import (
     PointAtInfinity,
     SceneSpec,
     backproject_ground,
-    feet_point,
     generate,
     ground_homography,
     in_front,
@@ -90,20 +88,6 @@ class TestCameraModel:
     def test_arrays_are_read_only(self, overhead_camera):
         with pytest.raises(ValueError):
             overhead_camera.rotation[0, 0] = 2.0
-
-
-class TestBBox:
-    def test_corner_order_enforced(self):
-        with pytest.raises(ValueError, match="out of order"):
-            BBox(10.0, 0.0, 5.0, 20.0)
-
-    def test_array_roundtrip(self):
-        box = BBox(1.0, 2.0, 3.0, 4.0)
-        assert BBox.from_array(box.as_array()) == box
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            BBox(0.0, 0.0, np.inf, 1.0)
 
 
 class TestEllipsoid:
@@ -301,11 +285,6 @@ class TestEllipsoidBBox:
         centers[1:, 2] = [5.0, 0.5]
         with pytest.raises(DegenerateConic, match="at row 2$"):
             project_ellipsoid_to_bbox(axis_camera, centers, np.ones(3))
-
-
-class TestFeetPoint:
-    def test_bottom_edge_midpoint(self):
-        assert np.allclose(feet_point(BBox(10, 20, 30, 80)), [20, 80])
 
 
 @settings(max_examples=50, deadline=None)

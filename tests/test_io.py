@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mvfuse import (
-    AnnotationFrame,
-    BBox,
+    AnnotationTable,
     ParseError,
     RunConfig,
     SceneBundle,
+    Occlusion,
     SceneSpec,
     TrackTable,
     ValidationError,
@@ -30,7 +30,7 @@ from mvfuse import (
 )
 
 from oracles import random_camera
-from test_tracker import _cam
+from test_tracker import _annotations, _cam, _rows
 
 
 @pytest.fixture
@@ -140,14 +140,14 @@ class TestCalibration:
 
 def _sample_annotations():
     kp = np.array([[100.0, 120.0, 1.0], [110.0, 140.0, 0.0]])
-    return [
-        AnnotationFrame(
-            frame=0,
-            boxes={1: {0: BBox(10, 20, 30, 40), 3: BBox(5, 5, 9, 9)}},
-            keypoints={1: {0: kp}},
-        ),
-        AnnotationFrame(frame=2, boxes={2: {3: BBox(1, 2, 3, 4)}}),
-    ]
+    return _annotations(
+        (0, 1, 0, [10, 20, 30, 40], kp), (0, 1, 3, [5, 5, 9, 9]), (2, 2, 3, [1, 2, 3, 4])
+    )
+
+
+def _assert_same_table(a, b):
+    for col in ("frame", "object_id", "camera_id", "bbox", "keypoints"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
 
 
 @pytest.mark.parametrize("loader", [load_calibration, load_annotations, load_tracks])
@@ -164,14 +164,9 @@ class TestAnnotations:
         original = _sample_annotations()
         save_annotations(original, path)
         loaded = load_annotations(path)
-        assert [af.frame for af in loaded] == [0, 2]
-        assert loaded[0].boxes[1][0] == original[0].boxes[1][0]
-        assert loaded[0].boxes[1][3] == original[0].boxes[1][3]
-        np.testing.assert_array_equal(
-            loaded[0].keypoints[1][0], original[0].keypoints[1][0]
-        )
-        assert loaded[1].boxes[2][3] == original[1].boxes[2][3]
-        assert loaded[1].keypoints == {}
+        assert loaded.frame.tolist() == [0, 0, 2]
+        assert loaded.has_keypoints.tolist() == [True, False, False]
+        _assert_same_table(loaded, original)
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -226,6 +221,71 @@ class TestAnnotations:
         with pytest.raises(ValidationError, match="duplicate"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("box", [[10, 0, 5, 20], [0, 20, 5, 10]])
+    def test_corners_out_of_order_rejected(self, tmp_path, box):
+        path = tmp_path / "annotations.jsonl"
+        good = {"frame": 0, "object_id": 1, "camera_id": 0, "bbox": [0, 0, 5, 5]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "bbox": box}) + "\n")
+        with pytest.raises(ParseError, match="out of order") as err:
+            load_annotations(path)
+        assert err.value.line == 2
+
+    def test_any_line_order_loads_the_same_table(self, tmp_path):
+        bundle, _ = generate(SceneSpec(seed=3, num_objects=3, num_cameras=3, frames=5,
+                                       skeleton="coco17", pixel_noise=1.0))
+        path, shuffled = tmp_path / "a.jsonl", tmp_path / "shuffled.jsonl"
+        save_annotations(bundle.annotations, path)
+        lines = path.read_text().splitlines()
+        np.random.default_rng(0).shuffle(lines)
+        shuffled.write_text("\n".join(lines) + "\n")
+        _assert_same_table(load_annotations(shuffled), bundle.annotations)
+
+    def test_split_records_merge_into_one_row(self, tmp_path):
+        # A triple's keypoints record before its bbox record, with another
+        # row between them: one row carries both.
+        path = tmp_path / "annotations.jsonl"
+        kp = [[1.0, 2.0, 1.0], [3.0, 4.0, 0.0]]
+        recs = [
+            {"frame": 4, "object_id": 1, "camera_id": 2, "keypoints": kp},
+            {"frame": 0, "object_id": 1, "camera_id": 2, "bbox": [0, 0, 5, 5]},
+            {"frame": 4, "object_id": 1, "camera_id": 2, "bbox": [1, 2, 3, 4]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        table = load_annotations(path)
+        assert table.frame.tolist() == [0, 4]
+        np.testing.assert_array_equal(table.bbox, [[0, 0, 5, 5], [1, 2, 3, 4]])
+        assert table.has_keypoints.tolist() == [False, True]
+        np.testing.assert_array_equal(table.keypoints[1], kp)
+        # A second bbox (or keypoints) for the merged triple is a duplicate.
+        for extra in (recs[2], recs[0]):
+            path.write_text("".join(json.dumps(r) + "\n" for r in recs + [extra]))
+            with pytest.raises(ValidationError, match="^.*:4: duplicate"):
+                load_annotations(path)
+
+    def test_mixed_joint_counts_rejected_with_line(self, tmp_path):
+        path = tmp_path / "annotations.jsonl"
+        recs = [
+            {"frame": f, "object_id": 1, "camera_id": 0, "keypoints": [[0, 0, 1]] * n}
+            for f, n in enumerate([3, 3, 2])
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ParseError, match="2 keypoint rows, line 1 has 3") as err:
+            load_annotations(path)
+        assert err.value.line == 3
+
+    def test_generate_save_load_save_is_byte_identical(self, tmp_path):
+        # Noisy boxes and keypoints, an occlusion, and a long focal length
+        # that pushes some boxes off the image: keypoint rows with and
+        # without a box.
+        spec = SceneSpec(seed=5, num_objects=3, num_cameras=4, frames=8, skeleton="panoptic15",
+                         pixel_noise=2.0, focal=5000.0, occlusions=[Occlusion(1, 2, 5)])
+        bundle, _ = generate(spec)
+        assert 0 < bundle.annotations.has_bbox.sum() < len(bundle.annotations)
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        save_annotations(bundle.annotations, first)
+        save_annotations(load_annotations(first), again)
+        assert again.read_bytes() == first.read_bytes()
+
 
 def _big_table():
     rng = np.random.default_rng(23)
@@ -272,10 +332,12 @@ class TestTracks:
         # fused table mixes rows with and without keypoints.
         spec = SceneSpec(seed=3, num_objects=2, num_cameras=3, frames=6, skeleton="coco17")
         bundle, _ = generate(spec)
-        annotations = [
-            AnnotationFrame(af.frame, af.boxes, {0: af.keypoints[0]} if 0 in af.keypoints else {})
-            for af in bundle.annotations
-        ]
+        ann = bundle.annotations
+        keypoints = np.where((ann.object_id == 0)[:, None, None], ann.keypoints, np.nan)
+        annotations = _rows(
+            AnnotationTable(ann.frame, ann.object_id, ann.camera_id, ann.bbox, keypoints),
+            ann.has_bbox | (ann.object_id == 0),
+        )
         tracks = run_all(annotations, bundle.calibration, RunConfig(dt=0.1), bundle.skeleton)
         assert sorted(set(tracks.object_id[tracks.has_keypoints].tolist())) == [0]
         assert tracks.has_half_axes.all() and (~tracks.has_keypoints).sum() == 6
@@ -436,7 +498,7 @@ class TestLoadScene:
         cal, ann = self._write_scene(tmp_path, rig, _sample_annotations())
         bundle = load_scene(cal, ann, skeleton=None)
         assert sorted(bundle.calibration) == [0, 3]
-        assert [af.frame for af in bundle.annotations] == [0, 2]
+        assert bundle.annotations.frame.tolist() == [0, 0, 2]
         assert bundle.skeleton is None
 
     def test_unknown_camera_rejected(self, overhead_camera, tmp_path):
@@ -453,29 +515,21 @@ class TestLoadScene:
             load_scene(cal, ann, skeleton="coco17")
 
     def test_inconsistent_joint_counts_rejected(self, rig, tmp_path):
-        frames = [
-            AnnotationFrame(
-                frame=0,
-                boxes={1: {0: BBox(0, 0, 5, 5)}},
-                keypoints={1: {0: np.zeros((4, 3))}},
-            ),
-            AnnotationFrame(
-                frame=1,
-                boxes={1: {0: BBox(0, 0, 5, 5)}},
-                keypoints={1: {0: np.zeros((5, 3))}},
-            ),
-        ]
-        cal, ann = self._write_scene(tmp_path, rig, frames)
-        with pytest.raises(ValidationError, match="expected 4"):
+        # The table holds one joint count, so the file is refused on load,
+        # at the first record that differs.
+        cal, ann = self._write_scene(tmp_path, rig, _sample_annotations())
+        rec = {"frame": 1, "object_id": 1, "camera_id": 0, "keypoints": [[0.0, 0.0, 1.0]] * 5}
+        ann.write_text(ann.read_text() + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match="5 keypoint rows, line 1 has 2") as err:
             load_scene(cal, ann)
+        assert err.value.line == 4
 
     def test_bundle_frames_must_increase(self, rig):
-        frames = [
-            AnnotationFrame(frame=1, boxes={1: {0: BBox(0, 0, 5, 5)}}),
-            AnnotationFrame(frame=1, boxes={2: {0: BBox(0, 0, 5, 5)}}),
-        ]
-        with pytest.raises(ValidationError, match="increasing"):
-            SceneBundle(calibration=rig, annotations=frames)
+        # The bundle holds a table, whose rows are sorted by frame.
+        with pytest.raises(ValueError, match="sorted"):
+            SceneBundle(calibration=rig, annotations=AnnotationTable(
+                [1, 0], [1, 1], [0, 0], bbox=[[0, 0, 5, 5]] * 2
+            ))
 
 
 # Each malformed row, as raw JSON text, and the reason the file is refused.

@@ -120,48 +120,42 @@ class TestAnnotationsMatchGroundTruth:
     def test_boxes_are_exact_outlines(self):
         bundle, table = generate(_spec())
         gt = track_dicts(table)
-        for af in bundle.annotations:
-            for oid, per_cam in af.boxes.items():
-                center = gt.positions[oid][af.frame]
-                half = gt.half_axes[oid][af.frame]
-                for cid, box in per_cam.items():
-                    want = project_ellipsoid_to_bbox(
-                        bundle.calibration[cid], center, half
-                    )
-                    np.testing.assert_array_equal(box.as_array(), want)
+        ann = bundle.annotations
+        assert ann.has_bbox.all()
+        for frame, oid, cid, box in zip(ann.frame, ann.object_id, ann.camera_id, ann.bbox):
+            want = project_ellipsoid_to_bbox(
+                bundle.calibration[cid], gt.positions[oid][frame], gt.half_axes[oid][frame]
+            )
+            np.testing.assert_array_equal(box, want)
 
     def test_boxes_inside_image(self):
         bundle, _ = generate(_spec(num_objects=4, frames=10))
         w, h = 1920, 1080
-        for af in bundle.annotations:
-            for per_cam in af.boxes.values():
-                for box in per_cam.values():
-                    assert 0 <= box.u_min <= box.u_max <= w
-                    assert 0 <= box.v_min <= box.v_max <= h
+        u_min, v_min, u_max, v_max = bundle.annotations.bbox.T
+        assert ((0 <= u_min) & (u_min <= u_max) & (u_max <= w)).all()
+        assert ((0 <= v_min) & (v_min <= v_max) & (v_max <= h)).all()
 
     def test_keypoints_match_oracle_projection(self):
         bundle, table = generate(_spec(skeleton="panoptic15"))
         gt = track_dicts(table)
         w, h = 1920, 1080
         checked = 0
-        for af in bundle.annotations:
-            for oid, per_cam in af.keypoints.items():
-                joints = gt.keypoints[oid][af.frame]
-                for cid, rows in per_cam.items():
-                    cam = bundle.calibration[cid]
-                    uv, depth = pinhole_project(
-                        cam.intrinsics, cam.rotation, cam.translation, joints
-                    )
-                    assert np.all(depth > 0)
-                    np.testing.assert_allclose(rows[:, :2], uv, atol=1e-6)
-                    inside = (
-                        (uv[:, 0] >= 0)
-                        & (uv[:, 0] <= w)
-                        & (uv[:, 1] >= 0)
-                        & (uv[:, 1] <= h)
-                    )
-                    np.testing.assert_array_equal(rows[:, 2], inside.astype(float))
-                    checked += rows.shape[0]
+        ann = bundle.annotations
+        for frame, oid, cid, rows in zip(ann.frame, ann.object_id, ann.camera_id, ann.keypoints):
+            cam = bundle.calibration[cid]
+            uv, depth = pinhole_project(
+                cam.intrinsics, cam.rotation, cam.translation, gt.keypoints[oid][frame]
+            )
+            assert np.all(depth > 0)
+            np.testing.assert_allclose(rows[:, :2], uv, atol=1e-6)
+            inside = (
+                (uv[:, 0] >= 0)
+                & (uv[:, 0] <= w)
+                & (uv[:, 1] >= 0)
+                & (uv[:, 1] <= h)
+            )
+            np.testing.assert_array_equal(rows[:, 2], inside.astype(float))
+            checked += rows.shape[0]
         assert checked > 0
 
     def test_ground_truth_is_complete(self):
@@ -177,9 +171,10 @@ class TestAnnotationsMatchGroundTruth:
         assert bundle.skeleton is not None
 
     def test_annotation_frames_strictly_increasing(self):
-        bundle, _ = generate(_spec(frames=12))
-        frames = [af.frame for af in bundle.annotations]
-        assert frames == sorted(set(frames))
+        # One row per (frame, object, camera), sorted.
+        ann = generate(_spec(frames=12))[0].annotations
+        keys = list(zip(ann.frame.tolist(), ann.object_id.tolist(), ann.camera_id.tolist()))
+        assert keys == sorted(set(keys)) and len(keys) == 12 * 2 * 3
 
 
 class TestFrameGeometry:
@@ -244,36 +239,29 @@ class TestOcclusions:
     def test_camera_window_dropped(self):
         occ = Occlusion(camera_id=1, start=2, stop=4)
         bundle, _ = generate(_spec(frames=6, occlusions=(occ,), skeleton="coco17"))
-        seen = {(af.frame, cid)
-                for af in bundle.annotations
-                for per_cam in list(af.boxes.values()) + list(af.keypoints.values())
-                for cid in per_cam}
+        ann = bundle.annotations
+        seen = set(zip(ann.frame.tolist(), ann.camera_id.tolist()))
         assert (2, 1) not in seen and (3, 1) not in seen
         assert (1, 1) in seen and (4, 1) in seen
 
     def test_object_specific_window(self):
         occ = Occlusion(camera_id=0, start=0, stop=6, object_id=0)
-        bundle, _ = generate(_spec(frames=6, occlusions=(occ,)))
-        for af in bundle.annotations:
-            assert 0 not in af.boxes.get(0, {})
+        ann = generate(_spec(frames=6, occlusions=(occ,)))[0].annotations
+        assert not ((ann.object_id == 0) & (ann.camera_id == 0)).any()
         # object 1 is still observed by camera 0 somewhere
-        assert any(0 in af.boxes.get(1, {}) for af in bundle.annotations)
+        assert ((ann.object_id == 1) & (ann.camera_id == 0)).any()
 
 
 class TestPixelNoise:
     def test_noise_perturbs_but_stays_ordered(self):
         clean, _ = generate(_spec())
         noisy, gt = generate(_spec(pixel_noise=2.0))
-        diffs = []
-        for af_c, af_n in zip(clean.annotations, noisy.annotations):
-            for oid, per_cam in af_n.boxes.items():
-                for cid, box in per_cam.items():
-                    assert box.u_min <= box.u_max and box.v_min <= box.v_max
-                    ref = af_c.boxes.get(oid, {}).get(cid)
-                    if ref is not None:
-                        diffs.append(
-                            np.abs(box.as_array() - ref.as_array()).max()
-                        )
-        diffs = np.array(diffs)
+        # Every box of this scene is inside the image, noisy or not.
+        c, n = clean.annotations, noisy.annotations
+        for col in ("frame", "object_id", "camera_id"):
+            np.testing.assert_array_equal(getattr(c, col), getattr(n, col))
+        box = n.bbox
+        assert (box[:, :2] <= box[:, 2:]).all()
+        diffs = np.abs(box - c.bbox).max(axis=1)
         assert diffs.max() > 0.1  # noise actually applied
         assert diffs.max() < 16.0  # ~8 sigma

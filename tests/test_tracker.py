@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mvfuse import (
-    AnnotationFrame,
-    BBox,
+    AnnotationTable,
     CameraModel,
     CholeskyFailure,
     GaussianBelief,
@@ -51,7 +50,30 @@ def _state(position, half_axes, velocity=(0.0, 0.0, 0.0)):
 
 
 def _box_for(cam, position, half_axes):
-    return BBox.from_array(project_ellipsoid_to_bbox(cam, position, half_axes))
+    return project_ellipsoid_to_bbox(cam, position, half_axes)
+
+
+def _annotations(*records):
+    """An annotation table from (frame, object id, camera id, bbox[,
+    keypoints]) records in any order; None marks a missing bbox or
+    keypoints."""
+    records = sorted(((*r, None)[:5] for r in records), key=lambda r: r[:3])
+    J = next((len(r[4]) for r in records if r[4] is not None), 0)
+    boxes = [np.full(4, np.nan) if r[3] is None else r[3] for r in records]
+    kps = [np.full((J, 3), np.nan) if r[4] is None else r[4] for r in records]
+    return AnnotationTable(
+        [r[0] for r in records], [r[1] for r in records], [r[2] for r in records],
+        bbox=np.array(boxes, dtype=float).reshape(-1, 4),
+        keypoints=np.array(kps, dtype=float).reshape(-1, J, 3) if J else None,
+    )
+
+
+def _rows(table, keep):
+    """The annotation table of the rows ``keep`` of ``table``."""
+    kp = None if table.keypoints is None else table.keypoints[keep]
+    return AnnotationTable(
+        table.frame[keep], table.object_id[keep], table.camera_id[keep], table.bbox[keep], kp
+    )
 
 
 def _ids(table):
@@ -124,8 +146,8 @@ class TestInitTarget:
     def test_single_camera_hand_case(self, overhead_camera, config):
         # Bottom-edge midpoint (600, 300) backprojects to ground (1, 2);
         # z starts at the default half-height.
-        box = BBox(580.0, 240.0, 620.0, 300.0)
-        belief = init_target({0: box}, {0: overhead_camera}, config)
+        box = [580.0, 240.0, 620.0, 300.0]
+        belief = init_target([0], [box], {0: overhead_camera}, config)
         mean, cov = belief.mean[0], belief.covariance[0]
         np.testing.assert_allclose(mean[POS_IDX], [1.0, 2.0, 0.9], atol=1e-9)
         np.testing.assert_array_equal(mean[[1, 3, 5]], 0.0)
@@ -138,12 +160,12 @@ class TestInitTarget:
         )
 
     def test_two_cameras_average(self, overhead_camera, config):
-        boxes = {
-            0: BBox(580.0, 240.0, 620.0, 300.0),  # feet -> (1, 2)
-            1: BBox(780.0, 40.0, 820.0, 100.0),  # feet -> (3, 4)
-        }
+        boxes = [
+            [780.0, 40.0, 820.0, 100.0],  # camera 1: feet -> (3, 4)
+            [580.0, 240.0, 620.0, 300.0],  # camera 0: feet -> (1, 2)
+        ]
         cams = {0: overhead_camera, 1: overhead_camera}
-        belief = init_target(boxes, cams, config)
+        belief = init_target([1, 0], boxes, cams, config)
         np.testing.assert_allclose(
             belief.mean[0, POS_IDX], [2.0, 3.0, 0.9], atol=1e-9
         )
@@ -158,10 +180,11 @@ class TestInitTarget:
             1000,
             1000,
         )
-        box = BBox(580.0, 240.0, 620.0, 300.0)
-        good = init_target({0: box}, {0: overhead_camera}, config)
+        box = [580.0, 240.0, 620.0, 300.0]
+        good = init_target([0], [box], {0: overhead_camera}, config)
         mixed = init_target(
-            {0: box, 1: BBox(0.0, 0.0, 50.0, 50.0)},
+            [0, 1],
+            [box, [0.0, 0.0, 50.0, 50.0]],
             {0: overhead_camera, 1: ground_cam},
             config,
         )
@@ -176,7 +199,7 @@ class TestInitTarget:
             1000,
         )
         with pytest.raises(NoObservation):
-            init_target({0: BBox(0, 0, 10, 10)}, {0: ground_cam}, config)
+            init_target([0], [[0, 0, 10, 10]], {0: ground_cam}, config)
 
 
 def _two_camera_rig():
@@ -193,17 +216,11 @@ def _two_camera_rig():
     return {0: overhead, 1: _cam(K, R, t, w, h)}
 
 
-def _annotations_for(cams, path, half=(0.3, 0.3, 0.9), frames=None, oid=1):
+def _annotations_for(cams, path, half=(0.3, 0.3, 0.9), oid=1):
     """Boxes for an object moving along ``path`` (frame -> position)."""
-    out = []
-    for k in frames if frames is not None else sorted(path):
-        boxes = {}
-        if k in path:
-            boxes = {
-                oid: {cid: _box_for(cam, path[k], half) for cid, cam in cams.items()}
-            }
-        out.append(AnnotationFrame(frame=k, boxes=boxes))
-    return out
+    return _annotations(
+        *((k, oid, cid, _box_for(cam, pos, half)) for k, pos in path.items() for cid, cam in cams.items())
+    )
 
 
 class TestTrackObject:
@@ -218,9 +235,7 @@ class TestTrackObject:
         track = run_all(annotations, cams, config)
 
         belief = init_target(
-            {cid: _box_for(cam, path[0], half) for cid, cam in cams.items()},
-            cams,
-            config,
+            list(cams), [_box_for(cam, path[0], half) for cam in cams.values()], cams, config
         )
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
         r_box = config.r_bbox * np.eye(4)
@@ -230,7 +245,7 @@ class TestTrackObject:
             for cid in sorted(cams):
                 belief = ukf_update(
                     belief,
-                    _box_for(cams[cid], path[k], half).as_array(),
+                    _box_for(cams[cid], path[k], half),
                     bbox_measurement(cams[cid]),
                     r_box,
                     alpha=config.alpha,
@@ -247,24 +262,23 @@ class TestTrackObject:
     def test_gap_frames_are_predict_only(self, config):
         cams = _two_camera_rig()
         path = {0: np.array([0.5, -0.4, 0.9]), 3: np.array([0.8, -0.25, 0.9])}
-        annotations = _annotations_for(cams, path, frames=[0, 3])
+        annotations = _annotations_for(cams, path)
 
         track = run_all(annotations, cams, config)
         assert track.frame.tolist() == [0, 1, 2, 3]
 
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
-        first = run_all(annotations[:1], cams, config).position[-1]
+        first = run_all(_annotations_for(cams, {0: path[0]}), cams, config).position[-1]
         # Re-derive frames 1 and 2 by pure prediction from the frame-0 output.
         b = init_target(
-            {cid: _box_for(cam, path[0], (0.3, 0.3, 0.9)) for cid, cam in cams.items()},
-            cams,
-            config,
+            list(cams), [_box_for(cam, path[0], (0.3, 0.3, 0.9)) for cam in cams.values()],
+            cams, config,
         )
         r_box = config.r_bbox * np.eye(4)
         for cid in sorted(cams):
             b = ukf_update(
                 b,
-                _box_for(cams[cid], path[0], (0.3, 0.3, 0.9)).as_array(),
+                _box_for(cams[cid], path[0], (0.3, 0.3, 0.9)),
                 bbox_measurement(cams[cid]),
                 r_box,
                 alpha=config.alpha,
@@ -279,7 +293,7 @@ class TestTrackObject:
     def test_track_spans_birth_to_last_observation(self, config):
         cams = _two_camera_rig()
         path = {3: np.array([0.5, -0.4, 0.9]), 5: np.array([0.6, -0.3, 0.9])}
-        annotations = _annotations_for(cams, path, frames=[1, 3, 5, 7])
+        annotations = _annotations_for(cams, path)
         track = run_all(annotations, cams, config)
         assert track.frame.tolist() == [3, 4, 5]
 
@@ -298,12 +312,9 @@ class TestTrackObject:
         half = (0.3, 0.3, 0.9)
         pos = np.array([1.0, 2.0, 0.9])
         good_box = _box_for(overhead_camera, pos, half)
-        annotations = [
-            AnnotationFrame(frame=0, boxes={1: {0: good_box}}),
-            AnnotationFrame(
-                frame=1, boxes={1: {0: good_box, 1: BBox(100, 100, 200, 200)}}
-            ),
-        ]
+        annotations = _annotations(
+            (0, 1, 0, good_box), (1, 1, 0, good_box), (1, 1, 1, [100, 100, 200, 200])
+        )
         events = []
         track = run_all(annotations, cams, config, on_event=events.append)
         assert len(track) == 2
@@ -327,18 +338,19 @@ class TestTrackObject:
         boxes = {cid: _box_for(cam, pos, half) for cid, cam in cams.items()}
         config = RunConfig(dt=0.1, init_pos_var=100.0)
 
-        belief = init_target(boxes, cams, config)
+        belief = init_target(list(boxes), list(boxes.values()), cams, config)
         X, _, _ = sigma_points(belief)
         front = in_front(near, X[..., POS_IDX])
         assert front.any() and not front.all()
         with pytest.raises(SigmaPointProjectionFailure) as info:
-            ukf_update(belief, boxes[0].as_array(), bbox_measurement(near),
+            ukf_update(belief, boxes[0], bbox_measurement(near),
                        config.r_bbox * np.eye(4))
         assert isinstance(info.value.__cause__, NonPositiveDepth)
 
         events = []
         track = run_all(
-            [AnnotationFrame(frame=0, boxes={1: boxes})], cams, config, on_event=events.append
+            _annotations(*((0, 1, cid, box) for cid, box in boxes.items())),
+            cams, config, on_event=events.append,
         )
         assert len(track) == 1
         assert [
@@ -350,14 +362,13 @@ class TestTrackObject:
         skeleton = canonical_pose("panoptic15")
         pos = np.array([0.5, -0.4, 0.9])
         half = (0.3, 0.3, 0.9)
-        boxes = {1: {cid: _box_for(cam, pos, half) for cid, cam in cams.items()}}
         kp_rows = np.hstack(
             [np.full((15, 2), 500.0), np.ones((15, 1))]
         )
-        annotations = [
-            AnnotationFrame(frame=0, boxes=boxes),
-            AnnotationFrame(frame=1, boxes=boxes, keypoints={1: {0: kp_rows}}),
-        ]
+        annotations = _annotations(
+            *((f, 1, cid, _box_for(cam, pos, half), kp_rows if (f, cid) == (1, 0) else None)
+              for f in (0, 1) for cid, cam in cams.items())
+        )
         track = run_all(annotations, cams, config, skeleton=skeleton)
         assert track.keypoints.shape == (2, 15, 3)
         assert track.has_keypoints.all()
@@ -424,13 +435,10 @@ class TestRunAll:
             bundle.annotations, bundle.calibration, config, skeleton=bundle.skeleton
         )
         assert [_track(tracks, oid).frame[0] for oid in _ids(tracks)] == [0, 0, 4]
+        ann = bundle.annotations
         for oid in _ids(tracks):
-            def own(per_object):
-                return {oid: per_object[oid]} if oid in per_object else {}
-
             alone = run_all(
-                [AnnotationFrame(af.frame, own(af.boxes), own(af.keypoints))
-                 for af in bundle.annotations],
+                _rows(ann, ann.object_id == oid),
                 bundle.calibration, config, skeleton=bundle.skeleton,
             )
             t = _track(tracks, oid)
@@ -448,11 +456,9 @@ class TestRunAll:
         # last frame's updates apply, so it still has a track.
         bundle, _ = small_scene
         clean = run_all(bundle.annotations, bundle.calibration, config)
-        failing = bundle.annotations[:-1]
-        bad_boxes = {
-            tuple(box.as_array())
-            for af in failing for box in af.boxes.get(0, {}).values()
-        }
+        ann = bundle.annotations
+        failing = (ann.object_id == 0) & ann.has_bbox & (ann.frame < ann.frame.max())
+        bad_boxes = {tuple(box) for box in ann.bbox[failing].tolist()}
         real = tracker_mod.ukf_update
 
         def flaky(belief, z, *args, **kwargs):
@@ -469,8 +475,8 @@ class TestRunAll:
         np.testing.assert_array_equal(_track(tracks, 1).position, _track(clean, 1).position)
         np.testing.assert_array_equal(_track(tracks, 1).half_axes, _track(clean, 1).half_axes)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
-            ("update_skipped", 0, af.frame, cid)
-            for af in failing for cid in sorted(af.boxes[0])
+            ("update_skipped", 0, frame, cid)
+            for frame, cid in zip(ann.frame[failing].tolist(), ann.camera_id[failing].tolist())
         ]
         birth = _track(tracks, 0).position[0]
         assert birth[2] == pytest.approx(0.9)  # default half-height, never updated
@@ -482,10 +488,9 @@ class TestRunAll:
         # update_skipped ones, and object 1 is untouched.
         bundle, _ = small_scene
         clean = run_all(bundle.annotations, bundle.calibration, config)
-        bad_boxes = {
-            tuple(box.as_array())
-            for af in bundle.annotations for box in af.boxes.get(0, {}).values()
-        }
+        ann = bundle.annotations
+        failing = (ann.object_id == 0) & ann.has_bbox
+        bad_boxes = {tuple(box) for box in ann.bbox[failing].tolist()}
         real = tracker_mod.ukf_update
 
         def flaky(belief, z, *args, **kwargs):
@@ -501,8 +506,8 @@ class TestRunAll:
         assert _ids(tracks) == [1]
         np.testing.assert_array_equal(tracks.position, _track(clean, 1).position)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
-            ("update_skipped", 0, af.frame, cid)
-            for af in bundle.annotations for cid in sorted(af.boxes[0])
+            ("update_skipped", 0, frame, cid)
+            for frame, cid in zip(ann.frame[failing].tolist(), ann.camera_id[failing].tolist())
         ] + [("no_observation", 0, None, None)]
         assert events[-1].message == "every box update was skipped"
 
@@ -534,15 +539,17 @@ class TestRunAll:
         # object carries on, and the other object is untouched.
         bundle, _ = small_scene
         clean = run_all(bundle.annotations, bundle.calibration, config)
-        annotations = list(bundle.annotations)
-        af = annotations[2]
-        boxes = {oid: dict(per_cam) for oid, per_cam in af.boxes.items()}
-        boxes[0][1] = BBox(0.0, -475076.0, 0.0, 0.0)
-        annotations[2] = AnnotationFrame(af.frame, boxes, af.keypoints)
+        ann = bundle.annotations
+        frame = int(np.unique(ann.frame)[2])
+        boxes = ann.bbox.copy()
+        boxes[(ann.frame == frame) & (ann.object_id == 0) & (ann.camera_id == 1)] = [
+            0.0, -475076.0, 0.0, 0.0
+        ]
+        annotations = AnnotationTable(ann.frame, ann.object_id, ann.camera_id, boxes)
         events = []
         tracks = run_all(annotations, bundle.calibration, config, on_event=events.append)
         assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
-            ("update_skipped", 0, af.frame, 1)
+            ("update_skipped", 0, frame, 1)
         ]
         np.testing.assert_array_equal(tracks.object_id, clean.object_id)
         np.testing.assert_array_equal(tracks.frame, clean.frame)
@@ -555,13 +562,8 @@ class TestRunAll:
         pos = np.array([1.0, 2.0, 0.9])
         box = _box_for(overhead_camera, pos, (0.3, 0.3, 0.9))
         kp_rows = np.hstack([np.full((15, 2), 500.0), np.ones((15, 1))])
-        annotations = [
-            AnnotationFrame(
-                frame=0,
-                boxes={1: {0: box}},
-                keypoints={7: {0: kp_rows}},  # object 7 never gets a box
-            )
-        ]
+        # object 7 never gets a box
+        annotations = _annotations((0, 1, 0, box), (0, 7, 0, None, kp_rows))
         events = []
         tracks = run_all(
             annotations, {0: overhead_camera}, config, on_event=events.append
@@ -573,20 +575,19 @@ class TestRunAll:
 class TestBirth:
     # Side camera 1 m above ground looking horizontally: image row 360 is the
     # horizon, so a box with its feet there has no ground hit.
-    HORIZON_BOX = BBox(600.0, 300.0, 680.0, 360.0)
+    HORIZON_BOX = [600.0, 300.0, 680.0, 360.0]
 
     def _frames(self, cam, second):
         box = _box_for(cam, [0.0, 0.0, 0.9], (0.3, 0.3, 0.9))
-        return [
-            AnnotationFrame(frame=0, boxes={1: {0: box}, 2: {0: self.HORIZON_BOX}}),
-            AnnotationFrame(frame=1, boxes={1: {0: box}, 2: {0: second}}),
-        ]
+        return _annotations(
+            (0, 1, 0, box), (0, 2, 0, self.HORIZON_BOX), (1, 1, 0, box), (1, 2, 0, second)
+        )
 
     def test_failed_birth_omits_only_that_object(self, config):
         cam = _side_camera()
         annotations = self._frames(cam, self.HORIZON_BOX)
         with pytest.raises(NoObservation):
-            init_target({0: self.HORIZON_BOX}, {0: cam}, config)
+            init_target([0], [self.HORIZON_BOX], {0: cam}, config)
         events = []
         tracks = run_all(annotations, {0: cam}, config, on_event=events.append)
         assert tracks.object_id.tolist() == [1, 1]
@@ -601,7 +602,7 @@ class TestBirth:
         )
         assert _ids(tracks) == [1, 2]
         assert _track(tracks, 2).frame.tolist() == [1]
-        alone = run_all([AnnotationFrame(frame=1, boxes={2: {0: box}})], {0: cam}, config)
+        alone = run_all(_annotations((1, 2, 0, box)), {0: cam}, config)
         np.testing.assert_array_equal(_track(tracks, 2).position, alone.position)
         assert events == []
 
@@ -638,5 +639,55 @@ class TestContainers:
             TrackTable([0.5], [0], [[0, 0, 1]])
 
     def test_annotation_frame_rejects_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _annotations((-1, 0, 0, [0, 0, 5, 5]))
+
+    # An annotation table row is one (frame, object, camera) record.
+    def test_annotation_corner_order_enforced(self):
+        with pytest.raises(ValueError, match="out of order"):
+            _annotations((0, 0, 0, [10.0, 0.0, 5.0, 20.0]))
+        with pytest.raises(ValueError, match="out of order"):
+            _annotations((0, 0, 0, [0.0, 20.0, 5.0, 10.0]))
+        _annotations((0, 0, 0, [5.0, 5.0, 5.0, 5.0]))  # a point is in order
+
+    def test_annotation_rejects_nonfinite_box(self):
+        for box in ([0.0, 0.0, np.inf, 1.0], [0.0, np.nan, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="all finite or all NaN"):
+                _annotations((0, 0, 0, box))
+
+    def test_annotation_presence_rule(self):
+        kp = np.ones((2, 3))
+        t = _annotations((0, 1, 0, [0, 0, 5, 5]), (0, 1, 1, None, kp), (1, 1, 0, [0, 0, 5, 5], kp))
+        assert t.has_bbox.tolist() == [True, False, True]
+        assert t.has_keypoints.tolist() == [False, True, True]
+        assert np.isnan(t.bbox[1]).all() and np.isnan(t.keypoints[0]).all()
+        with pytest.raises(ValueError, match="bbox or keypoints"):
+            AnnotationTable([0], [0], [0], bbox=np.full((1, 4), np.nan))
+        with pytest.raises(ValueError, match="bbox or keypoints"):
+            AnnotationTable([0, 0], [0, 0], [0, 1], [[0, 0, 5, 5], [np.nan] * 4],
+                            keypoints=[kp, np.full((2, 3), np.nan)])
+        with pytest.raises(ValueError, match="keypoints row"):
+            AnnotationTable([0], [0], [0], keypoints=[[[0, 0, 1], [np.nan, 0, 1]]])
+        # A keypoints column of NaN rows is no column.
+        t = AnnotationTable([0], [0], [0], [[0, 0, 5, 5]], keypoints=np.full((1, 2, 3), np.nan))
+        assert t.keypoints is None and not t.has_keypoints.any()
+
+    def test_annotation_rows_sorted_each_triple_once(self):
+        box = np.zeros((2, 4))
+        for frames, objects, cameras in (
+            ([0, 0], [1, 1], [2, 2]),  # duplicate triple
+            ([1, 0], [0, 0], [0, 0]),
+            ([0, 0], [1, 0], [0, 0]),
+            ([0, 0], [0, 0], [1, 0]),
+        ):
+            with pytest.raises(ValueError, match="sorted"):
+                AnnotationTable(frames, objects, cameras, box)
+        AnnotationTable([0, 1], [1, 0], [1, 0], box)
+        AnnotationTable([0, 0], [0, 1], [1, 0], box)
+
+    def test_annotation_arrays_read_only_and_ids_integers(self):
+        t = _annotations((0, 0, 0, [0, 0, 5, 5]))
         with pytest.raises(ValueError):
-            AnnotationFrame(frame=-1)
+            t.bbox[0, 0] = 1.0
+        with pytest.raises(ValueError, match="integer"):
+            AnnotationTable([0], [0], [0.5], [[0, 0, 5, 5]])
