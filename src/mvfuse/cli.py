@@ -5,8 +5,8 @@ fuses 2D annotations into 3D tracks, ``evaluate`` scores predicted tracks
 against ground truth. Machine-readable output (the evaluation report JSON)
 goes to stdout; progress and human-readable summaries go to stderr.
 
-Exit codes: 0 success, 2 bad input (parse/validation/spec errors), 1 runtime
-failure.
+Exit codes: 0 success, 2 bad input (parse/validation/spec errors, or a path
+that cannot be read or written), 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -266,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidSpec, EmptyGroundTruth) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, ValidationError, InvalidSpec, EmptyGroundTruth, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MvfuseError as exc:

@@ -1,10 +1,19 @@
 """File formats and run configuration.
 
 Calibration is a JSON document; annotations and tracks are JSONL, one record
-per line. All world units are meters (``units="mm"`` on the calibration
-loader rescales millimeter extrinsics); pixels for image-plane quantities.
-Writers emit keys in a fixed order so identical inputs produce identical
-bytes.
+per line, where only a newline ends a line. All world units are meters
+(``units="mm"`` on the calibration loader rescales millimeter extrinsics);
+pixels for image-plane quantities. Writers emit keys in a fixed order so
+identical inputs produce identical bytes.
+
+One reader and one writer serve both JSONL tables. The reader checks each
+record as it reads it (JSON syntax, integer keys, a payload, no field given
+twice for one key, keypoint rows), then each fixed-width column in one pass.
+The row rules (non-negative frames, box corners in order, positive
+half-axes) are the tables': the first row a table refuses is reported at the
+line of the record that gave the bad value. So of several faults in a file,
+record and ``duplicate`` faults come first, then malformed fixed-width
+values, then row-rule faults.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .geometry import CameraModel
 from .pose import CanonicalPose, canonical_pose
-from .tracks import AnnotationTable, TrackTable
+from .tracks import AnnotationTable, RowError, TrackTable
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
 # The field types checked, and what a value of each must be.
@@ -32,7 +41,6 @@ _KINDS = {
     bool: ("true or false", bool),
     str: ("a string", str),
 }
-_DUPLICATE = "{}:{}: duplicate {} for frame {}, object {}, camera {}"
 
 
 def check_fields(obj, error: type[Exception]) -> None:
@@ -194,10 +202,10 @@ def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[f
     return out
 
 
-def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndarray:
+def _float_rows(rows, n: int, path: str, lines: list, what: str) -> np.ndarray:
     """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
     one pass; a list that fails is read row by row by :func:`_float_list`,
-    which names the first bad row."""
+    which names the first bad row and its entry of ``lines``."""
     if (
         set(map(type, rows)) <= {list}
         and set(map(len, rows)) <= {n}
@@ -209,7 +217,7 @@ def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndar
             arr = None
         if arr is not None and np.isfinite(arr).all():
             return arr
-    return np.array([_float_list(r, n, path, line, what) for r in rows])
+    return np.array([_float_list(r, n, path, at, what) for r, at in zip(rows, lines)])
 
 
 def _integer(value, path: str, line: int | None, what: str) -> int:
@@ -286,47 +294,106 @@ def save_calibration(cams: Mapping[int, CameraModel], path) -> None:
 
 def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
     spath = str(path)
+    # Lines are read as they come, so the file is never held whole. A line
+    # ends at "\n", "\r\n" or "\r"; str.splitlines() would also end one at a
+    # U+2028 inside a string.
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(spath, lineno, exc.msg) from exc
+                if not isinstance(record, dict):
+                    raise ParseError(spath, lineno, "record must be a JSON object")
+                yield lineno, record
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(spath, None, f"cannot read: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(spath, lineno, exc.msg) from exc
-        if not isinstance(record, dict):
-            raise ParseError(spath, lineno, "record must be a JSON object")
-        yield lineno, record
 
 
-def _keypoint_rows(rows, joints, path: str, line: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """A record's keypoint rows (J, 3), and the file's (J, first line), which
-    every keypoint record of one file must match."""
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(path, line, "keypoints must be a non-empty list")
-    kp = _float_rows(rows, 3, path, line, "keypoint row")
-    joints = joints or (len(kp), line)
-    if len(kp) != joints[0]:
-        raise ParseError(path, line, f"{len(kp)} keypoint rows, line {joints[1]} has {joints[0]}")
-    return kp, joints
+def _read_jsonl(path, table, key, columns, required, missing, duplicate):
+    """Read ``table`` from JSONL, records in any line order, checked as the
+    module docstring says. ``key`` names a row's integer fields; ``columns``
+    maps each payload field to its row width (None: keypoints, (J, 3)). A
+    record needs one of the ``required`` fields, else it is refused with
+    ``missing``; the records of one key merge into one row, and a field given
+    twice for a row is refused with ``duplicate``, formatted with the key and
+    ``column``."""
+    spath = str(path)
+    row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
+    given = {c: {} for c in columns}  # column -> {row: line}, in line order
+    values = {c: [] for c in columns}  # column -> the values of `given`
+    joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
+    for lineno, rec in _iter_jsonl(path):
+        k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
+        if all(rec.get(c) is None for c in required):
+            raise ParseError(spath, lineno, missing)
+        row = row_of.setdefault(k, len(row_of))
+        for c, width in columns.items():
+            value = rec.get(c)
+            if value is None:
+                continue
+            if row in given[c]:
+                raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
+            if width is None:
+                if not isinstance(value, list) or not value:
+                    raise ParseError(spath, lineno, f"{c} must be a non-empty list")
+                value = _float_rows(value, 3, spath, [lineno] * len(value), "keypoint row")
+                joints = joints or (len(value), lineno)
+                if len(value) != joints[0]:
+                    raise ParseError(
+                        spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
+                    )
+            given[c][row] = lineno
+            values[c].append(value)
+    keys = np.array(list(row_of), dtype=np.int64).reshape(-1, len(key)).T
+    order = np.lexsort(keys[::-1])
+    rank = np.argsort(order)  # first-seen row -> sorted row
+    cols = dict(zip(key, keys[:, order]))
+    for c, width in columns.items():
+        rows = rank[list(given[c])]
+        if width is not None:
+            cols[c] = np.full((len(order), width), np.nan)
+            lines = list(given[c].values())
+            cols[c][rows] = _float_rows(values[c], width, spath, lines, c).reshape(-1, width)
+        elif joints is not None:
+            # Each record's rows go straight to their sorted row and are
+            # dropped, so the load never holds a second, stacked copy.
+            cols[c], kps = np.full((len(order), joints[0], 3), np.nan), values[c]
+            for i, r in enumerate(rows.tolist()):
+                cols[c][r], kps[i] = kps[i], None
+    try:
+        return table(**cols)
+    except RowError as exc:
+        # the line that gave the bad value; for a key, the row's first line
+        row = int(order[exc.row])
+        line = min(g[row] for c, g in given.items() if row in g and exc.column in (c, *key))
+        raise ParseError(spath, line, exc.reason) from exc
 
 
-def _sorted_keypoints(records: list, order: np.ndarray, joints: tuple[int, int] | None):
-    """The records' keypoint rows (None: absent) as one (n, J, 3) column in
-    ``order``, NaN where absent; None when no record has any. Each record's
-    rows are copied to their sorted row and dropped, so the load never holds a
-    second, stacked copy of them."""
-    if joints is None:
-        return None
-    col = np.full((len(order), joints[0], 3), np.nan)
-    for row, i in enumerate(order.tolist()):
-        if records[i] is not None:
-            col[row] = records[i]
-            records[i] = None
-    return col
+def _write_jsonl(table, path, key, columns) -> None:
+    """Write ``table`` as JSONL, one record per row, in row order: the ``key``
+    fields, then each of the payload ``columns`` that the row has."""
+    payload = []
+    for c in columns:
+        col = getattr(table, c)
+        if col is not None:
+            has = ~np.isnan(col[:, 0] if col.ndim == 2 else col[:, 0, 0])
+            payload.append((c, has.tolist(), col.tolist() if col.ndim == 2 else col))
+    lines = []
+    for i, k in enumerate(zip(*(getattr(table, f).tolist() for f in key))):
+        rec = dict(zip(key, k))
+        for c, has, col in payload:
+            if has[i]:
+                rec[c] = col[i] if type(col) is list else col[i].tolist()
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+_ANNOTATION_KEY = ("frame", "object_id", "camera_id")
+_TRACK_KEY = ("frame", "object_id")
 
 
 def load_annotations(path) -> AnnotationTable:
@@ -338,116 +405,32 @@ def load_annotations(path) -> AnnotationTable:
     bbox record and a keypoints record, which load as one row; every keypoint
     record in one file must have the same number of rows.
     """
-    spath = str(path)
-    row_of: dict[tuple[int, int, int], int] = {}  # in first-seen order
-    boxes: list[list[float]] = []
-    keypoints: list[np.ndarray | None] = []
-    joints: tuple[int, int] | None = None  # (rows per record, first line)
-    for lineno, rec in _iter_jsonl(path):
-        key = tuple(
-            _integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id", "camera_id")
-        )
-        if key[0] < 0:
-            raise ParseError(spath, lineno, "frame must be non-negative")
-        if rec.get("bbox") is None and rec.get("keypoints") is None:
-            raise ParseError(spath, lineno, "record carries no bbox or keypoints")
-        i = row_of.setdefault(key, len(row_of))
-        if i == len(boxes):
-            boxes.append([math.nan] * 4)
-            keypoints.append(None)
-        if rec.get("bbox") is not None:
-            box = _float_list(rec["bbox"], 4, spath, lineno, "bbox")
-            if box[0] > box[2] or box[1] > box[3]:
-                raise ParseError(spath, lineno, f"bbox corners out of order: {box}")
-            if not math.isnan(boxes[i][0]):
-                raise ValidationError(_DUPLICATE.format(spath, lineno, "bbox", *key))
-            boxes[i] = box
-        if rec.get("keypoints") is not None:
-            kp, joints = _keypoint_rows(rec["keypoints"], joints, spath, lineno)
-            if keypoints[i] is not None:
-                raise ValidationError(_DUPLICATE.format(spath, lineno, "keypoints", *key))
-            keypoints[i] = kp
-    frame, oid, cid = np.array(list(row_of), dtype=np.int64).reshape(-1, 3).T
-    order = np.lexsort((cid, oid, frame))
-    return AnnotationTable(
-        frame=frame[order],
-        object_id=oid[order],
-        camera_id=cid[order],
-        bbox=np.array(boxes).reshape(-1, 4)[order],
-        keypoints=_sorted_keypoints(keypoints, order, joints),
+    return _read_jsonl(
+        path, AnnotationTable, _ANNOTATION_KEY, {"bbox": 4, "keypoints": None},
+        ("bbox", "keypoints"), "record carries no bbox or keypoints",
+        "duplicate {column} for frame {0}, object {1}, camera {2}",
     )
 
 
 def save_annotations(annotations: AnnotationTable, path) -> None:
     """Write an annotation table as JSONL, one record per row, in row order:
     by (frame, object id, camera id)."""
-    has_box, has_kp = annotations.has_bbox.tolist(), annotations.has_keypoints.tolist()
-    columns = (annotations.frame, annotations.object_id, annotations.camera_id, annotations.bbox)
-    lines = []
-    for i, (frame, oid, cid, box) in enumerate(zip(*(c.tolist() for c in columns))):
-        rec: dict = {"frame": frame, "object_id": oid, "camera_id": cid}
-        if has_box[i]:
-            rec["bbox"] = box
-        if has_kp[i]:
-            rec["keypoints"] = annotations.keypoints[i].tolist()
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_jsonl(annotations, path, _ANNOTATION_KEY, ("bbox", "keypoints"))
 
 
 def load_tracks(path) -> TrackTable:
     """Read a track table from JSONL, records in any order; every keypoint
     record in one file must have the same number of rows."""
-    spath = str(path)
-    seen: set[tuple[int, int]] = set()
-    frames, oids, positions, half_axes, keypoints = [], [], [], [], []
-    joints: tuple[int, int] | None = None  # (rows per record, first line)
-    for lineno, rec in _iter_jsonl(path):
-        frame, oid = (_integer(rec.get(k), spath, lineno, k) for k in ("frame", "object_id"))
-        if "position" not in rec:
-            raise ParseError(spath, lineno, "record needs a position")
-        positions.append(_float_list(rec["position"], 3, spath, lineno, "position"))
-        if (frame, oid) in seen:
-            raise ValidationError(
-                f"{spath}:{lineno}: duplicate entry for object {oid}, frame {frame}"
-            )
-        seen.add((frame, oid))
-        frames.append(frame)
-        oids.append(oid)
-        hax = [math.nan] * 3  # absent
-        if rec.get("half_axes") is not None:
-            hax = _float_list(rec["half_axes"], 3, spath, lineno, "half_axes")
-            if any(v <= 0 for v in hax):
-                raise ParseError(spath, lineno, "half_axes must be positive")
-        half_axes.append(hax)
-        kp = None
-        if rec.get("keypoints") is not None:
-            kp, joints = _keypoint_rows(rec["keypoints"], joints, spath, lineno)
-        keypoints.append(kp)
-    frame, oid = np.array(frames, dtype=np.int64), np.array(oids, dtype=np.int64)
-    order = np.lexsort((oid, frame))
-    return TrackTable(
-        frame=frame[order],
-        object_id=oid[order],
-        position=np.array(positions).reshape(-1, 3)[order],
-        half_axes=np.array(half_axes).reshape(-1, 3)[order],
-        keypoints=_sorted_keypoints(keypoints, order, joints),
+    return _read_jsonl(
+        path, TrackTable, _TRACK_KEY, {"position": 3, "half_axes": 3, "keypoints": None},
+        ("position",), "record needs a position", "duplicate entry for object {1}, frame {0}",
     )
 
 
 def save_tracks(tracks: TrackTable, path) -> None:
     """Write a track table as JSONL, one record per row, in row order: by
     (frame, object id)."""
-    has_half, has_kp = tracks.has_half_axes.tolist(), tracks.has_keypoints.tolist()
-    columns = (tracks.frame, tracks.object_id, tracks.position, tracks.half_axes)
-    lines = []
-    for i, (frame, oid, pos, hax) in enumerate(zip(*(c.tolist() for c in columns))):
-        rec: dict = {"frame": frame, "object_id": oid, "position": pos}
-        if has_half[i]:
-            rec["half_axes"] = hax
-        if has_kp[i]:
-            rec["keypoints"] = tracks.keypoints[i].tolist()
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_jsonl(tracks, path, _TRACK_KEY, ("position", "half_axes", "keypoints"))
 
 
 def load_skeleton(source) -> CanonicalPose:
@@ -477,7 +460,7 @@ def load_skeleton(source) -> CanonicalPose:
         raise ParseError(name, None, "joints must be a list of strings")
     if not isinstance(coords, list):
         raise ParseError(name, None, "coords must be a list of [x, y, z]")
-    rows = _float_rows(coords, 3, name, None, "coords row")
+    rows = _float_rows(coords, 3, name, [None] * len(coords), "coords row")
     try:
         return CanonicalPose.from_raw(str(doc.get("name", Path(name).stem)), joints, rows)
     except ValueError as exc:

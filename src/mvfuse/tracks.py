@@ -8,6 +8,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class RowError(ValueError):
+    """A row breaks a row rule of its table: ``row`` is the first bad row and
+    ``column`` the column it breaks the rule in."""
+
+    def __init__(self, row: int, column: str, reason: str):
+        self.row, self.column, self.reason = row, column, reason
+        super().__init__(f"row {row}: {reason}")
+
+
+def _row_rule(bad: np.ndarray, column: str, values: np.ndarray, reason: str) -> None:
+    """Raise :class:`RowError` at the first row of mask ``bad``, if any, with
+    ``reason`` formatted with that row of ``values``."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise RowError(row, column, reason.format(values[row].tolist()))
+
+
 def _present(col: np.ndarray, name: str) -> np.ndarray:
     """Mask (n,) of the rows of ``col`` that are all finite; every other row
     must be all NaN."""
@@ -83,11 +100,11 @@ class AnnotationTable(_Rows):
     ``keypoints`` (n, J, 3) of (u, v, visibility).
 
     Rows are sorted by (frame, object id, camera id), each triple at most
-    once; frames are non-negative and box corners in order. Presence follows
-    :class:`TrackTable`: a row without a box (keypoints) is all NaN there,
-    ``bbox=None`` means no row has one, and ``keypoints`` is None when no row
-    has keypoints. Every row carries a box or keypoints. Every column is
-    checked at once and frozen.
+    once; a row with a negative frame or box corners out of order raises
+    :class:`RowError`. Presence follows :class:`TrackTable`: a row without a
+    box (keypoints) is all NaN there, ``bbox=None`` means no row has one, and
+    ``keypoints`` is None when no row has keypoints. Every row carries a box
+    or keypoints. Every column is checked at once and frozen.
     """
 
     frame: np.ndarray
@@ -101,15 +118,14 @@ class AnnotationTable(_Rows):
             frame=self.frame, object_id=self.object_id, camera_id=self.camera_id
         )
         n = len(frame)
-        if (frame < 0).any():
-            raise ValueError("frames must be non-negative")
+        _row_rule(frame < 0, "frame", frame, "frame must be non-negative")
         box = np.full((n, 4), np.nan) if self.bbox is None else self.bbox
         box = np.asarray(box, dtype=np.float64)
         if box.shape != (n, 4):
             raise ValueError(f"bbox must be (n, 4) with n = {n}, got {box.shape}")
         has_box = _present(box, "bbox")
-        if (box[:, 0] > box[:, 2]).any() or (box[:, 1] > box[:, 3]).any():
-            raise ValueError("bbox corners out of order: need u_min <= u_max, v_min <= v_max")
+        disorder = (box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])
+        _row_rule(disorder, "bbox", box, "bbox corners out of order: {}")
         kp, has_kp = _keypoint_column(self.keypoints, n)
         if not (has_box | has_kp).all():
             raise ValueError("every row needs a bbox or keypoints")
@@ -130,7 +146,8 @@ class TrackTable(_Rows):
     Rows are sorted by (frame, object id), each pair at most once. A row
     without half-axes (keypoints) is all NaN there; ``half_axes=None`` means
     no row has them, and ``keypoints`` is None when no row has keypoints (a
-    column of NaN rows becomes None). Every column is checked at once and
+    column of NaN rows becomes None); a row with a half-axis that is not
+    positive raises :class:`RowError`. Every column is checked at once and
     frozen.
     """
 
@@ -154,8 +171,7 @@ class TrackTable(_Rows):
         if not np.isfinite(pos).all():
             raise ValueError("position contains non-finite values")
         _present(half, "half_axes")
-        if (half <= 0).any():
-            raise ValueError("half_axes must be positive")
+        _row_rule((half <= 0).any(axis=1), "half_axes", half, "half_axes must be positive")
         kp, _ = _keypoint_column(self.keypoints, n)
         _freeze(self, frame=frame, object_id=oid, position=pos, half_axes=half, keypoints=kp)
 

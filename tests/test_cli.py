@@ -120,6 +120,25 @@ class TestSynth:
         assert f"error: {spec}: cannot read" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["annotate", "evaluate", "synth"])
+def test_unwritable_output_is_exit_2(scene_dir, fused_tracks, tmp_path, capsys, command):
+    # A directory where annotate or evaluate writes a file, a file where
+    # synth makes a directory: one error line naming the path, exit 2.
+    out = tmp_path / "out"
+    out.mkdir() if command != "synth" else out.write_text("")
+    argv = {
+        "annotate": _annotate_argv(scene_dir, tmp_path),
+        "evaluate": ["evaluate", "--pred", str(fused_tracks),
+                     "--gt", str(scene_dir / "gt_tracks.jsonl"), "--report", str(out)],
+        "synth": ["synth", "--out", str(out), "--objects", "1", "--cameras", "1", "--frames", "2"],
+    }[command]
+    if command == "annotate":
+        argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line.lower()]
+    assert len(errors) == 1 and errors[0].startswith("error: ") and str(out) in errors[0]
+
+
 class TestAnnotate:
     def test_tracks_cover_ground_truth(self, scene_dir, fused_tracks):
         pred = load_tracks(fused_tracks)
@@ -231,6 +250,7 @@ _NUMBER = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity
 _VALUE = _JSON | st.integers(1, 17).flatmap(lambda n: st.lists(_NUMBER, min_size=n, max_size=n))
 _CAMERA_KEYS = ["id", "K", "R", "t", "width", "height", "extra"]
 _RECORD_KEYS = ["frame", "object_id", "camera_id", "bbox", "keypoints", "extra"]
+_TRACK_KEYS = ["frame", "object_id", "position", "half_axes", "keypoints", "extra"]
 
 
 def _mutate(doc: dict, keys: list[str], data) -> None:
@@ -241,16 +261,37 @@ def _mutate(doc: dict, keys: list[str], data) -> None:
         doc[key] = data.draw(_VALUE)
 
 
+def _mutate_lines(lines: list[str], keys: list[str], data) -> None:
+    """Replace one of ``lines`` by text (1 in 10), or set or delete one key
+    of its record."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.integers(0, 9)) == 0:
+        lines[i] = data.draw(st.text(max_size=20))
+        return
+    try:
+        rec = json.loads(lines[i])
+    except ValueError:  # already replaced by text
+        return
+    if isinstance(rec, dict):
+        _mutate(rec, keys, data)
+        lines[i] = json.dumps(rec)
+
+
 @pytest.fixture(scope="module")
-def tiny_scene(tmp_path_factory):
+def tiny_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("tiny")
     argv = ["synth", "--out", str(d), "--seed", "2", "--objects", "2", "--cameras", "2",
             "--frames", "3", "--skeleton", "coco17"]
     assert main(argv) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tiny_dir):
     return (
-        json.loads((d / "calibration.json").read_text()),
-        (d / "annotations.jsonl").read_text().splitlines(),
-        (d / "config.json").read_text(),
+        json.loads((tiny_dir / "calibration.json").read_text()),
+        (tiny_dir / "annotations.jsonl").read_text().splitlines(),
+        (tiny_dir / "config.json").read_text(),
     )
 
 
@@ -267,17 +308,7 @@ def test_annotate_fuzz_exits_0_or_2(tiny_scene, data):
             cam = data.draw(st.sampled_from(calibration["cameras"]))
             _mutate(cam, _CAMERA_KEYS, data)
         else:
-            i = data.draw(st.integers(0, len(lines) - 1))
-            if data.draw(st.integers(0, 9)) == 0:
-                lines[i] = data.draw(st.text(max_size=20))
-                continue
-            try:
-                rec = json.loads(lines[i])
-            except ValueError:  # already replaced by text
-                continue
-            if isinstance(rec, dict):
-                _mutate(rec, _RECORD_KEYS, data)
-                lines[i] = json.dumps(rec)
+            _mutate_lines(lines, _RECORD_KEYS, data)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "calibration.json").write_text(json.dumps(calibration))
@@ -290,6 +321,21 @@ def test_annotate_fuzz_exits_0_or_2(tiny_scene, data):
             "--config", str(tmp / "config.json"),
             "--out", str(tmp / "tracks.jsonl"),
         ])
+    assert rc in (0, 2)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_evaluate_fuzz_exits_0_or_2(tiny_dir, data):
+    # Whatever the pred and gt tracks files hold, evaluate either scores
+    # them (exit 0) or refuses them as bad input (exit 2); it never raises.
+    files = {name: (tiny_dir / "gt_tracks.jsonl").read_text().splitlines() for name in ("pred", "gt")}
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_lines(files[data.draw(st.sampled_from(sorted(files)))], _TRACK_KEYS, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in files.items():
+            (Path(tmp) / name).write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--pred", str(Path(tmp) / "pred"), "--gt", str(Path(tmp) / "gt")])
     assert rc in (0, 2)
 
 

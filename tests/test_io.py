@@ -158,6 +158,26 @@ def test_undecodable_bytes_are_parse_error(tmp_path, loader):
         loader(path)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+@pytest.mark.parametrize("kind", ["tracks", "annotations"])
+def test_records_end_at_newline_only(tmp_path, kind, sep, end):
+    # A line separator inside a string is part of the record, which ends at
+    # a newline (in any of its three forms); the next record's fault is on
+    # line 2.
+    good = {"frame": 0, "object_id": 1, "note": f"a{sep}b"}
+    good.update({"position": [0, 0, 1]} if kind == "tracks" else {"camera_id": 0, "bbox": [0, 0, 5, 5]})
+    path = tmp_path / "input.jsonl"
+    records = [json.dumps(r, ensure_ascii=False) for r in (good, {**good, "frame": 1.5})]
+    path.write_text(records[0] + end + records[1] + end, newline="")
+    load = load_tracks if kind == "tracks" else load_annotations
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (err.value.line, err.value.reason) == (2, "frame must be an integer, got 1.5")
+    path.write_text(records[0] + end, newline="")
+    assert len(load(path)) == 1
+
+
 class TestAnnotations:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
@@ -214,6 +234,17 @@ class TestAnnotations:
         with pytest.raises(ParseError, match="non-negative"):
             load_annotations(path)
 
+    def test_negative_frame_in_shuffled_file_names_its_line(self, tmp_path):
+        # The bad record sorts first but is the 5th line.
+        path = tmp_path / "annotations.jsonl"
+        path.write_text("".join(
+            json.dumps({"frame": f, "object_id": 1, "camera_id": 0, "bbox": [0, 0, 5, 5]}) + "\n"
+            for f in (3, 0, 7, 2, -1, 5, 1)
+        ))
+        with pytest.raises(ParseError) as err:
+            load_annotations(path)
+        assert (err.value.line, err.value.reason) == (5, "frame must be non-negative")
+
     def test_duplicate_bbox_rejected(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
         rec = {"frame": 0, "object_id": 1, "camera_id": 0, "bbox": [0, 0, 5, 5]}
@@ -221,14 +252,28 @@ class TestAnnotations:
         with pytest.raises(ValidationError, match="duplicate"):
             load_annotations(path)
 
-    @pytest.mark.parametrize("box", [[10, 0, 5, 20], [0, 20, 5, 10]])
-    def test_corners_out_of_order_rejected(self, tmp_path, box):
+    @pytest.mark.parametrize(
+        "box, split",
+        [([10, 0, 5, 20], False), ([0, 20, 5, 10], False), ([10, 0, 5, 20], True), ([0, 20, 5, 10], True)],
+        ids=["box0", "box1", "split-box0", "split-box1"],
+    )
+    def test_corners_out_of_order_rejected(self, tmp_path, box, split):
+        # The bad box after a good row, or as the bbox record of a split row
+        # (its keypoints on line 2) after rows that sort before and after it.
+        def rec(frame, oid=1, **payload):
+            return {"frame": frame, "object_id": oid, "camera_id": 0, **payload}
+
+        good = [0, 0, 5, 5]
+        recs = [rec(0, bbox=good), rec(1, bbox=box)]
+        if split:
+            recs = [rec(2, bbox=good), rec(1, keypoints=[[1.0, 2.0, 1.0]]), rec(0, bbox=good),
+                    rec(0, 2, bbox=good), rec(1, bbox=box)]
         path = tmp_path / "annotations.jsonl"
-        good = {"frame": 0, "object_id": 1, "camera_id": 0, "bbox": [0, 0, 5, 5]}
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "bbox": box}) + "\n")
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
         with pytest.raises(ParseError, match="out of order") as err:
             load_annotations(path)
-        assert err.value.line == 2
+        assert err.value.line == len(recs)
+        assert err.value.reason == f"bbox corners out of order: {[float(v) for v in box]}"
 
     def test_any_line_order_loads_the_same_table(self, tmp_path):
         bundle, _ = generate(SceneSpec(seed=3, num_objects=3, num_cameras=3, frames=5,
@@ -412,6 +457,21 @@ class TestTracks:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match="half_axes"):
             load_tracks(path)
+
+    @pytest.mark.parametrize("half", [[0.3, -0.3, 0.9], [0.3, 0.3, 0.0]])
+    def test_bad_half_axes_in_shuffled_file_names_its_line(self, tmp_path, half):
+        # The 4th of 6 records, the first row once sorted.
+        path = tmp_path / "tracks.jsonl"
+        recs = [
+            {"frame": f, "object_id": 1, "position": [0, 0, 1],
+             **({"half_axes": [0.3, 0.3, 0.9]} if f % 2 else {})}
+            for f in (4, 1, 5, 0, 3, 2)
+        ]
+        recs[3]["half_axes"] = half
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert (err.value.line, err.value.reason) == (4, "half_axes must be positive")
 
 
 class TestSkeleton:

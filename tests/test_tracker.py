@@ -30,6 +30,7 @@ from mvfuse.errors import NonPositiveDepth, DegenerateConic
 from mvfuse.filter import kalman_predict, make_motion_model, ukf_update
 from mvfuse import tracker as tracker_mod
 from mvfuse.tracker import POS_IDX, SHAPE_SLICE
+from mvfuse.tracks import RowError
 
 from oracles import dual_quadric_bbox, random_camera
 from test_geometry import _side_camera
@@ -617,6 +618,29 @@ class TestContainers:
     def test_entry_rejects_nonpositive_axes(self):
         with pytest.raises(ValueError, match="positive"):
             TrackTable([0], [0], [[0, 0, 0]], half_axes=[[1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("column, first", [("frame", 0), ("bbox", 2), ("half_axes", 2)])
+    def test_row_rules_name_first_bad_row_and_column(self, column, first):
+        # Two rows break the rule; the error is a ValueError naming the
+        # first of them (negative frames sort first) and the column.
+        good, bad = [0.0, 0.0, 5.0, 5.0], [0.0, 6.0, 5.0, 5.0]
+        half = np.full((5, 3), 0.5)
+        half[[2, 3], 1] = [0.0, -1.0]
+        make = {
+            "frame": lambda: _annotations(*((f, 0, 0, good) for f in (-2, -1, 0, 1, 2))),
+            "bbox": lambda: _annotations(*((f, 0, 0, bad if f in (2, 3) else good) for f in range(5))),
+            "half_axes": lambda: TrackTable(np.arange(5), np.zeros(5, dtype=int), np.zeros((5, 3)), half),
+        }[column]
+        reason = {
+            "frame": "frame must be non-negative",
+            "bbox": f"bbox corners out of order: {bad}",
+            "half_axes": "half_axes must be positive",
+        }[column]
+        with pytest.raises(ValueError) as err:
+            make()
+        assert isinstance(err.value, RowError)
+        assert (err.value.row, err.value.column, err.value.reason) == (first, column, reason)
+        assert str(err.value) == f"row {first}: {reason}"
 
     def test_entry_rejects_bad_keypoint_shape(self):
         with pytest.raises(ValueError, match="keypoints"):
