@@ -27,12 +27,86 @@ from .tracks import TrackTable
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's minimum-cost assignment of a rectangular cost matrix. scipy is
-    imported on the first call, so that importing mvfuse (and fusing) does
-    not load it: only scoring solves an assignment."""
-    from scipy.optimize import linear_sum_assignment as solve
+    """Minimum-cost assignment of a rectangular cost matrix: ``(rows, cols)``,
+    rows ascending, one pair per row or per column, whichever are fewer.
 
-    return solve(cost)
+    A port of scipy's ``linear_sum_assignment`` (``rectangular_lsap``):
+    Crouse's shortest augmenting path form of Jonker-Volgenant (D. F. Crouse,
+    "On implementing 2D rectangular assignment algorithms", IEEE Trans.
+    Aerospace and Electronic Systems 52(4), 2016). It does scipy's work in
+    scipy's order, in Python floats: a tall matrix is transposed, each row
+    gets one augmenting path, the duals are updated with the same operations,
+    and of equal reduced costs the scan takes a free column, the last one it
+    meets. So it returns scipy's ``(rows, cols)`` on every input, ties
+    included, and raises the same ``ValueError``s.
+
+    Raises
+    ------
+    ValueError
+        If ``cost`` is not 2-D, contains NaN or -inf, or has no assignment
+        of finite cost.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim} array")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    if nr == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    c = cost.tolist()
+    inf = np.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        # Shortest augmenting path from cur_row to a free column. Columns
+        # are scanned from the end, so a constant matrix gives the identity.
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [inf] * nc  # shortest path cost to each column
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink < 0:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r, s = min_val + ci[j] - ui - v[j], spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        cols = np.array(col4row, dtype=np.int64)
+        order = np.argsort(cols)
+        return cols[order], order
+    return np.arange(nr, dtype=np.int64), np.array(col4row, dtype=np.int64)
 
 
 class ClearMotResult(NamedTuple):
@@ -225,12 +299,14 @@ def ospa2(
         seen[gi, :] += 1
         seen[:, pi] += 1
         seen[np.ix_(gi, pi)] -= 1
-    D = (total / seen).T  # every track is present somewhere, so seen > 0
+    # In units of the cutoff, every cost is at most 1: a high order can
+    # neither overflow nor underflow an unmatched track's cost.
+    D = (total / seen).T / cutoff  # every track is present somewhere, so seen > 0
     rows, cols = linear_sum_assignment(D ** order)
     cost = float((D[rows, cols] ** order).sum())
     big = max(m, n)
-    cost += (cutoff ** order) * (big - min(m, n))
-    return float((cost / big) ** (1.0 / order))
+    cost += big - min(m, n)
+    return cutoff * float((cost / big) ** (1.0 / order))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ def _present(col: np.ndarray, name: str) -> np.ndarray:
 def _key_columns(**cols) -> list[np.ndarray]:
     """The key columns as (n,) int64 arrays, checked to be integers of one
     length whose rows are in strictly increasing order of the keys, first key
-    first, so that each key tuple appears once."""
+    first, so that each key tuple appears once; a negative first key (the
+    frame) raises :class:`RowError`."""
     names = ", ".join(cols)
     keys = [np.asarray(c) for c in cols.values()]
     if any(k.ndim != 1 or (k.size and k.dtype.kind not in "iu") for k in keys):
@@ -56,6 +57,8 @@ def _key_columns(**cols) -> list[np.ndarray]:
         tied &= step == 0
     if not later.all():
         raise ValueError(f"rows must be sorted by ({names}), each once")
+    first = next(iter(cols))
+    _row_rule(keys[0] < 0, first, keys[0], f"{first} must be non-negative")
     return keys
 
 
@@ -118,7 +121,6 @@ class AnnotationTable(_Rows):
             frame=self.frame, object_id=self.object_id, camera_id=self.camera_id
         )
         n = len(frame)
-        _row_rule(frame < 0, "frame", frame, "frame must be non-negative")
         box = np.full((n, 4), np.nan) if self.bbox is None else self.bbox
         box = np.asarray(box, dtype=np.float64)
         if box.shape != (n, 4):
@@ -146,9 +148,9 @@ class TrackTable(_Rows):
     Rows are sorted by (frame, object id), each pair at most once. A row
     without half-axes (keypoints) is all NaN there; ``half_axes=None`` means
     no row has them, and ``keypoints`` is None when no row has keypoints (a
-    column of NaN rows becomes None); a row with a half-axis that is not
-    positive raises :class:`RowError`. Every column is checked at once and
-    frozen.
+    column of NaN rows becomes None); a row with a negative frame or a
+    half-axis that is not positive raises :class:`RowError`. Every column is
+    checked at once and frozen.
     """
 
     frame: np.ndarray

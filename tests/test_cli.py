@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mvfuse
-from mvfuse import RunConfig, SceneSpec, load_tracks
+from mvfuse import RunConfig, SceneSpec, load_tracks, metrics
 from mvfuse.cli import main
 
 
@@ -440,6 +440,19 @@ class TestEvaluate:
         assert f"{pred} has 2 keypoints per pose, {gt} has 3" in err
         assert "Traceback" not in err
 
+    def test_negative_frame_is_exit_2(self, fused_tracks, tmp_path, capsys):
+        # The bad record is the 2nd line and sorts first.
+        bad = tmp_path / "tracks.jsonl"
+        bad.write_text(
+            json.dumps({"frame": 0, "object_id": 1, "position": [0, 0, 1]}) + "\n"
+            + json.dumps({"frame": -3, "object_id": 1, "position": [0, 0, 1]}) + "\n"
+        )
+        for pred, gt in ((bad, fused_tracks), (fused_tracks, bad)):
+            assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}:2: frame must be non-negative" in err
+            assert "Traceback" not in err
+
     def test_mixed_joint_counts_in_one_file_is_exit_2(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
         gt.write_text("".join(
@@ -614,9 +627,9 @@ with open(d + "/result.json", "w") as fh:
 """
 
 
-def test_only_scoring_loads_scipy(tmp_path, capsys):
-    # scipy is a large import that only the assignment solver needs: import,
-    # synth and annotate must not load it, evaluate loads it on first use.
+def test_no_command_loads_scipy(tmp_path, capsys, monkeypatch):
+    # mvfuse solves its assignments itself: import, synth, annotate and
+    # evaluate run without loading scipy.
     env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _STAGES_IN_ONE_PROCESS, str(tmp_path)],
@@ -627,11 +640,11 @@ def test_only_scoring_loads_scipy(tmp_path, capsys):
     assert result["solver_attribute"]
     assert result["rc"] == {"synth": 0, "annotate": 0, "evaluate": 0}
     assert result["scipy_loaded"] == {
-        "import": False, "synth": False, "annotate": False, "evaluate": True
+        "import": False, "synth": False, "annotate": False, "evaluate": False
     }
-    # The report equals the one scored with scipy imported up front.
-    import scipy.optimize  # noqa: F401
-
+    # The report equals the one scored with scipy's solver patched in.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(metrics, "linear_sum_assignment", scipy_optimize.linear_sum_assignment)
     pred, gt = tmp_path / "tracks.jsonl", tmp_path / "gt_tracks.jsonl"
     assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 0
     assert capsys.readouterr().out == result["report"]

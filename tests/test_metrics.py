@@ -2,6 +2,7 @@
 randomized checks of the OSPA metric axioms, and a seeded comparison with
 the one-pair-at-a-time reference implementations in ``oracles``."""
 
+import itertools
 import json
 import math
 
@@ -17,7 +18,7 @@ from mvfuse import (
     ospa2,
     pose_metrics,
 )
-from mvfuse.metrics import _distance
+from mvfuse.metrics import _distance, linear_sum_assignment
 
 from oracles import loop_clear_mot, loop_idf1, loop_ospa2, loop_pose_metrics
 
@@ -213,6 +214,10 @@ class TestOspa2:
         pred = _table({0: _still(range(10), (0, 0, 0))})
         assert ospa2(pred, gt, cutoff=1.0, order=1.0) == pytest.approx(0.5)
         assert ospa2(pred, gt, cutoff=1.0, order=2.0) == pytest.approx(np.sqrt(0.5))
+        # c^p overflows (10^400) or underflows (0.5^2000) in a float.
+        for cutoff, order in ((10.0, 400.0), (0.5, 2000.0)):
+            expected = cutoff * 0.5 ** (1.0 / order)
+            assert ospa2(pred, gt, cutoff=cutoff, order=order) == pytest.approx(expected, rel=1e-12)
 
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(17)
@@ -464,3 +469,78 @@ class TestTrackSet:
         for col in (t.frame, t.object_id, t.keypoints, t.half_axes):
             with pytest.raises(ValueError):
                 col[0] = 9
+
+
+def _assignment_matrices(rng, count):
+    """Seeded cost matrices, 0-12 x 0-12, wide and tall: uniform, tie-heavy
+    integer and quarter-step costs, tenths (whose near-ties the rounding of
+    the dual updates decides), negative costs (as IDF1 solves) and +inf
+    entries (some of them infeasible)."""
+    for k in range(count):
+        shape = tuple(rng.integers(0, 13, size=2))
+        kind = k % 6
+        if kind == 0:
+            yield rng.random(shape)
+        elif kind == 1:
+            yield rng.integers(0, 3, shape).astype(float)
+        elif kind == 2:
+            yield rng.integers(0, 8, shape) * 0.25
+        elif kind == 3:
+            yield rng.integers(0, 5, shape) * 0.1
+        elif kind == 4:
+            yield -rng.integers(0, 5, shape).astype(float)
+        else:
+            cost = rng.integers(-3, 4, shape).astype(float)
+            cost[rng.random(shape) < rng.random()] = np.inf
+            yield cost
+
+
+def test_assignment_solver_matches_scipy():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    infeasible = 0
+    for cost in itertools.chain(
+        [np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((0, 0)), np.ones((3, 5)), np.ones((5, 3))],
+        _assignment_matrices(rng, 2400),
+    ):
+        try:
+            expected = scipy_optimize.linear_sum_assignment(cost)
+        except ValueError as exc:
+            infeasible += 1
+            with pytest.raises(ValueError) as err:
+                linear_sum_assignment(cost)
+            assert str(err.value) == str(exc)
+            continue
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, expected[0], strict=True)
+        np.testing.assert_array_equal(cols, expected[1], strict=True)
+    assert infeasible > 10
+    for bad in (np.nan, -np.inf):
+        cost = np.ones((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            scipy_optimize.linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            linear_sum_assignment(cost)
+    cost = np.array([[np.inf, 1.0], [np.inf, 2.0]])
+    with pytest.raises(ValueError, match="cost matrix is infeasible"):
+        scipy_optimize.linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="cost matrix is infeasible"):
+        linear_sum_assignment(cost)
+
+
+def test_assignment_cost_is_minimal():
+    # Against every assignment of the smaller side, up to 6 x 6.
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        nr, nc = rng.integers(1, 7, size=2)
+        cost = rng.integers(-4, 5, (nr, nc)) * 0.5 if rng.random() < 0.5 else rng.normal(size=(nr, nc))
+        rows, cols = linear_sum_assignment(cost)
+        assert len(rows) == min(nr, nc)
+        assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
+        small = cost if nr <= nc else cost.T
+        best = min(
+            small[range(len(small)), list(p)].sum()
+            for p in itertools.permutations(range(small.shape[1]), len(small))
+        )
+        assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
