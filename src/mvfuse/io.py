@@ -375,21 +375,22 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
 
 def _write_jsonl(table, path, key, columns) -> None:
     """Write ``table`` as JSONL, one record per row, in row order: the ``key``
-    fields, then each of the payload ``columns`` that the row has."""
+    fields, then each of the payload ``columns`` that the row has. Each record
+    is written as it is encoded, so the file's text is never held whole."""
     payload = []
     for c in columns:
         col = getattr(table, c)
         if col is not None:
             has = ~np.isnan(col[:, 0] if col.ndim == 2 else col[:, 0, 0])
             payload.append((c, has.tolist(), col.tolist() if col.ndim == 2 else col))
-    lines = []
-    for i, k in enumerate(zip(*(getattr(table, f).tolist() for f in key))):
-        rec = dict(zip(key, k))
-        for c, has, col in payload:
-            if has[i]:
-                rec[c] = col[i] if type(col) is list else col[i].tolist()
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with open(path, "w") as out:
+        for i, k in enumerate(zip(*(getattr(table, f).tolist() for f in key))):
+            rec = dict(zip(key, k))
+            for c, has, col in payload:
+                if has[i]:
+                    rec[c] = col[i] if type(col) is list else col[i].tolist()
+            out.write(encode(rec) + "\n")
 
 
 _ANNOTATION_KEY = ("frame", "object_id", "camera_id")

@@ -300,13 +300,19 @@ def ospa2(
         seen[:, pi] += 1
         seen[np.ix_(gi, pi)] -= 1
     # In units of the cutoff, every cost is at most 1: a high order can
-    # neither overflow nor underflow an unmatched track's cost.
+    # neither overflow nor underflow an unmatched track's cost. With every
+    # track matched, the largest base ratio is the unit instead when it is
+    # below 1, so a high order cannot underflow every cost to 0 either.
     D = (total / seen).T / cutoff  # every track is present somewhere, so seen > 0
+    scale = D.max() if m == n else 1.0
+    if not 0.0 < scale < 1.0:
+        scale = 1.0
+    D = D / scale
     rows, cols = linear_sum_assignment(D ** order)
     cost = float((D[rows, cols] ** order).sum())
     big = max(m, n)
     cost += big - min(m, n)
-    return cutoff * float((cost / big) ** (1.0 / order))
+    return cutoff * float(scale) * float((cost / big) ** (1.0 / order))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,14 @@ recover the ground truth to within filter convergence error.
 
 Subjects are rigid: their keypoints are the canonical skeleton scaled to the
 subject's ellipsoid, carried along with its center.
+
+The pixel noise is drawn in a fixed order, so that a seed names the same
+scene across versions: for each rendered (frame, object, camera) row, in that
+order, 4 box values (u_min, v_min, u_max, v_max), then 2 values (u, v) per
+joint in front of the camera, in joint order. A row is rendered when the
+camera sees a bounded outline and no occlusion covers it, and it draws its
+noise whether or not its box or joints then land inside the image. A
+noiseless scene draws nothing and leaves every value as projected.
 """
 
 from __future__ import annotations
@@ -39,13 +47,6 @@ class Occlusion:
 
     def __post_init__(self):
         check_fields(self, InvalidSpec)
-
-    def covers(self, frame: int, camera_id: int, object_id: int) -> bool:
-        return (
-            camera_id == self.camera_id
-            and self.start <= frame < self.stop
-            and (self.object_id is None or object_id == self.object_id)
-        )
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,10 @@ class SceneSpec:
             need(
                 0 <= o.camera_id < self.num_cameras,
                 f"occlusion references unknown camera {o.camera_id}",
+            )
+            need(
+                o.object_id is None or 0 <= o.object_id < self.num_objects,
+                f"occlusion references unknown object {o.object_id}",
             )
         object.__setattr__(self, "arena", arena)
         object.__setattr__(self, "image_size", size)
@@ -286,11 +291,15 @@ def _plan_motion(
 
 
 def _outline_boxes(cam: CameraModel, centers, half_axes) -> np.ndarray:
-    """Outline boxes (n, 4) of n ellipsoids; NaN rows where the camera sees
-    no bounded outline. Rows equal single-row kernel calls bit for bit."""
+    """Outline boxes (..., 4) of the ellipsoids (..., 3); NaN rows where the
+    camera sees no bounded outline. Rows equal single-row kernel calls bit for
+    bit. When a stack raises, each of its leading slices (a frame's rows) is
+    retried alone, so only the slices that raise go row by row."""
     try:
         return project_ellipsoid_to_bbox(cam, centers, half_axes)
     except GeometryError:
+        if centers.ndim > 2:
+            return np.stack([_outline_boxes(cam, c, h) for c, h in zip(centers, half_axes)])
         out = np.full((len(centers), 4), np.nan)
         for i, (center, half) in enumerate(zip(centers, half_axes)):
             try:
@@ -301,18 +310,12 @@ def _outline_boxes(cam: CameraModel, centers, half_axes) -> np.ndarray:
 
 
 def _joint_pixels(cam: CameraModel, joints) -> tuple[np.ndarray, np.ndarray]:
-    """Mask (n, J) of the joints (n, J, 3) in front of the camera, and their
-    pixels (n, J, 2), zero where not in front."""
+    """Mask (..., J) of the joints (..., J, 3) in front of the camera, and
+    their pixels (..., J, 2), zero where not in front."""
     front = in_front(cam, joints)
     uv = np.zeros(joints.shape[:-1] + (2,))
     uv[front] = project_point(cam, joints[front])
     return front, uv
-
-
-def _noisy_box(box: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    """The box with noise drawn on each value, its corners put back in order."""
-    vals = box + rng.normal(0.0, noise, 4) if noise else box
-    return np.concatenate([np.minimum(vals[:2], vals[2:]), np.maximum(vals[:2], vals[2:])])
 
 
 def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
@@ -323,81 +326,66 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
     outline box lies fully inside the image and is not occluded, and keypoint
     rows flagged visible when the joint projects inside the image. Ground
     truth carries positions, half-axes, and (with a skeleton) 3D keypoints.
+
+    The whole scene is rendered as (frame, object, camera) arrays. Noise is
+    drawn in one call and laid out as described in the module docstring.
     """
     rng = np.random.default_rng(spec.seed)
     cams = _build_cameras(spec)
     starts, half_axes = _place_objects(spec, rng)
     ground = _plan_motion(spec, rng, starts)
     skeleton = canonical_pose(spec.skeleton) if spec.skeleton else None
-    offsets = (
-        np.stack([scaled_offsets(skeleton, half_axes[o]) for o in range(spec.num_objects)])
-        if skeleton is not None and spec.num_objects
-        else None
-    )
+    F, N = spec.frames, spec.num_objects
+    J = skeleton.num_joints if skeleton is not None else 0
     width, height = spec.image_size
 
-    gt_pos: list[np.ndarray] = []  # per frame: (num_objects, 3) centers
-    gt_kp: list[np.ndarray] = []  # per frame: (num_objects, J, 3) joints
-    # The annotation table's columns, one entry per (frame, object, camera) row.
-    keys: list[tuple[int, int, int]] = []
-    boxes: list[np.ndarray] = []
-    kps: list[np.ndarray] = []
-    J = skeleton.num_joints if skeleton is not None else 0
-    no_box, no_kp = np.full(4, np.nan), np.full((J, 3), np.nan)
+    halves = np.broadcast_to(half_axes, (F, N, 3))
+    centers = np.concatenate([ground, halves[..., 2:]], axis=-1)  # (F, N, 3)
+    joints = np.zeros((F, N, J, 3))  # no skeleton: J = 0 joints per row
+    if skeleton is not None:
+        offsets = np.array([scaled_offsets(skeleton, half) for half in half_axes])
+        joints = offsets.reshape(N, J, 3) + centers[:, :, None, :]
+    # (F, N, C, ...) per camera: outlines, NaN where degenerate or occluded,
+    # and which joints are in front with their pixels.
+    outlines = np.stack([_outline_boxes(cam, centers, halves) for cam in cams.values()], axis=2)
+    for occ in spec.occlusions:
+        objects = slice(None) if occ.object_id is None else occ.object_id
+        outlines[occ.start:occ.stop, objects, occ.camera_id] = np.nan
+    present = ~np.isnan(outlines[..., 0])
+    pixels = [_joint_pixels(cam, joints) for cam in cams.values()]
+    # The rendered rows, in (frame, object, camera) order.
+    box = outlines[present]  # (R, 4)
+    front = np.stack([f for f, _ in pixels], axis=2)[present]  # (R, J)
+    uv = np.stack([p for _, p in pixels], axis=2)[present]  # (R, J, 2)
 
-    for k in range(spec.frames):
-        centers = np.column_stack([ground[k], half_axes[:, 2]])
-        joints = offsets + centers[:, None, :] if offsets is not None else None
-        # The frame's geometry in one kernel call per camera; the sampling
-        # below draws noise in (object, camera) order.
-        outlines = {
-            cid: _outline_boxes(cam, centers, half_axes) for cid, cam in cams.items()
-        }
-        gt_pos.append(centers)
-        if joints is not None:
-            gt_kp.append(joints)
-            pixels = {cid: _joint_pixels(cam, joints) for cid, cam in cams.items()}
-        for o in range(spec.num_objects):
-            for cid in cams:
-                if any(occ.covers(k, cid, o) for occ in spec.occlusions):
-                    continue
-                if np.isnan(outlines[cid][o, 0]):
-                    continue
-                box = _noisy_box(outlines[cid][o], spec.pixel_noise, rng)
-                if not (box[:2] >= 0).all() or box[2] > width or box[3] > height:
-                    box = no_box
-                rows = no_kp
-                if joints is not None:
-                    # A joint behind the camera stays an invisible (0, 0) row
-                    # and draws no noise.
-                    front, joint_uv = pixels[cid]
-                    uv = joint_uv[o][front[o]]
-                    if spec.pixel_noise:
-                        uv = uv + rng.normal(0.0, spec.pixel_noise, uv.shape)
-                    visible = (
-                        (0 <= uv[:, 0]) & (uv[:, 0] <= width)
-                        & (0 <= uv[:, 1]) & (uv[:, 1] <= height)
-                    )
-                    if visible.any():
-                        rows = np.zeros((J, 3))
-                        rows[front[o]] = np.column_stack([uv, visible])
-                if box is not no_box or rows is not no_kp:
-                    keys.append((k, o, cid))
-                    boxes.append(box)
-                    kps.append(rows)
+    if spec.pixel_noise:
+        # Each row's draws: its 4 box values, then 2 per joint in front.
+        slots = np.concatenate([np.ones((len(box), 4), dtype=bool), front.repeat(2, axis=1)], axis=1)
+        noise = np.zeros(slots.shape)
+        noise[slots] = rng.normal(0.0, spec.pixel_noise, int(slots.sum()))
+        box = box + noise[:, :4]
+        uv = uv + noise[:, 4:].reshape(uv.shape)
+    lo, hi = np.minimum(box[:, :2], box[:, 2:]), np.maximum(box[:, :2], box[:, 2:])
+    box = np.concatenate([lo, hi], axis=1)
+    keep = (lo >= 0).all(axis=1) & (hi[:, 0] <= width) & (hi[:, 1] <= height)
+    box[~keep] = np.nan
+    # A joint behind the camera stays an invisible (0, 0) row.
+    u, v = uv[..., 0], uv[..., 1]
+    visible = front & (0 <= u) & (u <= width) & (0 <= v) & (v <= height)
+    rows = np.where(front[..., None], np.concatenate([uv, visible[..., None]], axis=-1), 0.0)
+    seen = visible.any(axis=1)
+    rows[~seen] = np.nan
+    keep |= seen
 
-    frame, oid, cid = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    frame, oid, cid = (i[keep] for i in np.nonzero(present))
     annotations = AnnotationTable(
-        frame, oid, cid,
-        bbox=np.array(boxes).reshape(-1, 4),
-        keypoints=np.array(kps).reshape(-1, J, 3) if J else None,
+        frame, oid, cid, bbox=box[keep], keypoints=rows[keep] if J else None,
     )
-    n = spec.num_objects
     gt = TrackTable(
-        frame=np.repeat(np.arange(spec.frames), n),
-        object_id=np.tile(np.arange(n), spec.frames),
-        position=np.concatenate(gt_pos),
-        half_axes=np.tile(half_axes, (spec.frames, 1)),
-        keypoints=np.concatenate(gt_kp) if gt_kp else None,
+        frame=np.repeat(np.arange(F), N),
+        object_id=np.tile(np.arange(N), F),
+        position=centers.reshape(-1, 3),
+        half_axes=halves.reshape(-1, 3),
+        keypoints=joints.reshape(-1, J, 3) if J and N else None,
     )
     return SceneBundle(calibration=cams, annotations=annotations, skeleton=skeleton), gt

@@ -289,3 +289,103 @@ def loop_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), recall
     ap = {float(d): 100.0 * float((errors <= d).sum()) / total_gt for d in ap_thresholds}
     mpjpe = float(errors.mean()) if errors.size else float("nan")
     return ap, 100.0 * errors.size / total_gt, mpjpe
+
+
+def loop_generate(spec):
+    """(annotations, ground truth) of ``mvfuse.synth.generate``, rendered one
+    (frame, object, camera) at a time: per frame, one outline call per camera
+    (row by row where it raises), then for each object and camera in turn
+    4 box noise values and 2 per joint in front of the camera. The scene
+    layout (cameras, placement, motion) comes from the package."""
+    from mvfuse.errors import GeometryError
+    from mvfuse.geometry import in_front, project_ellipsoid_to_bbox, project_point
+    from mvfuse.pose import canonical_pose, scaled_offsets
+    from mvfuse.synth import _build_cameras, _place_objects, _plan_motion
+    from mvfuse.tracks import AnnotationTable, TrackTable
+
+    def outline(cam, centers, half_axes):
+        try:
+            return project_ellipsoid_to_bbox(cam, centers, half_axes)
+        except GeometryError:
+            out = np.full((len(centers), 4), np.nan)
+            for i, (center, half) in enumerate(zip(centers, half_axes)):
+                try:
+                    out[i] = project_ellipsoid_to_bbox(cam, center, half)
+                except GeometryError:
+                    pass
+            return out
+
+    def joint_pixels(cam, joints):
+        front = in_front(cam, joints)
+        uv = np.zeros(joints.shape[:-1] + (2,))
+        uv[front] = project_point(cam, joints[front])
+        return front, uv
+
+    def occluded(k, cid, o):
+        return any(
+            cid == occ.camera_id and occ.start <= k < occ.stop
+            and (occ.object_id is None or o == occ.object_id)
+            for occ in spec.occlusions
+        )
+
+    rng = np.random.default_rng(spec.seed)
+    cams = _build_cameras(spec)
+    starts, half_axes = _place_objects(spec, rng)
+    ground = _plan_motion(spec, rng, starts)
+    skeleton = canonical_pose(spec.skeleton) if spec.skeleton else None
+    offsets = (
+        np.stack([scaled_offsets(skeleton, half_axes[o]) for o in range(spec.num_objects)])
+        if skeleton is not None and spec.num_objects
+        else None
+    )
+    width, height = spec.image_size
+    noise = spec.pixel_noise
+    J = skeleton.num_joints if skeleton is not None else 0
+    no_box, no_kp = np.full(4, np.nan), np.full((J, 3), np.nan)
+    gt_pos, gt_kp, keys, boxes, kps = [], [], [], [], []
+    for k in range(spec.frames):
+        centers = np.column_stack([ground[k], half_axes[:, 2]])
+        joints = offsets + centers[:, None, :] if offsets is not None else None
+        outlines = {cid: outline(cam, centers, half_axes) for cid, cam in cams.items()}
+        gt_pos.append(centers)
+        if joints is not None:
+            gt_kp.append(joints)
+            pixels = {cid: joint_pixels(cam, joints) for cid, cam in cams.items()}
+        for o in range(spec.num_objects):
+            for cid in cams:
+                if occluded(k, cid, o) or np.isnan(outlines[cid][o, 0]):
+                    continue
+                vals = outlines[cid][o] + rng.normal(0.0, noise, 4) if noise else outlines[cid][o]
+                box = np.concatenate([np.minimum(vals[:2], vals[2:]), np.maximum(vals[:2], vals[2:])])
+                if not (box[:2] >= 0).all() or box[2] > width or box[3] > height:
+                    box = no_box
+                rows = no_kp
+                if joints is not None:
+                    front, joint_uv = pixels[cid]
+                    uv = joint_uv[o][front[o]]
+                    if noise:
+                        uv = uv + rng.normal(0.0, noise, uv.shape)
+                    visible = (0 <= uv[:, 0]) & (uv[:, 0] <= width) & (0 <= uv[:, 1]) & (uv[:, 1] <= height)
+                    if visible.any():
+                        rows = np.zeros((J, 3))
+                        rows[front[o]] = np.column_stack([uv, visible])
+                if box is not no_box or rows is not no_kp:
+                    keys.append((k, o, cid))
+                    boxes.append(box)
+                    kps.append(rows)
+
+    frame, oid, cid = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    annotations = AnnotationTable(
+        frame, oid, cid,
+        bbox=np.array(boxes).reshape(-1, 4),
+        keypoints=np.array(kps).reshape(-1, J, 3) if J else None,
+    )
+    n = spec.num_objects
+    gt = TrackTable(
+        frame=np.repeat(np.arange(spec.frames), n),
+        object_id=np.tile(np.arange(n), spec.frames),
+        position=np.concatenate(gt_pos),
+        half_axes=np.tile(half_axes, (spec.frames, 1)),
+        keypoints=np.concatenate(gt_kp) if gt_kp else None,
+    )
+    return annotations, gt

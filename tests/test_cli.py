@@ -108,6 +108,16 @@ class TestSynth:
         spec.write_text(json.dumps({"objects": 3}))
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
 
+    @pytest.mark.parametrize("object_id", [99, 6, -1])
+    def test_occlusion_of_unknown_object_is_exit_2(self, tmp_path, capsys, object_id):
+        spec = tmp_path / "spec.json"
+        occlusion = {"camera_id": 0, "start": 1, "stop": 3, "object_id": object_id}
+        spec.write_text(json.dumps({"num_objects": 6, "frames": 5, "occlusions": [occlusion]}))
+        assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"occlusion references unknown object {object_id}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
         lambda path: path.write_bytes(b'{"seed": "\xff"}'),

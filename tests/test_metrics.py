@@ -219,6 +219,16 @@ class TestOspa2:
             expected = cutoff * 0.5 ** (1.0 / order)
             assert ospa2(pred, gt, cutoff=cutoff, order=order) == pytest.approx(expected, rel=1e-12)
 
+    def test_matched_tracks_do_not_underflow_at_high_order(self):
+        # 0.2^2000 is 0 in a float: in units of the cutoff the one cost of
+        # these matched tracks would collapse to 0.
+        gt = _table({0: _still(range(5), (0, 0, 0))})
+        pred = _table({0: _still(range(5), (0.2, 0, 0))})
+        for cutoff in (1.0, 0.5):
+            for order in (1.0, 400.0, 2000.0):
+                got = ospa2(pred, gt, cutoff=cutoff, order=order)
+                assert got == pytest.approx(0.2, rel=1e-12)
+
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(17)
         for _ in range(60):

@@ -4,6 +4,7 @@ consistency of the rendered annotations with the ground truth."""
 import numpy as np
 import pytest
 
+from mvfuse import synth
 from mvfuse import (
     InvalidSpec,
     Occlusion,
@@ -16,8 +17,9 @@ from mvfuse import (
     save_tracks,
 )
 
+from mvfuse.errors import GeometryError
 from mvfuse.synth import _joint_pixels, _outline_boxes
-from oracles import pinhole_project, track_dicts
+from oracles import loop_generate, pinhole_project, track_dicts
 
 
 def _spec(**kwargs):
@@ -58,6 +60,8 @@ class TestSceneSpec:
             dict(ring_radius=-2.0),
             dict(occlusions=(Occlusion(camera_id=0, start=4, stop=2),)),
             dict(occlusions=(Occlusion(camera_id=9, start=0, stop=2),)),
+            dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=2),)),
+            dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=-1),)),
         ],
     )
     def test_invalid_values(self, kwargs):
@@ -201,6 +205,96 @@ class TestFrameGeometry:
         np.testing.assert_array_equal(
             uv[front], project_point(axis_camera, joints[front])
         )
+
+
+# A tight rig: object 2 of seed 5 comes so close to camera 3 that from frame 12
+# on its outline is not a bounded ellipse there.
+_DEGENERATE = dict(
+    seed=5, num_objects=3, num_cameras=8, frames=30, arena=(4.0, 4.0), ring_radius=2.9,
+    cam_height=0.9, focal=300.0, skeleton="coco17", pixel_noise=1.0,
+)
+_OCCLUSIONS = (
+    Occlusion(camera_id=1, start=2, stop=9),
+    Occlusion(camera_id=0, start=4, stop=12, object_id=2),
+)
+
+
+class TestRendererMatchesLoop:
+    """``generate`` renders the whole scene as arrays; the oracle renders it
+    one (frame, object, camera) at a time, drawing noise as it goes."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(motion="static", occlusions=_OCCLUSIONS[:1]),
+            dict(motion="static", pixel_noise=3.0, skeleton="panoptic15"),
+            dict(motion="constant-velocity", pixel_noise=1.0, skeleton="panoptic15",
+                 occlusions=_OCCLUSIONS[1:]),
+            dict(motion="constant-velocity", skeleton="coco17", occlusions=_OCCLUSIONS),
+            dict(motion="waypoint", pixel_noise=3.0, skeleton="coco17", occlusions=_OCCLUSIONS),
+            # 25 px noise pushes boxes and joints across the image border and
+            # swaps box corners.
+            dict(motion="waypoint", pixel_noise=25.0, occlusions=_OCCLUSIONS),
+            dict(motion="waypoint", pixel_noise=25.0, skeleton="panoptic15", focal=1500.0),
+            _DEGENERATE,
+            dict(num_objects=0),
+            dict(num_objects=0, pixel_noise=1.0, skeleton="coco17"),
+        ],
+    )
+    def test_columns_equal_loop(self, kwargs):
+        spec = _spec(**{**dict(seed=7, num_objects=4, num_cameras=4, frames=15), **kwargs})
+        bundle, gt = generate(spec)
+        want_ann, want_gt = loop_generate(spec)
+        for got, want in ((bundle.annotations, want_ann), (gt, want_gt)):
+            for name in got.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None, name
+                else:
+                    assert a.shape == b.shape, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_degenerate_frames_alone_go_row_by_row(self, monkeypatch):
+        spec = _spec(**_DEGENERATE)
+        bundle, gt = generate(spec)
+        n = spec.num_objects
+        centers = gt.position.reshape(spec.frames, n, 3)
+        half = gt.half_axes.reshape(spec.frames, n, 3)
+        raising = 0
+        for cam in bundle.calibration.values():
+            for c, h in zip(centers, half):
+                try:
+                    project_ellipsoid_to_bbox(cam, c, h)
+                except GeometryError:
+                    raising += 1
+        assert 0 < raising < spec.frames
+
+        calls = []
+
+        def counted(cam, center, half_axes):
+            calls.append(np.ndim(center))
+            return project_ellipsoid_to_bbox(cam, center, half_axes)
+
+        monkeypatch.setattr(synth, "project_ellipsoid_to_bbox", counted)
+        generate(spec)
+        assert calls.count(1) == raising * n
+
+    def test_noiseless_values_untouched(self, monkeypatch):
+        # Adding a zero noise would turn -0.0 into 0.0.
+        def negative_zero_u(kernel):
+            def patched(cam, *args):
+                out = kernel(cam, *args)
+                out[..., 0] = -0.0
+                return out
+            return patched
+
+        monkeypatch.setattr(synth, "project_ellipsoid_to_bbox", negative_zero_u(project_ellipsoid_to_bbox))
+        monkeypatch.setattr(synth, "project_point", negative_zero_u(project_point))
+        ann = generate(_spec(skeleton="coco17"))[0].annotations
+        front = ann.keypoints[..., 2] == 1.0
+        assert len(ann) and front.any()
+        assert np.signbit(ann.bbox[:, 0]).all()
+        assert np.signbit(ann.keypoints[..., 0][front]).all()
 
 
 class TestMotionModels:
