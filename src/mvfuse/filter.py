@@ -203,6 +203,17 @@ def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) 
     return out
 
 
+def sigma_scale(d: int, alpha: float, kappa: float) -> tuple[float, float]:
+    """lambda and the sigma scale d + lambda = alpha^2 (d + kappa) of a d-dim state."""
+    lam = alpha * alpha * (d + kappa) - d
+    scale = d + lam
+    if not 0.0 < scale < np.inf:
+        raise ValueError(
+            f"alpha^2 (d + kappa) must be positive and finite, got {scale} for d={d}"
+        )
+    return lam, scale
+
+
 def sigma_points(
     belief: GaussianBelief,
     *,
@@ -219,12 +230,7 @@ def sigma_points(
         If some row's (scaled, jittered) covariance cannot be factorized.
     """
     d = belief.dim
-    lam = alpha * alpha * (d + kappa) - d
-    scale = d + lam
-    if scale <= 0:
-        raise ValueError(
-            f"alpha^2 (d + kappa) must be positive, got {scale} for d={d}"
-        )
+    lam, scale = sigma_scale(d, alpha, kappa)
     L = _chol_with_jitter(
         belief.covariance, scale, CholeskyFailure, "sigma-point covariance"
     )
@@ -385,30 +391,28 @@ def ukf_update(
 
 def update_rows(
     update: Callable[[GaussianBelief, np.ndarray], GaussianBelief],
-    belief: GaussianBelief,
-    measurement,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, FilterError]]]:
-    """Apply ``update(belief, measurement)`` (a :func:`ukf_update` call) to
-    the whole stack, isolating rows that fail.
+    mean: np.ndarray,
+    cov: np.ndarray,
+    rows: np.ndarray,
+    z: np.ndarray,
+) -> list[tuple[int, FilterError]]:
+    """Apply ``update(belief, z)`` (a :func:`ukf_update` call) to the rows
+    ``rows`` of a writable (n, d) ``mean`` and (n, d, d) ``cov`` stack, with
+    one row of the (len(rows), m) ``z`` each, writing the posterior in place.
 
-    If the stacked call raises a ``FilterError``, ``update`` is redone row by
-    row on stacks of one; a row whose own call raises keeps its prior.
-    Returns the posterior mean (n, d) and covariance (n, d, d) and the
-    (row, error) pairs of the rows that kept their prior.
+    With no rows nothing is called. If the stacked call raises a
+    ``FilterError``, ``update`` is redone row by row on stacks of one; a row
+    whose own call raises keeps its prior. Returns the (row, error) pairs of
+    the stack rows that kept their prior.
     """
-    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
+    if not len(rows):
+        return []
     try:
-        post = update(belief, z)
-        return post.mean, post.covariance, []
+        post = update(GaussianBelief._trusted(mean[rows], cov[rows]), z)
     except FilterError as exc:
-        if len(belief) == 1:
-            return belief.mean, belief.covariance, [(0, exc)]
-    mean, cov = belief.mean.copy(), belief.covariance.copy()
-    failed = []
-    for i in range(len(mean)):
-        row = slice(i, i + 1)
-        mean[row], cov[row], bad = update_rows(
-            update, GaussianBelief._trusted(mean[row], cov[row]), z[row]
-        )
-        failed += [(i, exc) for _, exc in bad]
-    return mean, cov, failed
+        if len(rows) == 1:
+            return [(int(rows[0]), exc)]
+        one = [slice(k, k + 1) for k in range(len(rows))]
+        return [bad for k in one for bad in update_rows(update, mean, cov, rows[k], z[k])]
+    mean[rows], cov[rows] = post.mean, post.covariance
+    return []

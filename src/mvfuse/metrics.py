@@ -251,6 +251,22 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     return 100.0 * 2.0 * idtp / (total_gt + total_pred)
 
 
+def _bottleneck(D: np.ndarray) -> float:
+    """The least t for which some assignment of the square matrix ``D`` uses
+    only entries <= t: a binary search over the entries, one 0/1 assignment
+    per step."""
+    values = np.unique(D)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rows, cols = linear_sum_assignment((D > values[mid]).astype(np.float64))
+        if (D[rows, cols] > values[mid]).any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(values[lo])
+
+
 def ospa2(
     pred: TrackTable,
     gt: TrackTable,
@@ -301,15 +317,19 @@ def ospa2(
         seen[np.ix_(gi, pi)] -= 1
     # In units of the cutoff, every cost is at most 1: a high order can
     # neither overflow nor underflow an unmatched track's cost. With every
-    # track matched, the largest base ratio is the unit instead when it is
-    # below 1, so a high order cannot underflow every cost to 0 either.
+    # track matched, the bottleneck value is the unit instead when it is
+    # below 1: some assignment then has every scaled cost at most 1, and
+    # every assignment has one at least 1, so the chosen one can neither
+    # overflow nor underflow to 0. Costs above the unit may overflow to inf,
+    # and are never chosen.
     D = (total / seen).T / cutoff  # every track is present somewhere, so seen > 0
-    scale = D.max() if m == n else 1.0
+    scale = _bottleneck(D) if m == n else 1.0
     if not 0.0 < scale < 1.0:
         scale = 1.0
-    D = D / scale
-    rows, cols = linear_sum_assignment(D ** order)
-    cost = float((D[rows, cols] ** order).sum())
+    with np.errstate(over="ignore"):
+        P = (D / scale) ** order
+    rows, cols = linear_sum_assignment(P)
+    cost = float(P[rows, cols].sum())
     big = max(m, n)
     cost += big - min(m, n)
     return cutoff * float(scale) * float((cost / big) ** (1.0 / order))

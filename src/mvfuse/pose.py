@@ -2,11 +2,13 @@
 
 Keypoints are tracked as 6-dim constant-velocity states [x, vx, y, vy, z, vz]
 with a pinhole pixel measurement. Joints never interact, so the keypoints of
-one or more objects are the rows of one stacked belief: one predict moves all
-of them, and one update per camera fuses all the joints it sees. New keypoint
-states are seeded from a canonical skeleton scaled to the object's ellipsoid
-and translated to its center; keypoint velocities start as copies of the
-object velocity.
+one or more objects are the rows of one stacked belief, which the tracker
+drives through the same predict and update steps as its box states:
+:func:`predict_keypoints` moves the rows, and :func:`keypoint_update` is the
+per-camera update that :func:`mvfuse.filter.update_rows` applies to the
+joints a camera sees. New keypoint states are seeded from a canonical
+skeleton scaled to the object's ellipsoid and translated to its center;
+keypoint velocities start as copies of the object velocity.
 
 Canonical tables are stored normalized: per-axis midrange at the origin and a
 vertical (z) extent of exactly 1, so scaling to a person of height 2c is a
@@ -15,27 +17,16 @@ multiplication by 2c on z.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .filter import (
-    GaussianBelief,
-    MotionModel,
-    kalman_predict,
-    make_motion_model,
-    ukf_update,
-    update_rows,
-)
+from .filter import GaussianBelief, MotionModel, kalman_predict, ukf_update
 from .geometry import CameraModel, project_point
 
 if TYPE_CHECKING:
     from .io import RunConfig
-
-logger = logging.getLogger(__name__)
 
 # Index of (x, y, z) inside the interleaved keypoint state.
 KP_POS_IDX = np.array([0, 2, 4])
@@ -201,46 +192,23 @@ def init_keypoints(
     return GaussianBelief(mean.reshape(rows, 6), np.broadcast_to(cov, (rows, 6, 6)))
 
 
-def keypoint_motion_model(config: "RunConfig") -> MotionModel:
-    """Constant-velocity model matching the keypoint state layout."""
-    return make_motion_model(config.dt, config.q_pos)
-
-
 def predict_keypoints(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
     """Predict a stack of keypoint states one frame ahead."""
     return kalman_predict(belief, model)
 
 
-def update_keypoints(
-    belief: GaussianBelief, observed: np.ndarray, cam: CameraModel, config: "RunConfig"
-) -> GaussianBelief:
-    """Fuse one camera's keypoint annotations into a stack of keypoint
-    states.
+def keypoint_update(cam: CameraModel, config: "RunConfig"):
+    """The update of a stack of 6-dim keypoint states by their (n, 2) pixels
+    in ``cam``, through the pinhole pixel map: ``update(belief, z)``, for
+    :func:`mvfuse.filter.update_rows`, as the tracker's box update is."""
+    noise = config.r_keypoint * np.eye(2)
+    scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
 
-    ``observed`` is (n, 3) rows of (u, v, visibility), one per belief row.
-    All rows whose visibility reaches ``config.visibility_threshold`` are
-    updated in one call, through the pinhole pixel map; the others are left
-    untouched, and a joint whose update fails numerically keeps its prior
-    (logged, not raised).
-    """
-    if belief.dim != 6:
-        raise ValueError(f"keypoint states must be 6-dim, got {belief.dim}")
-    obs = np.asarray(observed, dtype=np.float64)
-    if obs.shape != (len(belief), 3):
-        raise ValueError(f"observations shape {obs.shape} must be ({len(belief)}, 3)")
-    seen = np.flatnonzero(obs[:, 2] >= config.visibility_threshold)
-    if not seen.size:
-        return belief
-    update = partial(
-        ukf_update,
-        h=lambda X: project_point(cam, X[..., KP_POS_IDX]),
-        noise=config.r_keypoint * np.eye(2),
-        alpha=config.alpha, beta=config.beta, kappa=config.kappa,
-    )
-    mean, cov = belief.mean.copy(), belief.covariance.copy()
-    mean[seen], cov[seen], failed = update_rows(
-        update, GaussianBelief._trusted(mean[seen], cov[seen]), obs[seen, :2]
-    )
-    for k, exc in failed:
-        logger.debug("keypoint %d update skipped: %s", seen[k], exc)
-    return GaussianBelief._trusted(mean, cov)
+    def update(belief: GaussianBelief, z) -> GaussianBelief:
+        if belief.dim != 6:
+            raise ValueError(f"keypoint states must be 6-dim, got {belief.dim}")
+        return ukf_update(
+            belief, z, lambda X: project_point(cam, X[..., KP_POS_IDX]), noise, **scaling
+        )
+
+    return update

@@ -9,25 +9,33 @@ per joint seeded from the post-update birth state.
 
 Objects never interact, so they are filtered together: every object is a row
 of one stacked belief (its joints are rows of a second one), and each frame
-runs one predict over the live rows, then one update per camera over the rows
-with an annotation in it. A row whose update fails is redone alone, so a
-failure in one object never touches another.
+runs one in-place predict over the live rows of each stack, then one in-place
+update (``update_rows``) per camera over the rows with an annotation in it.
+A row whose update fails is redone alone, so a failure in one object never
+touches another.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateConic, DivergentUpdate, GeometryError, NoObservation
+from .errors import (
+    DegenerateConic,
+    DivergentUpdate,
+    GeometryError,
+    NoObservation,
+    ValidationError,
+)
 from .filter import (
     GaussianBelief,
+    MotionModel,
     kalman_predict,
     make_motion_model,
+    sigma_scale,
     ukf_update,
     update_rows,
 )
@@ -77,13 +85,20 @@ def bbox_measurement(cam: CameraModel) -> Callable[[np.ndarray], np.ndarray]:
     return lambda X: project_ellipsoid_to_bbox(cam, X[..., POS_IDX], _half_axes(X))
 
 
-def _box_update(h, noise, scaling, belief: GaussianBelief, z) -> GaussianBelief:
-    """One stacked box update; a posterior beyond the log half-axis limit
-    fails it."""
-    post = ukf_update(belief, z, h, noise, **scaling)
-    if np.any(np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
-        raise DivergentUpdate("posterior log half-axes out of range")
-    return post
+def _box_update(cam: CameraModel, config: "RunConfig"):
+    """The update of a stack of box states by their (n, 4) boxes in ``cam``,
+    ``update(belief, z)`` for :func:`update_rows`; a posterior beyond the log
+    half-axis limit fails it."""
+    h, noise = bbox_measurement(cam), config.r_bbox * np.eye(4)
+    scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
+
+    def update(belief: GaussianBelief, z) -> GaussianBelief:
+        post = ukf_update(belief, z, h, noise, **scaling)
+        if np.any(np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
+            raise DivergentUpdate("posterior log half-axes out of range")
+        return post
+
+    return update
 
 
 def init_target(
@@ -130,6 +145,13 @@ def init_target(
     return GaussianBelief(mean, cov)
 
 
+def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, rows) -> None:
+    """Move the rows ``rows`` of a writable (mean, cov) stack through ``predict``, in place."""
+    if len(rows):
+        b = predict(GaussianBelief._trusted(mean[rows], cov[rows]), model)
+        mean[rows], cov[rows] = b.mean, b.covariance
+
+
 def run_all(
     annotations: AnnotationTable,
     cams: Mapping[int, CameraModel],
@@ -150,13 +172,27 @@ def run_all(
     ground point), and objects none of whose box updates applied, whose track
     would be prediction alone, get a ``no_observation`` diagnostic and are
     omitted. Diagnostics reach ``on_event`` ordered by object, then frame, then
-    camera.
+    camera. A config that gives no motion model, sigma points or birth belief
+    for a state the run filters raises ``ValidationError``.
     """
     ann = annotations
     J = skeleton.num_joints if skeleton is not None else 0
     if J and ann.keypoints is not None and ann.keypoints.shape[1] != J:
-        raise ValueError(f"keypoint observations must be ({J}, 3) arrays")
+        raise ValueError(f"keypoint observations shape must be (n, {J}, 3)")
     has_box, has_kp = ann.has_bbox, ann.has_keypoints
+    fuse_kp = bool(J) and bool(has_kp.any())
+    # The filter's constant pieces, built once before any object is fused: the
+    # motion model and the sigma scale of each filtered state.
+    try:
+        motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
+        kp_motion = make_motion_model(config.dt, config.q_pos) if fuse_kp else None
+    except (ArithmeticError, ValueError) as exc:
+        raise ValidationError(f"dt, q_pos and q_shape give no motion model: {exc}") from None
+    try:
+        for d in (9, 6) if fuse_kp else (9,):
+            sigma_scale(d, config.alpha, config.kappa)
+    except ValueError as exc:
+        raise ValidationError(f"alpha and kappa give no sigma points: {exc}") from None
     diags: list[Diagnostic] = []
     oids, births, lasts, with_kp, beliefs = [], [], [], [], []
     # Rows by (object, frame, camera): one block per object.
@@ -172,6 +208,10 @@ def run_all(
                 break
             except NoObservation as exc:
                 logger.debug("object %d birth deferred past frame %d: %s", oid, birth, exc)
+            except ValueError as exc:  # the birth belief's own check
+                raise ValidationError(
+                    f"init_pos_var, init_vel_var and init_shape_var give no birth belief: {exc}"
+                ) from None
         else:
             reason = "no box gave a usable ground point" if box_rows.size else "no boxes at all"
             diags.append(Diagnostic("no_observation", oid, message=reason))
@@ -204,63 +244,47 @@ def run_all(
     pairs, starts = np.unique(pairs, axis=0, return_index=True)
     stops = np.append(starts[1:], len(order))
 
-    motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
-    kp_motion = pose_mod.keypoint_motion_model(config) if skeleton is not None else None
-    measurements = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
-    r_box = config.r_bbox * np.eye(4)
-    scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
+    box_update = {cid: _box_update(cam, config) for cid, cam in cams.items()}
+    kp_update = {cid: pose_mod.keypoint_update(cam, config) for cid, cam in cams.items()}
     # The table one frame chunk at a time: frames, object rows, states, keypoints.
     out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
     for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
         live = (birth <= frame) & (frame <= last)
         moving = np.flatnonzero(live & (birth < frame))
-        if moving.size:
-            b = kalman_predict(GaussianBelief._trusted(mean[moving], cov[moving]), motion)
-            mean[moving], cov[moving] = b.mean, b.covariance
-        kp_rows = joints(moving[kp_on[moving]])
-        if kp_rows.size:
-            b = pose_mod.predict_keypoints(
-                GaussianBelief._trusted(kp_mean[kp_rows], kp_cov[kp_rows]), kp_motion
-            )
-            kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
+        _predict(kalman_predict, motion, mean, cov, moving)
+        kp_moving = joints(moving[kp_on[moving]])
+        _predict(pose_mod.predict_keypoints, kp_motion, kp_mean, kp_cov, kp_moving)
 
         lo, hi = np.searchsorted(pairs[:, 0], (frame, frame + 1))
         blocks = [(int(pairs[k, 1]), slice(starts[k], stops[k])) for k in range(lo, hi)]
         for cid, s in blocks:
             take = live[state_row[s]] & has_box_s[s]
-            if not take.any():
-                continue
             rows = state_row[s][take]
-            mean[rows], cov[rows], failed = update_rows(
-                partial(_box_update, measurements[cid], r_box, scaling),
-                GaussianBelief._trusted(mean[rows], cov[rows]),
-                box_s[s][take],
-            )
             applied[rows] += 1
-            for k, exc in failed:
-                applied[rows[k]] -= 1
-                diags.append(Diagnostic("update_skipped", oids[rows[k]], frame, cid, str(exc)))
+            for row, exc in update_rows(box_update[cid], mean, cov, rows, box_s[s][take]):
+                applied[row] -= 1
+                diags.append(Diagnostic("update_skipped", oids[row], frame, cid, str(exc)))
 
         born = np.flatnonzero(with_kp & (birth == frame))
         if born.size:
-            b = pose_mod.init_keypoints(
-                skeleton, GaussianBelief._trusted(mean[born], cov[born]), config
-            )
+            try:
+                b = pose_mod.init_keypoints(
+                    skeleton, GaussianBelief._trusted(mean[born], cov[born]), config
+                )
+            except ValueError as exc:  # the keypoint birth belief's own check
+                raise ValidationError(
+                    f"init_keypoint_pos_var and init_keypoint_vel_var give no birth belief: {exc}"
+                ) from None
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
             kp_on[born] = True
-        for cid, s in blocks:
+        for cid, s in blocks if fuse_kp else ():
             take = kp_on[state_row[s]] & has_kp_s[s]
-            if not take.any():
-                continue
-            kp_rows = joints(state_row[s][take])
-            b = pose_mod.update_keypoints(
-                GaussianBelief._trusted(kp_mean[kp_rows], kp_cov[kp_rows]),
-                ann.keypoints[order[s][take]].reshape(-1, 3),
-                cams[cid],
-                config,
-            )
-            kp_mean[kp_rows], kp_cov[kp_rows] = b.mean, b.covariance
+            obs = ann.keypoints[order[s][take]].reshape(-1, 3)
+            seen = obs[:, 2] >= config.visibility_threshold
+            kp_rows = joints(state_row[s][take])[seen]
+            for row, exc in update_rows(kp_update[cid], kp_mean, kp_cov, kp_rows, obs[seen, :2]):
+                logger.debug("keypoint row %d update skipped: %s", row, exc)
 
         rows = np.flatnonzero(live)
         out_frame.append(np.full(rows.size, frame))

@@ -10,6 +10,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -576,6 +577,41 @@ def test_mistyped_config_and_spec_fields_are_exit_2(scene_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"kappa": -20}, "kappa"),
+    ({"alpha": 1e-200}, "alpha"),
+    ({"alpha": 1e200}, "alpha"),
+    ({"dt": 1e308}, "dt"),
+    ({"q_pos": 1e308}, "q_pos"),
+    ({"q_shape": 1e308}, "q_shape"),
+    ({"init_pos_var": 1e308}, "init_pos_var"),
+    ({"init_keypoint_vel_var": 1e308, "skeleton": "panoptic15"}, "init_keypoint_vel_var"),
+    # Julier's kappa = 3 - n for the 9-dim box state leaves the 6-dim
+    # keypoint state no sigma points.
+    ({"kappa": -6, "skeleton": "panoptic15"}, "kappa"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_config_that_gives_no_filter_is_exit_2(scene_dir, tmp_path, capsys, doc, name):
+    # Each value passes RunConfig on its own, but no motion model, sigma
+    # points or birth belief can be built from it: annotate refuses it,
+    # naming the field, writes no tracks and prints no traceback.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(path))) == 2
+    err = capsys.readouterr().err
+    assert name in err.split("error: ", 1)[1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_box_only_run_fuses_with_julier_kappa(scene_dir, tmp_path, capsys):
+    # kappa = -6 gives the 9-dim box state a positive sigma scale; without a
+    # skeleton no keypoint state is filtered, so the boxes still fuse.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kappa": -6}))
+    assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(path))) == 0
+    assert len(load_tracks(tmp_path / "t.jsonl")) > 0
+
+
 _HOOK_TARGETS = """
 import sys
 sys.path[:0] = sys.argv[1:3]
@@ -596,6 +632,30 @@ def test_every_benchmark_hook_target_exists():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_traced_annotate_records_every_fusion_span(scene_dir, tmp_path):
+    # The tracer's hooks only see calls that look their target up at call
+    # time; a caller that binds a hooked name early would leave that layer's
+    # spans, and the per-layer metrics built on them, at zero.
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.npz"
+    argv = _annotate_argv(scene_dir, tmp_path, "--config", str(scene_dir / "config.json"))
+    env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "trace_child.py"), str(spans), "full", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with np.load(spans) as z:
+        names = [str(n) for n in z["names"]]
+        counts = np.bincount(z["name_id"], minlength=len(names))
+        assert z["absent"].tolist() == []
+    for name in (
+        "tracker.box_update", "pose.kp_update", "tracker.predict", "pose.predict_keypoints",
+        "geometry.box_measure", "geometry.project_point", "filter.sigma_points",
+    ):
+        assert name in names and counts[names.index(name)] > 0, name
 
 
 class TestParser:

@@ -329,9 +329,8 @@ class TestStacks:
         with pytest.raises(CholeskyFailure):
             ukf_update(pair, z, _bent, R)
 
-        mean, cov, failed = update_rows(
-            lambda b, zz: ukf_update(b, zz, _bent, R), pair, z
-        )
+        mean, cov = pair.mean.copy(), pair.covariance.copy()
+        failed = update_rows(lambda b, zz: ukf_update(b, zz, _bent, R), mean, cov, np.arange(2), z)
         alone = ukf_update(good, z[:1], _bent, R)
         np.testing.assert_array_equal(mean[0], alone.mean[0])
         np.testing.assert_array_equal(cov[0], alone.covariance[0])
@@ -348,9 +347,30 @@ class TestStacks:
             calls.append(len(belief))
             return ukf_update(belief, zz, _bent, np.eye(3))
 
-        mean, _, failed = update_rows(update, b, z)
+        mean, cov = b.mean.copy(), b.covariance.copy()
+        failed = update_rows(update, mean, cov, np.arange(3), z)
         assert calls == [3] and failed == []
         np.testing.assert_array_equal(mean, ukf_update(b, z, _bent, np.eye(3)).mean)
+
+    def test_update_rows_writes_only_its_rows(self):
+        # The posterior is written into the given rows of the stack, in
+        # place; the other rows are not touched, and a failed row is named
+        # by its index in the stack and keeps its prior.
+        rng = np.random.default_rng(13)
+        good = _stack(rng, 3, 9)
+        mean = np.concatenate([good.mean, np.zeros((1, 9))])
+        cov = np.concatenate([good.covariance, _UNFACTORIZABLE[None]])
+        prior = mean.copy(), cov.copy()
+        z, R = rng.normal(size=(2, 3)), np.eye(3)
+        failed = update_rows(lambda b, zz: ukf_update(b, zz, _bent, R), mean, cov, np.array([3, 1]), z)
+        assert [(i, type(e)) for i, e in failed] == [(3, CholeskyFailure)]
+        alone = ukf_update(GaussianBelief(prior[0][1], prior[1][1]), z[1:], _bent, R)
+        np.testing.assert_array_equal(mean[1], alone.mean[0])
+        np.testing.assert_array_equal(cov[1], alone.covariance[0])
+        for i in (0, 2, 3):
+            np.testing.assert_array_equal(mean[i], prior[0][i])
+            np.testing.assert_array_equal(cov[i], prior[1][i])
+        assert update_rows(None, mean, cov, np.array([], dtype=int), np.zeros((0, 3))) == []
 
     def test_jitter_is_chosen_per_row(self):
         # One row needs jitter; its neighbour's sigma points must not move.
@@ -436,7 +456,8 @@ class TestTrustedBeliefs:
                 raise SingularInnovation("retry row by row")
             return ukf_update(belief, z, _bent, np.eye(3))
 
-        update_rows(update, pred, rng.normal(size=(3, 3)))
+        mean, cov = pred.mean.copy(), pred.covariance.copy()
+        update_rows(update, mean, cov, np.arange(3), rng.normal(size=(3, 3)))
         assert len(retried) == 4
         for belief in (pred, post, *retried):
             for arr in (belief.mean, belief.covariance):

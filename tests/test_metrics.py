@@ -18,7 +18,7 @@ from mvfuse import (
     ospa2,
     pose_metrics,
 )
-from mvfuse.metrics import _distance, linear_sum_assignment
+from mvfuse.metrics import _bottleneck, _distance, linear_sum_assignment
 
 from oracles import loop_clear_mot, loop_idf1, loop_ospa2, loop_pose_metrics
 
@@ -228,6 +228,29 @@ class TestOspa2:
             for order in (1.0, 400.0, 2000.0):
                 got = ospa2(pred, gt, cutoff=cutoff, order=order)
                 assert got == pytest.approx(0.2, rel=1e-12)
+
+    def test_cross_pair_at_cutoff_does_not_underflow_at_high_order(self):
+        # The cross pairs (about 7 m apart) sit at the cutoff, so the largest
+        # base ratio is 1; the matched pairs, 0.2 and 0.1 m apart, are what
+        # a high order must not underflow to 0.
+        gt = _table({0: _still(range(5), (0, 0, 0)), 1: _still(range(5), (5, 5, 0))})
+        pred = _table({0: _still(range(5), (0.2, 0, 0)), 1: _still(range(5), (5.1, 5, 0))})
+        for order in (500.0, 2000.0):
+            expected = 0.2 * (0.5 * (1.0 + 0.5 ** order)) ** (1.0 / order)
+            assert ospa2(pred, gt, order=order) == pytest.approx(expected, rel=1e-12)
+        assert ospa2(pred, gt, order=500.0) == pytest.approx(0.19972, abs=1e-5)
+        assert ospa2(pred, gt, order=2000.0) == pytest.approx(0.19993, abs=1e-5)
+
+    def test_bottleneck_unit_matches_brute_force(self):
+        # The unit is the least t for which some full assignment uses only
+        # entries <= t; rounding to one decimal makes repeated entries and
+        # rows that share a nearest column common.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            D = np.round(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+            want = min(max(D[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+            assert _bottleneck(D) == want
 
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(17)

@@ -4,16 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse import (
+    AnnotationTable,
     CameraModel,
     CanonicalPose,
     GaussianBelief,
     RunConfig,
+    SceneSpec,
     canonical_pose,
+    generate,
     init_keypoints,
     project_point,
+    run_all,
     scaled_offsets,
 )
-from mvfuse.pose import KP_POS_IDX, keypoint_motion_model, predict_keypoints, update_keypoints
+from mvfuse import pose as pose_mod
+from mvfuse.filter import make_motion_model, update_rows
+from mvfuse.pose import KP_POS_IDX, keypoint_update, predict_keypoints
 from oracles import dlt_triangulate
 
 
@@ -153,13 +159,9 @@ class TestInitKeypoints:
 
 class TestKeypointState:
     def test_rejects_wrong_dim(self, config):
+        update = keypoint_update(_ring(1)[0], config)
         with pytest.raises(ValueError, match="6-dim"):
-            update_keypoints(
-                GaussianBelief(np.zeros(4), np.eye(4)),
-                np.array([[640.0, 360.0, 1.0]]),
-                _ring(1)[0],
-                config,
-            )
+            update(GaussianBelief(np.zeros(4), np.eye(4)), np.array([[640.0, 360.0]]))
 
     def test_position_extraction(self):
         mean = np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
@@ -186,13 +188,52 @@ def _ring(n=3, radius=8.0, height=3.0):
     return cams
 
 
+def _fuse(states, observed, cam, config):
+    """One camera's keypoint update as ``run_all`` makes it: the joints whose
+    (u, v, visibility) row reaches the visibility threshold are updated in one
+    ``update_rows`` call; the others are left untouched."""
+    mean, cov = states.mean.copy(), states.covariance.copy()
+    seen = np.flatnonzero(observed[:, 2] >= config.visibility_threshold)
+    update_rows(keypoint_update(cam, config), mean, cov, seen, observed[seen, :2])
+    return GaussianBelief(mean, cov)
+
+
+def _pose_scene(frames=2):
+    spec = SceneSpec(
+        seed=2, num_objects=1, num_cameras=2, frames=frames, fps=10.0,
+        motion="constant-velocity", skeleton="panoptic15",
+    )
+    bundle, _ = generate(spec)
+    return bundle
+
+
+def _with_keypoints(ann, keypoints):
+    return AnnotationTable(ann.frame, ann.object_id, ann.camera_id, ann.bbox, keypoints)
+
+
 class TestUpdateKeypoints:
-    def test_invisible_joints_untouched(self, config):
-        cams = _ring(1)
-        state = GaussianBelief(np.array([0, 0, 0, 0, 1.0, 0]), np.eye(6))
-        obs = np.array([[640.0, 360.0, 0.0]])  # flagged invisible
-        out = update_keypoints(state, obs, cams[0], config)
-        assert out is state
+    def test_invisible_joints_untouched(self, config, monkeypatch):
+        # Visibility is read where run_all picks the joints a camera updates:
+        # a camera view whose joints are all flagged invisible runs no
+        # keypoint update at all, and an invisible joint's pixels are never
+        # read, so changing them changes no output bit.
+        bundle = _pose_scene()
+        ann, skeleton = bundle.annotations, bundle.skeleton
+        kp = ann.keypoints.copy()
+        hidden = (ann.frame == 1) & (ann.camera_id == 0)
+        kp[hidden, :, 2] = 0.0
+        calls, real = [], pose_mod.ukf_update
+
+        def counted(belief, *args, **kwargs):
+            calls.append(len(belief))
+            return real(belief, *args, **kwargs)
+
+        monkeypatch.setattr(pose_mod, "ukf_update", counted)
+        out = run_all(_with_keypoints(ann, kp.copy()), bundle.calibration, config, skeleton=skeleton)
+        assert calls == [15, 15, 15]  # frame 0: both cameras; frame 1: camera 1
+        kp[hidden, :, :2] += 40.0
+        moved = run_all(_with_keypoints(ann, kp), bundle.calibration, config, skeleton=skeleton)
+        np.testing.assert_array_equal(moved.keypoints, out.keypoints)
 
     def test_visible_joint_moves_toward_truth(self, config):
         cams = _ring(1)
@@ -200,9 +241,7 @@ class TestUpdateKeypoints:
         uv = project_point(cams[0], truth)
         prior_mean = np.array([0.0, 0, 0.0, 0, 1.0, 0])
         state = GaussianBelief(prior_mean, 0.25 * np.eye(6))
-        out = update_keypoints(
-            state, np.array([[uv[0], uv[1], 1.0]]), cams[0], config
-        )
+        out = _fuse(state, np.array([[uv[0], uv[1], 1.0]]), cams[0], config)
         before = np.linalg.norm(prior_mean[[0, 2, 4]] - truth)
         after = np.linalg.norm(out.mean[:, KP_POS_IDX][0] - truth)
         assert after < before
@@ -223,10 +262,10 @@ class TestUpdateKeypoints:
         pixels = project_point(cams[0], states.mean[:, KP_POS_IDX] + 0.05)
         obs = np.hstack([pixels, np.ones((15, 1))])
         obs[7, 2] = 0.0
-        out = update_keypoints(states, obs, cams[0], config)
+        out = _fuse(states, obs, cams[0], config)
         for j in range(15):
             one = GaussianBelief(states.mean[j], states.covariance[j])
-            alone = update_keypoints(one, obs[j : j + 1], cams[0], config)
+            alone = _fuse(one, obs[j : j + 1], cams[0], config)
             np.testing.assert_array_equal(out.mean[j], alone.mean[0])
             np.testing.assert_array_equal(out.covariance[j], alone.covariance[0])
         for j in (4, 7):
@@ -235,22 +274,24 @@ class TestUpdateKeypoints:
         assert moved.sum() == 13
 
     def test_shape_mismatch(self, config):
-        cams = _ring(1)
-        state = GaussianBelief(np.zeros(6), np.eye(6))
+        # Keypoint rows must have the skeleton's joint count.
+        bundle = _pose_scene(frames=1)
+        ann = bundle.annotations
+        wrong = _with_keypoints(ann, ann.keypoints[:, :2])
         with pytest.raises(ValueError, match="shape"):
-            update_keypoints(state, np.zeros((2, 3)), cams[0], config)
+            run_all(wrong, bundle.calibration, config, skeleton=bundle.skeleton)
 
 
 def _track(frames, states, cams, config):
     """Filter keypoints over frames of {camera id: (N, 3) rows}, the first
     frame without a predict; returns the (F, N, 3) positions after each."""
-    model = keypoint_motion_model(config)
+    model = make_motion_model(config.dt, config.q_pos)
     out = []
     for k, per_cam in enumerate(frames):
         if k > 0:
             states = predict_keypoints(states, model)
         for cid in sorted(per_cam):
-            states = update_keypoints(states, per_cam[cid], cams[cid], config)
+            states = _fuse(states, per_cam[cid], cams[cid], config)
         out.append(states.mean[:, KP_POS_IDX])
     return np.array(out)
 
@@ -289,7 +330,7 @@ class TestTrackKeypoints:
 
 class TestPredictKeypoints:
     def test_velocity_integration(self, config):
-        model = keypoint_motion_model(config)
+        model = make_motion_model(config.dt, config.q_pos)
         s = GaussianBelief(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
         out = predict_keypoints(s, model)
         assert np.isclose(out.mean[0, 0], config.dt)

@@ -21,9 +21,12 @@ from mvfuse import (
     canonical_pose,
     generate,
     in_front,
+    init_keypoints,
     init_target,
     project_ellipsoid_to_bbox,
+    project_point,
     run_all,
+    scaled_offsets,
     sigma_points,
 )
 from mvfuse.errors import NonPositiveDepth, DegenerateConic
@@ -259,6 +262,64 @@ class TestTrackObject:
                 track.half_axes[k], np.exp(belief.mean[0, SHAPE_SLICE])
             )
         assert track.keypoints is None
+
+    def test_keypoints_match_manual_replay(self, config):
+        # Keypoints must be exactly: the box replay, init_keypoints from the
+        # birth frame's box posterior, then per frame a predict unless birth
+        # and one stacked ukf_update per camera in id order over the joints
+        # that camera sees; joint 3 is flagged invisible to camera 0 in frame 1.
+        cams = _two_camera_rig()
+        skeleton = canonical_pose("panoptic15")
+        half = (0.3, 0.3, 0.9)
+        path = {k: np.array([0.5 + 0.1 * k, -0.4 + 0.05 * k, 0.9]) for k in range(2)}
+        pixels = {
+            (k, cid): np.hstack([
+                project_point(cam, path[k] + scaled_offsets(skeleton, half) + 0.01 * k),
+                np.ones((15, 1)),
+            ])
+            for k in path for cid, cam in cams.items()
+        }
+        pixels[1, 0][3, 2] = 0.0
+        annotations = _annotations(*(
+            (k, 1, cid, _box_for(cam, path[k], half), pixels[k, cid])
+            for k in path for cid, cam in cams.items()
+        ))
+
+        track = run_all(annotations, cams, config, skeleton=skeleton)
+
+        scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
+        motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
+        kp_motion = make_motion_model(config.dt, config.q_pos)
+        belief = init_target(
+            list(cams), [_box_for(cam, path[0], half) for cam in cams.values()], cams, config
+        )
+        seen_counts = []
+        for k in path:
+            if k > 0:
+                belief = kalman_predict(belief, motion)
+                kp = kalman_predict(kp, kp_motion)
+            for cid in sorted(cams):
+                belief = ukf_update(
+                    belief, _box_for(cams[cid], path[k], half), bbox_measurement(cams[cid]),
+                    config.r_bbox * np.eye(4), **scaling,
+                )
+            if k == 0:
+                kp = init_keypoints(skeleton, belief, config)
+            for cid in sorted(cams):
+                seen = np.flatnonzero(pixels[k, cid][:, 2] >= config.visibility_threshold)
+                seen_counts.append(seen.size)
+                post = ukf_update(
+                    GaussianBelief(kp.mean[seen], kp.covariance[seen]),
+                    pixels[k, cid][seen, :2],
+                    lambda X, cam=cams[cid]: project_point(cam, X[..., [0, 2, 4]]),
+                    config.r_keypoint * np.eye(2), **scaling,
+                )
+                mean, cov = kp.mean.copy(), kp.covariance.copy()
+                mean[seen], cov[seen] = post.mean, post.covariance
+                kp = GaussianBelief(mean, cov)
+            np.testing.assert_array_equal(track.position[k], belief.mean[0, POS_IDX])
+            np.testing.assert_array_equal(track.keypoints[k], kp.mean[:, [0, 2, 4]])
+        assert seen_counts == [15, 15, 14, 15]
 
     def test_gap_frames_are_predict_only(self, config):
         cams = _two_camera_rig()
