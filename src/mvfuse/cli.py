@@ -26,20 +26,25 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .io import (
-    RunConfig,
-    _read_json,
-    load_config,
-    load_scene,
-    load_tracks,
-    save_annotations,
-    save_calibration,
-    save_config,
-    save_tracks,
-)
-from .metrics import evaluate_tracks
-from .synth import SceneSpec, generate
-from .tracker import run_all
+
+
+def __getattr__(name: str):
+    # The stages the commands call (run_all, load_tracks, ...) are the
+    # package's public names, each of which imports its module on first
+    # lookup. A command looks its stages up on this module when it runs, so
+    # it loads only those, and calls the one a caller (a tracer, say) bound
+    # here before main ran.
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
+
+
+def _stages(*names: str) -> list:
+    """The stages ``names``, as this module binds them now."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
+
 
 logger = logging.getLogger("mvfuse")
 
@@ -132,6 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .io import _read_json
+
+    (SceneSpec, generate, RunConfig,
+     save_calibration, save_annotations, save_tracks, save_config) = _stages(
+        "SceneSpec", "generate", "RunConfig",
+        "save_calibration", "save_annotations", "save_tracks", "save_config",
+    )
     spec_dict: dict = {}
     if args.spec:
         doc = _read_json(args.spec)
@@ -177,6 +189,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    load_config, RunConfig, load_scene, run_all, save_tracks = _stages(
+        "load_config", "RunConfig", "load_scene", "run_all", "save_tracks"
+    )
     config = load_config(args.config) if args.config else RunConfig()
     skeleton_src = args.skeleton or config.skeleton
     scene = load_scene(
@@ -218,6 +233,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    load_config, RunConfig, load_tracks, evaluate_tracks = _stages(
+        "load_config", "RunConfig", "load_tracks", "evaluate_tracks"
+    )
     config = load_config(args.config) if args.config else RunConfig()
     overrides = {
         "threshold": args.threshold,

@@ -61,7 +61,8 @@ class SigmaPointProjectionFailure(FilterError):
 
 
 class DivergentUpdate(FilterError):
-    """An update's posterior is not finite, or leaves the state's valid range."""
+    """A predicted or updated belief is not finite, or an update leaves the
+    state's valid range."""
 
 
 # --- tracking ---------------------------------------------------------------

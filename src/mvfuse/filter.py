@@ -274,7 +274,7 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
     ------
     DimensionMismatch
         If the model dimension differs from the belief dimension.
-    ValueError
+    DivergentUpdate
         If the prediction overflows to non-finite values.
     """
     if model.dim != belief.dim:
@@ -282,10 +282,11 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
             f"motion model dim {model.dim} != state dim {belief.dim}"
         )
     F = model.transition
-    mean = (F @ belief.mean[..., None])[..., 0]
-    cov = F @ belief.covariance @ F.T + model.process_noise
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mean = (F @ belief.mean[..., None])[..., 0]
+        cov = F @ belief.covariance @ F.T + model.process_noise
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError("belief contains non-finite values")
+        raise DivergentUpdate("prediction overflowed to non-finite values")
     return GaussianBelief._trusted(mean, 0.5 * (cov + _transpose(cov)))
 
 
@@ -396,7 +397,8 @@ def update_rows(
     rows: np.ndarray,
     z: np.ndarray,
 ) -> list[tuple[int, FilterError]]:
-    """Apply ``update(belief, z)`` (a :func:`ukf_update` call) to the rows
+    """Apply ``update(belief, z)`` (a :func:`ukf_update` call, or a predict
+    that ignores ``z``) to the rows
     ``rows`` of a writable (n, d) ``mean`` and (n, d, d) ``cov`` stack, with
     one row of the (len(rows), m) ``z`` each, writing the posterior in place.
 

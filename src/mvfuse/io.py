@@ -24,14 +24,16 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import CameraModel
-from .pose import CanonicalPose, canonical_pose
 from .tracks import AnnotationTable, RowError, TrackTable
+
+if TYPE_CHECKING:
+    from .geometry import CameraModel
+    from .pose import CanonicalPose
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
 # The field types checked, and what a value of each must be.
@@ -238,6 +240,8 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
     ``width``, ``height``. ``units="mm"`` converts millimeter translations to
     meters.
     """
+    from .geometry import CameraModel  # only the commands that read a rig load it
+
     spath = str(path)
     if units not in _UNIT_SCALE:
         raise ValidationError(f"unknown units {units!r}; expected 'm' or 'mm'")
@@ -263,15 +267,15 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
         except KeyError as exc:
             raise ParseError(spath, None, f"{where} missing key {exc}") from exc
         if cid in cams:
-            raise ValidationError(f"duplicate camera id {cid}")
+            raise ValidationError(f"{spath}: duplicate camera id {cid}")
         try:
             cams[cid] = CameraModel(
                 intrinsics=K, rotation=R, translation=t, image_size=size
             )
         except ValueError as exc:
-            raise ValidationError(f"camera {cid}: {exc}") from exc
+            raise ValidationError(f"{spath}: camera {cid}: {exc}") from exc
     if not cams:
-        raise ValidationError("calibration contains no cameras")
+        raise ValidationError(f"{spath}: calibration contains no cameras")
     return cams
 
 
@@ -441,6 +445,8 @@ def load_skeleton(source) -> CanonicalPose:
     ...]}`` with coordinates in any consistent units; they are normalized on
     load.
     """
+    from .pose import CanonicalPose, canonical_pose  # only a fusion run reads a skeleton
+
     name = str(source)
     if not Path(name).exists():
         try:

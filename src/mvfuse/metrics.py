@@ -26,6 +26,13 @@ from .errors import EmptyGroundTruth
 from .tracks import TrackTable
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``values``, as ``np.unique(values)`` gives
+    them. A return flag keeps numpy on its sort path: flagless ``np.unique``
+    (and ``np.union1d``, ``np.intersect1d``) import ``numpy.ma``."""
+    return np.unique(values, return_index=True)[0]
+
+
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost assignment of a rectangular cost matrix: ``(rows, cols)``,
     rows ascending, one pair per row or per column, whichever are fewer.
@@ -186,7 +193,7 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
         return rank[order].tolist(), t.position[order]
 
     g_rank, p_rank = _first_appearance(gt), _first_appearance(pred)
-    frames = np.union1d(gt.frame, pred.frame)
+    frames = _unique(np.concatenate((gt.frame, pred.frame)))
     fp = fn = ids = 0
     last_known: dict[int, int] = {}  # gt rank -> pred rank
     for g_rows, p_rows in zip(_bounds(gt, frames), _bounds(pred, frames)):
@@ -242,7 +249,7 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     if total_pred == 0:
         return 0.0
 
-    n, m, blocks = _frame_distances(pred, gt, np.union1d(gt.frame, pred.frame))
+    n, m, blocks = _frame_distances(pred, gt, _unique(np.concatenate((gt.frame, pred.frame))))
     overlap = np.zeros((n, m))
     for gi, pi, D in blocks:
         overlap[np.ix_(gi, pi)] += D <= threshold
@@ -255,7 +262,7 @@ def _bottleneck(D: np.ndarray) -> float:
     """The least t for which some assignment of the square matrix ``D`` uses
     only entries <= t: a binary search over the entries, one 0/1 assignment
     per step."""
-    values = np.unique(D)
+    values = _unique(D)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -291,7 +298,7 @@ def ospa2(
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    frames = np.union1d(pred.frame, gt.frame)
+    frames = _unique(np.concatenate((pred.frame, gt.frame)))
     if window is not None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -371,7 +378,7 @@ def pose_metrics(
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no keypoints")
 
-    frames = np.intersect1d(gt.frame[g_has], pred.frame[p_has])
+    frames = np.intersect1d(gt.frame[g_has], pred.frame[p_has], return_indices=True)[0]
     if frames.size and gt.keypoints.shape[1:] != pred.keypoints.shape[1:]:
         raise ValueError(
             f"keypoint count mismatch at frame {frames[0]}: "
@@ -510,7 +517,7 @@ def evaluate_tracks(
         pose=pose,
         threshold=threshold,
         ospa_cutoff=ospa_cutoff,
-        num_frames=len(np.union1d(gt.frame, pred.frame)),
+        num_frames=len(_unique(np.concatenate((gt.frame, pred.frame)))),
         num_gt=len(g),
         num_pred=len(p),
     )

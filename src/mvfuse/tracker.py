@@ -145,11 +145,11 @@ def init_target(
     return GaussianBelief(mean, cov)
 
 
-def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, rows) -> None:
-    """Move the rows ``rows`` of a writable (mean, cov) stack through ``predict``, in place."""
-    if len(rows):
-        b = predict(GaussianBelief._trusted(mean[rows], cov[rows]), model)
-        mean[rows], cov[rows] = b.mean, b.covariance
+def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, rows):
+    """Move the rows ``rows`` of a writable (mean, cov) stack through
+    ``predict``, in place and isolated row from row as :func:`update_rows`
+    does; returns the (row, error) pairs of the rows whose predict failed."""
+    return update_rows(lambda belief, _: predict(belief, model), mean, cov, rows, rows)
 
 
 def run_all(
@@ -167,7 +167,9 @@ def run_all(
     observation; frames without annotations are predict-only. A
     camera update that fails for an object is skipped with an
     ``update_skipped`` diagnostic and the object carries on with its
-    prediction; a failed keypoint update leaves that joint at its prior.
+    prediction; a failed keypoint update leaves that joint at its prior. An
+    object whose predict (of its box state or of a joint) fails ends at the
+    frame before, with a ``predict_failed`` diagnostic.
     Objects without a birth frame (no box, or no box that gives a usable
     ground point), and objects none of whose box updates applied, whose track
     would be prediction alone, get a ``no_observation`` diagnostic and are
@@ -201,7 +203,7 @@ def run_all(
     for oid, rows in zip(ids.tolist(), np.split(by_object, firsts[1:])):
         box_rows = rows[has_box[rows]]
         box_frames = ann.frame[box_rows]
-        for birth in np.unique(box_frames).tolist():
+        for birth in dict.fromkeys(box_frames.tolist()):  # the frames, ascending
             at = box_rows[box_frames == birth]
             try:
                 beliefs.append(init_target(ann.camera_id[at], ann.bbox[at], cams, config))
@@ -250,11 +252,15 @@ def run_all(
     out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
     for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
-        live = (birth <= frame) & (frame <= last)
-        moving = np.flatnonzero(live & (birth < frame))
-        _predict(kalman_predict, motion, mean, cov, moving)
+        moving = np.flatnonzero((birth < frame) & (frame <= last))
+        failed = dict(_predict(kalman_predict, motion, mean, cov, moving))
         kp_moving = joints(moving[kp_on[moving]])
-        _predict(pose_mod.predict_keypoints, kp_motion, kp_mean, kp_cov, kp_moving)
+        for row, exc in _predict(pose_mod.predict_keypoints, kp_motion, kp_mean, kp_cov, kp_moving):
+            failed.setdefault(row // J, exc)
+        for row, exc in sorted(failed.items()):  # the object ends at the frame before
+            last[row] = frame - 1
+            diags.append(Diagnostic("predict_failed", oids[row], frame, message=str(exc)))
+        live = (birth <= frame) & (frame <= last)
 
         lo, hi = np.searchsorted(pairs[:, 0], (frame, frame + 1))
         blocks = [(int(pairs[k, 1]), slice(starts[k], stops[k])) for k in range(lo, hi)]

@@ -235,6 +235,41 @@ class TestAnnotate:
         err = capsys.readouterr().err
         assert f"{calibration}: camera #1 {key} must be an integer" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cams: cams.append(dict(cams[0])), "duplicate camera id 0"),
+        (lambda cams: cams[0].update(R=[2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
+         "camera 0: rotation is not orthonormal"),
+        (lambda cams: cams.clear(), "calibration contains no cameras"),
+    ], ids=["duplicate", "rotation", "empty"])
+    def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
+        doc = json.loads((scene_dir / "calibration.json").read_text())
+        edit(doc["cameras"])
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(doc))
+        argv = _annotate_argv(scene_dir, tmp_path)
+        argv[argv.index("--calibration") + 1] = str(calibration)
+        assert main(argv) == 2
+        assert f"error: {calibration}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"q_pos": 1e307, "dt": 1},
+        {"init_vel_var": 1e300, "dt": 1e5},
+    ], ids=["q_pos", "init_vel_var"])
+    def test_overflowing_predict_ends_the_object(self, scene_dir, tmp_path, capsys, caplog, doc):
+        # Each config passes the start-of-run checks, then a predict
+        # overflows: the object ends at its last good frame with one
+        # diagnostic, and the run writes the tracks with no traceback.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**doc, "skeleton": "panoptic15"}))
+        assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(config))) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        ended = [r.args[1] for r in caplog.records if r.args and r.args[0] == "predict_failed"]
+        assert sorted(ended) == [0, 1]
+        tracks = load_tracks(tmp_path / "t.jsonl")
+        gt = load_tracks(scene_dir / "gt_tracks.jsonl")
+        assert set(tracks.object_id.tolist()) == {0, 1}
+        assert tracks.frame.max() < gt.frame.max()
+
 
 def _annotate_argv(scene_dir, tmp_path, *extra):
     return [
@@ -634,13 +669,11 @@ def test_every_benchmark_hook_target_exists():
     assert proc.stdout.strip() == "[]"
 
 
-def test_traced_annotate_records_every_fusion_span(scene_dir, tmp_path):
-    # The tracer's hooks only see calls that look their target up at call
-    # time; a caller that binds a hooked name early would leave that layer's
-    # spans, and the per-layer metrics built on them, at zero.
+def _traced_span_counts(argv, tmp_path) -> dict[str, int]:
+    """Run ``mvfuse argv`` under the benchmark's full tracer; the span count
+    of each traced name. No hook target may be absent."""
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.npz"
-    argv = _annotate_argv(scene_dir, tmp_path, "--config", str(scene_dir / "config.json"))
     env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "trace_child.py"), str(spans), "full", *argv],
@@ -651,11 +684,43 @@ def test_traced_annotate_records_every_fusion_span(scene_dir, tmp_path):
         names = [str(n) for n in z["names"]]
         counts = np.bincount(z["name_id"], minlength=len(names))
         assert z["absent"].tolist() == []
+    return dict(zip(names, counts.tolist()))
+
+
+def test_traced_annotate_records_every_fusion_span(scene_dir, tmp_path):
+    # The tracer's hooks only see calls that look their target up at call
+    # time; a caller that binds a hooked name early would leave that layer's
+    # spans, and the per-layer metrics built on them, at zero.
+    argv = _annotate_argv(scene_dir, tmp_path, "--config", str(scene_dir / "config.json"))
+    counts = _traced_span_counts(argv, tmp_path)
     for name in (
         "tracker.box_update", "pose.kp_update", "tracker.predict", "pose.predict_keypoints",
         "geometry.box_measure", "geometry.project_point", "filter.sigma_points",
     ):
-        assert name in names and counts[names.index(name)] > 0, name
+        assert counts.get(name, 0) > 0, name
+
+
+def _command_argv(command, scene_dir, fused_tracks, tmp_path) -> list[str]:
+    """A small run of ``command`` on the module's scene."""
+    return {
+        "synth": ["synth", "--out", str(tmp_path / "scene"), "--seed", "5", "--objects", "2",
+                  "--cameras", "3", "--frames", "10", "--skeleton", "panoptic15"],
+        "annotate": _annotate_argv(scene_dir, tmp_path, "--config", str(scene_dir / "config.json")),
+        "evaluate": ["evaluate", "--pred", str(fused_tracks), "--gt", str(scene_dir / "gt_tracks.jsonl")],
+    }.get(command, [command])
+
+
+@pytest.mark.parametrize("command, roots", [
+    ("synth", ("synth.generate", "io.save_annotations", "io.save_tracks")),
+    ("annotate", ("io.load_scene", "tracker.run_all", "io.save_tracks")),
+    ("evaluate", ("io.load_tracks", "metrics.evaluate_tracks")),
+])
+def test_traced_command_records_its_stage_roots(scene_dir, fused_tracks, tmp_path, command, roots):
+    # The stage roots are hooked on the cli module, which loads each stage
+    # when its command runs: the command must call what the tracer bound.
+    counts = _traced_span_counts(_command_argv(command, scene_dir, fused_tracks, tmp_path), tmp_path)
+    for name in roots:
+        assert counts.get(name, 0) > 0, name
 
 
 class TestParser:
@@ -718,3 +783,76 @@ def test_no_command_loads_scipy(tmp_path, capsys, monkeypatch):
     pred, gt = tmp_path / "tracks.jsonl", tmp_path / "gt_tracks.jsonl"
     assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 0
     assert capsys.readouterr().out == result["report"]
+
+
+_LOADED_MODULES = """
+import json, sys
+out, argv = sys.argv[1], sys.argv[2:]
+if argv:
+    from mvfuse.cli import main
+    try:
+        main(argv)
+    except SystemExit:  # --version and --help exit from the parser
+        pass
+else:
+    import mvfuse
+with open(out, "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.split(".")[0] in ("mvfuse", "numpy")), fh)
+"""
+
+
+@pytest.mark.parametrize("command, not_loaded", [
+    ("import", ("numpy", "mvfuse.cli", "mvfuse.errors")),
+    ("--version", ("numpy",)),
+    ("--help", ("numpy",)),
+    ("synth", ("mvfuse.tracker", "mvfuse.metrics")),
+    ("annotate", ("mvfuse.synth", "mvfuse.metrics")),
+    ("evaluate", ("mvfuse.synth", "mvfuse.tracker", "mvfuse.filter")),
+])
+def test_each_command_loads_only_its_layers(scene_dir, fused_tracks, tmp_path, command, not_loaded):
+    # Importing mvfuse loads none of its modules, and the cli loads a
+    # command's stages when that command runs; no command loads numpy.ma,
+    # which numpy's set operations import unless given a return flag.
+    argv = [] if command == "import" else _command_argv(command, scene_dir, fused_tracks, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
+    result = tmp_path / "loaded.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, str(result), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(result.read_text())
+    assert "Traceback" not in proc.stderr
+    assert "mvfuse" in loaded and "numpy.ma" not in loaded
+    assert not set(not_loaded) & set(loaded)
+    if command in ("import", "--version", "--help"):
+        assert {m for m in loaded if m.startswith("mvfuse.")} <= {"mvfuse.cli", "mvfuse.errors"}
+
+
+def test_python_m_mvfuse_runs_the_cli():
+    # From a plain checkout, with src/ on the path; --version loads no numpy.
+    env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mvfuse", "--version"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"mvfuse {mvfuse.__version__}"
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "mvfuse.cli" in imported and "numpy" not in imported
+
+
+def test_every_public_name_resolves_to_its_module():
+    # Lazy exports: each name of __all__ is importable, and each one a
+    # module defines is that module's object.
+    import importlib
+
+    for name in mvfuse.__all__:
+        value = getattr(mvfuse, name)
+        module = mvfuse._EXPORTS.get(name)
+        if module is None:
+            assert value is importlib.import_module(f"mvfuse.{name}")
+        else:
+            assert value is getattr(importlib.import_module(f"mvfuse.{module}"), name)
+    assert set(mvfuse.__all__) <= set(dir(mvfuse))
+    with pytest.raises(AttributeError):
+        mvfuse.no_such_name

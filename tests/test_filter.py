@@ -148,11 +148,11 @@ class TestPredict:
             kalman_predict(b, m)
 
     def test_overflowing_prediction_raises(self):
+        # A filter failure, which the tracker isolates to the failing row.
         b = GaussianBelief(np.zeros(6), 1e300 * np.eye(6))
         m = make_motion_model(1e5, q_pos=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                kalman_predict(b, m)
+        with pytest.raises(DivergentUpdate, match="non-finite"):
+            kalman_predict(b, m)
 
 
 def _affine_update_pair(rng, d, m):

@@ -10,6 +10,7 @@ from mvfuse import (
     AnnotationTable,
     CameraModel,
     CholeskyFailure,
+    DivergentUpdate,
     GaussianBelief,
     NoObservation,
     Occlusion,
@@ -543,6 +544,36 @@ class TestRunAll:
         birth = _track(tracks, 0).position[0]
         assert birth[2] == pytest.approx(0.9)  # default half-height, never updated
         assert len(_track(tracks, 0).frame) == len(_track(clean, 0).frame)
+
+    def test_failed_predict_ends_only_that_object(self, small_scene, config, monkeypatch):
+        # A FilterError in one object's predict (here the overflow that
+        # kalman_predict reports) ends that object at its last good frame
+        # with one diagnostic; the stack is redone row by row, so the other
+        # object's track is untouched.
+        bundle, _ = small_scene
+        clean = run_all(bundle.annotations, bundle.calibration, config)
+        last_good = _track(clean, 0)
+        last_good = last_good.position[last_good.frame.tolist().index(2)]
+        real = tracker_mod.kalman_predict
+
+        def overflowing(belief, model):
+            if any((row[POS_IDX] == last_good).all() for row in belief.mean):
+                raise DivergentUpdate("prediction overflowed to non-finite values")
+            return real(belief, model)
+
+        monkeypatch.setattr(tracker_mod, "kalman_predict", overflowing)
+        events = []
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, config, on_event=events.append
+        )
+        assert [(d.kind, d.object_id, d.frame, d.camera_id) for d in events] == [
+            ("predict_failed", 0, 3, None)
+        ]
+        ended, kept = _track(clean, 0), _track(clean, 1)
+        assert _track(tracks, 0).frame.tolist() == [f for f in ended.frame.tolist() if f <= 2]
+        np.testing.assert_array_equal(_track(tracks, 0).position, ended.position[ended.frame <= 2])
+        np.testing.assert_array_equal(_track(tracks, 1).position, kept.position)
+        np.testing.assert_array_equal(_track(tracks, 1).half_axes, kept.half_axes)
 
     def test_object_without_applied_update_omitted(self, small_scene, config, monkeypatch):
         # Every box update of object 0 fails: its track would be prediction
