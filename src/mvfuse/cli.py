@@ -215,14 +215,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         on_event=events.append,
     )
     for d in events:
-        logger.warning(
-            "%s: object %s frame %s camera %s %s",
-            d.kind,
-            d.object_id,
-            d.frame,
-            d.camera_id,
-            d.message,
+        where = "".join(
+            f" {name} {value}"
+            for name, value in (("frame", d.frame), ("camera", d.camera_id))
+            if value is not None
         )
+        logger.warning("%s: object %s%s %s", d.kind, d.object_id, where, d.message)
     save_tracks(tracks, args.out)
     print(
         f"fused {len(set(tracks.object_id.tolist()))} tracks ({len(tracks)} entries, "

@@ -114,7 +114,7 @@ def _affine(points: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _first_bad(mask: np.ndarray) -> tuple[tuple, str]:
     """Index of the first True entry of a batch mask, and a message suffix
     naming it ('' for a single row)."""
-    i = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    i = tuple(map(int, np.unravel_index(int(np.argmax(mask)), mask.shape)))
     return i, ("" if not i else f" at row {i[0] if len(i) == 1 else i}")
 
 

@@ -22,7 +22,9 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, product, repeat
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, get_args, get_origin, get_type_hints
 
@@ -36,6 +38,7 @@ if TYPE_CHECKING:
     from .pose import CanonicalPose
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
+_CHUNK = 128  # rows per JSONL write, keypoint records per conversion on read
 # The field types checked, and what a value of each must be.
 _KINDS = {
     float: ("a number", numbers.Real),
@@ -204,10 +207,11 @@ def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[f
     return out
 
 
-def _float_rows(rows, n: int, path: str, lines: list, what: str) -> np.ndarray:
+def _float_rows(rows, n: int, path: str, lines: Iterable, what: str) -> np.ndarray:
     """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
     one pass; a list that fails is read row by row by :func:`_float_list`,
-    which names the first bad row and its entry of ``lines``."""
+    which names the first bad row and its entry of ``lines`` (one line per
+    row, read only then)."""
     if (
         set(map(type, rows)) <= {list}
         and set(map(len, rows)) <= {n}
@@ -296,6 +300,24 @@ def save_calibration(cams: Mapping[int, CameraModel], path) -> None:
     Path(path).write_text(json.dumps({"cameras": entries}, indent=2) + "\n")
 
 
+_scan = make_scanner(json.JSONDecoder())
+_whitespace = WHITESPACE.match
+
+
+def _decode_line(line: str):
+    """The JSON value of one line, read by json's C scanner. Text around the
+    value may be only JSON whitespace (space, tab, LF, CR), as ``json.loads``
+    requires; a line the scanner refuses is given to ``json.loads``, which
+    raises its own error for it."""
+    try:
+        value, end = _scan(line, _whitespace(line, 0).end())
+        if _whitespace(line, end).end() == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
     spath = str(path)
     # Lines are read as they come, so the file is never held whole. A line
@@ -304,10 +326,10 @@ def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = _decode_line(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(spath, lineno, exc.msg) from exc
                 if not isinstance(record, dict):
@@ -324,34 +346,58 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
     record needs one of the ``required`` fields, else it is refused with
     ``missing``; the records of one key merge into one row, and a field given
     twice for a row is refused with ``duplicate``, formatted with the key and
-    ``column``."""
+    ``column``. Keypoint records are converted ``_CHUNK`` at a time; a pending
+    chunk is checked before a later line's fault is raised, so faults still
+    come in line order."""
     spath = str(path)
     row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
     given = {c: {} for c in columns}  # column -> {row: line}, in line order
     values = {c: [] for c in columns}  # column -> the values of `given`
     joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
-    for lineno, rec in _iter_jsonl(path):
-        k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
-        if all(rec.get(c) is None for c in required):
-            raise ParseError(spath, lineno, missing)
-        row = row_of.setdefault(k, len(row_of))
-        for c, width in columns.items():
-            value = rec.get(c)
-            if value is None:
-                continue
-            if row in given[c]:
-                raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
-            if width is None:
+    kp_column = next((c for c, width in columns.items() if width is None), None)
+    pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
+
+    def convert() -> None:
+        """Check the pending keypoint records and append them to ``values``
+        as one (m, J, 3) array."""
+        recs, pending[:] = pending[:], []
+        if recs:
+            rows = list(chain.from_iterable(v for v, _ in recs))
+            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
+            arr = _float_rows(rows, 3, spath, lines, "keypoint row")
+            values[kp_column].append(arr.reshape(len(recs), -1, 3))
+
+    try:
+        for lineno, rec in _iter_jsonl(path):
+            k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
+            if all(rec.get(c) is None for c in required):
+                raise ParseError(spath, lineno, missing)
+            row = row_of.setdefault(k, len(row_of))
+            for c, width in columns.items():
+                value = rec.get(c)
+                if value is None:
+                    continue
+                if row in given[c]:
+                    raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
+                given[c][row] = lineno
+                if width is not None:
+                    values[c].append(value)
+                    continue
                 if not isinstance(value, list) or not value:
                     raise ParseError(spath, lineno, f"{c} must be a non-empty list")
-                value = _float_rows(value, 3, spath, [lineno] * len(value), "keypoint row")
                 joints = joints or (len(value), lineno)
-                if len(value) != joints[0]:
+                if len(value) != joints[0]:  # a bad row of the record is named first
+                    _float_rows(value, 3, spath, repeat(lineno), "keypoint row")
                     raise ParseError(
                         spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
                     )
-            given[c][row] = lineno
-            values[c].append(value)
+                pending.append((value, lineno))
+                if len(pending) == _CHUNK:
+                    convert()
+    except (ParseError, ValidationError):
+        convert()  # a keypoint fault on an earlier line comes first
+        raise
+    convert()
     keys = np.array(list(row_of), dtype=np.int64).reshape(-1, len(key)).T
     order = np.lexsort(keys[::-1])
     rank = np.argsort(order)  # first-seen row -> sorted row
@@ -363,11 +409,12 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
             lines = list(given[c].values())
             cols[c][rows] = _float_rows(values[c], width, spath, lines, c).reshape(-1, width)
         elif joints is not None:
-            # Each record's rows go straight to their sorted row and are
+            # Each chunk's rows go straight to their sorted rows and are
             # dropped, so the load never holds a second, stacked copy.
-            cols[c], kps = np.full((len(order), joints[0], 3), np.nan), values[c]
-            for i, r in enumerate(rows.tolist()):
-                cols[c][r], kps[i] = kps[i], None
+            cols[c], chunks, lo = np.full((len(order), joints[0], 3), np.nan), values[c], 0
+            for i, chunk in enumerate(chunks):
+                cols[c][rows[lo : lo + len(chunk)]], chunks[i] = chunk, None
+                lo += len(chunk)
     try:
         return table(**cols)
     except RowError as exc:
@@ -377,24 +424,45 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
         raise ParseError(spath, line, exc.reason) from exc
 
 
+def _template(key, payload, shape) -> str:
+    """The %-template of a record of one shape: ``%d`` for each ``key``
+    field, then a ``%r`` list for each ``payload`` column the row has (per
+    ``shape``). A column the row lacks still takes its values, all NaN, each
+    by a ``%.0s``, which prints nothing."""
+    parts = [f'"{f}":%d' for f in key]
+    for (c, col), has in zip(payload, shape):
+        row = "[" + ",".join(["%r"] * col.shape[-1]) + "]"
+        if col.ndim == 3:
+            row = "[" + ",".join([row] * col.shape[1]) + "]"
+        if has:
+            parts.append(f'"{c}":{row}')
+        else:
+            parts[-1] += "%.0s" * math.prod(col.shape[1:])
+    return "{" + ",".join(parts) + "}\n"
+
+
 def _write_jsonl(table, path, key, columns) -> None:
     """Write ``table`` as JSONL, one record per row, in row order: the ``key``
-    fields, then each of the payload ``columns`` that the row has. Each record
-    is written as it is encoded, so the file's text is never held whole."""
-    payload = []
-    for c in columns:
-        col = getattr(table, c)
-        if col is not None:
-            has = ~np.isnan(col[:, 0] if col.ndim == 2 else col[:, 0, 0])
-            payload.append((c, has.tolist(), col.tolist() if col.ndim == 2 else col))
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    fields, then each of the payload ``columns`` that the row has, in the
+    text ``json.dumps(record, separators=(",", ":"))`` gives (a float as its
+    shortest round-trip repr). Rows are formatted ``_CHUNK`` at a time, each
+    from the template of its shape, so the file's text is never held whole."""
+    keys = [getattr(table, f) for f in key]
+    payload = [(c, getattr(table, c)) for c in columns if getattr(table, c) is not None]
+    has = [~np.isnan(col[:, 0] if col.ndim == 2 else col[:, 0, 0]) for _, col in payload]
+    templates = {
+        shape: _template(key, payload, shape)
+        for shape in product((False, True), repeat=len(payload))
+    }
     with open(path, "w") as out:
-        for i, k in enumerate(zip(*(getattr(table, f).tolist() for f in key))):
-            rec = dict(zip(key, k))
-            for c, has, col in payload:
-                if has[i]:
-                    rec[c] = col[i] if type(col) is list else col[i].tolist()
-            out.write(encode(rec) + "\n")
+        for lo in range(0, len(table), _CHUNK):
+            hi = min(lo + _CHUNK, len(table))
+            shapes = zip(*(h[lo:hi].tolist() for h in has))
+            ids = zip(*(k[lo:hi].tolist() for k in keys))
+            flat = np.hstack([col[lo:hi].reshape(hi - lo, -1) for _, col in payload])
+            out.write(
+                "".join([templates[s] % (*k, *v) for s, k, v in zip(shapes, ids, flat.tolist())])
+            )
 
 
 _ANNOTATION_KEY = ("frame", "object_id", "camera_id")

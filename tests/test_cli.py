@@ -270,6 +270,35 @@ class TestAnnotate:
         assert set(tracks.object_id.tolist()) == {0, 1}
         assert tracks.frame.max() < gt.frame.max()
 
+    def test_diagnostics_name_only_the_fields_they_have(self, scene_dir, tmp_path):
+        # In a fresh interpreter's stderr: both objects' predicts overflow
+        # (predict_failed names no camera), an object with keypoints and no
+        # box is never born (no_observation names no frame or camera), and a
+        # skipped update names its batch row with plain ints.
+        annotations = tmp_path / "annotations.jsonl"
+        kp_only = {"frame": 0, "object_id": 9, "camera_id": 0, "keypoints": [[5.0, 5.0, 1.0]] * 15}
+        annotations.write_text(
+            (scene_dir / "annotations.jsonl").read_text() + json.dumps(kp_only) + "\n"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"q_pos": 1e307, "dt": 1, "skeleton": "panoptic15"}))
+        argv = _annotate_argv(scene_dir, tmp_path, "--config", str(config))
+        argv[argv.index("--annotations") + 1] = str(annotations)
+        env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1]),
+               "MVFUSE_LOG": "WARNING"}
+        proc = subprocess.run([sys.executable, "-m", "mvfuse", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert "WARNING mvfuse: no_observation: object 9 no boxes at all" in lines
+        failed = [line for line in lines if "predict_failed" in line]
+        assert [line.split(" frame ")[0] for line in failed] == [
+            f"WARNING mvfuse: predict_failed: object {i}" for i in (0, 1)
+        ]
+        assert all(line.endswith(" prediction overflowed to non-finite values") for line in failed)
+        assert any(line.endswith(" at row (0, 1)") and " camera 0 " in line for line in lines)
+        assert "None" not in proc.stderr and "np.int64" not in proc.stderr
+
 
 def _annotate_argv(scene_dir, tmp_path, *extra):
     return [

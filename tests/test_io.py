@@ -657,3 +657,167 @@ def test_writers_emit_plain_float_lists(tmp_path):
         },
         separators=(",", ":"),
     )
+
+
+# Floats whose shortest repr takes each form: signed zero, exponents either
+# side, the smallest subnormal and the largest finite value.
+_EDGE_FLOATS = [-0.0, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, 0.1, -2.5]
+_BIG = 2**63 - 1
+
+
+def _edge_values(n: int, width: int, rng) -> np.ndarray:
+    return rng.choice(_EDGE_FLOATS, size=(n, width))
+
+
+def _dumps(table, key, columns) -> list[str]:
+    """Each row of ``table`` as ``json.dumps`` writes its record: the key,
+    then the payload columns the row has."""
+    out = []
+    for i in range(len(table)):
+        rec = {f: int(getattr(table, f)[i]) for f in key}
+        for c in columns:
+            col = getattr(table, c)
+            if col is not None and not np.isnan(col[i]).all():
+                rec[c] = col[i].tolist()
+        out.append(json.dumps(rec, separators=(",", ":")))
+    return out
+
+
+def test_track_writer_writes_every_line_as_json_dumps(tmp_path):
+    # 300 rows cycle through every row shape, across several write chunks,
+    # with keys at both ends of 64 bits.
+    rng = np.random.default_rng(4)
+    n = 300
+    shape = np.arange(n) % 4
+    half = np.abs(_edge_values(n, 3, rng)) + 5e-324  # positive, edge floats kept
+    half[shape % 2 == 0] = np.nan
+    kp = _edge_values(n, 2 * 3, rng).reshape(n, 2, 3)
+    kp[shape < 2] = np.nan
+    table = TrackTable(
+        frame=np.r_[np.arange(n - 1), _BIG],
+        object_id=np.tile([-(2**63), 0, _BIG], n)[:n],
+        position=_edge_values(n, 3, rng),
+        half_axes=half,
+        keypoints=kp,
+    )
+    assert {(h, k) for h, k in zip(table.has_half_axes, table.has_keypoints)} == {
+        (False, False), (True, False), (False, True), (True, True)
+    }
+    path, again = tmp_path / "tracks.jsonl", tmp_path / "again.jsonl"
+    save_tracks(table, path)
+    expected = _dumps(table, ("frame", "object_id"), ("position", "half_axes", "keypoints"))
+    assert path.read_text().splitlines() == expected
+    assert "-0.0" in path.read_text() and f'"frame":{_BIG},"object_id":{_BIG}' in expected[-1]
+    save_tracks(load_tracks(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    save_tracks(TrackTable([], [], np.empty((0, 3)), keypoints=np.empty((0, 2, 3))), path)
+    assert path.read_text() == "" and len(load_tracks(path)) == 0
+
+
+def test_annotation_writer_writes_every_line_as_json_dumps(tmp_path):
+    # Rows with a box, with keypoints, and with both; a column no row has
+    # is left out of every record.
+    rng = np.random.default_rng(5)
+    n = 200
+    shape = np.arange(n) % 3
+    lo = _edge_values(n, 2, rng)
+    bbox = np.hstack([np.minimum(lo, 1e-07), np.maximum(lo, 1e16)])  # corners in order
+    bbox[shape == 1] = np.nan
+    kp = _edge_values(n, 3 * 3, rng).reshape(n, 3, 3)
+    kp[shape == 0] = np.nan
+    table = AnnotationTable(
+        frame=np.r_[np.arange(n - 1), _BIG],
+        object_id=np.r_[np.zeros(n - 1, dtype=np.int64), _BIG],
+        camera_id=np.r_[np.zeros(n - 1, dtype=np.int64), _BIG],
+        bbox=bbox,
+        keypoints=kp,
+    )
+    key, columns = ("frame", "object_id", "camera_id"), ("bbox", "keypoints")
+    path = tmp_path / "annotations.jsonl"
+    save_annotations(table, path)
+    assert path.read_text().splitlines() == _dumps(table, key, columns)
+    boxed = shape != 1
+    boxes_only = AnnotationTable(
+        table.frame[boxed], table.object_id[boxed], table.camera_id[boxed], bbox=bbox[boxed]
+    )
+    save_annotations(boxes_only, path)
+    assert path.read_text().splitlines() == _dumps(boxes_only, key, columns)
+    assert "keypoints" not in path.read_text()
+
+
+_GOOD_TRACK = '{"frame": %d, "object_id": 1, "position": [0, 0, 1]}'
+_GOOD_KP = '{"frame": %d, "object_id": 1, "position": [0, 0, 1], "keypoints": [[0, 0, 1], [1, 1, 0]]}'
+
+
+@pytest.mark.parametrize("lines, line, reason", [
+    ([_GOOD_TRACK % 0, _GOOD_TRACK % 1 + "\x0c"], 2, "Extra data"),
+    ([_GOOD_TRACK % 0 + "\xa0"], 1, "Extra data"),
+    ([_GOOD_TRACK % 0 + " ", _GOOD_TRACK % 1], 1, "Extra data"),
+    ([_GOOD_TRACK % 0, _GOOD_TRACK % 1 + _GOOD_TRACK % 2], 2, "Extra data"),
+    ([_GOOD_TRACK % 0 + " " + _GOOD_TRACK % 1], 1, "Extra data"),
+    (["﻿" + _GOOD_TRACK % 0], 1, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ([_GOOD_TRACK % 0, "  "], None, None),
+    (["\x0c", "   " + _GOOD_TRACK % 0 + "\t", "\t" + _GOOD_TRACK % 1 + " \r"], None, None),
+    ([_GOOD_TRACK % 0, _GOOD_TRACK.replace("1]", "NaN]") % 1], 2, "position must be finite"),
+    ([_GOOD_TRACK % 0, '{"frame": 1, "object_id": 1, "position": [0, 0, 1}'], 2,
+     "Expecting ',' delimiter"),
+    ([_GOOD_TRACK % 0, '{"frame": 1, "object_id": 1, "position": [0, 0, 1,]}'], 2,
+     "Expecting value"),
+], ids=["formfeed", "nbsp", "line-separator", "two-records", "two-records-spaced", "bom",
+        "blank-line", "json-whitespace", "nan", "unclosed", "trailing-comma"])
+def test_reader_edge_lines(tmp_path, lines, line, reason):
+    # What follows a record on its line may be only JSON whitespace; the
+    # file:line and reason are what json.loads gives for the line.
+    path = tmp_path / "tracks.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    if reason is None:
+        assert len(load_tracks(path)) == sum(bool(s.strip()) for s in lines)
+        return
+    with pytest.raises(ParseError) as err:
+        load_tracks(path)
+    assert (err.value.line, err.value.reason) == (line, reason)
+    assert str(err.value) == f"{path}:{line}: {reason}"
+
+
+@pytest.mark.parametrize("later", [
+    '{"frame": "x", "object_id": 1, "position": [0, 0, 1]}',
+    '{"frame": 0, "object_id": 1, "position": [0, 0, 1]}',
+    '{"frame": 9999, "object_id": 1}',
+    '{"frame": 9999, "object_id": 1, "position": [0, 0, 1], "keypoints": [[0, 0, 1]]}',
+    '{"frame": 9999, "object_id": 1, "position": [0, 0, 1], "keypoints": [[0, true, 1]]}',
+    '{"frame": 9999, "object_id": 1, "position": [0, 0, 1], "keypoints": []}',
+    "[1, 2]",
+    "{",
+], ids=["bad-key", "duplicate", "no-position", "joint-count", "joint-count-bad-row",
+        "empty-keypoints", "not-object", "syntax"])
+@pytest.mark.parametrize("before", [0, 1, 127, 200])
+def test_keypoint_fault_is_reported_before_a_later_record_fault(tmp_path, before, later):
+    # A bad keypoint row on the line after ``before`` good keypoint records
+    # is reported at its own line, ahead of any fault on a later line.
+    good = [_GOOD_KP % f for f in range(before)]
+    bad = _GOOD_KP.replace("[1, 1, 0]", "[1, NaN, 0]") % before
+    path = tmp_path / "tracks.jsonl"
+    path.write_text("\n".join([*good, bad, later]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_tracks(path)
+    assert (err.value.line, err.value.reason) == (before + 1, "keypoint row must be finite")
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("[[0, 0, 1]]", "1 keypoint rows, line 1 has 2"),
+    ("[[0, 0, 1], [1, 1]]", "keypoint row must be a list of 3 numbers"),
+    ("[[0, 0, 1], [1, 1, 0], [true, 0, 0]]", "keypoint row must contain numbers"),
+], ids=["count", "row-width", "row-type"])
+@pytest.mark.parametrize("before", [1, 128, 300])
+def test_keypoint_faults_after_full_chunks_name_their_line(tmp_path, before, rows, reason):
+    # Records past the first chunks: the record's own row fault comes
+    # before its joint-count fault, and a good file of the same length loads.
+    good = [_GOOD_KP % f for f in range(before)]
+    path = tmp_path / "tracks.jsonl"
+    path.write_text("\n".join(good) + "\n")
+    assert load_tracks(path).keypoints.shape == (before, 2, 3)
+    bad = f'{{"frame": {before}, "object_id": 1, "position": [0, 0, 1], "keypoints": {rows}}}'
+    path.write_text("\n".join([*good, bad, _GOOD_KP % (before + 1)]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_tracks(path)
+    assert (err.value.line, err.value.reason) == (before + 1, reason)
