@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,7 +77,7 @@ class GaussianBelief:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("belief contains non-finite values")
         if np.max(np.abs(cov - _transpose(cov))) > _SYM_TOL:
             raise ValueError("covariance is not symmetric")
@@ -182,7 +183,7 @@ def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) 
     factor depends on another row; ``failure`` names the first row that
     stays unfactorizable."""
     try:
-        return np.linalg.cholesky(scale * mats)
+        return np.linalg.cholesky(mats if scale == 1.0 else scale * mats)
     except np.linalg.LinAlgError:
         pass
     d = mats.shape[-1]
@@ -214,6 +215,20 @@ def sigma_scale(d: int, alpha: float, kappa: float) -> tuple[float, float]:
     return lam, scale
 
 
+@lru_cache(maxsize=16)
+def _sigma_weights(d: int, alpha: float, beta: float, kappa: float):
+    """The sigma scale d + lambda of a d-dim state and the read-only mean
+    and covariance weights (2d+1,), built once per scaling."""
+    lam, scale = sigma_scale(d, alpha, kappa)
+    wm = np.full(2 * d + 1, 1.0 / (2.0 * scale))
+    wc = wm.copy()
+    wm[0] = lam / scale
+    wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
+    wm.setflags(write=False)
+    wc.setflags(write=False)
+    return scale, wm, wc
+
+
 def sigma_points(
     belief: GaussianBelief,
     *,
@@ -222,27 +237,25 @@ def sigma_points(
     kappa: float = DEFAULT_KAPPA,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled sigma points (n, 2d+1, d) with their mean and covariance
-    weights (2d+1,) each.
+    weights (2d+1,) each; the weights are read-only and shared by every
+    call with the same dimension and scaling.
 
     Raises
     ------
     CholeskyFailure
         If some row's (scaled, jittered) covariance cannot be factorized.
     """
-    d = belief.dim
-    lam, scale = sigma_scale(d, alpha, kappa)
-    L = _chol_with_jitter(
+    mean = belief.mean
+    n, d = mean.shape
+    scale, wm, wc = _sigma_weights(d, alpha, beta, kappa)
+    Lt = _transpose(_chol_with_jitter(
         belief.covariance, scale, CholeskyFailure, "sigma-point covariance"
-    )
-    center = belief.mean[:, None, :]
-    pts = np.empty((len(belief), 2 * d + 1, d))
-    pts[:, :1] = center
-    pts[:, 1 : d + 1] = center + _transpose(L)
-    pts[:, d + 1 :] = center - _transpose(L)
-    wm = np.full(2 * d + 1, 1.0 / (2.0 * scale))
-    wc = wm.copy()
-    wm[0] = lam / scale
-    wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
+    ))
+    center = mean[:, None, :]
+    pts = np.empty((n, 2 * d + 1, d))
+    pts[:, 0] = mean
+    np.add(center, Lt, out=pts[:, 1 : d + 1])
+    np.subtract(center, Lt, out=pts[:, d + 1 :])
     return pts, wm, wc
 
 
@@ -261,10 +274,21 @@ def unscented_transform(
         raise DimensionMismatch(
             f"values {V.shape} incompatible with {wm.size} weights"
         )
+    return _moments(V, wm, wc)[:2]
+
+
+def _moments(
+    V: np.ndarray, wm: np.ndarray, wc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`unscented_transform` of checked float64 inputs: the mean and
+    the symmetrized covariance, plus the weighted deviations
+    ``wc (V - mean)`` (..., 2d+1, m) that a cross covariance with the sigma
+    points is taken against."""
     mean = wm @ V
     dV = V - mean[..., None, :]
-    cov = _transpose(dV) @ (wc[:, None] * dV)
-    return mean, 0.5 * (cov + _transpose(cov))
+    wdV = wc[:, None] * dV
+    cov = _transpose(dV) @ wdV
+    return mean, 0.5 * (cov + _transpose(cov)), wdV
 
 
 def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
@@ -285,7 +309,7 @@ def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         mean = (F @ belief.mean[..., None])[..., 0]
         cov = F @ belief.covariance @ F.T + model.process_noise
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("prediction overflowed to non-finite values")
     return GaussianBelief._trusted(mean, 0.5 * (cov + _transpose(cov)))
 
@@ -302,7 +326,7 @@ def _clamp_indefinite(cov: np.ndarray) -> None:
             rows.append(i)
     w, V = np.linalg.eigh(cov[rows])
     neg = w[:, 0] < 0.0
-    if np.any(neg):
+    if neg.any():
         logger.debug("clamping posterior eigenvalues (min %.3e)", w[neg, 0].min())
         clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ _transpose(V[neg])
         cov[np.array(rows)[neg]] = 0.5 * (clamped + _transpose(clamped))
@@ -347,8 +371,10 @@ def ukf_update(
         Propagated from sigma-point generation.
     """
     n = len(belief)
-    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
-    if not np.all(np.isfinite(z)):
+    z = np.asarray(measurement, dtype=np.float64)
+    if z.ndim < 2:
+        z = z.reshape(1, -1)
+    if not np.isfinite(z).all():
         raise ValueError("measurement contains non-finite values")
     m = z.shape[1]
     R = np.asarray(noise, dtype=np.float64)
@@ -368,20 +394,19 @@ def ukf_update(
         raise DimensionMismatch(
             f"h returned shape {Z.shape}, expected {X.shape[:2] + (m,)}"
         )
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise SigmaPointProjectionFailure("measurement map gave non-finite values")
 
-    z_hat, S = unscented_transform(Z, wm, wc)
-    S = S + R
-    dX = X - belief.mean[:, None, :]
-    Cxz = _transpose(dX) @ (wc[:, None] * (Z - z_hat[:, None, :]))
+    z_hat, S, wdZ = _moments(Z, wm, wc)
+    S += R
+    Cxz = _transpose(X - belief.mean[:, None, :]) @ wdZ
 
     L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
     K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
     mean = belief.mean + (K @ (z - z_hat)[..., None])[..., 0]
     cov = belief.covariance - K @ S @ _transpose(K)
     cov = 0.5 * (cov + _transpose(cov))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("update overflowed to a non-finite posterior")
     try:
         np.linalg.cholesky(cov)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateConic,
     DegenerateHomography,
+    GeometryError,
     NonPositiveDepth,
     PointAtInfinity,
 )
@@ -98,17 +99,25 @@ class CameraModel:
             self.__dict__["_P"] = P
         return P
 
-
-def _affine(points: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``points @ A.T + b`` for (..., 3) points, summed term by term in a fixed
-    order so that a stack of rows gives bit-for-bit the results of row-by-row
-    calls (a BLAS product need not)."""
-    return (
-        points[..., 0:1] * A[:, 0]
-        + points[..., 1:2] * A[:, 1]
-        + points[..., 2:3] * A[:, 2]
-        + b
-    )
+    @property
+    def _kernel_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The projection kernels' per-camera constants, built on first use
+        and cached read-only, as columns that broadcast over (3, N)
+        coordinate planes: the columns of ``M`` (3, 3, 1) and ``p`` (3, 1)
+        (``P = [M | p]``), and the columns of ``M[_ROWS] * M[_COLS]``
+        (3, 6, 1), the weights of a², b² and c² in the outline conic."""
+        consts = self.__dict__.get("_consts")
+        if consts is None:
+            P = self.projection_matrix
+            M = P[:, :3]
+            Q = M[_ROWS] * M[_COLS]
+            consts = tuple(
+                np.ascontiguousarray(a) for a in (M.T[:, :, None], P[:, 3:], Q.T[:, :, None])
+            )
+            for a in consts:
+                a.setflags(write=False)
+            self.__dict__["_consts"] = consts
+        return consts
 
 
 def _first_bad(mask: np.ndarray) -> tuple[tuple, str]:
@@ -118,6 +127,23 @@ def _first_bad(mask: np.ndarray) -> tuple[tuple, str]:
     return i, ("" if not i else f" at row {i[0] if len(i) == 1 else i}")
 
 
+def _check_finite(what: str, *rows: np.ndarray) -> None:
+    """Raise ``GeometryError`` naming the first row of the (..., 3) ``rows``,
+    broadcast together, that holds a non-finite value.
+
+    The kernels call it only after a whole-stack test has tripped, before
+    they look for the row that test rejects: a non-finite input row always
+    trips one, since it makes that row's depth, C22 or discriminant NaN (or
+    a point's depth infinite), and every test is written so that NaN fails
+    it."""
+    rows = np.broadcast_arrays(*rows)
+    finite = np.logical_and.reduce([np.isfinite(r).all(axis=-1) for r in rows])
+    if not finite.all():
+        i, where = _first_bad(~finite)
+        values = " and ".join(str(r[i].tolist()) for r in rows)
+        raise GeometryError(f"non-finite {what} {values}{where}")
+
+
 def _as_rows(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape[-1:] != (3,):
@@ -125,12 +151,23 @@ def _as_rows(value, name: str) -> np.ndarray:
     return arr
 
 
+def _linear(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``A x`` (m, N) for N rows x (..., 3), with ``cols`` (3, m, 1) the
+    columns of A. The rows are taken as (3, N) coordinate planes, so each
+    step is one ufunc loop over N values, not N loops of 3, and the terms
+    are summed in a fixed order, so that a stack of rows gives bit-for-bit
+    the results of row-by-row calls (a BLAS product need not)."""
+    T = rows.reshape(-1, 3).T[:, None, :] * cols
+    return T[0] + T[1] + T[2]
+
+
 def in_front(cam: CameraModel, points) -> np.ndarray:
     """Mask (...,) of the world points (..., 3) whose camera-frame depth
-    exceeds 1e-9: exactly the points :func:`project_point` accepts."""
-    P = cam.projection_matrix
+    exceeds 1e-9: exactly the finite points :func:`project_point` accepts."""
     X = _as_rows(points, "points")
-    return _affine(X, P[2:, :3], P[2:, 3])[..., 0] > _DEPTH_EPS
+    M_cols, p, _ = cam._kernel_constants
+    depth = (_linear(X, M_cols[:, 2:]) + p[2:])[0]
+    return depth.reshape(X.shape[:-1]) > _DEPTH_EPS
 
 
 def project_point(cam: CameraModel, points) -> np.ndarray:
@@ -138,19 +175,28 @@ def project_point(cam: CameraModel, points) -> np.ndarray:
 
     Raises
     ------
+    GeometryError
+        If a point is not finite.
     NonPositiveDepth
         If any point's camera-frame depth is <= 1e-9.
     """
     X = _as_rows(points, "points")
-    P = cam.projection_matrix
-    uvw = _affine(X, P[:, :3], P[:, 3])
-    bad = uvw[..., 2] <= _DEPTH_EPS
-    if bad.any():
-        i, where = _first_bad(bad)
-        raise NonPositiveDepth(
-            f"depth {uvw[..., 2][i]:.3e} for point {X[i].tolist()}{where}"
-        )
-    return uvw[..., :2] / uvw[..., 2:3]
+    shape = X.shape[:-1]
+    M_cols, p, _ = cam._kernel_constants
+    uvw = _linear(X, M_cols) + p
+    depth = uvw[2]
+    if not ((depth > _DEPTH_EPS) & (depth < np.inf)).all():
+        _check_finite("point", X)
+        depth = depth.reshape(shape)
+        bad = depth <= _DEPTH_EPS
+        if bad.any():
+            i, where = _first_bad(bad)
+            raise NonPositiveDepth(
+                f"depth {depth[i]:.3e} for point {X[i].tolist()}{where}"
+            )
+    uv = np.empty((uvw.shape[1], 2))
+    np.divide(uvw[:2], uvw[2], out=uv.T)
+    return uv.reshape(shape + (2,))
 
 
 def ground_homography(cam: CameraModel) -> np.ndarray:
@@ -213,8 +259,13 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
     image of the center. The image lines tangent to the conic give the box
     edges in closed form.
 
+    Each check below first tests the whole stack at once; only when that
+    test trips is the stack searched for the first bad row.
+
     Raises
     ------
+    GeometryError
+        If a center or half-axis is not finite.
     ValueError
         If a half-axis is not positive.
     NonPositiveDepth
@@ -225,30 +276,46 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
     """
     X = _as_rows(center, "center")
     half = _as_rows(half_axes, "half_axes")
-    if (half <= 0).any():
+    if not (half > 0).all():
+        _check_finite("center and half-axes", X, half)
         raise ValueError(f"half_axes must be positive, got {half.tolist()}")
-    P = cam.projection_matrix
-    M = P[:, :3]
-    w = _affine(X, M, P[:, 3])
-    bad = w[..., 2] <= _DEPTH_EPS
-    if bad.any():
-        i, where = _first_bad(bad)
-        raise NonPositiveDepth(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
+    if X.shape != half.shape:
+        X, half = np.broadcast_arrays(X, half)
+    shape = X.shape[:-1]
+    M_cols, p, Q_cols = cam._kernel_constants
+    w = _linear(X, M_cols) + p
+    if not (w[2] > _DEPTH_EPS).all():
+        _check_finite("center and half-axes", X, half)
+        depth = w[2].reshape(shape)
+        bad = depth <= _DEPTH_EPS
+        if bad.any():
+            i, where = _first_bad(bad)
+            raise NonPositiveDepth(f"ellipsoid center depth {depth[i]:.3e}{where}")
 
-    C = _affine(half * half, M[_ROWS] * M[_COLS], -w[..., _ROWS] * w[..., _COLS])
-    c22 = C[..., 4:5]
-    bad = np.abs(c22[..., 0]) < _HOMOG_EPS * np.maximum(1.0, np.abs(C).max(axis=-1))
-    if bad.any():
-        _, where = _first_bad(bad)
-        raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
-    center_uv = C[..., 2:4] / c22
-    disc = center_uv * center_uv - C[..., 0:2] / c22
-    bad = (disc <= 0).any(axis=-1)
-    if bad.any():
-        i, where = _first_bad(bad)
-        raise DegenerateConic(
-            f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
-        )
+    # The six conic entries (6, N) in _ROWS/_COLS order; C22 is entry 4.
+    C = _linear(half * half, Q_cols) - w[_ROWS] * w[_COLS]
+    absC = np.abs(C)
+    # |C22| >= 1e-12 max(1, max |C|) over the whole stack implies it per row.
+    if not (absC[4] >= _HOMOG_EPS * absC.max(initial=1.0)).all():
+        _check_finite("center and half-axes", X, half)
+        bad = absC[4] < _HOMOG_EPS * np.maximum(1.0, absC.max(axis=0))
+        if bad.any():
+            _, where = _first_bad(bad.reshape(shape))
+            raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+    ratio = C[:4] / C[4]
+    center_uv = ratio[2:]
+    disc = center_uv * center_uv - ratio[:2]
+    if not (disc > 0).all():
+        _check_finite("center and half-axes", X, half)
+        bad = (disc <= 0).any(axis=0)
+        if bad.any():
+            i, where = _first_bad(bad.reshape(shape))
+            disc = disc.T.reshape(shape + (2,))
+            raise DegenerateConic(
+                f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
+            )
     r = np.sqrt(disc)
-    return np.concatenate([center_uv - r, center_uv + r], axis=-1)
-
+    box = np.empty((r.shape[1], 4))
+    np.subtract(center_uv, r, out=box.T[:2])
+    np.add(center_uv, r, out=box.T[2:])
+    return box.reshape(shape + (4,))

@@ -28,9 +28,10 @@ from .geometry import CameraModel, project_point
 if TYPE_CHECKING:
     from .io import RunConfig
 
-# Index of (x, y, z) inside the interleaved keypoint state.
-KP_POS_IDX = np.array([0, 2, 4])
-KP_VEL_IDX = np.array([1, 3, 5])
+# (x, y, z) and their velocities inside the interleaved keypoint state, as
+# basic slices: indexing a stack of states with them gives a view.
+KP_POS_IDX = slice(0, 6, 2)
+KP_VEL_IDX = slice(1, 6, 2)
 
 _EXTENT_EPS = 1e-6
 _NORM_TOL = 1e-9
@@ -204,11 +205,12 @@ def keypoint_update(cam: CameraModel, config: "RunConfig"):
     noise = config.r_keypoint * np.eye(2)
     scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
 
+    def pixels(X: np.ndarray) -> np.ndarray:
+        return project_point(cam, X[..., KP_POS_IDX])
+
     def update(belief: GaussianBelief, z) -> GaussianBelief:
         if belief.dim != 6:
             raise ValueError(f"keypoint states must be 6-dim, got {belief.dim}")
-        return ukf_update(
-            belief, z, lambda X: project_point(cam, X[..., KP_POS_IDX]), noise, **scaling
-        )
+        return ukf_update(belief, z, pixels, noise, **scaling)
 
     return update

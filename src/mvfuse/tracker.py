@@ -49,8 +49,9 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# State vector layout.
-POS_IDX = np.array([0, 2, 4])
+# State vector layout, as basic slices: indexing a stack of states with them
+# gives a view, not a copy.
+POS_IDX = slice(0, 6, 2)
 SHAPE_SLICE = slice(6, 9)
 # Log half-axes beyond +-30 (e^30 m ~ 1e13 m) are no annotated object, and
 # such a state overflows the arithmetic downstream.
@@ -74,7 +75,7 @@ EventCallback = Callable[[Diagnostic], None]
 def _half_axes(X: np.ndarray) -> np.ndarray:
     """Half-axes (..., 3) of states (..., 9); log half-axes beyond the limit
     raise ``DegenerateConic``."""
-    if np.any(np.abs(X[..., SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
+    if (np.abs(X[..., SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
         raise DegenerateConic("log half-axes out of range")
     return np.exp(X[..., SHAPE_SLICE])
 
@@ -94,7 +95,7 @@ def _box_update(cam: CameraModel, config: "RunConfig"):
 
     def update(belief: GaussianBelief, z) -> GaussianBelief:
         post = ukf_update(belief, z, h, noise, **scaling)
-        if np.any(np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT):
+        if (np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
             raise DivergentUpdate("posterior log half-axes out of range")
         return post
 

@@ -5,7 +5,10 @@ bug in the package cannot hide in its own oracle: projection is spelled out
 explicitly, the Kalman filter uses the standard closed-form equations, the
 ellipsoid box comes from brute-force surface sampling or from the full 4x4
 dual quadric, and the tracking metrics are scored one pair of objects and one
-frame at a time.
+frame at a time. The ``loop_*`` box-step references are the exception: they
+keep an earlier, plainer form of the package's own sigma points, conic box
+and UKF update (column by column, no cached constants), so that a faster
+form of the same arithmetic can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -389,3 +392,161 @@ def loop_generate(spec):
         keypoints=np.concatenate(gt_kp) if gt_kp else None,
     )
     return annotations, gt
+
+
+# --- the box step, in its earlier form ---------------------------------------
+# The stacked UKF box update as it was before its per-call overhead was cut:
+# the same arithmetic in the same order, so results must agree bit for bit.
+
+_LOOP_ROWS = np.array([0, 1, 0, 1, 2, 0])
+_LOOP_COLS = np.array([0, 1, 2, 2, 2, 1])
+_LOOP_JITTER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+
+
+def _loop_affine(points, A, b):
+    return (
+        points[..., 0:1] * A[:, 0]
+        + points[..., 1:2] * A[:, 1]
+        + points[..., 2:3] * A[:, 2]
+        + b
+    )
+
+
+def _loop_first_bad(mask):
+    i = tuple(map(int, np.unravel_index(int(np.argmax(mask)), mask.shape)))
+    return i, ("" if not i else f" at row {i[0] if len(i) == 1 else i}")
+
+
+def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
+    """Outline boxes (..., 4) of ellipsoids (..., 3), built from the
+    projection matrix on every call."""
+    from mvfuse.errors import DegenerateConic, NonPositiveDepth
+
+    X = np.asarray(center, dtype=np.float64)
+    half = np.asarray(half_axes, dtype=np.float64)
+    if (half <= 0).any():
+        raise ValueError(f"half_axes must be positive, got {half.tolist()}")
+    P = cam.projection_matrix
+    M = P[:, :3]
+    w = _loop_affine(X, M, P[:, 3])
+    bad = w[..., 2] <= 1e-9
+    if bad.any():
+        i, where = _loop_first_bad(bad)
+        raise NonPositiveDepth(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
+    C = _loop_affine(
+        half * half, M[_LOOP_ROWS] * M[_LOOP_COLS], -w[..., _LOOP_ROWS] * w[..., _LOOP_COLS]
+    )
+    c22 = C[..., 4:5]
+    bad = np.abs(c22[..., 0]) < 1e-12 * np.maximum(1.0, np.abs(C).max(axis=-1))
+    if bad.any():
+        _, where = _loop_first_bad(bad)
+        raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+    center_uv = C[..., 2:4] / c22
+    disc = center_uv * center_uv - C[..., 0:2] / c22
+    bad = (disc <= 0).any(axis=-1)
+    if bad.any():
+        i, where = _loop_first_bad(bad)
+        raise DegenerateConic(
+            f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
+        )
+    r = np.sqrt(disc)
+    return np.concatenate([center_uv - r, center_uv + r], axis=-1)
+
+
+def _loop_chol_with_jitter(mats, scale, failure, what):
+    try:
+        return np.linalg.cholesky(scale * mats)
+    except np.linalg.LinAlgError:
+        pass
+    d = mats.shape[-1]
+    out = np.empty_like(mats)
+    for i, mat in enumerate(mats):
+        base = float(np.trace(mat)) / d
+        for eps in _LOOP_JITTER:
+            m = mat if eps == 0.0 else mat + (eps * base) * np.eye(d)
+            try:
+                out[i] = np.linalg.cholesky(scale * m)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        else:
+            raise failure(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
+    return out
+
+
+def loop_sigma_points(mean, cov, alpha=0.1, beta=2.0, kappa=0.0):
+    """Sigma points (n, 2d+1, d) and weights of the (n, d) mean and (n, d, d)
+    covariance stack, the weights built on every call."""
+    from mvfuse.errors import CholeskyFailure
+
+    d = mean.shape[1]
+    lam = alpha * alpha * (d + kappa) - d
+    scale = d + lam
+    L = _loop_chol_with_jitter(cov, scale, CholeskyFailure, "sigma-point covariance")
+    center = mean[:, None, :]
+    pts = np.empty((len(mean), 2 * d + 1, d))
+    pts[:, :1] = center
+    pts[:, 1 : d + 1] = center + L.swapaxes(-1, -2)
+    pts[:, d + 1 :] = center - L.swapaxes(-1, -2)
+    wm = np.full(2 * d + 1, 1.0 / (2.0 * scale))
+    wc = wm.copy()
+    wm[0] = lam / scale
+    wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
+    return pts, wm, wc
+
+
+def _loop_clamp_indefinite(cov):
+    rows = []
+    for i, mat in enumerate(cov):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            rows.append(i)
+    w, V = np.linalg.eigh(cov[rows])
+    neg = w[:, 0] < 0.0
+    if np.any(neg):
+        clamped = (V[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ V[neg].swapaxes(-1, -2)
+        cov[np.array(rows)[neg]] = 0.5 * (clamped + clamped.swapaxes(-1, -2))
+
+
+def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa=0.0):
+    """Posterior (mean, covariance) of the stacked UKF update: the moments
+    of the measurement sigma rows taken once for the innovation covariance
+    and again for the cross covariance."""
+    from mvfuse.errors import (
+        DivergentUpdate,
+        GeometryError,
+        SigmaPointProjectionFailure,
+        SingularInnovation,
+    )
+
+    T = lambda a: a.swapaxes(-1, -2)  # noqa: E731
+    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("measurement contains non-finite values")
+    R = np.asarray(noise, dtype=np.float64)
+    X, wm, wc = loop_sigma_points(mean, cov, alpha, beta, kappa)
+    try:
+        Z = np.asarray(h(X), dtype=np.float64)
+    except GeometryError as exc:
+        raise SigmaPointProjectionFailure(f"sigma points failed measurement map: {exc}") from exc
+    if not np.all(np.isfinite(Z)):
+        raise SigmaPointProjectionFailure("measurement map gave non-finite values")
+    z_hat = wm @ Z
+    dZ = Z - z_hat[..., None, :]
+    S = T(dZ) @ (wc[:, None] * dZ)
+    S = 0.5 * (S + T(S)) + R
+    dX = X - mean[:, None, :]
+    Cxz = T(dX) @ (wc[:, None] * (Z - z_hat[:, None, :]))
+    L = _loop_chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
+    K = T(np.linalg.solve(T(L), np.linalg.solve(L, T(Cxz))))
+    post_mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
+    post_cov = cov - K @ S @ T(K)
+    post_cov = 0.5 * (post_cov + T(post_cov))
+    if not (np.all(np.isfinite(post_mean)) and np.all(np.isfinite(post_cov))):
+        raise DivergentUpdate("update overflowed to a non-finite posterior")
+    try:
+        np.linalg.cholesky(post_cov)
+    except np.linalg.LinAlgError:
+        _loop_clamp_indefinite(post_cov)
+    return post_mean, post_cov
