@@ -22,11 +22,11 @@ _EXPORTS = {
             "DimensionMismatch", "DivergentUpdate", "EmptyGroundTruth", "FilterError",
             "GeometryError", "InvalidDt", "InvalidSpec", "MvfuseError", "NonPositiveDepth",
             "NoObservation", "ParseError", "PointAtInfinity", "SigmaPointProjectionFailure",
-            "SingularInnovation", "TrackingError", "ValidationError",
+            "SingularInnovation", "ValidationError",
         ),
         "filter": (
             "GaussianBelief", "MotionModel", "kalman_predict", "make_motion_model",
-            "sigma_points", "ukf_update", "unscented_transform", "update_rows",
+            "sigma_points", "ukf_update", "update_rows",
         ),
         "geometry": (
             "CameraModel", "backproject_ground", "ground_homography", "in_front",

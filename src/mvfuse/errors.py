@@ -67,11 +67,7 @@ class DivergentUpdate(FilterError):
 
 # --- tracking ---------------------------------------------------------------
 
-class TrackingError(MvfuseError):
-    """Base class for track-level failures."""
-
-
-class NoObservation(TrackingError):
+class NoObservation(MvfuseError):
     """Object has no usable observation (no birth possible)."""
 
 

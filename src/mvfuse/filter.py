@@ -1,4 +1,4 @@
-"""Unscented Kalman filtering on stacks of Gaussian beliefs.
+"""Unscented Kalman filtering on stacks of Gaussian states.
 
 The scaled unscented transform with Merwe weights: for dimension d and scaling
 (alpha, beta, kappa), lambda = alpha^2 (d + kappa) - d, sigma points are the
@@ -7,9 +7,10 @@ lambda / (d + lambda) and the center covariance weight adds (1 - alpha^2 +
 beta). For affine measurement maps the update reproduces the closed-form
 Kalman filter exactly, independent of the scaling parameters.
 
-A belief is a stack of n independent states; predict and update act on every
-row in one call. Rows never mix: a row's result does not depend on the other
-rows of its stack.
+A stack of n independent states is an (n, d) mean array with an (n, d, d)
+covariance array; predict and update take and return such a pair and act on
+every row in one call. Rows never mix: a row's result does not depend on the
+other rows of its stack.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,11 +57,13 @@ class GaussianBelief:
     stack of one.
 
     Every covariance must be symmetric (within 1e-9) with eigenvalues no
-    smaller than -1e-9; it is stored symmetrized. The whole stack is checked
-    at once, where a belief enters: here, in :func:`mvfuse.tracker.init_target`
-    and in :func:`mvfuse.pose.init_keypoints`. The beliefs that predict and
-    update produce, and the row subsets the tracker takes of them, come from
-    the filter's own arithmetic and are not checked again.
+    smaller than -1e-9; it is stored symmetrized and read-only. The whole
+    stack is checked at once, where a belief enters: here, in
+    :func:`mvfuse.tracker.init_target` and in
+    :func:`mvfuse.pose.init_keypoints`. Predict and update take its
+    ``(mean, covariance)`` arrays; the arrays they return, and the row
+    subsets the tracker takes of them, come from the filter's own arithmetic
+    and are not checked again.
     """
 
     mean: np.ndarray
@@ -90,25 +93,6 @@ class GaussianBelief:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
-    @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
-        """A belief from (n, d) and (n, d, d) float64 arrays that the filter
-        itself produced, finite and exactly symmetric: frozen like a checked
-        one, without the eigenvalue check."""
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        belief = object.__new__(cls)
-        object.__setattr__(belief, "mean", mean)
-        object.__setattr__(belief, "covariance", cov)
-        return belief
-
-    def __len__(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[1]
-
 
 @dataclass(frozen=True)
 class MotionModel:
@@ -116,7 +100,6 @@ class MotionModel:
 
     transition: np.ndarray
     process_noise: np.ndarray
-    dt: float
 
     def __post_init__(self):
         F = np.asarray(self.transition, dtype=np.float64)
@@ -133,7 +116,6 @@ class MotionModel:
         Q.setflags(write=False)
         object.__setattr__(self, "transition", F)
         object.__setattr__(self, "process_noise", Q)
-        object.__setattr__(self, "dt", float(self.dt))
 
     @property
     def dim(self) -> int:
@@ -173,7 +155,7 @@ def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> 
         Q[sl, sl] = qk
     if q_shape is not None:
         Q[6:, 6:] = q_shape * np.eye(3)
-    return MotionModel(transition=F, process_noise=Q, dt=dt)
+    return MotionModel(transition=F, process_noise=Q)
 
 
 def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) -> np.ndarray:
@@ -230,27 +212,26 @@ def _sigma_weights(d: int, alpha: float, beta: float, kappa: float):
 
 
 def sigma_points(
-    belief: GaussianBelief,
+    mean: np.ndarray,
+    cov: np.ndarray,
     *,
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled sigma points (n, 2d+1, d) with their mean and covariance
-    weights (2d+1,) each; the weights are read-only and shared by every
-    call with the same dimension and scaling.
+    """Scaled sigma points (n, 2d+1, d) of an (n, d) ``mean`` and (n, d, d)
+    ``cov`` stack, with their mean and covariance weights (2d+1,) each; the
+    weights are read-only and shared by every call with the same dimension
+    and scaling.
 
     Raises
     ------
     CholeskyFailure
         If some row's (scaled, jittered) covariance cannot be factorized.
     """
-    mean = belief.mean
     n, d = mean.shape
     scale, wm, wc = _sigma_weights(d, alpha, beta, kappa)
-    Lt = _transpose(_chol_with_jitter(
-        belief.covariance, scale, CholeskyFailure, "sigma-point covariance"
-    ))
+    Lt = _transpose(_chol_with_jitter(cov, scale, CholeskyFailure, "sigma-point covariance"))
     center = mean[:, None, :]
     pts = np.empty((n, 2 * d + 1, d))
     pts[:, 0] = mean
@@ -259,59 +240,30 @@ def sigma_points(
     return pts, wm, wc
 
 
-def unscented_transform(
-    values: np.ndarray | Sequence, mean_weights: np.ndarray, cov_weights: np.ndarray
+def kalman_predict(
+    mean: np.ndarray, cov: np.ndarray, model: MotionModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and covariance of transformed sigma values.
-
-    ``values`` is (..., 2d+1, m): one row per sigma point, any leading stack
-    axes; the mean is (..., m) and the covariance (..., m, m).
-    """
-    V = np.asarray(values, dtype=np.float64)
-    wm = np.asarray(mean_weights, dtype=np.float64)
-    wc = np.asarray(cov_weights, dtype=np.float64)
-    if V.ndim < 2 or V.shape[-2] != wm.size or wm.size != wc.size:
-        raise DimensionMismatch(
-            f"values {V.shape} incompatible with {wm.size} weights"
-        )
-    return _moments(V, wm, wc)[:2]
-
-
-def _moments(
-    V: np.ndarray, wm: np.ndarray, wc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`unscented_transform` of checked float64 inputs: the mean and
-    the symmetrized covariance, plus the weighted deviations
-    ``wc (V - mean)`` (..., 2d+1, m) that a cross covariance with the sigma
-    points is taken against."""
-    mean = wm @ V
-    dV = V - mean[..., None, :]
-    wdV = wc[:, None] * dV
-    cov = _transpose(dV) @ wdV
-    return mean, 0.5 * (cov + _transpose(cov)), wdV
-
-
-def kalman_predict(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
-    """Propagate every row of a belief one step through a linear motion model.
+    """Propagate every row of an (n, d) ``mean`` and (n, d, d) ``cov`` stack
+    one step through a linear motion model; returns the predicted pair.
 
     Raises
     ------
     DimensionMismatch
-        If the model dimension differs from the belief dimension.
+        If the model dimension differs from the state dimension.
     DivergentUpdate
         If the prediction overflows to non-finite values.
     """
-    if model.dim != belief.dim:
+    if model.dim != mean.shape[-1]:
         raise DimensionMismatch(
-            f"motion model dim {model.dim} != state dim {belief.dim}"
+            f"motion model dim {model.dim} != state dim {mean.shape[-1]}"
         )
     F = model.transition
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        mean = (F @ belief.mean[..., None])[..., 0]
-        cov = F @ belief.covariance @ F.T + model.process_noise
+        mean = (F @ mean[..., None])[..., 0]
+        cov = F @ cov @ F.T + model.process_noise
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("prediction overflowed to non-finite values")
-    return GaussianBelief._trusted(mean, 0.5 * (cov + _transpose(cov)))
+    return mean, 0.5 * (cov + _transpose(cov))
 
 
 def _clamp_indefinite(cov: np.ndarray) -> None:
@@ -333,7 +285,8 @@ def _clamp_indefinite(cov: np.ndarray) -> None:
 
 
 def ukf_update(
-    belief: GaussianBelief,
+    mean: np.ndarray,
+    cov: np.ndarray,
     measurement,
     h: Callable[[np.ndarray], np.ndarray],
     noise,
@@ -341,10 +294,11 @@ def ukf_update(
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
     kappa: float = DEFAULT_KAPPA,
-) -> GaussianBelief:
-    """Measurement update of every row through a batched map ``h``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement update of every row of an (n, d) ``mean`` and (n, d, d)
+    ``cov`` stack through a batched map ``h``; returns the posterior pair.
 
-    ``measurement`` is (n, m), one row per belief row ((m,) when n = 1), and
+    ``measurement`` is (n, m), one row per state row ((m,) when n = 1), and
     ``noise`` the (m, m) covariance they share. ``h`` takes the
     (n, 2d+1, d) sigma points, one state per row, and returns the
     (n, 2d+1, m) predicted measurements; it is called once per update. The
@@ -370,7 +324,7 @@ def ukf_update(
     CholeskyFailure
         Propagated from sigma-point generation.
     """
-    n = len(belief)
+    n = len(mean)
     z = np.asarray(measurement, dtype=np.float64)
     if z.ndim < 2:
         z = z.reshape(1, -1)
@@ -383,7 +337,7 @@ def ukf_update(
             f"measurement {z.shape} and noise {R.shape} do not fit {n} rows"
         )
 
-    X, wm, wc = sigma_points(belief, alpha=alpha, beta=beta, kappa=kappa)
+    X, wm, wc = sigma_points(mean, cov, alpha=alpha, beta=beta, kappa=kappa)
     try:
         Z = np.asarray(h(X), dtype=np.float64)
     except GeometryError as exc:
@@ -397,14 +351,17 @@ def ukf_update(
     if not np.isfinite(Z).all():
         raise SigmaPointProjectionFailure("measurement map gave non-finite values")
 
-    z_hat, S, wdZ = _moments(Z, wm, wc)
-    S += R
-    Cxz = _transpose(X - belief.mean[:, None, :]) @ wdZ
+    z_hat = wm @ Z
+    dZ = Z - z_hat[..., None, :]
+    wdZ = wc[:, None] * dZ
+    S = _transpose(dZ) @ wdZ
+    S = 0.5 * (S + _transpose(S)) + R
+    Cxz = _transpose(X - mean[:, None, :]) @ wdZ
 
     L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
     K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
-    mean = belief.mean + (K @ (z - z_hat)[..., None])[..., 0]
-    cov = belief.covariance - K @ S @ _transpose(K)
+    mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
+    cov = cov - K @ S @ _transpose(K)
     cov = 0.5 * (cov + _transpose(cov))
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("update overflowed to a non-finite posterior")
@@ -412,21 +369,23 @@ def ukf_update(
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         _clamp_indefinite(cov)
-    return GaussianBelief._trusted(mean, cov)
+    return mean, cov
 
 
 def update_rows(
-    update: Callable[[GaussianBelief, np.ndarray], GaussianBelief],
+    update: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     mean: np.ndarray,
     cov: np.ndarray,
     rows: np.ndarray,
     z: np.ndarray,
 ) -> list[tuple[int, FilterError]]:
-    """Apply ``update(belief, z)`` (a :func:`ukf_update` call, or a predict
-    that ignores ``z``) to the rows
-    ``rows`` of a writable (n, d) ``mean`` and (n, d, d) ``cov`` stack, with
-    one row of the (len(rows), m) ``z`` each, writing the posterior in place.
+    """Apply ``update(mean, cov, z) -> (mean, cov)`` (a :func:`ukf_update`
+    call, or a predict that ignores ``z``) to the rows ``rows`` of a writable
+    (n, d) ``mean`` and (n, d, d) ``cov`` stack, with one row of the
+    (len(rows), m) ``z`` each, writing the posterior in place.
 
+    ``update`` gets copies of its rows, so what it does to the arrays it
+    receives never reaches the stack: only a returned posterior is written.
     With no rows nothing is called. If the stacked call raises a
     ``FilterError``, ``update`` is redone row by row on stacks of one; a row
     whose own call raises keeps its prior. Returns the (row, error) pairs of
@@ -435,11 +394,11 @@ def update_rows(
     if not len(rows):
         return []
     try:
-        post = update(GaussianBelief._trusted(mean[rows], cov[rows]), z)
+        post = update(mean[rows], cov[rows], z)
     except FilterError as exc:
         if len(rows) == 1:
             return [(int(rows[0]), exc)]
         one = [slice(k, k + 1) for k in range(len(rows))]
         return [bad for k in one for bad in update_rows(update, mean, cov, rows[k], z[k])]
-    mean[rows], cov[rows] = post.mean, post.covariance
+    mean[rows], cov[rows] = post
     return []

@@ -2,8 +2,8 @@
 
 Keypoints are tracked as 6-dim constant-velocity states [x, vx, y, vy, z, vz]
 with a pinhole pixel measurement. Joints never interact, so the keypoints of
-one or more objects are the rows of one stacked belief, which the tracker
-drives through the same predict and update steps as its box states:
+one or more objects are the rows of one (mean, cov) state stack, which the
+tracker drives through the same predict and update steps as its box states:
 :func:`predict_keypoints` moves the rows, and :func:`keypoint_update` is the
 per-camera update that :func:`mvfuse.filter.update_rows` applies to the
 joints a camera sees. New keypoint states are seeded from a canonical
@@ -175,42 +175,45 @@ def scaled_offsets(pose: CanonicalPose, half_axes) -> np.ndarray:
 
 
 def init_keypoints(
-    pose: CanonicalPose, belief: GaussianBelief, config: "RunConfig"
+    pose: CanonicalPose, mean: np.ndarray, config: "RunConfig"
 ) -> GaussianBelief:
-    """Seed keypoint states from a stack of object beliefs: per object row,
-    the canonical skeleton scaled to its half-axes and translated to its
-    center, every keypoint with the object velocity. Joint j of object i is
-    row i * num_joints + j."""
-    if belief.dim != 9:
-        raise ValueError(f"object belief must be 9-dim, got {belief.dim}")
-    center = belief.mean[:, None, [0, 2, 4]]
-    offsets = np.array([scaled_offsets(pose, np.exp(m[6:9])) for m in belief.mean])
-    mean = np.empty(offsets.shape[:2] + (6,))
-    mean[..., KP_POS_IDX] = center + offsets
-    mean[..., KP_VEL_IDX] = belief.mean[:, None, [1, 3, 5]]
+    """Seed keypoint states from the (n, 9) means of n object states: per
+    object row, the canonical skeleton scaled to its half-axes and
+    translated to its center, every keypoint with the object velocity. Joint
+    j of object i is row i * num_joints + j."""
+    if mean.ndim != 2 or mean.shape[1] != 9:
+        raise ValueError(f"object means must be (n, 9), got {mean.shape}")
+    center = mean[:, None, [0, 2, 4]]
+    offsets = np.array([scaled_offsets(pose, np.exp(m[6:9])) for m in mean])
+    kp_mean = np.empty(offsets.shape[:2] + (6,))
+    kp_mean[..., KP_POS_IDX] = center + offsets
+    kp_mean[..., KP_VEL_IDX] = mean[:, None, [1, 3, 5]]
     cov = np.diag([config.init_keypoint_pos_var, config.init_keypoint_vel_var] * 3)
-    rows = len(belief) * pose.num_joints
-    return GaussianBelief(mean.reshape(rows, 6), np.broadcast_to(cov, (rows, 6, 6)))
+    rows = len(mean) * pose.num_joints
+    return GaussianBelief(kp_mean.reshape(rows, 6), np.broadcast_to(cov, (rows, 6, 6)))
 
 
-def predict_keypoints(belief: GaussianBelief, model: MotionModel) -> GaussianBelief:
+def predict_keypoints(
+    mean: np.ndarray, cov: np.ndarray, model: MotionModel
+) -> tuple[np.ndarray, np.ndarray]:
     """Predict a stack of keypoint states one frame ahead."""
-    return kalman_predict(belief, model)
+    return kalman_predict(mean, cov, model)
 
 
 def keypoint_update(cam: CameraModel, config: "RunConfig"):
     """The update of a stack of 6-dim keypoint states by their (n, 2) pixels
-    in ``cam``, through the pinhole pixel map: ``update(belief, z)``, for
-    :func:`mvfuse.filter.update_rows`, as the tracker's box update is."""
+    in ``cam``, through the pinhole pixel map: ``update(mean, cov, z) ->
+    (mean, cov)``, for :func:`mvfuse.filter.update_rows`, as the tracker's
+    box update is."""
     noise = config.r_keypoint * np.eye(2)
     scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
 
     def pixels(X: np.ndarray) -> np.ndarray:
         return project_point(cam, X[..., KP_POS_IDX])
 
-    def update(belief: GaussianBelief, z) -> GaussianBelief:
-        if belief.dim != 6:
-            raise ValueError(f"keypoint states must be 6-dim, got {belief.dim}")
-        return ukf_update(belief, z, pixels, noise, **scaling)
+    def update(mean: np.ndarray, cov: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+        if mean.shape[-1] != 6:
+            raise ValueError(f"keypoint states must be 6-dim, got {mean.shape[-1]}")
+        return ukf_update(mean, cov, z, pixels, noise, **scaling)
 
     return update

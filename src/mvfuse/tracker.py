@@ -8,7 +8,7 @@ the next. Keypoint states, when a skeleton is configured, are 6-dim states
 per joint seeded from the post-update birth state.
 
 Objects never interact, so they are filtered together: every object is a row
-of one stacked belief (its joints are rows of a second one), and each frame
+of one (mean, cov) stack (its joints are rows of a second one), and each frame
 runs one in-place predict over the live rows of each stack, then one in-place
 update (``update_rows``) per camera over the rows with an annotation in it.
 A row whose update fails is redone alone, so a failure in one object never
@@ -88,16 +88,16 @@ def bbox_measurement(cam: CameraModel) -> Callable[[np.ndarray], np.ndarray]:
 
 def _box_update(cam: CameraModel, config: "RunConfig"):
     """The update of a stack of box states by their (n, 4) boxes in ``cam``,
-    ``update(belief, z)`` for :func:`update_rows`; a posterior beyond the log
-    half-axis limit fails it."""
+    ``update(mean, cov, z) -> (mean, cov)`` for :func:`update_rows`; a
+    posterior beyond the log half-axis limit fails it."""
     h, noise = bbox_measurement(cam), config.r_bbox * np.eye(4)
     scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
 
-    def update(belief: GaussianBelief, z) -> GaussianBelief:
-        post = ukf_update(belief, z, h, noise, **scaling)
-        if (np.abs(post.mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
+    def update(mean: np.ndarray, cov: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+        mean, cov = ukf_update(mean, cov, z, h, noise, **scaling)
+        if (np.abs(mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
             raise DivergentUpdate("posterior log half-axes out of range")
-        return post
+        return mean, cov
 
     return update
 
@@ -150,7 +150,7 @@ def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, row
     """Move the rows ``rows`` of a writable (mean, cov) stack through
     ``predict``, in place and isolated row from row as :func:`update_rows`
     does; returns the (row, error) pairs of the rows whose predict failed."""
-    return update_rows(lambda belief, _: predict(belief, model), mean, cov, rows, rows)
+    return update_rows(lambda m, c, _: predict(m, c, model), mean, cov, rows, rows)
 
 
 def run_all(
@@ -231,7 +231,6 @@ def run_all(
     cov = np.array([b.covariance[0] for b in beliefs]).reshape(n, 9, 9)
     # Joint j of object row i is keypoint row i * J + j.
     kp_mean, kp_cov = np.zeros((n * J, 6)), np.zeros((n * J, 6, 6))
-    kp_on = np.zeros(n, dtype=bool)
     applied = np.zeros(n, dtype=int)  # box updates that took effect, per row
 
     def joints(rows) -> np.ndarray:
@@ -255,7 +254,7 @@ def run_all(
     for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
         moving = np.flatnonzero((birth < frame) & (frame <= last))
         failed = dict(_predict(kalman_predict, motion, mean, cov, moving))
-        kp_moving = joints(moving[kp_on[moving]])
+        kp_moving = joints(moving[with_kp[moving]])
         for row, exc in _predict(pose_mod.predict_keypoints, kp_motion, kp_mean, kp_cov, kp_moving):
             failed.setdefault(row // J, exc)
         for row, exc in sorted(failed.items()):  # the object ends at the frame before
@@ -276,17 +275,15 @@ def run_all(
         born = np.flatnonzero(with_kp & (birth == frame))
         if born.size:
             try:
-                b = pose_mod.init_keypoints(
-                    skeleton, GaussianBelief._trusted(mean[born], cov[born]), config
-                )
+                b = pose_mod.init_keypoints(skeleton, mean[born], config)
             except ValueError as exc:  # the keypoint birth belief's own check
                 raise ValidationError(
                     f"init_keypoint_pos_var and init_keypoint_vel_var give no birth belief: {exc}"
                 ) from None
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
-            kp_on[born] = True
+        kp_live = live & with_kp
         for cid, s in blocks if fuse_kp else ():
-            take = kp_on[state_row[s]] & has_kp_s[s]
+            take = kp_live[state_row[s]] & has_kp_s[s]
             obs = ann.keypoints[order[s][take]].reshape(-1, 3)
             seen = obs[:, 2] >= config.visibility_threshold
             kp_rows = joints(state_row[s][take])[seen]
@@ -298,7 +295,7 @@ def run_all(
         out_row.append(rows)
         out_mean.append(mean[rows])
         if J:
-            on = kp_on[rows]
+            on = with_kp[rows]
             kp = np.full((rows.size, J, 3), np.nan)
             kp[on] = kp_mean[joints(rows[on])][:, pose_mod.KP_POS_IDX].reshape(-1, J, 3)
             out_kp.append(kp)

@@ -89,14 +89,14 @@ def test_criterion_3_ukf_matches_closed_form():
         R = random_spd(rng, m, 0.1)
         z = rng.normal(size=m)
 
-        got = ukf_update(belief, z, lambda X: X @ H.T + b, R)
+        got = ukf_update(belief.mean, belief.covariance, z, lambda X: X @ H.T + b, R)
         ref = ClosedFormKF(belief.mean[0], belief.covariance[0])
         ref.update(z, H, b, R)
 
         worst = max(
             worst,
-            float(np.abs(got.mean - ref.mean).max()),
-            float(np.abs(got.covariance - ref.cov).max()),
+            float(np.abs(got[0] - ref.mean).max()),
+            float(np.abs(got[1] - ref.cov).max()),
         )
     print(f"worst deviation {worst:.2e}")
     assert worst < 1e-9

@@ -86,9 +86,8 @@ class TestSameBitsAsLoop:
         n = int(rng.integers(1, 13))
         kind = ("healthy", "singular")[seed % 2]
         mean, cov = _stack(rng, n, kind)
-        belief = GaussianBelief._trusted(mean, cov)
 
-        X, wm, wc = sigma_points(belief)
+        X, wm, wc = sigma_points(mean, cov)
         X0, wm0, wc0 = loop_sigma_points(mean, cov)
         for a, b in ((X, X0), (wm, wm0), (wc, wc0)):
             np.testing.assert_array_equal(a, b)
@@ -97,7 +96,7 @@ class TestSameBitsAsLoop:
         np.testing.assert_array_equal(h(X), h0(X0))
         z = h(X)[:, 0] + rng.normal(0.0, 3.0, (n, 4))
         got = _same_outcome(
-            lambda: (lambda b: (b.mean, b.covariance))(ukf_update(belief, z, h, R_BOX)),
+            lambda: ukf_update(mean, cov, z, h, R_BOX),
             lambda: loop_ukf_update(mean, cov, z, h0, R_BOX),
         )
         assert isinstance(got, Exception) or got[0].shape == (n, 9)
@@ -132,9 +131,7 @@ class TestSameBitsAsLoop:
             z = h0(mean[:, None, :])[:, 0]
             for noise in (R_BOX, 1e-14 * np.eye(4)):
                 _same_outcome(
-                    lambda: (lambda b: (b.mean, b.covariance))(
-                        ukf_update(GaussianBelief._trusted(mean, cov), z, h, noise)
-                    ),
+                    lambda: ukf_update(mean, cov, z, h, noise),
                     lambda: loop_ukf_update(mean, cov, z, h0, noise),
                 )
         assert calls["jitter"] > 0 and calls["clamp"] > 0
@@ -163,7 +160,7 @@ class TestSameBitsAsLoop:
         z = np.full((3, 4), 5.0)
         h, h0 = bbox_measurement(cam), _loop_h(cam)
         out = _same_outcome(
-            lambda: ukf_update(GaussianBelief._trusted(mean, cov), z, h, R_BOX).mean,
+            lambda: ukf_update(mean, cov, z, h, R_BOX)[0],
             lambda: loop_ukf_update(mean, cov, z, h0, R_BOX)[0],
         )
         assert isinstance(out, SigmaPointProjectionFailure)
@@ -290,7 +287,7 @@ class TestNonFiniteInput:
             return project_point(cam, X[..., 0:6:2])
 
         with pytest.raises(SigmaPointProjectionFailure) as info:
-            ukf_update(belief, [1.0, 1.0], h, np.eye(2))
+            ukf_update(belief.mean, belief.covariance, [1.0, 1.0], h, np.eye(2))
         assert str(info.value).startswith("sigma points failed measurement map: non-finite point [")
         assert str(info.value).endswith("at row (0, 3)")
 
@@ -302,7 +299,7 @@ class TestBudget:
         mean, cov = _stack(rng, 6)
         belief = GaussianBelief(mean, cov)
         h = bbox_measurement(cam)
-        z = h(sigma_points(belief)[0])[:, 0] + 1.0
+        z = h(sigma_points(belief.mean, belief.covariance)[0])[:, 0] + 1.0
         calls = {"cholesky": 0, "solve": 0, "eigh": 0, "h": 0}
 
         def counting(name, fn):
@@ -313,7 +310,7 @@ class TestBudget:
 
         for name in ("cholesky", "solve", "eigh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        ukf_update(belief, z, counting("h", h), R_BOX)
+        ukf_update(belief.mean, belief.covariance, z, counting("h", h), R_BOX)
         assert calls == {"cholesky": 3, "solve": 2, "eigh": 0, "h": 1}
 
     def test_camera_constants_built_once_and_read_only(self):
@@ -332,7 +329,7 @@ class TestBudget:
 
     def test_sigma_weights_shared_and_read_only(self):
         b = GaussianBelief(np.zeros(3), np.eye(3))
-        _, wm, wc = sigma_points(b)
-        _, wm2, wc2 = sigma_points(b)
+        _, wm, wc = sigma_points(b.mean, b.covariance)
+        _, wm2, wc2 = sigma_points(b.mean, b.covariance)
         assert wm is wm2 and wc is wc2
         assert not wm.flags.writeable and not wc.flags.writeable

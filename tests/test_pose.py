@@ -122,12 +122,12 @@ class TestScaledOffsets:
         assert np.isclose(span[2], 1.8)
 
 
-def _object_belief(center, velocity, half_axes):
-    mean = np.zeros(9)
-    mean[[0, 2, 4]] = center
-    mean[[1, 3, 5]] = velocity
-    mean[6:9] = np.log(half_axes)
-    return GaussianBelief(mean, 0.1 * np.eye(9))
+def _object_mean(center, velocity, half_axes):
+    mean = np.zeros((1, 9))
+    mean[0, [0, 2, 4]] = center
+    mean[0, [1, 3, 5]] = velocity
+    mean[0, 6:9] = np.log(half_axes)
+    return mean
 
 
 class TestInitKeypoints:
@@ -136,8 +136,8 @@ class TestInitKeypoints:
         center = np.array([1.0, -2.0, 0.85])
         velocity = np.array([0.4, -0.1, 0.0])
         half = np.array([0.3, 0.35, 0.85])
-        states = init_keypoints(pose, _object_belief(center, velocity, half), config)
-        assert len(states) == 15
+        states = init_keypoints(pose, _object_mean(center, velocity, half), config)
+        assert states.mean.shape == (15, 6)
         expected = scaled_offsets(pose, half) + center
         assert np.allclose(states.mean[:, KP_POS_IDX], expected)
         assert np.allclose(states.mean[:, [1, 3, 5]], velocity)
@@ -145,7 +145,7 @@ class TestInitKeypoints:
     def test_initial_covariance_from_config(self, config):
         pose = canonical_pose("coco17")
         states = init_keypoints(
-            pose, _object_belief([0, 0, 0.9], [0, 0, 0], [0.3, 0.3, 0.9]), config
+            pose, _object_mean([0, 0, 0.9], [0, 0, 0], [0.3, 0.3, 0.9]), config
         )
         diag = np.diag(states.covariance[0])
         assert np.allclose(diag[[0, 2, 4]], config.init_keypoint_pos_var)
@@ -153,15 +153,15 @@ class TestInitKeypoints:
 
     def test_rejects_wrong_dim(self, config):
         pose = canonical_pose("coco17")
-        with pytest.raises(ValueError, match="9-dim"):
-            init_keypoints(pose, GaussianBelief(np.zeros(6), np.eye(6)), config)
+        with pytest.raises(ValueError, match=r"must be \(n, 9\)"):
+            init_keypoints(pose, np.zeros((1, 6)), config)
 
 
 class TestKeypointState:
     def test_rejects_wrong_dim(self, config):
         update = keypoint_update(_ring(1)[0], config)
         with pytest.raises(ValueError, match="6-dim"):
-            update(GaussianBelief(np.zeros(4), np.eye(4)), np.array([[640.0, 360.0]]))
+            update(np.zeros((1, 4)), np.eye(4)[None], np.array([[640.0, 360.0]]))
 
     def test_position_extraction(self):
         mean = np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
@@ -189,13 +189,14 @@ def _ring(n=3, radius=8.0, height=3.0):
 
 
 def _fuse(states, observed, cam, config):
-    """One camera's keypoint update as ``run_all`` makes it: the joints whose
-    (u, v, visibility) row reaches the visibility threshold are updated in one
-    ``update_rows`` call; the others are left untouched."""
-    mean, cov = states.mean.copy(), states.covariance.copy()
+    """One camera's keypoint update of a (mean, cov) stack as ``run_all``
+    makes it: the joints whose (u, v, visibility) row reaches the visibility
+    threshold are updated in one ``update_rows`` call; the others are left
+    untouched."""
+    mean, cov = states[0].copy(), states[1].copy()
     seen = np.flatnonzero(observed[:, 2] >= config.visibility_threshold)
     update_rows(keypoint_update(cam, config), mean, cov, seen, observed[seen, :2])
-    return GaussianBelief(mean, cov)
+    return mean, cov
 
 
 def _pose_scene(frames=2):
@@ -224,9 +225,9 @@ class TestUpdateKeypoints:
         kp[hidden, :, 2] = 0.0
         calls, real = [], pose_mod.ukf_update
 
-        def counted(belief, *args, **kwargs):
-            calls.append(len(belief))
-            return real(belief, *args, **kwargs)
+        def counted(mean, *args, **kwargs):
+            calls.append(len(mean))
+            return real(mean, *args, **kwargs)
 
         monkeypatch.setattr(pose_mod, "ukf_update", counted)
         out = run_all(_with_keypoints(ann, kp.copy()), bundle.calibration, config, skeleton=skeleton)
@@ -241,9 +242,9 @@ class TestUpdateKeypoints:
         uv = project_point(cams[0], truth)
         prior_mean = np.array([0.0, 0, 0.0, 0, 1.0, 0])
         state = GaussianBelief(prior_mean, 0.25 * np.eye(6))
-        out = _fuse(state, np.array([[uv[0], uv[1], 1.0]]), cams[0], config)
+        out = _fuse((state.mean, state.covariance), np.array([[uv[0], uv[1], 1.0]]), cams[0], config)
         before = np.linalg.norm(prior_mean[[0, 2, 4]] - truth)
-        after = np.linalg.norm(out.mean[:, KP_POS_IDX][0] - truth)
+        after = np.linalg.norm(out[0][0, KP_POS_IDX] - truth)
         assert after < before
 
     def test_stacked_joints_equal_joint_by_joint(self, config):
@@ -253,24 +254,22 @@ class TestUpdateKeypoints:
         cams = _ring(1)
         states = init_keypoints(
             canonical_pose("panoptic15"),
-            _object_belief([0.3, -0.2, 0.9], [0.1, 0.0, 0.0], [0.3, 0.3, 0.9]),
+            _object_mean([0.3, -0.2, 0.9], [0.1, 0.0, 0.0], [0.3, 0.3, 0.9]),
             config,
         )
-        cov = states.covariance.copy()
+        mean, cov = states.mean, states.covariance.copy()
         cov[4] = np.diag([1e-20] * 5 + [-1e-10])
-        states = GaussianBelief(states.mean, cov)
-        pixels = project_point(cams[0], states.mean[:, KP_POS_IDX] + 0.05)
+        pixels = project_point(cams[0], mean[:, KP_POS_IDX] + 0.05)
         obs = np.hstack([pixels, np.ones((15, 1))])
         obs[7, 2] = 0.0
-        out = _fuse(states, obs, cams[0], config)
+        out = _fuse((mean, cov), obs, cams[0], config)
         for j in range(15):
-            one = GaussianBelief(states.mean[j], states.covariance[j])
-            alone = _fuse(one, obs[j : j + 1], cams[0], config)
-            np.testing.assert_array_equal(out.mean[j], alone.mean[0])
-            np.testing.assert_array_equal(out.covariance[j], alone.covariance[0])
+            alone = _fuse((mean[j : j + 1], cov[j : j + 1]), obs[j : j + 1], cams[0], config)
+            np.testing.assert_array_equal(out[0][j], alone[0][0])
+            np.testing.assert_array_equal(out[1][j], alone[1][0])
         for j in (4, 7):
-            np.testing.assert_array_equal(out.mean[j], states.mean[j])
-        moved = np.any(out.mean != states.mean, axis=1)
+            np.testing.assert_array_equal(out[0][j], mean[j])
+        moved = np.any(out[0] != mean, axis=1)
         assert moved.sum() == 13
 
     def test_shape_mismatch(self, config):
@@ -283,16 +282,17 @@ class TestUpdateKeypoints:
 
 
 def _track(frames, states, cams, config):
-    """Filter keypoints over frames of {camera id: (N, 3) rows}, the first
-    frame without a predict; returns the (F, N, 3) positions after each."""
+    """Filter a (mean, cov) stack of keypoints over frames of {camera id:
+    (N, 3) rows}, the first frame without a predict; returns the (F, N, 3)
+    positions after each."""
     model = make_motion_model(config.dt, config.q_pos)
     out = []
     for k, per_cam in enumerate(frames):
         if k > 0:
-            states = predict_keypoints(states, model)
+            states = predict_keypoints(*states, model)
         for cid in sorted(per_cam):
             states = _fuse(states, per_cam[cid], cams[cid], config)
-        out.append(states.mean[:, KP_POS_IDX])
+        out.append(states[0][:, KP_POS_IDX])
     return np.array(out)
 
 
@@ -310,7 +310,7 @@ class TestTrackKeypoints:
         }
         initial = GaussianBelief(np.array([0.0, 0, 0.0, 0, 1.0, 0]), 0.25 * np.eye(6))
         frames = [obs_rows] * 12
-        out = _track(frames, initial, cams, config)
+        out = _track(frames, (initial.mean, initial.covariance), cams, config)
         assert out.shape == (12, 1, 3)
         dlt = dlt_triangulate(
             [cams[c].projection_matrix for c in sorted(cams)],
@@ -322,7 +322,7 @@ class TestTrackKeypoints:
     def test_static_prediction_between_observations(self, config):
         cams = _ring(2)
         initial = GaussianBelief(np.array([0.5, 0.1, 0.5, 0.0, 1.0, 0.0]), 0.1 * np.eye(6))
-        out = _track([{}, {}, {}], initial, cams, config)
+        out = _track([{}, {}, {}], (initial.mean, initial.covariance), cams, config)
         # no observations: pure constant-velocity propagation
         assert np.allclose(out[0, 0], [0.5, 0.5, 1.0])
         assert np.allclose(out[2, 0], [0.5 + 0.2 * 0.1, 0.5, 1.0])
@@ -332,5 +332,5 @@ class TestPredictKeypoints:
     def test_velocity_integration(self, config):
         model = make_motion_model(config.dt, config.q_pos)
         s = GaussianBelief(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
-        out = predict_keypoints(s, model)
-        assert np.isclose(out.mean[0, 0], config.dt)
+        mean, _ = predict_keypoints(s.mean, s.covariance, model)
+        assert np.isclose(mean[0, 0], config.dt)

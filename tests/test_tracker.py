@@ -239,17 +239,19 @@ class TestTrackObject:
 
         track = run_all(annotations, cams, config)
 
-        belief = init_target(
+        b = init_target(
             list(cams), [_box_for(cam, path[0], half) for cam in cams.values()], cams, config
         )
+        mean, cov = b.mean, b.covariance
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
         r_box = config.r_bbox * np.eye(4)
         for k in range(4):
             if k > 0:
-                belief = kalman_predict(belief, motion)
+                mean, cov = kalman_predict(mean, cov, motion)
             for cid in sorted(cams):
-                belief = ukf_update(
-                    belief,
+                mean, cov = ukf_update(
+                    mean,
+                    cov,
                     _box_for(cams[cid], path[k], half),
                     bbox_measurement(cams[cid]),
                     r_box,
@@ -258,10 +260,8 @@ class TestTrackObject:
                     kappa=config.kappa,
                 )
             assert (track.frame[k], track.object_id[k]) == (k, 1)
-            np.testing.assert_array_equal(track.position[k], belief.mean[0, POS_IDX])
-            np.testing.assert_array_equal(
-                track.half_axes[k], np.exp(belief.mean[0, SHAPE_SLICE])
-            )
+            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
+            np.testing.assert_array_equal(track.half_axes[k], np.exp(mean[0, SHAPE_SLICE]))
         assert track.keypoints is None
 
     def test_keypoints_match_manual_replay(self, config):
@@ -291,35 +291,36 @@ class TestTrackObject:
         scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
         kp_motion = make_motion_model(config.dt, config.q_pos)
-        belief = init_target(
+        b = init_target(
             list(cams), [_box_for(cam, path[0], half) for cam in cams.values()], cams, config
         )
+        mean, cov = b.mean, b.covariance
         seen_counts = []
         for k in path:
             if k > 0:
-                belief = kalman_predict(belief, motion)
-                kp = kalman_predict(kp, kp_motion)
+                mean, cov = kalman_predict(mean, cov, motion)
+                kp_mean, kp_cov = kalman_predict(kp_mean, kp_cov, kp_motion)
             for cid in sorted(cams):
-                belief = ukf_update(
-                    belief, _box_for(cams[cid], path[k], half), bbox_measurement(cams[cid]),
+                mean, cov = ukf_update(
+                    mean, cov, _box_for(cams[cid], path[k], half), bbox_measurement(cams[cid]),
                     config.r_bbox * np.eye(4), **scaling,
                 )
             if k == 0:
-                kp = init_keypoints(skeleton, belief, config)
+                kp = init_keypoints(skeleton, mean, config)
+                kp_mean, kp_cov = kp.mean, kp.covariance
             for cid in sorted(cams):
                 seen = np.flatnonzero(pixels[k, cid][:, 2] >= config.visibility_threshold)
                 seen_counts.append(seen.size)
                 post = ukf_update(
-                    GaussianBelief(kp.mean[seen], kp.covariance[seen]),
+                    kp_mean[seen], kp_cov[seen],
                     pixels[k, cid][seen, :2],
                     lambda X, cam=cams[cid]: project_point(cam, X[..., [0, 2, 4]]),
                     config.r_keypoint * np.eye(2), **scaling,
                 )
-                mean, cov = kp.mean.copy(), kp.covariance.copy()
-                mean[seen], cov[seen] = post.mean, post.covariance
-                kp = GaussianBelief(mean, cov)
-            np.testing.assert_array_equal(track.position[k], belief.mean[0, POS_IDX])
-            np.testing.assert_array_equal(track.keypoints[k], kp.mean[:, [0, 2, 4]])
+                kp_mean, kp_cov = kp_mean.copy(), kp_cov.copy()
+                kp_mean[seen], kp_cov[seen] = post
+            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
+            np.testing.assert_array_equal(track.keypoints[k], kp_mean[:, [0, 2, 4]])
         assert seen_counts == [15, 15, 14, 15]
 
     def test_gap_frames_are_predict_only(self, config):
@@ -338,9 +339,11 @@ class TestTrackObject:
             cams, config,
         )
         r_box = config.r_bbox * np.eye(4)
+        mean, cov = b.mean, b.covariance
         for cid in sorted(cams):
-            b = ukf_update(
-                b,
+            mean, cov = ukf_update(
+                mean,
+                cov,
                 _box_for(cams[cid], path[0], (0.3, 0.3, 0.9)),
                 bbox_measurement(cams[cid]),
                 r_box,
@@ -349,8 +352,8 @@ class TestTrackObject:
                 kappa=config.kappa,
             )
         for k in (1, 2):
-            b = kalman_predict(b, motion)
-            np.testing.assert_array_equal(track.position[k], b.mean[0, POS_IDX])
+            mean, cov = kalman_predict(mean, cov, motion)
+            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
         np.testing.assert_array_equal(first, track.position[0])
 
     def test_track_spans_birth_to_last_observation(self, config):
@@ -402,11 +405,11 @@ class TestTrackObject:
         config = RunConfig(dt=0.1, init_pos_var=100.0)
 
         belief = init_target(list(boxes), list(boxes.values()), cams, config)
-        X, _, _ = sigma_points(belief)
+        X, _, _ = sigma_points(belief.mean, belief.covariance)
         front = in_front(near, X[..., POS_IDX])
         assert front.any() and not front.all()
         with pytest.raises(SigmaPointProjectionFailure) as info:
-            ukf_update(belief, boxes[0], bbox_measurement(near),
+            ukf_update(belief.mean, belief.covariance, boxes[0], bbox_measurement(near),
                        config.r_bbox * np.eye(4))
         assert isinstance(info.value.__cause__, NonPositiveDepth)
 
@@ -524,10 +527,10 @@ class TestRunAll:
         bad_boxes = {tuple(box) for box in ann.bbox[failing].tolist()}
         real = tracker_mod.ukf_update
 
-        def flaky(belief, z, *args, **kwargs):
+        def flaky(mean, cov, z, *args, **kwargs):
             if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
                 raise CholeskyFailure("covariance not factorizable")
-            return real(belief, z, *args, **kwargs)
+            return real(mean, cov, z, *args, **kwargs)
 
         monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
         events = []
@@ -556,10 +559,10 @@ class TestRunAll:
         last_good = last_good.position[last_good.frame.tolist().index(2)]
         real = tracker_mod.kalman_predict
 
-        def overflowing(belief, model):
-            if any((row[POS_IDX] == last_good).all() for row in belief.mean):
+        def overflowing(mean, cov, model):
+            if any((row[POS_IDX] == last_good).all() for row in mean):
                 raise DivergentUpdate("prediction overflowed to non-finite values")
-            return real(belief, model)
+            return real(mean, cov, model)
 
         monkeypatch.setattr(tracker_mod, "kalman_predict", overflowing)
         events = []
@@ -575,6 +578,53 @@ class TestRunAll:
         np.testing.assert_array_equal(_track(tracks, 1).position, kept.position)
         np.testing.assert_array_equal(_track(tracks, 1).half_axes, kept.half_axes)
 
+    def test_ended_object_takes_no_keypoint_update(self, monkeypatch):
+        # Once an object's predict fails it has ended: no keypoint update
+        # runs on its joints, though they are still annotated, while the
+        # other object's joints are updated as in the clean run.
+        spec = SceneSpec(
+            seed=4, num_objects=2, num_cameras=3, frames=8, fps=10.0,
+            motion="constant-velocity", skeleton="panoptic15",
+        )
+        bundle, _ = generate(spec)
+
+        def fuse(**kw):
+            config = RunConfig(dt=0.1)
+            return run_all(bundle.annotations, bundle.calibration, config, bundle.skeleton, **kw)
+
+        clean = fuse()
+        first = _track(clean, 0)
+        last_good = first.position[first.frame.tolist().index(2)]
+        ended, kp_updates, touched = [], set(), []
+        real_predict, real_rows = tracker_mod.kalman_predict, tracker_mod.update_rows
+        real_kp_update = tracker_mod.pose_mod.keypoint_update
+
+        def overflowing(mean, cov, model):
+            if any((row[POS_IDX] == last_good).all() for row in mean):
+                ended.append(True)
+                raise DivergentUpdate("prediction overflowed to non-finite values")
+            return real_predict(mean, cov, model)
+
+        def kp_update(cam, config):
+            update = real_kp_update(cam, config)
+            kp_updates.add(update)
+            return update
+
+        def spy(update, mean, cov, rows, z):
+            if ended and update in kp_updates:
+                touched.extend(rows.tolist())
+            return real_rows(update, mean, cov, rows, z)
+
+        monkeypatch.setattr(tracker_mod, "kalman_predict", overflowing)
+        monkeypatch.setattr(tracker_mod, "update_rows", spy)
+        monkeypatch.setattr(tracker_mod.pose_mod, "keypoint_update", kp_update)
+        events = []
+        tracks = fuse(on_event=events.append)
+        assert [(d.kind, d.object_id, d.frame) for d in events] == [("predict_failed", 0, 3)]
+        J = bundle.skeleton.num_joints
+        assert touched and min(touched) == J  # object 1's joints only
+        np.testing.assert_array_equal(_track(tracks, 1).keypoints, _track(clean, 1).keypoints)
+
     def test_object_without_applied_update_omitted(self, small_scene, config, monkeypatch):
         # Every box update of object 0 fails: its track would be prediction
         # alone, so it is omitted with a no_observation diagnostic after its
@@ -586,10 +636,10 @@ class TestRunAll:
         bad_boxes = {tuple(box) for box in ann.bbox[failing].tolist()}
         real = tracker_mod.ukf_update
 
-        def flaky(belief, z, *args, **kwargs):
+        def flaky(mean, cov, z, *args, **kwargs):
             if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
                 raise CholeskyFailure("covariance not factorizable")
-            return real(belief, z, *args, **kwargs)
+            return real(mean, cov, z, *args, **kwargs)
 
         monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
         events = []
