@@ -261,9 +261,10 @@ def kalman_predict(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         mean = (F @ mean[..., None])[..., 0]
         cov = F @ cov @ F.T + model.process_noise
+        cov = 0.5 * (cov + _transpose(cov))
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("prediction overflowed to non-finite values")
-    return mean, 0.5 * (cov + _transpose(cov))
+    return mean, cov
 
 
 def _clamp_indefinite(cov: np.ndarray) -> None:

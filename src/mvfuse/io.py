@@ -14,6 +14,13 @@ half-axes) are the tables': the first row a table refuses is reported at the
 line of the record that gave the bad value. So of several faults in a file,
 record and ``duplicate`` faults come first, then malformed fixed-width
 values, then row-rule faults.
+
+Both run on orjson and keep ``json``'s text and errors. The writer gives the
+bytes of ``json.dumps(record, separators=(",", ":"))``: a float is written
+as its shortest round-trip repr. The reader decodes a line with orjson, and
+a line orjson refuses (``NaN``, ``Infinity``, ``1e400``, a lone surrogate, a
+syntax error) with ``json.loads``, the reference, which reads it or raises
+its own error for it.
 """
 
 from __future__ import annotations
@@ -21,14 +28,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, product, repeat
-from json.decoder import WHITESPACE
-from json.scanner import make_scanner
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 from .tracks import AnnotationTable, RowError, TrackTable
@@ -181,16 +188,24 @@ class SceneBundle:
     skeleton: CanonicalPose | None = None
 
 
+def _json_loads(text: str, path: str, line: int | None = None) -> object:
+    """``json.loads(text)``, its errors raised as a ParseError of ``path`` at
+    ``line``, else at the error's own line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line or exc.lineno, exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(path, line, "JSON nested too deeply") from exc
+
+
 def _read_json(path) -> object:
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(path), None, f"cannot read: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, exc.msg) from exc
+    return _json_loads(text, str(path))
 
 
 def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[float]:
@@ -300,25 +315,11 @@ def save_calibration(cams: Mapping[int, CameraModel], path) -> None:
     Path(path).write_text(json.dumps({"cameras": entries}, indent=2) + "\n")
 
 
-_scan = make_scanner(json.JSONDecoder())
-_whitespace = WHITESPACE.match
-
-
-def _decode_line(line: str):
-    """The JSON value of one line, read by json's C scanner. Text around the
-    value may be only JSON whitespace (space, tab, LF, CR), as ``json.loads``
-    requires; a line the scanner refuses is given to ``json.loads``, which
-    raises its own error for it."""
-    try:
-        value, end = _scan(line, _whitespace(line, 0).end())
-        if _whitespace(line, end).end() == len(line):
-            return value
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)
-
-
-def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
+def _iter_jsonl(path, key) -> Iterable[tuple[int, dict]]:
+    """The (line number, record) of each non-blank line. orjson reads an
+    integer outside [-2**63, 2**64) as a float, so a record whose ``key``
+    field comes back a float is read again by ``json.loads``, which gives the
+    integer the key check refuses."""
     spath = str(path)
     # Lines are read as they come, so the file is never held whole. A line
     # ends at "\n", "\r\n" or "\r"; str.splitlines() would also end one at a
@@ -329,11 +330,13 @@ def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
                 if line.isspace():
                     continue
                 try:
-                    record = _decode_line(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(spath, lineno, exc.msg) from exc
+                    record = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    record = _json_loads(line, spath, lineno)
                 if not isinstance(record, dict):
                     raise ParseError(spath, lineno, "record must be a JSON object")
+                if float in {type(record.get(f)) for f in key}:
+                    record = _json_loads(line, spath, lineno)
                 yield lineno, record
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(spath, None, f"cannot read: {exc}") from exc
@@ -368,7 +371,7 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
             values[kp_column].append(arr.reshape(len(recs), -1, 3))
 
     try:
-        for lineno, rec in _iter_jsonl(path):
+        for lineno, rec in _iter_jsonl(path, key):
             k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
             if all(rec.get(c) is None for c in required):
                 raise ParseError(spath, lineno, missing)
@@ -424,45 +427,47 @@ def _read_jsonl(path, table, key, columns, required, missing, duplicate):
         raise ParseError(spath, line, exc.reason) from exc
 
 
-def _template(key, payload, shape) -> str:
-    """The %-template of a record of one shape: ``%d`` for each ``key``
-    field, then a ``%r`` list for each ``payload`` column the row has (per
-    ``shape``). A column the row lacks still takes its values, all NaN, each
-    by a ``%.0s``, which prints nothing."""
-    parts = [f'"{f}":%d' for f in key]
-    for (c, col), has in zip(payload, shape):
-        row = "[" + ",".join(["%r"] * col.shape[-1]) + "]"
-        if col.ndim == 3:
-            row = "[" + ",".join([row] * col.shape[1]) + "]"
-        if has:
-            parts.append(f'"{c}":{row}')
-        else:
-            parts[-1] += "%.0s" * math.prod(col.shape[1:])
-    return "{" + ",".join(parts) + "}\n"
+_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+# orjson writes a float as its shortest round-trip repr, but for two forms:
+# an exponent has no "+" and no leading zero (1e16, 1e-7; repr: 1e+16,
+# 1e-07), and [1e-5, 1e-4) is positional (0.000015; repr: 1.5e-05). So
+# only values in [1e-9, 1e-4) or at least 1e16 in magnitude are written
+# differently, and only the rows that hold one are rewritten.
+_EXPONENT = re.compile(rb"e(-?)(\d+)")
+_DECADE = re.compile(rb"\b0\.0000([1-9])(\d*)")
+
+
+def _as_repr(line: bytes) -> bytes:
+    """An orjson row with each float's text rewritten to its repr form."""
+    line = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), line)
+    return _DECADE.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", line)
 
 
 def _write_jsonl(table, path, key, columns) -> None:
     """Write ``table`` as JSONL, one record per row, in row order: the ``key``
     fields, then each of the payload ``columns`` that the row has, in the
-    text ``json.dumps(record, separators=(",", ":"))`` gives (a float as its
-    shortest round-trip repr). Rows are formatted ``_CHUNK`` at a time, each
-    from the template of its shape, so the file's text is never held whole."""
+    text ``json.dumps(record, separators=(",", ":"))`` gives. Rows are
+    written ``_CHUNK`` at a time, so the file's text is never held whole."""
     keys = [getattr(table, f) for f in key]
-    payload = [(c, getattr(table, c)) for c in columns if getattr(table, c) is not None]
-    has = [~np.isnan(col[:, 0] if col.ndim == 2 else col[:, 0, 0]) for _, col in payload]
-    templates = {
-        shape: _template(key, payload, shape)
-        for shape in product((False, True), repeat=len(payload))
-    }
-    with open(path, "w") as out:
+    names = [c for c in columns if getattr(table, c) is not None]
+    with open(path, "wb") as out:
         for lo in range(0, len(table), _CHUNK):
             hi = min(lo + _CHUNK, len(table))
-            shapes = zip(*(h[lo:hi].tolist() for h in has))
             ids = zip(*(k[lo:hi].tolist() for k in keys))
-            flat = np.hstack([col[lo:hi].reshape(hi - lo, -1) for _, col in payload])
-            out.write(
-                "".join([templates[s] % (*k, *v) for s, k, v in zip(shapes, ids, flat.tolist())])
-            )
+            cols = [np.ascontiguousarray(getattr(table, c)[lo:hi]) for c in names]
+            rows = [col.reshape(hi - lo, -1) for col in cols]
+            shapes = zip(*((~np.isnan(r[:, 0])).tolist() for r in rows))
+            flat = np.abs(np.hstack(rows))
+            unlike = ((flat >= 1e-9) & (flat < 1e-4)) | (flat >= 1e16)
+            lines = []
+            for k, row, shape, fix in zip(ids, zip(*cols), shapes, unlike.any(axis=1).tolist()):
+                rec = dict(zip(key, k))
+                for c, v, has in zip(names, row, shape):
+                    if has:
+                        rec[c] = v
+                line = orjson.dumps(rec, option=_DUMPS)
+                lines.append(_as_repr(line) if fix else line)
+            out.write(b"".join(lines))
 
 
 _ANNOTATION_KEY = ("frame", "object_id", "camera_id")

@@ -208,6 +208,15 @@ class TestAnnotate:
         assert rc == 2
 
 
+    def test_deeply_nested_config_is_exit_2(self, scene_dir, tmp_path, capsys):
+        # json.loads runs out of stack on it: an error naming the file.
+        config = tmp_path / "config.json"
+        config.write_text('{"dt": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(config))) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: JSON nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_config_with_workers_is_exit_2(self, scene_dir, tmp_path, capsys):
         # The process pool is gone; an old config that still sets it is
         # refused rather than silently ignored.
@@ -540,6 +549,20 @@ class TestEvaluate:
         assert f"{gt}:2: 2 keypoint rows, line 1 has 3" in capsys.readouterr().err
 
 
+    def test_deeply_nested_line_is_exit_2(self, fused_tracks, tmp_path, capsys):
+        # The NaN makes orjson refuse the line, and json.loads, which reads
+        # it instead, runs out of stack: an error at the line.
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            json.dumps({"frame": 0, "object_id": 1, "position": [0, 0, 1]}) + "\n"
+            + '{"frame": 1, "object_id": 1, "position": [0, 0, NaN], "x": '
+            + "[" * 100_000 + "]" * 100_000 + "}\n"
+        )
+        assert main(["evaluate", "--pred", str(fused_tracks), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {gt}:2: JSON nested too deeply" in err
+        assert "Traceback" not in err
+
 # Objects 10 and 19 of the gt coincide in frames 0 and 1, so their
 # assignments tie, and the object order decides the identity switches.
 _TIE_GT = {
@@ -826,14 +849,14 @@ if argv:
 else:
     import mvfuse
 with open(out, "w") as fh:
-    json.dump(sorted(m for m in sys.modules if m.split(".")[0] in ("mvfuse", "numpy")), fh)
+    json.dump(sorted(m for m in sys.modules if m.split(".")[0] in ("mvfuse", "numpy", "orjson")), fh)
 """
 
 
 @pytest.mark.parametrize("command, not_loaded", [
-    ("import", ("numpy", "mvfuse.cli", "mvfuse.errors")),
-    ("--version", ("numpy",)),
-    ("--help", ("numpy",)),
+    ("import", ("numpy", "orjson", "mvfuse.cli", "mvfuse.errors")),
+    ("--version", ("numpy", "orjson")),
+    ("--help", ("numpy", "orjson")),
     ("synth", ("mvfuse.tracker", "mvfuse.metrics")),
     ("annotate", ("mvfuse.synth", "mvfuse.metrics")),
     ("evaluate", ("mvfuse.synth", "mvfuse.tracker", "mvfuse.filter")),
@@ -842,6 +865,7 @@ def test_each_command_loads_only_its_layers(scene_dir, fused_tracks, tmp_path, c
     # Importing mvfuse loads none of its modules, and the cli loads a
     # command's stages when that command runs; no command loads numpy.ma,
     # which numpy's set operations import unless given a return flag.
+    # Neither numpy nor orjson is loaded before a command needs a file.
     argv = [] if command == "import" else _command_argv(command, scene_dir, fused_tracks, tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
     result = tmp_path / "loaded.json"

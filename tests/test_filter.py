@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,17 @@ class TestPredict:
         m = make_motion_model(1e5, q_pos=0.0)
         with pytest.raises(DivergentUpdate, match="non-finite"):
             kalman_predict(b.mean, b.covariance, m)
+
+    def test_overflow_in_symmetrizing_raises(self):
+        # F P F^T is finite (position variance 1e308), but summing it with
+        # its transpose overflows: an error, not an inf covariance or a
+        # numpy overflow warning.
+        b = GaussianBelief(np.zeros(6), 5e307 * np.eye(6))
+        m = make_motion_model(1.0, q_pos=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentUpdate, match="non-finite"):
+                kalman_predict(b.mean, b.covariance, m)
 
 
 def _affine_update_pair(rng, d, m):

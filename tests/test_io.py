@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvfuse import (
     AnnotationTable,
@@ -660,8 +662,15 @@ def test_writers_emit_plain_float_lists(tmp_path):
 
 
 # Floats whose shortest repr takes each form: signed zero, exponents either
-# side, the smallest subnormal and the largest finite value.
-_EDGE_FLOATS = [-0.0, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, 0.1, -2.5]
+# side, the smallest subnormal and the largest finite value; each end of the
+# positional range [1e-4, 1e16) and of the decade below it; the smallest
+# one-digit and the largest two-digit negative exponent; the residue gt
+# keypoints carry.
+_EDGE_FLOATS = [
+    -0.0, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, 0.1, -2.5,
+    1e-05, -1.5e-05, 9.999999999999999e-05, 1e-4, 9999999999999998.0,
+    2.220446049250313e-16, 1e-09, 9.999999999999999e-10, -1.5e22,
+]
 _BIG = 2**63 - 1
 
 
@@ -743,6 +752,76 @@ def test_annotation_writer_writes_every_line_as_json_dumps(tmp_path):
     save_annotations(boxes_only, path)
     assert path.read_text().splitlines() == _dumps(boxes_only, key, columns)
     assert "keypoints" not in path.read_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+def test_writer_writes_any_finite_float_as_json_dumps(tmp_path_factory, values):
+    # Each value is a position coordinate and a keypoint coordinate; the
+    # columns are Fortran-ordered, so no row is one contiguous block.
+    n = -(-len(values) // 3)
+    pos = np.asfortranarray(np.resize(np.array(values), (n, 3)))
+    table = TrackTable(np.arange(n), np.zeros(n, dtype=np.int64), pos, keypoints=pos[:, None, :])
+    path = tmp_path_factory.mktemp("writer") / "tracks.jsonl"
+    save_tracks(table, path)
+    expected = _dumps(table, ("frame", "object_id"), ("position", "keypoints"))
+    assert path.read_text().splitlines() == expected
+
+
+_HUGE = "1" + "0" * 399  # an integer literal 400 digits long
+
+
+@pytest.mark.parametrize("field, text, reason", [
+    ("frame", str(2**64), f"frame must fit in 64 bits, got {2**64}"),
+    ("frame", str(-(2**63) - 1), f"frame must fit in 64 bits, got {-(2**63) - 1}"),
+    ("object_id", str(2**64), f"object_id must fit in 64 bits, got {2**64}"),
+    ("object_id", _HUGE, f"object_id must fit in 64 bits, got {_HUGE}"),
+    ("frame", "1e400", "frame must be an integer, got inf"),
+    ("position", f"[{_HUGE}, 0, 1]", "position must be finite"),
+    ("position", "[0, NaN, 1]", "position must be finite"),
+    ("position", "[0, -Infinity, 1]", "position must be finite"),
+    ("position", "[0, 1e400, 1]", "position must be finite"),
+], ids=["frame-2**64", "frame-below-int64", "id-2**64", "id-400-digits", "frame-1e400",
+        "400-digits", "NaN", "Infinity", "1e400"])
+def test_reader_refuses_what_json_loads_gives(tmp_path, field, text, reason):
+    # The values orjson reads otherwise than json.loads (an integer beyond
+    # 64 bits as a float) or not at all are refused as json's values are.
+    rec = {"frame": 1, "object_id": 1, "position": "[0, 0, 1]", field: text}
+    path = tmp_path / "tracks.jsonl"
+    path.write_text(_GOOD_TRACK % 0 + "\n{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+    with pytest.raises(ParseError) as err:
+        load_tracks(path)
+    assert (err.value.line, err.value.reason) == (2, reason)
+
+
+@pytest.mark.parametrize("text, value", [
+    (str(2**64 + 1), float(2**64 + 1)),
+    (str(-(2**63) - 1), float(-(2**63) - 1)),
+    (str(3**300), float(3**300)),
+    ("1e-400", 0.0),
+    ("-0", 0.0),
+], ids=["2**64+1", "below-int64", "3**300", "underflow", "minus-zero"])
+def test_reader_reads_payload_numbers_as_json_loads(tmp_path, text, value):
+    path = tmp_path / "tracks.jsonl"
+    path.write_text(f'{{"frame": 0, "object_id": 1, "position": [0, {text}, 1]}}\n')
+    assert load_tracks(path).position[0].tolist() == [0.0, value, 1.0]
+
+
+def test_reader_reads_a_lone_surrogate_as_json_loads(tmp_path):
+    # orjson refuses a lone surrogate in a string; json.loads reads it, and
+    # a field no table has is ignored.
+    path = tmp_path / "tracks.jsonl"
+    path.write_text('{"frame": 0, "object_id": 1, "note": "\\ud800", "position": [0, 0, 1]}\n')
+    assert json.loads(path.read_text())["note"] == "\ud800"
+    assert load_tracks(path).position.tolist() == [[0.0, 0.0, 1.0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_reader_reads_repr_text_as_its_float(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("reader") / "tracks.jsonl"
+    path.write_text(f'{{"frame": 0, "object_id": 1, "position": [{x!r}, 0, 1]}}\n')
+    assert load_tracks(path).position[0, 0].tobytes() == np.float64(x).tobytes()
 
 
 _GOOD_TRACK = '{"frame": %d, "object_id": 1, "position": [0, 0, 1]}'
