@@ -80,11 +80,13 @@ class GaussianBelief:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            asymmetry = np.max(np.abs(cov - _transpose(cov)))
+            cov = 0.5 * (cov + _transpose(cov))
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("belief contains non-finite values")
-        if np.max(np.abs(cov - _transpose(cov))) > _SYM_TOL:
+        if asymmetry > _SYM_TOL:
             raise ValueError("covariance is not symmetric")
-        cov = 0.5 * (cov + _transpose(cov))
         bad = np.flatnonzero(np.linalg.eigvalsh(cov)[:, 0] < _EIG_TOL)
         if bad.size:
             raise ValueError(f"covariance of row {bad[0]} has a significantly negative eigenvalue")
@@ -108,9 +110,14 @@ class MotionModel:
             raise ValueError(f"transition must be square, got {F.shape}")
         if Q.shape != F.shape:
             raise ValueError("process_noise shape must match transition")
-        if np.max(np.abs(Q - Q.T)) > _SYM_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            asymmetry = np.max(np.abs(Q - Q.T))
+            sym = 0.5 * (Q + Q.T)
+        if not np.isfinite(sym).all():
+            raise ValueError("process_noise is not finite")
+        if asymmetry > _SYM_TOL:
             raise ValueError("process_noise is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] < _EIG_TOL:
+        if np.linalg.eigvalsh(sym)[0] < _EIG_TOL:
             raise ValueError("process_noise is not positive semidefinite")
         F.setflags(write=False)
         Q.setflags(write=False)

@@ -6,14 +6,22 @@ per line, where only a newline ends a line. All world units are meters
 pixels for image-plane quantities. Writers emit keys in a fixed order so
 identical inputs produce identical bytes.
 
-One reader and one writer serve both JSONL tables. The reader checks each
-record as it reads it (JSON syntax, integer keys, a payload, no field given
-twice for one key, keypoint rows), then each fixed-width column in one pass.
-The row rules (non-negative frames, box corners in order, positive
-half-axes) are the tables': the first row a table refuses is reported at the
-line of the record that gave the bad value. So of several faults in a file,
-record and ``duplicate`` faults come first, then malformed fixed-width
-values, then row-rule faults.
+One reader and one writer serve both JSONL tables. The reader checks the
+records in line order (JSON syntax, integer keys, a payload, no field given
+twice for one key, keypoint rows), then each fixed-width column. The row
+rules (non-negative frames, box corners in order, positive half-axes) are
+the tables': the first row a table refuses is reported at the line of the
+record that gave the bad value. So of several faults in a file, record and
+``duplicate`` faults come first, then malformed fixed-width values, then
+row-rule faults.
+
+It takes the records ``_CHUNK`` lines at a time. A chunk whose records are
+all clean is checked as a whole: the keys by one ``itemgetter`` map and set
+tests, the payload fields together, and each field's values by one
+``np.array`` whose dtype, shape and finiteness are then tested. Any other
+chunk is read record by record, which gives every message, ``file:line``
+and the order of faults; a clean chunk has none to give. The collector is
+paused during a read, since decoded records form no reference cycles.
 
 Both run on orjson and keep ``json``'s text and errors. The writer gives the
 bytes of ``json.dumps(record, separators=(",", ":"))``: a float is written
@@ -25,14 +33,16 @@ its own error for it.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
 import re
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -45,7 +55,7 @@ if TYPE_CHECKING:
     from .pose import CanonicalPose
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
-_CHUNK = 128  # rows per JSONL write, keypoint records per conversion on read
+_CHUNK = 128  # rows per JSONL write, non-blank lines per check on read
 # The field types checked, and what a value of each must be.
 _KINDS = {
     float: ("a number", numbers.Real),
@@ -315,116 +325,230 @@ def save_calibration(cams: Mapping[int, CameraModel], path) -> None:
     Path(path).write_text(json.dumps({"cameras": entries}, indent=2) + "\n")
 
 
-def _iter_jsonl(path, key) -> Iterable[tuple[int, dict]]:
-    """The (line number, record) of each non-blank line. orjson reads an
-    integer outside [-2**63, 2**64) as a float, so a record whose ``key``
-    field comes back a float is read again by ``json.loads``, which gives the
-    integer the key check refuses."""
-    spath = str(path)
+def _chunks(path) -> Iterator[tuple[list[int], list[str]]]:
+    """The line numbers and the text of the file's non-blank lines,
+    ``_CHUNK`` lines at a time. A read error ends the file: the lines read
+    before it are still yielded, then it is raised as a ParseError."""
     # Lines are read as they come, so the file is never held whole. A line
     # ends at "\n", "\r\n" or "\r"; str.splitlines() would also end one at a
     # U+2028 inside a string.
+    linenos, lines, failure = [], [], None
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                if line.isspace():
-                    continue
-                try:
-                    record = orjson.loads(line)
-                except orjson.JSONDecodeError:
-                    record = _json_loads(line, spath, lineno)
-                if not isinstance(record, dict):
-                    raise ParseError(spath, lineno, "record must be a JSON object")
-                if float in {type(record.get(f)) for f in key}:
-                    record = _json_loads(line, spath, lineno)
-                yield lineno, record
+                if not line.isspace():
+                    linenos.append(lineno)
+                    lines.append(line)
+                    if len(lines) == _CHUNK:
+                        yield linenos, lines
+                        linenos, lines = [], []
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(spath, None, f"cannot read: {exc}") from exc
+        failure = exc
+    if lines:
+        yield linenos, lines
+    if failure is not None:
+        raise ParseError(str(path), None, f"cannot read: {failure}") from failure
+
+
+class _Reader:
+    """The rows of one JSONL table, taken from its records a chunk of lines
+    at a time, in line order.
+
+    ``key`` names a row's integer fields; ``columns`` maps each payload field
+    to its row width (None: keypoints, (J, 3)). A record needs one of the
+    ``required`` fields, else it is refused with ``missing``; the records of
+    one key merge into one row, and a field given twice for a row is refused
+    with ``duplicate``, formatted with the key and ``column``.
+
+    Each column's values are kept as one segment per chunk, in line order:
+    an array already checked, or, for a fixed-width column of a chunk taken
+    record by record, the list of its values, checked in :meth:`table`.
+    """
+
+    def __init__(self, path, key, columns, required, missing, duplicate):
+        self.path, self.key, self.columns = str(path), key, columns
+        self.required, self.missing, self.duplicate = required, missing, duplicate
+        self.keys_of = itemgetter(*key)
+        self.row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
+        self.given = {c: {} for c in columns}  # column -> {row: line}, in line order
+        self.values = {c: [] for c in columns}  # column -> segments of the values of `given`
+        self.joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
+        self.kp = next((c for c, width in columns.items() if width is None), None)
+        self.pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
+
+    def take(self, linenos: list[int], lines: list[str]) -> None:
+        """Take a chunk of lines: in one pass if every record in it is clean
+        (:meth:`take_clean`), else record by record (:meth:`record`)."""
+        if self.take_clean(linenos, lines):
+            return
+        for c, width in self.columns.items():
+            if width is not None:
+                self.values[c].append([])
+        try:
+            for lineno, line in zip(linenos, lines):
+                self.record(lineno, line)
+        except (ParseError, ValidationError):
+            self.convert()  # a keypoint fault on an earlier line comes first
+            raise
+        self.convert()
+
+    def take_clean(self, linenos: list[int], lines: list[str]) -> bool:
+        """Take the chunk in one pass and return True if each record in it
+        passes every check :meth:`record` makes and its values are numbers
+        of the right shape; else take nothing and return False.
+
+        Clean means: each line is an object orjson reads; its key fields are
+        ints that fit 64 bits, and its key is new to the file; it has a
+        required field; and the chunk's values of each column make one
+        finite array of numbers, (m, width) or (m, J, 3) with the file's J.
+        ``np.array`` reads a JSON true or false as a number, so a chunk with
+        either word anywhere in its text is not clean."""
+        # Numbers and key names have no "u", so the "u" of a true is looked
+        # for alone: one memchr, several times faster than finding "true".
+        if any("u" in line or "false" in line for line in lines):
+            return False
+        try:
+            recs = list(map(orjson.loads, lines))
+        except orjson.JSONDecodeError:
+            return False
+        if set(map(type, recs)) != {dict}:
+            return False
+        try:
+            keys = list(map(self.keys_of, recs))
+        except KeyError:
+            return False
+        ints = list(chain.from_iterable(keys))
+        if (
+            set(map(type, ints)) != {int}
+            or not -(2**63) <= min(ints) <= max(ints) < 2**63
+            or len(set(keys)) < len(keys)
+            or not self.row_of.keys().isdisjoint(keys)
+        ):
+            return False
+        got = {c: [rec.get(c) for rec in recs] for c in self.columns}
+        if any(vs.count(None) == len(vs) for vs in zip(*(got[c] for c in self.required))):
+            return False
+        has, arrays = {}, {}
+        for c, width in self.columns.items():
+            has[c] = [v is not None for v in got[c]]
+            if not any(has[c]):
+                continue
+            try:
+                arr = np.array(list(compress(got[c], has[c])))
+            except ValueError:  # rows of different lengths
+                return False
+            # keypoints: J rows of 3, J the file's or, in its first keypoints, these
+            joints = self.joints[0] if self.joints else arr.shape[1] if arr.ndim > 1 else -1
+            row = (width,) if width else (joints, 3)
+            if not (arr.dtype.kind in "fi" and arr.shape[1:] == row and np.isfinite(arr).all()):
+                return False
+            arrays[c] = arr.astype(np.float64, copy=False)
+        start = len(self.row_of)
+        self.row_of.update(zip(keys, range(start, start + len(keys))))
+        for c, arr in arrays.items():
+            rows = compress(range(start, start + len(recs)), has[c])
+            self.given[c].update(zip(rows, compress(linenos, has[c])))
+            self.values[c].append(arr)
+        if self.kp in arrays and self.joints is None:
+            self.joints = (arrays[self.kp].shape[1], next(compress(linenos, has[self.kp])))
+        return True
+
+    def record(self, lineno: int, line: str) -> None:
+        """Take one record, or raise the first fault it has. orjson reads an
+        integer outside [-2**63, 2**64) as a float, so a record whose key
+        field comes back a float is read again by ``json.loads``, which gives
+        the integer the key check refuses."""
+        spath = self.path
+        try:
+            rec = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            rec = _json_loads(line, spath, lineno)
+        if not isinstance(rec, dict):
+            raise ParseError(spath, lineno, "record must be a JSON object")
+        if float in {type(rec.get(f)) for f in self.key}:
+            rec = _json_loads(line, spath, lineno)
+        k = tuple(_integer(rec.get(f), spath, lineno, f) for f in self.key)
+        if all(rec.get(c) is None for c in self.required):
+            raise ParseError(spath, lineno, self.missing)
+        row = self.row_of.setdefault(k, len(self.row_of))
+        for c, width in self.columns.items():
+            value = rec.get(c)
+            if value is None:
+                continue
+            if row in self.given[c]:
+                raise ValidationError(f"{spath}:{lineno}: " + self.duplicate.format(*k, column=c))
+            self.given[c][row] = lineno
+            if width is not None:
+                self.values[c][-1].append(value)
+                continue
+            if not isinstance(value, list) or not value:
+                raise ParseError(spath, lineno, f"{c} must be a non-empty list")
+            self.joints = joints = self.joints or (len(value), lineno)
+            if len(value) != joints[0]:  # a bad row of the record is named first
+                _float_rows(value, 3, spath, repeat(lineno), "keypoint row")
+                raise ParseError(
+                    spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
+                )
+            self.pending.append((value, lineno))
+
+    def convert(self) -> None:
+        """Check the pending keypoint records and append them to the
+        keypoint values as one (m, J, 3) array."""
+        recs, self.pending = self.pending, []
+        if recs:
+            rows = list(chain.from_iterable(v for v, _ in recs))
+            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
+            arr = _float_rows(rows, 3, self.path, lines, "keypoint row")
+            self.values[self.kp].append(arr.reshape(len(recs), -1, 3))
+
+    def table(self, table):
+        """The rows taken, as ``table`` sorted by key: the unchecked values
+        of each fixed-width column checked in line order, then the table's
+        row rules."""
+        spath, key, given = self.path, self.key, self.given
+        keys = np.array(list(self.row_of), dtype=np.int64).reshape(-1, len(key)).T
+        order = np.lexsort(keys[::-1])
+        rank = np.argsort(order)  # first-seen row -> sorted row
+        cols = dict(zip(key, keys[:, order]))
+        for c, width in self.columns.items():
+            if width is None and self.joints is None:
+                continue
+            row = (width,) if width else (self.joints[0], 3)
+            cols[c] = np.full((len(order), *row), np.nan)
+            rows, lines, segments, lo = rank[list(given[c])], list(given[c].values()), self.values[c], 0
+            # Each segment goes straight to its sorted rows and is dropped,
+            # so the load never holds a second, stacked copy.
+            for i, seg in enumerate(segments):
+                hi = lo + len(seg)
+                if isinstance(seg, list):
+                    seg = _float_rows(seg, width, spath, lines[lo:hi], c).reshape(-1, width)
+                cols[c][rows[lo:hi]], segments[i] = seg, None
+                lo = hi
+        try:
+            return table(**cols)
+        except RowError as exc:
+            # the line that gave the bad value; for a key, the row's first line
+            row = int(order[exc.row])
+            line = min(g[row] for c, g in given.items() if row in g and exc.column in (c, *key))
+            raise ParseError(spath, line, exc.reason) from exc
 
 
 def _read_jsonl(path, table, key, columns, required, missing, duplicate):
     """Read ``table`` from JSONL, records in any line order, checked as the
-    module docstring says. ``key`` names a row's integer fields; ``columns``
-    maps each payload field to its row width (None: keypoints, (J, 3)). A
-    record needs one of the ``required`` fields, else it is refused with
-    ``missing``; the records of one key merge into one row, and a field given
-    twice for a row is refused with ``duplicate``, formatted with the key and
-    ``column``. Keypoint records are converted ``_CHUNK`` at a time; a pending
-    chunk is checked before a later line's fault is raised, so faults still
-    come in line order."""
-    spath = str(path)
-    row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
-    given = {c: {} for c in columns}  # column -> {row: line}, in line order
-    values = {c: [] for c in columns}  # column -> the values of `given`
-    joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
-    kp_column = next((c for c, width in columns.items() if width is None), None)
-    pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
+    module docstring says; the other arguments are :class:`_Reader`'s.
 
-    def convert() -> None:
-        """Check the pending keypoint records and append them to ``values``
-        as one (m, J, 3) array."""
-        recs, pending[:] = pending[:], []
-        if recs:
-            rows = list(chain.from_iterable(v for v, _ in recs))
-            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
-            arr = _float_rows(rows, 3, spath, lines, "keypoint row")
-            values[kp_column].append(arr.reshape(len(recs), -1, 3))
-
+    The cyclic garbage collector is paused for the read: decoded records
+    hold no reference cycles, so its passes over them would free nothing."""
+    reader = _Reader(path, key, columns, required, missing, duplicate)
+    collect = gc.isenabled()
+    gc.disable()
     try:
-        for lineno, rec in _iter_jsonl(path, key):
-            k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
-            if all(rec.get(c) is None for c in required):
-                raise ParseError(spath, lineno, missing)
-            row = row_of.setdefault(k, len(row_of))
-            for c, width in columns.items():
-                value = rec.get(c)
-                if value is None:
-                    continue
-                if row in given[c]:
-                    raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
-                given[c][row] = lineno
-                if width is not None:
-                    values[c].append(value)
-                    continue
-                if not isinstance(value, list) or not value:
-                    raise ParseError(spath, lineno, f"{c} must be a non-empty list")
-                joints = joints or (len(value), lineno)
-                if len(value) != joints[0]:  # a bad row of the record is named first
-                    _float_rows(value, 3, spath, repeat(lineno), "keypoint row")
-                    raise ParseError(
-                        spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
-                    )
-                pending.append((value, lineno))
-                if len(pending) == _CHUNK:
-                    convert()
-    except (ParseError, ValidationError):
-        convert()  # a keypoint fault on an earlier line comes first
-        raise
-    convert()
-    keys = np.array(list(row_of), dtype=np.int64).reshape(-1, len(key)).T
-    order = np.lexsort(keys[::-1])
-    rank = np.argsort(order)  # first-seen row -> sorted row
-    cols = dict(zip(key, keys[:, order]))
-    for c, width in columns.items():
-        rows = rank[list(given[c])]
-        if width is not None:
-            cols[c] = np.full((len(order), width), np.nan)
-            lines = list(given[c].values())
-            cols[c][rows] = _float_rows(values[c], width, spath, lines, c).reshape(-1, width)
-        elif joints is not None:
-            # Each chunk's rows go straight to their sorted rows and are
-            # dropped, so the load never holds a second, stacked copy.
-            cols[c], chunks, lo = np.full((len(order), joints[0], 3), np.nan), values[c], 0
-            for i, chunk in enumerate(chunks):
-                cols[c][rows[lo : lo + len(chunk)]], chunks[i] = chunk, None
-                lo += len(chunk)
-    try:
-        return table(**cols)
-    except RowError as exc:
-        # the line that gave the bad value; for a key, the row's first line
-        row = int(order[exc.row])
-        line = min(g[row] for c, g in given.items() if row in g and exc.column in (c, *key))
-        raise ParseError(spath, line, exc.reason) from exc
+        for linenos, lines in _chunks(path):
+            reader.take(linenos, lines)
+        return reader.table(table)
+    finally:
+        if collect:
+            gc.enable()
 
 
 _DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE

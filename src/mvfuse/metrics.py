@@ -13,6 +13,14 @@ trajectory overlap matrix, OSPA(2) its cut-off distances into per-pair sums,
 in frame order); pose metrics one MPJPE matrix; CLEAR MOT the distances of the
 pairs it tests: each object's last match, then the block it assigns. Working
 memory stays per frame.
+
+Distances are ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order. Pose
+metrics take the (x, y, z) coordinate planes of the poses once, so each
+frame's MPJPE matrix is that sum over (n, m, J) planes, averaged over the
+joints: the bits ``np.linalg.norm(axis=-1)`` gives, without its strided
+reduction. The assignment solver returns each row's strict minimum at once
+when those minima lie in distinct columns, which is the assignment its
+search would find; the search runs only on matrices where rows compete.
 """
 
 from __future__ import annotations
@@ -33,37 +41,27 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return np.unique(values, return_index=True)[0]
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost assignment of a rectangular cost matrix: ``(rows, cols)``,
-    rows ascending, one pair per row or per column, whichever are fewer.
+def _strict_minima(cost: np.ndarray) -> np.ndarray | None:
+    """The column of each row's minimum, if every row of ``cost`` has one
+    strict, finite minimum and no two rows share its column; else None.
 
-    A port of scipy's ``linear_sum_assignment`` (``rectangular_lsap``):
-    Crouse's shortest augmenting path form of Jonker-Volgenant (D. F. Crouse,
-    "On implementing 2D rectangular assignment algorithms", IEEE Trans.
-    Aerospace and Electronic Systems 52(4), 2016). It does scipy's work in
-    scipy's order, in Python floats: a tall matrix is transposed, each row
-    gets one augmenting path, the duals are updated with the same operations,
-    and of equal reduced costs the scan takes a free column, the last one it
-    meets. So it returns scipy's ``(rows, cols)`` on every input, ties
-    included, and raises the same ``ValueError``s.
+    Then this is what :func:`_shortest_paths` returns. Each row's first scan
+    meets reduced costs equal to its costs, so it ends at the row's minimum,
+    a free column; and a scan that ends at once moves no column dual, so the
+    next row's reduced costs are its costs too."""
+    col = cost.argmin(axis=1)
+    low = cost[np.arange(len(cost)), col]
+    if not (np.isfinite(low).all() and ((cost == low[:, None]).sum(axis=1) == 1).all()):
+        return None
+    taken = np.sort(col)
+    return col if (taken[1:] != taken[:-1]).all() else None
 
-    Raises
-    ------
-    ValueError
-        If ``cost`` is not 2-D, contains NaN or -inf, or has no assignment
-        of finite cost.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim} array")
-    transpose = cost.shape[1] < cost.shape[0]
-    if transpose:
-        cost = cost.T
+
+def _shortest_paths(cost: np.ndarray) -> list[int]:
+    """The column of each row of ``cost`` (no taller than it is wide) by
+    shortest augmenting paths, one row at a time, as scipy's
+    ``rectangular_lsap`` finds it."""
     nr, nc = cost.shape
-    if nr == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if np.isnan(cost).any() or np.isneginf(cost).any():
-        raise ValueError("matrix contains invalid numeric entries")
     c = cost.tolist()
     inf = np.inf
     u, v = [0.0] * nr, [0.0] * nc
@@ -109,6 +107,45 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
+    return col4row
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of a rectangular cost matrix: ``(rows, cols)``,
+    rows ascending, one pair per row or per column, whichever are fewer.
+
+    A port of scipy's ``linear_sum_assignment`` (``rectangular_lsap``):
+    Crouse's shortest augmenting path form of Jonker-Volgenant (D. F. Crouse,
+    "On implementing 2D rectangular assignment algorithms", IEEE Trans.
+    Aerospace and Electronic Systems 52(4), 2016). It does scipy's work in
+    scipy's order, in Python floats: a tall matrix is transposed, each row
+    gets one augmenting path, the duals are updated with the same operations,
+    and of equal reduced costs the scan takes a free column, the last one it
+    meets. So it returns scipy's ``(rows, cols)`` on every input, ties
+    included, and raises the same ``ValueError``s. When each row's strict
+    minimum lies in a column of its own, that is the assignment, and it is
+    returned without the search (:func:`_strict_minima`).
+
+    Raises
+    ------
+    ValueError
+        If ``cost`` is not 2-D, contains NaN or -inf, or has no assignment
+        of finite cost.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim} array")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr = len(cost)
+    if nr == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    col4row = _strict_minima(cost)
+    if col4row is None:
+        col4row = _shortest_paths(cost)
     if transpose:
         cols = np.array(col4row, dtype=np.int64)
         order = np.argsort(cols)
@@ -132,9 +169,9 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _bounds(t: TrackTable, frames: np.ndarray) -> list[tuple[int, int]]:
-    """The rows ``lo:hi`` of ``t`` at each of ``frames``."""
-    lo, hi = (np.searchsorted(t.frame, frames, side).tolist() for side in ("left", "right"))
+def _bounds(frame: np.ndarray, frames: np.ndarray) -> list[tuple[int, int]]:
+    """The rows ``lo:hi`` of the sorted column ``frame`` at each of ``frames``."""
+    lo, hi = (np.searchsorted(frame, frames, side).tolist() for side in ("left", "right"))
     return list(zip(lo, hi))
 
 
@@ -144,7 +181,7 @@ def _objects(t: TrackTable, frames: np.ndarray):
     index of each row's object among their sorted ids, with the rows."""
     start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
     ids, index = np.unique(t.object_id[start:], return_inverse=True)
-    return len(ids), [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t, frames)]
+    return len(ids), [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t.frame, frames)]
 
 
 def _frame_distances(pred: TrackTable, gt: TrackTable, frames: np.ndarray):
@@ -196,7 +233,7 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
     frames = _unique(np.concatenate((gt.frame, pred.frame)))
     fp = fn = ids = 0
     last_known: dict[int, int] = {}  # gt rank -> pred rank
-    for g_rows, p_rows in zip(_bounds(gt, frames), _bounds(pred, frames)):
+    for g_rows, p_rows in zip(_bounds(gt.frame, frames), _bounds(pred.frame, frames)):
         (gi, gv), (pi, pv) = by_rank(gt, g_rank, g_rows), by_rank(pred, p_rank, p_rows)
         col = {p: j for j, p in enumerate(pi)}
         # Distances of the pairs tested only: last matches, then the free block.
@@ -378,17 +415,21 @@ def pose_metrics(
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no keypoints")
 
-    frames = np.intersect1d(gt.frame[g_has], pred.frame[p_has], return_indices=True)[0]
+    g_frames, p_frames = gt.frame[g_has], pred.frame[p_has]
+    frames = np.intersect1d(g_frames, p_frames, return_indices=True)[0]
     if frames.size and gt.keypoints.shape[1:] != pred.keypoints.shape[1:]:
         raise ValueError(
             f"keypoint count mismatch at frame {frames[0]}: "
             f"{gt.keypoints.shape[1:]} vs {pred.keypoints.shape[1:]}"
         )
     matched: list[np.ndarray] = []
-    for (a, b), (c, d) in zip(_bounds(gt, frames), _bounds(pred, frames)):
-        gt_poses, pred_poses = gt.keypoints[a:b][g_has[a:b]], pred.keypoints[c:d][p_has[c:d]]
-        diff = gt_poses[:, None] - pred_poses[None]
-        cost = 1000.0 * np.linalg.norm(diff, axis=-1).mean(axis=-1)
+    if frames.size:
+        # The (3, n, J) coordinate planes of the poses, in row order.
+        G, P = (np.ascontiguousarray(np.moveaxis(t.keypoints[has], -1, 0))
+                for t, has in ((gt, g_has), (pred, p_has)))
+    for (a, b), (c, d) in zip(_bounds(g_frames, frames), _bounds(p_frames, frames)):
+        dx, dy, dz = G[:, a:b, None] - P[:, None, c:d]
+        cost = 1000.0 * np.sqrt(dx * dx + dy * dy + dz * dz).mean(axis=-1)
         rows, cols = linear_sum_assignment(cost)
         errors = cost[rows, cols]
         matched.append(errors[errors <= recall_at])

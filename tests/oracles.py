@@ -14,10 +14,18 @@ form of the same arithmetic can be held to the same bits.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from types import SimpleNamespace
+from typing import Iterable
 
 import numpy as np
+import orjson
 from scipy.optimize import linear_sum_assignment
+
+from mvfuse.errors import ParseError, ValidationError
+from mvfuse.io import _CHUNK, _float_list, _integer, _json_loads
+from mvfuse.metrics import PoseMetrics
+from mvfuse.tracks import RowError
 
 
 def pinhole_project(K, R, t, points):
@@ -294,6 +302,36 @@ def loop_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), recall
     return ap, 100.0 * errors.size / total_gt, mpjpe
 
 
+def loop_frame_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), recall_at=500.0):
+    """``mvfuse.metrics.pose_metrics`` in its earlier per-frame form: each
+    frame's MPJPE matrix from one ``np.linalg.norm`` over the (x, y, z) axis,
+    each frame's matching solved by scipy."""
+    g_has, p_has = gt.has_keypoints, pred.has_keypoints
+    total_gt, total_pred = int(g_has.sum()), int(p_has.sum())
+    frames = np.intersect1d(gt.frame[g_has], pred.frame[p_has])
+    bounds = [
+        (np.searchsorted(t.frame, frames, "left"), np.searchsorted(t.frame, frames, "right"))
+        for t in (gt, pred)
+    ]
+    matched = []
+    for a, b, c, d in zip(*bounds[0], *bounds[1]):
+        gt_poses, pred_poses = gt.keypoints[a:b][g_has[a:b]], pred.keypoints[c:d][p_has[c:d]]
+        diff = gt_poses[:, None] - pred_poses[None]
+        cost = 1000.0 * np.linalg.norm(diff, axis=-1).mean(axis=-1)
+        rows, cols = linear_sum_assignment(cost)
+        errors = cost[rows, cols]
+        matched.append(errors[errors <= recall_at])
+    errors = np.concatenate(matched) if matched else np.zeros(0)
+    return PoseMetrics(
+        ap={float(d): 100.0 * float((errors <= d).sum()) / total_gt for d in ap_thresholds},
+        recall=100.0 * errors.size / total_gt,
+        mpjpe=float(errors.mean()) if errors.size else float("nan"),
+        recall_at=float(recall_at),
+        num_gt_poses=total_gt,
+        num_pred_poses=total_pred,
+    )
+
+
 def loop_generate(spec):
     """(annotations, ground truth) of ``mvfuse.synth.generate``, rendered one
     (frame, object, camera) at a time: per frame, one outline call per camera
@@ -550,3 +588,139 @@ def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa
     except np.linalg.LinAlgError:
         _loop_clamp_indefinite(post_cov)
     return post_mean, post_cov
+
+
+# --- JSONL reader, one record at a time ---------------------------------------
+# ``mvfuse.io._read_jsonl`` in its earlier form: every record checked on its
+# own as it is read, keypoint records converted _CHUNK at a time.
+
+
+def _loop_float_rows(rows, n: int, path: str, lines: Iterable, what: str) -> np.ndarray:
+    """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
+    one pass; a list that fails is read row by row by ``_float_list``,
+    which names the first bad row and its entry of ``lines`` (one line per
+    row, read only then)."""
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {n}
+        and set(map(type, chain.from_iterable(rows))) <= {float, int}
+    ):
+        try:
+            arr = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an int too large for a float
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    return np.array([_float_list(r, n, path, at, what) for r, at in zip(rows, lines)])
+
+
+def _loop_iter_jsonl(path, key) -> Iterable[tuple[int, dict]]:
+    """The (line number, record) of each non-blank line. orjson reads an
+    integer outside [-2**63, 2**64) as a float, so a record whose ``key``
+    field comes back a float is read again by ``json.loads``, which gives the
+    integer the key check refuses."""
+    spath = str(path)
+    # Lines are read as they come, so the file is never held whole. A line
+    # ends at "\n", "\r\n" or "\r"; str.splitlines() would also end one at a
+    # U+2028 inside a string.
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.isspace():
+                    continue
+                try:
+                    record = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    record = _json_loads(line, spath, lineno)
+                if not isinstance(record, dict):
+                    raise ParseError(spath, lineno, "record must be a JSON object")
+                if float in {type(record.get(f)) for f in key}:
+                    record = _json_loads(line, spath, lineno)
+                yield lineno, record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(spath, None, f"cannot read: {exc}") from exc
+
+
+def loop_read_jsonl(path, table, key, columns, required, missing, duplicate):
+    """Read ``table`` from JSONL, records in any line order, checked as
+    ``mvfuse.io`` describes. ``key`` names a row's integer fields; ``columns``
+    maps each payload field to its row width (None: keypoints, (J, 3)). A
+    record needs one of the ``required`` fields, else it is refused with
+    ``missing``; the records of one key merge into one row, and a field given
+    twice for a row is refused with ``duplicate``, formatted with the key and
+    ``column``. Keypoint records are converted ``_CHUNK`` at a time; a pending
+    chunk is checked before a later line's fault is raised, so faults still
+    come in line order."""
+    spath = str(path)
+    row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
+    given = {c: {} for c in columns}  # column -> {row: line}, in line order
+    values = {c: [] for c in columns}  # column -> the values of `given`
+    joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
+    kp_column = next((c for c, width in columns.items() if width is None), None)
+    pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
+
+    def convert() -> None:
+        """Check the pending keypoint records and append them to ``values``
+        as one (m, J, 3) array."""
+        recs, pending[:] = pending[:], []
+        if recs:
+            rows = list(chain.from_iterable(v for v, _ in recs))
+            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
+            arr = _loop_float_rows(rows, 3, spath, lines, "keypoint row")
+            values[kp_column].append(arr.reshape(len(recs), -1, 3))
+
+    try:
+        for lineno, rec in _loop_iter_jsonl(path, key):
+            k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
+            if all(rec.get(c) is None for c in required):
+                raise ParseError(spath, lineno, missing)
+            row = row_of.setdefault(k, len(row_of))
+            for c, width in columns.items():
+                value = rec.get(c)
+                if value is None:
+                    continue
+                if row in given[c]:
+                    raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
+                given[c][row] = lineno
+                if width is not None:
+                    values[c].append(value)
+                    continue
+                if not isinstance(value, list) or not value:
+                    raise ParseError(spath, lineno, f"{c} must be a non-empty list")
+                joints = joints or (len(value), lineno)
+                if len(value) != joints[0]:  # a bad row of the record is named first
+                    _loop_float_rows(value, 3, spath, repeat(lineno), "keypoint row")
+                    raise ParseError(
+                        spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
+                    )
+                pending.append((value, lineno))
+                if len(pending) == _CHUNK:
+                    convert()
+    except (ParseError, ValidationError):
+        convert()  # a keypoint fault on an earlier line comes first
+        raise
+    convert()
+    keys = np.array(list(row_of), dtype=np.int64).reshape(-1, len(key)).T
+    order = np.lexsort(keys[::-1])
+    rank = np.argsort(order)  # first-seen row -> sorted row
+    cols = dict(zip(key, keys[:, order]))
+    for c, width in columns.items():
+        rows = rank[list(given[c])]
+        if width is not None:
+            cols[c] = np.full((len(order), width), np.nan)
+            lines = list(given[c].values())
+            cols[c][rows] = _loop_float_rows(values[c], width, spath, lines, c).reshape(-1, width)
+        elif joints is not None:
+            # Each chunk's rows go straight to their sorted rows and are
+            # dropped, so the load never holds a second, stacked copy.
+            cols[c], chunks, lo = np.full((len(order), joints[0], 3), np.nan), values[c], 0
+            for i, chunk in enumerate(chunks):
+                cols[c][rows[lo : lo + len(chunk)]], chunks[i] = chunk, None
+                lo += len(chunk)
+    try:
+        return table(**cols)
+    except RowError as exc:
+        # the line that gave the bad value; for a key, the row's first line
+        row = int(order[exc.row])
+        line = min(g[row] for c, g in given.items() if row in g and exc.column in (c, *key))
+        raise ParseError(spath, line, exc.reason) from exc

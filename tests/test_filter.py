@@ -49,6 +49,13 @@ class TestGaussianBelief:
         with pytest.raises(ValueError, match="finite"):
             GaussianBelief(np.zeros(2), np.diag([1.0, np.inf]))
 
+    def test_rejects_covariance_that_overflows_when_symmetrized(self):
+        # Finite entries whose sum overflows: refused, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                GaussianBelief(np.zeros(2), np.diag([1.7e308, 1.7e308]))
+
     def test_stack_check_names_bad_row(self):
         cov = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
         with pytest.raises(ValueError, match="row 1 has a significantly negative"):
@@ -127,6 +134,12 @@ class TestMotionModel:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             make_motion_model(1.0, q_pos=-1.0)
+
+    def test_process_noise_that_overflows_when_symmetrized_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="process_noise is not finite"):
+                make_motion_model(1.0, q_pos=1e308)
 
     def test_asymmetric_process_noise_rejected(self):
         Q = np.eye(2)

@@ -1,6 +1,10 @@
 """Round-trip and error-reporting tests for the file formats."""
 
+import dataclasses
+import gc
 import json
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +35,9 @@ from mvfuse import (
     save_tracks,
 )
 
-from oracles import random_camera
+from mvfuse import io as mvfuse_io
+from mvfuse.io import _ANNOTATION_KEY
+from oracles import loop_read_jsonl, random_camera
 from test_tracker import _annotations, _cam, _rows
 
 
@@ -900,3 +906,180 @@ def test_keypoint_faults_after_full_chunks_name_their_line(tmp_path, before, row
     with pytest.raises(ParseError) as err:
         load_tracks(path)
     assert (err.value.line, err.value.reason) == (before + 1, reason)
+
+
+# --- the chunked reader against the record-by-record one ---------------------
+
+_FAULTS = (
+    "bool-row", "string-row", "null-row", "joint-count", "float-key", "bool-key",
+    "big-key", "duplicate", "no-payload", "not-object",
+)
+
+
+def _random_jsonl(rng: random.Random, kind: str, n: int, fault: str | None, at: int) -> str:
+    """The text of a random track or annotation file of ``n`` records, lines
+    shuffled, with blank lines, split bbox/keypoint records (annotations),
+    ints in float fields and at times 2**70 in one, at times "true" inside
+    an extra string field, and the ``fault`` planted on line ``at`` (0: the
+    last line)."""
+    joints = rng.choice((1, 2, 3))
+
+    def number(lo=-1e3, hi=1e3):
+        return rng.randint(int(lo), int(hi)) if rng.random() < 0.1 else rng.uniform(lo, hi)
+
+    def record(k):
+        rec = {"frame": k // 8, "object_id": k % 8}
+        if kind == "annotations":
+            rec.update(object_id=k % 8 // 2, camera_id=k % 2)
+        kp = [[number(), number(), number()] for _ in range(joints)]
+        if kind == "tracks":
+            rec["position"] = [number(), number(), number()]
+            if rng.random() < 0.5:
+                rec["half_axes"] = [number(1, 2), number(1, 2), number(1, 2)]
+            if rng.random() < 0.7:
+                rec["keypoints"] = kp
+        else:
+            u, v = number(0, 500), number(0, 500)
+            r = rng.random()
+            if r < 0.8:
+                rec["bbox"] = [u, v, u + number(1, 50), v + number(1, 50)]
+            if r > 0.3:
+                rec["keypoints"] = kp
+        return rec
+
+    keys = rng.sample(range(8 * n), n)
+    records = [record(k) for k in keys]
+    if rng.random() < 0.3:
+        rng.choice(records)["note"] = rng.choice(("true story", "untrue", "a false start"))
+    if rng.random() < 0.3:
+        big = rng.choice(records)
+        field = next(c for c in ("keypoints", "position", "bbox") if c in big)
+        if field == "keypoints":
+            big[field][0][2] = 2**70
+        else:
+            big[field][-1] = 2**70
+    lines, split = [], rng.choice((0.0, 0.01, 0.2))
+    for rec in records:
+        if kind == "annotations" and "bbox" in rec and "keypoints" in rec and rng.random() < split:
+            head = {f: rec[f] for f in _ANNOTATION_KEY}
+            lines += [json.dumps({**head, "bbox": rec["bbox"]}),
+                      json.dumps({**head, "keypoints": rec["keypoints"]})]
+        else:
+            lines.append(json.dumps(rec))
+    rng.shuffle(lines)
+    for i in sorted(rng.sample(range(len(lines)), rng.choice((0, len(lines) // 20))), reverse=True):
+        lines.insert(i, rng.choice(("", "  ", "\t")))
+    if fault is not None:
+        bad = record(8 * n + rng.randrange(8))
+        bad.setdefault("keypoints", [[number(), number(), number()] for _ in range(joints)])
+        if fault.endswith("-row"):
+            bad["keypoints"][-1][rng.randrange(3)] = {"bool": rng.choice((True, False)),
+                                                     "string": "1.5", "null": None}[fault[:-4]]
+        elif fault == "joint-count":
+            bad["keypoints"] = bad["keypoints"] * 2 if rng.random() < 0.5 else bad["keypoints"] + [[0, 0, 1]]
+        elif fault == "float-key":
+            bad[rng.choice(("frame", "object_id"))] = rng.choice((1.0, 2.5, 2.0**64))
+        elif fault == "bool-key":
+            bad["object_id"] = rng.choice((True, False))
+        elif fault == "big-key":
+            bad["frame"] = rng.choice((2**63, -(2**63) - 1, 2**64))
+        elif fault == "duplicate":
+            bad = dict(rng.choice(records))
+        elif fault == "no-payload":
+            for c in ("position", "bbox", "keypoints"):
+                bad.pop(c, None)
+        index = (at if 0 < at <= len(lines) else len(lines)) - 1
+        lines[index] = "[1, 2]" if fault == "not-object" else json.dumps(bad)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, path):
+    """A load's table as (dtype, shape, bytes) per column, or its error."""
+    try:
+        table = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return {
+        f.name: None if (v := getattr(table, f.name)) is None else (v.dtype.str, v.shape, v.tobytes())
+        for f in dataclasses.fields(table)
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["tracks", "annotations"]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from([None, *_FAULTS]),
+    at=st.sampled_from([1, 127, 128, 129, 0]),
+)
+def test_reader_matches_the_record_by_record_reader(tmp_path_factory, kind, n, seed, fault, at):
+    # The same table bits, or the same error and message, as the reader
+    # that checks one record at a time.
+    path = tmp_path_factory.mktemp("reader") / f"{kind}.jsonl"
+    path.write_text(_random_jsonl(random.Random(seed), kind, n, fault, at))
+    load = load_tracks if kind == "tracks" else load_annotations
+    with mock.patch.object(mvfuse_io, "_read_jsonl", loop_read_jsonl):
+        expected = _outcome(load, path)
+    assert _outcome(load, path) == expected
+
+
+@pytest.mark.parametrize("before", [128, 256])
+def test_joint_count_that_changes_at_a_chunk_boundary_is_refused(tmp_path, before):
+    # Every record of the later chunks agrees with the others in its chunk,
+    # not with the file's first record.
+    three = _GOOD_KP.replace("[1, 1, 0]]", "[1, 1, 0], [2, 2, 1]]")
+    lines = [_GOOD_KP % f for f in range(before)] + [three % f for f in range(before, before + 200)]
+    path = tmp_path / "tracks.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_tracks(path)
+    assert (err.value.line, err.value.reason) == (before + 1, "3 keypoint rows, line 1 has 2")
+
+
+_SCENE_SHAPES = {
+    "boxes": {"num_objects": 10, "num_cameras": 6, "frames": 20},
+    "sparse": {"num_objects": 10, "num_cameras": 6, "frames": 40, "motion": "waypoint",
+               "pixel_noise": 3.0, "occlusions": [
+                   {"camera_id": 0, "start": 5, "stop": 25},
+                   {"camera_id": 3, "start": 10, "stop": 18, "object_id": 2}]},
+    "pose": {"num_objects": 2, "num_cameras": 5, "frames": 20, "skeleton": "panoptic15"},
+    "evaluate": {"num_objects": 20, "num_cameras": 1, "frames": 20, "arena": [30.0, 30.0],
+                 "skeleton": "panoptic15"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SCENE_SHAPES))
+def test_synth_files_load_without_the_record_by_record_path(tmp_path, shape):
+    # The files mvfuse writes are clean, so every chunk of them is taken in
+    # one pass: with the per-record body broken they still load.
+    bundle, gt = generate(SceneSpec.from_dict({"seed": 1, **_SCENE_SHAPES[shape]}))
+    save_annotations(bundle.annotations, tmp_path / "annotations.jsonl")
+    save_tracks(gt, tmp_path / "gt_tracks.jsonl")
+    assert len(bundle.annotations) > 128 and len(gt) > 128 or shape == "pose"
+
+    def broken(self, lineno, line):
+        raise AssertionError(f"line {lineno} was read record by record")
+
+    with mock.patch.object(mvfuse_io._Reader, "record", broken):
+        _assert_same_table(load_annotations(tmp_path / "annotations.jsonl"), bundle.annotations)
+        assert _outcome(load_tracks, tmp_path / "gt_tracks.jsonl") == _outcome(lambda _: gt, None)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reader_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good = "\n".join(_GOOD_KP % f for f in range(300)) + "\n"
+    path = tmp_path / "tracks.jsonl"
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        path.write_text(good)
+        load_tracks(path)
+        assert gc.isenabled() is enabled
+        path.write_text(good.replace('"frame": 200,', '"frame": "200",'))
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert err.value.line == 201
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

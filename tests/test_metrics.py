@@ -18,9 +18,16 @@ from mvfuse import (
     ospa2,
     pose_metrics,
 )
+from mvfuse import metrics
 from mvfuse.metrics import _bottleneck, _distance, linear_sum_assignment
 
-from oracles import loop_clear_mot, loop_idf1, loop_ospa2, loop_pose_metrics
+from oracles import (
+    loop_clear_mot,
+    loop_frame_pose_metrics,
+    loop_idf1,
+    loop_ospa2,
+    loop_pose_metrics,
+)
 
 
 def _still(frames, xyz):
@@ -577,3 +584,102 @@ def test_assignment_cost_is_minimal():
             for p in itertools.permutations(range(small.shape[1]), len(small))
         )
         assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def _forced_matrices(rng, count):
+    """Seeded wide, tall and square matrices whose assignment is forced: each
+    row of the shorter side has a strict minimum in a column of its own.
+    Continuous and tie-heavy integer costs, some with +inf entries, and as
+    many near misses, where two minima share a column or a minimum is tied."""
+    for k in range(count):
+        nr, nc = (int(v) for v in rng.integers(1, 13, size=2))
+        if k % 2:
+            cost = rng.integers(1, 4, (nr, nc)).astype(float)
+        else:
+            cost = rng.random((nr, nc)) + 1.0
+        if k % 3 == 0:
+            cost[rng.random((nr, nc)) < 0.3] = np.inf
+        n = min(nr, nc)
+        short = np.arange(n)
+        long = rng.permutation(max(nr, nc))[:n]
+        rows, cols = (short, long) if nr <= nc else (long, short)
+        cost[rows, cols] = rng.integers(-2, 1, n) if k % 2 else rng.random(n)
+        if k % 4 == 3 and n > 1:  # a near miss
+            i, j = rng.choice(n, 2, replace=False)
+            if nr <= nc:
+                cost[i, cols[j]] = cost[i, cols[i]] - (k % 8 == 3)
+            else:
+                cost[rows[j], j] = cost[rows[i], i] - (k % 8 == 3)
+        yield cost
+
+
+def test_forced_assignments_match_scipy_and_the_search(monkeypatch):
+    # Returned without the search when every row's strict minimum has a
+    # column of its own: the same (rows, cols) as scipy and as the search.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    strict_minima = metrics._strict_minima
+    direct = []
+
+    def counted(cost):
+        col = strict_minima(cost)
+        direct.append(col is not None)
+        return col
+
+    rng = np.random.default_rng(19)
+    for cost in itertools.chain(_forced_matrices(rng, 1200), _assignment_matrices(rng, 600)):
+        monkeypatch.setattr(metrics, "_strict_minima", counted)
+        outcomes = []
+        for solve in (scipy_optimize.linear_sum_assignment, linear_sum_assignment, "search"):
+            if solve == "search":
+                monkeypatch.setattr(metrics, "_strict_minima", lambda cost: None)
+                solve = linear_sum_assignment
+            try:
+                rows, cols = solve(cost)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append((rows.dtype, rows.tolist(), cols.dtype, cols.tolist()))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert 400 < sum(direct) < len(direct) - 400
+
+
+@pytest.mark.parametrize("cost, message", [
+    ([[np.inf]], "cost matrix is infeasible"),
+    ([[np.inf], [np.inf]], "cost matrix is infeasible"),
+    ([[1.0, 2.0], [np.inf, np.inf]], "cost matrix is infeasible"),
+    ([[0.0, np.nan], [1.0, 0.0]], "matrix contains invalid numeric entries"),
+    ([[0.0, 1.0], [-np.inf, 0.0]], "matrix contains invalid numeric entries"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan]], "matrix contains invalid numeric entries"),
+])
+def test_bad_costs_raise_as_scipy_does(cost, message):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for solve in (scipy_optimize.linear_sum_assignment, linear_sum_assignment):
+        with pytest.raises(ValueError) as err:
+            solve(np.array(cost))
+        assert str(err.value) == message
+
+
+def _bits(pose):
+    """Every field of a PoseMetrics, floats as their exact hex."""
+    return {
+        k: {d: x.hex() for d, x in v.items()} if isinstance(v, dict)
+        else v.hex() if isinstance(v, float) else v
+        for k, v in vars(pose).items()
+    }
+
+
+def test_pose_metrics_match_the_per_frame_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        pred, gt = _random_scene(rng, 1.0, frames=60)
+        recall_at = (500.0, 300.0)[trial % 2]
+        expected = _bits(loop_frame_pose_metrics(pred, gt, recall_at=recall_at))
+        assert _bits(pose_metrics(pred, gt, recall_at=recall_at)) == expected
+        assert _bits(evaluate_tracks(pred, gt, recall_at=recall_at).pose) == expected
+    # One pose pair: the MPJPE is that pair's cost, so every bit of it shows.
+    for _ in range(300):
+        J, scale = int(rng.integers(1, 20)), 10.0 ** rng.integers(-3, 3)
+        g, p = (rng.normal(scale=scale, size=(1, J, 3)) for _ in range(2))
+        gt, pred = (TrackTable([0], [0], kp[:, 0], keypoints=kp) for kp in (g, p))
+        expected = _bits(loop_frame_pose_metrics(pred, gt, recall_at=1e300))
+        assert _bits(pose_metrics(pred, gt, recall_at=1e300)) == expected
