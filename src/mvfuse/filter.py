@@ -359,18 +359,19 @@ def ukf_update(
     if not np.isfinite(Z).all():
         raise SigmaPointProjectionFailure("measurement map gave non-finite values")
 
-    z_hat = wm @ Z
-    dZ = Z - z_hat[..., None, :]
-    wdZ = wc[:, None] * dZ
-    S = _transpose(dZ) @ wdZ
-    S = 0.5 * (S + _transpose(S)) + R
-    Cxz = _transpose(X - mean[:, None, :]) @ wdZ
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        z_hat = wm @ Z
+        dZ = Z - z_hat[..., None, :]
+        wdZ = wc[:, None] * dZ
+        S = _transpose(dZ) @ wdZ
+        S = 0.5 * (S + _transpose(S)) + R
+        Cxz = _transpose(X - mean[:, None, :]) @ wdZ
 
-    L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
-    K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
-    mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
-    cov = cov - K @ S @ _transpose(K)
-    cov = 0.5 * (cov + _transpose(cov))
+        L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
+        K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
+        mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
+        cov = cov - K @ S @ _transpose(K)
+        cov = 0.5 * (cov + _transpose(cov))
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise DivergentUpdate("update overflowed to a non-finite posterior")
     try:

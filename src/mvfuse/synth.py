@@ -262,10 +262,11 @@ def _plan_motion(
                 # Shrink speed until the endpoint stays inside.
                 over = np.max(np.abs(end) / bound)
                 vel = vel / (over * 1.05)
-            pos = start.copy()
-            for k in range(spec.frames):
-                out[k, o, :] = pos
-                pos = pos + vel * dt
+            # start, start + step, (start + step) + step, ...: cumsum adds
+            # in that order, so each position has the bits of stepping
+            steps = np.repeat([vel * dt], spec.frames, axis=0)
+            steps[0] = start
+            out[:, o, :] = np.cumsum(steps, axis=0)
             continue
         # waypoint: constant speed along a random polyline, hold at the end
         points = [start]

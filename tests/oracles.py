@@ -432,6 +432,30 @@ def loop_generate(spec):
     return annotations, gt
 
 
+def loop_constant_velocity(spec, rng, starts):
+    """The (frames, num_objects, 2) ground positions of ``mvfuse.synth``'s
+    constant-velocity motion, stepped one frame at a time: the same draws
+    and velocity, each position the one before plus ``vel * dt``."""
+    dt = 1.0 / spec.fps
+    bound = np.array([0.48 * spec.arena[0], 0.48 * spec.arena[1]])
+    out = np.empty((spec.frames, spec.num_objects, 2))
+    for o, start in enumerate(starts):
+        heading = rng.uniform(0.0, 2.0 * np.pi)
+        speed = rng.uniform(0.3, 0.9)
+        vel = speed * np.array([np.cos(heading), np.sin(heading)])
+        end = start + vel * dt * (spec.frames - 1)
+        if np.any(np.abs(end) > bound):
+            vel = -vel
+            end = start + vel * dt * (spec.frames - 1)
+        if np.any(np.abs(end) > bound):
+            vel = vel / (np.max(np.abs(end) / bound) * 1.05)
+        pos = start.copy()
+        for k in range(spec.frames):
+            out[k, o] = pos
+            pos = pos + vel * dt
+    return out
+
+
 # --- the box step, in its earlier form ---------------------------------------
 # The stacked UKF box update as it was before its per-call overhead was cut:
 # the same arithmetic in the same order, so results must agree bit for bit.

@@ -2,6 +2,7 @@
 where the test is about what a run imports."""
 
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -892,6 +893,89 @@ def test_python_m_mvfuse_runs_the_cli():
     imported = [line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "mvfuse.cli" in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("ok", [True, False])
+@pytest.mark.parametrize("command", ["synth", "annotate", "evaluate"])
+def test_main_with_argv_leaves_the_collector_as_it_found_it(
+    scene_dir, fused_tracks, tmp_path, capsys, command, ok, enabled
+):
+    # The stages load with the collector paused, and an explicit argv is
+    # not the process's own command line, so main never freezes.
+    argv = _command_argv(command, scene_dir, fused_tracks, tmp_path)
+    if not ok:  # an input file that does not exist: exit 2
+        argv += [{"synth": "--spec", "annotate": "--calibration", "evaluate": "--pred"}[command],
+                 str(tmp_path / "missing.json")]
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == (0 if ok else 2)
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+_OWN_COMMAND_LINE = """
+import atexit, gc, json, sys
+out = sys.argv.pop(1)
+passes = []  # one per collector pass: (numpy loaded, objects frozen)
+
+def on_pass(phase, info):
+    if phase == "start":
+        passes.append(("numpy" in sys.modules, gc.get_freeze_count()))
+
+def report():
+    gc.callbacks.remove(on_pass)
+    with open(out, "w") as fh:
+        json.dump({"passes": passes, "frozen": gc.get_freeze_count()}, fh)
+
+gc.callbacks.append(on_pass)
+atexit.register(report)
+from mvfuse.cli import main
+sys.exit(main())
+"""
+
+
+def _run_own_command_line(argv, tmp_path) -> tuple[subprocess.CompletedProcess, dict]:
+    """``sys.exit(main())`` in a fresh interpreter with ``argv`` as its
+    command line, and the collector passes and freeze count it saw."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
+    result = tmp_path / "collector.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _OWN_COMMAND_LINE, str(result), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc, json.loads(result.read_text())
+
+
+@pytest.mark.parametrize("command", ["synth", "annotate", "evaluate"])
+def test_main_owning_the_process_freezes_after_the_stage_imports(
+    scene_dir, fused_tracks, tmp_path, capsys, command
+):
+    # No command module loads numpy before the stages do, so a pass with
+    # numpy loaded and nothing frozen would run during the stage imports.
+    own, here = tmp_path / "own", tmp_path / "here"
+    own.mkdir(), here.mkdir()
+    proc, seen = _run_own_command_line(_command_argv(command, scene_dir, fused_tracks, own), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert seen["frozen"] > 0
+    assert [p for p in seen["passes"] if p == [True, 0]] == []
+    # the same bytes as the same command run in-process
+    assert main(_command_argv(command, scene_dir, fused_tracks, here)) == 0
+    assert proc.stdout == capsys.readouterr().out
+    written = sorted(p.relative_to(own) for p in own.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+    for name in written:
+        assert (own / name).read_bytes() == (here / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_never_freeze(tmp_path, flag):
+    proc, seen = _run_own_command_line([flag], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert seen["frozen"] == 0
 
 
 def test_every_public_name_resolves_to_its_module():

@@ -277,7 +277,9 @@ class TestUkfUpdate:
                 b.mean, b.covariance, [0.0], lambda X: np.where(X[..., :1] > 0, np.inf, 0.0), np.eye(1)
             )
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_posterior_raises(self):
+        # the overflow is silent: the finiteness check raises, as in predict
         b = GaussianBelief(np.array([-1e308]), np.eye(1))
         with pytest.raises(DivergentUpdate):
             ukf_update(b.mean, b.covariance, [1e308], lambda X: X, np.eye(1))

@@ -3,6 +3,8 @@ consistency of the rendered annotations with the ground truth."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvfuse import synth
 from mvfuse import (
@@ -19,7 +21,7 @@ from mvfuse import (
 
 from mvfuse.errors import GeometryError
 from mvfuse.synth import _joint_pixels, _outline_boxes
-from oracles import loop_generate, pinhole_project, track_dicts
+from oracles import loop_constant_velocity, loop_generate, pinhole_project, track_dicts
 
 
 def _spec(**kwargs):
@@ -359,3 +361,19 @@ class TestPixelNoise:
         diffs = np.abs(box - c.bbox).max(axis=1)
         assert diffs.max() > 0.1  # noise actually applied
         assert diffs.max() < 16.0  # ~8 sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    objects=st.integers(1, 8),
+    frames=st.integers(1, 600),
+    fps=st.floats(0.5, 120.0),
+    spread=st.floats(0.01, 20.0),
+)
+def test_constant_velocity_has_the_bits_of_stepping_frame_by_frame(seed, objects, frames, fps, spread):
+    spec = _spec(seed=seed, num_objects=objects, frames=frames, fps=fps)
+    starts = np.random.default_rng(seed).uniform(-spread, spread, (objects, 2))
+    got = synth._plan_motion(spec, np.random.default_rng(seed), starts)
+    want = loop_constant_velocity(spec, np.random.default_rng(seed), starts)
+    assert got.tobytes() == want.tobytes()
