@@ -39,7 +39,7 @@ import math
 import numbers
 import re
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, get_args, get_origin, get_type_hints
@@ -398,13 +398,11 @@ class _Reader:
         of the right shape; else take nothing and return False.
 
         Clean means: each line is an object orjson reads; its key fields are
-        ints that fit 64 bits; it has a required field, and only columns its
-        row does not hold yet, so the records of a key already seen (split
-        bbox and keypoint records) merge into its row; and the chunk's
-        values of each column make one finite array of numbers, (m, width)
-        or (m, J, 3) with the file's J. ``np.array`` reads a JSON true or
-        false as a number, so a chunk with either word anywhere in its text
-        is not clean."""
+        ints that fit 64 bits, and its key is new to the file; it has a
+        required field; and the chunk's values of each column make one
+        finite array of numbers, (m, width) or (m, J, 3) with the file's J.
+        ``np.array`` reads a JSON true or false as a number, so a chunk with
+        either word anywhere in its text is not clean."""
         # Numbers and key names have no "u", so the "u" of a true is looked
         # for alone: one memchr, several times faster than finding "true".
         if any("u" in line or "false" in line for line in lines):
@@ -420,23 +418,21 @@ class _Reader:
         except KeyError:
             return False
         ints = list(chain.from_iterable(keys))
-        if set(map(type, ints)) != {int} or not -(2**63) <= min(ints) <= max(ints) < 2**63:
+        if (
+            set(map(type, ints)) != {int}
+            or not -(2**63) <= min(ints) <= max(ints) < 2**63
+            or len(set(keys)) < len(keys)
+            or not self.row_of.keys().isdisjoint(keys)
+        ):
             return False
-        row_of, start = self.row_of, len(self.row_of)
-        new = dict.fromkeys(filterfalse(row_of.__contains__, keys))  # in first-seen order
-        new = dict(zip(new, range(start, start + len(new))))
-        rows = [new[k] if k in new else row_of[k] for k in keys]
         got = {c: [rec.get(c) for rec in recs] for c in self.columns}
         if any(vs.count(None) == len(vs) for vs in zip(*(got[c] for c in self.required))):
             return False
-        has, arrays, taken = {}, {}, {}
+        has, arrays = {}, {}
         for c, width in self.columns.items():
             has[c] = [v is not None for v in got[c]]
             if not any(has[c]):
                 continue
-            taken[c] = list(compress(rows, has[c]))
-            if len(set(taken[c])) < len(taken[c]) or not self.given[c].keys().isdisjoint(taken[c]):
-                return False  # a column given twice for a row: `duplicate`
             try:
                 arr = np.array(list(compress(got[c], has[c])))
             except ValueError:  # rows of different lengths
@@ -447,9 +443,11 @@ class _Reader:
             if not (arr.dtype.kind in "fi" and arr.shape[1:] == row and np.isfinite(arr).all()):
                 return False
             arrays[c] = arr.astype(np.float64, copy=False)
-        row_of.update(new)
+        start = len(self.row_of)
+        self.row_of.update(zip(keys, range(start, start + len(keys))))
         for c, arr in arrays.items():
-            self.given[c].update(zip(taken[c], compress(linenos, has[c])))
+            rows = compress(range(start, start + len(recs)), has[c])
+            self.given[c].update(zip(rows, compress(linenos, has[c])))
             self.values[c].append(arr)
         if self.kp in arrays and self.joints is None:
             self.joints = (arrays[self.kp].shape[1], next(compress(linenos, has[self.kp])))

@@ -1066,67 +1066,6 @@ def test_synth_files_load_without_the_record_by_record_path(tmp_path, shape):
         assert _outcome(load_tracks, tmp_path / "gt_tracks.jsonl") == _outcome(lambda _: gt, None)
 
 
-def _split(lines: list[str], order: str, rng: random.Random) -> list[str]:
-    """Annotation ``lines`` with each record given as one record per payload
-    field: each row's records next to each other ("adjacent"), every bbox
-    record before every keypoint record ("bbox-first"), or shuffled."""
-    out = [
-        json.dumps({**{f: rec[f] for f in _ANNOTATION_KEY}, c: rec[c]})
-        for rec in map(json.loads, lines)
-        for c in ("bbox", "keypoints")
-        if c in rec
-    ]
-    if order == "bbox-first":
-        out.sort(key=lambda line: '"keypoints"' in line)
-    elif order == "shuffled":
-        rng.shuffle(out)
-    return out
-
-
-@pytest.mark.parametrize("order", ["bbox-first", "adjacent", "shuffled"])
-@pytest.mark.parametrize("shape", ["pose", "evaluate"])
-def test_split_records_load_without_the_record_by_record_path(tmp_path, shape, order):
-    # A record that adds only fields its row lacks merges into the row in
-    # the one-pass read, wherever the row's other record is.
-    bundle, _ = generate(SceneSpec.from_dict({"seed": 1, **_SCENE_SHAPES[shape]}))
-    path = tmp_path / "annotations.jsonl"
-    save_annotations(bundle.annotations, path)
-    lines = _split(path.read_text().splitlines(), order, random.Random(0))
-    assert len(lines) > 1.5 * len(bundle.annotations)
-    path.write_text("\n".join(lines) + "\n")
-
-    def broken(self, lineno, line):
-        raise AssertionError(f"line {lineno} was read record by record")
-
-    with mock.patch.object(mvfuse_io._Reader, "record", broken):
-        _assert_same_table(load_annotations(path), bundle.annotations)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 300),
-    seed=st.integers(0, 2**32 - 1),
-    order=st.sampled_from(["bbox-first", "adjacent", "shuffled"]),
-    planted=st.integers(0, 3),
-)
-def test_split_records_match_the_record_by_record_reader(tmp_path_factory, n, seed, order, planted):
-    # Split records with ``planted`` copies of a random line (a bbox or a
-    # keypoint record) put back at random lines: the same table, or the same
-    # `duplicate` and its line, as record by record.
-    rng = random.Random(seed)
-    lines = _random_jsonl(rng, "annotations", n, None, 0).split("\n")
-    lines = _split([line for line in lines if line.strip()], order, rng)
-    for _ in range(planted):
-        copy = rng.choice(lines)
-        lines.insert(rng.randrange(len(lines) + 1), copy)
-    path = tmp_path_factory.mktemp("split") / "annotations.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(mvfuse_io, "_read_jsonl", loop_read_jsonl):
-        expected = _outcome(load_annotations, path)
-    assert _outcome(load_annotations, path) == expected
-    assert planted or isinstance(expected, dict)
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_reader_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     good = "\n".join(_GOOD_KP % f for f in range(300)) + "\n"
