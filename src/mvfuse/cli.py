@@ -102,8 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # synth and evaluate leave a flag out of the namespace unless it is given,
+    # so the flags present are the overrides of the spec or config file.
     p_synth = sub.add_parser(
-        "synth", help="render a synthetic scene with known ground truth"
+        "synth",
+        help="render a synthetic scene with known ground truth",
+        argument_default=argparse.SUPPRESS,
     )
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--spec", help="scene spec JSON (flags override it)")
@@ -140,7 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_track.set_defaults(func=_cmd_annotate)
 
     p_eval = sub.add_parser(
-        "evaluate", help="score predicted tracks against ground truth"
+        "evaluate",
+        help="score predicted tracks against ground truth",
+        argument_default=argparse.SUPPRESS,
     )
     p_eval.add_argument("--pred", required=True, help="predicted tracks JSONL")
     p_eval.add_argument("--gt", required=True, help="ground-truth tracks JSONL")
@@ -149,7 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ospa-cutoff", type=float, help="OSPA cutoff (m)")
     p_eval.add_argument("--ospa-order", type=float)
     p_eval.add_argument(
-        "--window", type=int, help="score only the last N frames for OSPA"
+        "--window",
+        type=int,
+        dest="ospa_window",
+        metavar="WINDOW",
+        help="score only the last N frames for OSPA",
     )
     p_eval.add_argument(
         "--ap",
@@ -162,12 +172,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--plane",
         action="store_true",
-        default=None,
         help="score position metrics on the ground plane only",
     )
     p_eval.add_argument("--report", help="also write the JSON report here")
     p_eval.set_defaults(func=_cmd_evaluate)
     return parser
+
+
+def _overrides(args: argparse.Namespace, cls) -> dict:
+    """The flags given in ``args`` that name a field of the dataclass ``cls``."""
+    from dataclasses import fields  # loaded with the stages
+
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in vars(args).items() if key in names}
 
 
 @_command(
@@ -180,26 +197,10 @@ def _cmd_synth(
 ) -> int:
     from .io import _read_json  # loaded with RunConfig
 
-    spec_dict: dict = {}
-    if args.spec:
-        doc = _read_json(args.spec)
-        if not isinstance(doc, dict):
-            raise InvalidSpec("scene spec must be a JSON object")
-        spec_dict.update(doc)
-    for key in (
-        "seed",
-        "num_objects",
-        "num_cameras",
-        "frames",
-        "fps",
-        "motion",
-        "pixel_noise",
-        "skeleton",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            spec_dict[key] = value
-    spec = SceneSpec.from_dict(spec_dict)
+    doc = _read_json(args.spec) if getattr(args, "spec", None) else {}
+    if not isinstance(doc, dict):
+        raise InvalidSpec("scene spec must be a JSON object")
+    spec = SceneSpec.from_dict({**doc, **_overrides(args, SceneSpec)})
 
     bundle, gt = generate(spec)
     out = Path(args.out)
@@ -270,17 +271,8 @@ def _cmd_annotate(
 def _cmd_evaluate(
     args: argparse.Namespace, load_config, RunConfig, load_tracks, evaluate_tracks
 ) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "threshold": args.threshold,
-        "ospa_cutoff": args.ospa_cutoff,
-        "ospa_order": args.ospa_order,
-        "ospa_window": args.window,
-        "ap_thresholds": args.ap_thresholds,
-        "recall_at": args.recall_at,
-        "plane": args.plane,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    overrides = _overrides(args, RunConfig)
     if overrides:
         # back through RunConfig so flags get the same validation as the file
         config = RunConfig.from_dict({**config.to_dict(), **overrides})
@@ -307,7 +299,7 @@ def _cmd_evaluate(
     payload = json.dumps(report.to_dict(), indent=2)
     print(payload)
     print(report.format_table(), file=sys.stderr)
-    if args.report:
+    if getattr(args, "report", None):
         Path(args.report).write_text(payload + "\n")
     return 0
 

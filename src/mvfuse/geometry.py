@@ -75,7 +75,9 @@ class CameraModel:
             raise ValueError("intrinsics bottom row must be (0, 0, 1)")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
+        # An orthonormal matrix has no entry above 1 in magnitude; testing
+        # that first keeps R.T @ R from overflowing on absurd entries.
+        if np.max(np.abs(R)) > 1.0 + _ORTHO_TOL or np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
             raise ValueError("rotation determinant must be +1")

@@ -179,25 +179,26 @@ def run_all(
     for a state the run filters raises ``ValidationError``.
     """
     ann = annotations
-    J = skeleton.num_joints if skeleton is not None else 0
-    if J and ann.keypoints is not None and ann.keypoints.shape[1] != J:
+    # J = 0 when no keypoints are fused: no skeleton, or none in the annotations.
+    J = skeleton.num_joints if skeleton is not None and ann.keypoints is not None else 0
+    if J and ann.keypoints.shape[1] != J:
         raise ValueError(f"keypoint observations shape must be (n, {J}, 3)")
     has_box, has_kp = ann.has_bbox, ann.has_keypoints
-    fuse_kp = bool(J) and bool(has_kp.any())
     # The filter's constant pieces, built once before any object is fused: the
-    # motion model and the sigma scale of each filtered state.
+    # motion models and the sigma scale of each filtered state. The 6-dim model
+    # fails only where the 9-dim one does.
     try:
         motion = make_motion_model(config.dt, config.q_pos, config.q_shape)
-        kp_motion = make_motion_model(config.dt, config.q_pos) if fuse_kp else None
+        kp_motion = make_motion_model(config.dt, config.q_pos)
     except (ArithmeticError, ValueError) as exc:
         raise ValidationError(f"dt, q_pos and q_shape give no motion model: {exc}") from None
     try:
-        for d in (9, 6) if fuse_kp else (9,):
+        for d in (9, 6) if J else (9,):
             sigma_scale(d, config.alpha, config.kappa)
     except ValueError as exc:
         raise ValidationError(f"alpha and kappa give no sigma points: {exc}") from None
     diags: list[Diagnostic] = []
-    oids, births, lasts, with_kp, beliefs = [], [], [], [], []
+    tracked = []  # (id, birth, last, fuses keypoints, belief) per object with a birth
     # Rows by (object, frame, camera): one block per object.
     by_object = np.argsort(ann.object_id, kind="stable")
     ids, firsts = np.unique(ann.object_id[by_object], return_index=True)
@@ -207,7 +208,7 @@ def run_all(
         for birth in dict.fromkeys(box_frames.tolist()):  # the frames, ascending
             at = box_rows[box_frames == birth]
             try:
-                beliefs.append(init_target(ann.camera_id[at], ann.bbox[at], cams, config))
+                belief = init_target(ann.camera_id[at], ann.bbox[at], cams, config)
                 break
             except NoObservation as exc:
                 logger.debug("object %d birth deferred past frame %d: %s", oid, birth, exc)
@@ -219,39 +220,40 @@ def run_all(
             reason = "no box gave a usable ground point" if box_rows.size else "no boxes at all"
             diags.append(Diagnostic("no_observation", oid, message=reason))
             continue
-        oids.append(oid)
-        births.append(birth)
-        lasts.append(int(ann.frame[rows[-1]]))  # keypoint-only frames count
-        with_kp.append(bool(J) and bool(has_kp[rows].any()))
+        # Keypoint-only frames count towards the last frame.
+        tracked.append((oid, birth, int(ann.frame[rows[-1]]), J > 0 and has_kp[rows].any(), belief))
 
-    n = len(oids)
-    birth, last = np.array(births, dtype=int), np.array(lasts, dtype=int)
+    n = len(tracked)
+    oids, birth, last, with_kp, beliefs = zip(*tracked) if n else ((),) * 5
+    birth, last = np.array(birth, dtype=int), np.array(last, dtype=int)
     with_kp = np.array(with_kp, dtype=bool)
     mean = np.array([b.mean[0] for b in beliefs]).reshape(n, 9)
     cov = np.array([b.covariance[0] for b in beliefs]).reshape(n, 9, 9)
-    # Joint j of object row i is keypoint row i * J + j.
-    kp_mean, kp_cov = np.zeros((n * J, 6)), np.zeros((n * J, 6, 6))
+    # Joint j of object row i is keypoint row i * J + j; NaN until seeded.
+    kp_mean, kp_cov = np.full((n * J, 6), np.nan), np.zeros((n * J, 6, 6))
     applied = np.zeros(n, dtype=int)  # box updates that took effect, per row
 
     def joints(rows) -> np.ndarray:
         return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
 
-    # The rows of the tracked objects by (frame, camera, object): each (frame,
-    # camera) pair is one block of rows, its objects in ascending state row.
+    # The update schedule: each frame's (camera id, annotation rows, state rows)
+    # blocks of the tracked objects, cameras ascending, objects ascending in a block.
     order = np.lexsort((ann.object_id, ann.camera_id, ann.frame))
     order = order[np.isin(ann.object_id[order], oids)]
     state_row = np.searchsorted(oids, ann.object_id[order])
-    box_s, has_box_s, has_kp_s = ann.bbox[order], has_box[order], has_kp[order]
     pairs = np.column_stack([ann.frame[order], ann.camera_id[order]])
     pairs, starts = np.unique(pairs, axis=0, return_index=True)
-    stops = np.append(starts[1:], len(order))
+    schedule: dict[int, list] = {}
+    split = np.split(np.stack([order, state_row]), starts[1:], axis=1)
+    for (frame, cid), (a, r) in zip(pairs.tolist(), split):
+        schedule.setdefault(frame, []).append((cid, a, r))
 
     box_update = {cid: _box_update(cam, config) for cid, cam in cams.items()}
     kp_update = {cid: pose_mod.keypoint_update(cam, config) for cid, cam in cams.items()}
     # The table one frame chunk at a time: frames, object rows, states, keypoints.
     out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
-    for frame in range(min(births, default=0), max(lasts, default=-1) + 1):
+    for frame in range(min(birth, default=0), max(last, default=-1) + 1):
         moving = np.flatnonzero((birth < frame) & (frame <= last))
         failed = dict(_predict(kalman_predict, motion, mean, cov, moving))
         kp_moving = joints(moving[with_kp[moving]])
@@ -262,13 +264,12 @@ def run_all(
             diags.append(Diagnostic("predict_failed", oids[row], frame, message=str(exc)))
         live = (birth <= frame) & (frame <= last)
 
-        lo, hi = np.searchsorted(pairs[:, 0], (frame, frame + 1))
-        blocks = [(int(pairs[k, 1]), slice(starts[k], stops[k])) for k in range(lo, hi)]
-        for cid, s in blocks:
-            take = live[state_row[s]] & has_box_s[s]
-            rows = state_row[s][take]
+        blocks = schedule.get(frame, ())
+        for cid, a, r in blocks:
+            take = live[r] & has_box[a]
+            rows = r[take]
             applied[rows] += 1
-            for row, exc in update_rows(box_update[cid], mean, cov, rows, box_s[s][take]):
+            for row, exc in update_rows(box_update[cid], mean, cov, rows, ann.bbox[a[take]]):
                 applied[row] -= 1
                 diags.append(Diagnostic("update_skipped", oids[row], frame, cid, str(exc)))
 
@@ -282,11 +283,11 @@ def run_all(
                 ) from None
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
         kp_live = live & with_kp
-        for cid, s in blocks if fuse_kp else ():
-            take = kp_live[state_row[s]] & has_kp_s[s]
-            obs = ann.keypoints[order[s][take]].reshape(-1, 3)
+        for cid, a, r in blocks if J else ():
+            take = kp_live[r] & has_kp[a]
+            obs = ann.keypoints[a[take]].reshape(-1, 3)
             seen = obs[:, 2] >= config.visibility_threshold
-            kp_rows = joints(state_row[s][take])[seen]
+            kp_rows = joints(r[take])[seen]
             for row, exc in update_rows(kp_update[cid], kp_mean, kp_cov, kp_rows, obs[seen, :2]):
                 logger.debug("keypoint row %d update skipped: %s", row, exc)
 
@@ -295,10 +296,7 @@ def run_all(
         out_row.append(rows)
         out_mean.append(mean[rows])
         if J:
-            on = with_kp[rows]
-            kp = np.full((rows.size, J, 3), np.nan)
-            kp[on] = kp_mean[joints(rows[on])][:, pose_mod.KP_POS_IDX].reshape(-1, J, 3)
-            out_kp.append(kp)
+            out_kp.append(kp_mean[joints(rows)][:, pose_mod.KP_POS_IDX].reshape(-1, J, 3))
 
     for i in np.flatnonzero(applied == 0):
         diags.append(Diagnostic("no_observation", oids[i], message="every box update was skipped"))

@@ -176,8 +176,3 @@ class TrackTable(_Rows):
         _row_rule((half <= 0).any(axis=1), "half_axes", half, "half_axes must be positive")
         kp, _ = _keypoint_column(self.keypoints, n)
         _freeze(self, frame=frame, object_id=oid, position=pos, half_axes=half, keypoints=kp)
-
-    @property
-    def has_half_axes(self) -> np.ndarray:
-        """Mask (n,) of the rows with half-axes."""
-        return ~np.isnan(self.half_axes[:, 0])

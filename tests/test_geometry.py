@@ -46,6 +46,17 @@ class TestCameraModel:
                 image_size=(100, 100),
             )
 
+    def test_rejects_huge_rotation_without_overflow(self):
+        # Such an entry, found by the annotate fuzz test, overflowed R.T @ R
+        # with a RuntimeWarning before the rotation was refused.
+        with pytest.raises(ValueError, match="orthonormal"):
+            CameraModel(
+                intrinsics=np.eye(3),
+                rotation=np.diag([1.0, 1.0, 1e155]),
+                translation=np.zeros(3),
+                image_size=(100, 100),
+            )
+
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="determinant"):
             CameraModel(
