@@ -52,18 +52,7 @@ def __getattr__(name: str):
     return getattr(package, name)
 
 
-def _command(*stages: str):
-    """Mark a command function as taking, after its arguments, the stages
-    ``stages``, as this module binds them when the command runs."""
-
-    def mark(func):
-        func.stages = stages
-        return func
-
-    return mark
-
-
-def _load_stages(names: tuple[str, ...], freeze: bool) -> list:
+def _load_stages(names: tuple[str, ...], freeze: bool) -> argparse.Namespace:
     """The stages ``names``, as this module binds them now, imported with the
     collector paused; with ``freeze``, everything alive after the imports is
     then frozen (see the module docstring)."""
@@ -71,7 +60,7 @@ def _load_stages(names: tuple[str, ...], freeze: bool) -> list:
     gc.disable()
     try:
         module = sys.modules[__name__]
-        stages = [getattr(module, name) for name in names]
+        stages = argparse.Namespace(**{name: getattr(module, name) for name in names})
         if freeze:
             gc.freeze()
         return stages
@@ -102,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # synth and evaluate leave a flag out of the namespace unless it is given,
-    # so the flags present are the overrides of the spec or config file.
+    # Each command leaves a flag out of the namespace unless it is given, so
+    # the flags present are the overrides of the spec or config file.
     p_synth = sub.add_parser(
         "synth",
         help="render a synthetic scene with known ground truth",
@@ -123,10 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--noise", type=float, dest="pixel_noise", help="pixel noise sigma"
     )
     p_synth.add_argument("--skeleton", help="built-in skeleton name")
-    p_synth.set_defaults(func=_cmd_synth)
 
     p_track = sub.add_parser(
-        "annotate", help="fuse 2D annotations into 3D tracks"
+        "annotate",
+        help="fuse 2D annotations into 3D tracks",
+        argument_default=argparse.SUPPRESS,
     )
     p_track.add_argument("--calibration", required=True)
     p_track.add_argument("--annotations", required=True)
@@ -141,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="m",
         help="calibration translation units",
     )
-    p_track.set_defaults(func=_cmd_annotate)
 
     p_eval = sub.add_parser(
         "evaluate",
@@ -175,46 +164,38 @@ def _build_parser() -> argparse.ArgumentParser:
         help="score position metrics on the ground plane only",
     )
     p_eval.add_argument("--report", help="also write the JSON report here")
-    p_eval.set_defaults(func=_cmd_evaluate)
     return parser
 
 
-def _overrides(args: argparse.Namespace, cls) -> dict:
-    """The flags given in ``args`` that name a field of the dataclass ``cls``."""
+def _config(args: argparse.Namespace, cls, flag: str, what: str):
+    """A ``cls``, checked once by its ``from_dict``: the JSON object in the
+    file that ``--flag`` names (the file is called ``what`` if it holds
+    anything else), or none, with the flags given in ``args`` laid over it."""
     from dataclasses import fields  # loaded with the stages
 
+    from .io import read_object
+
+    path = getattr(args, flag, None)
+    doc = read_object(path, what) if path else {}
     names = {f.name for f in fields(cls)}
-    return {key: value for key, value in vars(args).items() if key in names}
+    return cls.from_dict({**doc, **{k: v for k, v in vars(args).items() if k in names}})
 
 
-@_command(
-    "SceneSpec", "generate", "RunConfig",
-    "save_calibration", "save_annotations", "save_tracks", "save_config",
-)
-def _cmd_synth(
-    args: argparse.Namespace, SceneSpec, generate, RunConfig,
-    save_calibration, save_annotations, save_tracks, save_config,
-) -> int:
-    from .io import _read_json  # loaded with RunConfig
-
-    doc = _read_json(args.spec) if getattr(args, "spec", None) else {}
-    if not isinstance(doc, dict):
-        raise InvalidSpec("scene spec must be a JSON object")
-    spec = SceneSpec.from_dict({**doc, **_overrides(args, SceneSpec)})
-
-    bundle, gt = generate(spec)
+def _cmd_synth(args: argparse.Namespace, s: argparse.Namespace) -> int:
+    spec = _config(args, s.SceneSpec, "spec", "scene spec")
+    bundle, gt = s.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_calibration(bundle.calibration, out / "calibration.json")
-    save_annotations(bundle.annotations, out / "annotations.jsonl")
-    save_tracks(gt, out / "gt_tracks.jsonl")
+    s.save_calibration(bundle.calibration, out / "calibration.json")
+    s.save_annotations(bundle.annotations, out / "annotations.jsonl")
+    s.save_tracks(gt, out / "gt_tracks.jsonl")
     noise = (
         {"r_bbox": spec.pixel_noise ** 2, "r_keypoint": spec.pixel_noise ** 2}
         if spec.pixel_noise > 0
         else {}
     )
-    config = RunConfig(dt=1.0 / spec.fps, skeleton=spec.skeleton, **noise)
-    save_config(config, out / "config.json")
+    config = s.RunConfig(dt=1.0 / spec.fps, skeleton=spec.skeleton, **noise)
+    s.save_config(config, out / "config.json")
     (out / "scene.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
 
     print(
@@ -225,16 +206,12 @@ def _cmd_synth(
     return 0
 
 
-@_command("load_config", "RunConfig", "load_scene", "run_all", "save_tracks")
-def _cmd_annotate(
-    args: argparse.Namespace, load_config, RunConfig, load_scene, run_all, save_tracks
-) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    skeleton_src = args.skeleton or config.skeleton
-    scene = load_scene(
+def _cmd_annotate(args: argparse.Namespace, s: argparse.Namespace) -> int:
+    config = _config(args, s.RunConfig, "config", "config")
+    scene = s.load_scene(
         args.calibration,
         args.annotations,
-        skeleton=skeleton_src,
+        skeleton=config.skeleton,
         units=args.units,
     )
     if scene.skeleton is None and scene.annotations.keypoints is not None:
@@ -244,7 +221,7 @@ def _cmd_annotate(
         )
 
     events = []
-    tracks = run_all(
+    tracks = s.run_all(
         scene.annotations,
         scene.calibration,
         config,
@@ -258,7 +235,7 @@ def _cmd_annotate(
             if value is not None
         )
         logger.warning("%s: object %s%s %s", d.kind, d.object_id, where, d.message)
-    save_tracks(tracks, args.out)
+    s.save_tracks(tracks, args.out)
     print(
         f"fused {len(set(tracks.object_id.tolist()))} tracks ({len(tracks)} entries, "
         f"{len(events)} diagnostics) to {args.out}",
@@ -267,24 +244,16 @@ def _cmd_annotate(
     return 0
 
 
-@_command("load_config", "RunConfig", "load_tracks", "evaluate_tracks")
-def _cmd_evaluate(
-    args: argparse.Namespace, load_config, RunConfig, load_tracks, evaluate_tracks
-) -> int:
-    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = _overrides(args, RunConfig)
-    if overrides:
-        # back through RunConfig so flags get the same validation as the file
-        config = RunConfig.from_dict({**config.to_dict(), **overrides})
-
-    pred = load_tracks(args.pred)
-    gt = load_tracks(args.gt)
+def _cmd_evaluate(args: argparse.Namespace, s: argparse.Namespace) -> int:
+    config = _config(args, s.RunConfig, "config", "config")
+    pred = s.load_tracks(args.pred)
+    gt = s.load_tracks(args.gt)
     joints = [None if t.keypoints is None else t.keypoints.shape[1] for t in (pred, gt)]
     if None not in joints and joints[0] != joints[1]:
         raise ValidationError(
             f"{args.pred} has {joints[0]} keypoints per pose, {args.gt} has {joints[1]}"
         )
-    report = evaluate_tracks(
+    report = s.evaluate_tracks(
         pred,
         gt,
         threshold=config.threshold,
@@ -304,6 +273,17 @@ def _cmd_evaluate(
     return 0
 
 
+# Each command and its stages, by the public names this module binds them
+# to. main imports them when the command runs and passes them to it as one
+# namespace.
+_COMMANDS = {
+    "synth": (_cmd_synth, ("SceneSpec", "generate", "RunConfig", "save_calibration",
+                           "save_annotations", "save_tracks", "save_config")),
+    "annotate": (_cmd_annotate, ("RunConfig", "load_scene", "run_all", "save_tracks")),
+    "evaluate": (_cmd_evaluate, ("RunConfig", "load_tracks", "evaluate_tracks")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` and return its exit code.
 
@@ -318,9 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    stages = _load_stages(args.func.stages, freeze=argv is None)
+    command, names = _COMMANDS[args.command]
+    stages = _load_stages(names, freeze=argv is None)
     try:
-        return args.func(args, *stages)
+        return command(args, stages)
     except (ParseError, ValidationError, InvalidSpec, EmptyGroundTruth, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

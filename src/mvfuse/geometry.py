@@ -71,7 +71,7 @@ class CameraModel:
         t = _as_matrix(self.translation, (3,), "translation")
         if max(abs(K[1, 0]), abs(K[2, 0]), abs(K[2, 1])) > 0:
             raise ValueError("intrinsics must be upper triangular")
-        if abs(K[2, 2] - 1.0) > _ORTHO_TOL or abs(K[2, 0]) > 0 or abs(K[2, 1]) > 0:
+        if abs(K[2, 2] - 1.0) > _ORTHO_TOL:
             raise ValueError("intrinsics bottom row must be (0, 0, 1)")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")

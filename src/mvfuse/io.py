@@ -38,7 +38,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -65,38 +65,70 @@ _KINDS = {
 }
 
 
-def check_fields(obj, error: type[Exception]) -> None:
-    """Raise ``error`` naming the first field of dataclass ``obj`` whose value
-    does not fit its annotation.
+class Checked:
+    """Base of the frozen dataclasses read from a JSON object: the run
+    config, the scene spec and its occlusions. A subclass sets ``_what``, the
+    name of its object in messages, and ``_error``, the error it raises;
+    ``_items`` maps a tuple field to the ``Checked`` class of its items.
 
-    A ``float`` field takes an int or a finite float, an ``int`` field an int,
-    neither a bool; ``bool`` and ``str`` fields take their own type. A tuple
-    field takes a list or tuple whose items fit; None fits an optional field.
+    Built, it raises ``_error`` naming the first field whose value does not
+    fit its annotation. A ``float`` field takes an int or a finite float, an
+    ``int`` field an int, neither a bool; ``bool`` and ``str`` fields take
+    their own type. A tuple field takes a list or tuple whose items fit;
+    None fits an optional field.
     """
-    hints = get_type_hints(type(obj))
-    for f in fields(obj):
-        hint, value = hints[f.name], getattr(obj, f.name)
-        args = get_args(hint) or (hint,)
-        if value is None and type(None) in args:
-            continue
-        items = (value,)
-        if get_origin(hint) is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise error(f"{f.name} must be a list, got {value!r}")
-            items = value
-        kind = next((k for k in _KINDS if k in args), None)
-        if kind is None:
-            continue
-        what, cls = _KINDS[kind]
-        for v in items:
-            if not isinstance(v, cls) or (isinstance(v, bool) and kind is not bool):
-                raise error(f"{f.name} must be {what}, got {value!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise error(f"{f.name} must be finite, got {value}")
+
+    _items = {}
+
+    def __post_init__(self):
+        error = self._error
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            hint, value = hints[f.name], getattr(self, f.name)
+            args = get_args(hint) or (hint,)
+            if value is None and type(None) in args:
+                continue
+            items = (value,)
+            if get_origin(hint) is tuple:
+                if not isinstance(value, (list, tuple)):
+                    raise error(f"{f.name} must be a list, got {value!r}")
+                items = value
+            kind = next((k for k in _KINDS if k in args), None)
+            if kind is None:
+                continue
+            what, cls = _KINDS[kind]
+            for v in items:
+                if not isinstance(v, cls) or (isinstance(v, bool) and kind is not bool):
+                    raise error(f"{f.name} must be {what}, got {value!r}")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise error(f"{f.name} must be finite, got {value}")
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """``cls(**data)``, checked: unknown keys are refused, then a
+        missing required key; each item of an ``_items`` field must be an
+        object, read by its class's ``from_dict``."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise cls._error(f"unknown {cls._what} keys: {unknown}")
+        missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in data)
+        if missing:
+            raise cls._error(f"{cls._what} missing key {missing[0]!r}")
+        kwargs = dict(data)
+        for name, item in cls._items.items():
+            entries = kwargs.get(name)
+            if isinstance(entries, (list, tuple)):  # anything else fails the field check
+                parsed = []
+                for entry in entries:
+                    if not isinstance(entry, Mapping):
+                        raise item._error(f"each {item._what} must be an object")
+                    parsed.append(item.from_dict(entry))
+                kwargs[name] = tuple(parsed)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     """Tunable parameters for tracking and evaluation.
 
     Noise units: ``q_pos`` is acceleration spectral density (m^2/s^3-ish per
@@ -129,12 +161,14 @@ class RunConfig:
     recall_at: float = 500.0
     plane: bool = False
 
+    _what, _error = "config", ValidationError
+
     def __post_init__(self):
         def need(cond: bool, msg: str):
             if not cond:
                 raise ValidationError(msg)
 
-        check_fields(self, ValidationError)
+        super().__post_init__()
         need(self.dt > 0, f"dt must be positive, got {self.dt}")
         need(self.alpha > 0, f"alpha must be positive, got {self.alpha}")
         need(self.q_pos >= 0, "q_pos must be non-negative")
@@ -174,14 +208,6 @@ class RunConfig:
         object.__setattr__(self, "default_half_axes", half)
         object.__setattr__(self, "ap_thresholds", thresholds)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {unknown}")
-        return cls(**data)
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["default_half_axes"] = list(self.default_half_axes)
@@ -216,6 +242,15 @@ def _read_json(path) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(path), None, f"cannot read: {exc}") from exc
     return _json_loads(text, str(path))
+
+
+def read_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``; anything else is a ParseError
+    that calls it ``what``."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(str(path), None, f"{what} must be a JSON object")
+    return doc
 
 
 def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[float]:
@@ -652,9 +687,7 @@ def load_skeleton(source) -> CanonicalPose:
             raise ValidationError(
                 f"{name!r} is neither a skeleton file nor a built-in name"
             ) from exc
-    doc = _read_json(name)
-    if not isinstance(doc, dict):
-        raise ParseError(name, None, "skeleton must be a JSON object")
+    doc = read_object(name, "skeleton")
     try:
         joints = doc["joints"]
         coords = doc["coords"]
@@ -672,10 +705,7 @@ def load_skeleton(source) -> CanonicalPose:
 
 
 def load_config(path) -> RunConfig:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(str(path), None, "config must be a JSON object")
-    return RunConfig.from_dict(doc)
+    return RunConfig.from_dict(read_object(path, "config"))
 
 
 def save_config(config: RunConfig, path) -> None:

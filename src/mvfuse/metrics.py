@@ -160,11 +160,13 @@ class ClearMotResult(NamedTuple):
     mota: float
 
 
+@np.errstate(over="ignore")
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances along the last (x, y, z) axis of ``a - b``, as
     ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order, one rounding per step: no
     BLAS kernel (whose FMA chains differ between builds) decides the last
-    bit, so scores do not depend on the machine."""
+    bit, so scores do not depend on the machine. A distance that overflows
+    is inf, beyond every gate, so its pair is never a match."""
     dx, dy, dz = np.moveaxis(a - b, -1, 0)
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
@@ -428,9 +430,15 @@ def pose_metrics(
         G, P = (np.ascontiguousarray(np.moveaxis(t.keypoints[has], -1, 0))
                 for t, has in ((gt, g_has), (pred, p_has)))
     for (a, b), (c, d) in zip(_bounds(g_frames, frames), _bounds(p_frames, frames)):
-        dx, dy, dz = G[:, a:b, None] - P[:, None, c:d]
-        cost = 1000.0 * np.sqrt(dx * dx + dy * dy + dz * dz).mean(axis=-1)
-        rows, cols = linear_sum_assignment(cost)
+        with np.errstate(over="ignore"):
+            dx, dy, dz = G[:, a:b, None] - P[:, None, c:d]
+            cost = 1000.0 * np.sqrt(dx * dx + dy * dy + dz * dz).mean(axis=-1)
+        # A pair whose MPJPE overflows is never a match: its error stays inf,
+        # and the solver takes it as dearer than all finite pairs together.
+        over = np.isinf(cost)
+        rows, cols = linear_sum_assignment(
+            np.where(over, cost[~over].sum() + 1.0, cost) if over.any() else cost
+        )
         errors = cost[rows, cols]
         matched.append(errors[errors <= recall_at])
 

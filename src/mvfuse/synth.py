@@ -21,14 +21,13 @@ noiseless scene draws nothing and leaves every value as projected.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Mapping
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import GeometryError, InvalidSpec
 from .geometry import CameraModel, in_front, project_ellipsoid_to_bbox, project_point
-from .io import SceneBundle, check_fields
+from .io import Checked, SceneBundle
 from .pose import canonical_pose, scaled_offsets
 from .tracks import AnnotationTable, TrackTable
 
@@ -36,7 +35,7 @@ _MOTIONS = ("static", "constant-velocity", "waypoint")
 
 
 @dataclass(frozen=True)
-class Occlusion:
+class Occlusion(Checked):
     """Drop all records of a camera (optionally one object) for frames in
     [start, stop)."""
 
@@ -45,12 +44,11 @@ class Occlusion:
     stop: int
     object_id: int | None = None
 
-    def __post_init__(self):
-        check_fields(self, InvalidSpec)
+    _what, _error = "occlusion", InvalidSpec
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(Checked):
     """Parameters of a synthetic scene.
 
     The camera ring surrounds the arena; radius, height, and focal length
@@ -73,12 +71,14 @@ class SceneSpec:
     focal: float | None = None
     occlusions: tuple[Occlusion, ...] = ()
 
+    _what, _error, _items = "scene", InvalidSpec, {"occlusions": Occlusion}
+
     def __post_init__(self):
         def need(cond: bool, msg: str):
             if not cond:
                 raise InvalidSpec(msg)
 
-        check_fields(self, InvalidSpec)
+        super().__post_init__()
         need(self.num_objects >= 0, f"num_objects must be >= 0, got {self.num_objects}")
         need(self.num_cameras >= 1, f"num_cameras must be >= 1, got {self.num_cameras}")
         need(self.frames >= 1, f"frames must be >= 1, got {self.frames}")
@@ -123,29 +123,6 @@ class SceneSpec:
         object.__setattr__(self, "arena", arena)
         object.__setattr__(self, "image_size", size)
         object.__setattr__(self, "occlusions", occl)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SceneSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InvalidSpec(f"unknown scene keys: {unknown}")
-        kwargs = dict(data)
-        occl = kwargs.get("occlusions")
-        if isinstance(occl, (list, tuple)):  # anything else fails the field check
-            parsed = []
-            for entry in occl:
-                if not isinstance(entry, Mapping):
-                    raise InvalidSpec("each occlusion must be an object")
-                extra = set(entry) - {f.name for f in fields(Occlusion)}
-                if extra:
-                    raise InvalidSpec(f"unknown occlusion keys: {sorted(extra)}")
-                missing = sorted({"camera_id", "start", "stop"} - set(entry))
-                if missing:
-                    raise InvalidSpec(f"occlusion missing key {missing[0]!r}")
-                parsed.append(Occlusion(**entry))
-            kwargs["occlusions"] = tuple(parsed)
-        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         """The spec as JSON-ready data: tuples serialize as lists."""

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mvfuse
-from mvfuse import RunConfig, SceneSpec, load_tracks, metrics
+from mvfuse import FilterError, RunConfig, SceneSpec, cli, load_tracks, metrics
 from mvfuse.cli import main
 
 
@@ -104,6 +104,26 @@ class TestSynth:
         spec.write_text("{nope")
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_object_spec_names_its_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {spec}: scene spec must be a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"occlusions": [5]}, "each occlusion must be an object"),
+        ({"occlusions": [{"camera_id": 0, "start": 0}]}, "occlusion missing key 'stop'"),
+        ({"ring_radius": 9.0}, "camera ring too tight for the arena"),
+    ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight"])
+    def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_unknown_spec_key_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -233,6 +253,43 @@ class TestAnnotate:
             main(_annotate_argv(scene_dir, tmp_path, "--workers", "2"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "skeleton must be a JSON object"),
+        ({"joints": ["a", 1], "coords": [[0, 0, 0], [0, 0, 1]]}, "joints must be a list of strings"),
+        ({"joints": ["a", "b"], "coords": "xyz"}, "coords must be a list of [x, y, z]"),
+        ({"joints": ["a", "a"], "coords": [[0, 0, 0], [0, 0, 1]]}, "joint names must be unique"),
+    ], ids=["not-object", "joints", "coords", "refused-pose"])
+    def test_bad_skeleton_file_names_it(self, scene_dir, tmp_path, capsys, doc, message):
+        skeleton = tmp_path / "skeleton.json"
+        skeleton.write_text(json.dumps(doc))
+        assert main(_annotate_argv(scene_dir, tmp_path, "--skeleton", str(skeleton))) == 2
+        err = capsys.readouterr().err
+        assert f"error: {skeleton}: {message}" in err and "Traceback" not in err
+
+    def test_skeleton_flag_replaces_the_config_value(self, scene_dir, tmp_path, capsys):
+        # --skeleton is laid over the config like any other flag, so an empty
+        # one is the value "" and not a fall-back to the config's skeleton.
+        config = json.loads((scene_dir / "config.json").read_text())
+        empty = tmp_path / "config.json"
+        empty.write_text(json.dumps({**config, "skeleton": ""}))
+        with_config = _annotate_argv(scene_dir, tmp_path, "--config", str(scene_dir / "config.json"))
+        assert main(with_config + ["--skeleton", ""]) == 2
+        flag = capsys.readouterr().err
+        assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(empty))) == 2
+        assert capsys.readouterr().err == flag
+        assert main(with_config + ["--skeleton", "coco17"]) == 2
+        assert "15 keypoints, expected 17" in capsys.readouterr().err
+
+    def test_calibration_not_a_list_names_it(self, scene_dir, tmp_path, capsys):
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps({"cams": []}))
+        argv = _annotate_argv(scene_dir, tmp_path)
+        argv[argv.index("--calibration") + 1] = str(calibration)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {calibration}: calibration must be a list of cameras" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key,value", [("id", "abc"), ("width", None)])
     def test_malformed_calibration_is_exit_2(self, scene_dir, tmp_path, capsys, key, value):
         doc = json.loads((scene_dir / "calibration.json").read_text())
@@ -250,7 +307,10 @@ class TestAnnotate:
         (lambda cams: cams[0].update(R=[2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
          "camera 0: rotation is not orthonormal"),
         (lambda cams: cams.clear(), "calibration contains no cameras"),
-    ], ids=["duplicate", "rotation", "empty"])
+        (lambda cams: cams.__setitem__(1, 5), "camera #1 is not an object"),
+        (lambda cams: cams[0]["K"].__setitem__(8, 2.0),
+         "camera 0: intrinsics bottom row must be (0, 0, 1)"),
+    ], ids=["duplicate", "rotation", "empty", "not-object", "K22"])
     def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
         doc = json.loads((scene_dir / "calibration.json").read_text())
         edit(doc["cameras"])
@@ -485,6 +545,36 @@ class TestEvaluate:
         assert report["threshold_m"] == 0.5
         assert report["ospa_cutoff_m"] == 2.0
         assert list(report["pose"]["ap"]) == ["25"]
+
+    def test_flag_replaces_a_refused_config_value(self, scene_dir, fused_tracks, tmp_path, capsys):
+        # The flags are laid over the config file before its one check, so a
+        # flag can replace a file value that the check would refuse.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": -1.0, "ospa_cutoff": 2.0}))
+        argv = ["evaluate", "--pred", str(fused_tracks), "--gt", str(scene_dir / "gt_tracks.jsonl"),
+                "--config", str(config)]
+        assert main(argv) == 2
+        assert "threshold must be positive" in capsys.readouterr().err
+        assert main(argv + ["--threshold", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["threshold_m"], report["ospa_cutoff_m"]) == (0.5, 2.0)
+
+    @pytest.mark.parametrize("field", ["position", "keypoints"])
+    def test_overflowing_distance_is_scored(self, scene_dir, fused_tracks, tmp_path, capsys, field):
+        # A finite coordinate whose square overflows: that pair is never a
+        # match, and the run neither warns nor fails.
+        lines = (scene_dir / "gt_tracks.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        huge = [0.0, 0.0, 1.3407807929942597e154]
+        rec[field] = huge if field == "position" else [huge] + rec[field][1:]
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        assert main(["evaluate", "--pred", str(fused_tracks), "--gt", str(gt)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if field == "position":
+            assert report["fn"] >= 1 and report["fp"] >= 1
+        else:
+            assert report["pose"]["recall"] < 100.0
 
     def test_invalid_flag_override_is_exit_2(self, scene_dir, fused_tracks, capsys):
         # flags must hit the same validation as config-file values
@@ -774,6 +864,21 @@ def test_traced_command_records_its_stage_roots(scene_dir, fused_tracks, tmp_pat
     counts = _traced_span_counts(_command_argv(command, scene_dir, fused_tracks, tmp_path), tmp_path)
     for name in roots:
         assert counts.get(name, 0) > 0, name
+
+
+def test_runtime_failure_is_exit_1(scene_dir, tmp_path, capsys, monkeypatch):
+    # A stage that fails at run time (not bad input): exit 1, one error line.
+    def fail(*args, **kwargs):
+        raise FilterError("planted filter failure")
+
+    monkeypatch.setitem(vars(cli), "run_all", fail)
+    assert main(_annotate_argv(scene_dir, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: planted filter failure"
+    ]
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestParser:

@@ -472,6 +472,29 @@ class TestEvaluateTracks:
         table = report.format_table()
         assert "MOTA" in table and "MPJPE" in table
 
+    # Finite, but its square overflows a float.
+    _HUGE = 1.3407807929942597e154
+
+    def test_overflowing_position_distance_is_never_a_match(self):
+        # Frame 1's squared distance overflows: a miss and a false track,
+        # scored with no overflow warning.
+        gt = _table({0: _still(range(2), (0, 0, 0))})
+        pred = _table({0: {0: np.zeros(3), 1: np.array([0.0, 0.0, self._HUGE])}})
+        report = evaluate_tracks(pred, gt)
+        assert (report.fp, report.fn, report.mota) == (1, 1, 0.0)
+        assert report.idf1 == 50.0 and report.ospa == 0.5
+
+    def test_overflowing_mpjpe_is_never_a_match(self):
+        # Every pair with gt pose 0 overflows; the other pose still matches.
+        huge = _pose()
+        huge[0] = (0.0, 0.0, self._HUGE)
+        gt = _poses({0: {0: huge}, 1: {0: _pose(offset=(1.0, 0, 0))}})
+        pred = _poses({0: {0: _pose()}, 1: {0: _pose(offset=(1.0, 0, 0))}})
+        res = pose_metrics(pred, gt)
+        assert (res.recall, res.mpjpe) == (50.0, 0.0)
+        alone = pose_metrics(_poses({0: {0: _pose()}}), _poses({0: {0: huge}}))
+        assert alone.recall == 0.0 and np.isnan(alone.mpjpe)
+
     def test_pose_section_optional(self):
         gt = _table({0: _still(range(3), (0, 0, 0))})
         report = evaluate_tracks(gt, gt)

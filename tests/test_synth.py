@@ -49,6 +49,23 @@ class TestSceneSpec:
                 {"occlusions": [{"camera_id": 0, "start": 0, "until": 3}]}
             )
 
+    @pytest.mark.parametrize("data, message", [
+        ({"objects": 3, "occlusions": [5]}, "unknown scene keys: ['objects']"),
+        ({"occlusions": [{"start": 0, "until": 3}, 5]}, "unknown occlusion keys: ['until']"),
+        ({"occlusions": [5, {"until": 3}]}, "each occlusion must be an object"),
+        ({"occlusions": [{"camera_id": 0}, 5]}, "occlusion missing key 'start'"),
+        ({"occlusions": [{"camera_id": 0, "start": 0}]}, "occlusion missing key 'stop'"),
+        ({"frames": 0, "occlusions": [{"camera_id": "x", "start": 0, "stop": 1}]},
+         "camera_id must be an integer, got 'x'"),
+    ], ids=["scene-key", "occlusion-key", "not-an-object", "missing-start", "missing-stop",
+            "occlusion-type"])
+    def test_first_fault_is_reported(self, data, message):
+        # Unknown keys first, then missing ones, then each occlusion in turn,
+        # then the values.
+        with pytest.raises(InvalidSpec) as exc:
+            SceneSpec.from_dict(data)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize(
         "kwargs",
         [
