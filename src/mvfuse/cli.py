@@ -170,7 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace, cls, flag: str, what: str):
     """A ``cls``, checked once by its ``from_dict``: the JSON object in the
     file that ``--flag`` names (the file is called ``what`` if it holds
-    anything else), or none, with the flags given in ``args`` laid over it."""
+    anything else), or none, with the flags given in ``args`` laid over it.
+
+    A refusal that the file's object alone gets too is the file's, and is a
+    ``ParseError`` naming it; one that a flag brought keeps its message."""
     from dataclasses import fields  # loaded with the stages
 
     from .io import read_object
@@ -178,7 +181,16 @@ def _config(args: argparse.Namespace, cls, flag: str, what: str):
     path = getattr(args, flag, None)
     doc = read_object(path, what) if path else {}
     names = {f.name for f in fields(cls)}
-    return cls.from_dict({**doc, **{k: v for k, v in vars(args).items() if k in names}})
+    try:
+        return cls.from_dict({**doc, **{k: v for k, v in vars(args).items() if k in names}})
+    except (InvalidSpec, ValidationError) as exc:
+        if path:
+            try:
+                cls.from_dict(doc)
+            except (InvalidSpec, ValidationError) as alone:
+                if str(alone) == str(exc):
+                    raise ParseError(path, None, str(exc)) from None
+        raise
 
 
 def _cmd_synth(args: argparse.Namespace, s: argparse.Namespace) -> int:

@@ -129,12 +129,20 @@ class MotionModel:
         return self.transition.shape[0]
 
 
-def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> MotionModel:
-    """Constant-velocity model over interleaved (coord, velocity) pairs.
+# The state layout: (x, y, z) at even indices, each followed by its velocity,
+# then, in a box state, the three log half-axes. Basic slices, so indexing a
+# stack of states with them gives a view.
+POS = slice(0, 6, 2)
+VEL = slice(1, 6, 2)
+SHAPE = slice(6, 9)
 
-    The state is [x, vx, y, vy, z, vz] plus, when ``q_shape`` is given, a
-    3-dim random-walk tail (used for log half-axes). Process noise per
-    kinematic pair is the white-acceleration block
+
+def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> MotionModel:
+    """Constant-velocity model over the ``POS``/``VEL`` pairs.
+
+    The state is [x, vx, y, vy, z, vz] plus, when ``q_shape`` is given, the
+    3-dim random-walk ``SHAPE`` tail (used for log half-axes). Process noise
+    per kinematic pair is the white-acceleration block
     q_pos * [[dt^4/4, dt^3/2], [dt^3/2, dt^2]].
 
     Raises
@@ -149,19 +157,18 @@ def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> 
     if q_shape is not None and q_shape < 0:
         raise ValueError(f"q_shape must be non-negative, got {q_shape}")
 
-    kin = np.array([[1.0, dt], [0.0, 1.0]])
-    qk = q_pos * np.array(
-        [[dt ** 4 / 4.0, dt ** 3 / 2.0], [dt ** 3 / 2.0, dt ** 2]]
-    )
+    pp, pv, vv = q_pos * np.array([dt ** 4 / 4.0, dt ** 3 / 2.0, dt ** 2])
     d = 6 if q_shape is None else 9
     F = np.eye(d)
     Q = np.zeros((d, d))
-    for i in range(3):
-        sl = slice(2 * i, 2 * i + 2)
-        F[sl, sl] = kin
-        Q[sl, sl] = qk
+    # Each (rows, cols) block below is diagonal: one entry per axis.
+    np.fill_diagonal(F[POS, VEL], dt)
+    np.fill_diagonal(Q[POS, POS], pp)
+    np.fill_diagonal(Q[POS, VEL], pv)
+    np.fill_diagonal(Q[VEL, POS], pv)
+    np.fill_diagonal(Q[VEL, VEL], vv)
     if q_shape is not None:
-        Q[6:, 6:] = q_shape * np.eye(3)
+        np.fill_diagonal(Q[SHAPE, SHAPE], q_shape)
     return MotionModel(transition=F, process_noise=Q)
 
 

@@ -671,7 +671,8 @@ def save_tracks(tracks: TrackTable, path) -> None:
 
 
 def load_skeleton(source) -> CanonicalPose:
-    """Resolve a skeleton from a built-in name or a JSON file.
+    """Resolve a skeleton from a JSON file or, when ``source`` names no
+    file (a directory or ``""`` included), a built-in name.
 
     A JSON skeleton is ``{"name": ..., "joints": [...], "coords": [[x, y, z],
     ...]}`` with coordinates in any consistent units; they are normalized on
@@ -680,7 +681,7 @@ def load_skeleton(source) -> CanonicalPose:
     from .pose import CanonicalPose, canonical_pose  # only a fusion run reads a skeleton
 
     name = str(source)
-    if not Path(name).exists():
+    if not Path(name).is_file():
         try:
             return canonical_pose(name)
         except ValueError as exc:

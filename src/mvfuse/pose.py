@@ -1,13 +1,15 @@
 """Canonical skeletons and keypoint filtering.
 
-Keypoints are tracked as 6-dim constant-velocity states [x, vx, y, vy, z, vz]
+Keypoints are tracked as 6-dim constant-velocity states [x, vx, y, vy, z, vz],
+the ``POS`` and ``VEL`` part of the state layout in :mod:`mvfuse.filter`,
 with a pinhole pixel measurement. Joints never interact, so the keypoints of
 one or more objects are the rows of one (mean, cov) state stack, which the
 tracker drives through the same predict and update steps as its box states:
-:func:`predict_keypoints` moves the rows, and :func:`keypoint_update` is the
-per-camera update that :func:`mvfuse.filter.update_rows` applies to the
-joints a camera sees. New keypoint states are seeded from a canonical
-skeleton scaled to the object's ellipsoid and translated to its center;
+:func:`predict_keypoints` (the filter's ``kalman_predict``) moves the rows,
+and :func:`keypoint_update` is the per-camera update that
+:func:`mvfuse.filter.update_rows` applies to the joints a camera sees. New
+keypoint states are seeded from a canonical skeleton scaled to each object's
+ellipsoid and translated to its center, for a whole stack of objects at once;
 keypoint velocities start as copies of the object velocity.
 
 Canonical tables are stored normalized: per-axis midrange at the origin and a
@@ -22,16 +24,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .filter import GaussianBelief, MotionModel, kalman_predict, ukf_update
+from .filter import POS, SHAPE, VEL, GaussianBelief, kalman_predict, ukf_update
 from .geometry import CameraModel, project_point
 
 if TYPE_CHECKING:
     from .io import RunConfig
-
-# (x, y, z) and their velocities inside the interleaved keypoint state, as
-# basic slices: indexing a stack of states with them gives a view.
-KP_POS_IDX = slice(0, 6, 2)
-KP_VEL_IDX = slice(1, 6, 2)
 
 _EXTENT_EPS = 1e-6
 _NORM_TOL = 1e-9
@@ -160,18 +157,19 @@ def canonical_pose(name: str) -> CanonicalPose:
 
 
 def scaled_offsets(pose: CanonicalPose, half_axes) -> np.ndarray:
-    """Canonical coordinates scaled to an ellipsoid's half-axes.
+    """Canonical coordinates (..., N, 3) scaled to each of the ellipsoids
+    whose half-axes (a, b, c) are the rows of ``half_axes`` (..., 3).
 
     z is stretched to the full height 2c; x and y are stretched so their
     canonical extents span 2a and 2b. A canonical extent too close to zero
     falls back to the neighboring axis' factor to stay finite.
     """
-    a, b, c = np.asarray(half_axes, dtype=np.float64)
+    a, b, c = np.moveaxis(np.asarray(half_axes, dtype=np.float64), -1, 0)
     ext = pose.coords.max(axis=0) - pose.coords.min(axis=0)
     sz = 2.0 * c
     sy = 2.0 * b / ext[1] if ext[1] > _EXTENT_EPS else sz
     sx = 2.0 * a / ext[0] if ext[0] > _EXTENT_EPS else sy
-    return pose.coords * np.array([sx, sy, sz])
+    return pose.coords * np.stack([sx, sy, sz], axis=-1)[..., None, :]
 
 
 def init_keypoints(
@@ -183,21 +181,19 @@ def init_keypoints(
     j of object i is row i * num_joints + j."""
     if mean.ndim != 2 or mean.shape[1] != 9:
         raise ValueError(f"object means must be (n, 9), got {mean.shape}")
-    center = mean[:, None, [0, 2, 4]]
-    offsets = np.array([scaled_offsets(pose, np.exp(m[6:9])) for m in mean])
+    offsets = scaled_offsets(pose, np.exp(mean[:, SHAPE]))
     kp_mean = np.empty(offsets.shape[:2] + (6,))
-    kp_mean[..., KP_POS_IDX] = center + offsets
-    kp_mean[..., KP_VEL_IDX] = mean[:, None, [1, 3, 5]]
-    cov = np.diag([config.init_keypoint_pos_var, config.init_keypoint_vel_var] * 3)
+    kp_mean[..., POS] = mean[:, None, POS] + offsets
+    kp_mean[..., VEL] = mean[:, None, VEL]
+    var = np.empty(6)
+    var[POS], var[VEL] = config.init_keypoint_pos_var, config.init_keypoint_vel_var
     rows = len(mean) * pose.num_joints
-    return GaussianBelief(kp_mean.reshape(rows, 6), np.broadcast_to(cov, (rows, 6, 6)))
+    return GaussianBelief(kp_mean.reshape(rows, 6), np.broadcast_to(np.diag(var), (rows, 6, 6)))
 
 
-def predict_keypoints(
-    mean: np.ndarray, cov: np.ndarray, model: MotionModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict a stack of keypoint states one frame ahead."""
-    return kalman_predict(mean, cov, model)
+# The keypoint predict is the filter's; it has a name here so that a caller
+# (the tracker, a tracer) can look the keypoint step up apart from the box one.
+predict_keypoints = kalman_predict
 
 
 def keypoint_update(cam: CameraModel, config: "RunConfig"):
@@ -209,7 +205,7 @@ def keypoint_update(cam: CameraModel, config: "RunConfig"):
     scaling = dict(alpha=config.alpha, beta=config.beta, kappa=config.kappa)
 
     def pixels(X: np.ndarray) -> np.ndarray:
-        return project_point(cam, X[..., KP_POS_IDX])
+        return project_point(cam, X[..., POS])
 
     def update(mean: np.ndarray, cov: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         if mean.shape[-1] != 6:

@@ -321,8 +321,7 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
     centers = np.concatenate([ground, halves[..., 2:]], axis=-1)  # (F, N, 3)
     joints = np.zeros((F, N, J, 3))  # no skeleton: J = 0 joints per row
     if skeleton is not None:
-        offsets = np.array([scaled_offsets(skeleton, half) for half in half_axes])
-        joints = offsets.reshape(N, J, 3) + centers[:, :, None, :]
+        joints = scaled_offsets(skeleton, half_axes) + centers[:, :, None, :]
     # (F, N, C, ...) per camera: outlines, NaN where degenerate or occluded,
     # and which joints are in front with their pixels.
     outlines = np.stack([_outline_boxes(cam, centers, halves) for cam in cams.values()], axis=2)

@@ -31,6 +31,9 @@ from .errors import (
     ValidationError,
 )
 from .filter import (
+    POS,
+    SHAPE,
+    VEL,
     GaussianBelief,
     MotionModel,
     kalman_predict,
@@ -49,10 +52,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# State vector layout, as basic slices: indexing a stack of states with them
-# gives a view, not a copy.
-POS_IDX = slice(0, 6, 2)
-SHAPE_SLICE = slice(6, 9)
 # Log half-axes beyond +-30 (e^30 m ~ 1e13 m) are no annotated object, and
 # such a state overflows the arithmetic downstream.
 _LOG_AXIS_LIMIT = 30.0
@@ -75,15 +74,15 @@ EventCallback = Callable[[Diagnostic], None]
 def _half_axes(X: np.ndarray) -> np.ndarray:
     """Half-axes (..., 3) of states (..., 9); log half-axes beyond the limit
     raise ``DegenerateConic``."""
-    if (np.abs(X[..., SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
+    if (np.abs(X[..., SHAPE]) > _LOG_AXIS_LIMIT).any():
         raise DegenerateConic("log half-axes out of range")
-    return np.exp(X[..., SHAPE_SLICE])
+    return np.exp(X[..., SHAPE])
 
 
 def bbox_measurement(cam: CameraModel) -> Callable[[np.ndarray], np.ndarray]:
     """Measurement map: states (..., 9) -> boxes (u_min, v_min, u_max, v_max)
     (..., 4) of the ellipsoids they encode."""
-    return lambda X: project_ellipsoid_to_bbox(cam, X[..., POS_IDX], _half_axes(X))
+    return lambda X: project_ellipsoid_to_bbox(cam, X[..., POS], _half_axes(X))
 
 
 def _box_update(cam: CameraModel, config: "RunConfig"):
@@ -95,7 +94,7 @@ def _box_update(cam: CameraModel, config: "RunConfig"):
 
     def update(mean: np.ndarray, cov: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         mean, cov = ukf_update(mean, cov, z, h, noise, **scaling)
-        if (np.abs(mean[:, SHAPE_SLICE]) > _LOG_AXIS_LIMIT).any():
+        if (np.abs(mean[:, SHAPE]) > _LOG_AXIS_LIMIT).any():
             raise DivergentUpdate("posterior log half-axes out of range")
         return mean, cov
 
@@ -137,13 +136,11 @@ def init_target(
 
     half = np.asarray(config.default_half_axes, dtype=np.float64)
     mean = np.zeros(9)
-    mean[POS_IDX] = [ground[0], ground[1], half[2]]
-    mean[SHAPE_SLICE] = np.log(half)
-    cov = np.diag(
-        [config.init_pos_var, config.init_vel_var] * 3
-        + [config.init_shape_var] * 3
-    )
-    return GaussianBelief(mean, cov)
+    mean[POS] = [ground[0], ground[1], half[2]]
+    mean[SHAPE] = np.log(half)
+    var = np.empty(9)
+    var[POS], var[VEL], var[SHAPE] = config.init_pos_var, config.init_vel_var, config.init_shape_var
+    return GaussianBelief(mean, np.diag(var))
 
 
 def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, rows):
@@ -296,7 +293,7 @@ def run_all(
         out_row.append(rows)
         out_mean.append(mean[rows])
         if J:
-            out_kp.append(kp_mean[joints(rows)][:, pose_mod.KP_POS_IDX].reshape(-1, J, 3))
+            out_kp.append(kp_mean[joints(rows)][:, POS].reshape(-1, J, 3))
 
     for i in np.flatnonzero(applied == 0):
         diags.append(Diagnostic("no_observation", oids[i], message="every box update was skipped"))
@@ -309,7 +306,7 @@ def run_all(
     return TrackTable(
         frame=np.concatenate(out_frame)[keep],
         object_id=np.array(oids, dtype=np.int64)[row[keep]],
-        position=state[:, POS_IDX],
-        half_axes=np.exp(state[:, SHAPE_SLICE]),
+        position=state[:, POS],
+        half_axes=np.exp(state[:, SHAPE]),
         keypoints=np.concatenate(out_kp)[keep] if J else None,
     )

@@ -8,7 +8,7 @@ import pytest
 
 from mvfuse import filter as filter_mod
 from mvfuse.errors import GeometryError, SigmaPointProjectionFailure
-from mvfuse.filter import GaussianBelief, sigma_points, ukf_update
+from mvfuse.filter import POS, SHAPE, GaussianBelief, sigma_points, ukf_update
 from mvfuse.geometry import CameraModel, project_ellipsoid_to_bbox, project_point
 from mvfuse.tracker import bbox_measurement
 
@@ -39,14 +39,14 @@ def _identity_camera():
 def _loop_h(cam):
     """The box map as the tracker built it before: fancy-indexed positions
     and an exp of the log half-axes."""
-    return lambda X: loop_project_ellipsoid_to_bbox(cam, X[..., [0, 2, 4]], np.exp(X[..., 6:9]))
+    return lambda X: loop_project_ellipsoid_to_bbox(cam, X[..., POS], np.exp(X[..., SHAPE]))
 
 
 def _stack(rng, n, kind="healthy"):
     mean = np.zeros((n, 9))
-    mean[:, 0:6:2] = rng.normal(0.0, 1.0, (n, 3)) + [0.0, 0.0, 0.9]
+    mean[:, POS] = rng.normal(0.0, 1.0, (n, 3)) + [0.0, 0.0, 0.9]
     mean[:, 1:6:2] = rng.normal(0.0, 0.5, (n, 3))
-    mean[:, 6:9] = np.log([0.3, 0.3, 0.9]) + rng.normal(0.0, 0.1, (n, 3))
+    mean[:, SHAPE] = np.log([0.3, 0.3, 0.9]) + rng.normal(0.0, 0.1, (n, 3))
     cov = np.array([random_spd(rng, 9, 0.01) for _ in range(n)])
     if kind == "singular":
         # One zero eigenvalue made slightly negative: the stacked Cholesky
@@ -155,7 +155,7 @@ class TestSameBitsAsLoop:
 
         # Through the update: a sigma point on the bad row fails the stack.
         mean = np.zeros((3, 9))
-        mean[:, 0:6:2], mean[:, 6:9] = centers, np.log(half)
+        mean[:, POS], mean[:, SHAPE] = centers, np.log(half)
         cov = np.broadcast_to(1e-6 * np.eye(9), (3, 9, 9)).copy()
         z = np.full((3, 4), 5.0)
         h, h0 = bbox_measurement(cam), _loop_h(cam)
@@ -284,7 +284,7 @@ class TestNonFiniteInput:
         def h(X):
             X = X.copy()
             X[0, 3, 2] = np.nan
-            return project_point(cam, X[..., 0:6:2])
+            return project_point(cam, X[..., POS])
 
         with pytest.raises(SigmaPointProjectionFailure) as info:
             ukf_update(belief.mean, belief.covariance, [1.0, 1.0], h, np.eye(2))

@@ -114,8 +114,8 @@ class TestSynth:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc, message", [
-        ({"occlusions": [5]}, "each occlusion must be an object"),
-        ({"occlusions": [{"camera_id": 0, "start": 0}]}, "occlusion missing key 'stop'"),
+        ({"occlusions": [5]}, "{spec}: each occlusion must be an object"),
+        ({"occlusions": [{"camera_id": 0, "start": 0}]}, "{spec}: occlusion missing key 'stop'"),
         ({"ring_radius": 9.0}, "camera ring too tight for the arena"),
     ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight"])
     def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
@@ -123,7 +123,7 @@ class TestSynth:
         spec.write_text(json.dumps(doc))
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {message}"]
+        assert err.splitlines() == [f"error: {message.format(spec=spec)}"]
 
     def test_unknown_spec_key_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -279,6 +279,20 @@ class TestAnnotate:
         assert capsys.readouterr().err == flag
         assert main(with_config + ["--skeleton", "coco17"]) == 2
         assert "15 keypoints, expected 17" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [lambda tmp_path: "", lambda tmp_path: str(tmp_path)],
+                             ids=["empty", "directory"])
+    def test_skeleton_that_names_no_file_is_looked_up_as_a_built_in(
+        self, scene_dir, tmp_path, capsys, make
+    ):
+        # Only a file is read as a skeleton; "" (which is the working
+        # directory to the file system) and a directory are names.
+        skeleton = make(tmp_path)
+        assert main(_annotate_argv(scene_dir, tmp_path, "--skeleton", skeleton)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {skeleton!r} is neither a skeleton file nor a built-in name"
+        ]
 
     def test_calibration_not_a_list_names_it(self, scene_dir, tmp_path, capsys):
         calibration = tmp_path / "calibration.json"
@@ -716,7 +730,7 @@ def test_nonfinite_config_and_spec_numbers_are_exit_2(scene_dir, tmp_path, capsy
         argv = ["synth", "--out", str(tmp_path / "scene"), "--spec", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {name} must be finite" in err
+    assert f"error: {path}: {name} must be finite" in err
     assert "Traceback" not in err
 
 
@@ -751,8 +765,42 @@ def test_mistyped_config_and_spec_fields_are_exit_2(scene_dir, tmp_path, capsys,
         argv = ["synth", "--out", str(tmp_path / "scene"), "--spec", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {name} must be " in err
+    assert f"error: {path}: {name} must be " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("annotate", {"dt": -1}, "dt must be positive, got -1"),
+    ("synth", {"occlusions": [5]}, "each occlusion must be an object"),
+], ids=["config", "spec"])
+def test_refused_file_value_names_the_file(scene_dir, tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "annotate":
+        argv = _annotate_argv(scene_dir, tmp_path, "--config", str(path))
+    else:
+        argv = ["synth", "--out", str(tmp_path / "scene"), "--spec", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize("command, doc, flag", [
+    ("evaluate", {"threshold": 1.0}, ["--threshold", "-1"]),
+    ("synth", {"frames": 5}, ["--fps", "-1"]),
+], ids=["config", "spec"])
+def test_refused_flag_over_a_good_file_keeps_its_message(
+    scene_dir, fused_tracks, tmp_path, capsys, command, doc, flag
+):
+    # The flag, not the file, is at fault: the message is the one the flag
+    # gets with no file at all.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = _command_argv(command, scene_dir, fused_tracks, tmp_path) + flag
+    assert main(argv) == 2
+    alone = capsys.readouterr().err
+    assert main(argv + ["--spec" if command == "synth" else "--config", str(path)]) == 2
+    assert capsys.readouterr().err == alone
+    assert str(path) not in alone and alone.startswith("error: ")
 
 
 @pytest.mark.parametrize("doc, name", [

@@ -122,6 +122,24 @@ class TestMotionModel:
         assert np.allclose(m.process_noise[:2, :2], qk)
         assert np.allclose(m.process_noise[6:, 6:], 0.5 * np.eye(3))
 
+    @pytest.mark.parametrize("q_shape", [None, 0.0, 0.5, 3e-4])
+    @pytest.mark.parametrize("dt, q_pos", [(2.0, 1.0), (0.1, 1e-6), (1 / 30, 0.37), (7.5, 0.0)])
+    def test_equals_the_per_pair_block_build(self, dt, q_pos, q_shape):
+        # Each (coord, velocity) pair on the diagonal carries the kinematic
+        # and white-acceleration blocks; every entry between pairs is zero.
+        d = 6 if q_shape is None else 9
+        F, Q = np.eye(d), np.zeros((d, d))
+        kin = np.array([[1.0, dt], [0.0, 1.0]])
+        qk = q_pos * np.array([[dt ** 4 / 4.0, dt ** 3 / 2.0], [dt ** 3 / 2.0, dt ** 2]])
+        for i in range(0, 6, 2):
+            F[i : i + 2, i : i + 2] = kin
+            Q[i : i + 2, i : i + 2] = qk
+        if q_shape is not None:
+            Q[6:, 6:] = q_shape * np.eye(3)
+        m = make_motion_model(dt, q_pos, q_shape)
+        assert m.transition.tobytes() == F.tobytes()
+        assert m.process_noise.tobytes() == Q.tobytes()
+
     def test_six_dim_variant(self):
         assert make_motion_model(0.1, q_pos=1.0).dim == 6
 

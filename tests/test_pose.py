@@ -18,8 +18,8 @@ from mvfuse import (
     scaled_offsets,
 )
 from mvfuse import pose as pose_mod
-from mvfuse.filter import make_motion_model, update_rows
-from mvfuse.pose import KP_POS_IDX, keypoint_update, predict_keypoints
+from mvfuse.filter import POS, SHAPE, VEL, make_motion_model, update_rows
+from mvfuse.pose import keypoint_update, predict_keypoints
 from oracles import dlt_triangulate
 
 
@@ -121,12 +121,29 @@ class TestScaledOffsets:
         span = off.max(axis=0) - off.min(axis=0)
         assert np.isclose(span[2], 1.8)
 
+    @pytest.mark.parametrize("raw", [
+        None,  # panoptic15
+        [[0, 0, 0], [0, 1.0, 1.0]],  # no x extent: x takes y's factor
+        [[0, 0, 0], [0, 0, 1.0]],  # no x or y extent: both take z's factor
+    ], ids=["panoptic15", "flat-x", "stick"])
+    def test_stack_equals_one_call_per_row(self, raw):
+        pose = canonical_pose("panoptic15") if raw is None else CanonicalPose.from_raw(
+            "p", ["a", "b"], np.array(raw)
+        )
+        half = np.random.default_rng(3).uniform(0.05, 2.0, (7, 3))
+        stacked = scaled_offsets(pose, half)
+        assert stacked.shape == (7, pose.num_joints, 3)
+        expected = np.stack([scaled_offsets(pose, h) for h in half])
+        assert stacked.tobytes() == expected.tobytes()
+        assert scaled_offsets(pose, half[None]).tobytes() == expected.tobytes()
+        assert scaled_offsets(pose, half[:0]).shape == (0, pose.num_joints, 3)
+
 
 def _object_mean(center, velocity, half_axes):
     mean = np.zeros((1, 9))
-    mean[0, [0, 2, 4]] = center
-    mean[0, [1, 3, 5]] = velocity
-    mean[0, 6:9] = np.log(half_axes)
+    mean[0, POS] = center
+    mean[0, VEL] = velocity
+    mean[0, SHAPE] = np.log(half_axes)
     return mean
 
 
@@ -139,8 +156,8 @@ class TestInitKeypoints:
         states = init_keypoints(pose, _object_mean(center, velocity, half), config)
         assert states.mean.shape == (15, 6)
         expected = scaled_offsets(pose, half) + center
-        assert np.allclose(states.mean[:, KP_POS_IDX], expected)
-        assert np.allclose(states.mean[:, [1, 3, 5]], velocity)
+        assert np.allclose(states.mean[:, POS], expected)
+        assert np.allclose(states.mean[:, VEL], velocity)
 
     def test_initial_covariance_from_config(self, config):
         pose = canonical_pose("coco17")
@@ -148,8 +165,20 @@ class TestInitKeypoints:
             pose, _object_mean([0, 0, 0.9], [0, 0, 0], [0.3, 0.3, 0.9]), config
         )
         diag = np.diag(states.covariance[0])
-        assert np.allclose(diag[[0, 2, 4]], config.init_keypoint_pos_var)
-        assert np.allclose(diag[[1, 3, 5]], config.init_keypoint_vel_var)
+        assert np.allclose(diag[POS], config.init_keypoint_pos_var)
+        assert np.allclose(diag[VEL], config.init_keypoint_vel_var)
+
+    def test_stack_equals_one_call_per_object(self, config):
+        # Joint j of object i is row i * num_joints + j, as if each object
+        # were seeded on its own.
+        pose = canonical_pose("coco17")
+        rng = np.random.default_rng(4)
+        mean = rng.normal(size=(5, 9))
+        mean[:, SHAPE] = np.log(rng.uniform(0.1, 1.5, (5, 3)))
+        states = init_keypoints(pose, mean, config)
+        ones = [init_keypoints(pose, mean[i : i + 1], config) for i in range(5)]
+        assert states.mean.tobytes() == np.concatenate([b.mean for b in ones]).tobytes()
+        assert states.covariance.tobytes() == np.concatenate([b.covariance for b in ones]).tobytes()
 
     def test_rejects_wrong_dim(self, config):
         pose = canonical_pose("coco17")
@@ -166,7 +195,7 @@ class TestKeypointState:
     def test_position_extraction(self):
         mean = np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
         s = GaussianBelief(mean, np.eye(6))
-        assert np.allclose(s.mean[:, KP_POS_IDX], [[1, 2, 3]])
+        assert np.allclose(s.mean[:, POS], [[1, 2, 3]])
 
 
 def _ring(n=3, radius=8.0, height=3.0):
@@ -243,8 +272,8 @@ class TestUpdateKeypoints:
         prior_mean = np.array([0.0, 0, 0.0, 0, 1.0, 0])
         state = GaussianBelief(prior_mean, 0.25 * np.eye(6))
         out = _fuse((state.mean, state.covariance), np.array([[uv[0], uv[1], 1.0]]), cams[0], config)
-        before = np.linalg.norm(prior_mean[[0, 2, 4]] - truth)
-        after = np.linalg.norm(out[0][0, KP_POS_IDX] - truth)
+        before = np.linalg.norm(prior_mean[POS] - truth)
+        after = np.linalg.norm(out[0][0, POS] - truth)
         assert after < before
 
     def test_stacked_joints_equal_joint_by_joint(self, config):
@@ -259,7 +288,7 @@ class TestUpdateKeypoints:
         )
         mean, cov = states.mean, states.covariance.copy()
         cov[4] = np.diag([1e-20] * 5 + [-1e-10])
-        pixels = project_point(cams[0], mean[:, KP_POS_IDX] + 0.05)
+        pixels = project_point(cams[0], mean[:, POS] + 0.05)
         obs = np.hstack([pixels, np.ones((15, 1))])
         obs[7, 2] = 0.0
         out = _fuse((mean, cov), obs, cams[0], config)
@@ -292,7 +321,7 @@ def _track(frames, states, cams, config):
             states = predict_keypoints(*states, model)
         for cid in sorted(per_cam):
             states = _fuse(states, per_cam[cid], cams[cid], config)
-        out.append(states[0][:, KP_POS_IDX])
+        out.append(states[0][:, POS])
     return np.array(out)
 
 

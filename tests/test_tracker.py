@@ -31,9 +31,8 @@ from mvfuse import (
     sigma_points,
 )
 from mvfuse.errors import NonPositiveDepth, DegenerateConic
-from mvfuse.filter import kalman_predict, make_motion_model, ukf_update
+from mvfuse.filter import POS, SHAPE, VEL, kalman_predict, make_motion_model, ukf_update
 from mvfuse import tracker as tracker_mod
-from mvfuse.tracker import POS_IDX, SHAPE_SLICE
 from mvfuse.tracks import RowError
 
 from oracles import dual_quadric_bbox, random_camera
@@ -48,9 +47,9 @@ def _cam(K, R, t, width=1920, height=1080):
 
 def _state(position, half_axes, velocity=(0.0, 0.0, 0.0)):
     x = np.zeros(9)
-    x[POS_IDX] = position
-    x[[1, 3, 5]] = velocity
-    x[SHAPE_SLICE] = np.log(half_axes)
+    x[POS] = position
+    x[VEL] = velocity
+    x[SHAPE] = np.log(half_axes)
     return x
 
 
@@ -154,10 +153,10 @@ class TestInitTarget:
         box = [580.0, 240.0, 620.0, 300.0]
         belief = init_target([0], [box], {0: overhead_camera}, config)
         mean, cov = belief.mean[0], belief.covariance[0]
-        np.testing.assert_allclose(mean[POS_IDX], [1.0, 2.0, 0.9], atol=1e-9)
-        np.testing.assert_array_equal(mean[[1, 3, 5]], 0.0)
+        np.testing.assert_allclose(mean[POS], [1.0, 2.0, 0.9], atol=1e-9)
+        np.testing.assert_array_equal(mean[VEL], 0.0)
         np.testing.assert_allclose(
-            mean[SHAPE_SLICE], np.log([0.3, 0.3, 0.9]), atol=1e-12
+            mean[SHAPE], np.log([0.3, 0.3, 0.9]), atol=1e-12
         )
         np.testing.assert_allclose(
             np.diag(cov),
@@ -172,7 +171,7 @@ class TestInitTarget:
         cams = {0: overhead_camera, 1: overhead_camera}
         belief = init_target([1, 0], boxes, cams, config)
         np.testing.assert_allclose(
-            belief.mean[0, POS_IDX], [2.0, 3.0, 0.9], atol=1e-9
+            belief.mean[0, POS], [2.0, 3.0, 0.9], atol=1e-9
         )
 
     def test_degenerate_camera_skipped(self, overhead_camera, config):
@@ -260,8 +259,8 @@ class TestTrackObject:
                     kappa=config.kappa,
                 )
             assert (track.frame[k], track.object_id[k]) == (k, 1)
-            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
-            np.testing.assert_array_equal(track.half_axes[k], np.exp(mean[0, SHAPE_SLICE]))
+            np.testing.assert_array_equal(track.position[k], mean[0, POS])
+            np.testing.assert_array_equal(track.half_axes[k], np.exp(mean[0, SHAPE]))
         assert track.keypoints is None
 
     def test_keypoints_match_manual_replay(self, config):
@@ -314,13 +313,13 @@ class TestTrackObject:
                 post = ukf_update(
                     kp_mean[seen], kp_cov[seen],
                     pixels[k, cid][seen, :2],
-                    lambda X, cam=cams[cid]: project_point(cam, X[..., [0, 2, 4]]),
+                    lambda X, cam=cams[cid]: project_point(cam, X[..., POS]),
                     config.r_keypoint * np.eye(2), **scaling,
                 )
                 kp_mean, kp_cov = kp_mean.copy(), kp_cov.copy()
                 kp_mean[seen], kp_cov[seen] = post
-            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
-            np.testing.assert_array_equal(track.keypoints[k], kp_mean[:, [0, 2, 4]])
+            np.testing.assert_array_equal(track.position[k], mean[0, POS])
+            np.testing.assert_array_equal(track.keypoints[k], kp_mean[:, POS])
         assert seen_counts == [15, 15, 14, 15]
 
     def test_gap_frames_are_predict_only(self, config):
@@ -353,7 +352,7 @@ class TestTrackObject:
             )
         for k in (1, 2):
             mean, cov = kalman_predict(mean, cov, motion)
-            np.testing.assert_array_equal(track.position[k], mean[0, POS_IDX])
+            np.testing.assert_array_equal(track.position[k], mean[0, POS])
         np.testing.assert_array_equal(first, track.position[0])
 
     def test_track_spans_birth_to_last_observation(self, config):
@@ -406,7 +405,7 @@ class TestTrackObject:
 
         belief = init_target(list(boxes), list(boxes.values()), cams, config)
         X, _, _ = sigma_points(belief.mean, belief.covariance)
-        front = in_front(near, X[..., POS_IDX])
+        front = in_front(near, X[..., POS])
         assert front.any() and not front.all()
         with pytest.raises(SigmaPointProjectionFailure) as info:
             ukf_update(belief.mean, belief.covariance, boxes[0], bbox_measurement(near),
@@ -560,7 +559,7 @@ class TestRunAll:
         real = tracker_mod.kalman_predict
 
         def overflowing(mean, cov, model):
-            if any((row[POS_IDX] == last_good).all() for row in mean):
+            if any((row[POS] == last_good).all() for row in mean):
                 raise DivergentUpdate("prediction overflowed to non-finite values")
             return real(mean, cov, model)
 
@@ -600,7 +599,7 @@ class TestRunAll:
         real_kp_update = tracker_mod.pose_mod.keypoint_update
 
         def overflowing(mean, cov, model):
-            if any((row[POS_IDX] == last_good).all() for row in mean):
+            if any((row[POS] == last_good).all() for row in mean):
                 ended.append(True)
                 raise DivergentUpdate("prediction overflowed to non-finite values")
             return real_predict(mean, cov, model)
