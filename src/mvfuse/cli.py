@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -69,16 +68,19 @@ def _load_stages(names: tuple[str, ...], freeze: bool) -> argparse.Namespace:
             gc.enable()
 
 
-logger = logging.getLogger("mvfuse")
+def _setup_logging():
+    """The ``mvfuse`` logger, with stderr logging set to the level that
+    ``MVFUSE_LOG`` names. Only ``annotate`` logs, so only it loads
+    ``logging``."""
+    import logging
 
-
-def _setup_logging() -> None:
     level = os.environ.get("MVFUSE_LOG", "WARNING").upper()
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    return logging.getLogger("mvfuse")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,6 +221,7 @@ def _cmd_synth(args: argparse.Namespace, s: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace, s: argparse.Namespace) -> int:
+    logger = _setup_logging()
     config = _config(args, s.RunConfig, "config", "config")
     scene = s.load_scene(
         args.calibration,
@@ -307,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     the stages are imported with the collector paused. ``--version`` and
     ``--help`` exit in the parser, before any of that.
     """
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     command, names = _COMMANDS[args.command]

@@ -65,6 +65,10 @@ _KINDS = {
 }
 
 
+# The resolved field annotations of each Checked class.
+_HINTS: dict[type, dict] = {}
+
+
 class Checked:
     """Base of the frozen dataclasses read from a JSON object: the run
     config, the scene spec and its occlusions. A subclass sets ``_what``, the
@@ -82,7 +86,10 @@ class Checked:
 
     def __post_init__(self):
         error = self._error
-        hints = get_type_hints(type(self))
+        cls = type(self)
+        hints = _HINTS.get(cls)
+        if hints is None:  # resolved once per class, not per instance
+            hints = _HINTS[cls] = get_type_hints(cls)
         for f in fields(self):
             hint, value = hints[f.name], getattr(self, f.name)
             args = get_args(hint) or (hint,)
@@ -440,7 +447,9 @@ class _Reader:
         either word anywhere in its text is not clean."""
         # Numbers and key names have no "u", so the "u" of a true is looked
         # for alone: one memchr, several times faster than finding "true".
-        if any("u" in line or "false" in line for line in lines):
+        # Every line but the last ends in "\n", so no "false" spans two.
+        text = "".join(lines)
+        if "u" in text or "false" in text:
             return False
         try:
             recs = list(map(orjson.loads, lines))

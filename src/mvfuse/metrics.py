@@ -5,22 +5,25 @@ are percentages; MPJPE and the pose thresholds are in millimeters. Euclidean
 distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
 ground plane only).
 
-Every metric is defined frame by frame and works on arrays, one frame at a
-time: a track table is sorted by (frame, object id), so each frame's objects
-are one block of rows, found with ``searchsorted``. IDF1 and OSPA(2) take one
-gt x pred distance matrix per frame (IDF1 adds its in-gate hits into a
-trajectory overlap matrix, OSPA(2) its cut-off distances into per-pair sums,
-in frame order); pose metrics one MPJPE matrix; CLEAR MOT the distances of the
-pairs it tests: each object's last match, then the block it assigns. Working
-memory stays per frame.
+Every metric is defined frame by frame. A track table is sorted by (frame,
+object id), so each frame's objects are one block of rows, found with
+``searchsorted``. IDF1 takes one gt x pred distance matrix per frame and adds
+its in-gate hits into a trajectory overlap matrix; pose metrics one MPJPE
+matrix; CLEAR MOT the distances of the pairs it tests: each object's last
+match, then the block it assigns. OSPA(2) works on blocks of B consecutive
+frames, B the largest with B*n*m <= ``_OSPA_BLOCK`` entries (one frame when
+n*m alone exceeds it): one (B, n, m) distance array per block, NaN where a
+track has no row, whose cut-off terms are added into per-pair sums frame by
+frame, so each sum is the per-frame one exactly. Working memory stays per
+frame, or per bounded block.
 
 Distances are ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order. Pose
 metrics take the (x, y, z) coordinate planes of the poses once, so each
 frame's MPJPE matrix is that sum over (n, m, J) planes, averaged over the
 joints: the bits ``np.linalg.norm(axis=-1)`` gives, without its strided
-reduction. The assignment solver returns each row's strict minimum at once
-when those minima lie in distinct columns, which is the assignment its
-search would find; the search runs only on matrices where rows compete.
+reduction. The assignment solver assigns the leading rows whose strict
+minima lie in columns no earlier row took, as its search would, and starts
+the search at the first row that is contested.
 """
 
 from __future__ import annotations
@@ -41,32 +44,44 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return np.unique(values, return_index=True)[0]
 
 
-def _strict_minima(cost: np.ndarray) -> np.ndarray | None:
-    """The column of each row's minimum, if every row of ``cost`` has one
-    strict, finite minimum and no two rows share its column; else None.
+def _uncontested_prefix(cost: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """How many leading rows of ``cost`` have one strict, finite minimum in a
+    column that no earlier row's minimum took; and each row's minimum and
+    its column.
 
-    Then this is what :func:`_shortest_paths` returns. Each row's first scan
-    meets reduced costs equal to its costs, so it ends at the row's minimum,
-    a free column; and a scan that ends at once moves no column dual, so the
-    next row's reduced costs are its costs too."""
+    These are the rows whose first scan in :func:`_shortest_paths` ends at
+    once: with every column dual still zero its reduced costs are its costs,
+    so the scan ends at the row's minimum, a free column, and moves no dual.
+    The next row then starts from zero column duals too."""
+    nr = len(cost)
     col = cost.argmin(axis=1)
-    low = cost[np.arange(len(cost)), col]
-    if not (np.isfinite(low).all() and ((cost == low[:, None]).sum(axis=1) == 1).all()):
-        return None
-    taken = np.sort(col)
-    return col if (taken[1:] != taken[:-1]).all() else None
+    low = cost[np.arange(nr), col]
+    first = np.zeros(nr, dtype=bool)
+    first[np.unique(col, return_index=True)[1]] = True
+    ok = first & np.isfinite(low) & ((cost == low[:, None]).sum(axis=1) == 1)
+    return (nr if ok.all() else int(ok.argmin())), low, col
 
 
 def _shortest_paths(cost: np.ndarray) -> list[int]:
     """The column of each row of ``cost`` (no taller than it is wide) by
     shortest augmenting paths, one row at a time, as scipy's
-    ``rectangular_lsap`` finds it."""
+    ``rectangular_lsap`` finds it. The uncontested leading rows
+    (:func:`_uncontested_prefix`) take their minima with the duals their
+    scans would leave, and the search starts at the first row after them."""
     nr, nc = cost.shape
+    k, low, col = _uncontested_prefix(cost)
+    col4row = col[:k].tolist() + [-1] * (nr - k)
+    if k == nr:
+        return col4row
     c = cost.tolist()
     inf = np.inf
-    u, v = [0.0] * nr, [0.0] * nc
-    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
-    for cur_row in range(nr):
+    # u as each prefix row's scan leaves it: 0.0 + its minimum (a -0.0 becomes 0.0).
+    u = [0.0 + x for x in low[:k].tolist()] + [0.0] * (nr - k)
+    v = [0.0] * nc
+    path, row4col = [-1] * nc, [-1] * nc
+    for i, j in enumerate(col4row[:k]):
+        row4col[j] = i
+    for cur_row in range(k, nr):
         # Shortest augmenting path from cur_row to a free column. Columns
         # are scanned from the end, so a constant matrix gives the identity.
         remaining = list(range(nc - 1, -1, -1))
@@ -122,9 +137,10 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gets one augmenting path, the duals are updated with the same operations,
     and of equal reduced costs the scan takes a free column, the last one it
     meets. So it returns scipy's ``(rows, cols)`` on every input, ties
-    included, and raises the same ``ValueError``s. When each row's strict
-    minimum lies in a column of its own, that is the assignment, and it is
-    returned without the search (:func:`_strict_minima`).
+    included, and raises the same ``ValueError``s. The leading rows whose
+    strict minima lie in columns of their own take those columns without a
+    search (:func:`_uncontested_prefix`); when that covers every row, no
+    search runs at all.
 
     Raises
     ------
@@ -143,9 +159,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     if np.isnan(cost).any() or np.isneginf(cost).any():
         raise ValueError("matrix contains invalid numeric entries")
-    col4row = _strict_minima(cost)
-    if col4row is None:
-        col4row = _shortest_paths(cost)
+    col4row = _shortest_paths(cost)
     if transpose:
         cols = np.array(col4row, dtype=np.int64)
         order = np.argsort(cols)
@@ -167,7 +181,8 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     BLAS kernel (whose FMA chains differ between builds) decides the last
     bit, so scores do not depend on the machine. A distance that overflows
     is inf, beyond every gate, so its pair is never a match."""
-    dx, dy, dz = np.moveaxis(a - b, -1, 0)
+    d = a - b
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -177,13 +192,21 @@ def _bounds(frame: np.ndarray, frames: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-def _objects(t: TrackTable, frames: np.ndarray):
-    """The objects of ``t`` with a row at ``frames`` (ascending, and every
-    frame of ``t`` from ``frames[0]`` on): their number, and per frame the
-    index of each row's object among their sorted ids, with the rows."""
+def _scored_rows(t: TrackTable, frames: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The rows of ``t`` from ``frames[0]`` on (``frames`` ascending, and
+    every frame of ``t`` from ``frames[0]`` on): the first of them, the
+    number of their objects, and each one's object among their sorted ids."""
     start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
     ids, index = np.unique(t.object_id[start:], return_inverse=True)
-    return len(ids), [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t.frame, frames)]
+    return start, len(ids), index
+
+
+def _objects(t: TrackTable, frames: np.ndarray):
+    """The objects of ``t`` with a row at ``frames`` (as in :func:`_scored_rows`):
+    their number, and per frame the index of each row's object among their
+    sorted ids, with the rows."""
+    start, n, index = _scored_rows(t, frames)
+    return n, [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t.frame, frames)]
 
 
 def _frame_distances(pred: TrackTable, gt: TrackTable, frames: np.ndarray):
@@ -313,6 +336,11 @@ def _bottleneck(D: np.ndarray) -> float:
     return float(values[lo])
 
 
+# The most entries of a block's (B, n, m) arrays in ospa2: B frames take one
+# vectorized step, and working memory stays bounded however long the scene.
+_OSPA_BLOCK = 1 << 18
+
+
 def ospa2(
     pred: TrackTable,
     gt: TrackTable,
@@ -343,24 +371,41 @@ def ospa2(
             raise ValueError(f"window must be >= 1, got {window}")
         frames = frames[-window:]
 
-    n, m, blocks = _frame_distances(pred, gt, frames)
+    (g0, n, g_obj), (p0, m, p_obj) = _scored_rows(gt, frames), _scored_rows(pred, frames)
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
 
+    size = max(1, _OSPA_BLOCK // (n * m))  # frames to a block
+
+    def positions(t: TrackTable, start: int, count: int, index: np.ndarray):
+        """Per block of frames, the (B, count, 3) positions of the objects,
+        NaN where an object has no row (positions are finite)."""
+        at = np.searchsorted(frames, t.frame[start:])
+        pos = t.position[start:]
+        for k in range(0, len(frames), size):
+            stop = min(k + size, len(frames))
+            a, b = np.searchsorted(at, (k, stop)).tolist()
+            block = np.full((stop - k, count, 3), np.nan)
+            block[at[a:b] - k, index[a:b]] = pos[a:b]
+            yield block
+
     # Each pair's sum takes its terms in frame order (adding 0.0 where neither
     # track exists changes nothing), so it is the frame-by-frame sum exactly.
     total = np.zeros((n, m))
     seen = np.zeros((n, m), dtype=np.int64)
-    for gi, pi, d in blocks:
-        step = np.zeros((n, m))
-        step[gi, :] = step[:, pi] = cutoff
-        step[np.ix_(gi, pi)] = np.minimum(cutoff, d)
-        total += step
-        seen[gi, :] += 1
-        seen[:, pi] += 1
-        seen[np.ix_(gi, pi)] -= 1
+    for G, P in zip(positions(gt, g0, n, g_obj), positions(pred, p0, m, p_obj)):
+        g, p = ~np.isnan(G[:, :, None, 0]), ~np.isnan(P[:, None, :, 0])
+        either = g | p
+        step = np.where(
+            g & p,
+            np.minimum(cutoff, _distance(G[:, :, None], P[:, None])),
+            np.where(either, cutoff, 0.0),
+        )
+        for term in step:
+            total += term
+        seen += either.sum(axis=0)
     # In units of the cutoff, every cost is at most 1: a high order can
     # neither overflow nor underflow an unmatched track's cost. With every
     # track matched, the bottleneck value is the unit instead when it is
@@ -431,8 +476,13 @@ def pose_metrics(
                 for t, has in ((gt, g_has), (pred, p_has)))
     for (a, b), (c, d) in zip(_bounds(g_frames, frames), _bounds(p_frames, frames)):
         with np.errstate(over="ignore"):
-            dx, dy, dz = G[:, a:b, None] - P[:, None, c:d]
-            cost = 1000.0 * np.sqrt(dx * dx + dy * dy + dz * dz).mean(axis=-1)
+            # dx*dx + dy*dy + dz*dz in that order, in the difference's memory.
+            sq = G[:, a:b, None] - P[:, None, c:d]
+            np.multiply(sq, sq, out=sq)
+            dx2, dy2, dz2 = sq
+            np.add(dx2, dy2, out=dx2)
+            np.add(dx2, dz2, out=dx2)
+            cost = 1000.0 * np.sqrt(dx2, out=dx2).mean(axis=-1)
         # A pair whose MPJPE overflows is never a match: its error stays inf,
         # and the solver takes it as dearer than all finite pairs together.
         over = np.isinf(cost)

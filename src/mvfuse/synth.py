@@ -123,6 +123,7 @@ class SceneSpec(Checked):
         object.__setattr__(self, "arena", arena)
         object.__setattr__(self, "image_size", size)
         object.__setattr__(self, "occlusions", occl)
+        _camera_ring(self)
 
     def to_dict(self) -> dict:
         """The spec as JSON-ready data: tuples serialize as lists."""
@@ -143,25 +144,37 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.stack([right, down, forward])
 
 
-def _build_cameras(spec: SceneSpec) -> dict[int, CameraModel]:
+def _camera_ring(spec: SceneSpec) -> tuple[float, float]:
+    """The camera ring's radius and focal length: given by ``spec``, or
+    derived from the arena size.
+
+    Raises
+    ------
+    InvalidSpec
+        If the ring does not surround the arena, or (with no focal length
+        given) is too tight to frame it.
+    """
     ax, ay = spec.arena
     half_diag = float(np.hypot(ax, ay)) / 2.0
     radius = spec.ring_radius or (1.6 * half_diag + 4.0)
-    height = spec.cam_height or (0.45 * radius)
     if radius <= half_diag:
         raise InvalidSpec(
             f"ring_radius {radius} must exceed the arena half-diagonal {half_diag:.2f}"
         )
-    width, img_h = spec.image_size
     if spec.focal is not None:
-        focal = spec.focal
-    else:
-        # Fit the arena (plus body margin) inside the narrower field of view.
-        reach = half_diag + 0.8
-        tan_span = reach / (radius - reach) if radius > reach else None
-        if tan_span is None or tan_span <= 0:
-            raise InvalidSpec("camera ring too tight for the arena")
-        focal = 0.85 * (min(width, img_h) / 2.0) / tan_span
+        return radius, spec.focal
+    # Fit the arena (plus body margin) inside the narrower field of view.
+    reach = half_diag + 0.8
+    tan_span = reach / (radius - reach) if radius > reach else None
+    if tan_span is None or tan_span <= 0:
+        raise InvalidSpec("camera ring too tight for the arena")
+    return radius, 0.85 * (min(spec.image_size) / 2.0) / tan_span
+
+
+def _build_cameras(spec: SceneSpec) -> dict[int, CameraModel]:
+    radius, focal = _camera_ring(spec)
+    height = spec.cam_height or (0.45 * radius)
+    width, img_h = spec.image_size
     target = np.array([0.0, 0.0, 1.0])
     K = np.array(
         [

@@ -8,7 +8,10 @@ dual quadric, and the tracking metrics are scored one pair of objects and one
 frame at a time. The ``loop_*`` box-step references are the exception: they
 keep an earlier, plainer form of the package's own sigma points, conic box
 and UKF update (column by column, no cached constants), so that a faster
-form of the same arithmetic can be held to the same bits.
+form of the same arithmetic can be held to the same bits. So do
+``loop_frame_pose_metrics`` and ``loop_frame_ospa2`` (one frame at a time)
+and ``loop_linear_sum_assignment`` (the assignment search from the first
+row) for the metrics.
 """
 
 from __future__ import annotations
@@ -331,6 +334,123 @@ def loop_frame_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), 
         num_pred_poses=total_pred,
     )
 
+
+def loop_frame_ospa2(pred, gt, cutoff=1.0, order=1.0, window=None):
+    """``mvfuse.metrics.ospa2`` in its earlier per-frame form: each frame's
+    dense (n, m) step of cut-off distances added into the per-pair sums in
+    frame order; the same bottleneck unit and final assignment, each
+    assignment solved by scipy."""
+    frames = np.unique(np.concatenate((pred.frame, gt.frame)))
+    if window is not None:
+        frames = frames[-window:]
+    objects = []
+    for t in (gt, pred):
+        start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
+        ids, index = np.unique(t.object_id[start:], return_inverse=True)
+        lo, hi = (np.searchsorted(t.frame, frames, side) for side in ("left", "right"))
+        rows = [(index[a - start:b - start], t.position[a:b]) for a, b in zip(lo, hi)]
+        objects.append((len(ids), rows))
+    (n, g_rows), (m, p_rows) = objects
+    if m == 0 and n == 0:
+        return 0.0
+    if m == 0 or n == 0:
+        return float(cutoff)
+    total = np.zeros((n, m))
+    seen = np.zeros((n, m), dtype=np.int64)
+    for (gi, gp), (pi, pp) in zip(g_rows, p_rows):
+        with np.errstate(over="ignore"):
+            dx, dy, dz = np.moveaxis(gp[:, None] - pp[None], -1, 0)
+            d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        step = np.zeros((n, m))
+        step[gi, :] = step[:, pi] = cutoff
+        step[np.ix_(gi, pi)] = np.minimum(cutoff, d)
+        total += step
+        seen[gi, :] += 1
+        seen[:, pi] += 1
+        seen[np.ix_(gi, pi)] -= 1
+    D = (total / seen).T / cutoff
+    scale = 1.0
+    if m == n:  # the bottleneck value, by binary search over the entries
+        values = np.unique(D)
+        lo, hi = 0, len(values) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            rows, cols = linear_sum_assignment((D > values[mid]).astype(np.float64))
+            if (D[rows, cols] > values[mid]).any():
+                lo = mid + 1
+            else:
+                hi = mid
+        scale = float(values[lo])
+    if not 0.0 < scale < 1.0:
+        scale = 1.0
+    with np.errstate(over="ignore"):
+        P = (D / scale) ** order
+    rows, cols = linear_sum_assignment(P)
+    cost = float(P[rows, cols].sum()) + (max(m, n) - min(m, n))
+    return cutoff * float(scale) * float((cost / max(m, n)) ** (1.0 / order))
+
+
+def loop_linear_sum_assignment(cost):
+    """``mvfuse.metrics.linear_sum_assignment`` in its earlier form: scipy's
+    ``rectangular_lsap`` search in Python floats, run from the first row with
+    every dual zero, however many leading rows are uncontested."""
+    cost = np.asarray(cost, dtype=np.float64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    if nr == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    c = cost.tolist()
+    inf = math.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [inf] * nc
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink < 0:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r, s = min_val + ci[j] - ui - v[j], spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        cols = np.array(col4row, dtype=np.int64)
+        order = np.argsort(cols)
+        return cols[order], order
+    return np.arange(nr, dtype=np.int64), np.array(col4row, dtype=np.int64)
 
 def loop_generate(spec):
     """(annotations, ground truth) of ``mvfuse.synth.generate``, rendered one

@@ -116,8 +116,9 @@ class TestSynth:
     @pytest.mark.parametrize("doc, message", [
         ({"occlusions": [5]}, "{spec}: each occlusion must be an object"),
         ({"occlusions": [{"camera_id": 0, "start": 0}]}, "{spec}: occlusion missing key 'stop'"),
-        ({"ring_radius": 9.0}, "camera ring too tight for the arena"),
-    ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight"])
+        ({"ring_radius": 9.0}, "{spec}: camera ring too tight for the arena"),
+        ({"ring_radius": 2.0}, "{spec}: ring_radius 2.0 must exceed the arena half-diagonal 8.49"),
+    ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight", "ring-inside-arena"])
     def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -1003,23 +1004,24 @@ if argv:
 else:
     import mvfuse
 with open(out, "w") as fh:
-    json.dump(sorted(m for m in sys.modules if m.split(".")[0] in ("mvfuse", "numpy", "orjson")), fh)
+    json.dump(sorted(m for m in sys.modules if m.split(".")[0] in ("mvfuse", "numpy", "orjson", "logging")), fh)
 """
 
 
 @pytest.mark.parametrize("command, not_loaded", [
-    ("import", ("numpy", "orjson", "mvfuse.cli", "mvfuse.errors")),
-    ("--version", ("numpy", "orjson")),
-    ("--help", ("numpy", "orjson")),
+    ("import", ("numpy", "orjson", "mvfuse.cli", "mvfuse.errors", "logging")),
+    ("--version", ("numpy", "orjson", "logging")),
+    ("--help", ("numpy", "orjson", "logging")),
     ("synth", ("mvfuse.tracker", "mvfuse.metrics")),
     ("annotate", ("mvfuse.synth", "mvfuse.metrics")),
-    ("evaluate", ("mvfuse.synth", "mvfuse.tracker", "mvfuse.filter")),
+    ("evaluate", ("mvfuse.synth", "mvfuse.tracker", "mvfuse.filter", "logging")),
 ])
 def test_each_command_loads_only_its_layers(scene_dir, fused_tracks, tmp_path, command, not_loaded):
     # Importing mvfuse loads none of its modules, and the cli loads a
     # command's stages when that command runs; no command loads numpy.ma,
     # which numpy's set operations import unless given a return flag.
-    # Neither numpy nor orjson is loaded before a command needs a file.
+    # Neither numpy nor orjson is loaded before a command needs a file, and
+    # only annotate, the one command that logs, loads logging.
     argv = [] if command == "import" else _command_argv(command, scene_dir, fused_tracks, tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(mvfuse.__file__).parents[1])}
     result = tmp_path / "loaded.json"
@@ -1032,6 +1034,8 @@ def test_each_command_loads_only_its_layers(scene_dir, fused_tracks, tmp_path, c
     assert "Traceback" not in proc.stderr
     assert "mvfuse" in loaded and "numpy.ma" not in loaded
     assert not set(not_loaded) & set(loaded)
+    if command == "annotate":
+        assert "logging" in loaded
     if command in ("import", "--version", "--help"):
         assert {m for m in loaded if m.startswith("mvfuse.")} <= {"mvfuse.cli", "mvfuse.errors"}
 

@@ -24,7 +24,9 @@ from mvfuse.metrics import _bottleneck, _distance, linear_sum_assignment
 from oracles import (
     loop_clear_mot,
     loop_frame_pose_metrics,
+    loop_frame_ospa2,
     loop_idf1,
+    loop_linear_sum_assignment,
     loop_ospa2,
     loop_pose_metrics,
 )
@@ -636,34 +638,102 @@ def _forced_matrices(rng, count):
         yield cost
 
 
-def test_forced_assignments_match_scipy_and_the_search(monkeypatch):
-    # Returned without the search when every row's strict minimum has a
-    # column of its own: the same (rows, cols) as scipy and as the search.
+def _solve_all(cost):
+    """scipy's, the package's and the full search's outcome on ``cost``: the
+    (rows, cols) arrays' dtypes and values, or the message of the
+    ``ValueError`` raised."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    strict_minima = metrics._strict_minima
+    outcomes = []
+    for solve in (scipy_optimize.linear_sum_assignment, linear_sum_assignment,
+                  loop_linear_sum_assignment):
+        try:
+            rows, cols = solve(cost)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append((rows.dtype, rows.tolist(), cols.dtype, cols.tolist()))
+    return outcomes
+
+
+def test_forced_assignments_match_scipy_and_the_search(monkeypatch):
+    # The leading rows whose strict minima have columns of their own are
+    # assigned without a search, and a matrix made only of such rows without
+    # any: the same (rows, cols) as scipy and as the search from row 0.
+    prefix = metrics._uncontested_prefix
     direct = []
 
     def counted(cost):
-        col = strict_minima(cost)
-        direct.append(col is not None)
-        return col
+        found = prefix(cost)
+        direct.append(found[0] == len(cost))
+        return found
 
+    monkeypatch.setattr(metrics, "_uncontested_prefix", counted)
     rng = np.random.default_rng(19)
     for cost in itertools.chain(_forced_matrices(rng, 1200), _assignment_matrices(rng, 600)):
-        monkeypatch.setattr(metrics, "_strict_minima", counted)
-        outcomes = []
-        for solve in (scipy_optimize.linear_sum_assignment, linear_sum_assignment, "search"):
-            if solve == "search":
-                monkeypatch.setattr(metrics, "_strict_minima", lambda cost: None)
-                solve = linear_sum_assignment
-            try:
-                rows, cols = solve(cost)
-            except ValueError as exc:
-                outcomes.append(str(exc))
-                continue
-            outcomes.append((rows.dtype, rows.tolist(), cols.dtype, cols.tolist()))
+        outcomes = _solve_all(cost)
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
     assert 400 < sum(direct) < len(direct) - 400
+
+
+def _contested_at(rng, n, first, wide=2):
+    """An n x (n + wide) matrix whose rows before ``first`` have strict minima
+    in columns of their own, and whose row ``first`` wants an earlier row's
+    column (or, for row 0, ties two columns)."""
+    cost = rng.random((n, n + wide)) + 1.0
+    cols = rng.permutation(n + wide)[:n]
+    cost[np.arange(n), cols] = rng.random(n)
+    if first:
+        cost[first, cols[rng.integers(0, first)]] = cost[first, cols[first]] - 0.5
+    else:
+        cost[0, cols[1]] = cost[0, cols[0]]
+    return cost
+
+
+def test_search_starts_at_the_first_contested_row():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 12):
+        for first in range(n):
+            if n == 1 and first == 0:
+                continue
+            for wide in (0, 3):
+                cost = _contested_at(rng, n, first, wide)
+                assert metrics._uncontested_prefix(cost)[0] == first
+                outcomes = _solve_all(cost)
+                assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+                # Tall: the transpose is solved.
+                outcomes = _solve_all(cost.T.copy())
+                assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_prefix_stops_at_a_tied_minimum():
+    # Row 2's minimum is tied between two free columns: it is searched.
+    cost = np.array([
+        [0.5, 3.0, 3.0, 3.0, 3.0],
+        [3.0, 0.25, 3.0, 3.0, 3.0],
+        [3.0, 3.0, 1.0, 1.0, 3.0],
+        [3.0, 3.0, 3.0, 2.0, 0.75],
+    ])
+    assert metrics._uncontested_prefix(cost)[0] == 2
+    outcomes = _solve_all(cost)
+    assert outcomes[1] == outcomes[0] == outcomes[2]
+    assert outcomes[0][1:4:2] == ([0, 1, 2, 3], [0, 1, 2, 4])
+    for tall in (cost.T, np.ascontiguousarray(cost.T)):
+        outcomes = _solve_all(tall)
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_prefix_stops_at_an_infinite_minimum():
+    # Row 2 has no finite entry: the search starts there and raises scipy's
+    # message; before it, the rows are uncontested.
+    cost = np.array([
+        [0.5, 3.0, 3.0, 3.0],
+        [3.0, 0.25, 3.0, 3.0],
+        [np.inf, np.inf, np.inf, np.inf],
+    ])
+    assert metrics._uncontested_prefix(cost)[0] == 2
+    outcomes = _solve_all(cost)
+    assert outcomes == ["cost matrix is infeasible"] * 3
+    assert _solve_all(cost.T) == ["cost matrix is infeasible"] * 3
 
 
 @pytest.mark.parametrize("cost, message", [
@@ -706,3 +776,58 @@ def test_pose_metrics_match_the_per_frame_form_bit_for_bit():
         gt, pred = (TrackTable([0], [0], kp[:, 0], keypoints=kp) for kp in (g, p))
         expected = _bits(loop_frame_pose_metrics(pred, gt, recall_at=1e300))
         assert _bits(pose_metrics(pred, gt, recall_at=1e300)) == expected
+
+
+def test_ospa2_matches_the_per_frame_form_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for trial in range(24):
+        pred, gt = _random_scene(rng, (0.5, 1.0)[trial % 2], frames=40)
+        for p, g in ((pred, gt), (_flat(pred), _flat(gt))):
+            for cutoff, order, window in itertools.product((0.7, 1), (1, 2, 500), (None, 5)):
+                expected = loop_frame_ospa2(p, g, cutoff=cutoff, order=order, window=window)
+                got = ospa2(p, g, cutoff=cutoff, order=order, window=window)
+                assert got.hex() == expected.hex()
+        for plane in (False, True):
+            report = evaluate_tracks(pred, gt, ospa_cutoff=0.7, ospa_order=2, window=5, plane=plane)
+            p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
+            assert report.ospa.hex() == loop_frame_ospa2(p, g, 0.7, 2, 5).hex()
+
+
+def _many_tracks(rng, n, m, frames):
+    """``n`` gt tracks 3 m apart over ``frames`` frames, and ``m`` <= n
+    predictions of the first of them, each near its own and missing a
+    tenth of its frames."""
+    gt = {i: _still(range(frames), (3.0 * i, 0.0, 0.0)) for i in range(n)}
+    pred = {
+        j: {f: p + rng.normal(scale=0.2, size=3) for f, p in gt[j].items() if rng.random() > 0.1}
+        for j in range(m)
+    }
+    return _table(pred), _table(gt)
+
+
+def test_ospa2_over_several_blocks_matches_the_per_frame_form():
+    # 24 x 20 pairs: 546 frames to a block, so 1,200 frames take three.
+    rng = np.random.default_rng(41)
+    pred, gt = _many_tracks(rng, 24, 20, 1200)
+    assert metrics._OSPA_BLOCK // (24 * 20) < 1200 // 2
+    for window in (None, 700):
+        for order in (1, 2):
+            expected = loop_frame_ospa2(pred, gt, cutoff=0.7, order=order, window=window)
+            assert ospa2(pred, gt, cutoff=0.7, order=order, window=window).hex() == expected.hex()
+
+
+def test_ospa2_with_more_pairs_than_the_block_budget_matches_the_per_frame_form():
+    # 600 x 440 pairs exceed the budget: each block is one frame.
+    rng = np.random.default_rng(43)
+    pred, gt = _many_tracks(rng, 600, 440, 3)
+    assert 600 * 440 > metrics._OSPA_BLOCK
+    assert ospa2(pred, gt).hex() == loop_frame_ospa2(pred, gt).hex()
+
+
+@pytest.mark.parametrize("budget", [1, 7, 50])
+def test_ospa2_is_the_same_for_every_block_size(monkeypatch, budget):
+    rng = np.random.default_rng(47)
+    scenes = [_random_scene(rng, 1.0, frames=30) for _ in range(6)]
+    expected = [ospa2(p, g, order=2, window=w).hex() for p, g in scenes for w in (None, 5)]
+    monkeypatch.setattr(metrics, "_OSPA_BLOCK", budget)
+    assert [ospa2(p, g, order=2, window=w).hex() for p, g in scenes for w in (None, 5)] == expected
