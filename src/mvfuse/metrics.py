@@ -5,17 +5,14 @@ are percentages; MPJPE and the pose thresholds are in millimeters. Euclidean
 distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
 ground plane only).
 
-Every metric is defined frame by frame. A track table is sorted by (frame,
-object id), so each frame's objects are one block of rows, found with
-``searchsorted``. IDF1 takes one gt x pred distance matrix per frame and adds
-its in-gate hits into a trajectory overlap matrix; pose metrics one MPJPE
-matrix; CLEAR MOT the distances of the pairs it tests: each object's last
-match, then the block it assigns. OSPA(2) works on blocks of B consecutive
-frames, B the largest with B*n*m <= ``_OSPA_BLOCK`` entries (one frame when
-n*m alone exceeds it): one (B, n, m) distance array per block, NaN where a
-track has no row, whose cut-off terms are added into per-pair sums frame by
-frame, so each sum is the per-frame one exactly. Working memory stays per
-frame, or per bounded block.
+Every metric is defined frame by frame. CLEAR MOT, IDF1 and OSPA(2) read
+positions in one layout (:func:`_frame_blocks`): per block of B consecutive
+frames, one (B, count, 3) array per track table, NaN where an object has no
+row, B the largest with B*n*m <= ``_BLOCK_BUDGET`` for n gt and m predicted
+objects. IDF1 and OSPA(2) take the (B, n, m) distances of every pair and add
+their in-gate hits, or their cut-off terms, into per-pair sums; CLEAR MOT
+only those of the pairs it tests: each object's last match, then the free
+objects it assigns. Pose metrics find each frame's rows with ``searchsorted``.
 
 Distances are ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order. Pose
 metrics take the (x, y, z) coordinate planes of the poses once, so each
@@ -28,6 +25,7 @@ the search at the first row that is contested.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -192,38 +190,54 @@ def _bounds(frame: np.ndarray, frames: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-def _scored_rows(t: TrackTable, frames: np.ndarray) -> tuple[int, int, np.ndarray]:
+class _ObjectRows(NamedTuple):
+    """The rows ``start:`` of ``table``, with the number 0 <= index < count
+    of each row's object."""
+
+    table: TrackTable
+    start: int
+    count: int
+    index: np.ndarray
+
+
+def _scored_rows(t: TrackTable, frames: np.ndarray) -> _ObjectRows:
     """The rows of ``t`` from ``frames[0]`` on (``frames`` ascending, and
-    every frame of ``t`` from ``frames[0]`` on): the first of them, the
-    number of their objects, and each one's object among their sorted ids."""
+    every frame of ``t`` from ``frames[0]`` on), objects numbered by id."""
     start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
     ids, index = np.unique(t.object_id[start:], return_inverse=True)
-    return start, len(ids), index
+    return _ObjectRows(t, start, len(ids), index)
 
 
-def _objects(t: TrackTable, frames: np.ndarray):
-    """The objects of ``t`` with a row at ``frames`` (as in :func:`_scored_rows`):
-    their number, and per frame the index of each row's object among their
-    sorted ids, with the rows."""
-    start, n, index = _scored_rows(t, frames)
-    return n, [(index[a - start:b - start], slice(a, b)) for a, b in _bounds(t.frame, frames)]
+def _first_appearance(t: TrackTable) -> _ObjectRows:
+    """Every row of ``t``, each object numbered by its rank in order of
+    first appearance: by frame, then id."""
+    ids, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
+    return _ObjectRows(t, 0, len(ids), np.argsort(np.argsort(first))[index])
 
 
-def _frame_distances(pred: TrackTable, gt: TrackTable, frames: np.ndarray):
-    """The object counts of ``_objects`` for gt and pred, then for each of
-    ``frames``: gt objects, pred objects and the gt x pred distance matrix."""
-    (n, g_rows), (m, p_rows) = _objects(gt, frames), _objects(pred, frames)
-    blocks = (
-        (gi, pi, _distance(gt.position[gs, None], pred.position[None, ps]))
-        for (gi, gs), (pi, ps) in zip(g_rows, p_rows)
-    )
-    return n, m, blocks
+# The most entries of a block's (B, n, m) arrays: B frames take one
+# vectorized step, and working memory stays bounded however long the scene.
+_BLOCK_BUDGET = 1 << 18
 
 
-def _first_appearance(t: TrackTable) -> np.ndarray:
-    """Each row's object, ranked by first appearance: by frame, then id."""
-    _, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[index]
+def _frame_blocks(frames: np.ndarray, gt: _ObjectRows, pred: _ObjectRows):
+    """Per block of B consecutive ``frames``, the (B, n, 3) positions of the
+    ``gt`` objects and the (B, m, 3) positions of the ``pred`` objects, NaN
+    where an object has no row (positions are finite). B is the largest
+    with B*n*m <= ``_BLOCK_BUDGET`` (a count of 0 taken as 1), or 1 when
+    n*m alone exceeds it."""
+    size = max(1, _BLOCK_BUDGET // (max(gt.count, 1) * max(pred.count, 1)))
+    rows = [(np.searchsorted(frames, r.table.frame[r.start:]), r.table.position[r.start:], r)
+            for r in (gt, pred)]
+    for k in range(0, len(frames), size):
+        stop = min(k + size, len(frames))
+        blocks = []
+        for at, pos, r in rows:
+            a, b = np.searchsorted(at, (k, stop)).tolist()
+            block = np.full((stop - k, r.count, 3), np.nan)
+            block[at[a:b] - k, r.index[a:b]] = pos[a:b]
+            blocks.append(block)
+        yield blocks
 
 
 def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> ClearMotResult:
@@ -250,45 +264,43 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
 
-    def by_rank(t: TrackTable, rank: np.ndarray, rows: tuple[int, int]):
-        order = np.argsort(rank[rows[0]:rows[1]]) + rows[0]
-        return rank[order].tolist(), t.position[order]
-
-    g_rank, p_rank = _first_appearance(gt), _first_appearance(pred)
+    # Objects are numbered by first appearance, so each frame's present
+    # objects come out of the blocks in tie-break order.
     frames = _unique(np.concatenate((gt.frame, pred.frame)))
     fp = fn = ids = 0
-    last_known: dict[int, int] = {}  # gt rank -> pred rank
-    for g_rows, p_rows in zip(_bounds(gt.frame, frames), _bounds(pred.frame, frames)):
-        (gi, gv), (pi, pv) = by_rank(gt, g_rank, g_rows), by_rank(pred, p_rank, p_rows)
-        col = {p: j for j, p in enumerate(pi)}
-        # Distances of the pairs tested only: last matches, then the free block.
-        kept = [(i, col[last_known[g]]) for i, g in enumerate(gi) if last_known.get(g) in col]
-        matches: dict[int, int] = {}  # index into gi -> index into pi
-        taken: set[int] = set()
-        if kept:
-            d = _distance(gv[[i for i, _ in kept]], pv[[j for _, j in kept]])
-            for (i, j), dij in zip(kept, d.tolist()):
-                if j not in taken and dij <= threshold:
-                    matches[i] = j
-                    taken.add(j)
-        free_g = [i for i in range(len(gi)) if i not in matches]
-        free_p = [j for j in range(len(pi)) if j not in taken]
-        if free_g and free_p:
-            cost = _distance(gv[free_g][:, None], pv[free_p])
-            # Above any in-gate total, so the assignment matches as many
-            # in-gate pairs as it can and then ranks them by distance exactly.
-            cost[cost > threshold] = threshold * min(cost.shape) + 1.0
-            rows, cols = linear_sum_assignment(cost)
-            for i, j in zip(rows, cols):
-                if cost[i, j] <= threshold:
-                    matches[free_g[i]] = free_p[j]
-        fn += len(gi) - len(matches)
-        fp += len(pi) - len(matches)
-        for i, j in matches.items():
-            prev = last_known.get(gi[i])
-            if prev is not None and prev != pi[j]:
-                ids += 1
-            last_known[gi[i]] = pi[j]
+    last_known: dict[int, int] = {}  # gt object -> pred object
+    for G, P in _frame_blocks(frames, _first_appearance(gt), _first_appearance(pred)):
+        for g_at, p_at, g_here, p_here in zip(G, P, ~np.isnan(G[..., 0]), ~np.isnan(P[..., 0])):
+            gi, pi = np.flatnonzero(g_here).tolist(), np.flatnonzero(p_here).tolist()
+            present = set(pi)
+            # Distances of the pairs tested only: last matches, then the free block.
+            kept = [(g, last_known[g]) for g in gi if last_known.get(g) in present]
+            matches, taken = {}, set()  # gt object -> pred object; pred objects matched
+            if kept:
+                kg, kp = zip(*kept)
+                for g, p, d in zip(kg, kp, _distance(g_at[list(kg)], p_at[list(kp)]).tolist()):
+                    if p not in taken and d <= threshold:
+                        matches[g] = p
+                        taken.add(p)
+            free_g = [g for g in gi if g not in matches]
+            free_p = [p for p in pi if p not in taken]
+            if free_g and free_p:
+                d = _distance(g_at[free_g][:, None], p_at[free_p])
+                near = d <= threshold
+                # Above any in-gate total (so the most in-gate pairs match, then
+                # by distance exactly), yet finite however wide the gate.
+                far = min(float(threshold) * min(d.shape) + 1.0, sys.float_info.max)
+                rows, cols = linear_sum_assignment(np.where(near, d, far))
+                for i, j in zip(rows.tolist(), cols.tolist()):
+                    if near[i, j]:
+                        matches[free_g[i]] = free_p[j]
+            fn += len(gi) - len(matches)
+            fp += len(pi) - len(matches)
+            for g, p in matches.items():
+                prev = last_known.get(g)
+                if prev is not None and prev != p:
+                    ids += 1
+                last_known[g] = p
     mota = 100.0 * (1.0 - (fp + fn + ids) / total_gt)
     return ClearMotResult(fp=fp, fn=fn, ids=ids, mota=mota)
 
@@ -299,6 +311,8 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
 
     With IDTP the total coinciding frames under the best one-to-one
     trajectory assignment, IDF1 = 100 * 2 IDTP / (total GT + total pred).
+    Every gt x pred pair's distance is taken in every frame, as in
+    :func:`ospa2`: O(frames * n * m) work for n gt and m predicted objects.
 
     Raises
     ------
@@ -311,10 +325,11 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     if total_pred == 0:
         return 0.0
 
-    n, m, blocks = _frame_distances(pred, gt, _unique(np.concatenate((gt.frame, pred.frame))))
-    overlap = np.zeros((n, m))
-    for gi, pi, D in blocks:
-        overlap[np.ix_(gi, pi)] += D <= threshold
+    frames = _unique(np.concatenate((gt.frame, pred.frame)))
+    g, p = _scored_rows(gt, frames), _scored_rows(pred, frames)
+    overlap = np.zeros((g.count, p.count))
+    for G, P in _frame_blocks(frames, g, p):
+        overlap += (_distance(G[:, :, None], P[:, None]) <= threshold).sum(axis=0)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     return 100.0 * 2.0 * idtp / (total_gt + total_pred)
@@ -334,11 +349,6 @@ def _bottleneck(D: np.ndarray) -> float:
         else:
             hi = mid
     return float(values[lo])
-
-
-# The most entries of a block's (B, n, m) arrays in ospa2: B frames take one
-# vectorized step, and working memory stays bounded however long the scene.
-_OSPA_BLOCK = 1 << 18
 
 
 def ospa2(
@@ -371,31 +381,18 @@ def ospa2(
             raise ValueError(f"window must be >= 1, got {window}")
         frames = frames[-window:]
 
-    (g0, n, g_obj), (p0, m, p_obj) = _scored_rows(gt, frames), _scored_rows(pred, frames)
+    g_rows, p_rows = _scored_rows(gt, frames), _scored_rows(pred, frames)
+    n, m = g_rows.count, p_rows.count
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
 
-    size = max(1, _OSPA_BLOCK // (n * m))  # frames to a block
-
-    def positions(t: TrackTable, start: int, count: int, index: np.ndarray):
-        """Per block of frames, the (B, count, 3) positions of the objects,
-        NaN where an object has no row (positions are finite)."""
-        at = np.searchsorted(frames, t.frame[start:])
-        pos = t.position[start:]
-        for k in range(0, len(frames), size):
-            stop = min(k + size, len(frames))
-            a, b = np.searchsorted(at, (k, stop)).tolist()
-            block = np.full((stop - k, count, 3), np.nan)
-            block[at[a:b] - k, index[a:b]] = pos[a:b]
-            yield block
-
     # Each pair's sum takes its terms in frame order (adding 0.0 where neither
     # track exists changes nothing), so it is the frame-by-frame sum exactly.
     total = np.zeros((n, m))
     seen = np.zeros((n, m), dtype=np.int64)
-    for G, P in zip(positions(gt, g0, n, g_obj), positions(pred, p0, m, p_obj)):
+    for G, P in _frame_blocks(frames, g_rows, p_rows):
         g, p = ~np.isnan(G[:, :, None, 0]), ~np.isnan(P[:, None, :, 0])
         either = g | p
         step = np.where(

@@ -9,14 +9,16 @@ frame at a time. The ``loop_*`` box-step references are the exception: they
 keep an earlier, plainer form of the package's own sigma points, conic box
 and UKF update (column by column, no cached constants), so that a faster
 form of the same arithmetic can be held to the same bits. So do
-``loop_frame_pose_metrics`` and ``loop_frame_ospa2`` (one frame at a time)
-and ``loop_linear_sum_assignment`` (the assignment search from the first
-row) for the metrics.
+``loop_frame_clear_mot``, ``loop_frame_idf1``, ``loop_frame_pose_metrics``
+and ``loop_frame_ospa2`` (one frame at a time) and
+``loop_linear_sum_assignment`` (the assignment search from the first row)
+for the metrics.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Iterable
@@ -102,6 +104,52 @@ class ClosedFormKF:
         self.mean = self.mean + K @ (z - (H @ self.mean + b))
         self.cov = self.cov - K @ S @ K.T
         self.cov = 0.5 * (self.cov + self.cov.T)
+
+
+def posterior_crb(annotations, cams, gt, config, eps=1e-6):
+    """The posterior Cramér–Rao bound of box fusion on a synthetic scene
+    (Tichavský, Muravchik & Nehorai, IEEE TSP 1998): ``{(frame, object id):
+    trace of the position block of J⁻¹}``, a floor on the mean-square 3D
+    position error (m²) of any filter of each tracked row.
+
+    Each object starts at its first frame with a box, with J₀ the inverse of
+    the birth covariance; the motion model is linear with additive noise,
+    so each later frame takes J ← (Q + F J⁻¹ Fᵀ)⁻¹, and every frame adds
+    Hᵀ R⁻¹ H for each camera with a box of the object. H is a central
+    difference of ``tracker.bbox_measurement`` at the true state (the box
+    does not depend on velocity, which is left at 0)."""
+    from mvfuse.filter import POS, SHAPE, VEL, make_motion_model
+    from mvfuse.tracker import bbox_measurement
+
+    model = make_motion_model(config.dt, config.q_pos, config.q_shape)
+    F, Q = model.transition, model.process_noise
+    var = np.empty(9)
+    var[POS], var[VEL], var[SHAPE] = config.init_pos_var, config.init_vel_var, config.init_shape_var
+    h = {cid: bbox_measurement(cam) for cid, cam in cams.items()}
+    steps = eps * np.eye(9)
+    truth = {}
+    for f, oid, p, a in zip(gt.frame.tolist(), gt.object_id.tolist(), gt.position, gt.half_axes):
+        x = np.zeros(9)
+        x[POS], x[SHAPE] = p, np.log(a)
+        truth[f, oid] = x
+    seen = {}  # object -> frame -> cameras with a box of it
+    has = annotations.has_bbox
+    for f, oid, cid in zip(*(c[has].tolist() for c in (
+            annotations.frame, annotations.object_id, annotations.camera_id))):
+        seen.setdefault(oid, {}).setdefault(f, []).append(cid)
+    bound = {}
+    for oid, per in seen.items():
+        info = np.diag(1.0 / var)
+        for f in range(min(per), max(per) + 1):
+            if f > min(per):
+                info = np.linalg.inv(Q + F @ np.linalg.inv(info) @ F.T)
+            x = truth[f, oid]
+            for cid in per.get(f, ()):
+                z = h[cid](np.concatenate([x + steps, x - steps]))
+                H = ((z[:9] - z[9:]) / (2.0 * eps)).T
+                info = info + H.T @ H / config.r_bbox
+            bound[f, oid] = float(np.trace(np.linalg.inv(info)[POS, POS]))
+    return bound
 
 
 def dlt_triangulate(projections, pixels):
@@ -209,16 +257,20 @@ def loop_clear_mot(pred, gt, threshold=1.0):
         free_g = [g for g in gt_here if g not in matches]
         free_p = [p for p in pred_here if p not in taken]
         if free_g and free_p:
-            # Out-of-gate pairs cost more than any set of in-gate pairs.
-            forbidden = threshold * min(len(free_g), len(free_p)) + 1.0
+            # Out-of-gate pairs cost more than any set of in-gate pairs, and
+            # no more than the largest float.
+            forbidden = float(threshold) * min(len(free_g), len(free_p)) + 1.0
+            forbidden = min(forbidden, sys.float_info.max)
             cost = np.empty((len(free_g), len(free_p)))
+            near = np.empty(cost.shape, dtype=bool)
             for i, g in enumerate(free_g):
                 for j, p in enumerate(free_p):
                     d = _dist(gt_here[g], pred_here[p])
-                    cost[i, j] = d if d <= threshold else forbidden
+                    near[i, j] = d <= threshold
+                    cost[i, j] = d if near[i, j] else forbidden
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
-                if cost[i, j] <= threshold:
+                if near[i, j]:
                     matches[free_g[i]] = free_p[j]
                     taken.add(free_p[j])
         fn += len(gt_here) - len(matches)
@@ -333,6 +385,83 @@ def loop_frame_pose_metrics(pred, gt, ap_thresholds=(25.0, 50.0, 100.0, 150.0), 
         num_gt_poses=total_gt,
         num_pred_poses=total_pred,
     )
+
+
+def _frame_bounds(t, frames):
+    lo, hi = (np.searchsorted(t.frame, frames, side).tolist() for side in ("left", "right"))
+    return list(zip(lo, hi))
+
+
+def _frame_distance(a, b):
+    with np.errstate(over="ignore"):
+        d = a - b
+        dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def loop_frame_clear_mot(pred, gt, threshold=1.0):
+    """``mvfuse.metrics.clear_mot`` in its earlier per-frame form: each
+    frame's rows sorted by first-appearance rank, pred ranks mapped to
+    columns through a dict, each frame's free block solved by scipy."""
+
+    def first_appearance(t):
+        _, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(first))[index]
+
+    def by_rank(t, rank, rows):
+        order = np.argsort(rank[rows[0]:rows[1]]) + rows[0]
+        return rank[order].tolist(), t.position[order]
+
+    g_rank, p_rank = first_appearance(gt), first_appearance(pred)
+    frames = np.unique(np.concatenate((gt.frame, pred.frame)))
+    fp = fn = ids = 0
+    last_known = {}
+    for g_rows, p_rows in zip(_frame_bounds(gt, frames), _frame_bounds(pred, frames)):
+        (gi, gv), (pi, pv) = by_rank(gt, g_rank, g_rows), by_rank(pred, p_rank, p_rows)
+        col = {p: j for j, p in enumerate(pi)}
+        kept = [(i, col[last_known[g]]) for i, g in enumerate(gi) if last_known.get(g) in col]
+        matches, taken = {}, set()
+        if kept:
+            d = _frame_distance(gv[[i for i, _ in kept]], pv[[j for _, j in kept]])
+            for (i, j), dij in zip(kept, d.tolist()):
+                if j not in taken and dij <= threshold:
+                    matches[i] = j
+                    taken.add(j)
+        free_g = [i for i in range(len(gi)) if i not in matches]
+        free_p = [j for j in range(len(pi)) if j not in taken]
+        if free_g and free_p:
+            cost = _frame_distance(gv[free_g][:, None], pv[free_p])
+            cost[cost > threshold] = threshold * min(cost.shape) + 1.0
+            rows, cols = linear_sum_assignment(cost)
+            for i, j in zip(rows, cols):
+                if cost[i, j] <= threshold:
+                    matches[free_g[i]] = free_p[j]
+        fn += len(gi) - len(matches)
+        fp += len(pi) - len(matches)
+        for i, j in matches.items():
+            prev = last_known.get(gi[i])
+            if prev is not None and prev != pi[j]:
+                ids += 1
+            last_known[gi[i]] = pi[j]
+    return fp, fn, ids, 100.0 * (1.0 - (fp + fn + ids) / len(gt))
+
+
+def loop_frame_idf1(pred, gt, threshold=1.0):
+    """``mvfuse.metrics.idf1`` in its earlier per-frame form: each frame's
+    distance matrix between the objects present, scattered into the overlap
+    matrix with ``np.ix_``, the trajectory assignment solved by scipy."""
+    if len(pred) == 0:
+        return 0.0
+    frames = np.unique(np.concatenate((gt.frame, pred.frame)))
+    (g_ids, g_obj), (p_ids, p_obj) = (
+        np.unique(t.object_id, return_inverse=True) for t in (gt, pred)
+    )
+    overlap = np.zeros((len(g_ids), len(p_ids)))
+    for (a, b), (c, d) in zip(_frame_bounds(gt, frames), _frame_bounds(pred, frames)):
+        D = _frame_distance(gt.position[a:b, None], pred.position[None, c:d])
+        overlap[np.ix_(g_obj[a:b], p_obj[c:d])] += D <= threshold
+    rows, cols = linear_sum_assignment(-overlap)
+    return 100.0 * 2.0 * overlap[rows, cols].sum() / (len(gt) + len(pred))
 
 
 def loop_frame_ospa2(pred, gt, cutoff=1.0, order=1.0, window=None):

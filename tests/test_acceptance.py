@@ -3,13 +3,16 @@
 Each test is one release gate with its tolerance stated inline; `pytest -v`
 gives one pass/fail line per criterion. The closed-loop scenes are noiseless,
 so the tracker is expected to recover ground truth to filter-convergence
-accuracy, clearly inside each bound.
+accuracy, clearly inside each bound. The noisy scene is held to the
+posterior Cramér–Rao bound, the floor for any filter of it.
 """
 
+import math
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mvfuse import (
     CameraModel,
@@ -29,7 +32,7 @@ from mvfuse import (
 )
 from mvfuse.filter import ukf_update
 
-from oracles import ClosedFormKF, random_camera, random_spd, sampled_bbox
+from oracles import ClosedFormKF, posterior_crb, random_camera, random_spd, sampled_bbox
 from test_metrics import _random_trackset, _still, _table
 
 
@@ -73,6 +76,33 @@ def test_criterion_2_closed_loop_pose():
     assert res.mpjpe <= 10.0
     assert res.ap[25.0] >= 99.0
     assert res.recall == 100.0
+
+
+# Filtered RMSE over the bound measured 0.952 at 1 px and 0.945 at 3 px;
+# it can sit below 1 because the birth mean comes from the birth frame's
+# boxes, which the bound's prior does not know. 1.1 leaves about 15 % for
+# a different noise draw (another numpy) before a real loss shows.
+_CRB_RATIO = 1.1
+
+
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+def test_noisy_box_fusion_is_near_its_cramer_rao_bound(sigma):
+    # 6 objects, 4 cameras, 120 frames with sigma px box noise, fused with
+    # r_bbox = sigma^2: position RMSE over every tracked row <= 1.1 x the
+    # root of the mean posterior Cramér–Rao bound over the same rows.
+    spec = SceneSpec(seed=3, num_objects=6, num_cameras=4, frames=120, fps=10.0,
+                     pixel_noise=sigma)
+    bundle, gt = generate(spec)
+    config = RunConfig(dt=0.1, r_bbox=sigma ** 2)
+    tracks = run_all(bundle.annotations, bundle.calibration, config)
+    bound = posterior_crb(bundle.annotations, bundle.calibration, gt, config)
+    truth = {(f, oid): p for f, oid, p in zip(gt.frame.tolist(), gt.object_id.tolist(), gt.position)}
+    keys = list(zip(tracks.frame.tolist(), tracks.object_id.tolist()))
+    assert len(keys) == len(bound) == len(gt)
+    rmse = math.sqrt(np.mean([np.sum((p - truth[k]) ** 2) for k, p in zip(keys, tracks.position)]))
+    floor = math.sqrt(np.mean([bound[k] for k in keys]))
+    print(f"RMSE={100 * rmse:.3f}cm bound={100 * floor:.3f}cm ratio={rmse / floor:.3f}")
+    assert rmse <= _CRB_RATIO * floor
 
 
 def test_criterion_3_ukf_matches_closed_form():

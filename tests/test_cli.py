@@ -591,6 +591,20 @@ class TestEvaluate:
         else:
             assert report["pose"]["recall"] < 100.0
 
+    def test_huge_gate_with_overflowing_distances_is_scored(self, tmp_path, capsys):
+        # Every distance overflows, so no pair is in the gate; the cost that
+        # keeps out-of-gate pairs apart would be threshold * 2 + 1 = inf.
+        for kind, x in (("gt", 1e200), ("pred", -1e200)):
+            (tmp_path / f"{kind}.jsonl").write_text("".join(
+                json.dumps({"frame": 0, "object_id": oid, "position": [x, y, 0.0]}) + "\n"
+                for oid, y in ((1, 0.0), (2, 1.0))
+            ))
+        argv = ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
+                "--gt", str(tmp_path / "gt.jsonl"), "--threshold", "1e308"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["fp"], report["fn"], report["ids"], report["mota"]) == (2, 2, 0, -100.0)
+
     def test_invalid_flag_override_is_exit_2(self, scene_dir, fused_tracks, capsys):
         # flags must hit the same validation as config-file values
         rc = main(

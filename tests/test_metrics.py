@@ -5,6 +5,7 @@ the one-pair-at-a-time reference implementations in ``oracles``."""
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from mvfuse.metrics import _bottleneck, _distance, linear_sum_assignment
 
 from oracles import (
     loop_clear_mot,
+    loop_frame_clear_mot,
+    loop_frame_idf1,
     loop_frame_pose_metrics,
     loop_frame_ospa2,
     loop_idf1,
@@ -131,6 +134,16 @@ class TestClearMot:
         res = clear_mot(pred, gt)
         assert (res.fp, res.fn, res.ids, res.mota) == (1, 1, 0, 50.0)
         assert tuple(res) == loop_clear_mot(pred, gt)
+
+    def test_huge_gate_never_matches_an_overflowing_distance(self):
+        # Every distance overflows to inf, beyond even the largest gate; the
+        # out-of-gate cost stays finite, with no overflow warning for a numpy
+        # gate either, so the assignment still runs.
+        gt = _table({1: _still([0], (1e200, 0, 0)), 2: _still([0], (1e200, 1, 0))})
+        pred = _table({1: _still([0], (-1e200, 0, 0)), 2: _still([0], (-1e200, 1, 0))})
+        for threshold in (1e308, np.float64(1e308), sys.float_info.max):
+            res = clear_mot(pred, gt, threshold)
+            assert tuple(res) == (2, 2, 0, -100.0) == loop_clear_mot(pred, gt, threshold)
 
 
 class TestIdf1:
@@ -809,7 +822,7 @@ def test_ospa2_over_several_blocks_matches_the_per_frame_form():
     # 24 x 20 pairs: 546 frames to a block, so 1,200 frames take three.
     rng = np.random.default_rng(41)
     pred, gt = _many_tracks(rng, 24, 20, 1200)
-    assert metrics._OSPA_BLOCK // (24 * 20) < 1200 // 2
+    assert metrics._BLOCK_BUDGET // (24 * 20) < 1200 // 2
     for window in (None, 700):
         for order in (1, 2):
             expected = loop_frame_ospa2(pred, gt, cutoff=0.7, order=order, window=window)
@@ -820,7 +833,7 @@ def test_ospa2_with_more_pairs_than_the_block_budget_matches_the_per_frame_form(
     # 600 x 440 pairs exceed the budget: each block is one frame.
     rng = np.random.default_rng(43)
     pred, gt = _many_tracks(rng, 600, 440, 3)
-    assert 600 * 440 > metrics._OSPA_BLOCK
+    assert 600 * 440 > metrics._BLOCK_BUDGET
     assert ospa2(pred, gt).hex() == loop_frame_ospa2(pred, gt).hex()
 
 
@@ -829,5 +842,41 @@ def test_ospa2_is_the_same_for_every_block_size(monkeypatch, budget):
     rng = np.random.default_rng(47)
     scenes = [_random_scene(rng, 1.0, frames=30) for _ in range(6)]
     expected = [ospa2(p, g, order=2, window=w).hex() for p, g in scenes for w in (None, 5)]
-    monkeypatch.setattr(metrics, "_OSPA_BLOCK", budget)
+    monkeypatch.setattr(metrics, "_BLOCK_BUDGET", budget)
     assert [ospa2(p, g, order=2, window=w).hex() for p, g in scenes for w in (None, 5)] == expected
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 50])
+def test_clear_mot_and_idf1_match_the_per_frame_form_bit_for_bit(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BUDGET", budget)
+    rng = np.random.default_rng(53)
+    for trial in range(30):
+        threshold = (0.5, 1.0)[trial % 2]
+        pred, gt = _random_scene(rng, threshold, frames=40)
+        for p, g in ((pred, gt), (_flat(pred), _flat(gt))):
+            assert tuple(clear_mot(p, g, threshold)) == loop_frame_clear_mot(p, g, threshold)
+            assert idf1(p, g, threshold).hex() == loop_frame_idf1(p, g, threshold).hex()
+
+
+def test_kept_match_and_id_switch_across_a_block_boundary(monkeypatch):
+    # 2 gt x 3 pred objects and a budget of 12: frames 0-1 and 2-3 are two
+    # blocks. gt 1 keeps pred 10 into frame 2 although pred 12 is nearer, so
+    # gt 2 switches from pred 11 to pred 12 there: one switch, not the two
+    # a fresh assignment at frame 2 would count.
+    a = np.array
+    gt = _table({
+        1: _still(range(4), (0, 0, 0)),
+        2: {0: a([5.0, 0, 0]), 1: a([5.0, 0, 0]), 2: a([0.5, 0, 0]), 3: a([0.5, 0, 0])},
+    })
+    pred = _table({
+        10: {0: a([0.0, 0, 0]), 1: a([0.0, 0, 0]), 2: a([0.375, 0, 0]), 3: a([0.375, 0, 0])},
+        11: _still([0, 1], (5, 0, 0)),
+        12: _still([2, 3], (0.125, 0, 0)),
+    })
+    monkeypatch.setattr(metrics, "_BLOCK_BUDGET", 12)
+    assert metrics._BLOCK_BUDGET // (2 * 3) == 2
+    res = clear_mot(pred, gt)
+    assert (res.fp, res.fn, res.ids, res.mota) == (0, 0, 1, 87.5)
+    assert tuple(res) == loop_frame_clear_mot(pred, gt) == loop_clear_mot(pred, gt)
+    assert idf1(pred, gt) == loop_frame_idf1(pred, gt) == loop_idf1(pred, gt) == 75.0
