@@ -5,14 +5,18 @@ are percentages; MPJPE and the pose thresholds are in millimeters. Euclidean
 distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
 ground plane only).
 
-Every metric is defined frame by frame. CLEAR MOT, IDF1 and OSPA(2) read
-positions in one layout (:func:`_frame_blocks`): per block of B consecutive
-frames, one (B, count, 3) array per track table, NaN where an object has no
-row, B the largest with B*n*m <= ``_BLOCK_BUDGET`` for n gt and m predicted
-objects. IDF1 and OSPA(2) take the (B, n, m) distances of every pair and add
-their in-gate hits, or their cut-off terms, into per-pair sums; CLEAR MOT
-only those of the pairs it tests: each object's last match, then the free
-objects it assigns. Pose metrics find each frame's rows with ``searchsorted``.
+Every metric is defined frame by frame. A track table is sorted by (frame,
+object id), so each frame's objects are one block of rows, found with
+``searchsorted``. IDF1 pairs every gt row with the pred rows of its frame,
+about ``_BLOCK_BUDGET`` pairs at a time, and adds their in-gate hits into a
+trajectory overlap matrix; pose metrics take one MPJPE matrix per frame;
+CLEAR MOT the distances of the pairs it tests: each object's last match,
+then the free objects it assigns. OSPA(2) works on blocks of B consecutive
+frames, B the largest with B*n*m <= ``_BLOCK_BUDGET`` entries (one frame when
+n*m alone exceeds it): one (B, n, m) distance array per block, NaN where a
+track has no row, whose cut-off terms are added into per-pair sums frame by
+frame, so each sum is the per-frame one exactly. Working memory stays per
+frame, or per bounded block.
 
 Distances are ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order. Pose
 metrics take the (x, y, z) coordinate planes of the poses once, so each
@@ -190,54 +194,22 @@ def _bounds(frame: np.ndarray, frames: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-class _ObjectRows(NamedTuple):
-    """The rows ``start:`` of ``table``, with the number 0 <= index < count
-    of each row's object."""
-
-    table: TrackTable
-    start: int
-    count: int
-    index: np.ndarray
-
-
-def _scored_rows(t: TrackTable, frames: np.ndarray) -> _ObjectRows:
+def _scored_rows(t: TrackTable, frames: np.ndarray) -> tuple[int, int, np.ndarray]:
     """The rows of ``t`` from ``frames[0]`` on (``frames`` ascending, and
-    every frame of ``t`` from ``frames[0]`` on), objects numbered by id."""
+    every frame of ``t`` from ``frames[0]`` on): the first of them, the
+    number of their objects, and each one's object among their sorted ids."""
     start = int(np.searchsorted(t.frame, frames[0])) if frames.size else len(t)
     ids, index = np.unique(t.object_id[start:], return_inverse=True)
-    return _ObjectRows(t, start, len(ids), index)
+    return start, len(ids), index
 
 
-def _first_appearance(t: TrackTable) -> _ObjectRows:
-    """Every row of ``t``, each object numbered by its rank in order of
-    first appearance: by frame, then id."""
-    ids, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
-    return _ObjectRows(t, 0, len(ids), np.argsort(np.argsort(first))[index])
-
-
-# The most entries of a block's (B, n, m) arrays: B frames take one
-# vectorized step, and working memory stays bounded however long the scene.
-_BLOCK_BUDGET = 1 << 18
-
-
-def _frame_blocks(frames: np.ndarray, gt: _ObjectRows, pred: _ObjectRows):
-    """Per block of B consecutive ``frames``, the (B, n, 3) positions of the
-    ``gt`` objects and the (B, m, 3) positions of the ``pred`` objects, NaN
-    where an object has no row (positions are finite). B is the largest
-    with B*n*m <= ``_BLOCK_BUDGET`` (a count of 0 taken as 1), or 1 when
-    n*m alone exceeds it."""
-    size = max(1, _BLOCK_BUDGET // (max(gt.count, 1) * max(pred.count, 1)))
-    rows = [(np.searchsorted(frames, r.table.frame[r.start:]), r.table.position[r.start:], r)
-            for r in (gt, pred)]
-    for k in range(0, len(frames), size):
-        stop = min(k + size, len(frames))
-        blocks = []
-        for at, pos, r in rows:
-            a, b = np.searchsorted(at, (k, stop)).tolist()
-            block = np.full((stop - k, r.count, 3), np.nan)
-            block[at[a:b] - k, r.index[a:b]] = pos[a:b]
-            blocks.append(block)
-        yield blocks
+def _first_appearance(t: TrackTable) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``t`` sorted by frame, then by object rank in order of
+    first appearance (by frame, then id): each row's rank and position."""
+    _, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[index]
+    order = np.lexsort((rank, t.frame))
+    return rank[order], t.position[order]
 
 
 def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> ClearMotResult:
@@ -264,45 +236,53 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
     if total_gt == 0:
         raise EmptyGroundTruth("ground truth has no detections")
 
-    # Objects are numbered by first appearance, so each frame's present
-    # objects come out of the blocks in tie-break order.
     frames = _unique(np.concatenate((gt.frame, pred.frame)))
+    # Each frame's rows in tie-break order; g_at, p_at: its positions by rank.
+    (g_rank, g_pos), (p_rank, p_pos) = _first_appearance(gt), _first_appearance(pred)
+    g_at, p_at = np.empty_like(g_pos), np.empty_like(p_pos)
     fp = fn = ids = 0
     last_known: dict[int, int] = {}  # gt object -> pred object
-    for G, P in _frame_blocks(frames, _first_appearance(gt), _first_appearance(pred)):
-        for g_at, p_at, g_here, p_here in zip(G, P, ~np.isnan(G[..., 0]), ~np.isnan(P[..., 0])):
-            gi, pi = np.flatnonzero(g_here).tolist(), np.flatnonzero(p_here).tolist()
-            present = set(pi)
-            # Distances of the pairs tested only: last matches, then the free block.
-            kept = [(g, last_known[g]) for g in gi if last_known.get(g) in present]
-            matches, taken = {}, set()  # gt object -> pred object; pred objects matched
-            if kept:
-                kg, kp = zip(*kept)
-                for g, p, d in zip(kg, kp, _distance(g_at[list(kg)], p_at[list(kp)]).tolist()):
-                    if p not in taken and d <= threshold:
-                        matches[g] = p
-                        taken.add(p)
-            free_g = [g for g in gi if g not in matches]
-            free_p = [p for p in pi if p not in taken]
-            if free_g and free_p:
-                d = _distance(g_at[free_g][:, None], p_at[free_p])
-                near = d <= threshold
-                # Above any in-gate total (so the most in-gate pairs match, then
-                # by distance exactly), yet finite however wide the gate.
-                far = min(float(threshold) * min(d.shape) + 1.0, sys.float_info.max)
-                rows, cols = linear_sum_assignment(np.where(near, d, far))
-                for i, j in zip(rows.tolist(), cols.tolist()):
-                    if near[i, j]:
-                        matches[free_g[i]] = free_p[j]
-            fn += len(gi) - len(matches)
-            fp += len(pi) - len(matches)
-            for g, p in matches.items():
-                prev = last_known.get(g)
-                if prev is not None and prev != p:
-                    ids += 1
-                last_known[g] = p
+    for (ga, gb), (pa, pb) in zip(_bounds(gt.frame, frames), _bounds(pred.frame, frames)):
+        gi, pi = g_rank[ga:gb].tolist(), p_rank[pa:pb].tolist()
+        g_at[g_rank[ga:gb]], p_at[p_rank[pa:pb]] = g_pos[ga:gb], p_pos[pa:pb]
+        present = set(pi)
+        # Distances of the pairs tested only: last matches, then the free block.
+        kept = [(g, last_known[g]) for g in gi if last_known.get(g) in present]
+        matches, taken = {}, set()  # gt object -> pred object; pred objects matched
+        if kept:
+            kg, kp = zip(*kept)
+            for g, p, d in zip(kg, kp, _distance(g_at[list(kg)], p_at[list(kp)]).tolist()):
+                if p not in taken and d <= threshold:
+                    matches[g] = p
+                    taken.add(p)
+        free_g = [g for g in gi if g not in matches]
+        free_p = [p for p in pi if p not in taken]
+        if free_g and free_p:
+            d = _distance(g_at[free_g][:, None], p_at[free_p])
+            near = d <= threshold
+            # Above any finite in-gate total (the most in-gate pairs match, then
+            # by distance); capped at the largest float, which an in-gate
+            # distance may tie.
+            far = float(threshold) * min(d.shape)
+            far = min(max(far + 1.0, np.nextafter(far, np.inf)), sys.float_info.max)
+            rows, cols = linear_sum_assignment(np.where(near, d, far))
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                if near[i, j]:
+                    matches[free_g[i]] = free_p[j]
+        fn += len(gi) - len(matches)
+        fp += len(pi) - len(matches)
+        for g, p in matches.items():
+            prev = last_known.get(g)
+            if prev is not None and prev != p:
+                ids += 1
+            last_known[g] = p
     mota = 100.0 * (1.0 - (fp + fn + ids) / total_gt)
     return ClearMotResult(fp=fp, fn=fn, ids=ids, mota=mota)
+
+
+# The most entries of one vectorized step: pairs in idf1, a block's (B, n, m)
+# arrays in ospa2. Working memory stays bounded however long the scene.
+_BLOCK_BUDGET = 1 << 18
 
 
 def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
@@ -311,8 +291,6 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
 
     With IDTP the total coinciding frames under the best one-to-one
     trajectory assignment, IDF1 = 100 * 2 IDTP / (total GT + total pred).
-    Every gt x pred pair's distance is taken in every frame, as in
-    :func:`ospa2`: O(frames * n * m) work for n gt and m predicted objects.
 
     Raises
     ------
@@ -325,11 +303,22 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     if total_pred == 0:
         return 0.0
 
-    frames = _unique(np.concatenate((gt.frame, pred.frame)))
-    g, p = _scored_rows(gt, frames), _scored_rows(pred, frames)
-    overlap = np.zeros((g.count, p.count))
-    for G, P in _frame_blocks(frames, g, p):
-        overlap += (_distance(G[:, :, None], P[:, None]) <= threshold).sum(axis=0)
+    (g_ids, g_obj), (p_ids, p_obj) = (np.unique(t.object_id, return_inverse=True)
+                                       for t in (gt, pred))
+    n, m = len(g_ids), len(p_ids)
+    # Each gt row pairs with the pred rows lo:hi of its frame. The pairs are
+    # numbered in row order, and a pair's number plus hi - end of its gt row
+    # is its pred row. Runs of rows take about _BLOCK_BUDGET pairs at a time.
+    lo, hi = (np.searchsorted(pred.frame, gt.frame, side) for side in ("left", "right"))
+    end = np.cumsum(hi - lo)
+    runs = np.searchsorted(end, np.arange(0, end[-1], _BLOCK_BUDGET), "right").tolist()
+    overlap = np.zeros(n * m)
+    for a, b in zip(runs, runs[1:] + [len(gt)]):
+        row = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
+        col = np.arange(len(row)) + (end[a] - hi[a] + lo[a]) + (hi - end)[row]
+        hit = _distance(gt.position.take(row, axis=0), pred.position.take(col, axis=0)) <= threshold
+        overlap += np.bincount(g_obj[row[hit]] * m + p_obj[col[hit]], minlength=n * m)
+    overlap = overlap.reshape(n, m)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     return 100.0 * 2.0 * idtp / (total_gt + total_pred)
@@ -381,18 +370,31 @@ def ospa2(
             raise ValueError(f"window must be >= 1, got {window}")
         frames = frames[-window:]
 
-    g_rows, p_rows = _scored_rows(gt, frames), _scored_rows(pred, frames)
-    n, m = g_rows.count, p_rows.count
+    (g0, n, g_obj), (p0, m, p_obj) = _scored_rows(gt, frames), _scored_rows(pred, frames)
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
 
+    size = max(1, _BLOCK_BUDGET // (n * m))  # frames to a block
+
+    def positions(t: TrackTable, start: int, count: int, index: np.ndarray):
+        """Per block of frames, the (B, count, 3) positions of the objects,
+        NaN where an object has no row (positions are finite)."""
+        at = np.searchsorted(frames, t.frame[start:])
+        pos = t.position[start:]
+        for k in range(0, len(frames), size):
+            stop = min(k + size, len(frames))
+            a, b = np.searchsorted(at, (k, stop)).tolist()
+            block = np.full((stop - k, count, 3), np.nan)
+            block[at[a:b] - k, index[a:b]] = pos[a:b]
+            yield block
+
     # Each pair's sum takes its terms in frame order (adding 0.0 where neither
     # track exists changes nothing), so it is the frame-by-frame sum exactly.
     total = np.zeros((n, m))
     seen = np.zeros((n, m), dtype=np.int64)
-    for G, P in _frame_blocks(frames, g_rows, p_rows):
+    for G, P in zip(positions(gt, g0, n, g_obj), positions(pred, p0, m, p_obj)):
         g, p = ~np.isnan(G[:, :, None, 0]), ~np.isnan(P[:, None, :, 0])
         either = g | p
         step = np.where(

@@ -109,8 +109,11 @@ class ClosedFormKF:
 def posterior_crb(annotations, cams, gt, config, eps=1e-6):
     """The posterior Cramér–Rao bound of box fusion on a synthetic scene
     (Tichavský, Muravchik & Nehorai, IEEE TSP 1998): ``{(frame, object id):
-    trace of the position block of J⁻¹}``, a floor on the mean-square 3D
-    position error (m²) of any filter of each tracked row.
+    trace of the position block of J⁻¹}``, the floor on the mean-square 3D
+    position error (m²) of each tracked row for a filter whose prior is the
+    birth covariance around the truth. The tracker's birth mean comes from
+    the birth frame's boxes, which it then fuses again, so its error can sit
+    below this bound: a gate on it is a regression check in its units.
 
     Each object starts at its first frame with a box, with J₀ the inverse of
     the birth covariance; the motion model is linear with additive noise,

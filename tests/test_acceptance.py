@@ -3,8 +3,9 @@
 Each test is one release gate with its tolerance stated inline; `pytest -v`
 gives one pass/fail line per criterion. The closed-loop scenes are noiseless,
 so the tracker is expected to recover ground truth to filter-convergence
-accuracy, clearly inside each bound. The noisy scene is held to the
-posterior Cramér–Rao bound, the floor for any filter of it.
+accuracy, clearly inside each bound. The noisy scene is held near its
+posterior Cramér–Rao bound: a regression gate measured in units of the
+bound, not a floor the tracker must stay above.
 """
 
 import math
@@ -78,10 +79,13 @@ def test_criterion_2_closed_loop_pose():
     assert res.recall == 100.0
 
 
-# Filtered RMSE over the bound measured 0.952 at 1 px and 0.945 at 3 px;
-# it can sit below 1 because the birth mean comes from the birth frame's
-# boxes, which the bound's prior does not know. 1.1 leaves about 15 % for
-# a different noise draw (another numpy) before a real loss shows.
+# Filtered RMSE over the bound measured 0.952 at 1 px and 0.945 at 3 px.
+# The bound is no floor here: its prior is the birth covariance around the
+# truth, while the tracker takes its birth mean from the birth frame's
+# boxes and then fuses those boxes again. So this gate catches a loss of
+# accuracy in units of the bound; it does not prove the filter efficient
+# (an r_bbox 10x off moves the ratio only to 0.93-0.97). 1.1 leaves about
+# 15 % for a different noise draw (another numpy) before a real loss shows.
 _CRB_RATIO = 1.1
 
 

@@ -135,6 +135,17 @@ class TestClearMot:
         assert (res.fp, res.fn, res.ids, res.mota) == (1, 1, 0, 50.0)
         assert tuple(res) == loop_clear_mot(pred, gt)
 
+    def test_gate_past_two_to_the_53_never_matches_an_out_of_gate_pair(self):
+        # At a 1e16 gate, 1e16 + 1.0 rounds to 1e16: the earlier out-of-gate
+        # cost passed its "cost <= threshold" test, and a pair 2e16 apart
+        # was matched. Whether a pair is in the gate is now its distance's
+        # test alone.
+        gt = _table({1: _still([0], (0, 0, 0))})
+        pred = _table({1: _still([0], (2e16, 0, 0))})
+        res = clear_mot(pred, gt, 1e16)
+        assert tuple(res) == (1, 1, 0, -100.0) == loop_clear_mot(pred, gt, 1e16)
+        assert loop_frame_clear_mot(pred, gt, 1e16) == (0, 0, 0, 100.0)
+
     def test_huge_gate_never_matches_an_overflowing_distance(self):
         # Every distance overflows to inf, beyond even the largest gate; the
         # out-of-gate cost stays finite, with no overflow warning for a numpy
@@ -859,11 +870,24 @@ def test_clear_mot_and_idf1_match_the_per_frame_form_bit_for_bit(monkeypatch, bu
             assert idf1(p, g, threshold).hex() == loop_frame_idf1(p, g, threshold).hex()
 
 
-def test_kept_match_and_id_switch_across_a_block_boundary(monkeypatch):
-    # 2 gt x 3 pred objects and a budget of 12: frames 0-1 and 2-3 are two
-    # blocks. gt 1 keeps pred 10 into frame 2 although pred 12 is nearer, so
-    # gt 2 switches from pred 11 to pred 12 there: one switch, not the two
-    # a fresh assignment at frame 2 would count.
+def _distance_sizes(monkeypatch):
+    """The number of distances of each ``metrics._distance`` call, as made."""
+    sizes, distance = [], metrics._distance
+
+    def counted(a, b):
+        d = distance(a, b)
+        sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(metrics, "_distance", counted)
+    return sizes
+
+
+def test_kept_match_and_id_switch_across_a_run_boundary(monkeypatch):
+    # 2 gt x 2 pred objects in each of 4 frames: 16 pairs, which a budget of
+    # 8 splits into idf1 runs of frames 0-1 and 2-3. gt 1 keeps pred 10 into
+    # frame 2 although pred 12 is nearer, so gt 2 switches from pred 11 to
+    # pred 12 there: one switch, not the two a fresh assignment would count.
     a = np.array
     gt = _table({
         1: _still(range(4), (0, 0, 0)),
@@ -874,9 +898,28 @@ def test_kept_match_and_id_switch_across_a_block_boundary(monkeypatch):
         11: _still([0, 1], (5, 0, 0)),
         12: _still([2, 3], (0.125, 0, 0)),
     })
-    monkeypatch.setattr(metrics, "_BLOCK_BUDGET", 12)
-    assert metrics._BLOCK_BUDGET // (2 * 3) == 2
+    monkeypatch.setattr(metrics, "_BLOCK_BUDGET", 8)
     res = clear_mot(pred, gt)
     assert (res.fp, res.fn, res.ids, res.mota) == (0, 0, 1, 87.5)
     assert tuple(res) == loop_frame_clear_mot(pred, gt) == loop_clear_mot(pred, gt)
+    sizes = _distance_sizes(monkeypatch)
     assert idf1(pred, gt) == loop_frame_idf1(pred, gt) == loop_idf1(pred, gt) == 75.0
+    assert sizes == [8, 8]
+
+
+def test_idf1_and_clear_mot_take_only_pairs_that_share_a_frame(monkeypatch):
+    # 200 gt objects over 1,000 frames, each alive for 20 of them (4 at a
+    # time), and a prediction 0.1 m off each: idf1 takes the distances of
+    # exactly the pairs that share a frame, and clear_mot no more, however
+    # many objects the scene holds in all.
+    rows = sorted((f, o) for o in range(200) for f in range(5 * o, 5 * o + 20))
+    frame, oid = (np.array(c) for c in zip(*rows))
+    at = np.column_stack([3.0 * oid, np.zeros(len(oid)), np.zeros(len(oid))])
+    gt, pred = TrackTable(frame, oid, at), TrackTable(frame, oid, at + 0.1)
+    shared = int((np.unique(frame, return_counts=True)[1] ** 2).sum())
+    sizes = _distance_sizes(monkeypatch)
+    assert idf1(pred, gt) == loop_frame_idf1(pred, gt) == 100.0
+    assert sum(sizes) == shared
+    sizes.clear()
+    assert tuple(clear_mot(pred, gt)) == loop_frame_clear_mot(pred, gt) == (0, 0, 0, 100.0)
+    assert sum(sizes) <= shared
