@@ -34,8 +34,8 @@ _EXPORTS = {
         ),
         "io": (
             "RunConfig", "SceneBundle", "load_annotations", "load_calibration",
-            "load_config", "load_scene", "load_skeleton", "load_tracks",
-            "save_annotations", "save_calibration", "save_config", "save_tracks",
+            "load_scene", "load_skeleton", "load_tracks", "save_annotations",
+            "save_calibration", "save_config", "save_tracks",
         ),
         "metrics": (
             "ClearMotResult", "MetricReport", "PoseMetrics", "clear_mot",

@@ -27,7 +27,7 @@ class DegenerateHomography(GeometryError):
 
 
 class PointAtInfinity(GeometryError):
-    """Back-projected ray is parallel to the ground plane."""
+    """Back-projected ray is parallel to the ground plane, or a projection overflows."""
 
 
 class DegenerateConic(GeometryError):

@@ -15,6 +15,7 @@ modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,37 +89,34 @@ class CameraModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "image_size", (int(w), int(h)))
+        if not np.isfinite(self.projection_matrix).all():
+            raise ValueError("projection matrix K [R | t] overflows")
 
-    @property
+    @cached_property
     def projection_matrix(self) -> np.ndarray:
-        """3x4 projection ``P = K [R | t]`` (cached)."""
-        P = self.__dict__.get("_P")
-        if P is None:
+        """3x4 projection ``P = K [R | t]``, cached read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in __post_init__
             P = self.intrinsics @ np.hstack(
                 [self.rotation, self.translation[:, None]]
             )
-            P.setflags(write=False)
-            self.__dict__["_P"] = P
+        P.setflags(write=False)
         return P
 
-    @property
+    @cached_property
     def _kernel_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The projection kernels' per-camera constants, built on first use
         and cached read-only, as columns that broadcast over (3, N)
         coordinate planes: the columns of ``M`` (3, 3, 1) and ``p`` (3, 1)
         (``P = [M | p]``), and the columns of ``M[_ROWS] * M[_COLS]``
         (3, 6, 1), the weights of a², b² and c² in the outline conic."""
-        consts = self.__dict__.get("_consts")
-        if consts is None:
-            P = self.projection_matrix
-            M = P[:, :3]
-            Q = M[_ROWS] * M[_COLS]
-            consts = tuple(
-                np.ascontiguousarray(a) for a in (M.T[:, :, None], P[:, 3:], Q.T[:, :, None])
-            )
-            for a in consts:
-                a.setflags(write=False)
-            self.__dict__["_consts"] = consts
+        P = self.projection_matrix
+        M = P[:, :3]
+        Q = M[_ROWS] * M[_COLS]
+        consts = tuple(
+            np.ascontiguousarray(a) for a in (M.T[:, :, None], P[:, 3:], Q.T[:, :, None])
+        )
+        for a in consts:
+            a.setflags(write=False)
         return consts
 
 
@@ -165,11 +163,13 @@ def _linear(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def in_front(cam: CameraModel, points) -> np.ndarray:
     """Mask (...,) of the world points (..., 3) whose camera-frame depth
-    exceeds 1e-9: exactly the finite points :func:`project_point` accepts."""
+    exceeds 1e-9 and does not overflow: the finite points :func:`project_point`
+    accepts, but for those whose pixel overflows."""
     X = _as_rows(points, "points")
     M_cols, p, _ = cam._kernel_constants
-    depth = (_linear(X, M_cols[:, 2:]) + p[2:])[0]
-    return depth.reshape(X.shape[:-1]) > _DEPTH_EPS
+    with np.errstate(over="ignore"):  # an overflowed depth is not in front
+        depth = (_linear(X, M_cols[:, 2:]) + p[2:])[0]
+    return ((depth > _DEPTH_EPS) & (depth < np.inf)).reshape(X.shape[:-1])
 
 
 def project_point(cam: CameraModel, points) -> np.ndarray:
@@ -181,23 +181,27 @@ def project_point(cam: CameraModel, points) -> np.ndarray:
         If a point is not finite.
     NonPositiveDepth
         If any point's camera-frame depth is <= 1e-9.
+    PointAtInfinity
+        If a point's depth or pixel overflows.
     """
     X = _as_rows(points, "points")
     shape = X.shape[:-1]
     M_cols, p, _ = cam._kernel_constants
-    uvw = _linear(X, M_cols) + p
+    with np.errstate(all="ignore"):  # a bad depth or an overflow is refused below
+        uvw = _linear(X, M_cols) + p
+        uv = np.empty((uvw.shape[1], 2))
+        np.divide(uvw[:2], uvw[2], out=uv.T)
     depth = uvw[2]
-    if not ((depth > _DEPTH_EPS) & (depth < np.inf)).all():
+    if not (((depth > _DEPTH_EPS) & (depth < np.inf)).all() and np.isfinite(uv).all()):
         _check_finite("point", X)
+        ok = (depth > _DEPTH_EPS) & (depth < np.inf) & np.isfinite(uv).all(axis=1)
         depth = depth.reshape(shape)
-        bad = depth <= _DEPTH_EPS
-        if bad.any():
-            i, where = _first_bad(bad)
+        i, where = _first_bad(~ok.reshape(shape))
+        if not depth[i] > _DEPTH_EPS:
             raise NonPositiveDepth(
                 f"depth {depth[i]:.3e} for point {X[i].tolist()}{where}"
             )
-    uv = np.empty((uvw.shape[1], 2))
-    np.divide(uvw[:2], uvw[2], out=uv.T)
+        raise PointAtInfinity(f"point {X[i].tolist()} projects out of range{where}")
     return uv.reshape(shape + (2,))
 
 
@@ -285,37 +289,34 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
         X, half = np.broadcast_arrays(X, half)
     shape = X.shape[:-1]
     M_cols, p, Q_cols = cam._kernel_constants
-    w = _linear(X, M_cols) + p
-    if not (w[2] > _DEPTH_EPS).all():
-        _check_finite("center and half-axes", X, half)
-        depth = w[2].reshape(shape)
-        bad = depth <= _DEPTH_EPS
-        if bad.any():
-            i, where = _first_bad(bad)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test below
+        w = _linear(X, M_cols) + p
+        if not (w[2] > _DEPTH_EPS).all():
+            _check_finite("center and half-axes", X, half)
+            depth = w[2].reshape(shape)
+            i, where = _first_bad(~(depth > _DEPTH_EPS))
             raise NonPositiveDepth(f"ellipsoid center depth {depth[i]:.3e}{where}")
 
-    # The six conic entries (6, N) in _ROWS/_COLS order; C22 is entry 4.
-    C = _linear(half * half, Q_cols) - w[_ROWS] * w[_COLS]
-    absC = np.abs(C)
-    # |C22| >= 1e-12 max(1, max |C|) over the whole stack implies it per row.
-    if not (absC[4] >= _HOMOG_EPS * absC.max(initial=1.0)).all():
-        _check_finite("center and half-axes", X, half)
-        bad = absC[4] < _HOMOG_EPS * np.maximum(1.0, absC.max(axis=0))
-        if bad.any():
-            _, where = _first_bad(bad.reshape(shape))
-            raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
-    ratio = C[:4] / C[4]
-    center_uv = ratio[2:]
-    disc = center_uv * center_uv - ratio[:2]
+        # The six conic entries (6, N) in _ROWS/_COLS order; C22 is entry 4.
+        C = _linear(half * half, Q_cols) - w[_ROWS] * w[_COLS]
+        absC = np.abs(C)
+        # |C22| >= 1e-12 max(1, max |C|) over the whole stack implies it per row.
+        if not (absC[4] >= _HOMOG_EPS * absC.max(initial=1.0)).all():
+            _check_finite("center and half-axes", X, half)
+            bad = ~(absC[4] >= _HOMOG_EPS * np.maximum(1.0, absC.max(axis=0)))
+            if bad.any():
+                _, where = _first_bad(bad.reshape(shape))
+                raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+        ratio = C[:4] / C[4]
+        center_uv = ratio[2:]
+        disc = center_uv * center_uv - ratio[:2]
     if not (disc > 0).all():
         _check_finite("center and half-axes", X, half)
-        bad = (disc <= 0).any(axis=0)
-        if bad.any():
-            i, where = _first_bad(bad.reshape(shape))
-            disc = disc.T.reshape(shape + (2,))
-            raise DegenerateConic(
-                f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
-            )
+        i, where = _first_bad(~(disc > 0).all(axis=0).reshape(shape))
+        disc = disc.T.reshape(shape + (2,))
+        raise DegenerateConic(
+            f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
+        )
     r = np.sqrt(disc)
     box = np.empty((r.shape[1], 4))
     np.subtract(center_uv, r, out=box.T[:2])

@@ -24,11 +24,12 @@ and the order of faults; a clean chunk has none to give. The collector is
 paused during a read, since decoded records form no reference cycles.
 
 Both run on orjson and keep ``json``'s text and errors. The writer gives the
-bytes of ``json.dumps(record, separators=(",", ":"))``: a float is written
-as its shortest round-trip repr. The reader decodes a line with orjson, and
-a line orjson refuses (``NaN``, ``Infinity``, ``1e400``, a lone surrogate, a
-syntax error) with ``json.loads``, the reference, which reads it or raises
-its own error for it.
+bytes of ``json.dumps(record, separators=(",", ":"))``: a float is its
+shortest round-trip repr, and a row with a float that orjson writes unlike
+repr (magnitude in [1e-9, 1e-4) or >= 1e16) is written by ``json.dumps``. The
+reader decodes a line with orjson, and a line orjson refuses (``NaN``,
+``Infinity``, ``1e400``, a lone surrogate, a syntax error) with
+``json.loads``, the reference, which reads it or raises its own error for it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import gc
 import json
 import math
 import numbers
-import re
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -110,6 +110,14 @@ class Checked:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise error(f"{f.name} must be finite, got {value}")
 
+    def _need(self, cond: bool, msg: str) -> None:
+        if not cond:
+            raise self._error(msg)
+
+    def to_dict(self) -> dict:
+        """The fields as JSON-ready data (``json.dumps`` writes a tuple as a list)."""
+        return asdict(self)
+
     @classmethod
     def from_dict(cls, data: Mapping):
         """``cls(**data)``, checked: unknown keys are refused, then a
@@ -171,19 +179,15 @@ class RunConfig(Checked):
     _what, _error = "config", ValidationError
 
     def __post_init__(self):
-        def need(cond: bool, msg: str):
-            if not cond:
-                raise ValidationError(msg)
-
         super().__post_init__()
-        need(self.dt > 0, f"dt must be positive, got {self.dt}")
-        need(self.alpha > 0, f"alpha must be positive, got {self.alpha}")
-        need(self.q_pos >= 0, "q_pos must be non-negative")
-        need(self.q_shape >= 0, "q_shape must be non-negative")
-        need(self.r_bbox > 0, "r_bbox must be positive")
-        need(self.r_keypoint > 0, "r_keypoint must be positive")
+        self._need(self.dt > 0, f"dt must be positive, got {self.dt}")
+        self._need(self.alpha > 0, f"alpha must be positive, got {self.alpha}")
+        self._need(self.q_pos >= 0, "q_pos must be non-negative")
+        self._need(self.q_shape >= 0, "q_shape must be non-negative")
+        self._need(self.r_bbox > 0, "r_bbox must be positive")
+        self._need(self.r_keypoint > 0, "r_keypoint must be positive")
         half = tuple(float(v) for v in self.default_half_axes)
-        need(
+        self._need(
             len(half) == 3 and all(v > 0 for v in half),
             f"default_half_axes must be 3 positive values, got {self.default_half_axes}",
         )
@@ -194,32 +198,26 @@ class RunConfig(Checked):
             "init_keypoint_pos_var",
             "init_keypoint_vel_var",
         ):
-            need(getattr(self, name) > 0, f"{name} must be positive")
-        need(
+            self._need(getattr(self, name) > 0, f"{name} must be positive")
+        self._need(
             0.0 <= self.visibility_threshold <= 1.0,
             "visibility_threshold must be within [0, 1]",
         )
-        need(self.threshold > 0, "threshold must be positive")
-        need(self.ospa_cutoff > 0, "ospa_cutoff must be positive")
-        need(self.ospa_order >= 1, "ospa_order must be >= 1")
-        need(
+        self._need(self.threshold > 0, "threshold must be positive")
+        self._need(self.ospa_cutoff > 0, "ospa_cutoff must be positive")
+        self._need(self.ospa_order >= 1, "ospa_order must be >= 1")
+        self._need(
             self.ospa_window is None or self.ospa_window >= 1,
             "ospa_window must be >= 1 or null",
         )
         thresholds = tuple(float(v) for v in self.ap_thresholds)
-        need(
+        self._need(
             len(thresholds) > 0 and all(v > 0 for v in thresholds),
             "ap_thresholds must be positive",
         )
-        need(self.recall_at > 0, "recall_at must be positive")
+        self._need(self.recall_at > 0, "recall_at must be positive")
         object.__setattr__(self, "default_half_axes", half)
         object.__setattr__(self, "ap_thresholds", thresholds)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["default_half_axes"] = list(self.default_half_axes)
-        out["ap_thresholds"] = list(self.ap_thresholds)
-        return out
 
 
 @dataclass(frozen=True)
@@ -600,22 +598,16 @@ _DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 # an exponent has no "+" and no leading zero (1e16, 1e-7; repr: 1e+16,
 # 1e-07), and [1e-5, 1e-4) is positional (0.000015; repr: 1.5e-05). So
 # only values in [1e-9, 1e-4) or at least 1e16 in magnitude are written
-# differently, and only the rows that hold one are rewritten.
-_EXPONENT = re.compile(rb"e(-?)(\d+)")
-_DECADE = re.compile(rb"\b0\.0000([1-9])(\d*)")
-
-
-def _as_repr(line: bytes) -> bytes:
-    """An orjson row with each float's text rewritten to its repr form."""
-    line = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), line)
-    return _DECADE.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", line)
+# differently, and only the rows that hold one are written by json.dumps.
 
 
 def _write_jsonl(table, path, key, columns) -> None:
     """Write ``table`` as JSONL, one record per row, in row order: the ``key``
     fields, then each of the payload ``columns`` that the row has, in the
-    text ``json.dumps(record, separators=(",", ":"))`` gives. Rows are
-    written ``_CHUNK`` at a time, so the file's text is never held whole."""
+    text ``json.dumps(record, separators=(",", ":"))`` gives. ``json.dumps``
+    writes each row holding a float that orjson writes unlike repr (see
+    ``_DUMPS``), orjson the rest. Rows are written ``_CHUNK`` at a time, so
+    the file's text is never held whole."""
     keys = [getattr(table, f) for f in key]
     names = [c for c in columns if getattr(table, c) is not None]
     with open(path, "wb") as out:
@@ -632,9 +624,11 @@ def _write_jsonl(table, path, key, columns) -> None:
                 rec = dict(zip(key, k))
                 for c, v, has in zip(names, row, shape):
                     if has:
-                        rec[c] = v
-                line = orjson.dumps(rec, option=_DUMPS)
-                lines.append(_as_repr(line) if fix else line)
+                        rec[c] = v.tolist() if fix else v
+                if fix:
+                    lines.append(json.dumps(rec, separators=(",", ":")).encode() + b"\n")
+                else:
+                    lines.append(orjson.dumps(rec, option=_DUMPS))
             out.write(b"".join(lines))
 
 
@@ -712,10 +706,6 @@ def load_skeleton(source) -> CanonicalPose:
         return CanonicalPose.from_raw(str(doc.get("name", Path(name).stem)), joints, rows)
     except ValueError as exc:
         raise ValidationError(f"{name}: {exc}") from exc
-
-
-def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(read_object(path, "config"))
 
 
 def save_config(config: RunConfig, path) -> None:

@@ -21,7 +21,7 @@ noiseless scene draws nothing and leaves every value as projected.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,33 +74,29 @@ class SceneSpec(Checked):
     _what, _error, _items = "scene", InvalidSpec, {"occlusions": Occlusion}
 
     def __post_init__(self):
-        def need(cond: bool, msg: str):
-            if not cond:
-                raise InvalidSpec(msg)
-
         super().__post_init__()
-        need(self.num_objects >= 0, f"num_objects must be >= 0, got {self.num_objects}")
-        need(self.num_cameras >= 1, f"num_cameras must be >= 1, got {self.num_cameras}")
-        need(self.frames >= 1, f"frames must be >= 1, got {self.frames}")
-        need(self.fps > 0, f"fps must be positive, got {self.fps}")
+        self._need(self.num_objects >= 0, f"num_objects must be >= 0, got {self.num_objects}")
+        self._need(self.num_cameras >= 1, f"num_cameras must be >= 1, got {self.num_cameras}")
+        self._need(self.frames >= 1, f"frames must be >= 1, got {self.frames}")
+        self._need(self.fps > 0, f"fps must be positive, got {self.fps}")
         arena = tuple(float(v) for v in self.arena)
-        need(
+        self._need(
             len(arena) == 2 and all(v > 0 for v in arena),
             f"arena must be two positive extents, got {self.arena}",
         )
-        need(
+        self._need(
             self.motion in _MOTIONS,
             f"motion must be one of {_MOTIONS}, got {self.motion!r}",
         )
-        need(self.pixel_noise >= 0, "pixel_noise must be non-negative")
+        self._need(self.pixel_noise >= 0, "pixel_noise must be non-negative")
         size = tuple(self.image_size)
-        need(
+        self._need(
             len(size) == 2 and all(v > 0 for v in size),
             f"image_size must be two positive integers, got {self.image_size}",
         )
         for name in ("ring_radius", "cam_height", "focal"):
             v = getattr(self, name)
-            need(v is None or v > 0, f"{name} must be positive when given")
+            self._need(v is None or v > 0, f"{name} must be positive when given")
         if self.skeleton is not None:
             try:
                 canonical_pose(self.skeleton)
@@ -108,15 +104,15 @@ class SceneSpec(Checked):
                 raise InvalidSpec(str(exc)) from None
         occl = tuple(self.occlusions)
         for o in occl:
-            need(
+            self._need(
                 0 <= o.start < o.stop <= self.frames,
                 f"occlusion window [{o.start}, {o.stop}) out of range",
             )
-            need(
+            self._need(
                 0 <= o.camera_id < self.num_cameras,
                 f"occlusion references unknown camera {o.camera_id}",
             )
-            need(
+            self._need(
                 o.object_id is None or 0 <= o.object_id < self.num_objects,
                 f"occlusion references unknown object {o.object_id}",
             )
@@ -124,10 +120,6 @@ class SceneSpec(Checked):
         object.__setattr__(self, "image_size", size)
         object.__setattr__(self, "occlusions", occl)
         _camera_ring(self)
-
-    def to_dict(self) -> dict:
-        """The spec as JSON-ready data: tuples serialize as lists."""
-        return asdict(self)
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -743,7 +743,7 @@ def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
     P = cam.projection_matrix
     M = P[:, :3]
     w = _loop_affine(X, M, P[:, 3])
-    bad = w[..., 2] <= 1e-9
+    bad = ~(w[..., 2] > 1e-9)  # NaN is bad
     if bad.any():
         i, where = _loop_first_bad(bad)
         raise NonPositiveDepth(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
@@ -751,13 +751,13 @@ def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
         half * half, M[_LOOP_ROWS] * M[_LOOP_COLS], -w[..., _LOOP_ROWS] * w[..., _LOOP_COLS]
     )
     c22 = C[..., 4:5]
-    bad = np.abs(c22[..., 0]) < 1e-12 * np.maximum(1.0, np.abs(C).max(axis=-1))
+    bad = ~(np.abs(c22[..., 0]) >= 1e-12 * np.maximum(1.0, np.abs(C).max(axis=-1)))
     if bad.any():
         _, where = _loop_first_bad(bad)
         raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
     center_uv = C[..., 2:4] / c22
     disc = center_uv * center_uv - C[..., 0:2] / c22
-    bad = (disc <= 0).any(axis=-1)
+    bad = ~(disc > 0).all(axis=-1)
     if bad.any():
         i, where = _loop_first_bad(bad)
         raise DegenerateConic(

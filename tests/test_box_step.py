@@ -231,19 +231,22 @@ class TestWholeStackBoundaries:
 
     @pytest.mark.parametrize("bad_later", [False, True])
     def test_overflowed_row_among_good_rows(self, bad_later):
-        # A finite row whose conic overflows to inf and NaN gives NaN box
-        # values as before, without raising, unless a later row is bad.
+        # A finite row whose conic overflows to inf and NaN is refused by
+        # name, with no warning, unless the depth test trips on a later row.
         cam = _identity_camera()
         centers, half = self._good(4)
         centers[1] = [1e200, 1e200, 1e200]
         if bad_later:
             centers[3] = [0.0, 0.0, -1.0]
-        with np.errstate(all="ignore"):
-            out = self._check(cam, centers, half)
+        with np.errstate(all="ignore"), pytest.raises(GeometryError) as loop:  # the loop warns
+            loop_project_ellipsoid_to_bbox(cam, centers, half)
+        with pytest.raises(type(loop.value)) as info:  # a warning would be an error here
+            project_ellipsoid_to_bbox(cam, centers, half)
+        assert str(info.value) == str(loop.value)
         if bad_later:
-            assert isinstance(out, GeometryError) and str(out).endswith("at row 3")
+            assert str(info.value).startswith("ellipsoid center depth") and "at row 3" in str(info.value)
         else:
-            assert np.isnan(out[1]).any() and np.isfinite(out[[0, 2, 3]]).all()
+            assert str(info.value) == "outline not a bounded ellipse (disc u, v = [nan, nan]) at row 1"
 
 
 class TestNonFiniteInput:
@@ -315,13 +318,13 @@ class TestBudget:
 
     def test_camera_constants_built_once_and_read_only(self):
         cam = _camera(np.random.default_rng(3))
-        assert "_consts" not in cam.__dict__
+        assert "_kernel_constants" not in cam.__dict__
         project_point(cam, [0.0, 0.0, 0.5])
-        consts = cam.__dict__["_consts"]
+        consts = cam.__dict__["_kernel_constants"]
         for _ in range(3):
             project_ellipsoid_to_bbox(cam, [[0.0, 0.0, 0.5]], [[0.3, 0.3, 0.8]])
             project_point(cam, [[0.0, 0.0, 0.5]])
-        assert cam.__dict__["_consts"] is consts
+        assert cam.__dict__["_kernel_constants"] is consts
         for a in consts:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

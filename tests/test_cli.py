@@ -92,6 +92,42 @@ class TestSynth:
         config = json.loads((out / "config.json").read_text())
         assert config["r_bbox"] == config["r_keypoint"] == 9.0
 
+    def test_config_and_scene_bytes(self, tmp_path, capsys):
+        # The exact text synth writes: keys in field order, two-space
+        # indent, tuple fields and the occlusions as JSON lists, an int
+        # given for a float field written as a float, and a final newline.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "arena": [10, 8.5], "image_size": [640, 480],
+            "occlusions": [{"camera_id": 1, "start": 1, "stop": 3},
+                           {"camera_id": 0, "start": 2, "stop": 4, "object_id": 1}],
+        }))
+        out = tmp_path / "scene"
+        argv = ["synth", "--out", str(out), "--spec", str(spec), "--seed", "3", "--objects", "2",
+                "--cameras", "2", "--frames", "5", "--noise", "1.5", "--skeleton", "coco17"]
+        assert main(argv) == 0
+        config = {
+            "dt": 0.1, "alpha": 0.1, "beta": 2.0, "kappa": 0.0, "q_pos": 1e-06,
+            "q_shape": 1e-06, "r_bbox": 2.25, "r_keypoint": 2.25,
+            "default_half_axes": [0.3, 0.3, 0.9], "init_pos_var": 0.25, "init_vel_var": 1.0,
+            "init_shape_var": 0.05, "init_keypoint_pos_var": 0.05, "init_keypoint_vel_var": 1.0,
+            "visibility_threshold": 0.5, "skeleton": "coco17", "threshold": 1.0,
+            "ospa_cutoff": 1.0, "ospa_order": 1.0, "ospa_window": None,
+            "ap_thresholds": [25.0, 50.0, 100.0, 150.0], "recall_at": 500.0, "plane": False,
+        }
+        scene = {
+            "seed": 3, "num_objects": 2, "num_cameras": 2, "frames": 5, "fps": 10.0,
+            "arena": [10.0, 8.5], "motion": "constant-velocity", "pixel_noise": 1.5,
+            "skeleton": "coco17", "image_size": [640, 480], "ring_radius": None,
+            "cam_height": None, "focal": None,
+            "occlusions": [
+                {"camera_id": 1, "start": 1, "stop": 3, "object_id": None},
+                {"camera_id": 0, "start": 2, "stop": 4, "object_id": 1},
+            ],
+        }
+        for name, doc in (("config.json", config), ("scene.json", scene)):
+            assert (out / name).read_text() == json.dumps(doc, indent=2) + "\n"
+
     def test_spec_file_with_flag_override(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "num_objects": 1, "frames": 3}))
@@ -325,7 +361,9 @@ class TestAnnotate:
         (lambda cams: cams.__setitem__(1, 5), "camera #1 is not an object"),
         (lambda cams: cams[0]["K"].__setitem__(8, 2.0),
          "camera 0: intrinsics bottom row must be (0, 0, 1)"),
-    ], ids=["duplicate", "rotation", "empty", "not-object", "K22"])
+        (lambda cams: cams[0].update(t=[0.0, 0.0, 1e306]),
+         "camera 0: projection matrix K [R | t] overflows"),
+    ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow"])
     def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
         doc = json.loads((scene_dir / "calibration.json").read_text())
         edit(doc["cameras"])
@@ -335,6 +373,25 @@ class TestAnnotate:
         argv[argv.index("--calibration") + 1] = str(calibration)
         assert main(argv) == 2
         assert f"error: {calibration}: {message}" in capsys.readouterr().err
+
+    def test_far_camera_skips_its_updates_without_warning(self, tmp_path, capsys, caplog):
+        # A finite camera so far away that the outline conic overflows: each
+        # of its updates is skipped with a diagnostic, the run exits 0, and
+        # no RuntimeWarning is printed (one would be an error here).
+        scene = tmp_path / "s"
+        argv = ["synth", "--out", str(scene), "--objects", "2", "--cameras", "2",
+                "--frames", "3", "--seed", "0"]
+        assert main(argv) == 0
+        calibration = scene / "calibration.json"
+        doc = json.loads(calibration.read_text())
+        doc["cameras"][0]["t"] = [0, 3.27133036537092e151, 0]
+        calibration.write_text(json.dumps(doc))
+        argv = _annotate_argv(scene, tmp_path, "--config", str(scene / "config.json"))
+        argv[argv.index("--calibration") + 1] = str(calibration)
+        assert main(argv) == 0
+        assert "Warning" not in capsys.readouterr().err
+        skipped = [r.args[1:3] for r in caplog.records if r.args and r.args[0] == "update_skipped"]
+        assert sorted(skipped) == [(oid, f" frame {f} camera 0") for oid in (0, 1) for f in range(3)]
 
     @pytest.mark.parametrize("doc", [
         {"q_pos": 1e307, "dt": 1},

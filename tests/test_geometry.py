@@ -7,6 +7,7 @@ from mvfuse import (
     CameraModel,
     DegenerateConic,
     DegenerateHomography,
+    GeometryError,
     NonPositiveDepth,
     PointAtInfinity,
     SceneSpec,
@@ -18,6 +19,12 @@ from mvfuse import (
     project_point,
 )
 from oracles import random_camera, sampled_bbox
+
+
+def _far_camera(t):
+    """A 1920x1080 camera looking along +z, with translation ``t``."""
+    K = [[1000.0, 0.0, 960.0], [0.0, 1000.0, 540.0], [0.0, 0.0, 1.0]]
+    return CameraModel(intrinsics=K, rotation=np.eye(3), translation=t, image_size=(1920, 1080))
 
 
 class TestCameraModel:
@@ -56,6 +63,13 @@ class TestCameraModel:
                 translation=np.zeros(3),
                 image_size=(100, 100),
             )
+
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 1e306], [1e306, 0.0, 0.0]])
+    def test_rejects_overflowing_projection(self, t):
+        # Every entry is finite, but K [R | t] is not: 960 * 1e306 or
+        # 1000 * 1e306 overflows, and no warning is printed on the way.
+        with pytest.raises(ValueError, match=r"^projection matrix K \[R \| t\] overflows$"):
+            _far_camera(t)
 
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="determinant"):
@@ -137,6 +151,33 @@ class TestProjectPoint:
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 12.0], [0.0, 0.0, 11.0]])
         with pytest.raises(NonPositiveDepth, match="at row 1$"):
             project_point(overhead_camera, points)
+
+    @pytest.mark.parametrize("point", [
+        [1e306, 0.0, 0.0],  # u overflows
+        [-1e306, 0.0, -1e306],  # u is inf - inf: NaN
+    ])
+    def test_overflow_names_its_row_without_warning(self, overhead_camera, point):
+        # A finite point whose projection overflows is refused by row, with
+        # no RuntimeWarning (an error under this suite's settings).
+        points = np.array([[0.0, 0.0, 0.0], point, [0.0, 0.0, 0.0]])
+        with pytest.raises(PointAtInfinity, match="projects out of range at row 1$"):
+            project_point(overhead_camera, points)
+
+    def test_overflowing_depth_names_its_row(self):
+        # Tilted 45 degrees about x: the depth 0.707 y + 0.707 z overflows,
+        # so the point is not in front either.
+        c = np.sqrt(0.5)
+        cam = CameraModel(np.eye(3), [[1, 0, 0], [0, c, -c], [0, c, c]], np.zeros(3), (10, 10))
+        points = np.array([[0.0, 0.0, 1.0], [0.0, 1.5e308, 1.5e308]])
+        with pytest.raises(PointAtInfinity, match="at row 1$"):
+            project_point(cam, points)
+        np.testing.assert_array_equal(in_front(cam, points), [True, False])
+
+    def test_far_camera_projects(self):
+        # t = 1e155 along the axis: P is finite, and a point on the axis
+        # lands on the principal point.
+        cam = _far_camera([0.0, 0.0, 1e155])
+        np.testing.assert_array_equal(project_point(cam, [0.0, 0.0, 5.0]), [960.0, 540.0])
 
     def test_in_front_matches_projection_rule(self, overhead_camera):
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 10.0], [1.0, 1.0, 11.0]])
@@ -296,6 +337,18 @@ class TestEllipsoidBBox:
         centers[1:, 2] = [5.0, 0.5]
         with pytest.raises(DegenerateConic, match="at row 2$"):
             project_ellipsoid_to_bbox(axis_camera, centers, np.ones(3))
+
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 1e155], [0.0, 3.27133036537092e151, 0.0]])
+    def test_far_camera_raises_without_warning(self, t):
+        # K [R | t] is finite, but w w^T overflows in the outline conic, so
+        # its ratios and discriminant are NaN: refused, not returned as a
+        # NaN box, and with no RuntimeWarning.
+        cam = _far_camera(t)
+        with pytest.raises(DegenerateConic, match=r"\)$"):
+            project_ellipsoid_to_bbox(cam, [0.0, 0.0, 5.0], [0.3, 0.3, 0.9])
+        centers = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
+        with pytest.raises(GeometryError, match="at row 0$"):
+            project_ellipsoid_to_bbox(cam, centers, np.full((2, 3), 0.4))
 
 
 @settings(max_examples=50, deadline=None)

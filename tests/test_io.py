@@ -24,7 +24,6 @@ from mvfuse import (
     generate,
     load_annotations,
     load_calibration,
-    load_config,
     load_scene,
     load_skeleton,
     load_tracks,
@@ -516,6 +515,11 @@ class TestSkeleton:
         path.write_text(json.dumps({"joints": ["a"]}))
         with pytest.raises(ParseError, match="coords"):
             load_skeleton(str(path))
+
+
+def load_config(path) -> RunConfig:
+    """The config file at ``path``, read as the CLI reads ``--config``."""
+    return RunConfig.from_dict(mvfuse_io.read_object(path, "config"))
 
 
 class TestConfig:

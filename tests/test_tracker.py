@@ -484,6 +484,46 @@ class TestRunAll:
         assert [_track(tracks, oid).frame[0] for oid in _ids(tracks)] == [0, 0, 4]
         assert checked == [(1, 9)] * 3 + [(30, 6), (15, 6)]
 
+    def test_box_kernel_runs_once_per_live_block(self, monkeypatch):
+        # With no failed update, each (frame, camera) block that holds a box
+        # row of a live object costs exactly one call of the box kernel: the
+        # sigma points of all its objects go through it as one stack.
+        # Occlusions stagger the births and leave frames with fewer cameras.
+        calls = []
+        kernel = tracker_mod.project_ellipsoid_to_bbox
+
+        def counting(cam, center, half_axes):
+            calls.append(np.shape(center))
+            return kernel(cam, center, half_axes)
+
+        monkeypatch.setattr(tracker_mod, "project_ellipsoid_to_bbox", counting)
+        spec = SceneSpec(
+            seed=4, num_objects=3, num_cameras=3, frames=12, fps=10.0,
+            motion="constant-velocity", skeleton="panoptic15",
+            occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3))
+            + (Occlusion(0, 5, 9, object_id=0), Occlusion(1, 2, 6)),
+        )
+        bundle, _ = generate(spec)
+        events = []
+        tracks = run_all(
+            bundle.annotations, bundle.calibration, RunConfig(dt=0.1),
+            skeleton=bundle.skeleton, on_event=events.append,
+        )
+        assert events == []
+        ann = bundle.annotations
+        tracked = set(zip(tracks.frame.tolist(), tracks.object_id.tolist()))
+        live = [
+            (f, c) for f, o, c, box in zip(
+                ann.frame.tolist(), ann.object_id.tolist(), ann.camera_id.tolist(),
+                ann.has_bbox.tolist(),
+            )
+            if box and (f, o) in tracked
+        ]
+        blocks = set(live)
+        assert len(calls) == len(blocks) < len(live)
+        # Each call stacks the sigma points of every object in its block.
+        assert sorted(shape[0] for shape in calls) == sorted(live.count(b) for b in blocks)
+
     def test_stacked_run_equals_each_object_alone(self):
         # Objects share the stacked filter but never interact: fusing all of
         # them at once gives each object the track it gets on its own
