@@ -268,17 +268,7 @@ def _cmd_evaluate(args: argparse.Namespace, s: argparse.Namespace) -> int:
         raise ValidationError(
             f"{args.pred} has {joints[0]} keypoints per pose, {args.gt} has {joints[1]}"
         )
-    report = s.evaluate_tracks(
-        pred,
-        gt,
-        threshold=config.threshold,
-        ospa_cutoff=config.ospa_cutoff,
-        ospa_order=config.ospa_order,
-        window=config.ospa_window,
-        ap_thresholds=config.ap_thresholds,
-        recall_at=config.recall_at,
-        plane=config.plane,
-    )
+    report = s.evaluate_tracks(pred, gt, config)
 
     payload = json.dumps(report.to_dict(), indent=2)
     print(payload)

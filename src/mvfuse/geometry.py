@@ -278,7 +278,7 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
         If an ellipsoid center is on or behind the principal plane.
     DegenerateConic
         If an outline is not a bounded ellipse (camera inside or tangent to
-        the ellipsoid).
+        the ellipsoid), or its conic overflows.
     """
     X = _as_rows(center, "center")
     half = _as_rows(half_axes, "half_axes")
@@ -305,7 +305,9 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
             _check_finite("center and half-axes", X, half)
             bad = ~(absC[4] >= _HOMOG_EPS * np.maximum(1.0, absC.max(axis=0)))
             if bad.any():
-                _, where = _first_bad(bad.reshape(shape))
+                i, where = _first_bad(bad.reshape(shape))
+                if not np.isfinite(C.T.reshape(shape + (6,))[i]).all():
+                    raise DegenerateConic(f"outline conic overflows{where}")
                 raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
         ratio = C[:4] / C[4]
         center_uv = ratio[2:]
@@ -313,6 +315,8 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
     if not (disc > 0).all():
         _check_finite("center and half-axes", X, half)
         i, where = _first_bad(~(disc > 0).all(axis=0).reshape(shape))
+        if not np.isfinite(C.T.reshape(shape + (6,))[i]).all():
+            raise DegenerateConic(f"outline conic overflows{where}")
         disc = disc.T.reshape(shape + (2,))
         raise DegenerateConic(
             f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"

@@ -2,7 +2,7 @@
 
 All association gates and the OSPA cutoff are in meters; MOTA/IDF1/recall/AP
 are percentages; MPJPE and the pose thresholds are in millimeters. Euclidean
-distance throughout (use ``evaluate_tracks(plane=True)`` to score on the
+distance throughout (``evaluate_tracks`` with ``config.plane`` scores on the
 ground plane only).
 
 Every metric is defined frame by frame. A track table is sorted by (frame,
@@ -31,12 +31,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyGroundTruth
 from .tracks import TrackTable
+
+if TYPE_CHECKING:
+    from .io import RunConfig
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -579,31 +582,22 @@ def _on_plane(t: TrackTable) -> TrackTable:
     return TrackTable(t.frame, t.object_id, flat)
 
 
-def evaluate_tracks(
-    pred: TrackTable,
-    gt: TrackTable,
-    threshold: float = 1.0,
-    ospa_cutoff: float = 1.0,
-    ospa_order: float = 1.0,
-    window: int | None = None,
-    ap_thresholds: Sequence[float] = (25.0, 50.0, 100.0, 150.0),
-    recall_at: float = 500.0,
-    plane: bool = False,
-) -> MetricReport:
-    """Run the full evaluation battery on two track tables.
+def evaluate_tracks(pred: TrackTable, gt: TrackTable, config: "RunConfig") -> MetricReport:
+    """Run the full evaluation battery on two track tables, with the scoring
+    settings of ``config``.
 
-    ``plane=True`` scores CLEAR/IDF1/OSPA on ground-plane (x, y) distance
+    ``config.plane`` scores CLEAR/IDF1/OSPA on ground-plane (x, y) distance
     only; pose metrics always use full 3D. Pose metrics appear only when the
     ground truth carries keypoints.
     """
-    p, g = (_on_plane(pred), _on_plane(gt)) if plane else (pred, gt)
-    mot = clear_mot(p, g, threshold)
-    f1 = idf1(p, g, threshold)
-    ospa = ospa2(p, g, cutoff=ospa_cutoff, order=ospa_order, window=window)
+    p, g = (_on_plane(pred), _on_plane(gt)) if config.plane else (pred, gt)
+    mot = clear_mot(p, g, config.threshold)
+    f1 = idf1(p, g, config.threshold)
+    ospa = ospa2(p, g, config.ospa_cutoff, config.ospa_order, config.ospa_window)
     pose = None
     if gt.has_keypoints.any():
         pose = pose_metrics(
-            pred, gt, ap_thresholds=ap_thresholds, recall_at=recall_at
+            pred, gt, ap_thresholds=config.ap_thresholds, recall_at=config.recall_at
         )
     return MetricReport(
         mota=mot.mota,
@@ -613,8 +607,8 @@ def evaluate_tracks(
         ids=mot.ids,
         ospa=ospa,
         pose=pose,
-        threshold=threshold,
-        ospa_cutoff=ospa_cutoff,
+        threshold=config.threshold,
+        ospa_cutoff=config.ospa_cutoff,
         num_frames=len(_unique(np.concatenate((gt.frame, pred.frame)))),
         num_gt=len(g),
         num_pred=len(p),

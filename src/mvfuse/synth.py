@@ -119,7 +119,7 @@ class SceneSpec(Checked):
         object.__setattr__(self, "arena", arena)
         object.__setattr__(self, "image_size", size)
         object.__setattr__(self, "occlusions", occl)
-        _camera_ring(self)
+        _build_cameras(self)
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -181,13 +181,19 @@ def _build_cameras(spec: SceneSpec) -> dict[int, CameraModel]:
         center = np.array(
             [radius * np.cos(angle), radius * np.sin(angle), height]
         )
-        R = _look_at(center, target)
-        cams[i] = CameraModel(
-            intrinsics=K,
-            rotation=R,
-            translation=-R @ center,
-            image_size=spec.image_size,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused below
+            R = _look_at(center, target)
+        try:
+            cams[i] = CameraModel(
+                intrinsics=K,
+                rotation=R,
+                translation=-R @ center,
+                image_size=spec.image_size,
+            )
+        except ValueError as exc:
+            raise InvalidSpec(
+                f"camera ring (radius {radius:.3g}, height {height:.3g}) overflows: {exc}"
+            ) from None
     return cams
 
 

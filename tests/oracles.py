@@ -753,13 +753,17 @@ def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
     c22 = C[..., 4:5]
     bad = ~(np.abs(c22[..., 0]) >= 1e-12 * np.maximum(1.0, np.abs(C).max(axis=-1)))
     if bad.any():
-        _, where = _loop_first_bad(bad)
+        i, where = _loop_first_bad(bad)
+        if not np.isfinite(C[i]).all():
+            raise DegenerateConic(f"outline conic overflows{where}")
         raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
     center_uv = C[..., 2:4] / c22
     disc = center_uv * center_uv - C[..., 0:2] / c22
     bad = ~(disc > 0).all(axis=-1)
     if bad.any():
         i, where = _loop_first_bad(bad)
+        if not np.isfinite(C[i]).all():
+            raise DegenerateConic(f"outline conic overflows{where}")
         raise DegenerateConic(
             f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
         )

@@ -48,7 +48,7 @@ def test_criterion_1_closed_loop_tracking():
     start = time.monotonic()
     tracks = run_all(bundle.annotations, bundle.calibration, RunConfig(dt=0.1))
     elapsed = time.monotonic() - start
-    report = evaluate_tracks(tracks, gt, threshold=1.0, ospa_cutoff=1.0)
+    report = evaluate_tracks(tracks, gt, RunConfig(threshold=1.0, ospa_cutoff=1.0))
     print(
         f"MOTA={report.mota:.2f} IDF1={report.idf1:.2f} FP={report.fp} "
         f"FN={report.fn} IDS={report.ids} OSPA={report.ospa:.2e} {elapsed:.1f}s"

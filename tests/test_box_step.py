@@ -246,7 +246,7 @@ class TestWholeStackBoundaries:
         if bad_later:
             assert str(info.value).startswith("ellipsoid center depth") and "at row 3" in str(info.value)
         else:
-            assert str(info.value) == "outline not a bounded ellipse (disc u, v = [nan, nan]) at row 1"
+            assert str(info.value) == "outline conic overflows at row 1"
 
 
 class TestNonFiniteInput:

@@ -154,7 +154,16 @@ class TestSynth:
         ({"occlusions": [{"camera_id": 0, "start": 0}]}, "{spec}: occlusion missing key 'stop'"),
         ({"ring_radius": 9.0}, "{spec}: camera ring too tight for the arena"),
         ({"ring_radius": 2.0}, "{spec}: ring_radius 2.0 must exceed the arena half-diagonal 8.49"),
-    ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight", "ring-inside-arena"])
+        # Rings whose cameras overflow: refused with no RuntimeWarning (one
+        # would be an error here).
+        ({"arena": [1e200, 1e200], "frames": 2, "num_objects": 1},
+         "{spec}: camera ring (radius 1.13e+200, height 5.09e+199) overflows: "
+         "rotation contains non-finite values"),
+        ({"arena": [1e300, 1e300], "frames": 2, "num_objects": 1},
+         "{spec}: camera ring (radius 1.13e+300, height 5.09e+299) overflows: "
+         "rotation contains non-finite values"),
+    ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight", "ring-inside-arena",
+            "arena-1e200", "arena-1e300"])
     def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -392,6 +401,7 @@ class TestAnnotate:
         assert "Warning" not in capsys.readouterr().err
         skipped = [r.args[1:3] for r in caplog.records if r.args and r.args[0] == "update_skipped"]
         assert sorted(skipped) == [(oid, f" frame {f} camera 0") for oid in (0, 1) for f in range(3)]
+        assert not [r for r in caplog.records if "C22" in r.getMessage()]
 
     @pytest.mark.parametrize("doc", [
         {"q_pos": 1e307, "dt": 1},

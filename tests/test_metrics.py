@@ -12,6 +12,7 @@ import pytest
 
 from mvfuse import (
     EmptyGroundTruth,
+    RunConfig,
     TrackTable,
     clear_mot,
     evaluate_tracks,
@@ -426,7 +427,7 @@ def test_metrics_match_pair_by_pair_oracles():
         pred, gt = _random_scene(rng, threshold)
         for plane in (False, True):
             p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
-            report = evaluate_tracks(pred, gt, threshold=threshold, plane=plane)
+            report = evaluate_tracks(pred, gt, RunConfig(threshold=threshold, plane=plane))
             fp, fn, ids, mota = loop_clear_mot(p, g, threshold)
             assert (report.fp, report.fn, report.ids) == (fp, fn, ids)
             assert report.mota == pytest.approx(mota, rel=0, abs=1e-12)
@@ -481,15 +482,15 @@ class TestEvaluateTracks:
     def test_plane_flag_ignores_height(self):
         gt = _table({0: _still(range(4), (1, 2, 0))})
         pred = _table({0: _still(range(4), (1, 2, 5))})
-        full = evaluate_tracks(pred, gt)
-        flat = evaluate_tracks(pred, gt, plane=True)
+        full = evaluate_tracks(pred, gt, RunConfig())
+        flat = evaluate_tracks(pred, gt, RunConfig(plane=True))
         assert full.mota < 0
         assert flat.mota == 100.0 and flat.idf1 == 100.0 and flat.ospa == 0.0
 
     def test_report_serializes(self):
         kp = {0: {f: _pose() for f in range(3)}}
         gt = _table({0: _still(range(3), (0, 0, 0))}, keypoints=kp)
-        report = evaluate_tracks(gt, gt)
+        report = evaluate_tracks(gt, gt, RunConfig())
         d = json.loads(json.dumps(report.to_dict()))
         assert d["mota"] == 100.0
         assert d["ospa2"] == 0.0
@@ -506,7 +507,7 @@ class TestEvaluateTracks:
         # scored with no overflow warning.
         gt = _table({0: _still(range(2), (0, 0, 0))})
         pred = _table({0: {0: np.zeros(3), 1: np.array([0.0, 0.0, self._HUGE])}})
-        report = evaluate_tracks(pred, gt)
+        report = evaluate_tracks(pred, gt, RunConfig())
         assert (report.fp, report.fn, report.mota) == (1, 1, 0.0)
         assert report.idf1 == 50.0 and report.ospa == 0.5
 
@@ -523,7 +524,7 @@ class TestEvaluateTracks:
 
     def test_pose_section_optional(self):
         gt = _table({0: _still(range(3), (0, 0, 0))})
-        report = evaluate_tracks(gt, gt)
+        report = evaluate_tracks(gt, gt, RunConfig())
         assert report.pose is None
         assert report.to_dict()["pose"] is None
         assert "MPJPE" not in report.format_table()
@@ -792,7 +793,7 @@ def test_pose_metrics_match_the_per_frame_form_bit_for_bit():
         recall_at = (500.0, 300.0)[trial % 2]
         expected = _bits(loop_frame_pose_metrics(pred, gt, recall_at=recall_at))
         assert _bits(pose_metrics(pred, gt, recall_at=recall_at)) == expected
-        assert _bits(evaluate_tracks(pred, gt, recall_at=recall_at).pose) == expected
+        assert _bits(evaluate_tracks(pred, gt, RunConfig(recall_at=recall_at)).pose) == expected
     # One pose pair: the MPJPE is that pair's cost, so every bit of it shows.
     for _ in range(300):
         J, scale = int(rng.integers(1, 20)), 10.0 ** rng.integers(-3, 3)
@@ -812,7 +813,9 @@ def test_ospa2_matches_the_per_frame_form_bit_for_bit():
                 got = ospa2(p, g, cutoff=cutoff, order=order, window=window)
                 assert got.hex() == expected.hex()
         for plane in (False, True):
-            report = evaluate_tracks(pred, gt, ospa_cutoff=0.7, ospa_order=2, window=5, plane=plane)
+            report = evaluate_tracks(
+                pred, gt, RunConfig(ospa_cutoff=0.7, ospa_order=2, ospa_window=5, plane=plane)
+            )
             p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
             assert report.ospa.hex() == loop_frame_ospa2(p, g, 0.7, 2, 5).hex()
 

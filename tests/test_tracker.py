@@ -524,6 +524,58 @@ class TestRunAll:
         # Each call stacks the sigma points of every object in its block.
         assert sorted(shape[0] for shape in calls) == sorted(live.count(b) for b in blocks)
 
+    @pytest.mark.parametrize("frames", [10, 40])
+    def test_filter_rows_match_the_live_frames(self, monkeypatch, frames):
+        # A work count, not a timer: the rows that run_all sends through the
+        # box predict, the joint predict and the box update, at F and 4F
+        # frames. Each object is predicted once per frame after its birth
+        # through its last frame, its J joints with it, and each box record
+        # is one update row. Object 2 is hidden at first, so births differ.
+        rows = {"box_predict": [], "joint_predict": [], "box_update": []}
+
+        def counting(name, fn):
+            def count(mean, cov, *args, **kwargs):
+                rows[name].append(len(mean))
+                return fn(mean, cov, *args, **kwargs)
+            return count
+
+        monkeypatch.setattr(
+            tracker_mod, "kalman_predict", counting("box_predict", tracker_mod.kalman_predict)
+        )
+        monkeypatch.setattr(
+            tracker_mod.pose_mod, "predict_keypoints",
+            counting("joint_predict", tracker_mod.pose_mod.predict_keypoints),
+        )
+        monkeypatch.setattr(
+            tracker_mod, "ukf_update", counting("box_update", tracker_mod.ukf_update)
+        )
+        spec = SceneSpec(
+            seed=4, num_objects=3, num_cameras=3, frames=frames, fps=10.0,
+            motion="constant-velocity", skeleton="panoptic15",
+            occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3)),
+        )
+        bundle, _ = generate(spec)
+        events = []
+        run_all(
+            bundle.annotations, bundle.calibration, RunConfig(dt=0.1),
+            skeleton=bundle.skeleton, on_event=events.append,
+        )
+        assert events == []
+        ann = bundle.annotations
+        span = {
+            o: (ann.frame[(ann.object_id == o) & ann.has_bbox].min(),
+                ann.frame[ann.object_id == o].max())
+            for o in set(ann.object_id.tolist())
+        }
+        moving = [
+            sum(birth < f <= last for birth, last in span.values()) for f in range(frames)
+        ]
+        assert sorted(birth for birth, _ in span.values()) == [0, 0, 4]
+        assert sum(rows["box_predict"]) == sum(moving)
+        assert len(rows["box_predict"]) == sum(n > 0 for n in moving)
+        assert sum(rows["joint_predict"]) == bundle.skeleton.num_joints * sum(moving)
+        assert sum(rows["box_update"]) == int(ann.has_bbox.sum())
+
     def test_stacked_run_equals_each_object_alone(self):
         # Objects share the stacked filter but never interact: fusing all of
         # them at once gives each object the track it gets on its own
