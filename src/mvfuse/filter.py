@@ -117,7 +117,9 @@ class MotionModel:
             raise ValueError("process_noise is not finite")
         if asymmetry > _SYM_TOL:
             raise ValueError("process_noise is not symmetric")
-        if np.linalg.eigvalsh(sym)[0] < _EIG_TOL:
+        # Roundoff in the eigenvalues scales with the entries, as the
+        # outline conic's C22 test scales its 1e-12.
+        if np.linalg.eigvalsh(sym)[0] < _EIG_TOL * np.abs(sym).max(initial=1.0):
             raise ValueError("process_noise is not positive semidefinite")
         F.setflags(write=False)
         Q.setflags(write=False)

@@ -15,7 +15,6 @@ modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +58,11 @@ class CameraModel:
         World-to-camera translation (``X_cam = R @ X + t``).
     image_size : (width, height)
         Sensor extent in pixels.
+
+    Attributes
+    ----------
+    projection_matrix : (3, 4) array
+        ``P = K [R | t]``, built and checked with the kernels' constants.
     """
 
     intrinsics: np.ndarray
@@ -89,35 +93,26 @@ class CameraModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "image_size", (int(w), int(h)))
-        if not np.isfinite(self.projection_matrix).all():
+        # The 3x4 projection P = K [R | t] = [M | p], and the projection
+        # kernels' constants, as columns that broadcast over (3, N)
+        # coordinate planes: the columns of M (3, 3, 1) and p (3, 1), and
+        # the columns of M[_ROWS] * M[_COLS] (3, 6, 1), the weights of a²,
+        # b² and c² in the outline conic. All are built here, read-only.
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            P = K @ np.hstack([R, t[:, None]])
+            M = P[:, :3]
+            Q = M[_ROWS] * M[_COLS]
+        if not np.isfinite(P).all():
             raise ValueError("projection matrix K [R | t] overflows")
-
-    @cached_property
-    def projection_matrix(self) -> np.ndarray:
-        """3x4 projection ``P = K [R | t]``, cached read-only."""
-        with np.errstate(over="ignore", invalid="ignore"):  # refused in __post_init__
-            P = self.intrinsics @ np.hstack(
-                [self.rotation, self.translation[:, None]]
-            )
-        P.setflags(write=False)
-        return P
-
-    @cached_property
-    def _kernel_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The projection kernels' per-camera constants, built on first use
-        and cached read-only, as columns that broadcast over (3, N)
-        coordinate planes: the columns of ``M`` (3, 3, 1) and ``p`` (3, 1)
-        (``P = [M | p]``), and the columns of ``M[_ROWS] * M[_COLS]``
-        (3, 6, 1), the weights of a², b² and c² in the outline conic."""
-        P = self.projection_matrix
-        M = P[:, :3]
-        Q = M[_ROWS] * M[_COLS]
+        if not np.isfinite(Q).all():
+            raise ValueError("outline conic weights of M = K R overflow")
         consts = tuple(
             np.ascontiguousarray(a) for a in (M.T[:, :, None], P[:, 3:], Q.T[:, :, None])
         )
-        for a in consts:
+        for a in (P,) + consts:
             a.setflags(write=False)
-        return consts
+        object.__setattr__(self, "projection_matrix", P)
+        object.__setattr__(self, "_kernel_constants", consts)
 
 
 def _first_bad(mask: np.ndarray) -> tuple[tuple, str]:
@@ -208,8 +203,8 @@ def project_point(cam: CameraModel, points) -> np.ndarray:
 def ground_homography(cam: CameraModel) -> np.ndarray:
     """Homography mapping ground-plane points (X, Y, 1) to pixels.
 
-    Columns are ``K [r1 r2 t]`` where r1, r2 are the first two columns of the
-    rotation.
+    Columns are ``K [r1 r2 t]``, columns 0, 1 and 3 of the projection
+    matrix, where r1, r2 are the first two columns of the rotation.
 
     Raises
     ------
@@ -217,10 +212,10 @@ def ground_homography(cam: CameraModel) -> np.ndarray:
         If the matrix is rank deficient (|det| < 1e-12), which happens when the
         camera center lies in the ground plane.
     """
-    H = cam.intrinsics @ np.column_stack(
-        [cam.rotation[:, 0], cam.rotation[:, 1], cam.translation]
-    )
-    if abs(np.linalg.det(H)) < _HOMOG_EPS:
+    H = cam.projection_matrix[:, [0, 1, 3]]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not singular
+        det = np.linalg.det(H)
+    if abs(det) < _HOMOG_EPS:
         raise DegenerateHomography(
             "ground homography is singular (camera in ground plane?)"
         )

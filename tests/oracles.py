@@ -44,6 +44,13 @@ def pinhole_project(K, R, t, points):
     return uv, cam[:, 2]
 
 
+def product_ground_homography(cam):
+    """Ground homography ``K [r1 r2 t]`` as its own matrix product, with r1,
+    r2 the first two columns of the rotation."""
+    R = cam.rotation
+    return cam.intrinsics @ np.column_stack([R[:, 0], R[:, 1], cam.translation])
+
+
 def ellipsoid_surface(center, half_axes, n):
     """Quasi-uniform points on an ellipsoid surface (Fibonacci sphere)."""
     i = np.arange(n, dtype=np.float64)

@@ -318,14 +318,16 @@ class TestBudget:
 
     def test_camera_constants_built_once_and_read_only(self):
         cam = _camera(np.random.default_rng(3))
-        assert "_kernel_constants" not in cam.__dict__
-        project_point(cam, [0.0, 0.0, 0.5])
+        # Built with the camera, before any kernel call.
         consts = cam.__dict__["_kernel_constants"]
+        P = cam.projection_matrix
+        project_point(cam, [0.0, 0.0, 0.5])
         for _ in range(3):
             project_ellipsoid_to_bbox(cam, [[0.0, 0.0, 0.5]], [[0.3, 0.3, 0.8]])
             project_point(cam, [[0.0, 0.0, 0.5]])
         assert cam.__dict__["_kernel_constants"] is consts
-        for a in consts:
+        assert cam.projection_matrix is P
+        for a in (P,) + consts:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0

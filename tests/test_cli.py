@@ -162,8 +162,13 @@ class TestSynth:
         ({"arena": [1e300, 1e300], "frames": 2, "num_objects": 1},
          "{spec}: camera ring (radius 1.13e+300, height 5.09e+299) overflows: "
          "rotation contains non-finite values"),
+        # Finite projection matrices whose outline conic weights overflow.
+        ({"focal": 1e306}, "{spec}: camera ring (radius 17.6, height 7.91) overflows: "
+         "outline conic weights of M = K R overflow"),
+        ({"ring_radius": 1e154}, "{spec}: camera ring (radius 1e+154, height 4.5e+153) overflows: "
+         "outline conic weights of M = K R overflow"),
     ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight", "ring-inside-arena",
-            "arena-1e200", "arena-1e300"])
+            "arena-1e200", "arena-1e300", "focal-1e306", "ring-1e154"])
     def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -372,7 +377,9 @@ class TestAnnotate:
          "camera 0: intrinsics bottom row must be (0, 0, 1)"),
         (lambda cams: cams[0].update(t=[0.0, 0.0, 1e306]),
          "camera 0: projection matrix K [R | t] overflows"),
-    ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow"])
+        (lambda cams: cams[0]["K"].__setitem__(0, 1e160) or cams[0]["K"].__setitem__(4, 1e160),
+         "camera 0: outline conic weights of M = K R overflow"),
+    ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow", "focal-1e160"])
     def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
         doc = json.loads((scene_dir / "calibration.json").read_text())
         edit(doc["cameras"])
@@ -381,7 +388,9 @@ class TestAnnotate:
         argv = _annotate_argv(scene_dir, tmp_path)
         argv[argv.index("--calibration") + 1] = str(calibration)
         assert main(argv) == 2
-        assert f"error: {calibration}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {calibration}: {message}" in err
+        assert "Warning" not in err
 
     def test_far_camera_skips_its_updates_without_warning(self, tmp_path, capsys, caplog):
         # A finite camera so far away that the outline conic overflows: each
@@ -402,6 +411,15 @@ class TestAnnotate:
         skipped = [r.args[1:3] for r in caplog.records if r.args and r.args[0] == "update_skipped"]
         assert sorted(skipped) == [(oid, f" frame {f} camera 0") for oid in (0, 1) for f in range(3)]
         assert not [r for r in caplog.records if "C22" in r.getMessage()]
+
+    def test_large_valid_process_noise_fuses(self, scene_dir, tmp_path, capsys):
+        # q_pos * dt^4 = 8.1e11: a PSD process noise whose eigenvalues carry
+        # roundoff far above 1e-9, which is no reason to refuse it.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"q_pos": 1e10, "dt": 3}))
+        assert main(_annotate_argv(scene_dir, tmp_path, "--config", str(config))) == 0
+        assert "error" not in capsys.readouterr().err
+        assert set(load_tracks(tmp_path / "t.jsonl").object_id.tolist()) == {0, 1}
 
     @pytest.mark.parametrize("doc", [
         {"q_pos": 1e307, "dt": 1},

@@ -159,6 +159,19 @@ class TestMotionModel:
             with pytest.raises(ValueError, match="process_noise is not finite"):
                 make_motion_model(1.0, q_pos=1e308)
 
+    @pytest.mark.parametrize("dt, q_pos", [(3.0, 1e10), (3.0, 1e7), (0.1, 1e12)])
+    def test_large_process_noise_builds(self, dt, q_pos):
+        # The white-acceleration Q is PSD by construction; its eigenvalues'
+        # roundoff grows with q_pos * dt^4, and must not refuse it.
+        m = make_motion_model(dt, q_pos, 1e-6)
+        assert np.linalg.eigvalsh(m.process_noise)[0] >= -1e-15 * np.abs(m.process_noise).max()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_indefinite_process_noise_rejected(self, scale):
+        Q = scale * np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1, scaled
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            MotionModel(transition=np.eye(2), process_noise=Q)
+
     def test_asymmetric_process_noise_rejected(self):
         Q = np.eye(2)
         Q[0, 1] = 0.5

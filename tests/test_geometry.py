@@ -1,3 +1,7 @@
+import importlib
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,8 @@ from mvfuse import (
     project_ellipsoid_to_bbox,
     project_point,
 )
-from oracles import random_camera, sampled_bbox
+from mvfuse.synth import _build_cameras
+from oracles import product_ground_homography, random_camera, sampled_bbox
 
 
 def _far_camera(t):
@@ -70,6 +75,15 @@ class TestCameraModel:
         # 1000 * 1e306 overflows, and no warning is printed on the way.
         with pytest.raises(ValueError, match=r"^projection matrix K \[R \| t\] overflows$"):
             _far_camera(t)
+
+    def test_rejects_overflowing_outline_weights(self):
+        # K [R | t] is finite, but the outline conic's weights, products of
+        # two entries of K R (about 1e320), are not.
+        K = [[1e160, 0.0, 960.0], [0.0, 1e160, 540.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^outline conic weights of M = K R overflow$"):
+                CameraModel(K, np.eye(3), [0.0, 0.0, 10.0], (1920, 1080))
 
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="determinant"):
@@ -204,6 +218,34 @@ class TestGroundHomography:
             assert np.allclose(
                 w[:2] / w[2], project_point(overhead_camera, [x, y, 0.0])
             )
+
+    def test_equals_the_product_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            K, R, t, w, h = random_camera(rng)
+            cam = CameraModel(K, R, t, (w, h))
+            assert ground_homography(cam).tobytes() == product_ground_homography(cam).tobytes()
+
+    @pytest.mark.parametrize("name", ["boxes", "sparse", "pose", "evaluate"])
+    def test_equals_the_product_on_the_benchmark_cameras(self, name, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        spec = SceneSpec.from_dict(importlib.import_module("workloads").make(name, 1).spec)
+        for cam in _build_cameras(spec).values():
+            assert ground_homography(cam).tobytes() == product_ground_homography(cam).tobytes()
+
+    def test_overflowing_determinant_is_not_singular(self):
+        # A finite camera 1e200 m above the ground: its homography's
+        # determinant overflows (-1e400), which is neither singular nor a
+        # RuntimeWarning. Every ground hit is 1e200 m deep, beyond the
+        # 1e-12 homogeneous scale, so a pixel is refused as at infinity.
+        K = [[1e100, 0.0, 960.0], [0.0, 1e100, 540.0], [0.0, 0.0, 1.0]]
+        cam = CameraModel(K, np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 1e200], (1920, 1080))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = ground_homography(cam)
+            assert H.tobytes() == product_ground_homography(cam).tobytes()
+            with pytest.raises(PointAtInfinity, match="maps to the horizon"):
+                backproject_ground(cam, (960.0, 540.0))
 
     def test_camera_in_plane_degenerate(self):
         cam = CameraModel(
