@@ -42,12 +42,27 @@ DEFAULT_KAPPA = 0.0
 # Relative jitter ladder used before declaring a factorization failure.
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
-_SYM_TOL = 1e-9
-_EIG_TOL = -1e-9
-
-
 def _transpose(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
+
+
+def _checked_covariances(cov: np.ndarray, not_finite: str, asymmetric: str, indefinite: str) -> np.ndarray:
+    """The (n, d, d) stack ``cov`` symmetrized, after three rules taken in
+    order, each once the ones before pass: each matrix is finite, symmetric,
+    and has no eigenvalue below minus its tolerance, 1e-9 x max(1, its
+    largest |entry|), as roundoff grows with the entries. The first rule a
+    row breaks raises ValueError with its message, formatted with the row."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        asymmetry = np.abs(cov - _transpose(cov)).max(axis=(1, 2))
+        sym = 0.5 * (cov + _transpose(cov))
+        tol = 1e-9 * np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
+    rules = (lambda: ~np.isfinite(sym).all(axis=(1, 2)), lambda: asymmetry > tol,
+             lambda: np.linalg.eigvalsh(sym)[:, 0] < -tol)
+    for rule, message in zip(rules, (not_finite, asymmetric, indefinite)):
+        bad = rule()
+        if bad.any():
+            raise ValueError(message.format(int(np.argmax(bad))))
+    return sym
 
 
 @dataclass(frozen=True)
@@ -56,10 +71,10 @@ class GaussianBelief:
     ``covariance`` (n, d, d). A (d,) mean with a (d, d) covariance is a
     stack of one.
 
-    Every covariance must be symmetric (within 1e-9) with eigenvalues no
-    smaller than -1e-9; it is stored symmetrized and read-only. The whole
-    stack is checked at once, where a belief enters: here, in
-    :func:`mvfuse.tracker.init_target` and in
+    Every covariance must be symmetric with eigenvalues no smaller than
+    minus the tolerance, 1e-9 x max(1, its largest |entry|); it is stored
+    symmetrized and read-only. The whole stack is checked at once, where a
+    belief enters: here, in :func:`mvfuse.tracker.init_target` and in
     :func:`mvfuse.pose.init_keypoints`. Predict and update take its
     ``(mean, covariance)`` arrays; the arrays they return, and the row
     subsets the tracker takes of them, come from the filter's own arithmetic
@@ -80,16 +95,12 @@ class GaussianBelief:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            asymmetry = np.max(np.abs(cov - _transpose(cov)))
-            cov = 0.5 * (cov + _transpose(cov))
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        if not np.isfinite(mean).all():
             raise ValueError("belief contains non-finite values")
-        if asymmetry > _SYM_TOL:
-            raise ValueError("covariance is not symmetric")
-        bad = np.flatnonzero(np.linalg.eigvalsh(cov)[:, 0] < _EIG_TOL)
-        if bad.size:
-            raise ValueError(f"covariance of row {bad[0]} has a significantly negative eigenvalue")
+        cov = _checked_covariances(
+            cov, "belief contains non-finite values", "covariance is not symmetric",
+            "covariance of row {} has a significantly negative eigenvalue",
+        )
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -110,17 +121,10 @@ class MotionModel:
             raise ValueError(f"transition must be square, got {F.shape}")
         if Q.shape != F.shape:
             raise ValueError("process_noise shape must match transition")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            asymmetry = np.max(np.abs(Q - Q.T))
-            sym = 0.5 * (Q + Q.T)
-        if not np.isfinite(sym).all():
-            raise ValueError("process_noise is not finite")
-        if asymmetry > _SYM_TOL:
-            raise ValueError("process_noise is not symmetric")
-        # Roundoff in the eigenvalues scales with the entries, as the
-        # outline conic's C22 test scales its 1e-12.
-        if np.linalg.eigvalsh(sym)[0] < _EIG_TOL * np.abs(sym).max(initial=1.0):
-            raise ValueError("process_noise is not positive semidefinite")
+        _checked_covariances(
+            Q[None], "process_noise is not finite", "process_noise is not symmetric",
+            "process_noise is not positive semidefinite",
+        )
         F.setflags(write=False)
         Q.setflags(write=False)
         object.__setattr__(self, "transition", F)

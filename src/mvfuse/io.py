@@ -6,11 +6,13 @@ per line, where only a newline ends a line. All world units are meters
 pixels for image-plane quantities. Writers emit keys in a fixed order so
 identical inputs produce identical bytes.
 
-One reader and one writer serve both JSONL tables. The reader checks the
-records in line order (JSON syntax, integer keys, a payload, no field given
-twice for one key, keypoint rows), then each fixed-width column. The row
-rules (non-negative frames, box corners in order, positive half-axes) are
-the tables': the first row a table refuses is reported at the line of the
+One reader and one writer serve both JSONL tables, and take each table's
+layout from its class (``KEY``, ``COLUMNS``, ``REQUIRED``); only the
+messages for a bad file are theirs. The reader checks the records in line
+order (JSON syntax, integer keys, a payload, no field given twice for one
+key, keypoint rows), then each fixed-width column. The row rules
+(non-negative frames, box corners in order, positive half-axes) are the
+tables': the first row a table refuses is reported at the line of the
 record that gave the bad value. So of several faults in a file, record and
 ``duplicate`` faults come first, then malformed fixed-width values, then
 row-rule faults.
@@ -394,26 +396,27 @@ class _Reader:
     """The rows of one JSONL table, taken from its records a chunk of lines
     at a time, in line order.
 
-    ``key`` names a row's integer fields; ``columns`` maps each payload field
-    to its row width (None: keypoints, (J, 3)). A record needs one of the
-    ``required`` fields, else it is refused with ``missing``; the records of
-    one key merge into one row, and a field given twice for a row is refused
-    with ``duplicate``, formatted with the key and ``column``.
+    The table class names the fields: its ``KEY``, a row's integer fields,
+    and its ``COLUMNS``, each payload field and its row width (None:
+    keypoints, (J, 3)). A record needs one of its ``REQUIRED`` fields, else
+    it is refused with ``missing``; the records of one key merge into one
+    row, and a field given twice for a row is refused with ``duplicate``,
+    formatted with the key and ``column``.
 
     Each column's values are kept as one segment per chunk, in line order:
     an array already checked, or, for a fixed-width column of a chunk taken
     record by record, the list of its values, checked in :meth:`table`.
     """
 
-    def __init__(self, path, key, columns, required, missing, duplicate):
-        self.path, self.key, self.columns = str(path), key, columns
-        self.required, self.missing, self.duplicate = required, missing, duplicate
-        self.keys_of = itemgetter(*key)
+    def __init__(self, path, table, missing, duplicate):
+        self.path, self.cls, self.missing, self.duplicate = str(path), table, missing, duplicate
+        self.key, self.columns, self.required = table.KEY, table.COLUMNS, table.REQUIRED
+        self.keys_of = itemgetter(*self.key)
         self.row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
-        self.given = {c: {} for c in columns}  # column -> {row: line}, in line order
-        self.values = {c: [] for c in columns}  # column -> segments of the values of `given`
+        self.given = {c: {} for c in self.columns}  # column -> {row: line}, in line order
+        self.values = {c: [] for c in self.columns}  # column -> segments of the values of `given`
         self.joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
-        self.kp = next((c for c, width in columns.items() if width is None), None)
+        self.kp = next((c for c, width in self.columns.items() if width is None), None)
         self.pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
 
     def take(self, linenos: list[int], lines: list[str]) -> None:
@@ -543,8 +546,8 @@ class _Reader:
             arr = _float_rows(rows, 3, self.path, lines, "keypoint row")
             self.values[self.kp].append(arr.reshape(len(recs), -1, 3))
 
-    def table(self, table):
-        """The rows taken, as ``table`` sorted by key: the unchecked values
+    def table(self):
+        """The rows taken, as the table sorted by key: the unchecked values
         of each fixed-width column checked in line order, then the table's
         row rules."""
         spath, key, given = self.path, self.key, self.given
@@ -567,7 +570,7 @@ class _Reader:
                 cols[c][rows[lo:hi]], segments[i] = seg, None
                 lo = hi
         try:
-            return table(**cols)
+            return self.cls(**cols)
         except RowError as exc:
             # the line that gave the bad value; for a key, the row's first line
             row = int(order[exc.row])
@@ -575,19 +578,19 @@ class _Reader:
             raise ParseError(spath, line, exc.reason) from exc
 
 
-def _read_jsonl(path, table, key, columns, required, missing, duplicate):
-    """Read ``table`` from JSONL, records in any line order, checked as the
-    module docstring says; the other arguments are :class:`_Reader`'s.
+def _read_jsonl(path, table, missing, duplicate):
+    """Read the table class ``table`` from JSONL, records in any line order,
+    checked as the module docstring says; the messages are :class:`_Reader`'s.
 
     The cyclic garbage collector is paused for the read: decoded records
     hold no reference cycles, so its passes over them would free nothing."""
-    reader = _Reader(path, key, columns, required, missing, duplicate)
+    reader = _Reader(path, table, missing, duplicate)
     collect = gc.isenabled()
     gc.disable()
     try:
         for linenos, lines in _chunks(path):
             reader.take(linenos, lines)
-        return reader.table(table)
+        return reader.table()
     finally:
         if collect:
             gc.enable()
@@ -601,15 +604,15 @@ _DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 # differently, and only the rows that hold one are written by json.dumps.
 
 
-def _write_jsonl(table, path, key, columns) -> None:
-    """Write ``table`` as JSONL, one record per row, in row order: the ``key``
-    fields, then each of the payload ``columns`` that the row has, in the
+def _write_jsonl(table, path) -> None:
+    """Write ``table`` as JSONL, one record per row, in row order: its ``KEY``
+    fields, then each of its payload ``COLUMNS`` that the row has, in the
     text ``json.dumps(record, separators=(",", ":"))`` gives. ``json.dumps``
     writes each row holding a float that orjson writes unlike repr (see
     ``_DUMPS``), orjson the rest. Rows are written ``_CHUNK`` at a time, so
     the file's text is never held whole."""
-    keys = [getattr(table, f) for f in key]
-    names = [c for c in columns if getattr(table, c) is not None]
+    keys = [getattr(table, f) for f in table.KEY]
+    names = [c for c in table.COLUMNS if getattr(table, c) is not None]
     with open(path, "wb") as out:
         for lo in range(0, len(table), _CHUNK):
             hi = min(lo + _CHUNK, len(table))
@@ -621,7 +624,7 @@ def _write_jsonl(table, path, key, columns) -> None:
             unlike = ((flat >= 1e-9) & (flat < 1e-4)) | (flat >= 1e16)
             lines = []
             for k, row, shape, fix in zip(ids, zip(*cols), shapes, unlike.any(axis=1).tolist()):
-                rec = dict(zip(key, k))
+                rec = dict(zip(table.KEY, k))
                 for c, v, has in zip(names, row, shape):
                     if has:
                         rec[c] = v.tolist() if fix else v
@@ -630,10 +633,6 @@ def _write_jsonl(table, path, key, columns) -> None:
                 else:
                     lines.append(orjson.dumps(rec, option=_DUMPS))
             out.write(b"".join(lines))
-
-
-_ANNOTATION_KEY = ("frame", "object_id", "camera_id")
-_TRACK_KEY = ("frame", "object_id")
 
 
 def load_annotations(path) -> AnnotationTable:
@@ -646,8 +645,7 @@ def load_annotations(path) -> AnnotationTable:
     record in one file must have the same number of rows.
     """
     return _read_jsonl(
-        path, AnnotationTable, _ANNOTATION_KEY, {"bbox": 4, "keypoints": None},
-        ("bbox", "keypoints"), "record carries no bbox or keypoints",
+        path, AnnotationTable, "record carries no bbox or keypoints",
         "duplicate {column} for frame {0}, object {1}, camera {2}",
     )
 
@@ -655,22 +653,21 @@ def load_annotations(path) -> AnnotationTable:
 def save_annotations(annotations: AnnotationTable, path) -> None:
     """Write an annotation table as JSONL, one record per row, in row order:
     by (frame, object id, camera id)."""
-    _write_jsonl(annotations, path, _ANNOTATION_KEY, ("bbox", "keypoints"))
+    _write_jsonl(annotations, path)
 
 
 def load_tracks(path) -> TrackTable:
     """Read a track table from JSONL, records in any order; every keypoint
     record in one file must have the same number of rows."""
     return _read_jsonl(
-        path, TrackTable, _TRACK_KEY, {"position": 3, "half_axes": 3, "keypoints": None},
-        ("position",), "record needs a position", "duplicate entry for object {1}, frame {0}",
+        path, TrackTable, "record needs a position", "duplicate entry for object {1}, frame {0}"
     )
 
 
 def save_tracks(tracks: TrackTable, path) -> None:
     """Write a track table as JSONL, one record per row, in row order: by
     (frame, object id)."""
-    _write_jsonl(tracks, path, _TRACK_KEY, ("position", "half_axes", "keypoints"))
+    _write_jsonl(tracks, path)
 
 
 def load_skeleton(source) -> CanonicalPose:

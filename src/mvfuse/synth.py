@@ -53,7 +53,8 @@ class SceneSpec(Checked):
 
     The camera ring surrounds the arena; radius, height, and focal length
     are derived from the arena size unless overridden. ``fps`` fixes the
-    frame spacing (dt = 1/fps) used for subject motion.
+    frame spacing (dt = 1/fps) used for subject motion. ``cameras``, not a
+    field, holds the ring's cameras, built and checked with the spec.
     """
 
     seed: int = 0
@@ -119,7 +120,7 @@ class SceneSpec(Checked):
         object.__setattr__(self, "arena", arena)
         object.__setattr__(self, "image_size", size)
         object.__setattr__(self, "occlusions", occl)
-        _build_cameras(self)
+        object.__setattr__(self, "cameras", _build_cameras(self))
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -192,7 +193,8 @@ def _build_cameras(spec: SceneSpec) -> dict[int, CameraModel]:
             )
         except ValueError as exc:
             raise InvalidSpec(
-                f"camera ring (radius {radius:.3g}, height {height:.3g}) overflows: {exc}"
+                f"camera ring (radius {radius:.3g}, height {height:.3g}, focal {focal:.3g}) "
+                f"overflows: {exc}"
             ) from None
     return cams
 
@@ -320,7 +322,7 @@ def generate(spec: SceneSpec) -> tuple[SceneBundle, TrackTable]:
     drawn in one call and laid out as described in the module docstring.
     """
     rng = np.random.default_rng(spec.seed)
-    cams = _build_cameras(spec)
+    cams = dict(spec.cameras)
     starts, half_axes = _place_objects(spec, rng)
     ground = _plan_motion(spec, rng, starts)
     skeleton = canonical_pose(spec.skeleton) if spec.skeleton else None

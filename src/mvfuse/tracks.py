@@ -25,16 +25,6 @@ def _row_rule(bad: np.ndarray, column: str, values: np.ndarray, reason: str) -> 
         raise RowError(row, column, reason.format(values[row].tolist()))
 
 
-def _present(col: np.ndarray, name: str) -> np.ndarray:
-    """Mask (n,) of the rows of ``col`` that are all finite; every other row
-    must be all NaN."""
-    rows = tuple(range(1, col.ndim))
-    present = np.isfinite(col).all(axis=rows)
-    if not (present | np.isnan(col).all(axis=rows)).all():
-        raise ValueError(f"each {name} row must be all finite or all NaN")
-    return present
-
-
 def _key_columns(**cols) -> list[np.ndarray]:
     """The key columns as (n,) int64 arrays, checked to be integers of one
     length whose rows are in strictly increasing order of the keys, first key
@@ -62,27 +52,53 @@ def _key_columns(**cols) -> list[np.ndarray]:
     return keys
 
 
-def _keypoint_column(kp, n: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """A checked (n, J, 3) keypoints column, None when no row has keypoints,
-    and the mask (n,) of the rows that have them."""
-    if kp is None:
+def _payload_column(col, name: str, width: int | None, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The checked column ``name``, (n, width) or, for keypoints (``width``
+    None), (n, J, 3), and the mask (n,) of its rows that are all finite;
+    every other row must be all NaN. A fixed-width column given as None is
+    all NaN; keypoints given as None, or made only of NaN rows, are None."""
+    if col is None and width is None:
         return None, np.zeros(n, dtype=bool)
-    kp = np.asarray(kp, dtype=np.float64)
-    if kp.ndim != 3 or kp.shape[0] != n or kp.shape[1] < 1 or kp.shape[2] != 3:
-        raise ValueError(f"keypoints must be (n, J, 3) with n = {n}, got {kp.shape}")
-    present = _present(kp, "keypoints")
-    return (kp if present.any() else None), present
-
-
-def _freeze(table, **cols) -> None:
-    for name, col in cols.items():
-        if col is not None:
-            col.setflags(write=False)
-        object.__setattr__(table, name, col)
+    col = np.asarray(np.full((n, width), np.nan) if col is None else col, dtype=np.float64)
+    if width is None:
+        if col.ndim != 3 or col.shape[0] != n or col.shape[1] < 1 or col.shape[2] != 3:
+            raise ValueError(f"{name} must be (n, J, 3) with n = {n}, got {col.shape}")
+    elif col.shape != (n, width):
+        raise ValueError(f"{name} must be (n, {width}) with n = {n}, got {col.shape}")
+    rows = tuple(range(1, col.ndim))
+    present = np.isfinite(col).all(axis=rows)
+    if not (present | np.isnan(col).all(axis=rows)).all():
+        raise ValueError(f"each {name} row must be all finite or all NaN")
+    return (col if width or present.any() else None), present
 
 
 class _Rows:
-    """What the two tables share: one row per ``frame`` entry, and keypoints."""
+    """What the two tables share: one constructor for the layout each
+    declares, one row per ``frame`` entry, and keypoints.
+
+    A table declares its layout once, and the file codec in :mod:`mvfuse.io`
+    reads it too: ``KEY``, its integer key columns in sort order;
+    ``COLUMNS``, each payload column and its row width (None for the (J, 3)
+    keypoints), in the order records are written; ``REQUIRED``, the payload
+    columns a row must have one of. Its ``_row_rules(**columns)`` raises
+    :class:`RowError` at the first row that breaks a rule of its own.
+    """
+
+    def __post_init__(self):
+        cols = dict(zip(self.KEY, _key_columns(**{k: getattr(self, k) for k in self.KEY})))
+        n = len(cols["frame"])
+        has = np.zeros(n, dtype=bool)
+        for c, width in self.COLUMNS.items():
+            cols[c], present = _payload_column(getattr(self, c), c, width, n)
+            if c in self.REQUIRED:
+                has |= present
+        if not has.all():
+            raise ValueError(f"every row needs a {' or '.join(self.REQUIRED)}")
+        self._row_rules(**cols)
+        for name, col in cols.items():
+            if col is not None:
+                col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -116,22 +132,13 @@ class AnnotationTable(_Rows):
     bbox: np.ndarray | None = None
     keypoints: np.ndarray | None = None
 
-    def __post_init__(self):
-        frame, oid, cid = _key_columns(
-            frame=self.frame, object_id=self.object_id, camera_id=self.camera_id
-        )
-        n = len(frame)
-        box = np.full((n, 4), np.nan) if self.bbox is None else self.bbox
-        box = np.asarray(box, dtype=np.float64)
-        if box.shape != (n, 4):
-            raise ValueError(f"bbox must be (n, 4) with n = {n}, got {box.shape}")
-        has_box = _present(box, "bbox")
-        disorder = (box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])
-        _row_rule(disorder, "bbox", box, "bbox corners out of order: {}")
-        kp, has_kp = _keypoint_column(self.keypoints, n)
-        if not (has_box | has_kp).all():
-            raise ValueError("every row needs a bbox or keypoints")
-        _freeze(self, frame=frame, object_id=oid, camera_id=cid, bbox=box, keypoints=kp)
+    KEY = ("frame", "object_id", "camera_id")
+    COLUMNS = {"bbox": 4, "keypoints": None}
+    REQUIRED = ("bbox", "keypoints")
+
+    def _row_rules(self, bbox, **_) -> None:
+        disorder = (bbox[:, 0] > bbox[:, 2]) | (bbox[:, 1] > bbox[:, 3])
+        _row_rule(disorder, "bbox", bbox, "bbox corners out of order: {}")
 
     @property
     def has_bbox(self) -> np.ndarray:
@@ -149,8 +156,8 @@ class TrackTable(_Rows):
     without half-axes (keypoints) is all NaN there; ``half_axes=None`` means
     no row has them, and ``keypoints`` is None when no row has keypoints (a
     column of NaN rows becomes None); a row with a negative frame or a
-    half-axis that is not positive raises :class:`RowError`. Every column is
-    checked at once and frozen.
+    half-axis that is not positive raises :class:`RowError`. Every row has a
+    position. Every column is checked at once and frozen.
     """
 
     frame: np.ndarray
@@ -159,20 +166,9 @@ class TrackTable(_Rows):
     half_axes: np.ndarray | None = None
     keypoints: np.ndarray | None = None
 
-    def __post_init__(self):
-        frame, oid = _key_columns(frame=self.frame, object_id=self.object_id)
-        n = len(frame)
-        pos = np.asarray(self.position, dtype=np.float64)
-        half = np.full((n, 3), np.nan) if self.half_axes is None else self.half_axes
-        half = np.asarray(half, dtype=np.float64)
-        if pos.shape != (n, 3) or half.shape != (n, 3):
-            raise ValueError(
-                f"{n} rows need (n, 3) position and half_axes, "
-                f"got {pos.shape} and {half.shape}"
-            )
-        if not np.isfinite(pos).all():
-            raise ValueError("position contains non-finite values")
-        _present(half, "half_axes")
-        _row_rule((half <= 0).any(axis=1), "half_axes", half, "half_axes must be positive")
-        kp, _ = _keypoint_column(self.keypoints, n)
-        _freeze(self, frame=frame, object_id=oid, position=pos, half_axes=half, keypoints=kp)
+    KEY = ("frame", "object_id")
+    COLUMNS = {"position": 3, "half_axes": 3, "keypoints": None}
+    REQUIRED = ("position",)
+
+    def _row_rules(self, half_axes, **_) -> None:
+        _row_rule((half_axes <= 0).any(axis=1), "half_axes", half_axes, "half_axes must be positive")

@@ -928,17 +928,17 @@ def _loop_iter_jsonl(path, key) -> Iterable[tuple[int, dict]]:
         raise ParseError(spath, None, f"cannot read: {exc}") from exc
 
 
-def loop_read_jsonl(path, table, key, columns, required, missing, duplicate):
-    """Read ``table`` from JSONL, records in any line order, checked as
-    ``mvfuse.io`` describes. ``key`` names a row's integer fields; ``columns``
-    maps each payload field to its row width (None: keypoints, (J, 3)). A
-    record needs one of the ``required`` fields, else it is refused with
-    ``missing``; the records of one key merge into one row, and a field given
-    twice for a row is refused with ``duplicate``, formatted with the key and
-    ``column``. Keypoint records are converted ``_CHUNK`` at a time; a pending
-    chunk is checked before a later line's fault is raised, so faults still
-    come in line order."""
-    spath = str(path)
+def loop_read_jsonl(path, table, missing, duplicate):
+    """Read the table class ``table`` from JSONL, records in any line order,
+    checked as ``mvfuse.io`` describes. The class's ``KEY`` names a row's
+    integer fields; its ``COLUMNS`` maps each payload field to its row width
+    (None: keypoints, (J, 3)). A record needs one of its ``REQUIRED`` fields,
+    else it is refused with ``missing``; the records of one key merge into
+    one row, and a field given twice for a row is refused with ``duplicate``,
+    formatted with the key and ``column``. Keypoint records are converted
+    ``_CHUNK`` at a time; a pending chunk is checked before a later line's
+    fault is raised, so faults still come in line order."""
+    spath, key, columns, required = str(path), table.KEY, table.COLUMNS, table.REQUIRED
     row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
     given = {c: {} for c in columns}  # column -> {row: line}, in line order
     values = {c: [] for c in columns}  # column -> the values of `given`

@@ -157,16 +157,16 @@ class TestSynth:
         # Rings whose cameras overflow: refused with no RuntimeWarning (one
         # would be an error here).
         ({"arena": [1e200, 1e200], "frames": 2, "num_objects": 1},
-         "{spec}: camera ring (radius 1.13e+200, height 5.09e+199) overflows: "
+         "{spec}: camera ring (radius 1.13e+200, height 5.09e+199, focal 275) overflows: "
          "rotation contains non-finite values"),
         ({"arena": [1e300, 1e300], "frames": 2, "num_objects": 1},
-         "{spec}: camera ring (radius 1.13e+300, height 5.09e+299) overflows: "
+         "{spec}: camera ring (radius 1.13e+300, height 5.09e+299, focal 275) overflows: "
          "rotation contains non-finite values"),
         # Finite projection matrices whose outline conic weights overflow.
-        ({"focal": 1e306}, "{spec}: camera ring (radius 17.6, height 7.91) overflows: "
-         "outline conic weights of M = K R overflow"),
-        ({"ring_radius": 1e154}, "{spec}: camera ring (radius 1e+154, height 4.5e+153) overflows: "
-         "outline conic weights of M = K R overflow"),
+        ({"focal": 1e306}, "{spec}: camera ring (radius 17.6, height 7.91, focal 1e+306) "
+         "overflows: outline conic weights of M = K R overflow"),
+        ({"ring_radius": 1e154}, "{spec}: camera ring (radius 1e+154, height 4.5e+153, "
+         "focal 4.94e+155) overflows: outline conic weights of M = K R overflow"),
     ], ids=["occlusion-not-object", "occlusion-missing-key", "ring-too-tight", "ring-inside-arena",
             "arena-1e200", "arena-1e300", "focal-1e306", "ring-1e154"])
     def test_unsatisfiable_spec_is_exit_2(self, tmp_path, capsys, doc, message):
@@ -175,6 +175,20 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {message.format(spec=spec)}"]
+
+    def test_cameras_built_once_per_run(self, tmp_path, capsys, monkeypatch):
+        # The spec builds its cameras to check them; generate renders with
+        # those, and equality and the written spec ignore them.
+        from mvfuse import synth
+
+        built = []
+        build = synth._build_cameras
+        monkeypatch.setattr(synth, "_build_cameras", lambda spec: built.append(spec) or build(spec))
+        argv = ["synth", "--out", str(tmp_path / "o"), "--objects", "1", "--frames", "2"]
+        assert main(argv) == 0
+        assert len(built) == 1
+        spec = built[0]
+        assert "cameras" not in spec.to_dict() and spec == SceneSpec(**spec.to_dict())
 
     def test_unknown_spec_key_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

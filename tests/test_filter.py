@@ -61,6 +61,31 @@ class TestGaussianBelief:
         with pytest.raises(ValueError, match="row 1 has a significantly negative"):
             GaussianBelief(np.zeros((3, 2)), cov)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_indefinite_covariance_rejected_at_any_scale(self, scale):
+        cov = scale * np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1, scaled
+        with pytest.raises(ValueError, match="row 0 has a significantly negative"):
+            GaussianBelief(np.zeros(2), cov)
+
+
+def _large_valid_covariances() -> list[np.ndarray]:
+    """Two PSD 6 x 6 covariances whose roundoff exceeds an absolute 1e-9: a
+    rank-3 A A^T scaled by 1e10 (least eigenvalue about -6e-6), and a
+    rotated diagonal of 1e8..1e9 (asymmetry about 6e-8)."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 3))
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    return [1e10 * (A @ A.T), Q @ np.diag(rng.uniform(1e8, 1e9, 6)) @ Q.T]
+
+
+@pytest.mark.parametrize("cov", _large_valid_covariances(), ids=["rank3", "rotated"])
+def test_large_valid_covariance_accepted_by_belief_and_motion_model(cov):
+    # The tolerance scales with the entries, so roundoff at 1e10 passes.
+    b = GaussianBelief(np.zeros(6), cov)
+    np.testing.assert_array_equal(b.covariance[0], 0.5 * (cov + cov.T))
+    MotionModel(transition=np.eye(6), process_noise=cov)
+
 
 class TestSigmaPoints:
     def test_known_1d_example(self):

@@ -35,7 +35,6 @@ from mvfuse import (
 )
 
 from mvfuse import io as mvfuse_io
-from mvfuse.io import _ANNOTATION_KEY
 from oracles import loop_read_jsonl, random_camera
 from test_tracker import _annotations, _cam, _rows
 
@@ -671,6 +670,56 @@ def test_writers_emit_plain_float_lists(tmp_path):
     )
 
 
+def _full_columns(table) -> dict:
+    """Three rows of ``table``'s class with every column given: the keys,
+    then each of its ``COLUMNS``, two keypoint rows per record."""
+    cols = {k: np.arange(3) for k in table.KEY}
+    for c, width in table.COLUMNS.items():
+        cols[c] = np.ones((3, 2, 3)) if width is None else np.tile(np.arange(1.0, width + 1), (3, 1))
+    return cols
+
+
+_LAYOUT = [(t, c) for t in (AnnotationTable, TrackTable) for c in t.COLUMNS]
+
+
+@pytest.mark.parametrize("table, column", _LAYOUT, ids=[f"{t.__name__}-{c}" for t, c in _LAYOUT])
+def test_table_layout_checks_each_column(table, column):
+    # The one constructor checks each declared column: its row width, its
+    # all-finite-or-all-NaN rows and, for a required one, that every row has
+    # a required payload; each refusal names the column.
+    table(**_full_columns(table))
+    cols = _full_columns(table)
+    cols[column] = np.ones((3, 2, 4)) if table.COLUMNS[column] is None else cols[column][:, :-1]
+    with pytest.raises(ValueError, match=f"^{column} must be "):
+        table(**cols)
+    cols = _full_columns(table)
+    cols[column][1, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^each {column} row must be all finite or all NaN$"):
+        table(**cols)
+    if column in table.REQUIRED:
+        cols = _full_columns(table)
+        for c in table.REQUIRED:
+            cols[c][1] = np.nan
+        with pytest.raises(ValueError, match=f"^every row needs a .*{column}"):
+            table(**cols)
+
+
+@pytest.mark.parametrize("table, save", [(AnnotationTable, save_annotations), (TrackTable, save_tracks)])
+def test_writer_writes_the_key_then_the_present_columns_in_order(tmp_path, table, save):
+    # Row i lacks the i-th column that a row can lack; each record holds
+    # KEY, then the columns its row has, in the order COLUMNS gives.
+    cols = _full_columns(table)
+    optional = [c for c in table.COLUMNS if table.REQUIRED != (c,)]  # a lone required column is not
+    for i, c in enumerate(optional):
+        cols[c][i] = np.nan
+    save(table(**cols), tmp_path / "t.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    assert len(records) == 3
+    for i, rec in enumerate(records):
+        present = [c for c in table.COLUMNS if i >= len(optional) or c != optional[i]]
+        assert list(rec) == [*table.KEY, *present]
+
+
 # Floats whose shortest repr takes each form: signed zero, exponents either
 # side, the smallest subnormal and the largest finite value; each end of the
 # positional range [1e-4, 1e16) and of the decade below it; the smallest
@@ -965,7 +1014,7 @@ def _random_jsonl(rng: random.Random, kind: str, n: int, fault: str | None, at: 
     lines, split = [], rng.choice((0.0, 0.01, 0.2))
     for rec in records:
         if kind == "annotations" and "bbox" in rec and "keypoints" in rec and rng.random() < split:
-            head = {f: rec[f] for f in _ANNOTATION_KEY}
+            head = {f: rec[f] for f in AnnotationTable.KEY}
             lines += [json.dumps({**head, "bbox": rec["bbox"]}),
                       json.dumps({**head, "keypoints": rec["keypoints"]})]
         else:

@@ -845,7 +845,7 @@ class TestContainers:
     # A track table row is one track entry: (frame, object id, position,
     # half-axes, keypoints).
     def test_entry_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="each position row must be all finite or all NaN"):
             TrackTable([0], [0], [[np.nan, 0, 0]])
 
     def test_entry_rejects_nonpositive_axes(self):
