@@ -89,8 +89,8 @@ class GaussianBelief:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if mean.ndim == 1:
             mean, cov = mean[None], cov[None]
-        if mean.ndim != 2 or len(mean) == 0:
-            raise ValueError(f"mean shape {mean.shape} is not (n, d) with n >= 1")
+        if mean.ndim != 2 or 0 in mean.shape:
+            raise ValueError(f"mean shape {mean.shape} is not (n, d) with n, d >= 1")
         if cov.shape != mean.shape + mean.shape[1:]:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
@@ -117,8 +117,8 @@ class MotionModel:
     def __post_init__(self):
         F = np.asarray(self.transition, dtype=np.float64)
         Q = np.asarray(self.process_noise, dtype=np.float64)
-        if F.ndim != 2 or F.shape[0] != F.shape[1]:
-            raise ValueError(f"transition must be square, got {F.shape}")
+        if F.ndim != 2 or F.shape[0] != F.shape[1] or not F.size:
+            raise ValueError(f"transition must be square and at least 1 x 1, got {F.shape}")
         if Q.shape != F.shape:
             raise ValueError("process_noise shape must match transition")
         _checked_covariances(

@@ -1,18 +1,18 @@
 """Fusion of multi-camera annotations into 3D tracks.
 
 One object = one 9-dim state [x, vx, y, vy, z, vz, log a, log b, log c]:
-constant-velocity kinematics plus a random walk on the log half-axes. Each
-frame is predicted once and then corrected sequentially with every camera's
-bounding box (ascending camera id), the posterior of one correction feeding
-the next. Keypoint states, when a skeleton is configured, are 6-dim states
-per joint seeded from the post-update birth state.
+constant-velocity kinematics plus a random walk on the log half-axes.
+Keypoint states, when a skeleton is configured, are 6-dim states per joint
+seeded from the post-update birth state.
 
-Objects never interact, so they are filtered together: every object is a row
-of one (mean, cov) stack (its joints are rows of a second one), and each frame
-runs one in-place predict over the live rows of each stack, then one in-place
-update (``update_rows``) per camera over the rows with an annotation in it.
-A row whose update fails is redone alone, so a failure in one object never
-touches another.
+Objects never interact, so they are filtered together in one forward pass:
+every object is a row of one (mean, cov) stack (its joints are rows of a
+second one). Each frame runs one in-place predict over the live rows of each
+stack, the births of the unborn objects it has boxes of, then one in-place
+update (``update_rows``) per camera, ascending, over the rows with an
+annotation in it, the posterior of one camera feeding the next. A row whose
+update fails is redone alone, so a failure in one object never touches
+another. Frames with no live row and no annotation are skipped.
 """
 
 from __future__ import annotations
@@ -160,20 +160,20 @@ def run_all(
     """Track every object id present in the annotations; one table row per
     (frame, object), keypoints from the frame an object's joints are seeded.
 
-    Each object is processed at every integer frame from its birth (first
-    frame whose boxes give a usable ground point) through its last
-    observation; frames without annotations are predict-only. A
-    camera update that fails for an object is skipped with an
-    ``update_skipped`` diagnostic and the object carries on with its
-    prediction; a failed keypoint update leaves that joint at its prior. An
-    object whose predict (of its box state or of a joint) fails ends at the
-    frame before, with a ``predict_failed`` diagnostic.
-    Objects without a birth frame (no box, or no box that gives a usable
-    ground point), and objects none of whose box updates applied, whose track
-    would be prediction alone, get a ``no_observation`` diagnostic and are
-    omitted. Diagnostics reach ``on_event`` ordered by object, then frame, then
-    camera. A config that gives no motion model, sigma points or birth belief
-    for a state the run filters raises ``ValidationError``.
+    One pass over the frames births each object at the first frame whose
+    boxes give a usable ground point and runs it through its last
+    observation, predict-only where it has no annotation; frames with no live
+    object and no annotation are skipped. A camera update that fails for an
+    object is skipped with an ``update_skipped`` diagnostic and the object
+    carries on with its prediction; a failed keypoint update leaves that
+    joint at its prior. An object whose predict (of its box state or of a
+    joint) fails ends at the frame before, with a ``predict_failed``
+    diagnostic. Objects never born (no box, or no box that gives a usable
+    ground point), and objects none of whose box updates applied, whose
+    track would be prediction alone, get a ``no_observation`` diagnostic and
+    are omitted. Diagnostics reach ``on_event`` ordered by object, then
+    frame, then camera. A config that gives no motion model, sigma points or
+    birth belief for a state the run filters raises ``ValidationError``.
     """
     ann = annotations
     # J = 0 when no keypoints are fused: no skeleton, or none in the annotations.
@@ -195,37 +195,16 @@ def run_all(
     except ValueError as exc:
         raise ValidationError(f"alpha and kappa give no sigma points: {exc}") from None
     diags: list[Diagnostic] = []
-    tracked = []  # (id, birth, last, fuses keypoints, belief) per object with a birth
-    # Rows by (object, frame, camera): one block per object.
-    by_object = np.argsort(ann.object_id, kind="stable")
-    ids, firsts = np.unique(ann.object_id[by_object], return_index=True)
-    for oid, rows in zip(ids.tolist(), np.split(by_object, firsts[1:])):
-        box_rows = rows[has_box[rows]]
-        box_frames = ann.frame[box_rows]
-        for birth in dict.fromkeys(box_frames.tolist()):  # the frames, ascending
-            at = box_rows[box_frames == birth]
-            try:
-                belief = init_target(ann.camera_id[at], ann.bbox[at], cams, config)
-                break
-            except NoObservation as exc:
-                logger.debug("object %d birth deferred past frame %d: %s", oid, birth, exc)
-            except ValueError as exc:  # the birth belief's own check
-                raise ValidationError(
-                    f"init_pos_var, init_vel_var and init_shape_var give no birth belief: {exc}"
-                ) from None
-        else:
-            reason = "no box gave a usable ground point" if box_rows.size else "no boxes at all"
-            diags.append(Diagnostic("no_observation", oid, message=reason))
-            continue
-        # Keypoint-only frames count towards the last frame.
-        tracked.append((oid, birth, int(ann.frame[rows[-1]]), J > 0 and has_kp[rows].any(), belief))
-
-    n = len(tracked)
-    oids, birth, last, with_kp, beliefs = zip(*tracked) if n else ((),) * 5
-    birth, last = np.array(birth, dtype=int), np.array(last, dtype=int)
-    with_kp = np.array(with_kp, dtype=bool)
-    mean = np.array([b.mean[0] for b in beliefs]).reshape(n, 9)
-    cov = np.array([b.covariance[0] for b in beliefs]).reshape(n, 9, 9)
+    # One state row per object id, ascending: its last frame (keypoint-only ones
+    # count), whether it fuses keypoints or has a box, its birth frame (-1 until born).
+    ids, row_of = np.unique(ann.object_id, return_inverse=True)
+    oids, n = ids.tolist(), ids.size
+    last, birth = np.zeros(n, dtype=np.int64), np.full(n, -1)
+    np.maximum.at(last, row_of, ann.frame)
+    with_kp, boxed = np.zeros((2, n), dtype=bool)
+    np.logical_or.at(with_kp, row_of, has_kp & (J > 0))
+    np.logical_or.at(boxed, row_of, has_box)
+    mean, cov = np.zeros((n, 9)), np.zeros((n, 9, 9))
     # Joint j of object row i is keypoint row i * J + j; NaN until seeded.
     kp_mean, kp_cov = np.full((n * J, 6), np.nan), np.zeros((n * J, 6, 6))
     applied = np.zeros(n, dtype=int)  # box updates that took effect, per row
@@ -234,14 +213,12 @@ def run_all(
         return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
 
     # The update schedule: each frame's (camera id, annotation rows, state rows)
-    # blocks of the tracked objects, cameras ascending, objects ascending in a block.
+    # blocks, cameras ascending, objects ascending in a block.
     order = np.lexsort((ann.object_id, ann.camera_id, ann.frame))
-    order = order[np.isin(ann.object_id[order], oids)]
-    state_row = np.searchsorted(oids, ann.object_id[order])
     pairs = np.column_stack([ann.frame[order], ann.camera_id[order]])
     pairs, starts = np.unique(pairs, axis=0, return_index=True)
     schedule: dict[int, list] = {}
-    split = np.split(np.stack([order, state_row]), starts[1:], axis=1)
+    split = np.split(np.stack([order, row_of[order]]), starts[1:], axis=1)
     for (frame, cid), (a, r) in zip(pairs.tolist(), split):
         schedule.setdefault(frame, []).append((cid, a, r))
 
@@ -250,8 +227,10 @@ def run_all(
     # The table one frame chunk at a time: frames, object rows, states, keypoints.
     out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
-    for frame in range(min(birth, default=0), max(last, default=-1) + 1):
-        moving = np.flatnonzero((birth < frame) & (frame <= last))
+    annotated = iter(schedule)  # the frames, ascending
+    frame = next(annotated, None)
+    while frame is not None:
+        moving = np.flatnonzero((0 <= birth) & (birth < frame) & (frame <= last))
         failed = dict(_predict(kalman_predict, motion, mean, cov, moving))
         kp_moving = joints(moving[with_kp[moving]])
         for row, exc in _predict(pose_mod.predict_keypoints, kp_motion, kp_mean, kp_cov, kp_moving):
@@ -259,9 +238,24 @@ def run_all(
         for row, exc in sorted(failed.items()):  # the object ends at the frame before
             last[row] = frame - 1
             diags.append(Diagnostic("predict_failed", oids[row], frame, message=str(exc)))
-        live = (birth <= frame) & (frame <= last)
-
+        # Each unborn object tries a birth from its boxes here, in table order.
         blocks = schedule.get(frame, ())
+        cand = np.sort(np.concatenate([a for _, a, _ in blocks] or [order[:0]]))
+        cand = cand[has_box[cand] & (birth[row_of[cand]] < 0)]
+        rows, firsts = np.unique(row_of[cand], return_index=True)
+        for row, at in zip(rows.tolist(), np.split(cand, firsts[1:])):
+            try:
+                b = init_target(ann.camera_id[at], ann.bbox[at], cams, config)
+            except NoObservation as exc:
+                logger.debug("object %d birth deferred past frame %d: %s", oids[row], frame, exc)
+                continue
+            except ValueError as exc:  # the birth belief's own check
+                raise ValidationError(
+                    f"init_pos_var, init_vel_var and init_shape_var give no birth belief: {exc}"
+                ) from None
+            mean[row], cov[row], birth[row] = b.mean[0], b.covariance[0], frame
+        live = (0 <= birth) & (birth <= frame) & (frame <= last)
+
         for cid, a, r in blocks:
             take = live[r] & has_box[a]
             rows = r[take]
@@ -279,9 +273,8 @@ def run_all(
                     f"init_keypoint_pos_var and init_keypoint_vel_var give no birth belief: {exc}"
                 ) from None
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
-        kp_live = live & with_kp
-        for cid, a, r in blocks if J else ():
-            take = kp_live[r] & has_kp[a]
+        for cid, a, r in blocks if J else ():  # a keypoint row's object fuses keypoints
+            take = live[r] & has_kp[a]
             obs = ann.keypoints[a[take]].reshape(-1, 3)
             seen = obs[:, 2] >= config.visibility_threshold
             kp_rows = joints(r[take])[seen]
@@ -294,9 +287,15 @@ def run_all(
         out_mean.append(mean[rows])
         if J:
             out_kp.append(kp_mean[joints(rows)][:, POS].reshape(-1, J, 3))
+        if (live & (frame < last)).any():
+            frame += 1
+        else:  # no row is live before the next annotated frame
+            frame = next((f for f in annotated if f > frame), None)
 
     for i in np.flatnonzero(applied == 0):
-        diags.append(Diagnostic("no_observation", oids[i], message="every box update was skipped"))
+        reason = ("every box update was skipped" if birth[i] >= 0 else
+                  "no box gave a usable ground point" if boxed[i] else "no boxes at all")
+        diags.append(Diagnostic("no_observation", oids[i], message=reason))
     if on_event is not None:
         for d in sorted(diags, key=lambda d: d.object_id):
             on_event(d)
@@ -305,7 +304,7 @@ def run_all(
     state = np.concatenate(out_mean)[keep]
     return TrackTable(
         frame=np.concatenate(out_frame)[keep],
-        object_id=np.array(oids, dtype=np.int64)[row[keep]],
+        object_id=ids[row[keep]],
         position=state[:, POS],
         half_axes=np.exp(state[:, SHAPE]),
         keypoints=np.concatenate(out_kp)[keep] if J else None,

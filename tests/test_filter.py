@@ -87,6 +87,15 @@ def test_large_valid_covariance_accepted_by_belief_and_motion_model(cov):
     MotionModel(transition=np.eye(6), process_noise=cov)
 
 
+def test_zero_dimensional_state_refused_by_belief_and_motion_model():
+    # A state of no dimension is refused with each class's own message, not
+    # a numpy reduction error from the covariance check.
+    with pytest.raises(ValueError, match=r"^mean shape \(1, 0\) is not \(n, d\) with n, d >= 1$"):
+        GaussianBelief(np.zeros((1, 0)), np.zeros((1, 0, 0)))
+    with pytest.raises(ValueError, match=r"^transition must be square and at least 1 x 1, got \(0, 0\)$"):
+        MotionModel(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 class TestSigmaPoints:
     def test_known_1d_example(self):
         # d=1, alpha=1, beta=0, kappa=2: lambda=2, points at 0, +-sqrt(3),

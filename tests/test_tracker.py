@@ -461,8 +461,9 @@ class TestRunAll:
 
     def test_beliefs_checked_only_where_they_enter(self, monkeypatch):
         # One check per object at birth (init_target) and one per keypoint
-        # seeding (init_keypoints); predict and update build every other
-        # belief from arrays that already passed.
+        # seeding (init_keypoints), in frame order: births are events of the
+        # frame pass. Predict and update build every other belief from arrays
+        # that already passed.
         checked = []
         post_init = GaussianBelief.__post_init__
 
@@ -482,7 +483,7 @@ class TestRunAll:
             bundle.annotations, bundle.calibration, RunConfig(dt=0.1), skeleton=bundle.skeleton
         )
         assert [_track(tracks, oid).frame[0] for oid in _ids(tracks)] == [0, 0, 4]
-        assert checked == [(1, 9)] * 3 + [(30, 6), (15, 6)]
+        assert checked == [(1, 9), (1, 9), (30, 6), (1, 9), (15, 6)]
 
     def test_box_kernel_runs_once_per_live_block(self, monkeypatch):
         # With no failed update, each (frame, camera) block that holds a box
@@ -575,6 +576,60 @@ class TestRunAll:
         assert len(rows["box_predict"]) == sum(n > 0 for n in moving)
         assert sum(rows["joint_predict"]) == bundle.skeleton.num_joints * sum(moving)
         assert sum(rows["box_update"]) == int(ann.has_bbox.sum())
+
+    @staticmethod
+    def _counting_predicts(monkeypatch) -> list:
+        """Patch ``tracker._predict`` to log its calls: two per visited frame,
+        one for the box stack and one for the joint stack."""
+        calls, real = [], tracker_mod._predict
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(tracker_mod, "_predict", counting)
+        return calls
+
+    def test_dead_span_costs_no_frames(self, monkeypatch, config):
+        # A work count: object 1's records moved 1e5 frames later leave a
+        # span in which no object is alive. The pass visits each object's 3
+        # frames, not the span (the frame-by-frame walk visits 100,003), and
+        # each object's track is the one it gets unshifted, frames shifted.
+        bundle, _ = generate(SceneSpec(seed=1, num_objects=2, num_cameras=3, frames=3))
+        ann, shift = bundle.annotations, 10**5
+        moved = ann.frame + shift * (ann.object_id == 1)
+        order = np.lexsort((ann.camera_id, ann.object_id, moved))
+        shifted = AnnotationTable(
+            moved[order], ann.object_id[order], ann.camera_id[order], ann.bbox[order]
+        )
+        calls = self._counting_predicts(monkeypatch)
+        tracks = run_all(shifted, bundle.calibration, config)
+        assert len(calls) == 12
+        plain = run_all(ann, bundle.calibration, config)
+        for oid, offset in ((0, 0), (1, shift)):
+            got, want = _track(tracks, oid), _track(plain, oid)
+            assert got.frame.tolist() == (want.frame + offset).tolist()
+            assert got.frame.tolist() == [offset, offset + 1, offset + 2]
+            np.testing.assert_array_equal(got.position, want.position)
+            np.testing.assert_array_equal(got.half_axes, want.half_axes)
+
+    def test_unborn_object_at_a_far_frame_costs_that_frame_alone(self, monkeypatch, config):
+        # An object whose only box, 1e5 frames on, gives no ground point is
+        # never born: the pass visits its annotated frame to try the birth,
+        # and none of the frames in between.
+        cam = _side_camera()
+        box = _box_for(cam, [0.0, 0.0, 0.9], (0.3, 0.3, 0.9))
+        annotations = _annotations(
+            (0, 1, 0, box), (1, 1, 0, box), (10**5, 2, 0, TestBirth.HORIZON_BOX)
+        )
+        calls = self._counting_predicts(monkeypatch)
+        events = []
+        tracks = run_all(annotations, {0: cam}, config, on_event=events.append)
+        assert len(calls) == 2 * 3
+        assert tracks.frame.tolist() == [0, 1] and _ids(tracks) == [1]
+        assert [(d.kind, d.object_id, d.message) for d in events] == [
+            ("no_observation", 2, "no box gave a usable ground point")
+        ]
 
     def test_stacked_run_equals_each_object_alone(self):
         # Objects share the stacked filter but never interact: fusing all of
@@ -839,6 +894,24 @@ class TestBirth:
         alone = run_all(_annotations((1, 2, 0, box)), {0: cam}, config)
         np.testing.assert_array_equal(_track(tracks, 2).position, alone.position)
         assert events == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_births_at_the_largest_frame(self, config, count):
+        # Frames reach 2**63 - 1, the largest the reader takes: an object
+        # whose records end there gets the track it gets at frames from 0.
+        cam = _side_camera()
+        box = _box_for(cam, [0.0, 0.0, 0.9], (0.3, 0.3, 0.9))
+        last = 2**63 - 1
+        events = []
+        tracks = run_all(
+            _annotations(*[(last - k, 1, 0, box) for k in range(count)]), {0: cam}, config,
+            on_event=events.append,
+        )
+        low = run_all(_annotations(*[(k, 1, 0, box) for k in range(count)]), {0: cam}, config)
+        assert events == []
+        assert tracks.frame.tolist() == sorted(last - k for k in range(count))
+        np.testing.assert_array_equal(tracks.position, low.position)
+        np.testing.assert_array_equal(tracks.half_axes, low.half_axes)
 
 
 class TestContainers:
