@@ -715,25 +715,12 @@ def load_scene(
     skeleton=None,
     units: str = "m",
 ) -> SceneBundle:
-    """Load and cross-validate a full scene.
-
-    Every annotation must reference a calibrated camera, and keypoint rows
-    must agree in joint count with the skeleton when one is given (with each
-    other they agree on load).
+    """Load a full scene: the calibration, the annotations and, when one is
+    named, the skeleton, each checked on its own. Whether the annotations fit
+    the rig and the skeleton (known cameras, the skeleton's joint count) is
+    checked by :func:`~mvfuse.tracker.run_all`, which fuses them.
     """
     cams = load_calibration(calibration_path, units=units)
     ann = load_annotations(annotations_path)
     pose = load_skeleton(skeleton) if skeleton is not None else None
-    unknown = ~np.isin(ann.camera_id, list(cams))
-    if unknown.any():
-        i = int(np.argmax(unknown))
-        raise ValidationError(
-            f"frame {ann.frame[i]}, object {ann.object_id[i]}: unknown camera {ann.camera_id[i]}"
-        )
-    if pose is not None and ann.keypoints is not None and ann.keypoints.shape[1] != pose.num_joints:
-        i = int(np.argmax(ann.has_keypoints))
-        raise ValidationError(
-            f"frame {ann.frame[i]}, object {ann.object_id[i]}, camera {ann.camera_id[i]}: "
-            f"{ann.keypoints.shape[1]} keypoints, expected {pose.num_joints}"
-        )
     return SceneBundle(calibration=cams, annotations=ann, skeleton=pose)

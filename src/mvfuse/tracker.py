@@ -7,10 +7,14 @@ seeded from the post-update birth state.
 
 Objects never interact, so they are filtered together in one forward pass:
 every object is a row of one (mean, cov) stack (its joints are rows of a
-second one). Each frame runs one in-place predict over the live rows of each
-stack, the births of the unborn objects it has boxes of, then one in-place
-update (``update_rows``) per camera, ascending, over the rows with an
-annotation in it, the posterior of one camera feeding the next. A row whose
+second one). What the annotations fix is worked out once, before the first
+frame, as a schedule of table row indices: each annotated frame's birth
+groups (an object's box rows, cameras ascending) and its per-camera blocks
+of box rows and keypoint rows. The frame loop filters the schedule by
+liveness alone. Each frame runs one in-place predict over the live rows of
+each stack, tries the frame's birth groups of the objects still unborn, then
+one in-place update (``update_rows``) per camera, ascending, over the live
+rows of its block, the posterior of one camera feeding the next. A row whose
 update fails is redone alone, so a failure in one object never touches
 another. Frames with no live row and no annotation are skipped.
 """
@@ -150,6 +154,12 @@ def _predict(predict, model: MotionModel, mean: np.ndarray, cov: np.ndarray, row
     return update_rows(lambda m, c, _: predict(m, c, model), mean, cov, rows, rows)
 
 
+def _runs(at: np.ndarray, *keys: np.ndarray) -> list[np.ndarray]:
+    """The runs of equal ``keys`` in the table rows ``at``, in order."""
+    cut = np.flatnonzero(np.any([np.diff(k[at]) for k in keys], axis=0)) + 1
+    return np.split(at, cut) if at.size else []
+
+
 def run_all(
     annotations: AnnotationTable,
     cams: Mapping[int, CameraModel],
@@ -172,15 +182,51 @@ def run_all(
     ground point), and objects none of whose box updates applied, whose
     track would be prediction alone, get a ``no_observation`` diagnostic and
     are omitted. Diagnostics reach ``on_event`` ordered by object, then
-    frame, then camera. A config that gives no motion model, sigma points or
-    birth belief for a state the run filters raises ``ValidationError``.
+    frame, then camera.
+
+    Raises ``ValidationError`` for an annotation whose camera is not in
+    ``cams``, for keypoint rows whose joint count differs from the
+    skeleton's, and for a config that gives no motion model, sigma points or
+    birth belief for a state the run filters.
     """
     ann = annotations
     # J = 0 when no keypoints are fused: no skeleton, or none in the annotations.
     J = skeleton.num_joints if skeleton is not None and ann.keypoints is not None else 0
+    unknown = ~np.isin(ann.camera_id, list(cams))
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ValidationError(
+            f"frame {ann.frame[i]}, object {ann.object_id[i]}: unknown camera {ann.camera_id[i]}"
+        )
     if J and ann.keypoints.shape[1] != J:
-        raise ValueError(f"keypoint observations shape must be (n, {J}, 3)")
-    has_box, has_kp = ann.has_bbox, ann.has_keypoints
+        i = int(np.argmax(ann.has_keypoints))
+        raise ValidationError(
+            f"frame {ann.frame[i]}, object {ann.object_id[i]}, camera {ann.camera_id[i]}: "
+            f"{ann.keypoints.shape[1]} keypoints, expected {J}"
+        )
+    # The schedule, fixed by the table before the first frame. One state row per
+    # object id, ascending: its last frame (keypoint-only ones count), whether it
+    # fuses keypoints or has a box; and its birth frame, -1 until born.
+    has_box, has_kp = ann.has_bbox, ann.has_keypoints & (J > 0)
+    ids, row_of = np.unique(ann.object_id, return_inverse=True)
+    oids, n = ids.tolist(), ids.size
+    last, birth = np.zeros(n, dtype=np.int64), np.full(n, -1)
+    np.maximum.at(last, row_of, ann.frame)
+    with_kp = np.bincount(row_of[has_kp], minlength=n) > 0
+    boxed = np.bincount(row_of[has_box], minlength=n) > 0
+    # Each annotated frame's birth groups, (state row, box rows) with objects and
+    # cameras ascending, and its blocks, (camera id, box rows, their state rows,
+    # keypoint rows, their state rows) with cameras ascending, objects ascending
+    # in a block. A stable sort on (frame, camera) keeps the table's object order.
+    births, blocks = {}, {}
+    for at in _runs(np.flatnonzero(has_box), ann.frame, row_of):
+        births.setdefault(int(ann.frame[at[0]]), []).append((int(row_of[at[0]]), at))
+    for a in _runs(np.lexsort((ann.camera_id, ann.frame)), ann.frame, ann.camera_id):
+        box, kp = a[has_box[a]], a[has_kp[a]]
+        blocks.setdefault(int(ann.frame[a[0]]), []).append(
+            (int(ann.camera_id[a[0]]), box, row_of[box], kp, row_of[kp])
+        )
+
     # The filter's constant pieces, built once before any object is fused: the
     # motion models and the sigma scale of each filtered state. The 6-dim model
     # fails only where the 9-dim one does.
@@ -195,15 +241,6 @@ def run_all(
     except ValueError as exc:
         raise ValidationError(f"alpha and kappa give no sigma points: {exc}") from None
     diags: list[Diagnostic] = []
-    # One state row per object id, ascending: its last frame (keypoint-only ones
-    # count), whether it fuses keypoints or has a box, its birth frame (-1 until born).
-    ids, row_of = np.unique(ann.object_id, return_inverse=True)
-    oids, n = ids.tolist(), ids.size
-    last, birth = np.zeros(n, dtype=np.int64), np.full(n, -1)
-    np.maximum.at(last, row_of, ann.frame)
-    with_kp, boxed = np.zeros((2, n), dtype=bool)
-    np.logical_or.at(with_kp, row_of, has_kp & (J > 0))
-    np.logical_or.at(boxed, row_of, has_box)
     mean, cov = np.zeros((n, 9)), np.zeros((n, 9, 9))
     # Joint j of object row i is keypoint row i * J + j; NaN until seeded.
     kp_mean, kp_cov = np.full((n * J, 6), np.nan), np.zeros((n * J, 6, 6))
@@ -212,22 +249,12 @@ def run_all(
     def joints(rows) -> np.ndarray:
         return (np.asarray(rows)[:, None] * J + np.arange(J)).ravel()
 
-    # The update schedule: each frame's (camera id, annotation rows, state rows)
-    # blocks, cameras ascending, objects ascending in a block.
-    order = np.lexsort((ann.object_id, ann.camera_id, ann.frame))
-    pairs = np.column_stack([ann.frame[order], ann.camera_id[order]])
-    pairs, starts = np.unique(pairs, axis=0, return_index=True)
-    schedule: dict[int, list] = {}
-    split = np.split(np.stack([order, row_of[order]]), starts[1:], axis=1)
-    for (frame, cid), (a, r) in zip(pairs.tolist(), split):
-        schedule.setdefault(frame, []).append((cid, a, r))
-
     box_update = {cid: _box_update(cam, config) for cid, cam in cams.items()}
     kp_update = {cid: pose_mod.keypoint_update(cam, config) for cid, cam in cams.items()}
     # The table one frame chunk at a time: frames, object rows, states, keypoints.
     out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
-    annotated = iter(schedule)  # the frames, ascending
+    annotated = iter(blocks)  # the frames, ascending
     frame = next(annotated, None)
     while frame is not None:
         moving = np.flatnonzero((0 <= birth) & (birth < frame) & (frame <= last))
@@ -238,12 +265,9 @@ def run_all(
         for row, exc in sorted(failed.items()):  # the object ends at the frame before
             last[row] = frame - 1
             diags.append(Diagnostic("predict_failed", oids[row], frame, message=str(exc)))
-        # Each unborn object tries a birth from its boxes here, in table order.
-        blocks = schedule.get(frame, ())
-        cand = np.sort(np.concatenate([a for _, a, _ in blocks] or [order[:0]]))
-        cand = cand[has_box[cand] & (birth[row_of[cand]] < 0)]
-        rows, firsts = np.unique(row_of[cand], return_index=True)
-        for row, at in zip(rows.tolist(), np.split(cand, firsts[1:])):
+        for row, at in births.get(frame, ()):
+            if birth[row] >= 0:
+                continue
             try:
                 b = init_target(ann.camera_id[at], ann.bbox[at], cams, config)
             except NoObservation as exc:
@@ -256,8 +280,8 @@ def run_all(
             mean[row], cov[row], birth[row] = b.mean[0], b.covariance[0], frame
         live = (0 <= birth) & (birth <= frame) & (frame <= last)
 
-        for cid, a, r in blocks:
-            take = live[r] & has_box[a]
+        for cid, a, r, _, _ in blocks.get(frame, ()):
+            take = live[r]
             rows = r[take]
             applied[rows] += 1
             for row, exc in update_rows(box_update[cid], mean, cov, rows, ann.bbox[a[take]]):
@@ -273,8 +297,8 @@ def run_all(
                     f"init_keypoint_pos_var and init_keypoint_vel_var give no birth belief: {exc}"
                 ) from None
             kp_mean[joints(born)], kp_cov[joints(born)] = b.mean, b.covariance
-        for cid, a, r in blocks if J else ():  # a keypoint row's object fuses keypoints
-            take = live[r] & has_kp[a]
+        for cid, _, _, a, r in blocks.get(frame, ()) if J else ():
+            take = live[r]
             obs = ann.keypoints[a[take]].reshape(-1, 3)
             seen = obs[:, 2] >= config.visibility_threshold
             kp_rows = joints(r[take])[seen]

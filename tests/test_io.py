@@ -573,17 +573,23 @@ class TestLoadScene:
         assert bundle.skeleton is None
 
     def test_unknown_camera_rejected(self, overhead_camera, tmp_path):
+        # The scene loads; fusing it refuses the first annotation, in table
+        # order, whose camera the rig lacks.
         cal, ann = self._write_scene(
             tmp_path, {0: overhead_camera}, _sample_annotations()
         )
-        with pytest.raises(ValidationError, match="unknown camera 3"):
-            load_scene(cal, ann)
+        bundle = load_scene(cal, ann)
+        with pytest.raises(ValidationError, match="^frame 0, object 1: unknown camera 3$"):
+            run_all(bundle.annotations, bundle.calibration, RunConfig())
 
     def test_skeleton_joint_count_enforced(self, rig, tmp_path):
         # Sample annotations carry 2-joint keypoints; coco17 wants 17.
         cal, ann = self._write_scene(tmp_path, rig, _sample_annotations())
-        with pytest.raises(ValidationError, match="expected 17"):
-            load_scene(cal, ann, skeleton="coco17")
+        bundle = load_scene(cal, ann, skeleton="coco17")
+        with pytest.raises(
+            ValidationError, match="^frame 0, object 1, camera 0: 2 keypoints, expected 17$"
+        ):
+            run_all(bundle.annotations, bundle.calibration, RunConfig(), skeleton=bundle.skeleton)
 
     def test_inconsistent_joint_counts_rejected(self, rig, tmp_path):
         # The table holds one joint count, so the file is refused on load,

@@ -10,6 +10,7 @@ from mvfuse import (
     GaussianBelief,
     RunConfig,
     SceneSpec,
+    ValidationError,
     canonical_pose,
     generate,
     init_keypoints,
@@ -306,7 +307,7 @@ class TestUpdateKeypoints:
         bundle = _pose_scene(frames=1)
         ann = bundle.annotations
         wrong = _with_keypoints(ann, ann.keypoints[:, :2])
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValidationError, match="2 keypoints, expected 15"):
             run_all(wrong, bundle.calibration, config, skeleton=bundle.skeleton)
 
 

@@ -18,6 +18,7 @@ from mvfuse import (
     SceneSpec,
     SigmaPointProjectionFailure,
     TrackTable,
+    ValidationError,
     bbox_measurement,
     canonical_pose,
     generate,
@@ -613,6 +614,14 @@ class TestRunAll:
             np.testing.assert_array_equal(got.position, want.position)
             np.testing.assert_array_equal(got.half_axes, want.half_axes)
 
+    def test_unknown_camera_refused(self, config):
+        # run_all checks that the annotations fit the rig it is given: a rig
+        # without camera 2 refuses the first row, in table order, that names it.
+        bundle, _ = generate(SceneSpec(seed=1, num_objects=2, num_cameras=3, frames=3))
+        cams = {cid: cam for cid, cam in bundle.calibration.items() if cid != 2}
+        with pytest.raises(ValidationError, match="^frame 0, object 0: unknown camera 2$"):
+            run_all(bundle.annotations, cams, config)
+
     def test_unborn_object_at_a_far_frame_costs_that_frame_alone(self, monkeypatch, config):
         # An object whose only box, 1e5 frames on, gives no ground point is
         # never born: the pass visits its annotated frame to try the birth,
@@ -656,9 +665,9 @@ class TestRunAll:
             t = _track(tracks, oid)
             assert _ids(alone) == [oid]
             np.testing.assert_array_equal(alone.frame, t.frame)
-            np.testing.assert_allclose(alone.position, t.position, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(alone.half_axes, t.half_axes, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(alone.keypoints, t.keypoints, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(alone.position, t.position)
+            np.testing.assert_array_equal(alone.half_axes, t.half_axes)
+            np.testing.assert_array_equal(alone.keypoints, t.keypoints)
 
     def test_filter_error_skips_only_that_object(self, small_scene, config, monkeypatch):
         # Any FilterError in one object's row (here a CholeskyFailure) skips
