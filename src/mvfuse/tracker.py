@@ -17,6 +17,10 @@ one in-place update (``update_rows``) per camera, ascending, over the live
 rows of its block, the posterior of one camera feeding the next. A row whose
 update fails is redone alone, so a failure in one object never touches
 another. Frames with no live row and no annotation are skipped.
+
+The pass (``_forward``) hands each visited frame's live rows and their
+filtered means to the builder (``run_all``), the one place that makes the
+track table.
 """
 
 from __future__ import annotations
@@ -160,36 +164,16 @@ def _runs(at: np.ndarray, *keys: np.ndarray) -> list[np.ndarray]:
     return np.split(at, cut) if at.size else []
 
 
-def run_all(
-    annotations: AnnotationTable,
-    cams: Mapping[int, CameraModel],
-    config: "RunConfig",
-    skeleton: "CanonicalPose | None" = None,
-    on_event: EventCallback | None = None,
-) -> TrackTable:
-    """Track every object id present in the annotations; one table row per
-    (frame, object), keypoints from the frame an object's joints are seeded.
+def _forward(ann: AnnotationTable, cams: Mapping[int, CameraModel], config: "RunConfig",
+             skeleton: "CanonicalPose | None", on_event: EventCallback | None):
+    """The forward pass of :func:`run_all`: its checks, its schedule and its
+    frame loop, with every diagnostic delivered to ``on_event`` at the end.
 
-    One pass over the frames births each object at the first frame whose
-    boxes give a usable ground point and runs it through its last
-    observation, predict-only where it has no annotation; frames with no live
-    object and no annotation are skipped. A camera update that fails for an
-    object is skipped with an ``update_skipped`` diagnostic and the object
-    carries on with its prediction; a failed keypoint update leaves that
-    joint at its prior. An object whose predict (of its box state or of a
-    joint) fails ends at the frame before, with a ``predict_failed``
-    diagnostic. Objects never born (no box, or no box that gives a usable
-    ground point), and objects none of whose box updates applied, whose
-    track would be prediction alone, get a ``no_observation`` diagnostic and
-    are omitted. Diagnostics reach ``on_event`` ordered by object, then
-    frame, then camera.
-
-    Raises ``ValidationError`` for an annotation whose camera is not in
-    ``cams``, for keypoint rows whose joint count differs from the
-    skeleton's, and for a config that gives no motion model, sigma points or
-    birth belief for a state the run filters.
+    Returns the object ids (one per state row, ascending), J, the chunks
+    ``(frames, state rows, filtered means, joint positions)`` of the visited
+    frames' live rows after one empty chunk (joint positions only when
+    J > 0), and the box updates applied per state row.
     """
-    ann = annotations
     # J = 0 when no keypoints are fused: no skeleton, or none in the annotations.
     J = skeleton.num_joints if skeleton is not None and ann.keypoints is not None else 0
     unknown = ~np.isin(ann.camera_id, list(cams))
@@ -212,8 +196,7 @@ def run_all(
     oids, n = ids.tolist(), ids.size
     last, birth = np.zeros(n, dtype=np.int64), np.full(n, -1)
     np.maximum.at(last, row_of, ann.frame)
-    with_kp = np.bincount(row_of[has_kp], minlength=n) > 0
-    boxed = np.bincount(row_of[has_box], minlength=n) > 0
+    with_kp, boxed = (np.bincount(row_of[m], minlength=n) > 0 for m in (has_kp, has_box))
     # Each annotated frame's birth groups, (state row, box rows) with objects and
     # cameras ascending, and its blocks, (camera id, box rows, their state rows,
     # keypoint rows, their state rows) with cameras ascending, objects ascending
@@ -251,9 +234,8 @@ def run_all(
 
     box_update = {cid: _box_update(cam, config) for cid, cam in cams.items()}
     kp_update = {cid: pose_mod.keypoint_update(cam, config) for cid, cam in cams.items()}
-    # The table one frame chunk at a time: frames, object rows, states, keypoints.
-    out_frame, out_row = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    out_mean, out_kp = [np.zeros((0, 9))], [np.zeros((0, J, 3))]
+    # One chunk per visited frame: frames, state rows, filtered means, joints.
+    chunks = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 9)), np.zeros((0, J, 3)))]
     annotated = iter(blocks)  # the frames, ascending
     frame = next(annotated, None)
     while frame is not None:
@@ -306,11 +288,8 @@ def run_all(
                 logger.debug("keypoint row %d update skipped: %s", row, exc)
 
         rows = np.flatnonzero(live)
-        out_frame.append(np.full(rows.size, frame))
-        out_row.append(rows)
-        out_mean.append(mean[rows])
-        if J:
-            out_kp.append(kp_mean[joints(rows)][:, POS].reshape(-1, J, 3))
+        kp = kp_mean[joints(rows)][:, POS].reshape(-1, J, 3) if J else None
+        chunks.append((np.full(rows.size, frame), rows, mean[rows], kp))
         if (live & (frame < last)).any():
             frame += 1
         else:  # no row is live before the next annotated frame
@@ -323,13 +302,48 @@ def run_all(
     if on_event is not None:
         for d in sorted(diags, key=lambda d: d.object_id):
             on_event(d)
-    row = np.concatenate(out_row)
+    return ids, J, chunks, applied
+
+
+def run_all(
+    annotations: AnnotationTable,
+    cams: Mapping[int, CameraModel],
+    config: "RunConfig",
+    skeleton: "CanonicalPose | None" = None,
+    on_event: EventCallback | None = None,
+) -> TrackTable:
+    """Track every object id present in the annotations; one table row per
+    (frame, object), keypoints from the frame an object's joints are seeded.
+
+    The forward pass (``_forward``) births each object at the first frame
+    whose boxes give a usable ground point and runs it through its last
+    observation, predict-only where it has no annotation; frames with no
+    live object and no annotation are skipped. A camera update that fails
+    for an object is skipped with an ``update_skipped`` diagnostic and the
+    object carries on with its prediction; a failed keypoint update leaves
+    that joint at its prior. An object whose predict (of its box state or of
+    a joint) fails ends at the frame before, with a ``predict_failed``
+    diagnostic. Objects never born (no box, or no box that gives a usable
+    ground point), and objects none of whose box updates applied, whose
+    track would be prediction alone, get a ``no_observation`` diagnostic and
+    are left out when the table is built here from the rows the pass
+    visited. Diagnostics reach ``on_event`` ordered by object, then frame,
+    then camera.
+
+    Raises ``ValidationError`` for an annotation whose camera is not in
+    ``cams``, for keypoint rows whose joint count differs from the
+    skeleton's, and for a config that gives no motion model, sigma points or
+    birth belief for a state the run filters.
+    """
+    ids, J, chunks, applied = _forward(annotations, cams, config, skeleton, on_event)
+    frame, row, state, kp = zip(*chunks)
+    row = np.concatenate(row)
     keep = applied[row] > 0
-    state = np.concatenate(out_mean)[keep]
+    state = np.concatenate(state)[keep]
     return TrackTable(
-        frame=np.concatenate(out_frame)[keep],
+        frame=np.concatenate(frame)[keep],
         object_id=ids[row[keep]],
         position=state[:, POS],
         half_axes=np.exp(state[:, SHAPE]),
-        keypoints=np.concatenate(out_kp)[keep] if J else None,
+        keypoints=np.concatenate(kp)[keep] if J else None,
     )

@@ -28,6 +28,7 @@ from mvfuse import (
     project_ellipsoid_to_bbox,
     project_point,
     run_all,
+    save_tracks,
     scaled_offsets,
     sigma_points,
 )
@@ -621,6 +622,19 @@ class TestRunAll:
         cams = {cid: cam for cid, cam in bundle.calibration.items() if cid != 2}
         with pytest.raises(ValidationError, match="^frame 0, object 0: unknown camera 2$"):
             run_all(bundle.annotations, cams, config)
+
+    @pytest.mark.parametrize("skeleton", [None, "panoptic15"])
+    def test_no_annotations_give_an_empty_table(self, config, tmp_path, skeleton):
+        # Zero rows: the pass visits no frame, so the table is built from its
+        # one empty chunk, with no keypoint column, and writes an empty file.
+        none = np.zeros(0, dtype=np.int64)
+        kp = None if skeleton is None else np.zeros((0, 15, 3))
+        annotations = AnnotationTable(none, none, none, np.zeros((0, 4)), kp)
+        pose = None if skeleton is None else canonical_pose(skeleton)
+        tracks = run_all(annotations, {0: _side_camera()}, config, skeleton=pose)
+        assert len(tracks) == 0 and tracks.keypoints is None
+        save_tracks(tracks, tmp_path / "tracks.jsonl")
+        assert (tmp_path / "tracks.jsonl").read_bytes() == b""
 
     def test_unborn_object_at_a_far_frame_costs_that_frame_alone(self, monkeypatch, config):
         # An object whose only box, 1e5 frames on, gives no ground point is
