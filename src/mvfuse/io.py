@@ -8,22 +8,23 @@ identical inputs produce identical bytes.
 
 One reader and one writer serve both JSONL tables, and take each table's
 layout from its class (``KEY``, ``COLUMNS``, ``REQUIRED``); only the
-messages for a bad file are theirs. The reader checks the records in line
-order (JSON syntax, integer keys, a payload, no field given twice for one
-key, keypoint rows), then each fixed-width column. The row rules
-(non-negative frames, box corners in order, positive half-axes) are the
-tables': the first row a table refuses is reported at the line of the
-record that gave the bad value. So of several faults in a file, record and
-``duplicate`` faults come first, then malformed fixed-width values, then
-row-rule faults.
+messages for a bad file are theirs. The reader checks each record whole,
+in line order: JSON syntax, integer keys, a payload, then each payload field
+in ``COLUMNS`` order (not given twice for one key, its values numbers of the
+right shape). The row rules (non-negative frames, box corners in order,
+positive half-axes) are the tables': the first row a table refuses is
+reported at the line of the record that gave the bad value. So of several
+faults in a file, the first faulty record's comes first, and row-rule faults
+only after every record is read.
 
 It takes the records ``_CHUNK`` lines at a time. A chunk whose records are
 all clean is checked as a whole: the keys by one ``itemgetter`` map and set
 tests, the payload fields together, and each field's values by one
 ``np.array`` whose dtype, shape and finiteness are then tested. Any other
 chunk is read record by record, which gives every message, ``file:line``
-and the order of faults; a clean chunk has none to give. The collector is
-paused during a read, since decoded records form no reference cycles.
+and the order of faults; a clean chunk has none to give. Either way a
+chunk's values of a column end as one array. The collector is paused during
+a read, since decoded records form no reference cycles.
 
 Both run on orjson and keep ``json``'s text and errors. The writer gives the
 bytes of ``json.dumps(record, separators=(",", ":"))``: a float is its
@@ -41,10 +42,10 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -274,11 +275,10 @@ def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[f
     return out
 
 
-def _float_rows(rows, n: int, path: str, lines: Iterable, what: str) -> np.ndarray:
+def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndarray:
     """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
     one pass; a list that fails is read row by row by :func:`_float_list`,
-    which names the first bad row and its entry of ``lines`` (one line per
-    row, read only then)."""
+    which names the first bad row."""
     if (
         set(map(type, rows)) <= {list}
         and set(map(len, rows)) <= {n}
@@ -290,7 +290,7 @@ def _float_rows(rows, n: int, path: str, lines: Iterable, what: str) -> np.ndarr
             arr = None
         if arr is not None and np.isfinite(arr).all():
             return arr
-    return np.array([_float_list(r, n, path, at, what) for r, at in zip(rows, lines)])
+    return np.array([_float_list(r, n, path, line, what) for r in rows])
 
 
 def _integer(value, path: str, line: int | None, what: str) -> int:
@@ -403,9 +403,8 @@ class _Reader:
     row, and a field given twice for a row is refused with ``duplicate``,
     formatted with the key and ``column``.
 
-    Each column's values are kept as one segment per chunk, in line order:
-    an array already checked, or, for a fixed-width column of a chunk taken
-    record by record, the list of its values, checked in :meth:`table`.
+    Each column's values are kept as one checked array per chunk that has
+    any, in line order.
     """
 
     def __init__(self, path, table, missing, duplicate):
@@ -417,23 +416,20 @@ class _Reader:
         self.values = {c: [] for c in self.columns}  # column -> segments of the values of `given`
         self.joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
         self.kp = next((c for c, width in self.columns.items() if width is None), None)
-        self.pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
 
     def take(self, linenos: list[int], lines: list[str]) -> None:
         """Take a chunk of lines: in one pass if every record in it is clean
-        (:meth:`take_clean`), else record by record (:meth:`record`)."""
+        (:meth:`take_clean`), else record by record (:meth:`record`), each
+        column's values then stacked into one array."""
         if self.take_clean(linenos, lines):
             return
-        for c, width in self.columns.items():
-            if width is not None:
-                self.values[c].append([])
-        try:
-            for lineno, line in zip(linenos, lines):
-                self.record(lineno, line)
-        except (ParseError, ValidationError):
-            self.convert()  # a keypoint fault on an earlier line comes first
-            raise
-        self.convert()
+        for segments in self.values.values():
+            segments.append([])
+        for lineno, line in zip(linenos, lines):
+            self.record(lineno, line)
+        for segments in self.values.values():
+            if values := segments.pop():
+                segments.append(np.array(values))
 
     def take_clean(self, linenos: list[int], lines: list[str]) -> bool:
         """Take the chunk in one pass and return True if each record in it
@@ -524,32 +520,22 @@ class _Reader:
                 raise ValidationError(f"{spath}:{lineno}: " + self.duplicate.format(*k, column=c))
             self.given[c][row] = lineno
             if width is not None:
-                self.values[c][-1].append(value)
+                self.values[c][-1].append(_float_list(value, width, spath, lineno, c))
                 continue
             if not isinstance(value, list) or not value:
                 raise ParseError(spath, lineno, f"{c} must be a non-empty list")
+            # a bad row of the record is named before its row count
+            rows = _float_rows(value, 3, spath, lineno, "keypoint row")
             self.joints = joints = self.joints or (len(value), lineno)
-            if len(value) != joints[0]:  # a bad row of the record is named first
-                _float_rows(value, 3, spath, repeat(lineno), "keypoint row")
+            if len(value) != joints[0]:
                 raise ParseError(
                     spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
                 )
-            self.pending.append((value, lineno))
-
-    def convert(self) -> None:
-        """Check the pending keypoint records and append them to the
-        keypoint values as one (m, J, 3) array."""
-        recs, self.pending = self.pending, []
-        if recs:
-            rows = list(chain.from_iterable(v for v, _ in recs))
-            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
-            arr = _float_rows(rows, 3, self.path, lines, "keypoint row")
-            self.values[self.kp].append(arr.reshape(len(recs), -1, 3))
+            self.values[c][-1].append(rows)
 
     def table(self):
-        """The rows taken, as the table sorted by key: the unchecked values
-        of each fixed-width column checked in line order, then the table's
-        row rules."""
+        """The rows taken, as the table sorted by key, which checks its row
+        rules."""
         spath, key, given = self.path, self.key, self.given
         keys = np.array(list(self.row_of), dtype=np.int64).reshape(-1, len(key)).T
         order = np.lexsort(keys[::-1])
@@ -560,15 +546,12 @@ class _Reader:
                 continue
             row = (width,) if width else (self.joints[0], 3)
             cols[c] = np.full((len(order), *row), np.nan)
-            rows, lines, segments, lo = rank[list(given[c])], list(given[c].values()), self.values[c], 0
+            rows, segments, lo = rank[list(given[c])], self.values[c], 0
             # Each segment goes straight to its sorted rows and is dropped,
             # so the load never holds a second, stacked copy.
             for i, seg in enumerate(segments):
-                hi = lo + len(seg)
-                if isinstance(seg, list):
-                    seg = _float_rows(seg, width, spath, lines[lo:hi], c).reshape(-1, width)
-                cols[c][rows[lo:hi]], segments[i] = seg, None
-                lo = hi
+                cols[c][rows[lo : lo + len(seg)]], segments[i] = seg, None
+                lo += len(seg)
         try:
             return self.cls(**cols)
         except RowError as exc:
@@ -698,7 +681,7 @@ def load_skeleton(source) -> CanonicalPose:
         raise ParseError(name, None, "joints must be a list of strings")
     if not isinstance(coords, list):
         raise ParseError(name, None, "coords must be a list of [x, y, z]")
-    rows = _float_rows(coords, 3, name, [None] * len(coords), "coords row")
+    rows = _float_rows(coords, 3, name, None, "coords row")
     try:
         return CanonicalPose.from_raw(str(doc.get("name", Path(name).stem)), joints, rows)
     except ValueError as exc:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -28,7 +27,7 @@ import orjson
 from scipy.optimize import linear_sum_assignment
 
 from mvfuse.errors import ParseError, ValidationError
-from mvfuse.io import _CHUNK, _float_list, _integer, _json_loads
+from mvfuse.io import _float_list, _integer, _json_loads
 from mvfuse.metrics import PoseMetrics
 from mvfuse.tracks import RowError
 
@@ -878,27 +877,8 @@ def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa
 
 
 # --- JSONL reader, one record at a time ---------------------------------------
-# ``mvfuse.io._read_jsonl`` in its earlier form: every record checked on its
-# own as it is read, keypoint records converted _CHUNK at a time.
-
-
-def _loop_float_rows(rows, n: int, path: str, lines: Iterable, what: str) -> np.ndarray:
-    """Rows of ``n`` finite numbers as one (len(rows), n) array, checked in
-    one pass; a list that fails is read row by row by ``_float_list``,
-    which names the first bad row and its entry of ``lines`` (one line per
-    row, read only then)."""
-    if (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {n}
-        and set(map(type, chain.from_iterable(rows))) <= {float, int}
-    ):
-        try:
-            arr = np.array(rows, dtype=np.float64)
-        except OverflowError:  # an int too large for a float
-            arr = None
-        if arr is not None and np.isfinite(arr).all():
-            return arr
-    return np.array([_float_list(r, n, path, at, what) for r, at in zip(rows, lines)])
+# ``mvfuse.io._read_jsonl`` in its earlier form: every record checked whole, on
+# its own, as it is read.
 
 
 def _loop_iter_jsonl(path, key) -> Iterable[tuple[int, dict]]:
@@ -935,75 +915,47 @@ def loop_read_jsonl(path, table, missing, duplicate):
     (None: keypoints, (J, 3)). A record needs one of its ``REQUIRED`` fields,
     else it is refused with ``missing``; the records of one key merge into
     one row, and a field given twice for a row is refused with ``duplicate``,
-    formatted with the key and ``column``. Keypoint records are converted
-    ``_CHUNK`` at a time; a pending chunk is checked before a later line's
-    fault is raised, so faults still come in line order."""
+    formatted with the key and ``column``. Each value is checked where its
+    record is read, so faults come in line order."""
     spath, key, columns, required = str(path), table.KEY, table.COLUMNS, table.REQUIRED
     row_of: dict[tuple[int, ...], int] = {}  # key -> row, in first-seen order
     given = {c: {} for c in columns}  # column -> {row: line}, in line order
-    values = {c: [] for c in columns}  # column -> the values of `given`
+    values = {c: [] for c in columns}  # column -> the checked values of `given`
     joints: tuple[int, int] | None = None  # (keypoint rows per record, first line)
-    kp_column = next((c for c, width in columns.items() if width is None), None)
-    pending: list[tuple[list, int]] = []  # (keypoints, line) not yet converted
-
-    def convert() -> None:
-        """Check the pending keypoint records and append them to ``values``
-        as one (m, J, 3) array."""
-        recs, pending[:] = pending[:], []
-        if recs:
-            rows = list(chain.from_iterable(v for v, _ in recs))
-            lines = chain.from_iterable(repeat(at, len(v)) for v, at in recs)
-            arr = _loop_float_rows(rows, 3, spath, lines, "keypoint row")
-            values[kp_column].append(arr.reshape(len(recs), -1, 3))
-
-    try:
-        for lineno, rec in _loop_iter_jsonl(path, key):
-            k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
-            if all(rec.get(c) is None for c in required):
-                raise ParseError(spath, lineno, missing)
-            row = row_of.setdefault(k, len(row_of))
-            for c, width in columns.items():
-                value = rec.get(c)
-                if value is None:
-                    continue
-                if row in given[c]:
-                    raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
-                given[c][row] = lineno
-                if width is not None:
-                    values[c].append(value)
-                    continue
-                if not isinstance(value, list) or not value:
-                    raise ParseError(spath, lineno, f"{c} must be a non-empty list")
-                joints = joints or (len(value), lineno)
-                if len(value) != joints[0]:  # a bad row of the record is named first
-                    _loop_float_rows(value, 3, spath, repeat(lineno), "keypoint row")
-                    raise ParseError(
-                        spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
-                    )
-                pending.append((value, lineno))
-                if len(pending) == _CHUNK:
-                    convert()
-    except (ParseError, ValidationError):
-        convert()  # a keypoint fault on an earlier line comes first
-        raise
-    convert()
+    for lineno, rec in _loop_iter_jsonl(path, key):
+        k = tuple(_integer(rec.get(f), spath, lineno, f) for f in key)
+        if all(rec.get(c) is None for c in required):
+            raise ParseError(spath, lineno, missing)
+        row = row_of.setdefault(k, len(row_of))
+        for c, width in columns.items():
+            value = rec.get(c)
+            if value is None:
+                continue
+            if row in given[c]:
+                raise ValidationError(f"{spath}:{lineno}: " + duplicate.format(*k, column=c))
+            given[c][row] = lineno
+            if width is not None:
+                values[c].append(_float_list(value, width, spath, lineno, c))
+                continue
+            if not isinstance(value, list) or not value:
+                raise ParseError(spath, lineno, f"{c} must be a non-empty list")
+            # a bad row of the record is named before its row count
+            values[c].append([_float_list(r, 3, spath, lineno, "keypoint row") for r in value])
+            joints = joints or (len(value), lineno)
+            if len(value) != joints[0]:
+                raise ParseError(
+                    spath, lineno, f"{len(value)} keypoint rows, line {joints[1]} has {joints[0]}"
+                )
     keys = np.array(list(row_of), dtype=np.int64).reshape(-1, len(key)).T
     order = np.lexsort(keys[::-1])
     rank = np.argsort(order)  # first-seen row -> sorted row
     cols = dict(zip(key, keys[:, order]))
     for c, width in columns.items():
-        rows = rank[list(given[c])]
-        if width is not None:
-            cols[c] = np.full((len(order), width), np.nan)
-            lines = list(given[c].values())
-            cols[c][rows] = _loop_float_rows(values[c], width, spath, lines, c).reshape(-1, width)
-        elif joints is not None:
-            # Each chunk's rows go straight to their sorted rows and are
-            # dropped, so the load never holds a second, stacked copy.
-            cols[c], chunks, lo = np.full((len(order), joints[0], 3), np.nan), values[c], 0
-            for i, chunk in enumerate(chunks):
-                cols[c][rows[lo : lo + len(chunk)]], chunks[i] = chunk, None
-                lo += len(chunk)
+        if width is None and joints is None:
+            continue
+        row = (width,) if width else (joints[0], 3)
+        cols[c] = np.full((len(order), *row), np.nan)
+        cols[c][rank[list(given[c])]] = np.array(values[c]).reshape(-1, *row)
     try:
         return table(**cols)
     except RowError as exc:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse import (
+    CameraModel,
+    CanonicalPose,
     CholeskyFailure,
     DimensionMismatch,
     DivergentUpdate,
@@ -21,6 +24,7 @@ from mvfuse import (
     ukf_update,
     update_rows,
 )
+from mvfuse.metrics import linear_sum_assignment
 from oracles import ClosedFormKF, random_spd
 
 
@@ -586,3 +590,36 @@ def test_affine_exactness_property(seed, d, m):
     scale = max(1.0, np.max(np.abs(oracle.cov)))
     assert np.max(np.abs(mean - oracle.mean)) < 1e-9
     assert np.max(np.abs(cov - oracle.cov)) < 1e-9 * scale
+
+
+_TWO_JOINTS = ("a", "b")
+# Each public constructor or call given one bad argument, and the start of
+# the ValueError it raises.
+_GUARDS = {
+    "motion-model-shapes": (lambda: MotionModel(np.eye(2), np.eye(3)),
+                            "process_noise shape must match transition"),
+    "negative-q-shape": (lambda: make_motion_model(1.0, 1.0, -1.0), "q_shape must be non-negative"),
+    "non-finite-measurement": (
+        lambda: ukf_update(np.zeros((1, 2)), np.eye(2)[None], [np.nan, 0.0], lambda X: X, np.eye(2)),
+        "measurement contains non-finite values",
+    ),
+    "intrinsics-shape": (lambda: CameraModel(np.eye(2), np.eye(3), np.zeros(3), (10, 10)),
+                         "intrinsics must have shape (3, 3)"),
+    "assignment-of-a-vector": (lambda: linear_sum_assignment(np.zeros(3)),
+                               "expected a matrix (2-D array)"),
+    "pose-coords-shape": (lambda: CanonicalPose("p", _TWO_JOINTS, np.zeros((3, 3))),
+                          "coords shape (3, 3) must be (2, 3)"),
+    "pose-one-joint": (lambda: CanonicalPose("p", ("a",), np.zeros((1, 3))),
+                       "a pose needs at least two joints"),
+    "pose-non-finite": (lambda: CanonicalPose("p", _TWO_JOINTS, [[0, 0, np.nan], [0, 0, 1]]),
+                        "coords contain non-finite values"),
+    "raw-pose-shape": (lambda: CanonicalPose.from_raw("p", _TWO_JOINTS, np.zeros(6)),
+                       "coords must be (N, 3)"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_GUARDS))
+def test_public_guards_refuse_bad_arguments(guard):
+    call, message = _GUARDS[guard]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

@@ -947,6 +947,34 @@ def test_keypoint_fault_is_reported_before_a_later_record_fault(tmp_path, before
     assert (err.value.line, err.value.reason) == (before + 1, "keypoint row must be finite")
 
 
+_ANN = '{"frame": %d, "object_id": 1, "camera_id": 0, "bbox": %s}'
+
+
+@pytest.mark.parametrize("load, lines, line, reason", [
+    (load_annotations,
+     [_ANN % (0, "[0, 0, 10, 10]"), _ANN % (1, '[0, "x", 10, 10]'), _ANN % (2, "[0, 0, 10, 10]"),
+      _ANN % (0, "[0, 0, 10, 10]")],
+     2, "bbox must contain numbers"),
+    (load_tracks,
+     [_GOOD_TRACK % 0, '{"frame": 1, "object_id": 1, "position": [0, 0, 1], "half_axes": [1, null, 1]}',
+      '{"frame": 2, "object_id": 1, "position": [0, "1", 1]}'],
+     2, "half_axes must contain numbers"),
+    (load_tracks,
+     ['{"frame": 0, "object_id": 1, "position": [0, 0, 1], "half_axes": [1, -1, 1]}',
+      _GOOD_TRACK % 1, '{"frame": 2, "object_id": 1, "position": [0, "1", 1]}'],
+     3, "position must contain numbers"),
+], ids=["bbox-before-duplicate", "half-axes-before-position", "value-before-row-rule"])
+def test_first_faulty_record_is_reported_then_row_rules(tmp_path, load, lines, line, reason):
+    # Each record is checked whole where it is read, its fields in COLUMNS
+    # order, so a malformed value is reported ahead of any fault on a later
+    # line; a row rule is checked only after every record is read.
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
 @pytest.mark.parametrize("rows, reason", [
     ("[[0, 0, 1]]", "1 keypoint rows, line 1 has 2"),
     ("[[0, 0, 1], [1, 1]]", "keypoint row must be a list of 3 numbers"),
@@ -970,8 +998,8 @@ def test_keypoint_faults_after_full_chunks_name_their_line(tmp_path, before, row
 # --- the chunked reader against the record-by-record one ---------------------
 
 _FAULTS = (
-    "bool-row", "string-row", "null-row", "joint-count", "float-key", "bool-key",
-    "big-key", "duplicate", "no-payload", "not-object",
+    "bool-row", "string-row", "null-row", "bool-value", "string-value", "null-value",
+    "joint-count", "float-key", "bool-key", "big-key", "duplicate", "no-payload", "not-object",
 )
 
 
@@ -1031,9 +1059,15 @@ def _random_jsonl(rng: random.Random, kind: str, n: int, fault: str | None, at: 
     if fault is not None:
         bad = record(8 * n + rng.randrange(8))
         bad.setdefault("keypoints", [[number(), number(), number()] for _ in range(joints)])
-        if fault.endswith("-row"):
-            bad["keypoints"][-1][rng.randrange(3)] = {"bool": rng.choice((True, False)),
-                                                     "string": "1.5", "null": None}[fault[:-4]]
+        if fault.endswith(("-row", "-value")):  # a non-number in a keypoint row or fixed-width field
+            what, where = fault.split("-")
+            wrong = {"bool": rng.choice((True, False)), "string": "1.5", "null": None}[what]
+            if where == "row":
+                bad["keypoints"][-1][rng.randrange(3)] = wrong
+            else:
+                field = rng.choice(("position", "half_axes") if kind == "tracks" else ("bbox",))
+                value = bad.setdefault(field, [number(1, 2) for _ in range(3 if kind == "tracks" else 4)])
+                value[rng.randrange(len(value))] = wrong
         elif fault == "joint-count":
             bad["keypoints"] = bad["keypoints"] * 2 if rng.random() < 0.5 else bad["keypoints"] + [[0, 0, 1]]
         elif fault == "float-key":
