@@ -38,8 +38,8 @@ _EXPORTS = {
             "save_calibration", "save_config", "save_tracks",
         ),
         "metrics": (
-            "ClearMotResult", "MetricReport", "PoseMetrics", "clear_mot",
-            "evaluate_tracks", "idf1", "ospa2", "pose_metrics",
+            "ClearMotResult", "PoseMetrics", "clear_mot", "evaluate_tracks",
+            "format_table", "idf1", "ospa2", "pose_metrics",
         ),
         "pose": ("CanonicalPose", "canonical_pose", "init_keypoints", "scaled_offsets"),
         "synth": ("Occlusion", "SceneSpec", "generate"),

@@ -270,9 +270,9 @@ def _cmd_evaluate(args: argparse.Namespace, s: argparse.Namespace) -> int:
         )
     report = s.evaluate_tracks(pred, gt, config)
 
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(report, indent=2)
     print(payload)
-    print(report.format_table(), file=sys.stderr)
+    print(s.format_table(report), file=sys.stderr)
     if getattr(args, "report", None):
         Path(args.report).write_text(payload + "\n")
     return 0
@@ -285,7 +285,7 @@ _COMMANDS = {
     "synth": (_cmd_synth, ("SceneSpec", "generate", "RunConfig", "save_calibration",
                            "save_annotations", "save_tracks", "save_config")),
     "annotate": (_cmd_annotate, ("RunConfig", "load_scene", "run_all", "save_tracks")),
-    "evaluate": (_cmd_evaluate, ("RunConfig", "load_tracks", "evaluate_tracks")),
+    "evaluate": (_cmd_evaluate, ("RunConfig", "load_tracks", "evaluate_tracks", "format_table")),
 }
 
 

@@ -218,6 +218,13 @@ class RunConfig(Checked):
             len(thresholds) > 0 and all(v > 0 for v in thresholds),
             "ap_thresholds must be positive",
         )
+        # The report keys AP by each threshold's label, so no two may share one.
+        labels = [f"{v:g}" for v in thresholds]
+        for i, label in enumerate(labels):
+            j = labels.index(label)
+            self._need(
+                i == j, f"ap_thresholds {thresholds[j]!r} and {thresholds[i]!r} are both AP@{label}"
+            )
         self._need(self.recall_at > 0, "recall_at must be positive")
         object.__setattr__(self, "default_half_axes", half)
         object.__setattr__(self, "ap_thresholds", thresholds)

@@ -511,105 +511,71 @@ def pose_metrics(
     )
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Everything `evaluate_tracks` produces, JSON- and table-friendly."""
-
-    mota: float
-    idf1: float
-    fp: int
-    fn: int
-    ids: int
-    ospa: float
-    pose: PoseMetrics | None
-    threshold: float
-    ospa_cutoff: float
-    num_frames: int
-    num_gt: int
-    num_pred: int
-
-    def to_dict(self) -> dict:
-        out = {
-            "mota": self.mota,
-            "idf1": self.idf1,
-            "fp": self.fp,
-            "fn": self.fn,
-            "ids": self.ids,
-            "ospa2": self.ospa,
-            "threshold_m": self.threshold,
-            "ospa_cutoff_m": self.ospa_cutoff,
-            "counts": {
-                "frames": self.num_frames,
-                "gt_detections": self.num_gt,
-                "pred_detections": self.num_pred,
-            },
-            "pose": None,
-        }
-        if self.pose is not None:
-            out["pose"] = {
-                "mpjpe_mm": self.pose.mpjpe,
-                "recall": self.pose.recall,
-                "recall_at_mm": self.pose.recall_at,
-                "ap": {f"{k:g}": v for k, v in self.pose.ap.items()},
-                "gt_poses": self.pose.num_gt_poses,
-                "pred_poses": self.pose.num_pred_poses,
-            }
-        return out
-
-    def format_table(self) -> str:
-        lines = [
-            f"{'MOTA':>12}  {self.mota:8.2f} %",
-            f"{'IDF1':>12}  {self.idf1:8.2f} %",
-            f"{'FP':>12}  {self.fp:8d}",
-            f"{'FN':>12}  {self.fn:8d}",
-            f"{'IDS':>12}  {self.ids:8d}",
-            f"{'OSPA(2)':>12}  {self.ospa:8.4f} m",
-        ]
-        if self.pose is not None:
-            lines.append(f"{'MPJPE':>12}  {self.pose.mpjpe:8.2f} mm")
-            for d in sorted(self.pose.ap):
-                lines.append(f"{f'AP@{d:g}mm':>12}  {self.pose.ap[d]:8.2f} %")
-            lines.append(
-                f"{f'Recall@{self.pose.recall_at:g}':>12}  "
-                f"{self.pose.recall:8.2f} %"
-            )
-        return "\n".join(lines)
-
-
 def _on_plane(t: TrackTable) -> TrackTable:
     flat = t.position.copy()
     flat[:, 2] = 0.0
     return TrackTable(t.frame, t.object_id, flat)
 
 
-def evaluate_tracks(pred: TrackTable, gt: TrackTable, config: "RunConfig") -> MetricReport:
+def evaluate_tracks(pred: TrackTable, gt: TrackTable, config: "RunConfig") -> dict:
     """Run the full evaluation battery on two track tables, with the scoring
-    settings of ``config``.
+    settings of ``config``: the report that ``mvfuse evaluate`` prints, as a
+    JSON-ready dict (:func:`format_table` gives its table).
 
     ``config.plane`` scores CLEAR/IDF1/OSPA on ground-plane (x, y) distance
-    only; pose metrics always use full 3D. Pose metrics appear only when the
-    ground truth carries keypoints.
+    only; pose metrics always use full 3D. The ``pose`` section is None
+    unless the ground truth carries keypoints; its AP is keyed by each
+    threshold's ``:g`` label.
     """
     p, g = (_on_plane(pred), _on_plane(gt)) if config.plane else (pred, gt)
     mot = clear_mot(p, g, config.threshold)
-    f1 = idf1(p, g, config.threshold)
-    ospa = ospa2(p, g, config.ospa_cutoff, config.ospa_order, config.ospa_window)
-    pose = None
+    report = {
+        "mota": mot.mota,
+        "idf1": idf1(p, g, config.threshold),
+        "fp": mot.fp,
+        "fn": mot.fn,
+        "ids": mot.ids,
+        "ospa2": ospa2(p, g, config.ospa_cutoff, config.ospa_order, config.ospa_window),
+        "threshold_m": config.threshold,
+        "ospa_cutoff_m": config.ospa_cutoff,
+        "counts": {
+            "frames": len(_unique(np.concatenate((gt.frame, pred.frame)))),
+            "gt_detections": len(g),
+            "pred_detections": len(p),
+        },
+        "pose": None,
+    }
     if gt.has_keypoints.any():
         pose = pose_metrics(
             pred, gt, ap_thresholds=config.ap_thresholds, recall_at=config.recall_at
         )
-    return MetricReport(
-        mota=mot.mota,
-        idf1=f1,
-        fp=mot.fp,
-        fn=mot.fn,
-        ids=mot.ids,
-        ospa=ospa,
-        pose=pose,
-        threshold=config.threshold,
-        ospa_cutoff=config.ospa_cutoff,
-        num_frames=len(_unique(np.concatenate((gt.frame, pred.frame)))),
-        num_gt=len(g),
-        num_pred=len(p),
-    )
+        report["pose"] = {
+            "mpjpe_mm": pose.mpjpe,
+            "recall": pose.recall,
+            "recall_at_mm": pose.recall_at,
+            "ap": {f"{d:g}": v for d, v in pose.ap.items()},
+            "gt_poses": pose.num_gt_poses,
+            "pred_poses": pose.num_pred_poses,
+        }
+    return report
+
+
+def format_table(report: dict) -> str:
+    """The human-readable table of an :func:`evaluate_tracks` report, AP
+    lines by ascending threshold."""
+    lines = [
+        f"{'MOTA':>12}  {report['mota']:8.2f} %",
+        f"{'IDF1':>12}  {report['idf1']:8.2f} %",
+        f"{'FP':>12}  {report['fp']:8d}",
+        f"{'FN':>12}  {report['fn']:8d}",
+        f"{'IDS':>12}  {report['ids']:8d}",
+        f"{'OSPA(2)':>12}  {report['ospa2']:8.4f} m",
+    ]
+    pose = report["pose"]
+    if pose is not None:
+        lines.append(f"{'MPJPE':>12}  {pose['mpjpe_mm']:8.2f} mm")
+        for label in sorted(pose["ap"], key=float):
+            lines.append(f"{f'AP@{label}mm':>12}  {pose['ap'][label]:8.2f} %")
+        recall = f"Recall@{pose['recall_at_mm']:g}"
+        lines.append(f"{recall:>12}  {pose['recall']:8.2f} %")
+    return "\n".join(lines)

@@ -127,7 +127,8 @@ def init_target(
     Raises
     ------
     NoObservation
-        If no camera contributes a usable ground point.
+        If no camera contributes a usable ground point, or the mean of the
+        ground points overflows.
     """
     camera_ids = np.asarray(camera_ids)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -140,7 +141,10 @@ def init_target(
             logger.debug("camera %d unusable for init: %s", cid, exc)
     if not hits:
         raise NoObservation("no camera provided a usable birth box")
-    ground = np.mean(hits, axis=0)
+    with np.errstate(over="ignore"):
+        ground = np.mean(hits, axis=0)
+    if not np.isfinite(ground).all():
+        raise NoObservation("the mean of the birth boxes' ground points overflows")
 
     half = np.asarray(config.default_half_axes, dtype=np.float64)
     mean = np.zeros(9)

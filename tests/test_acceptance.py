@@ -50,13 +50,13 @@ def test_criterion_1_closed_loop_tracking():
     elapsed = time.monotonic() - start
     report = evaluate_tracks(tracks, gt, RunConfig(threshold=1.0, ospa_cutoff=1.0))
     print(
-        f"MOTA={report.mota:.2f} IDF1={report.idf1:.2f} FP={report.fp} "
-        f"FN={report.fn} IDS={report.ids} OSPA={report.ospa:.2e} {elapsed:.1f}s"
+        f"MOTA={report['mota']:.2f} IDF1={report['idf1']:.2f} FP={report['fp']} "
+        f"FN={report['fn']} IDS={report['ids']} OSPA={report['ospa2']:.2e} {elapsed:.1f}s"
     )
-    assert report.mota >= 99.9
-    assert report.idf1 >= 99.9
-    assert report.fp == 0 and report.fn == 0 and report.ids == 0
-    assert report.ospa <= 0.02
+    assert report["mota"] >= 99.9
+    assert report["idf1"] >= 99.9
+    assert report["fp"] == 0 and report["fn"] == 0 and report["ids"] == 0
+    assert report["ospa2"] <= 0.02
     assert elapsed <= 60.0
 
 

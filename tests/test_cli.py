@@ -704,6 +704,19 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert (report["fp"], report["fn"], report["ids"], report["mota"]) == (2, 2, 0, -100.0)
 
+    @pytest.mark.parametrize("ap, message", [
+        (["25.0000001", "25.0000002"], "ap_thresholds 25.0000001 and 25.0000002 are both AP@25"),
+        (["25", "50", "25"], "ap_thresholds 25.0 and 25.0 are both AP@25"),
+    ], ids=["alike", "repeat"])
+    def test_ap_thresholds_with_one_label_are_exit_2(
+        self, scene_dir, fused_tracks, capsys, ap, message
+    ):
+        # The report keys AP by label, so two thresholds with one label
+        # would be one AP entry.
+        argv = ["evaluate", "--pred", str(fused_tracks), "--gt", str(scene_dir / "gt_tracks.jsonl")]
+        assert main(argv + ["--ap", *ap]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_invalid_flag_override_is_exit_2(self, scene_dir, fused_tracks, capsys):
         # flags must hit the same validation as config-file values
         rc = main(
@@ -816,6 +829,81 @@ def test_report_does_not_depend_on_line_order(tmp_path, capsys):
         reports.append(capsys.readouterr())
     assert reports[0] == reports[1]
     assert json.loads(reports[0].out)["ids"] == 1
+
+
+# The report of two hand-built track files, as `evaluate --ap 150 25 60`
+# prints it: its keys, their order and every number's format.
+_PINNED_STDOUT = """\
+{
+  "mota": 75.0,
+  "idf1": 70.58823529411765,
+  "fp": 1,
+  "fn": 0,
+  "ids": 1,
+  "ospa2": 0.65875,
+  "threshold_m": 1.0,
+  "ospa_cutoff_m": 1.0,
+  "counts": {
+    "frames": 4,
+    "gt_detections": 8,
+    "pred_detections": 9
+  },
+  "pose": {
+    "mpjpe_mm": 103.72890380154074,
+    "recall": 75.0,
+    "recall_at_mm": 500.0,
+    "ap": {
+      "150": 50.0,
+      "25": 12.5,
+      "60": 37.5
+    },
+    "gt_poses": 8,
+    "pred_poses": 9
+  }
+}
+"""
+_PINNED_STDERR = """\
+        MOTA     75.00 %
+        IDF1     70.59 %
+          FP         1
+          FN         0
+         IDS         1
+     OSPA(2)    0.6587 m
+       MPJPE    103.73 mm
+     AP@25mm     12.50 %
+     AP@60mm     37.50 %
+    AP@150mm     50.00 %
+  Recall@500     75.00 %
+"""
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    # Two gt objects with three-joint poses over four frames. The pred
+    # follows them with growing errors, gives gt 2 a new id at frame 2 and
+    # adds a false track at frame 3.
+    joints = np.array([[0.0, 0.0, -0.9], [0.1, 0.0, 0.0], [-0.1, 0.0, 0.8]])
+    gt = [(f, oid, (x + 0.5 * f, y, 0.9), 0.0)
+          for f in range(4) for oid, x, y in ((1, 0.0, 0.0), (2, 3.0, 1.0))]
+    pred = (
+        [(f, 7, (0.54 * f, 0.0, 0.9), 0.011 * f) for f in range(4)]
+        + [(f, 8 if f < 2 else 9, (3.0 + 0.5 * f, 1.0 + 0.3 * f, 0.9), 0.03 + 0.02 * f)
+           for f in range(4)]
+        + [(3, 5, (9.0, 9.0, 0.9), 0.0)]
+    )
+    for kind, recs in (("gt", gt), ("pred", pred)):
+        (tmp_path / f"{kind}.jsonl").write_text("".join(
+            json.dumps({
+                "frame": f, "object_id": oid, "position": list(pos),
+                "keypoints": (np.add(pos, joints) + err * np.array([1.0, -0.5, 0.25])).tolist(),
+            }) + "\n"
+            for f, oid, pos, err in recs
+        ))
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--pred", str(tmp_path / "pred.jsonl"), "--gt", str(tmp_path / "gt.jsonl"),
+            "--ap", "150", "25", "60", "--report", str(report)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_PINNED_STDOUT, _PINNED_STDERR)
+    assert report.read_text() == _PINNED_STDOUT
 
 
 def _float_fields(cls) -> list[str]:

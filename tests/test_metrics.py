@@ -16,6 +16,7 @@ from mvfuse import (
     TrackTable,
     clear_mot,
     evaluate_tracks,
+    format_table,
     idf1,
     ospa2,
     pose_metrics,
@@ -429,10 +430,10 @@ def test_metrics_match_pair_by_pair_oracles():
             p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
             report = evaluate_tracks(pred, gt, RunConfig(threshold=threshold, plane=plane))
             fp, fn, ids, mota = loop_clear_mot(p, g, threshold)
-            assert (report.fp, report.fn, report.ids) == (fp, fn, ids)
-            assert report.mota == pytest.approx(mota, rel=0, abs=1e-12)
-            assert report.idf1 == pytest.approx(loop_idf1(p, g, threshold), rel=0, abs=1e-12)
-            assert report.ospa == pytest.approx(loop_ospa2(p, g), rel=0, abs=1e-12)
+            assert (report["fp"], report["fn"], report["ids"]) == (fp, fn, ids)
+            assert report["mota"] == pytest.approx(mota, rel=0, abs=1e-12)
+            assert report["idf1"] == pytest.approx(loop_idf1(p, g, threshold), rel=0, abs=1e-12)
+            assert report["ospa2"] == pytest.approx(loop_ospa2(p, g), rel=0, abs=1e-12)
             assert ospa2(p, g, cutoff=0.7, order=2.0) == pytest.approx(
                 loop_ospa2(p, g, cutoff=0.7, order=2.0), rel=0, abs=1e-12
             )
@@ -484,19 +485,19 @@ class TestEvaluateTracks:
         pred = _table({0: _still(range(4), (1, 2, 5))})
         full = evaluate_tracks(pred, gt, RunConfig())
         flat = evaluate_tracks(pred, gt, RunConfig(plane=True))
-        assert full.mota < 0
-        assert flat.mota == 100.0 and flat.idf1 == 100.0 and flat.ospa == 0.0
+        assert full["mota"] < 0
+        assert flat["mota"] == 100.0 and flat["idf1"] == 100.0 and flat["ospa2"] == 0.0
 
     def test_report_serializes(self):
         kp = {0: {f: _pose() for f in range(3)}}
         gt = _table({0: _still(range(3), (0, 0, 0))}, keypoints=kp)
         report = evaluate_tracks(gt, gt, RunConfig())
-        d = json.loads(json.dumps(report.to_dict()))
+        d = json.loads(json.dumps(report))
         assert d["mota"] == 100.0
         assert d["ospa2"] == 0.0
         assert d["counts"]["gt_detections"] == 3
         assert d["pose"]["mpjpe_mm"] == 0.0
-        table = report.format_table()
+        table = format_table(report)
         assert "MOTA" in table and "MPJPE" in table
 
     # Finite, but its square overflows a float.
@@ -508,8 +509,8 @@ class TestEvaluateTracks:
         gt = _table({0: _still(range(2), (0, 0, 0))})
         pred = _table({0: {0: np.zeros(3), 1: np.array([0.0, 0.0, self._HUGE])}})
         report = evaluate_tracks(pred, gt, RunConfig())
-        assert (report.fp, report.fn, report.mota) == (1, 1, 0.0)
-        assert report.idf1 == 50.0 and report.ospa == 0.5
+        assert (report["fp"], report["fn"], report["mota"]) == (1, 1, 0.0)
+        assert report["idf1"] == 50.0 and report["ospa2"] == 0.5
 
     def test_overflowing_mpjpe_is_never_a_match(self):
         # Every pair with gt pose 0 overflows; the other pose still matches.
@@ -525,9 +526,9 @@ class TestEvaluateTracks:
     def test_pose_section_optional(self):
         gt = _table({0: _still(range(3), (0, 0, 0))})
         report = evaluate_tracks(gt, gt, RunConfig())
-        assert report.pose is None
-        assert report.to_dict()["pose"] is None
-        assert "MPJPE" not in report.format_table()
+        assert report["pose"] is None
+        assert json.loads(json.dumps(report))["pose"] is None
+        assert "MPJPE" not in format_table(report)
 
 
 class TestTrackSet:
@@ -778,11 +779,24 @@ def test_bad_costs_raise_as_scipy_does(cost, message):
 
 
 def _bits(pose):
-    """Every field of a PoseMetrics, floats as their exact hex."""
+    """Every field of a PoseMetrics, or every key of a report's pose
+    section, floats as their exact hex."""
     return {
         k: {d: x.hex() for d, x in v.items()} if isinstance(v, dict)
         else v.hex() if isinstance(v, float) else v
-        for k, v in vars(pose).items()
+        for k, v in (pose if isinstance(pose, dict) else vars(pose)).items()
+    }
+
+
+def _pose_section(pose):
+    """A PoseMetrics in the layout of the report's pose section."""
+    return {
+        "mpjpe_mm": pose.mpjpe,
+        "recall": pose.recall,
+        "recall_at_mm": pose.recall_at,
+        "ap": {f"{d:g}": v for d, v in pose.ap.items()},
+        "gt_poses": pose.num_gt_poses,
+        "pred_poses": pose.num_pred_poses,
     }
 
 
@@ -791,9 +805,11 @@ def test_pose_metrics_match_the_per_frame_form_bit_for_bit():
     for trial in range(40):
         pred, gt = _random_scene(rng, 1.0, frames=60)
         recall_at = (500.0, 300.0)[trial % 2]
-        expected = _bits(loop_frame_pose_metrics(pred, gt, recall_at=recall_at))
+        loop = loop_frame_pose_metrics(pred, gt, recall_at=recall_at)
+        expected = _bits(loop)
         assert _bits(pose_metrics(pred, gt, recall_at=recall_at)) == expected
-        assert _bits(evaluate_tracks(pred, gt, RunConfig(recall_at=recall_at)).pose) == expected
+        report = evaluate_tracks(pred, gt, RunConfig(recall_at=recall_at))
+        assert _bits(report["pose"]) == _bits(_pose_section(loop))
     # One pose pair: the MPJPE is that pair's cost, so every bit of it shows.
     for _ in range(300):
         J, scale = int(rng.integers(1, 20)), 10.0 ** rng.integers(-3, 3)
@@ -817,7 +833,7 @@ def test_ospa2_matches_the_per_frame_form_bit_for_bit():
                 pred, gt, RunConfig(ospa_cutoff=0.7, ospa_order=2, ospa_window=5, plane=plane)
             )
             p, g = (_flat(pred), _flat(gt)) if plane else (pred, gt)
-            assert report.ospa.hex() == loop_frame_ospa2(p, g, 0.7, 2, 5).hex()
+            assert report["ospa2"].hex() == loop_frame_ospa2(p, g, 0.7, 2, 5).hex()
 
 
 def _many_tracks(rng, n, m, frames):

@@ -1,6 +1,7 @@
 """Tracker tests: measurement closure, target birth, frame walking, and
 stacked multi-object runs."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -935,6 +936,21 @@ class TestBirth:
         assert tracks.frame.tolist() == sorted(last - k for k in range(count))
         np.testing.assert_array_equal(tracks.position, low.position)
         np.testing.assert_array_equal(tracks.half_axes, low.half_axes)
+
+    def test_overflowing_mean_of_ground_points_defers_only_that_birth(self, config):
+        # Each camera's ground hit of object 2 is finite (about 1e308 m), but
+        # their mean overflows: object 2 is not born, and object 1 is fused.
+        cam = _cam(np.eye(3), np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 10.0])
+        small, huge = [-0.05, -0.05, 0.05, 0.05], [1e307, 0.0, 1e307, 0.5]
+        annotations = _annotations(
+            *((f, 1, c, small) for f in (0, 1) for c in (0, 1)), *((0, 2, c, huge) for c in (0, 1))
+        )
+        events = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = run_all(annotations, {0: cam, 1: cam}, config, on_event=events.append)
+        assert tracks.object_id.tolist() == [1, 1]
+        assert [(d.kind, d.object_id) for d in events] == [("no_observation", 2)]
 
 
 class TestContainers:
