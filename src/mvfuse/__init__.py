@@ -18,11 +18,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": (
-            "CholeskyFailure", "DegenerateConic", "DegenerateHomography",
-            "DimensionMismatch", "DivergentUpdate", "EmptyGroundTruth", "FilterError",
-            "GeometryError", "InvalidDt", "InvalidSpec", "MvfuseError", "NonPositiveDepth",
-            "NoObservation", "ParseError", "PointAtInfinity", "SigmaPointProjectionFailure",
-            "SingularInnovation", "ValidationError",
+            "FilterError", "GeometryError", "MvfuseError", "NoObservation", "ParseError",
+            "ValidationError",
         ),
         "filter": (
             "GaussianBelief", "MotionModel", "kalman_predict", "make_motion_model",

@@ -30,13 +30,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    EmptyGroundTruth,
-    InvalidSpec,
-    MvfuseError,
-    ParseError,
-    ValidationError,
-)
+from .errors import MvfuseError, ParseError, ValidationError
 
 
 def __getattr__(name: str):
@@ -185,11 +179,11 @@ def _config(args: argparse.Namespace, cls, flag: str, what: str):
     names = {f.name for f in fields(cls)}
     try:
         return cls.from_dict({**doc, **{k: v for k, v in vars(args).items() if k in names}})
-    except (InvalidSpec, ValidationError) as exc:
+    except ValidationError as exc:
         if path:
             try:
                 cls.from_dict(doc)
-            except (InvalidSpec, ValidationError) as alone:
+            except ValidationError as alone:
                 if str(alone) == str(exc):
                     raise ParseError(path, None, str(exc)) from None
         raise
@@ -306,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     stages = _load_stages(names, freeze=argv is None)
     try:
         return command(args, stages)
-    except (ParseError, ValidationError, InvalidSpec, EmptyGroundTruth, OSError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MvfuseError as exc:

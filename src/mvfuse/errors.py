@@ -1,86 +1,43 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from :class:`MvfuseError`,
-so callers can catch one type at the boundary. Numerical failures carry enough
-context to identify the offending entity (camera, frame, object) where known.
+so callers can catch one type at the boundary. There is one class for each way
+a caller handles a failure; the message tells failures of one class apart.
+Numerical failures carry enough context to identify the offending entity
+(camera, frame, object) where known. A bad argument, such as operands of the
+wrong shape or a non-positive time step, is a ``ValueError``: a bug in the
+caller, never isolated as a failure of one row.
 """
 
 from __future__ import annotations
 
 
 class MvfuseError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the command line exits 1 on one."""
 
-
-# --- geometry ---------------------------------------------------------------
 
 class GeometryError(MvfuseError):
-    """Base class for projective-geometry failures."""
+    """Projective-geometry failure: a point or ellipsoid on or behind the
+    camera, a singular ground homography, a ray parallel to the ground, a
+    projection that overflows, or an outline that is not a bounded ellipse.
+    ``ukf_update`` wraps it, ``init_target`` skips the camera and the
+    synthetic renderer drops the box."""
 
-
-class NonPositiveDepth(GeometryError):
-    """Point lies on or behind the camera's principal plane."""
-
-
-class DegenerateHomography(GeometryError):
-    """Ground-plane homography is rank deficient (camera in the plane)."""
-
-
-class PointAtInfinity(GeometryError):
-    """Back-projected ray is parallel to the ground plane, or a projection overflows."""
-
-
-class DegenerateConic(GeometryError):
-    """Ellipsoid outline is not a bounded ellipse (camera inside or tangent)."""
-
-
-# --- filter -----------------------------------------------------------------
 
 class FilterError(MvfuseError):
-    """Base class for estimation failures."""
+    """Estimation failure of one row: a covariance not factorizable, a
+    measurement map that fails on the sigma points, or a prediction or
+    update that overflows or leaves the state's valid range.
+    ``update_rows`` isolates the row."""
 
-
-class DimensionMismatch(FilterError):
-    """Operands have incompatible shapes."""
-
-
-class InvalidDt(FilterError):
-    """Non-positive time step."""
-
-
-class CholeskyFailure(FilterError):
-    """Covariance not factorizable even after jitter escalation."""
-
-
-class SingularInnovation(FilterError):
-    """Innovation covariance not invertible; update cannot proceed."""
-
-
-class SigmaPointProjectionFailure(FilterError):
-    """A sigma point could not be pushed through the measurement map."""
-
-
-class DivergentUpdate(FilterError):
-    """A predicted or updated belief is not finite, or an update leaves the
-    state's valid range."""
-
-
-# --- tracking ---------------------------------------------------------------
 
 class NoObservation(MvfuseError):
-    """Object has no usable observation (no birth possible)."""
+    """Object has no usable observation (no birth possible); the tracker
+    defers the birth."""
 
-
-# --- metrics ----------------------------------------------------------------
-
-class EmptyGroundTruth(MvfuseError):
-    """Ground-truth track set contains no positions."""
-
-
-# --- io / synth -------------------------------------------------------------
 
 class ParseError(MvfuseError):
-    """Malformed input file.
+    """Malformed input file; the command line exits 2.
 
     Parameters
     ----------
@@ -101,8 +58,6 @@ class ParseError(MvfuseError):
 
 
 class ValidationError(MvfuseError):
-    """Structurally valid input with inconsistent content."""
-
-
-class InvalidSpec(MvfuseError):
-    """Synthetic scene specification is unsatisfiable or out of range."""
+    """Structurally valid input with inconsistent content: a run config or
+    scene spec out of range, or an empty ground truth; the command line
+    exits 2."""

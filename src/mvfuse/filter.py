@@ -22,16 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CholeskyFailure,
-    DimensionMismatch,
-    DivergentUpdate,
-    FilterError,
-    GeometryError,
-    InvalidDt,
-    SigmaPointProjectionFailure,
-    SingularInnovation,
-)
+from .errors import FilterError, GeometryError
 
 logger = logging.getLogger(__name__)
 
@@ -153,11 +144,11 @@ def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> 
 
     Raises
     ------
-    InvalidDt
-        If dt is not a positive finite number.
+    ValueError
+        If dt is not a positive finite number, or a noise level is negative.
     """
     if not np.isfinite(dt) or dt <= 0:
-        raise InvalidDt(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive, got {dt}")
     if q_pos < 0:
         raise ValueError(f"q_pos must be non-negative, got {q_pos}")
     if q_shape is not None and q_shape < 0:
@@ -178,11 +169,11 @@ def make_motion_model(dt: float, q_pos: float, q_shape: float | None = None) -> 
     return MotionModel(transition=F, process_noise=Q)
 
 
-def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) -> np.ndarray:
+def _chol_with_jitter(mats: np.ndarray, scale: float, what: str) -> np.ndarray:
     """Cholesky factors of ``scale * mats`` for an (n, d, d) stack, in one
     call. If that fails, each matrix walks its own jitter ladder (eps *
     trace(mat)/d * I added before scaling, eps up to 1e-6), so no row's
-    factor depends on another row; ``failure`` names the first row that
+    factor depends on another row. A ``FilterError`` names the first row that
     stays unfactorizable."""
     try:
         return np.linalg.cholesky(mats if scale == 1.0 else scale * mats)
@@ -202,7 +193,7 @@ def _chol_with_jitter(mats: np.ndarray, scale: float, failure: type, what: str) 
                 logger.debug("%s of row %d required jitter %.1e * trace/d", what, i, eps)
             break
         else:
-            raise failure(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
+            raise FilterError(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
     return out
 
 
@@ -246,12 +237,13 @@ def sigma_points(
 
     Raises
     ------
-    CholeskyFailure
-        If some row's (scaled, jittered) covariance cannot be factorized.
+    FilterError
+        If some row's (scaled, jittered) covariance cannot be factorized
+        ("not factorizable").
     """
     n, d = mean.shape
     scale, wm, wc = _sigma_weights(d, alpha, beta, kappa)
-    Lt = _transpose(_chol_with_jitter(cov, scale, CholeskyFailure, "sigma-point covariance"))
+    Lt = _transpose(_chol_with_jitter(cov, scale, "sigma-point covariance"))
     center = mean[:, None, :]
     pts = np.empty((n, 2 * d + 1, d))
     pts[:, 0] = mean
@@ -268,13 +260,13 @@ def kalman_predict(
 
     Raises
     ------
-    DimensionMismatch
+    ValueError
         If the model dimension differs from the state dimension.
-    DivergentUpdate
+    FilterError
         If the prediction overflows to non-finite values.
     """
     if model.dim != mean.shape[-1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"motion model dim {model.dim} != state dim {mean.shape[-1]}"
         )
     F = model.transition
@@ -283,7 +275,7 @@ def kalman_predict(
         cov = F @ cov @ F.T + model.process_noise
         cov = 0.5 * (cov + _transpose(cov))
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise DivergentUpdate("prediction overflowed to non-finite values")
+        raise FilterError("prediction overflowed to non-finite values")
     return mean, cov
 
 
@@ -333,17 +325,16 @@ def ukf_update(
 
     Raises
     ------
-    DimensionMismatch
-        If measurement, noise, and h outputs disagree in size.
-    SigmaPointProjectionFailure
-        If ``h`` raises a geometry error on the sigma points or maps one to
-        non-finite values.
-    SingularInnovation
-        If an innovation covariance cannot be inverted.
-    DivergentUpdate
-        If a posterior is not finite.
-    CholeskyFailure
-        Propagated from sigma-point generation.
+    ValueError
+        If the measurement is not finite, or measurement, noise, and h
+        outputs disagree in size.
+    FilterError
+        If ``h`` raises a geometry error on the sigma points ("sigma points
+        failed measurement map", chained to it) or maps one to non-finite
+        values; if an innovation covariance cannot be factorized
+        ("innovation covariance ... not factorizable"); if a posterior is
+        not finite ("non-finite posterior"); propagated from sigma-point
+        generation.
     """
     n = len(mean)
     z = np.asarray(measurement, dtype=np.float64)
@@ -354,7 +345,7 @@ def ukf_update(
     m = z.shape[1]
     R = np.asarray(noise, dtype=np.float64)
     if z.shape[0] != n or R.shape != (m, m):
-        raise DimensionMismatch(
+        raise ValueError(
             f"measurement {z.shape} and noise {R.shape} do not fit {n} rows"
         )
 
@@ -362,15 +353,15 @@ def ukf_update(
     try:
         Z = np.asarray(h(X), dtype=np.float64)
     except GeometryError as exc:
-        raise SigmaPointProjectionFailure(
+        raise FilterError(
             f"sigma points failed measurement map: {exc}"
         ) from exc
     if Z.shape != X.shape[:2] + (m,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"h returned shape {Z.shape}, expected {X.shape[:2] + (m,)}"
         )
     if not np.isfinite(Z).all():
-        raise SigmaPointProjectionFailure("measurement map gave non-finite values")
+        raise FilterError("measurement map gave non-finite values")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         z_hat = wm @ Z
@@ -380,13 +371,13 @@ def ukf_update(
         S = 0.5 * (S + _transpose(S)) + R
         Cxz = _transpose(X - mean[:, None, :]) @ wdZ
 
-        L = _chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
+        L = _chol_with_jitter(S, 1.0, "innovation covariance")
         K = _transpose(np.linalg.solve(_transpose(L), np.linalg.solve(L, _transpose(Cxz))))
         mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
         cov = cov - K @ S @ _transpose(K)
         cov = 0.5 * (cov + _transpose(cov))
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise DivergentUpdate("update overflowed to a non-finite posterior")
+        raise FilterError("update overflowed to a non-finite posterior")
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -411,7 +402,8 @@ def update_rows(
     With no rows nothing is called. If the stacked call raises a
     ``FilterError``, ``update`` is redone row by row on stacks of one; a row
     whose own call raises keeps its prior. Returns the (row, error) pairs of
-    the stack rows that kept their prior.
+    the stack rows that kept their prior. Any other error, such as the
+    ``ValueError`` of a bad argument, propagates.
     """
     if not len(rows):
         return []

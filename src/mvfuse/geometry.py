@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConic,
-    DegenerateHomography,
-    GeometryError,
-    NonPositiveDepth,
-    PointAtInfinity,
-)
+from .errors import GeometryError
 
 _ORTHO_TOL = 1e-9
 _DEPTH_EPS = 1e-9
@@ -173,11 +167,9 @@ def project_point(cam: CameraModel, points) -> np.ndarray:
     Raises
     ------
     GeometryError
-        If a point is not finite.
-    NonPositiveDepth
-        If any point's camera-frame depth is <= 1e-9.
-    PointAtInfinity
-        If a point's depth or pixel overflows.
+        If a point is not finite; if any point's camera-frame depth is
+        <= 1e-9 ("depth ..."); if a point's depth or pixel overflows
+        ("projects out of range").
     """
     X = _as_rows(points, "points")
     shape = X.shape[:-1]
@@ -193,10 +185,10 @@ def project_point(cam: CameraModel, points) -> np.ndarray:
         depth = depth.reshape(shape)
         i, where = _first_bad(~ok.reshape(shape))
         if not depth[i] > _DEPTH_EPS:
-            raise NonPositiveDepth(
+            raise GeometryError(
                 f"depth {depth[i]:.3e} for point {X[i].tolist()}{where}"
             )
-        raise PointAtInfinity(f"point {X[i].tolist()} projects out of range{where}")
+        raise GeometryError(f"point {X[i].tolist()} projects out of range{where}")
     return uv.reshape(shape + (2,))
 
 
@@ -208,15 +200,16 @@ def ground_homography(cam: CameraModel) -> np.ndarray:
 
     Raises
     ------
-    DegenerateHomography
+    GeometryError
         If the matrix is rank deficient (|det| < 1e-12), which happens when the
-        camera center lies in the ground plane.
+        camera center lies in the ground plane ("ground homography is
+        singular").
     """
     H = cam.projection_matrix[:, [0, 1, 3]]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not singular
         det = np.linalg.det(H)
     if abs(det) < _HOMOG_EPS:
-        raise DegenerateHomography(
+        raise GeometryError(
             "ground homography is singular (camera in ground plane?)"
         )
     return H
@@ -229,22 +222,21 @@ def backproject_ground(cam: CameraModel, pixel) -> np.ndarray:
 
     Raises
     ------
-    DegenerateHomography
-        Propagated from :func:`ground_homography`.
-    PointAtInfinity
-        If the ray is parallel to the ground plane (homogeneous scale < 1e-12).
-    NonPositiveDepth
-        If the ground hit lies on or behind the camera (depth <= 1e-9): the
-        pixel is above the horizon, and only the backward ray meets the ground.
+    GeometryError
+        Propagated from :func:`ground_homography`; if the ray is parallel to
+        the ground plane (homogeneous scale < 1e-12, "maps to the horizon");
+        if the ground hit lies on or behind the camera (depth <= 1e-9,
+        "behind the camera"): the pixel is above the horizon, and only the
+        backward ray meets the ground.
     """
     uv = np.asarray(pixel, dtype=np.float64).reshape(2)
     H = ground_homography(cam)
     g = np.linalg.solve(H, np.array([uv[0], uv[1], 1.0]))
     if abs(g[2]) < _HOMOG_EPS:
-        raise PointAtInfinity(f"pixel {uv.tolist()} maps to the horizon")
+        raise GeometryError(f"pixel {uv.tolist()} maps to the horizon")
     hit = np.array([g[0] / g[2], g[1] / g[2], 0.0])
     if not in_front(cam, hit):
-        raise NonPositiveDepth(
+        raise GeometryError(
             f"pixel {uv.tolist()} hits the ground behind the camera"
         )
     return hit
@@ -266,14 +258,13 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
     Raises
     ------
     GeometryError
-        If a center or half-axis is not finite.
+        If a center or half-axis is not finite; if an ellipsoid center is on
+        or behind the principal plane ("ellipsoid center depth"); if an
+        outline is not a bounded ellipse (camera inside or tangent to the
+        ellipsoid, "outline conic degenerate" or "outline not a bounded
+        ellipse"), or its conic overflows ("outline conic overflows").
     ValueError
         If a half-axis is not positive.
-    NonPositiveDepth
-        If an ellipsoid center is on or behind the principal plane.
-    DegenerateConic
-        If an outline is not a bounded ellipse (camera inside or tangent to
-        the ellipsoid), or its conic overflows.
     """
     X = _as_rows(center, "center")
     half = _as_rows(half_axes, "half_axes")
@@ -290,7 +281,7 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
             _check_finite("center and half-axes", X, half)
             depth = w[2].reshape(shape)
             i, where = _first_bad(~(depth > _DEPTH_EPS))
-            raise NonPositiveDepth(f"ellipsoid center depth {depth[i]:.3e}{where}")
+            raise GeometryError(f"ellipsoid center depth {depth[i]:.3e}{where}")
 
         # The six conic entries (6, N) in _ROWS/_COLS order; C22 is entry 4.
         C = _linear(half * half, Q_cols) - w[_ROWS] * w[_COLS]
@@ -302,8 +293,8 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
             if bad.any():
                 i, where = _first_bad(bad.reshape(shape))
                 if not np.isfinite(C.T.reshape(shape + (6,))[i]).all():
-                    raise DegenerateConic(f"outline conic overflows{where}")
-                raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+                    raise GeometryError(f"outline conic overflows{where}")
+                raise GeometryError(f"outline conic degenerate (C22 ~ 0){where}")
         ratio = C[:4] / C[4]
         center_uv = ratio[2:]
         disc = center_uv * center_uv - ratio[:2]
@@ -311,9 +302,9 @@ def project_ellipsoid_to_bbox(cam: CameraModel, center, half_axes) -> np.ndarray
         _check_finite("center and half-axes", X, half)
         i, where = _first_bad(~(disc > 0).all(axis=0).reshape(shape))
         if not np.isfinite(C.T.reshape(shape + (6,))[i]).all():
-            raise DegenerateConic(f"outline conic overflows{where}")
+            raise GeometryError(f"outline conic overflows{where}")
         disc = disc.T.reshape(shape + (2,))
-        raise DegenerateConic(
+        raise GeometryError(
             f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
         )
     r = np.sqrt(disc)

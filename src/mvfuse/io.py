@@ -58,6 +58,7 @@ if TYPE_CHECKING:
     from .pose import CanonicalPose
 
 _UNIT_SCALE = {"m": 1.0, "mm": 1e-3}
+_CAMERA_KEYS = frozenset(("id", "K", "R", "t", "width", "height"))
 _CHUNK = 128  # rows per JSONL write, non-blank lines per check on read
 # The field types checked, and what a value of each must be.
 _KINDS = {
@@ -75,20 +76,19 @@ _HINTS: dict[type, dict] = {}
 class Checked:
     """Base of the frozen dataclasses read from a JSON object: the run
     config, the scene spec and its occlusions. A subclass sets ``_what``, the
-    name of its object in messages, and ``_error``, the error it raises;
-    ``_items`` maps a tuple field to the ``Checked`` class of its items.
+    name of its object in messages; ``_items`` maps a tuple field to the
+    ``Checked`` class of its items.
 
-    Built, it raises ``_error`` naming the first field whose value does not
-    fit its annotation. A ``float`` field takes an int or a finite float, an
-    ``int`` field an int, neither a bool; ``bool`` and ``str`` fields take
-    their own type. A tuple field takes a list or tuple whose items fit;
+    Built, it raises ``ValidationError`` naming the first field whose value
+    does not fit its annotation. A ``float`` field takes an int or a finite
+    float, an ``int`` field an int, neither a bool; ``bool`` and ``str``
+    fields take their own type. A tuple field takes a list or tuple whose items fit;
     None fits an optional field.
     """
 
     _items = {}
 
     def __post_init__(self):
-        error = self._error
         cls = type(self)
         hints = _HINTS.get(cls)
         if hints is None:  # resolved once per class, not per instance
@@ -101,7 +101,7 @@ class Checked:
             items = (value,)
             if get_origin(hint) is tuple:
                 if not isinstance(value, (list, tuple)):
-                    raise error(f"{f.name} must be a list, got {value!r}")
+                    raise ValidationError(f"{f.name} must be a list, got {value!r}")
                 items = value
             kind = next((k for k in _KINDS if k in args), None)
             if kind is None:
@@ -109,13 +109,13 @@ class Checked:
             what, cls = _KINDS[kind]
             for v in items:
                 if not isinstance(v, cls) or (isinstance(v, bool) and kind is not bool):
-                    raise error(f"{f.name} must be {what}, got {value!r}")
+                    raise ValidationError(f"{f.name} must be {what}, got {value!r}")
                 if isinstance(v, float) and not math.isfinite(v):
-                    raise error(f"{f.name} must be finite, got {value}")
+                    raise ValidationError(f"{f.name} must be finite, got {value}")
 
     def _need(self, cond: bool, msg: str) -> None:
         if not cond:
-            raise self._error(msg)
+            raise ValidationError(msg)
 
     def to_dict(self) -> dict:
         """The fields as JSON-ready data (``json.dumps`` writes a tuple as a list)."""
@@ -128,10 +128,10 @@ class Checked:
         object, read by its class's ``from_dict``."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise cls._error(f"unknown {cls._what} keys: {unknown}")
+            raise ValidationError(f"unknown {cls._what} keys: {unknown}")
         missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in data)
         if missing:
-            raise cls._error(f"{cls._what} missing key {missing[0]!r}")
+            raise ValidationError(f"{cls._what} missing key {missing[0]!r}")
         kwargs = dict(data)
         for name, item in cls._items.items():
             entries = kwargs.get(name)
@@ -139,7 +139,7 @@ class Checked:
                 parsed = []
                 for entry in entries:
                     if not isinstance(entry, Mapping):
-                        raise item._error(f"each {item._what} must be an object")
+                        raise ValidationError(f"each {item._what} must be an object")
                     parsed.append(item.from_dict(entry))
                 kwargs[name] = tuple(parsed)
         return cls(**kwargs)
@@ -179,7 +179,7 @@ class RunConfig(Checked):
     recall_at: float = 500.0
     plane: bool = False
 
-    _what, _error = "config", ValidationError
+    _what = "config"
 
     def __post_init__(self):
         super().__post_init__()
@@ -314,8 +314,10 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
     """Read a camera rig from JSON.
 
     Accepts either a top-level list of camera entries or ``{"cameras":
-    [...]}``. Each entry: ``id``, row-major ``K`` (9), ``R`` (9), ``t`` (3),
-    ``width``, ``height``. ``units="mm"`` converts millimeter translations to
+    [...]}``. Each entry has exactly the keys ``id``, row-major ``K`` (9),
+    ``R`` (9), ``t`` (3), ``width`` and ``height``; any other key, lens
+    distortion among them, is a ParseError, as the model is a pinhole on
+    rectified pixels. ``units="mm"`` converts millimeter translations to
     meters.
     """
     from .geometry import CameraModel  # only the commands that read a rig load it
@@ -334,6 +336,9 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
         where = f"camera #{i}"
         if not isinstance(entry, dict):
             raise ParseError(spath, None, f"{where} is not an object")
+        unknown = sorted(set(entry) - _CAMERA_KEYS)
+        if unknown:
+            raise ParseError(spath, None, f"{where} has unknown keys: {unknown}")
         try:
             cid = _integer(entry["id"], spath, None, f"{where} id")
             K = np.array(_float_list(entry["K"], 9, spath, None, f"{where} K")).reshape(3, 3)

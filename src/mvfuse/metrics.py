@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyGroundTruth
+from .errors import ValidationError
 from .tracks import TrackTable
 
 if TYPE_CHECKING:
@@ -230,14 +230,14 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
     ------
     ValueError
         If ``threshold`` is not positive.
-    EmptyGroundTruth
+    ValidationError
         If ``gt`` contains no detections.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     total_gt = len(gt)
     if total_gt == 0:
-        raise EmptyGroundTruth("ground truth has no detections")
+        raise ValidationError("ground truth has no detections")
 
     frames = _unique(np.concatenate((gt.frame, pred.frame)))
     # Each frame's rows in tie-break order; g_at, p_at: its positions by rank.
@@ -297,12 +297,16 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
 
     Raises
     ------
-    EmptyGroundTruth
+    ValueError
+        If ``threshold`` is not positive.
+    ValidationError
         If ``gt`` contains no detections.
     """
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     total_gt, total_pred = len(gt), len(pred)
     if total_gt == 0:
-        raise EmptyGroundTruth("ground truth has no detections")
+        raise ValidationError("ground truth has no detections")
     if total_pred == 0:
         return 0.0
 
@@ -456,13 +460,19 @@ def pose_metrics(
 
     Raises
     ------
-    EmptyGroundTruth
+    ValueError
+        If an AP threshold or ``recall_at`` is not positive.
+    ValidationError
         If ``gt`` has no keypoint annotations.
     """
+    if not all(d > 0 for d in ap_thresholds):
+        raise ValueError("ap_thresholds must be positive")
+    if not recall_at > 0:
+        raise ValueError("recall_at must be positive")
     g_has, p_has = gt.has_keypoints, pred.has_keypoints
     total_gt, total_pred = int(g_has.sum()), int(p_has.sum())
     if total_gt == 0:
-        raise EmptyGroundTruth("ground truth has no keypoints")
+        raise ValidationError("ground truth has no keypoints")
 
     g_frames, p_frames = gt.frame[g_has], pred.frame[p_has]
     frames = np.intersect1d(g_frames, p_frames, return_indices=True)[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InvalidSpec
+from .errors import GeometryError, ValidationError
 from .geometry import CameraModel, in_front, project_ellipsoid_to_bbox, project_point
 from .io import Checked, SceneBundle
 from .pose import canonical_pose, scaled_offsets
@@ -44,7 +44,7 @@ class Occlusion(Checked):
     stop: int
     object_id: int | None = None
 
-    _what, _error = "occlusion", InvalidSpec
+    _what = "occlusion"
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class SceneSpec(Checked):
     focal: float | None = None
     occlusions: tuple[Occlusion, ...] = ()
 
-    _what, _error, _items = "scene", InvalidSpec, {"occlusions": Occlusion}
+    _what, _items = "scene", {"occlusions": Occlusion}
 
     def __post_init__(self):
         super().__post_init__()
@@ -102,7 +102,7 @@ class SceneSpec(Checked):
             try:
                 canonical_pose(self.skeleton)
             except ValueError as exc:
-                raise InvalidSpec(str(exc)) from None
+                raise ValidationError(str(exc)) from None
         occl = tuple(self.occlusions)
         for o in occl:
             self._need(
@@ -143,7 +143,7 @@ def _camera_ring(spec: SceneSpec) -> tuple[float, float]:
 
     Raises
     ------
-    InvalidSpec
+    ValidationError
         If the ring does not surround the arena, or (with no focal length
         given) is too tight to frame it.
     """
@@ -151,7 +151,7 @@ def _camera_ring(spec: SceneSpec) -> tuple[float, float]:
     half_diag = float(np.hypot(ax, ay)) / 2.0
     radius = spec.ring_radius or (1.6 * half_diag + 4.0)
     if radius <= half_diag:
-        raise InvalidSpec(
+        raise ValidationError(
             f"ring_radius {radius} must exceed the arena half-diagonal {half_diag:.2f}"
         )
     if spec.focal is not None:
@@ -160,7 +160,7 @@ def _camera_ring(spec: SceneSpec) -> tuple[float, float]:
     reach = half_diag + 0.8
     tan_span = reach / (radius - reach) if radius > reach else None
     if tan_span is None or tan_span <= 0:
-        raise InvalidSpec("camera ring too tight for the arena")
+        raise ValidationError("camera ring too tight for the arena")
     return radius, 0.85 * (min(spec.image_size) / 2.0) / tan_span
 
 
@@ -192,7 +192,7 @@ def _build_cameras(spec: SceneSpec) -> dict[int, CameraModel]:
                 image_size=spec.image_size,
             )
         except ValueError as exc:
-            raise InvalidSpec(
+            raise ValidationError(
                 f"camera ring (radius {radius:.3g}, height {height:.3g}, focal {focal:.3g}) "
                 f"overflows: {exc}"
             ) from None
@@ -213,7 +213,7 @@ def _place_objects(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarra
                 starts.append(cand)
                 break
         else:
-            raise InvalidSpec(
+            raise ValidationError(
                 f"cannot place {spec.num_objects} objects {min_sep} m apart "
                 f"in a {ax} x {ay} arena"
             )

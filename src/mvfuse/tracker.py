@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DegenerateConic,
-    DivergentUpdate,
-    GeometryError,
-    NoObservation,
-    ValidationError,
-)
+from .errors import FilterError, GeometryError, NoObservation, ValidationError
 from .filter import (
     POS,
     SHAPE,
@@ -81,9 +75,9 @@ EventCallback = Callable[[Diagnostic], None]
 
 def _half_axes(X: np.ndarray) -> np.ndarray:
     """Half-axes (..., 3) of states (..., 9); log half-axes beyond the limit
-    raise ``DegenerateConic``."""
+    raise ``GeometryError``."""
     if (np.abs(X[..., SHAPE]) > _LOG_AXIS_LIMIT).any():
-        raise DegenerateConic("log half-axes out of range")
+        raise GeometryError("log half-axes out of range")
     return np.exp(X[..., SHAPE])
 
 
@@ -103,7 +97,7 @@ def _box_update(cam: CameraModel, config: "RunConfig"):
     def update(mean: np.ndarray, cov: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         mean, cov = ukf_update(mean, cov, z, h, noise, **scaling)
         if (np.abs(mean[:, SHAPE]) > _LOG_AXIS_LIMIT).any():
-            raise DivergentUpdate("posterior log half-axes out of range")
+            raise FilterError("posterior log half-axes out of range")
         return mean, cov
 
     return update

@@ -26,7 +26,7 @@ import numpy as np
 import orjson
 from scipy.optimize import linear_sum_assignment
 
-from mvfuse.errors import ParseError, ValidationError
+from mvfuse.errors import FilterError, ParseError, ValidationError
 from mvfuse.io import _float_list, _integer, _json_loads
 from mvfuse.metrics import PoseMetrics
 from mvfuse.tracks import RowError
@@ -740,7 +740,7 @@ def _loop_first_bad(mask):
 def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
     """Outline boxes (..., 4) of ellipsoids (..., 3), built from the
     projection matrix on every call."""
-    from mvfuse.errors import DegenerateConic, NonPositiveDepth
+    from mvfuse.errors import GeometryError
 
     X = np.asarray(center, dtype=np.float64)
     half = np.asarray(half_axes, dtype=np.float64)
@@ -752,7 +752,7 @@ def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
     bad = ~(w[..., 2] > 1e-9)  # NaN is bad
     if bad.any():
         i, where = _loop_first_bad(bad)
-        raise NonPositiveDepth(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
+        raise GeometryError(f"ellipsoid center depth {w[..., 2][i]:.3e}{where}")
     C = _loop_affine(
         half * half, M[_LOOP_ROWS] * M[_LOOP_COLS], -w[..., _LOOP_ROWS] * w[..., _LOOP_COLS]
     )
@@ -761,23 +761,23 @@ def loop_project_ellipsoid_to_bbox(cam, center, half_axes):
     if bad.any():
         i, where = _loop_first_bad(bad)
         if not np.isfinite(C[i]).all():
-            raise DegenerateConic(f"outline conic overflows{where}")
-        raise DegenerateConic(f"outline conic degenerate (C22 ~ 0){where}")
+            raise GeometryError(f"outline conic overflows{where}")
+        raise GeometryError(f"outline conic degenerate (C22 ~ 0){where}")
     center_uv = C[..., 2:4] / c22
     disc = center_uv * center_uv - C[..., 0:2] / c22
     bad = ~(disc > 0).all(axis=-1)
     if bad.any():
         i, where = _loop_first_bad(bad)
         if not np.isfinite(C[i]).all():
-            raise DegenerateConic(f"outline conic overflows{where}")
-        raise DegenerateConic(
+            raise GeometryError(f"outline conic overflows{where}")
+        raise GeometryError(
             f"outline not a bounded ellipse (disc u, v = {disc[i].tolist()}){where}"
         )
     r = np.sqrt(disc)
     return np.concatenate([center_uv - r, center_uv + r], axis=-1)
 
 
-def _loop_chol_with_jitter(mats, scale, failure, what):
+def _loop_chol_with_jitter(mats, scale, what):
     try:
         return np.linalg.cholesky(scale * mats)
     except np.linalg.LinAlgError:
@@ -794,19 +794,17 @@ def _loop_chol_with_jitter(mats, scale, failure, what):
                 continue
             break
         else:
-            raise failure(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
+            raise FilterError(f"{what} of row {i} not factorizable after jitter up to 1e-6 * trace/d")
     return out
 
 
 def loop_sigma_points(mean, cov, alpha=0.1, beta=2.0, kappa=0.0):
     """Sigma points (n, 2d+1, d) and weights of the (n, d) mean and (n, d, d)
     covariance stack, the weights built on every call."""
-    from mvfuse.errors import CholeskyFailure
-
     d = mean.shape[1]
     lam = alpha * alpha * (d + kappa) - d
     scale = d + lam
-    L = _loop_chol_with_jitter(cov, scale, CholeskyFailure, "sigma-point covariance")
+    L = _loop_chol_with_jitter(cov, scale, "sigma-point covariance")
     center = mean[:, None, :]
     pts = np.empty((len(mean), 2 * d + 1, d))
     pts[:, :1] = center
@@ -837,12 +835,7 @@ def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa
     """Posterior (mean, covariance) of the stacked UKF update: the moments
     of the measurement sigma rows taken once for the innovation covariance
     and again for the cross covariance."""
-    from mvfuse.errors import (
-        DivergentUpdate,
-        GeometryError,
-        SigmaPointProjectionFailure,
-        SingularInnovation,
-    )
+    from mvfuse.errors import GeometryError
 
     T = lambda a: a.swapaxes(-1, -2)  # noqa: E731
     z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
@@ -853,22 +846,22 @@ def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa
     try:
         Z = np.asarray(h(X), dtype=np.float64)
     except GeometryError as exc:
-        raise SigmaPointProjectionFailure(f"sigma points failed measurement map: {exc}") from exc
+        raise FilterError(f"sigma points failed measurement map: {exc}") from exc
     if not np.all(np.isfinite(Z)):
-        raise SigmaPointProjectionFailure("measurement map gave non-finite values")
+        raise FilterError("measurement map gave non-finite values")
     z_hat = wm @ Z
     dZ = Z - z_hat[..., None, :]
     S = T(dZ) @ (wc[:, None] * dZ)
     S = 0.5 * (S + T(S)) + R
     dX = X - mean[:, None, :]
     Cxz = T(dX) @ (wc[:, None] * (Z - z_hat[:, None, :]))
-    L = _loop_chol_with_jitter(S, 1.0, SingularInnovation, "innovation covariance")
+    L = _loop_chol_with_jitter(S, 1.0, "innovation covariance")
     K = T(np.linalg.solve(T(L), np.linalg.solve(L, T(Cxz))))
     post_mean = mean + (K @ (z - z_hat)[..., None])[..., 0]
     post_cov = cov - K @ S @ T(K)
     post_cov = 0.5 * (post_cov + T(post_cov))
     if not (np.all(np.isfinite(post_mean)) and np.all(np.isfinite(post_cov))):
-        raise DivergentUpdate("update overflowed to a non-finite posterior")
+        raise FilterError("update overflowed to a non-finite posterior")
     try:
         np.linalg.cholesky(post_cov)
     except np.linalg.LinAlgError:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvfuse import filter as filter_mod
-from mvfuse.errors import GeometryError, SigmaPointProjectionFailure
+from mvfuse.errors import FilterError, GeometryError
 from mvfuse.filter import POS, SHAPE, GaussianBelief, sigma_points, ukf_update
 from mvfuse.geometry import CameraModel, project_ellipsoid_to_bbox, project_point
 from mvfuse.tracker import bbox_measurement
@@ -163,7 +163,8 @@ class TestSameBitsAsLoop:
             lambda: ukf_update(mean, cov, z, h, R_BOX)[0],
             lambda: loop_ukf_update(mean, cov, z, h0, R_BOX)[0],
         )
-        assert isinstance(out, SigmaPointProjectionFailure)
+        assert isinstance(out, FilterError)
+        assert str(out).startswith("sigma points failed measurement map: ")
 
 
 class TestWholeStackBoundaries:
@@ -289,7 +290,7 @@ class TestNonFiniteInput:
             X[0, 3, 2] = np.nan
             return project_point(cam, X[..., POS])
 
-        with pytest.raises(SigmaPointProjectionFailure) as info:
+        with pytest.raises(FilterError, match="^sigma points failed measurement map: ") as info:
             ukf_update(belief.mean, belief.covariance, [1.0, 1.0], h, np.eye(2))
         assert str(info.value).startswith("sigma points failed measurement map: non-finite point [")
         assert str(info.value).endswith("at row (0, 3)")

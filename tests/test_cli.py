@@ -393,7 +393,12 @@ class TestAnnotate:
          "camera 0: projection matrix K [R | t] overflows"),
         (lambda cams: cams[0]["K"].__setitem__(0, 1e160) or cams[0]["K"].__setitem__(4, 1e160),
          "camera 0: outline conic weights of M = K R overflow"),
-    ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow", "focal-1e160"])
+        # The model is a pinhole on rectified pixels: lens distortion is
+        # refused, not dropped without a word.
+        (lambda cams: cams[1].update(distCoef=[-0.25, 0.1, 0, 0, 0], dist=[0.0] * 5),
+         "camera #1 has unknown keys: ['dist', 'distCoef']"),
+    ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow", "focal-1e160",
+            "distortion"])
     def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
         doc = json.loads((scene_dir / "calibration.json").read_text())
         edit(doc["cameras"])

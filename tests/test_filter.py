@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 from mvfuse import (
     CameraModel,
     CanonicalPose,
-    CholeskyFailure,
-    DimensionMismatch,
-    DivergentUpdate,
+    FilterError,
     GaussianBelief,
-    InvalidDt,
+    GeometryError,
     MotionModel,
-    NonPositiveDepth,
-    SigmaPointProjectionFailure,
-    SingularInnovation,
     kalman_predict,
     make_motion_model,
     sigma_points,
@@ -138,7 +133,7 @@ class TestSigmaPoints:
 
     def test_zero_covariance_fails(self):
         b = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(CholeskyFailure):
+        with pytest.raises(FilterError, match="^sigma-point covariance of row 0 not factorizable"):
             sigma_points(b.mean, b.covariance)
 
     def test_invalid_scaling_rejected(self):
@@ -182,10 +177,10 @@ class TestMotionModel:
         assert make_motion_model(0.1, q_pos=1.0).dim == 6
 
     def test_invalid_dt(self):
-        with pytest.raises(InvalidDt):
-            make_motion_model(0.0, q_pos=1.0)
-        with pytest.raises(InvalidDt):
-            make_motion_model(-1.0, q_pos=1.0)
+        # A bad argument, not a filter failure that a caller would isolate.
+        for dt in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^dt must be positive"):
+                make_motion_model(dt, 1.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -230,14 +225,14 @@ class TestPredict:
     def test_dimension_mismatch(self):
         b = GaussianBelief(np.zeros(6), np.eye(6))
         m = make_motion_model(1.0, q_pos=1.0, q_shape=1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="^motion model dim 9 != state dim 6$"):
             kalman_predict(b.mean, b.covariance, m)
 
     def test_overflowing_prediction_raises(self):
         # A filter failure, which the tracker isolates to the failing row.
         b = GaussianBelief(np.zeros(6), 1e300 * np.eye(6))
         m = make_motion_model(1e5, q_pos=0.0)
-        with pytest.raises(DivergentUpdate, match="non-finite"):
+        with pytest.raises(FilterError, match="^prediction overflowed to non-finite values$"):
             kalman_predict(b.mean, b.covariance, m)
 
     def test_overflow_in_symmetrizing_raises(self):
@@ -248,7 +243,7 @@ class TestPredict:
         m = make_motion_model(1.0, q_pos=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergentUpdate, match="non-finite"):
+            with pytest.raises(FilterError, match="^prediction overflowed to non-finite values$"):
                 kalman_predict(b.mean, b.covariance, m)
 
 
@@ -327,21 +322,21 @@ class TestUkfUpdate:
         b = GaussianBelief(np.zeros(2), np.eye(2))
 
         def bad(X):
-            raise NonPositiveDepth("behind")
+            raise GeometryError("behind")
 
-        with pytest.raises(SigmaPointProjectionFailure):
+        with pytest.raises(FilterError, match="^sigma points failed measurement map: behind$"):
             ukf_update(b.mean, b.covariance, [0.0], bad, np.eye(1))
 
     def test_singular_innovation(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        with pytest.raises(SingularInnovation):
+        with pytest.raises(FilterError, match="^innovation covariance of row 0 not factorizable"):
             ukf_update(
                 b.mean, b.covariance, [0.0], lambda X: np.zeros(X.shape[:-1] + (1,)), np.zeros((1, 1))
             )
 
     def test_non_finite_measurement_map_surfaces(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        with pytest.raises(SigmaPointProjectionFailure, match="non-finite"):
+        with pytest.raises(FilterError, match="^measurement map gave non-finite values$"):
             ukf_update(
                 b.mean, b.covariance, [0.0], lambda X: np.where(X[..., :1] > 0, np.inf, 0.0), np.eye(1)
             )
@@ -350,17 +345,17 @@ class TestUkfUpdate:
     def test_overflowing_posterior_raises(self):
         # the overflow is silent: the finiteness check raises, as in predict
         b = GaussianBelief(np.array([-1e308]), np.eye(1))
-        with pytest.raises(DivergentUpdate):
+        with pytest.raises(FilterError, match="^update overflowed to a non-finite posterior$"):
             ukf_update(b.mean, b.covariance, [1e308], lambda X: X, np.eye(1))
 
     def test_noise_shape_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^measurement \(1, 2\) and noise \(3, 3\) do not fit 1 rows$"):
             ukf_update(b.mean, b.covariance, [0.0, 1.0], lambda X: X, np.eye(3))
 
     def test_h_output_length_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="^h returned shape"):
             ukf_update(b.mean, b.covariance, [0.0], lambda X: X, np.eye(1))
 
 
@@ -416,21 +411,21 @@ class TestStacks:
 
     def test_measurement_rows_must_match_belief_rows(self):
         mean, cov = _stack(np.random.default_rng(7), 3, 4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^measurement \(2, 3\) and noise \(3, 3\) do not fit 3 rows$"):
             ukf_update(mean, cov, np.zeros((2, 3)), _bent, np.eye(3))
 
     def test_unfactorizable_row_keeps_prior_beside_good_row(self):
         rng = np.random.default_rng(8)
         good = _stack(rng, 1, 9)
         bad = GaussianBelief(np.zeros(9), _UNFACTORIZABLE)
-        with pytest.raises(CholeskyFailure):
+        with pytest.raises(FilterError, match="^sigma-point covariance of row 0 not factorizable"):
             sigma_points(bad.mean, bad.covariance)
         pair = (
             np.concatenate([good[0], bad.mean]),
             np.concatenate([good[1], bad.covariance]),
         )
         z, R = rng.normal(size=(2, 3)), np.eye(3)
-        with pytest.raises(CholeskyFailure):
+        with pytest.raises(FilterError, match="^sigma-point covariance of row 1 not factorizable"):
             ukf_update(*pair, z, _bent, R)
 
         mean, cov = pair[0].copy(), pair[1].copy()
@@ -442,7 +437,8 @@ class TestStacks:
         np.testing.assert_array_equal(cov[0], alone[1][0])
         np.testing.assert_array_equal(mean[1], bad.mean[0])
         np.testing.assert_array_equal(cov[1], bad.covariance[0])
-        assert [(i, type(e)) for i, e in failed] == [(1, CholeskyFailure)]
+        assert [(i, type(e)) for i, e in failed] == [(1, FilterError)]
+        assert "not factorizable" in str(failed[0][1])
 
     def test_update_rows_without_failure_is_one_call(self):
         rng = np.random.default_rng(9)
@@ -472,7 +468,8 @@ class TestStacks:
         failed = update_rows(
             lambda m, c, zz: ukf_update(m, c, zz, _bent, R), mean, cov, np.array([3, 1]), z
         )
-        assert [(i, type(e)) for i, e in failed] == [(3, CholeskyFailure)]
+        assert [(i, type(e)) for i, e in failed] == [(3, FilterError)]
+        assert "not factorizable" in str(failed[0][1])
         alone = ukf_update(prior[0][1:2], prior[1][1:2], z[1:], _bent, R)
         np.testing.assert_array_equal(mean[1], alone[0][0])
         np.testing.assert_array_equal(cov[1], alone[1][0])
@@ -480,6 +477,23 @@ class TestStacks:
             np.testing.assert_array_equal(mean[i], prior[0][i])
             np.testing.assert_array_equal(cov[i], prior[1][i])
         assert update_rows(None, mean, cov, np.array([], dtype=int), np.zeros((0, 3))) == []
+
+    def test_update_rows_raises_a_bad_argument(self):
+        # A z whose width is not h's is a bug in the caller, not a failure of
+        # each row: it raises out of update_rows, and no row is written.
+        mean, cov = _stack(np.random.default_rng(14), 3, 4)
+        prior = mean.copy(), cov.copy()
+        calls = []
+
+        def update(m, c, zz):
+            calls.append(len(m))
+            return ukf_update(m, c, zz, lambda X: X[..., :2], np.eye(3))
+
+        with pytest.raises(ValueError, match=r"^h returned shape \(3, 9, 2\), expected \(3, 9, 3\)$"):
+            update_rows(update, mean, cov, np.arange(3), np.zeros((3, 3)))
+        assert calls == [3]
+        np.testing.assert_array_equal(mean, prior[0])
+        np.testing.assert_array_equal(cov, prior[1])
 
     def test_jitter_is_chosen_per_row(self):
         # One row needs jitter; its neighbour's sigma points must not move.
@@ -567,12 +581,14 @@ class TestTrustedBeliefs:
             post = ukf_update(m.copy(), c.copy(), zz, _bent, R)
             m[:], c[:] = np.nan, np.nan
             if len(m) > 1 or zz[0, 0] == z[1, 0]:
-                raise SingularInnovation("retry row by row; the second row fails")
+                raise FilterError("retry row by row; the second row fails")
             return post
 
         failed = update_rows(update, mean, cov, np.array([3, 0, 2]), z)
         assert retried == [3, 1, 1, 1]
-        assert [(i, type(e)) for i, e in failed] == [(0, SingularInnovation)]
+        assert [(i, type(e), str(e)) for i, e in failed] == [
+            (0, FilterError, "retry row by row; the second row fails")
+        ]
         for i in (0, 1):
             np.testing.assert_array_equal(mean[i], prior[0][i])
             np.testing.assert_array_equal(cov[i], prior[1][i])

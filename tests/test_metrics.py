@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from mvfuse import (
-    EmptyGroundTruth,
     RunConfig,
     TrackTable,
     clear_mot,
     evaluate_tracks,
+    ValidationError,
     format_table,
     idf1,
     ospa2,
@@ -110,7 +110,7 @@ class TestClearMot:
         assert (res.fp, res.fn) == (0, 0)
 
     def test_empty_gt_raises(self):
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ValidationError, match="^ground truth has no detections$"):
             clear_mot(_table({0: _still([0], (0, 0, 0))}), _table({}))
 
     def test_threshold_must_be_positive(self):
@@ -182,8 +182,15 @@ class TestIdf1:
         assert idf1(_table({}), gt) == 0.0
 
     def test_empty_gt_raises(self):
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ValidationError, match="^ground truth has no detections$"):
             idf1(_table({}), _table({}))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_threshold_must_be_positive(self, threshold):
+        # Refused as clear_mot refuses it, not scored 0 on identical tracks.
+        gt = _table({0: _still([0], (0, 0, 0))})
+        with pytest.raises(ValueError, match="^threshold must be positive"):
+            idf1(gt, gt, threshold=threshold)
 
 
 def _random_trackset(rng, max_objects=4, frames=10):
@@ -366,8 +373,20 @@ class TestPoseMetrics:
 
     def test_no_gt_keypoints_raises(self):
         pred = _poses({0: {0: _pose()}})
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ValidationError, match="^ground truth has no keypoints$"):
             pose_metrics(pred, _table({0: _still([0], (0, 0, 0))}))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(ap_thresholds=(-5.0,)), "ap_thresholds must be positive"),
+        (dict(ap_thresholds=(25.0, float("nan"))), "ap_thresholds must be positive"),
+        (dict(recall_at=0.0), "recall_at must be positive"),
+        (dict(recall_at=float("nan")), "recall_at must be positive"),
+    ], ids=["negative-ap", "nan-ap", "zero-recall", "nan-recall"])
+    def test_thresholds_must_be_positive(self, kwargs, message):
+        # Refused with RunConfig's message, not scored 0 on identical poses.
+        gt = _poses({0: {0: _pose()}})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pose_metrics(gt, gt, **kwargs)
 
 
 _SKELETON = np.linspace(-0.3, 0.3, 12).reshape(4, 3)

@@ -1,6 +1,8 @@
 """Synthetic-scene generator tests: determinism, spec validation, and
 consistency of the rendered annotations with the ground truth."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from mvfuse import synth
 from mvfuse import (
-    InvalidSpec,
     Occlusion,
     SceneSpec,
     generate,
@@ -19,7 +20,7 @@ from mvfuse import (
     save_tracks,
 )
 
-from mvfuse.errors import GeometryError
+from mvfuse.errors import GeometryError, ValidationError
 from mvfuse.synth import _joint_pixels, _outline_boxes
 from oracles import loop_constant_velocity, loop_generate, pinhole_project, track_dicts
 
@@ -40,11 +41,11 @@ class TestSceneSpec:
         assert SceneSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_key(self):
-        with pytest.raises(InvalidSpec, match="cameras_n"):
+        with pytest.raises(ValidationError, match=r"^unknown scene keys: \['cameras_n'\]$"):
             SceneSpec.from_dict({"cameras_n": 4})
 
     def test_unknown_occlusion_key(self):
-        with pytest.raises(InvalidSpec, match="until"):
+        with pytest.raises(ValidationError, match=r"^unknown occlusion keys: \['until'\]$"):
             SceneSpec.from_dict(
                 {"occlusions": [{"camera_id": 0, "start": 0, "until": 3}]}
             )
@@ -62,37 +63,42 @@ class TestSceneSpec:
     def test_first_fault_is_reported(self, data, message):
         # Unknown keys first, then missing ones, then each occlusion in turn,
         # then the values.
-        with pytest.raises(InvalidSpec) as exc:
+        with pytest.raises(ValidationError) as exc:
             SceneSpec.from_dict(data)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(num_cameras=0),
-            dict(frames=0),
-            dict(fps=0.0),
-            dict(motion="brownian"),
-            dict(pixel_noise=-1.0),
-            dict(arena=(0.0, 12.0)),
-            dict(skeleton="human36"),
-            dict(ring_radius=-2.0),
-            dict(occlusions=(Occlusion(camera_id=0, start=4, stop=2),)),
-            dict(occlusions=(Occlusion(camera_id=9, start=0, stop=2),)),
-            dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=2),)),
-            dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=-1),)),
+            (dict(num_cameras=0), "num_cameras must be >= 1"),
+            (dict(frames=0), "frames must be >= 1"),
+            (dict(fps=0.0), "fps must be positive"),
+            (dict(motion="brownian"), "motion must be one of"),
+            (dict(pixel_noise=-1.0), "pixel_noise must be non-negative"),
+            (dict(arena=(0.0, 12.0)), "arena must be two positive extents"),
+            (dict(skeleton="human36"), "unknown skeleton 'human36'"),
+            (dict(ring_radius=-2.0), "ring_radius must be positive when given"),
+            (dict(occlusions=(Occlusion(camera_id=0, start=4, stop=2),)),
+             "occlusion window [4, 2) out of range"),
+            (dict(occlusions=(Occlusion(camera_id=9, start=0, stop=2),)),
+             "occlusion references unknown camera 9"),
+            (dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=2),)),
+             "occlusion references unknown object 2"),
+            (dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=-1),)),
+             "occlusion references unknown object -1"),
         ],
+        ids=[f"kwargs{i}" for i in range(12)],
     )
-    def test_invalid_values(self, kwargs):
-        with pytest.raises(InvalidSpec):
+    def test_invalid_values(self, kwargs, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
             _spec(**kwargs)
 
     def test_overcrowded_arena(self):
-        with pytest.raises(InvalidSpec, match="cannot place"):
+        with pytest.raises(ValidationError, match="^cannot place"):
             generate(_spec(num_objects=40, arena=(4.0, 4.0)))
 
     def test_ring_inside_arena(self):
-        with pytest.raises(InvalidSpec, match="half-diagonal"):
+        with pytest.raises(ValidationError, match="^ring_radius .* must exceed the arena half-diagonal"):
             generate(_spec(ring_radius=5.0, arena=(12.0, 12.0)))
 
 

@@ -10,14 +10,13 @@ import pytest
 from mvfuse import (
     AnnotationTable,
     CameraModel,
-    CholeskyFailure,
-    DivergentUpdate,
+    FilterError,
     GaussianBelief,
+    GeometryError,
     NoObservation,
     Occlusion,
     RunConfig,
     SceneSpec,
-    SigmaPointProjectionFailure,
     TrackTable,
     ValidationError,
     bbox_measurement,
@@ -33,7 +32,6 @@ from mvfuse import (
     scaled_offsets,
     sigma_points,
 )
-from mvfuse.errors import NonPositiveDepth, DegenerateConic
 from mvfuse.filter import POS, SHAPE, VEL, kalman_predict, make_motion_model, ukf_update
 from mvfuse import tracker as tracker_mod
 from mvfuse.tracks import RowError
@@ -140,12 +138,12 @@ class TestBBoxMeasurement:
 
     def test_behind_camera_raises(self, axis_camera):
         h = bbox_measurement(axis_camera)
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(GeometryError, match="^ellipsoid center depth"):
             h(_state([0.0, 0.0, -2.0], [0.3, 0.3, 0.9]))
 
     def test_camera_inside_ellipsoid_raises(self, axis_camera):
         h = bbox_measurement(axis_camera)
-        with pytest.raises(DegenerateConic):
+        with pytest.raises(GeometryError, match="^outline not a bounded ellipse"):
             h(_state([0.0, 0.0, 0.5], [2.0, 2.0, 2.0]))
 
 
@@ -410,10 +408,11 @@ class TestTrackObject:
         X, _, _ = sigma_points(belief.mean, belief.covariance)
         front = in_front(near, X[..., POS])
         assert front.any() and not front.all()
-        with pytest.raises(SigmaPointProjectionFailure) as info:
+        with pytest.raises(FilterError, match="^sigma points failed measurement map: ") as info:
             ukf_update(belief.mean, belief.covariance, boxes[0], bbox_measurement(near),
                        config.r_bbox * np.eye(4))
-        assert isinstance(info.value.__cause__, NonPositiveDepth)
+        assert isinstance(info.value.__cause__, GeometryError)
+        assert "depth" in str(info.value.__cause__)
 
         events = []
         track = run_all(
@@ -685,11 +684,12 @@ class TestRunAll:
             np.testing.assert_array_equal(alone.keypoints, t.keypoints)
 
     def test_filter_error_skips_only_that_object(self, small_scene, config, monkeypatch):
-        # Any FilterError in one object's row (here a CholeskyFailure) skips
-        # that object's update alone: the stack is redone row by row, the
-        # other objects keep their tracks, and the failing object carries on
-        # with its prediction and one diagnostic per (frame, camera). Its
-        # last frame's updates apply, so it still has a track.
+        # Any FilterError in one object's row (here a covariance that is not
+        # factorizable) skips that object's update alone: the stack is redone
+        # row by row, the other objects keep their tracks, and the failing
+        # object carries on with its prediction and one diagnostic per
+        # (frame, camera). Its last frame's updates apply, so it still has a
+        # track.
         bundle, _ = small_scene
         clean = run_all(bundle.annotations, bundle.calibration, config)
         ann = bundle.annotations
@@ -699,7 +699,7 @@ class TestRunAll:
 
         def flaky(mean, cov, z, *args, **kwargs):
             if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
-                raise CholeskyFailure("covariance not factorizable")
+                raise FilterError("covariance not factorizable")
             return real(mean, cov, z, *args, **kwargs)
 
         monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
@@ -731,7 +731,7 @@ class TestRunAll:
 
         def overflowing(mean, cov, model):
             if any((row[POS] == last_good).all() for row in mean):
-                raise DivergentUpdate("prediction overflowed to non-finite values")
+                raise FilterError("prediction overflowed to non-finite values")
             return real(mean, cov, model)
 
         monkeypatch.setattr(tracker_mod, "kalman_predict", overflowing)
@@ -747,6 +747,16 @@ class TestRunAll:
         np.testing.assert_array_equal(_track(tracks, 0).position, ended.position[ended.frame <= 2])
         np.testing.assert_array_equal(_track(tracks, 1).position, kept.position)
         np.testing.assert_array_equal(_track(tracks, 1).half_axes, kept.half_axes)
+
+    def test_predict_raises_a_bad_argument(self):
+        # A motion model of the wrong dimension is a bug in the caller, not a
+        # failed predict of each row (which would end each object with a
+        # predict_failed diagnostic): it raises, and no row is written.
+        mean, cov = np.zeros((2, 6)), np.broadcast_to(np.eye(6), (2, 6, 6)).copy()
+        model = make_motion_model(0.1, 1e-6, 1e-6)
+        with pytest.raises(ValueError, match="^motion model dim 9 != state dim 6$"):
+            tracker_mod._predict(kalman_predict, model, mean, cov, np.arange(2))
+        np.testing.assert_array_equal(mean, 0.0)
 
     def test_ended_object_takes_no_keypoint_update(self, monkeypatch):
         # Once an object's predict fails it has ended: no keypoint update
@@ -772,7 +782,7 @@ class TestRunAll:
         def overflowing(mean, cov, model):
             if any((row[POS] == last_good).all() for row in mean):
                 ended.append(True)
-                raise DivergentUpdate("prediction overflowed to non-finite values")
+                raise FilterError("prediction overflowed to non-finite values")
             return real_predict(mean, cov, model)
 
         def kp_update(cam, config):
@@ -808,7 +818,7 @@ class TestRunAll:
 
         def flaky(mean, cov, z, *args, **kwargs):
             if any(tuple(row) in bad_boxes for row in np.atleast_2d(z)):
-                raise CholeskyFailure("covariance not factorizable")
+                raise FilterError("covariance not factorizable")
             return real(mean, cov, z, *args, **kwargs)
 
         monkeypatch.setattr(tracker_mod, "ukf_update", flaky)
