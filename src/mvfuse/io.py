@@ -32,7 +32,8 @@ shortest round-trip repr, and a row with a float that orjson writes unlike
 repr (magnitude in [1e-9, 1e-4) or >= 1e16) is written by ``json.dumps``. The
 reader decodes a line with orjson, and a line orjson refuses (``NaN``,
 ``Infinity``, ``1e400``, a lone surrogate, a syntax error) with
-``json.loads``, the reference, which reads it or raises its own error for it.
+``json.loads``, the reference, which reads it or raises its own error for it
+(an integer longer than Python converts is refused as too long).
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import gc
 import json
 import math
 import numbers
+import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, compress
 from operator import itemgetter
@@ -69,6 +72,15 @@ _KINDS = {
 }
 
 
+def _finite(value: numbers.Real) -> bool:
+    """Whether ``value`` converts to a finite float: an int too large for a
+    float does not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # The resolved field annotations of each Checked class.
 _HINTS: dict[type, dict] = {}
 
@@ -80,10 +92,10 @@ class Checked:
     ``Checked`` class of its items.
 
     Built, it raises ``ValidationError`` naming the first field whose value
-    does not fit its annotation. A ``float`` field takes an int or a finite
-    float, an ``int`` field an int, neither a bool; ``bool`` and ``str``
-    fields take their own type. A tuple field takes a list or tuple whose items fit;
-    None fits an optional field.
+    does not fit its annotation. A ``float`` field takes an int that converts
+    to a finite float, or a finite float; an ``int`` field an int; neither a
+    bool. ``bool`` and ``str`` fields take their own type. A tuple field
+    takes a list or tuple whose items fit; None fits an optional field.
     """
 
     _items = {}
@@ -110,7 +122,7 @@ class Checked:
             for v in items:
                 if not isinstance(v, cls) or (isinstance(v, bool) and kind is not bool):
                     raise ValidationError(f"{f.name} must be {what}, got {value!r}")
-                if isinstance(v, float) and not math.isfinite(v):
+                if kind is float and not _finite(v):
                     raise ValidationError(f"{f.name} must be finite, got {value}")
 
     def _need(self, cond: bool, msg: str) -> None:
@@ -241,13 +253,20 @@ class SceneBundle:
 
 def _json_loads(text: str, path: str, line: int | None = None) -> object:
     """``json.loads(text)``, its errors raised as a ParseError of ``path`` at
-    ``line``, else at the error's own line."""
+    ``line``, else at the error's own line: for an integer longer than
+    Python converts, the line of the first such run of digits."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, line or exc.lineno, exc.msg) from exc
     except RecursionError as exc:
         raise ParseError(path, line, "JSON nested too deeply") from exc
+    except ValueError as exc:  # only the integer digit limit raises it
+        limit = sys.get_int_max_str_digits()
+        if line is None:
+            at = re.search(rf"(?<![\w.+-])-?\d{{{limit + 1},}}(?![\w.])", text)
+            line = text.count("\n", 0, at.start()) + 1 if at else None
+        raise ParseError(path, line, f"integer longer than {limit} digits") from exc
 
 
 def _read_json(path) -> object:
@@ -273,13 +292,9 @@ def _float_list(value, n: int, path: str, line: int | None, what: str) -> list[f
         raise ParseError(path, line, f"{what} must be a list of {n} numbers")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ParseError(path, line, f"{what} must contain numbers")
-    try:
-        out = [float(v) for v in value]  # an int too large for a float overflows
-    except OverflowError:
-        out = None
-    if out is None or not all(map(math.isfinite, out)):
+    if not all(map(_finite, value)):
         raise ParseError(path, line, f"{what} must be finite")
-    return out
+    return [float(v) for v in value]
 
 
 def _float_rows(rows, n: int, path: str, line: int | None, what: str) -> np.ndarray:
@@ -314,11 +329,11 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
     """Read a camera rig from JSON.
 
     Accepts either a top-level list of camera entries or ``{"cameras":
-    [...]}``. Each entry has exactly the keys ``id``, row-major ``K`` (9),
-    ``R`` (9), ``t`` (3), ``width`` and ``height``; any other key, lens
-    distortion among them, is a ParseError, as the model is a pinhole on
-    rectified pixels. ``units="mm"`` converts millimeter translations to
-    meters.
+    [...]}`` with no other key. Each entry has exactly the keys ``id``,
+    row-major ``K`` (9), ``R`` (9), ``t`` (3), ``width`` and ``height``; any
+    other key, lens distortion among them, is a ParseError, as the model is
+    a pinhole on rectified pixels. ``units="mm"`` converts millimeter
+    translations to meters.
     """
     from .geometry import CameraModel  # only the commands that read a rig load it
 
@@ -328,6 +343,9 @@ def load_calibration(path, units: str = "m") -> dict[int, CameraModel]:
     scale = _UNIT_SCALE[units]
     doc = _read_json(path)
     if isinstance(doc, dict) and "cameras" in doc:
+        unknown = sorted(set(doc) - {"cameras"})
+        if unknown:
+            raise ParseError(spath, None, f"calibration has unknown keys: {unknown}")
         doc = doc["cameras"]
     if not isinstance(doc, list):
         raise ParseError(spath, None, "calibration must be a list of cameras")

@@ -18,13 +18,18 @@ track has no row, whose cut-off terms are added into per-pair sums frame by
 frame, so each sum is the per-frame one exactly. Working memory stays per
 frame, or per bounded block.
 
-Distances are ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order. Pose
-metrics take the (x, y, z) coordinate planes of the poses once, so each
-frame's MPJPE matrix is that sum over (n, m, J) planes, averaged over the
-joints: the bits ``np.linalg.norm(axis=-1)`` gives, without its strided
-reduction. The assignment solver assigns the leading rows whose strict
-minima lie in columns no earlier row took, as its search would, and starts
-the search at the first row that is contested.
+Every score takes its distances from one kernel, :func:`_distance`, on
+(x, y, z) coordinate planes: arrays of shape (3, ...), the positions'
+columns, which broadcast to the pairs wanted. It computes ``sqrt(dx*dx +
+dy*dy + dz*dz)``, summed in that order, in the difference's own memory, one
+rounding per step: no BLAS kernel (whose FMA chains differ between builds)
+decides the last bit, so scores do not depend on the machine, and an MPJPE
+is the mean over joints of the bits ``np.linalg.norm(axis=-1)`` gives. A
+distance that overflows is inf, beyond every gate.
+
+The assignment solver assigns the leading rows whose strict minima lie in
+columns no earlier row took, as its search would, and starts the search at
+the first row that is contested.
 """
 
 from __future__ import annotations
@@ -181,14 +186,16 @@ class ClearMotResult(NamedTuple):
 
 @np.errstate(over="ignore")
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances along the last (x, y, z) axis of ``a - b``, as
-    ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order, one rounding per step: no
-    BLAS kernel (whose FMA chains differ between builds) decides the last
-    bit, so scores do not depend on the machine. A distance that overflows
-    is inf, beyond every gate, so its pair is never a match."""
-    d = a - b
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    """Euclidean distances between the (x, y, z) coordinate planes ``a`` and
+    ``b``, of shapes (3, ...) that broadcast: ``sqrt(dx*dx + dy*dy + dz*dz)``
+    in that order, computed in the memory of ``a - b``. An overflow is inf,
+    so its pair is never a match."""
+    sq = a - b
+    sq *= sq
+    d = sq[0]
+    d += sq[1]
+    d += sq[2]
+    return np.sqrt(d, out=d)
 
 
 def _bounds(frame: np.ndarray, frames: np.ndarray) -> list[tuple[int, int]]:
@@ -208,11 +215,12 @@ def _scored_rows(t: TrackTable, frames: np.ndarray) -> tuple[int, int, np.ndarra
 
 def _first_appearance(t: TrackTable) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``t`` sorted by frame, then by object rank in order of
-    first appearance (by frame, then id): each row's rank and position."""
+    first appearance (by frame, then id): each row's rank, and the (3, rows)
+    coordinate planes of their positions."""
     _, first, index = np.unique(t.object_id, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))[index]
     order = np.lexsort((rank, t.frame))
-    return rank[order], t.position[order]
+    return rank[order], t.position.T[:, order]
 
 
 def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> ClearMotResult:
@@ -240,28 +248,28 @@ def clear_mot(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> Clear
         raise ValidationError("ground truth has no detections")
 
     frames = _unique(np.concatenate((gt.frame, pred.frame)))
-    # Each frame's rows in tie-break order; g_at, p_at: its positions by rank.
+    # Each frame's rows in tie-break order; g_at, p_at: its planes by rank.
     (g_rank, g_pos), (p_rank, p_pos) = _first_appearance(gt), _first_appearance(pred)
     g_at, p_at = np.empty_like(g_pos), np.empty_like(p_pos)
     fp = fn = ids = 0
     last_known: dict[int, int] = {}  # gt object -> pred object
     for (ga, gb), (pa, pb) in zip(_bounds(gt.frame, frames), _bounds(pred.frame, frames)):
         gi, pi = g_rank[ga:gb].tolist(), p_rank[pa:pb].tolist()
-        g_at[g_rank[ga:gb]], p_at[p_rank[pa:pb]] = g_pos[ga:gb], p_pos[pa:pb]
+        g_at[:, g_rank[ga:gb]], p_at[:, p_rank[pa:pb]] = g_pos[:, ga:gb], p_pos[:, pa:pb]
         present = set(pi)
         # Distances of the pairs tested only: last matches, then the free block.
         kept = [(g, last_known[g]) for g in gi if last_known.get(g) in present]
         matches, taken = {}, set()  # gt object -> pred object; pred objects matched
         if kept:
             kg, kp = zip(*kept)
-            for g, p, d in zip(kg, kp, _distance(g_at[list(kg)], p_at[list(kp)]).tolist()):
+            for g, p, d in zip(kg, kp, _distance(g_at[:, kg], p_at[:, kp]).tolist()):
                 if p not in taken and d <= threshold:
                     matches[g] = p
                     taken.add(p)
         free_g = [g for g in gi if g not in matches]
         free_p = [p for p in pi if p not in taken]
         if free_g and free_p:
-            d = _distance(g_at[free_g][:, None], p_at[free_p])
+            d = _distance(g_at[:, free_g, None], p_at[:, None, free_p])
             near = d <= threshold
             # Above any finite in-gate total (the most in-gate pairs match, then
             # by distance); capped at the largest float, which an in-gate
@@ -320,10 +328,11 @@ def idf1(pred: TrackTable, gt: TrackTable, threshold: float = 1.0) -> float:
     end = np.cumsum(hi - lo)
     runs = np.searchsorted(end, np.arange(0, end[-1], _BLOCK_BUDGET), "right").tolist()
     overlap = np.zeros(n * m)
+    G, P = (np.ascontiguousarray(t.position.T) for t in (gt, pred))
     for a, b in zip(runs, runs[1:] + [len(gt)]):
         row = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
         col = np.arange(len(row)) + (end[a] - hi[a] + lo[a]) + (hi - end)[row]
-        hit = _distance(gt.position.take(row, axis=0), pred.position.take(col, axis=0)) <= threshold
+        hit = _distance(G.take(row, axis=1), P.take(col, axis=1)) <= threshold
         overlap += np.bincount(g_obj[row[hit]] * m + p_obj[col[hit]], minlength=n * m)
     overlap = overlap.reshape(n, m)
     rows, cols = linear_sum_assignment(-overlap)
@@ -386,15 +395,15 @@ def ospa2(
     size = max(1, _BLOCK_BUDGET // (n * m))  # frames to a block
 
     def positions(t: TrackTable, start: int, count: int, index: np.ndarray):
-        """Per block of frames, the (B, count, 3) positions of the objects,
-        NaN where an object has no row (positions are finite)."""
+        """Per block of frames, the (3, B, count) coordinate planes of the
+        objects, NaN where an object has no row (positions are finite)."""
         at = np.searchsorted(frames, t.frame[start:])
-        pos = t.position[start:]
+        pos = t.position[start:].T
         for k in range(0, len(frames), size):
             stop = min(k + size, len(frames))
             a, b = np.searchsorted(at, (k, stop)).tolist()
-            block = np.full((stop - k, count, 3), np.nan)
-            block[at[a:b] - k, index[a:b]] = pos[a:b]
+            block = np.full((3, stop - k, count), np.nan)
+            block[:, at[a:b] - k, index[a:b]] = pos[:, a:b]
             yield block
 
     # Each pair's sum takes its terms in frame order (adding 0.0 where neither
@@ -402,11 +411,11 @@ def ospa2(
     total = np.zeros((n, m))
     seen = np.zeros((n, m), dtype=np.int64)
     for G, P in zip(positions(gt, g0, n, g_obj), positions(pred, p0, m, p_obj)):
-        g, p = ~np.isnan(G[:, :, None, 0]), ~np.isnan(P[:, None, :, 0])
+        g, p = ~np.isnan(G[0, :, :, None]), ~np.isnan(P[0, :, None])
         either = g | p
         step = np.where(
             g & p,
-            np.minimum(cutoff, _distance(G[:, :, None], P[:, None])),
+            np.minimum(cutoff, _distance(G[..., None], P[:, :, None])),
             np.where(either, cutoff, 0.0),
         )
         for term in step:
@@ -488,13 +497,7 @@ def pose_metrics(
                 for t, has in ((gt, g_has), (pred, p_has)))
     for (a, b), (c, d) in zip(_bounds(g_frames, frames), _bounds(p_frames, frames)):
         with np.errstate(over="ignore"):
-            # dx*dx + dy*dy + dz*dz in that order, in the difference's memory.
-            sq = G[:, a:b, None] - P[:, None, c:d]
-            np.multiply(sq, sq, out=sq)
-            dx2, dy2, dz2 = sq
-            np.add(dx2, dy2, out=dx2)
-            np.add(dx2, dz2, out=dx2)
-            cost = 1000.0 * np.sqrt(dx2, out=dx2).mean(axis=-1)
+            cost = 1000.0 * _distance(G[:, a:b, None], P[:, None, c:d]).mean(axis=-1)
         # A pair whose MPJPE overflows is never a match: its error stays inf,
         # and the solver takes it as dearer than all finite pairs together.
         over = np.isinf(cost)

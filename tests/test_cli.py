@@ -382,26 +382,30 @@ class TestAnnotate:
         assert f"{calibration}: camera #1 {key} must be an integer" in err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda cams: cams.append(dict(cams[0])), "duplicate camera id 0"),
-        (lambda cams: cams[0].update(R=[2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
+        (lambda doc: doc["cameras"].append(dict(doc["cameras"][0])), "duplicate camera id 0"),
+        (lambda doc: doc["cameras"][0].update(R=[2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
          "camera 0: rotation is not orthonormal"),
-        (lambda cams: cams.clear(), "calibration contains no cameras"),
-        (lambda cams: cams.__setitem__(1, 5), "camera #1 is not an object"),
-        (lambda cams: cams[0]["K"].__setitem__(8, 2.0),
+        (lambda doc: doc["cameras"].clear(), "calibration contains no cameras"),
+        (lambda doc: doc["cameras"].__setitem__(1, 5), "camera #1 is not an object"),
+        (lambda doc: doc["cameras"][0]["K"].__setitem__(8, 2.0),
          "camera 0: intrinsics bottom row must be (0, 0, 1)"),
-        (lambda cams: cams[0].update(t=[0.0, 0.0, 1e306]),
+        (lambda doc: doc["cameras"][0].update(t=[0.0, 0.0, 1e306]),
          "camera 0: projection matrix K [R | t] overflows"),
-        (lambda cams: cams[0]["K"].__setitem__(0, 1e160) or cams[0]["K"].__setitem__(4, 1e160),
+        (lambda doc: doc["cameras"][0]["K"].__setitem__(0, 1e160)
+         or doc["cameras"][0]["K"].__setitem__(4, 1e160),
          "camera 0: outline conic weights of M = K R overflow"),
         # The model is a pinhole on rectified pixels: lens distortion is
         # refused, not dropped without a word.
-        (lambda cams: cams[1].update(distCoef=[-0.25, 0.1, 0, 0, 0], dist=[0.0] * 5),
+        (lambda doc: doc["cameras"][1].update(distCoef=[-0.25, 0.1, 0, 0, 0], dist=[0.0] * 5),
          "camera #1 has unknown keys: ['dist', 'distCoef']"),
+        # ... and so is distortion kept beside the camera list.
+        (lambda doc: doc.update(distortion={"0": [-0.25, 0.1, 0, 0, 0]}),
+         "calibration has unknown keys: ['distortion']"),
     ], ids=["duplicate", "rotation", "empty", "not-object", "K22", "overflow", "focal-1e160",
-            "distortion"])
+            "distortion", "top-level-key"])
     def test_calibration_error_names_its_file(self, scene_dir, tmp_path, capsys, edit, message):
         doc = json.loads((scene_dir / "calibration.json").read_text())
-        edit(doc["cameras"])
+        edit(doc)
         calibration = tmp_path / "calibration.json"
         calibration.write_text(json.dumps(doc))
         argv = _annotate_argv(scene_dir, tmp_path)

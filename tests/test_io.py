@@ -542,10 +542,22 @@ class TestConfig:
             load_config(path)
 
     def test_invalid_value_rejected(self, tmp_path):
+        # An integer too large for a float is not finite.
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"dt": 0.0}))
-        with pytest.raises(ValidationError, match="dt"):
+        for text, message in [('{"dt": 0.0}', "dt must be positive, got 0.0"),
+                              ('{"dt": %s}' % _HUGE, f"dt must be finite, got {_HUGE}")]:
+            path.write_text(text)
+            with pytest.raises(ValidationError) as err:
+                load_config(path)
+            assert str(err.value) == message
+
+    def test_integer_beyond_the_digit_limit_names_its_line(self, tmp_path):
+        # json.loads refuses to convert it; the refusal is the file's.
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "alpha": 0.1,\n  "dt": %s\n}\n' % _LONG)
+        with pytest.raises(ParseError) as err:
             load_config(path)
+        assert str(err.value) == f"{path}:3: integer longer than 4300 digits"
 
     def test_must_be_object(self, tmp_path):
         path = tmp_path / "config.json"
@@ -834,6 +846,7 @@ def test_writer_writes_any_finite_float_as_json_dumps(tmp_path_factory, values):
 
 
 _HUGE = "1" + "0" * 399  # an integer literal 400 digits long
+_LONG = "1" + "0" * 5000  # one longer than Python converts to an int by default
 
 
 @pytest.mark.parametrize("field, text, reason", [
@@ -846,8 +859,9 @@ _HUGE = "1" + "0" * 399  # an integer literal 400 digits long
     ("position", "[0, NaN, 1]", "position must be finite"),
     ("position", "[0, -Infinity, 1]", "position must be finite"),
     ("position", "[0, 1e400, 1]", "position must be finite"),
+    ("frame", _LONG, "integer longer than 4300 digits"),
 ], ids=["frame-2**64", "frame-below-int64", "id-2**64", "id-400-digits", "frame-1e400",
-        "400-digits", "NaN", "Infinity", "1e400"])
+        "400-digits", "NaN", "Infinity", "1e400", "frame-5001-digits"])
 def test_reader_refuses_what_json_loads_gives(tmp_path, field, text, reason):
     # The values orjson reads otherwise than json.loads (an integer beyond
     # 64 bits as a float) or not at all are refused as json's values are.

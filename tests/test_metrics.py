@@ -464,12 +464,13 @@ def test_metrics_match_pair_by_pair_oracles():
 
 
 def test_distances_are_the_plain_root_of_the_sum_of_squares():
-    # Bit for bit, in this order: no BLAS kernel decides the last digit.
+    # Bit for bit, in this order: no BLAS kernel decides the last digit. The
+    # kernel takes (x, y, z) coordinate planes, which broadcast.
     rng = np.random.default_rng(6)
     a, b = rng.normal(scale=5.0, size=(2, 60_000, 3))
     expected = [math.sqrt(dx * dx + dy * dy + dz * dz) for dx, dy, dz in (a - b).tolist()]
-    assert _distance(a, b).tolist() == expected
-    assert _distance(a[:, None], b[None, :50]).shape == (60_000, 50)
+    assert _distance(a.T, b.T).tolist() == expected
+    assert _distance(a.T[:, :, None], b.T[:, None, :50]).shape == (60_000, 50)
 
 
 # gt 10 and 19 coincide in the last frames, so their assignments tie. In the
@@ -961,3 +962,23 @@ def test_idf1_and_clear_mot_take_only_pairs_that_share_a_frame(monkeypatch):
     sizes.clear()
     assert tuple(clear_mot(pred, gt)) == loop_frame_clear_mot(pred, gt) == (0, 0, 0, 100.0)
     assert sum(sizes) <= shared
+
+
+def test_pose_metrics_take_j_distances_per_pose_pair_of_a_frame(monkeypatch):
+    # Frames 0-5 hold 1, 3, 0, 2, 4, 1 gt poses and 2, 1, 3, 0, 4, 2 pred
+    # poses of J = 5 joints, and pred 9 has a position but no pose in frame
+    # 4: pose_metrics takes n_f * m_f * J distances in each frame where both
+    # sides have a pose, one call per frame, and none anywhere else.
+    rng = np.random.default_rng(59)
+    J, g_counts, p_counts = 5, [1, 3, 0, 2, 4, 1], [2, 1, 3, 0, 4, 2]
+
+    def poses(counts):
+        return {oid: {f: rng.normal(size=(J, 3)) for f, c in enumerate(counts) if oid < c}
+                for oid in range(max(counts))}
+
+    gt, kp = _poses(poses(g_counts)), poses(p_counts)
+    pred = _table({9: {4: np.zeros(3)}, **{o: _still(per, (0, 0, 0)) for o, per in kp.items()}}, kp)
+    assert int(pred.has_keypoints.sum()) == sum(p_counts) == len(pred) - 1
+    sizes = _distance_sizes(monkeypatch)
+    pose_metrics(pred, gt)
+    assert sizes == [n * m * J for n, m in zip(g_counts, p_counts) if n * m]

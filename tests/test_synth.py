@@ -86,8 +86,9 @@ class TestSceneSpec:
              "occlusion references unknown object 2"),
             (dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=-1),)),
              "occlusion references unknown object -1"),
+            (dict(fps=10**400), f"fps must be finite, got {10**400}"),
         ],
-        ids=[f"kwargs{i}" for i in range(12)],
+        ids=[f"kwargs{i}" for i in range(13)],
     )
     def test_invalid_values(self, kwargs, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
