@@ -26,10 +26,6 @@ from .errors import FilterError, GeometryError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ALPHA = 0.1
-DEFAULT_BETA = 2.0
-DEFAULT_KAPPA = 0.0
-
 # Relative jitter ladder used before declaring a factorization failure.
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -226,9 +222,9 @@ def sigma_points(
     mean: np.ndarray,
     cov: np.ndarray,
     *,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    kappa: float = DEFAULT_KAPPA,
+    alpha: float,
+    beta: float,
+    kappa: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled sigma points (n, 2d+1, d) of an (n, d) ``mean`` and (n, d, d)
     ``cov`` stack, with their mean and covariance weights (2d+1,) each; the
@@ -304,20 +300,20 @@ def ukf_update(
     h: Callable[[np.ndarray], np.ndarray],
     noise,
     *,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    kappa: float = DEFAULT_KAPPA,
+    alpha: float,
+    beta: float,
+    kappa: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update of every row of an (n, d) ``mean`` and (n, d, d)
     ``cov`` stack through a batched map ``h``; returns the posterior pair.
 
-    ``measurement`` is (n, m), one row per state row ((m,) when n = 1), and
-    ``noise`` the (m, m) covariance they share. ``h`` takes the
-    (n, 2d+1, d) sigma points, one state per row, and returns the
-    (n, 2d+1, m) predicted measurements; it is called once per update. The
-    measurement moments and the state-measurement cross covariance come from
-    the weighted sigma rows, and the Kalman gain is applied. Each posterior
-    covariance is symmetrized. If roundoff leaves the stack not positive
+    ``measurement`` is (n, m), one row per state row, and ``noise`` the
+    (m, m) covariance they share. ``h`` takes the (n, 2d+1, d) sigma points,
+    one state per row, and returns the (n, 2d+1, m) predicted measurements;
+    it is called once per update. The measurement moments and the
+    state-measurement cross covariance come from the weighted sigma rows,
+    and the Kalman gain is applied. Each posterior covariance is
+    symmetrized. If roundoff leaves the stack not positive
     definite (one batched Cholesky fails), each row that Cholesky rejects and
     that has a negative eigenvalue is clamped back to the PSD cone.
 
@@ -338,16 +334,14 @@ def ukf_update(
     """
     n = len(mean)
     z = np.asarray(measurement, dtype=np.float64)
-    if z.ndim < 2:
-        z = z.reshape(1, -1)
     if not np.isfinite(z).all():
         raise ValueError("measurement contains non-finite values")
-    m = z.shape[1]
     R = np.asarray(noise, dtype=np.float64)
-    if z.shape[0] != n or R.shape != (m, m):
+    if z.ndim != 2 or z.shape[0] != n or R.shape != z.shape[1:] * 2:
         raise ValueError(
             f"measurement {z.shape} and noise {R.shape} do not fit {n} rows"
         )
+    m = z.shape[1]
 
     X, wm, wc = sigma_points(mean, cov, alpha=alpha, beta=beta, kappa=kappa)
     try:

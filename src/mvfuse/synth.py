@@ -95,14 +95,27 @@ class SceneSpec(Checked):
             len(size) == 2 and all(v > 0 for v in size),
             f"image_size must be two positive integers, got {self.image_size}",
         )
+        self._need(
+            all(v < 2**63 for v in size), f"image_size must be below 2**63, got {self.image_size}"
+        )
         for name in ("ring_radius", "cam_height", "focal"):
             v = getattr(self, name)
             self._need(v is None or v > 0, f"{name} must be positive when given")
+        joints = 0
         if self.skeleton is not None:
             try:
-                canonical_pose(self.skeleton)
+                joints = canonical_pose(self.skeleton).num_joints
             except ValueError as exc:
                 raise ValidationError(str(exc)) from None
+        # numpy sizes an array's bytes in signed 64 bits, and the widest
+        # scene arrays hold up to 4 + 3 J float64 values per (frame, object,
+        # camera).
+        rows = int(self.frames) * max(int(self.num_objects), 1) * int(self.num_cameras)
+        self._need(
+            rows * (4 + 3 * joints) * 8 < 2**63,
+            f"frames x num_objects x num_cameras = {self.frames} x {self.num_objects} x "
+            f"{self.num_cameras} is more than numpy can size",
+        )
         occl = tuple(self.occlusions)
         for o in occl:
             self._need(

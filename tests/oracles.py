@@ -27,9 +27,13 @@ import orjson
 from scipy.optimize import linear_sum_assignment
 
 from mvfuse.errors import FilterError, ParseError, ValidationError
-from mvfuse.io import _float_list, _integer, _json_loads
+from mvfuse.io import RunConfig, _float_list, _integer, _json_loads
 from mvfuse.metrics import PoseMetrics
 from mvfuse.tracks import RowError
+
+# The UKF scaling of a program run with the default config, as keyword
+# arguments of ``sigma_points`` and ``ukf_update`` and of their loop forms.
+SCALING = {k: getattr(RunConfig(), k) for k in ("alpha", "beta", "kappa")}
 
 
 def pinhole_project(K, R, t, points):
@@ -798,7 +802,7 @@ def _loop_chol_with_jitter(mats, scale, what):
     return out
 
 
-def loop_sigma_points(mean, cov, alpha=0.1, beta=2.0, kappa=0.0):
+def loop_sigma_points(mean, cov, *, alpha, beta, kappa):
     """Sigma points (n, 2d+1, d) and weights of the (n, d) mean and (n, d, d)
     covariance stack, the weights built on every call."""
     d = mean.shape[1]
@@ -831,18 +835,18 @@ def _loop_clamp_indefinite(cov):
         cov[np.array(rows)[neg]] = 0.5 * (clamped + clamped.swapaxes(-1, -2))
 
 
-def loop_ukf_update(mean, cov, measurement, h, noise, alpha=0.1, beta=2.0, kappa=0.0):
+def loop_ukf_update(mean, cov, measurement, h, noise, *, alpha, beta, kappa):
     """Posterior (mean, covariance) of the stacked UKF update: the moments
     of the measurement sigma rows taken once for the innovation covariance
     and again for the cross covariance."""
     from mvfuse.errors import GeometryError
 
     T = lambda a: a.swapaxes(-1, -2)  # noqa: E731
-    z = np.atleast_2d(np.asarray(measurement, dtype=np.float64))
+    z = np.asarray(measurement, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("measurement contains non-finite values")
     R = np.asarray(noise, dtype=np.float64)
-    X, wm, wc = loop_sigma_points(mean, cov, alpha, beta, kappa)
+    X, wm, wc = loop_sigma_points(mean, cov, alpha=alpha, beta=beta, kappa=kappa)
     try:
         Z = np.asarray(h(X), dtype=np.float64)
     except GeometryError as exc:

@@ -33,7 +33,7 @@ from mvfuse import (
 )
 from mvfuse.filter import ukf_update
 
-from oracles import ClosedFormKF, posterior_crb, random_camera, random_spd, sampled_bbox
+from oracles import SCALING, ClosedFormKF, posterior_crb, random_camera, random_spd, sampled_bbox
 from test_metrics import _random_trackset, _still, _table
 
 
@@ -123,7 +123,7 @@ def test_criterion_3_ukf_matches_closed_form():
         R = random_spd(rng, m, 0.1)
         z = rng.normal(size=m)
 
-        got = ukf_update(belief.mean, belief.covariance, z, lambda X: X @ H.T + b, R)
+        got = ukf_update(belief.mean, belief.covariance, z[None], lambda X: X @ H.T + b, R, **SCALING)
         ref = ClosedFormKF(belief.mean[0], belief.covariance[0])
         ref.update(z, H, b, R)
 

@@ -13,6 +13,7 @@ from mvfuse.geometry import CameraModel, project_ellipsoid_to_bbox, project_poin
 from mvfuse.tracker import bbox_measurement
 
 from oracles import (
+    SCALING,
     loop_project_ellipsoid_to_bbox,
     loop_sigma_points,
     loop_ukf_update,
@@ -87,8 +88,8 @@ class TestSameBitsAsLoop:
         kind = ("healthy", "singular")[seed % 2]
         mean, cov = _stack(rng, n, kind)
 
-        X, wm, wc = sigma_points(mean, cov)
-        X0, wm0, wc0 = loop_sigma_points(mean, cov)
+        X, wm, wc = sigma_points(mean, cov, **SCALING)
+        X0, wm0, wc0 = loop_sigma_points(mean, cov, **SCALING)
         for a, b in ((X, X0), (wm, wm0), (wc, wc0)):
             np.testing.assert_array_equal(a, b)
 
@@ -96,8 +97,8 @@ class TestSameBitsAsLoop:
         np.testing.assert_array_equal(h(X), h0(X0))
         z = h(X)[:, 0] + rng.normal(0.0, 3.0, (n, 4))
         got = _same_outcome(
-            lambda: ukf_update(mean, cov, z, h, R_BOX),
-            lambda: loop_ukf_update(mean, cov, z, h0, R_BOX),
+            lambda: ukf_update(mean, cov, z, h, R_BOX, **SCALING),
+            lambda: loop_ukf_update(mean, cov, z, h0, R_BOX, **SCALING),
         )
         assert isinstance(got, Exception) or got[0].shape == (n, 9)
 
@@ -131,8 +132,8 @@ class TestSameBitsAsLoop:
             z = h0(mean[:, None, :])[:, 0]
             for noise in (R_BOX, 1e-14 * np.eye(4)):
                 _same_outcome(
-                    lambda: ukf_update(mean, cov, z, h, noise),
-                    lambda: loop_ukf_update(mean, cov, z, h0, noise),
+                    lambda: ukf_update(mean, cov, z, h, noise, **SCALING),
+                    lambda: loop_ukf_update(mean, cov, z, h0, noise, **SCALING),
                 )
         assert calls["jitter"] > 0 and calls["clamp"] > 0
 
@@ -160,8 +161,8 @@ class TestSameBitsAsLoop:
         z = np.full((3, 4), 5.0)
         h, h0 = bbox_measurement(cam), _loop_h(cam)
         out = _same_outcome(
-            lambda: ukf_update(mean, cov, z, h, R_BOX)[0],
-            lambda: loop_ukf_update(mean, cov, z, h0, R_BOX)[0],
+            lambda: ukf_update(mean, cov, z, h, R_BOX, **SCALING)[0],
+            lambda: loop_ukf_update(mean, cov, z, h0, R_BOX, **SCALING)[0],
         )
         assert isinstance(out, FilterError)
         assert str(out).startswith("sigma points failed measurement map: ")
@@ -291,7 +292,7 @@ class TestNonFiniteInput:
             return project_point(cam, X[..., POS])
 
         with pytest.raises(FilterError, match="^sigma points failed measurement map: ") as info:
-            ukf_update(belief.mean, belief.covariance, [1.0, 1.0], h, np.eye(2))
+            ukf_update(belief.mean, belief.covariance, [[1.0, 1.0]], h, np.eye(2), **SCALING)
         assert str(info.value).startswith("sigma points failed measurement map: non-finite point [")
         assert str(info.value).endswith("at row (0, 3)")
 
@@ -303,7 +304,7 @@ class TestBudget:
         mean, cov = _stack(rng, 6)
         belief = GaussianBelief(mean, cov)
         h = bbox_measurement(cam)
-        z = h(sigma_points(belief.mean, belief.covariance)[0])[:, 0] + 1.0
+        z = h(sigma_points(belief.mean, belief.covariance, **SCALING)[0])[:, 0] + 1.0
         calls = {"cholesky": 0, "solve": 0, "eigh": 0, "h": 0}
 
         def counting(name, fn):
@@ -314,7 +315,7 @@ class TestBudget:
 
         for name in ("cholesky", "solve", "eigh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        ukf_update(belief.mean, belief.covariance, z, counting("h", h), R_BOX)
+        ukf_update(belief.mean, belief.covariance, z, counting("h", h), R_BOX, **SCALING)
         assert calls == {"cholesky": 3, "solve": 2, "eigh": 0, "h": 1}
 
     def test_camera_constants_built_once_and_read_only(self):
@@ -335,7 +336,7 @@ class TestBudget:
 
     def test_sigma_weights_shared_and_read_only(self):
         b = GaussianBelief(np.zeros(3), np.eye(3))
-        _, wm, wc = sigma_points(b.mean, b.covariance)
-        _, wm2, wc2 = sigma_points(b.mean, b.covariance)
+        _, wm, wc = sigma_points(b.mean, b.covariance, **SCALING)
+        _, wm2, wc2 = sigma_points(b.mean, b.covariance, **SCALING)
         assert wm is wm2 and wc is wc2
         assert not wm.flags.writeable and not wc.flags.writeable

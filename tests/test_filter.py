@@ -20,7 +20,7 @@ from mvfuse import (
     update_rows,
 )
 from mvfuse.metrics import linear_sum_assignment
-from oracles import ClosedFormKF, random_spd
+from oracles import SCALING, ClosedFormKF, random_spd
 
 
 class TestGaussianBelief:
@@ -107,7 +107,7 @@ class TestSigmaPoints:
 
     def test_mean_weights_sum_to_one(self):
         b = GaussianBelief(np.zeros(5), np.eye(5))
-        _, wm, _ = sigma_points(b.mean, b.covariance)
+        _, wm, _ = sigma_points(b.mean, b.covariance, **SCALING)
         assert np.isclose(wm.sum(), 1.0)
 
     def test_moment_reconstruction(self):
@@ -116,7 +116,7 @@ class TestSigmaPoints:
             mean = rng.normal(size=d)
             cov = random_spd(rng, d)
             b = GaussianBelief(mean, cov)
-            X, wm, wc = sigma_points(b.mean, b.covariance)
+            X, wm, wc = sigma_points(b.mean, b.covariance, **SCALING)
             rec_mean = wm @ X
             dX = X - rec_mean[:, None, :]
             rec_cov = np.swapaxes(dX, -1, -2) @ (wc[:, None] * dX)
@@ -128,18 +128,18 @@ class TestSigmaPoints:
     def test_jitter_recovers_semidefinite_covariance(self):
         cov = np.diag([1.0, 0.0])  # PSD but not PD
         b = GaussianBelief(np.zeros(2), cov)
-        points, _, _ = sigma_points(b.mean, b.covariance)
+        points, _, _ = sigma_points(b.mean, b.covariance, **SCALING)
         assert np.all(np.isfinite(points))
 
     def test_zero_covariance_fails(self):
         b = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(FilterError, match="^sigma-point covariance of row 0 not factorizable"):
-            sigma_points(b.mean, b.covariance)
+            sigma_points(b.mean, b.covariance, **SCALING)
 
     def test_invalid_scaling_rejected(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            sigma_points(b.mean, b.covariance, alpha=1.0, kappa=-5.0)
+            sigma_points(b.mean, b.covariance, **{**SCALING, "alpha": 1.0, "kappa": -5.0})
 
 
 class TestMotionModel:
@@ -257,7 +257,9 @@ def _affine_update_pair(rng, d, m):
     z = rng.normal(size=m)
 
     belief = GaussianBelief(mean, cov)
-    posterior = ukf_update(belief.mean, belief.covariance, z, lambda X: X @ H.T + b_off, R)
+    posterior = ukf_update(
+        belief.mean, belief.covariance, z[None], lambda X: X @ H.T + b_off, R, **SCALING
+    )
 
     oracle = ClosedFormKF(mean, cov)
     oracle.update(z, H, b_off, R)
@@ -287,14 +289,14 @@ class TestUkfUpdate:
         for alpha, beta, kappa in ((1.0, 0.0, 3.0), (0.3, 2.0, 0.0), (1e-2, 2.0, 1.0)):
             b = GaussianBelief(mean, cov)
             post_mean, _ = ukf_update(
-                b.mean, b.covariance, z, lambda X: X @ H.T, R,
+                b.mean, b.covariance, z[None], lambda X: X @ H.T, R,
                 alpha=alpha, beta=beta, kappa=kappa,
             )
             assert np.max(np.abs(post_mean - oracle.mean)) < 1e-9
 
     def test_posterior_covariance_shrinks(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
-        _, cov = ukf_update(b.mean, b.covariance, [0.5, 0.5], lambda X: X, 0.1 * np.eye(2))
+        _, cov = ukf_update(b.mean, b.covariance, [[0.5, 0.5]], lambda X: X, 0.1 * np.eye(2), **SCALING)
         assert np.trace(cov[0]) < np.trace(b.covariance[0])
         assert np.linalg.eigvalsh(cov[0])[0] >= -1e-9
 
@@ -302,8 +304,8 @@ class TestUkfUpdate:
         rng = np.random.default_rng(4)
         b = GaussianBelief(np.array([1.0, 2.0, 0.5]), random_spd(rng, 3, 0.1))
         _, cov = ukf_update(
-            b.mean, b.covariance, [2.4], lambda X: np.linalg.norm(X, axis=-1, keepdims=True),
-            np.array([[0.01]]),
+            b.mean, b.covariance, [[2.4]], lambda X: np.linalg.norm(X, axis=-1, keepdims=True),
+            np.array([[0.01]]), **SCALING,
         )
         assert np.linalg.eigvalsh(cov[0])[0] >= -1e-9
 
@@ -315,7 +317,7 @@ class TestUkfUpdate:
             shapes.append(X.shape)
             return X[..., :2]
 
-        ukf_update(b.mean, b.covariance, [0.1, 0.2], h, np.eye(2))
+        ukf_update(b.mean, b.covariance, [[0.1, 0.2]], h, np.eye(2), **SCALING)
         assert shapes == [(1, 7, 3)]
 
     def test_projection_failure_surfaces(self):
@@ -325,20 +327,22 @@ class TestUkfUpdate:
             raise GeometryError("behind")
 
         with pytest.raises(FilterError, match="^sigma points failed measurement map: behind$"):
-            ukf_update(b.mean, b.covariance, [0.0], bad, np.eye(1))
+            ukf_update(b.mean, b.covariance, [[0.0]], bad, np.eye(1), **SCALING)
 
     def test_singular_innovation(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(FilterError, match="^innovation covariance of row 0 not factorizable"):
             ukf_update(
-                b.mean, b.covariance, [0.0], lambda X: np.zeros(X.shape[:-1] + (1,)), np.zeros((1, 1))
+                b.mean, b.covariance, [[0.0]], lambda X: np.zeros(X.shape[:-1] + (1,)), np.zeros((1, 1)),
+                **SCALING,
             )
 
     def test_non_finite_measurement_map_surfaces(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(FilterError, match="^measurement map gave non-finite values$"):
             ukf_update(
-                b.mean, b.covariance, [0.0], lambda X: np.where(X[..., :1] > 0, np.inf, 0.0), np.eye(1)
+                b.mean, b.covariance, [[0.0]], lambda X: np.where(X[..., :1] > 0, np.inf, 0.0), np.eye(1),
+                **SCALING,
             )
 
     @pytest.mark.filterwarnings("error")
@@ -346,17 +350,17 @@ class TestUkfUpdate:
         # the overflow is silent: the finiteness check raises, as in predict
         b = GaussianBelief(np.array([-1e308]), np.eye(1))
         with pytest.raises(FilterError, match="^update overflowed to a non-finite posterior$"):
-            ukf_update(b.mean, b.covariance, [1e308], lambda X: X, np.eye(1))
+            ukf_update(b.mean, b.covariance, [[1e308]], lambda X: X, np.eye(1), **SCALING)
 
     def test_noise_shape_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match=r"^measurement \(1, 2\) and noise \(3, 3\) do not fit 1 rows$"):
-            ukf_update(b.mean, b.covariance, [0.0, 1.0], lambda X: X, np.eye(3))
+            ukf_update(b.mean, b.covariance, [[0.0, 1.0]], lambda X: X, np.eye(3), **SCALING)
 
     def test_h_output_length_mismatch(self):
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="^h returned shape"):
-            ukf_update(b.mean, b.covariance, [0.0], lambda X: X, np.eye(1))
+            ukf_update(b.mean, b.covariance, [[0.0]], lambda X: X, np.eye(1), **SCALING)
 
 
 def _stack(rng, n, d):
@@ -387,16 +391,16 @@ class TestStacks:
         mean, cov = _stack(rng, 6, 9)
         z, R = rng.normal(size=(6, 3)), random_spd(rng, 3)
         model = make_motion_model(0.1, q_pos=0.3, q_shape=0.01)
-        post = ukf_update(mean, cov, z, _bent, R)
+        post = ukf_update(mean, cov, z, _bent, R, **SCALING)
         pred = kalman_predict(mean, cov, model)
-        X, _, _ = sigma_points(mean, cov)
+        X, _, _ = sigma_points(mean, cov, **SCALING)
         for i in range(6):
             one = mean[i : i + 1], cov[i : i + 1]
-            for got, alone in zip(post, ukf_update(*one, z[i], _bent, R)):
+            for got, alone in zip(post, ukf_update(*one, z[i : i + 1], _bent, R, **SCALING)):
                 np.testing.assert_array_equal(got[i], alone[0])
             for got, alone in zip(pred, kalman_predict(*one, model)):
                 np.testing.assert_array_equal(got[i], alone[0])
-            np.testing.assert_array_equal(X[i], sigma_points(*one)[0][0])
+            np.testing.assert_array_equal(X[i], sigma_points(*one, **SCALING)[0][0])
 
     def test_h_maps_whole_stack_once(self):
         rng = np.random.default_rng(6)
@@ -406,33 +410,33 @@ class TestStacks:
             shapes.append(X.shape)
             return _bent(X)
 
-        ukf_update(*_stack(rng, 4, 5), rng.normal(size=(4, 3)), h, np.eye(3))
+        ukf_update(*_stack(rng, 4, 5), rng.normal(size=(4, 3)), h, np.eye(3), **SCALING)
         assert shapes == [(4, 11, 5)]
 
     def test_measurement_rows_must_match_belief_rows(self):
         mean, cov = _stack(np.random.default_rng(7), 3, 4)
         with pytest.raises(ValueError, match=r"^measurement \(2, 3\) and noise \(3, 3\) do not fit 3 rows$"):
-            ukf_update(mean, cov, np.zeros((2, 3)), _bent, np.eye(3))
+            ukf_update(mean, cov, np.zeros((2, 3)), _bent, np.eye(3), **SCALING)
 
     def test_unfactorizable_row_keeps_prior_beside_good_row(self):
         rng = np.random.default_rng(8)
         good = _stack(rng, 1, 9)
         bad = GaussianBelief(np.zeros(9), _UNFACTORIZABLE)
         with pytest.raises(FilterError, match="^sigma-point covariance of row 0 not factorizable"):
-            sigma_points(bad.mean, bad.covariance)
+            sigma_points(bad.mean, bad.covariance, **SCALING)
         pair = (
             np.concatenate([good[0], bad.mean]),
             np.concatenate([good[1], bad.covariance]),
         )
         z, R = rng.normal(size=(2, 3)), np.eye(3)
         with pytest.raises(FilterError, match="^sigma-point covariance of row 1 not factorizable"):
-            ukf_update(*pair, z, _bent, R)
+            ukf_update(*pair, z, _bent, R, **SCALING)
 
         mean, cov = pair[0].copy(), pair[1].copy()
         failed = update_rows(
-            lambda m, c, zz: ukf_update(m, c, zz, _bent, R), mean, cov, np.arange(2), z
+            lambda m, c, zz: ukf_update(m, c, zz, _bent, R, **SCALING), mean, cov, np.arange(2), z
         )
-        alone = ukf_update(*good, z[:1], _bent, R)
+        alone = ukf_update(*good, z[:1], _bent, R, **SCALING)
         np.testing.assert_array_equal(mean[0], alone[0][0])
         np.testing.assert_array_equal(cov[0], alone[1][0])
         np.testing.assert_array_equal(mean[1], bad.mean[0])
@@ -447,9 +451,9 @@ class TestStacks:
 
         def update(m, c, zz):
             calls.append(len(m))
-            return ukf_update(m, c, zz, _bent, np.eye(3))
+            return ukf_update(m, c, zz, _bent, np.eye(3), **SCALING)
 
-        expected = ukf_update(mean, cov, z, _bent, np.eye(3))[0]
+        expected = ukf_update(mean, cov, z, _bent, np.eye(3), **SCALING)[0]
         mean, cov = mean.copy(), cov.copy()
         failed = update_rows(update, mean, cov, np.arange(3), z)
         assert calls == [3] and failed == []
@@ -466,11 +470,11 @@ class TestStacks:
         prior = mean.copy(), cov.copy()
         z, R = rng.normal(size=(2, 3)), np.eye(3)
         failed = update_rows(
-            lambda m, c, zz: ukf_update(m, c, zz, _bent, R), mean, cov, np.array([3, 1]), z
+            lambda m, c, zz: ukf_update(m, c, zz, _bent, R, **SCALING), mean, cov, np.array([3, 1]), z
         )
         assert [(i, type(e)) for i, e in failed] == [(3, FilterError)]
         assert "not factorizable" in str(failed[0][1])
-        alone = ukf_update(prior[0][1:2], prior[1][1:2], z[1:], _bent, R)
+        alone = ukf_update(prior[0][1:2], prior[1][1:2], z[1:], _bent, R, **SCALING)
         np.testing.assert_array_equal(mean[1], alone[0][0])
         np.testing.assert_array_equal(cov[1], alone[1][0])
         for i in (0, 2, 3):
@@ -487,7 +491,7 @@ class TestStacks:
 
         def update(m, c, zz):
             calls.append(len(m))
-            return ukf_update(m, c, zz, lambda X: X[..., :2], np.eye(3))
+            return ukf_update(m, c, zz, lambda X: X[..., :2], np.eye(3), **SCALING)
 
         with pytest.raises(ValueError, match=r"^h returned shape \(3, 9, 2\), expected \(3, 9, 3\)$"):
             update_rows(update, mean, cov, np.arange(3), np.zeros((3, 3)))
@@ -500,8 +504,8 @@ class TestStacks:
         rng = np.random.default_rng(10)
         _, good = _stack(rng, 1, 2)
         pair = GaussianBelief(np.zeros((2, 2)), np.stack([good[0], np.diag([1.0, 0.0])]))
-        X, _, _ = sigma_points(pair.mean, pair.covariance)
-        alone, _, _ = sigma_points(np.zeros((1, 2)), good)
+        X, _, _ = sigma_points(pair.mean, pair.covariance, **SCALING)
+        alone, _, _ = sigma_points(np.zeros((1, 2)), good, **SCALING)
         np.testing.assert_array_equal(X[0], alone[0])
         assert np.all(np.isfinite(X[1]))
 
@@ -539,7 +543,9 @@ class TestTrustedBeliefs:
         # posterior that roundoff makes indefinite; row 1 stays definite.
         cov = np.array([[[0.7, 0.7], [0.7, 0.7]], [[2.0, 0.5], [0.5, 1.0]]])
         b = GaussianBelief(np.zeros((2, 2)), cov)
-        _, post = ukf_update(b.mean, b.covariance, [[0.3], [0.3]], lambda X: X[..., :1], np.eye(1))
+        _, post = ukf_update(
+            b.mean, b.covariance, [[0.3], [0.3]], lambda X: X[..., :1], np.eye(1), **SCALING
+        )
         [raw] = eigh_inputs  # the rows Cholesky rejected: row 0 alone
         assert raw.shape == (1, 2, 2) and np.linalg.eigvalsh(raw)[0, 0] < 0.0
         np.testing.assert_array_equal(post[:1], _old_clamp(raw))
@@ -553,16 +559,16 @@ class TestTrustedBeliefs:
         H = np.array([[2.0, 2.0, -2.0]])
         cov = np.stack([np.outer(H[0], H[0]) / 4.0, 1e-10 * np.eye(3)])
         b, z, R = GaussianBelief(np.zeros((2, 3)), cov), np.zeros((2, 1)), np.zeros((1, 1))
-        _, post = ukf_update(b.mean, b.covariance, z, lambda X: X @ H.T, R)
+        _, post = ukf_update(b.mean, b.covariance, z, lambda X: X @ H.T, R, **SCALING)
         for i in range(2):
             one = b.mean[i : i + 1], b.covariance[i : i + 1]
-            _, alone = ukf_update(*one, z[i], lambda X: X @ H.T, R)
+            _, alone = ukf_update(*one, z[i : i + 1], lambda X: X @ H.T, R, **SCALING)
             np.testing.assert_array_equal(post[i], alone[0])
 
     def test_definite_posterior_returned_unclamped(self, eigh_inputs):
         rng = np.random.default_rng(11)
         mean, cov = _stack(rng, 5, 9)
-        _, post = ukf_update(mean, cov, rng.normal(size=(5, 3)), _bent, np.eye(3))
+        _, post = ukf_update(mean, cov, rng.normal(size=(5, 3)), _bent, np.eye(3), **SCALING)
         assert eigh_inputs == []
         np.testing.assert_array_equal(post, _old_clamp(post))
 
@@ -578,7 +584,7 @@ class TestTrustedBeliefs:
 
         def update(m, c, zz):
             retried.append(len(m))
-            post = ukf_update(m.copy(), c.copy(), zz, _bent, R)
+            post = ukf_update(m.copy(), c.copy(), zz, _bent, R, **SCALING)
             m[:], c[:] = np.nan, np.nan
             if len(m) > 1 or zz[0, 0] == z[1, 0]:
                 raise FilterError("retry row by row; the second row fails")
@@ -593,7 +599,7 @@ class TestTrustedBeliefs:
             np.testing.assert_array_equal(mean[i], prior[0][i])
             np.testing.assert_array_equal(cov[i], prior[1][i])
         for i, k in ((3, 0), (2, 2)):
-            alone = ukf_update(prior[0][i : i + 1], prior[1][i : i + 1], z[k], _bent, R)
+            alone = ukf_update(prior[0][i : i + 1], prior[1][i : i + 1], z[k : k + 1], _bent, R, **SCALING)
             np.testing.assert_array_equal(mean[i], alone[0][0])
             np.testing.assert_array_equal(cov[i], alone[1][0])
 
@@ -616,8 +622,15 @@ _GUARDS = {
                             "process_noise shape must match transition"),
     "negative-q-shape": (lambda: make_motion_model(1.0, 1.0, -1.0), "q_shape must be non-negative"),
     "non-finite-measurement": (
-        lambda: ukf_update(np.zeros((1, 2)), np.eye(2)[None], [np.nan, 0.0], lambda X: X, np.eye(2)),
+        lambda: ukf_update(np.zeros((1, 2)), np.eye(2)[None], [[np.nan, 0.0]], lambda X: X, np.eye(2),
+                           **SCALING),
         "measurement contains non-finite values",
+    ),
+    # A one-row stack takes its measurement as one (1, m) row too.
+    "one-dimensional-measurement": (
+        lambda: ukf_update(np.zeros((1, 2)), np.eye(2)[None], [0.5, 0.0], lambda X: X, np.eye(2),
+                           **SCALING),
+        "measurement (2,) and noise (2, 2) do not fit 1 rows",
     ),
     "intrinsics-shape": (lambda: CameraModel(np.eye(2), np.eye(3), np.zeros(3), (10, 10)),
                          "intrinsics must have shape (3, 3)"),

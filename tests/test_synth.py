@@ -87,8 +87,17 @@ class TestSceneSpec:
             (dict(occlusions=(Occlusion(camera_id=0, start=0, stop=2, object_id=-1),)),
              "occlusion references unknown object -1"),
             (dict(fps=10**400), f"fps must be finite, got {10**400}"),
+            # Scene sizes numpy cannot make arrays of, refused before any is made.
+            (dict(frames=10**400),
+             f"frames x num_objects x num_cameras = {10**400} x 2 x 3 is more than numpy can size"),
+            (dict(frames=2**62, num_objects=1),
+             f"frames x num_objects x num_cameras = {2**62} x 1 x 3 is more than numpy can size"),
+            (dict(num_cameras=10**400, frames=2),
+             f"frames x num_objects x num_cameras = 2 x 2 x {10**400} is more than numpy can size"),
+            (dict(image_size=(10**400, 1080), frames=2),
+             f"image_size must be below 2**63, got ({10**400}, 1080)"),
         ],
-        ids=[f"kwargs{i}" for i in range(13)],
+        ids=[f"kwargs{i}" for i in range(17)],
     )
     def test_invalid_values(self, kwargs, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):

@@ -36,7 +36,7 @@ from mvfuse.filter import POS, SHAPE, VEL, kalman_predict, make_motion_model, uk
 from mvfuse import tracker as tracker_mod
 from mvfuse.tracks import RowError
 
-from oracles import dual_quadric_bbox, random_camera
+from oracles import SCALING, dual_quadric_bbox, random_camera
 from test_geometry import _side_camera
 
 
@@ -56,6 +56,26 @@ def _state(position, half_axes, velocity=(0.0, 0.0, 0.0)):
 
 def _box_for(cam, position, half_axes):
     return project_ellipsoid_to_bbox(cam, position, half_axes)
+
+
+def _staggered_run():
+    """The annotations of a 3-object, 3-camera panoptic15 scene whose
+    occlusions stagger the births and leave frames with fewer cameras, and
+    the (frame, object id) pairs of its tracks; the run emits no event."""
+    spec = SceneSpec(
+        seed=4, num_objects=3, num_cameras=3, frames=12, fps=10.0,
+        motion="constant-velocity", skeleton="panoptic15",
+        occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3))
+        + (Occlusion(0, 5, 9, object_id=0), Occlusion(1, 2, 6)),
+    )
+    bundle, _ = generate(spec)
+    events = []
+    tracks = run_all(
+        bundle.annotations, bundle.calibration, RunConfig(dt=0.1),
+        skeleton=bundle.skeleton, on_event=events.append,
+    )
+    assert events == []
+    return bundle.annotations, set(zip(tracks.frame.tolist(), tracks.object_id.tolist()))
 
 
 def _annotations(*records):
@@ -252,7 +272,7 @@ class TestTrackObject:
                 mean, cov = ukf_update(
                     mean,
                     cov,
-                    _box_for(cams[cid], path[k], half),
+                    _box_for(cams[cid], path[k], half)[None],
                     bbox_measurement(cams[cid]),
                     r_box,
                     alpha=config.alpha,
@@ -302,7 +322,7 @@ class TestTrackObject:
                 kp_mean, kp_cov = kalman_predict(kp_mean, kp_cov, kp_motion)
             for cid in sorted(cams):
                 mean, cov = ukf_update(
-                    mean, cov, _box_for(cams[cid], path[k], half), bbox_measurement(cams[cid]),
+                    mean, cov, _box_for(cams[cid], path[k], half)[None], bbox_measurement(cams[cid]),
                     config.r_bbox * np.eye(4), **scaling,
                 )
             if k == 0:
@@ -344,7 +364,7 @@ class TestTrackObject:
             mean, cov = ukf_update(
                 mean,
                 cov,
-                _box_for(cams[cid], path[0], (0.3, 0.3, 0.9)),
+                _box_for(cams[cid], path[0], (0.3, 0.3, 0.9))[None],
                 bbox_measurement(cams[cid]),
                 r_box,
                 alpha=config.alpha,
@@ -405,12 +425,12 @@ class TestTrackObject:
         config = RunConfig(dt=0.1, init_pos_var=100.0)
 
         belief = init_target(list(boxes), list(boxes.values()), cams, config)
-        X, _, _ = sigma_points(belief.mean, belief.covariance)
+        X, _, _ = sigma_points(belief.mean, belief.covariance, **SCALING)
         front = in_front(near, X[..., POS])
         assert front.any() and not front.all()
         with pytest.raises(FilterError, match="^sigma points failed measurement map: ") as info:
-            ukf_update(belief.mean, belief.covariance, boxes[0], bbox_measurement(near),
-                       config.r_bbox * np.eye(4))
+            ukf_update(belief.mean, belief.covariance, boxes[0][None], bbox_measurement(near),
+                       config.r_bbox * np.eye(4), **SCALING)
         assert isinstance(info.value.__cause__, GeometryError)
         assert "depth" in str(info.value.__cause__)
 
@@ -500,21 +520,7 @@ class TestRunAll:
             return kernel(cam, center, half_axes)
 
         monkeypatch.setattr(tracker_mod, "project_ellipsoid_to_bbox", counting)
-        spec = SceneSpec(
-            seed=4, num_objects=3, num_cameras=3, frames=12, fps=10.0,
-            motion="constant-velocity", skeleton="panoptic15",
-            occlusions=tuple(Occlusion(c, 0, 4, object_id=2) for c in range(3))
-            + (Occlusion(0, 5, 9, object_id=0), Occlusion(1, 2, 6)),
-        )
-        bundle, _ = generate(spec)
-        events = []
-        tracks = run_all(
-            bundle.annotations, bundle.calibration, RunConfig(dt=0.1),
-            skeleton=bundle.skeleton, on_event=events.append,
-        )
-        assert events == []
-        ann = bundle.annotations
-        tracked = set(zip(tracks.frame.tolist(), tracks.object_id.tolist()))
+        ann, tracked = _staggered_run()
         live = [
             (f, c) for f, o, c, box in zip(
                 ann.frame.tolist(), ann.object_id.tolist(), ann.camera_id.tolist(),
@@ -526,6 +532,30 @@ class TestRunAll:
         assert len(calls) == len(blocks) < len(live)
         # Each call stacks the sigma points of every object in its block.
         assert sorted(shape[0] for shape in calls) == sorted(live.count(b) for b in blocks)
+
+    def test_keypoint_kernel_runs_once_per_live_block(self, monkeypatch):
+        # The keypoint twin, on the same scene: each (frame, camera) block
+        # that holds a visible joint of a tracked object costs exactly one
+        # call of the pixel kernel, on the 13 sigma points of each of the
+        # block's visible joint rows.
+        calls = []
+        kernel = tracker_mod.pose_mod.project_point
+
+        def counting(cam, points):
+            calls.append(np.shape(points))
+            return kernel(cam, points)
+
+        monkeypatch.setattr(tracker_mod.pose_mod, "project_point", counting)
+        ann, tracked = _staggered_run()
+        seen = (ann.keypoints[..., 2] >= RunConfig().visibility_threshold).sum(axis=1)
+        rows = {}
+        for f, o, c, n in zip(ann.frame.tolist(), ann.object_id.tolist(),
+                              ann.camera_id.tolist(), seen.tolist()):
+            if n and (f, o) in tracked:
+                rows[f, c] = rows.get((f, c), 0) + n
+        assert len(calls) == len(rows) == 32
+        assert sorted(calls) == sorted((n, 13, 3) for n in rows.values())
+        assert sum(rows.values()) == 1230 and sum(n * k for n, k, _ in calls) == 15990
 
     @pytest.mark.parametrize("frames", [10, 40])
     def test_filter_rows_match_the_live_frames(self, monkeypatch, frames):
